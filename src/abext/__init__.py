@@ -54,6 +54,7 @@ from .universal import (
     build_universal_extension,
     cyclic_generation_check,
     phi,
+    phi_inverse_via_lim,
     psi,
     psi_inverse_via_colim,
     sufficient_condition_check,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch
 from .intlin import (
@@ -127,6 +127,35 @@ def prime_factors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def invariant_factor_blocks(moduli: Sequence[int]) -> List[List[Tuple[int, int]]]:
+    """Regroup ⊕ Z(m_i), every m_i >= 2, into its invariant factors, prime by prime.
+
+    Returns one block per invariant factor, ascending: the pairs (i, q) of
+    the prime-power parts q of Z(m_i) whose product is that factor.  Equal
+    parts are placed in order of (m_i, i), so moduli that already form a
+    chain keep each m_i whole, in the place a stable sort gives it.
+    """
+    per_prime: Dict[int, list] = {}
+    parts_of: Dict[int, List[Tuple[int, int]]] = {}
+    for i, m in enumerate(moduli):
+        if m not in parts_of:
+            parts_of[m] = [(p, p ** _pval(m, p)) for p in prime_factors(m)]
+        for p, q in parts_of[m]:
+            per_prime.setdefault(p, []).append((q, m, i))
+    k = max((len(parts) for parts in per_prime.values()), default=0)
+    blocks: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
+    for parts in per_prime.values():
+        parts.sort()
+        for pos, (q, _m, i) in enumerate(parts, start=k - len(parts)):
+            blocks[pos].append((i, q))
+    return blocks
+
+
+def invariant_factors_of(prime_powers: Sequence[int]) -> Tuple[int, ...]:
+    """Invariant factors of ⊕ Z(q) over prime powers q >= 2."""
+    return tuple(math.prod(q for _, q in block) for block in invariant_factor_blocks(prime_powers))
 
 
 def _pval(n: int, p: int) -> int:
@@ -588,10 +617,7 @@ def pullback(f: AbMap, g: AbMap) -> Pullback:
             if x is None:
                 raise DomainError("cone does not factor through the pullback")
             cols.append(x)
-        mat = IntMatrix.from_rows(
-            [[cols[j][i] for j in range(len(cols))] for i in range(K.dim)], ncols=len(cols)
-        )
-        return AbMap(pair.source, K, mat)
+        return AbMap(pair.source, K, IntMatrix.from_columns(cols, K.dim))
 
     return Pullback(K, left, right, mediator)
 
@@ -625,18 +651,8 @@ def abelian_groups_of_order(n: int) -> List[FinGenAb]:
         factorization.append((p, list(partitions(e))))
     out = []
     for combo in iproduct(*(parts for _, parts in factorization)):
-        per_prime = []
-        for (p, _), part in zip(factorization, combo):
-            per_prime.append(sorted((p ** e for e in part), reverse=True))
-        k = max(len(lst) for lst in per_prime)
-        factors_desc = []
-        for i in range(k):
-            f = 1
-            for lst in per_prime:
-                if i < len(lst):
-                    f *= lst[i]
-            factors_desc.append(f)
-        out.append(FinGenAb(0, tuple(sorted(factors_desc))))
+        powers = [p ** e for (p, _), part in zip(factorization, combo) for e in part]
+        out.append(FinGenAb(0, invariant_factors_of(powers)))
     out.sort(key=lambda g: g.invariant_factors)
     return out
 

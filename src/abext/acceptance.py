@@ -274,9 +274,15 @@ CRITERIA: List[Callable[..., dict]] = [
 
 
 def run_all(seed: int = 0, budget: Optional[int] = None, only: Optional[List[int]] = None) -> dict:
+    """Scorecard of the criteria; one that raises is recorded as failed."""
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:
             continue
-        results.append(fn(seed=seed, budget=budget))
+        t0 = time.time()
+        try:
+            results.append(fn(seed=seed, budget=budget))
+        except Exception as exc:  # the suite reports every criterion, so a crash is a FAIL
+            detail = f"raised {type(exc).__name__}: {exc}"
+            results.append(_result(idx, fn.__name__, False, detail, time.time() - t0))
     return {"criteria": results, "all_passed": all(r["passed"] for r in results)}

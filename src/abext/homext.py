@@ -86,8 +86,12 @@ def _units(n: int):
         yield tuple(1 if t == k else 0 for t in range(n))
 
 
-def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
-    """Hom(A, B) ≅ ⊕ over generator pairs of cyclic pieces."""
+def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
+    """Nontrivial cyclic pieces (source_gen, target_gen, modulus, entry) of Hom(A, B).
+
+    The piece's generator sends source generator j to ``entry`` times target
+    generator i; a modulus of 0 marks an infinite piece.
+    """
     pieces = []
     for j, mj in enumerate(A.moduli()):
         for i, ni in enumerate(B.moduli()):
@@ -101,6 +105,12 @@ def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
                 g = math.gcd(mj, ni)
                 if g > 1:
                     pieces.append((j, i, g, ni // g))
+    return pieces
+
+
+def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
+    """Hom(A, B) ≅ ⊕ over generator pairs of cyclic pieces."""
+    pieces = hom_pieces(A, B)
     rel = IntMatrix.from_rows(
         [[g if t == k else 0 for t in range(len(pieces))] for k, (_, _, g, _) in enumerate(pieces) if g],
         ncols=len(pieces),
@@ -114,10 +124,7 @@ def hom_postcompose(h: AbMap, T: FinGenAb) -> AbMap:
     HS = hom_group(T, h.source)
     HT = hom_group(T, h.target)
     cols = [HT.decompose(h @ b) for b in HS.basis]
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(HT.carrier.dim)],
-        ncols=HS.carrier.dim,
-    )
+    mat = IntMatrix.from_columns(cols, HT.carrier.dim)
     return AbMap(HS.carrier, HT.carrier, mat)
 
 
@@ -439,10 +446,7 @@ def connecting_hom(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     H = hom_group(T, s.quot)
     X = ext_group(T, s.sub)
     cols = [X.to_carrier(pullback_action(cls, b)) for b in H.basis]
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(X.carrier.dim)],
-        ncols=H.carrier.dim,
-    )
+    mat = IntMatrix.from_columns(cols, X.carrier.dim)
     return AbMap(H.carrier, X.carrier, mat)
 
 
@@ -452,10 +456,7 @@ def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     H = hom_group(s.sub, T)
     X = ext_group(s.quot, T)
     cols = [X.to_carrier(pushout_action(cls, b)) for b in H.basis]
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(X.carrier.dim)],
-        ncols=H.carrier.dim,
-    )
+    mat = IntMatrix.from_columns(cols, X.carrier.dim)
     return AbMap(H.carrier, X.carrier, mat)
 
 
@@ -464,10 +465,7 @@ def ext_covariant_map(T: FinGenAb, h: AbMap) -> AbMap:
     XS = ext_group(T, h.source)
     XT = ext_group(T, h.target)
     cols = [XT.to_carrier(pushout_action(c, h)) for c in XS.basis_classes()]
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(XT.carrier.dim)],
-        ncols=XS.carrier.dim,
-    )
+    mat = IntMatrix.from_columns(cols, XT.carrier.dim)
     return AbMap(XS.carrier, XT.carrier, mat)
 
 
@@ -476,10 +474,7 @@ def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
     XS = ext_group(h.target, T)
     XT = ext_group(h.source, T)
     cols = [XT.to_carrier(pullback_action(c, h)) for c in XS.basis_classes()]
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(XT.carrier.dim)],
-        ncols=XS.carrier.dim,
-    )
+    mat = IntMatrix.from_columns(cols, XT.carrier.dim)
     return AbMap(XS.carrier, XT.carrier, mat)
 
 

@@ -23,37 +23,43 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major tuple of tuples."""
+    """Immutable integer matrix, row-major tuple of tuples.
+
+    ``ncols`` is part of the value, so matrices with no rows still differ
+    by width; it is read off the rows when there are any.
+    """
 
     rows: tuple
+    ncols: Optional[int] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(int(x) for x in r) for r in self.rows))
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        width = len(rows[0]) if rows else self.ncols or 0
+        if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
+        if self.ncols not in (None, width):
+            raise DimensionMismatch(f"rows have {width} columns, not {self.ncols}")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", width)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]], ncols: Optional[int] = None) -> "IntMatrix":
-        rows = tuple(tuple(int(x) for x in r) for r in rows)
-        if not rows and ncols is None:
-            ncols = 0
-        if not rows:
-            m = IntMatrix(())
-            object.__setattr__(m, "_ncols_empty", ncols)
-            return m
-        return IntMatrix(rows)
+        return IntMatrix(tuple(rows), ncols)
+
+    @staticmethod
+    def from_columns(cols: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
+        """The matrix whose j-th column is ``cols[j]``."""
+        if any(len(c) != nrows for c in cols):
+            raise DimensionMismatch("column length mismatch")
+        return IntMatrix(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "IntMatrix":
-        m = IntMatrix(tuple((0,) * ncols for _ in range(nrows)))
-        if nrows == 0:
-            object.__setattr__(m, "_ncols_empty", ncols)
-        return m
+        return IntMatrix(((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @staticmethod
     def diagonal(entries: Sequence[int], nrows: Optional[int] = None, ncols: Optional[int] = None) -> "IntMatrix":
@@ -63,24 +69,15 @@ class IntMatrix:
         rows = [[0] * ncols for _ in range(nrows)]
         for i, d in enumerate(entries):
             rows[i][i] = int(d)
-        m = IntMatrix(tuple(tuple(r) for r in rows))
-        if nrows == 0:
-            object.__setattr__(m, "_ncols_empty", ncols)
-        return m
+        return IntMatrix(tuple(rows), ncols)
 
     @staticmethod
     def column(entries: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple((int(x),) for x in entries))
+        return IntMatrix(tuple((int(x),) for x in entries), 1)
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        if self.rows:
-            return len(self.rows[0])
-        return getattr(self, "_ncols_empty", 0) or 0
 
     @property
     def shape(self):
@@ -96,7 +93,7 @@ class IntMatrix:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(zip(*self.rows), ncols=self.nrows) if self.rows else IntMatrix.zeros(self.ncols, 0)
+        return IntMatrix.from_columns(self.rows, self.ncols)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.ncols != other.nrows:
@@ -118,34 +115,24 @@ class IntMatrix:
                     for j, b in enumerate(orow):
                         if b:
                             acc[j] += a * b
-            out.append(tuple(acc))
-        m = IntMatrix(tuple(out))
-        if not out:
-            object.__setattr__(m, "_ncols_empty", ocols)
-        return m
+            out.append(acc)
+        return IntMatrix(tuple(out), ocols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch("shape mismatch in addition")
-        m = IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)))
-        if self.nrows == 0:
-            object.__setattr__(m, "_ncols_empty", self.ncols)
-        return m
+        return IntMatrix(
+            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)), self.ncols
+        )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         return self + (-other)
 
     def __neg__(self) -> "IntMatrix":
-        m = IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
-        if self.nrows == 0:
-            object.__setattr__(m, "_ncols_empty", self.ncols)
-        return m
+        return self.scale(-1)
 
     def scale(self, c: int) -> "IntMatrix":
-        m = IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows))
-        if self.nrows == 0:
-            object.__setattr__(m, "_ncols_empty", self.ncols)
-        return m
+        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows), self.ncols)
 
     def apply(self, vec: Sequence[int]) -> list:
         if len(vec) != self.ncols:
@@ -153,16 +140,10 @@ class IntMatrix:
         return [sum(a * x for a, x in zip(r, vec) if a) for r in self.rows]
 
     def select_columns(self, idx: Sequence[int]) -> "IntMatrix":
-        m = IntMatrix(tuple(tuple(r[j] for j in idx) for r in self.rows))
-        if self.nrows == 0:
-            object.__setattr__(m, "_ncols_empty", len(idx))
-        return m
+        return IntMatrix(tuple(tuple(r[j] for j in idx) for r in self.rows), len(idx))
 
     def select_rows(self, idx: Sequence[int]) -> "IntMatrix":
-        m = IntMatrix(tuple(self.rows[i] for i in idx))
-        if not idx:
-            object.__setattr__(m, "_ncols_empty", self.ncols)
-        return m
+        return IntMatrix(tuple(self.rows[i] for i in idx), self.ncols)
 
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in r) for r in self.rows)
@@ -173,40 +154,6 @@ class IntMatrix:
     @staticmethod
     def from_json(data, ncols: Optional[int] = None) -> "IntMatrix":
         return IntMatrix.from_rows([[int(x) for x in r] for r in data], ncols=ncols)
-
-
-def hstack(left: IntMatrix, right: IntMatrix) -> IntMatrix:
-    if left.nrows != right.nrows:
-        raise DimensionMismatch("hstack row mismatch")
-    m = IntMatrix(tuple(l + r for l, r in zip(left.rows, right.rows)))
-    if left.nrows == 0:
-        object.__setattr__(m, "_ncols_empty", left.ncols + right.ncols)
-    return m
-
-
-def vstack(top: IntMatrix, bottom: IntMatrix) -> IntMatrix:
-    if top.ncols != bottom.ncols:
-        raise DimensionMismatch("vstack col mismatch")
-    return IntMatrix.from_rows(top.rows + bottom.rows, ncols=top.ncols)
-
-
-def block_diag(blocks: Sequence[IntMatrix]) -> IntMatrix:
-    total_r = sum(b.nrows for b in blocks)
-    total_c = sum(b.ncols for b in blocks)
-    rows = [[0] * total_c for _ in range(total_r)]
-    r0 = c0 = 0
-    for b in blocks:
-        for i in range(b.nrows):
-            br = b.rows[i]
-            row = rows[r0 + i]
-            for j in range(b.ncols):
-                row[c0 + j] = br[j]
-        r0 += b.nrows
-        c0 += b.ncols
-    out = IntMatrix(tuple(tuple(r) for r in rows))
-    if total_r == 0:
-        object.__setattr__(out, "_ncols_empty", total_c)
-    return out
 
 
 def det(M: IntMatrix) -> int:

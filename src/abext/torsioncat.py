@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DomainError, ParseError
-from .abgroup import FinGenAb, prime_factors
+from .abgroup import FinGenAb, invariant_factors_of, prime_factors
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
 
@@ -301,25 +301,7 @@ def parse_finite_group(text: str) -> FinGenAb:
         if mult is None:
             raise DomainError("infinite multiplicity is not finitely generated")
         pieces.extend([atom.p ** atom.k] * mult)
-    return _from_prime_powers(free_rank, pieces)
-
-
-def _from_prime_powers(rank: int, pieces: Sequence[int]) -> FinGenAb:
-    per_prime: Dict[int, List[int]] = {}
-    for q in pieces:
-        p = prime_factors(q)[0]
-        per_prime.setdefault(p, []).append(q)
-    for p in per_prime:
-        per_prime[p].sort(reverse=True)
-    k = max((len(v) for v in per_prime.values()), default=0)
-    factors_desc = []
-    for i in range(k):
-        f = 1
-        for lst in per_prime.values():
-            if i < len(lst):
-                f *= lst[i]
-        factors_desc.append(f)
-    return FinGenAb(rank, tuple(sorted(factors_desc)))
+    return FinGenAb(free_rank, invariant_factors_of(pieces))
 
 
 # ---------------------------------------------------------------------------

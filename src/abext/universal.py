@@ -13,15 +13,20 @@ independent verdicts for the three equivalent defining conditions:
 and their duals for co-extensions.  Any disagreement between the verdicts is
 a build failure.
 
-Two construction paths produce equivalent certificates.  The small path is
-the literal pushout (resp. pullback) of the coproduct of realizations along
-the codiagonal (resp. of the diagonal and the product map).  Past a size
-threshold the same class is realized directly from stacked coordinates —
-Ext over a finite coproduct is blockwise — and repeated twists with equal
-coordinates are split off as free Z(d) summands before canonicalization,
-which keeps the core presentation tiny even when |X| runs into the
-hundreds.  Both paths machine-check the componentwise pullback/pushout
-identities on the result.
+Both builders realize the class directly from stacked coordinates, since Ext
+over a finite coproduct is blockwise.  Slots of B^(X) (resp. B^X) with the
+same twist differ by a generator of their own order, so all but the first
+slot of each twist split off as Z(d) summands (Z for free slots) and only a
+tiny core is canonicalized, even when |X| runs into the hundreds; the pieces
+are then regrouped by prime into invariant factors.  Each build
+machine-checks the componentwise pullback (resp. pushout) identities on its
+result.
+
+The paper's literal constructions stay as references: ``psi_inverse_via_colim``
+pushes the coproduct of realizations out along the codiagonal (Ψ^{-1}) and
+``phi_inverse_via_lim`` pulls their product back along the diagonal
+(Φ^{-1}).  With ``verify_extension_conditions`` and
+``verify_coextension_conditions`` they audit the builders independently.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
 from .intlin import IntMatrix, solve_mod
@@ -40,9 +45,9 @@ from .abgroup import (
     ZERO_GROUP,
     canonicalize,
     direct_sum,
+    invariant_factor_blocks,
     is_epi,
     is_mono,
-    mod_quotient,
     pullback,
     pushout,
 )
@@ -57,13 +62,13 @@ from .homext import (
     ext_contravariant_map,
     ext_group,
     hom_group,
+    hom_pieces,
     pullback_action,
     pushout_action,
     realize,
     ses_direct_sum,
 )
 
-STRUCTURED_THRESHOLD = 36
 # End(B^(X)) has dim^2 generating pieces; beyond this the dense hom-group
 # bookkeeping stops being reasonable and the check refuses rather than crawl.
 CYCLIC_CHECK_BUDGET = 1024
@@ -110,10 +115,7 @@ def psi(A_list: Sequence[FinGenAb], B: FinGenAb) -> PsiMap:
         cols = []
         for cls in dom.basis_classes():
             cols.append(pc.to_carrier(pullback_action(cls, ds.injections[i])))
-        block = IntMatrix.from_rows(
-            [[cols[c][r] for c in range(len(cols))] for r in range(pc.carrier.dim)],
-            ncols=dom.carrier.dim,
-        )
+        block = IntMatrix.from_columns(cols, pc.carrier.dim)
         mat = mat + cod.injections[i] @ AbMap(dom.carrier, pc.carrier, block)
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
@@ -131,10 +133,7 @@ def phi(A_list: Sequence[FinGenAb], B: FinGenAb) -> PhiMap:
         cols = []
         for cls in dom.basis_classes():
             cols.append(pc.to_carrier(pushout_action(cls, ds.projections[i])))
-        block = IntMatrix.from_rows(
-            [[cols[c][r] for c in range(len(cols))] for r in range(pc.carrier.dim)],
-            ncols=dom.carrier.dim,
-        )
+        block = IntMatrix.from_columns(cols, pc.carrier.dim)
         mat = mat + cod.injections[i] @ AbMap(dom.carrier, pc.carrier, block)
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
@@ -165,6 +164,33 @@ def psi_inverse_via_colim(classes: Sequence[ExtClass]) -> ShortExactSeq:
     for i, c in enumerate(classes):
         if pullback_action(got, ds_quot.injections[i]) != c:
             raise DomainError("Ψ of the constructed sequence does not reproduce the inputs")
+    return seq
+
+
+def phi_inverse_via_lim(classes: Sequence[ExtClass]) -> ShortExactSeq:
+    """Φ^{-1}((γ_i)) = (⊕γ_i)·Δ: pullback of the product along the diagonal.
+
+    All classes must share their quotient end A.  The result is
+    machine-checked: pushing out along each π_i reproduces the input classes.
+    """
+    classes = list(classes)
+    if not classes:
+        raise DomainError("phi_inverse_via_lim needs at least one class")
+    A = classes[0].A
+    if any(c.A != A for c in classes):
+        raise DomainError("classes must share their quotient end")
+    seqs = [realize(c) for c in classes]
+    big, ds_sub, _ds_mid, ds_quot = ses_direct_sum(seqs)
+    delta = ds_quot.injections[0]
+    for mu in ds_quot.injections[1:]:
+        delta = delta + mu
+    pb = pullback(big.g, delta)
+    fprime = pb.mediator(big.f, AbMap.zero(big.sub, A))
+    seq = ShortExactSeq(fprime, pb.right)
+    got = classify(seq)
+    for i, c in enumerate(classes):
+        if pushout_action(got, ds_sub.projections[i]) != c:
+            raise DomainError("Φ of the constructed sequence does not reproduce the inputs")
     return seq
 
 
@@ -276,458 +302,310 @@ def _finalize(direction, B, A, X, seq, cls, reports) -> UniversalCertificate:
     return cert
 
 
-def build_universal_extension(B: FinGenAb, A: FinGenAb, force_path: Optional[str] = None) -> UniversalCertificate:
+def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     """Canonical universal extension A ↪ E ↠ B^(X) with X = Ext^1(B, A)."""
     ext = ext_group(B, A)
     _require_finite_ext(ext)
     if ext.order() == 1:
         return _degenerate_certificate("extension", B, A)
     X = list(ext.classes())
-    size = A.dim + len(X) * B.dim
-    structured = size > STRUCTURED_THRESHOLD and A.is_finite() and B.is_finite()
-    if force_path == "generic":
-        structured = False
-    elif force_path == "structured":
-        if not (A.is_finite() and B.is_finite()):
-            raise UnsupportedInstance("structured path needs finite groups")
-        structured = True
-    if structured:
-        try:
-            return _build_extension_structured(B, A, ext, X)
-        except _ChainFallback:
-            pass
-    seq = psi_inverse_via_colim(X)
-    cls = classify(seq)
-    reports = verify_extension_conditions(seq, B)
-    return _finalize("extension", B, A, X, seq, cls, reports)
+    dA = A.dim
+    BX, slot = _power_group(B, len(X))
+    # Slot (x, j) lifts to t with d_j·t = u(b), b the j-th twist of the x-th
+    # class; free slots carry no twist.
+    untwisted = (0,) * dA
+    slots = [
+        (slot[x, j], (d, X[x].block(j) if d else untwisted))
+        for x in range(len(X))
+        for j, d in enumerate(B.moduli())
+    ]
+    tw = _twist_merge(slots, lambda keys: _presentation(A.moduli(), keys))
+    E = tw.E
+    n = dA + len(tw.keys)
+
+    ucols = [tw.embed(_unit(a, n)) for a in range(dA)]
+    u = AbMap(A, E, IntMatrix.from_columns([_dense(c, E.dim) for c in ucols], E.dim))
+    # p sends a key's core generator to the key's first slot and a split to
+    # its own slot minus that first slot.
+    images = [{tw.first[key]: c for key, c in zip(tw.keys, col[dA:]) if c} for col in tw.core_lift]
+    images += [{s: 1, tw.first[key]: -1} for s, key in tw.splits]
+    pcols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
+    p = AbMap(E, BX, IntMatrix.from_columns([_dense(c, BX.dim) for c in pcols], BX.dim))
+    seq = ShortExactSeq(u, p)
+
+    # Componentwise Ψ check: slot s of key (d, b) lifts to ℓ, the key's core
+    # generator plus s's split, with p(ℓ) = e_s and d·ℓ = u(b).  This makes η
+    # the class of the sequence.
+    core_t = {key: tw.embed(_unit(dA + k, n)) for k, key in enumerate(tw.keys)}
+    split_of = {s: tw.place[tw.ncore + t] for t, (s, _key) in enumerate(tw.splits)}
+    bxmods, emods = BX.moduli(), E.moduli()
+    for s, (d, b) in slots:
+        lift = _lin([(1, core_t[d, b]), (1, split_of.get(s, {}))])
+        hit = _lin([(c, pcols[k]) for k, c in lift.items()] + [(-1, {s: 1})])
+        twist = _lin([(d, lift)] + [(-c, ucols[a]) for a, c in enumerate(b)])
+        if not (_vanishes(hit, bxmods) and _vanishes(twist, emods)):
+            raise DomainError("universal extension: a slot's lift breaks the Ψ identity")
+    twist_at = dict(slots)
+    eta = ExtClass(BX, A, tuple(c for s in range(BX.torsion_count) for c in twist_at[s][1]))
+
+    # (a): Ext^1(B, u) kills every basis class of Ext^1(B, A).
+    ok_a = all(pushout_action(c, u).is_zero() for c in ext.basis_classes())
+    # (b): Ext^1(B, p) is injective iff E/dE → B^(X)/dB^(X) is, for each factor d of B.
+    ok_b = all(
+        _injective_mod(d, E.moduli(), BX.moduli(), p.matrix.rows) for d in sorted(set(B.invariant_factors))
+    )
+    # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
+    # unless h starts at a torsion generator of B.
+    kB = B.torsion_count
+    delta = []
+    for j, i, g, _entry in hom_pieces(B, BX):
+        if j < kB:
+            flat = [0] * (kB * dA)
+            flat[j * dA : (j + 1) * dA] = [B.invariant_factors[j] // g * c for c in eta.block(i)]
+            delta.append((ExtClass(B, A, tuple(flat)), g))
+    reports = (
+        ConditionReport("a", ok_a, "pushout of Ext^1(B,A) basis along u lands in d·E"),
+        ConditionReport("b", ok_b, "blockwise kernel of Ext^1(B,p)"),
+        ConditionReport("c", _generates(ext, delta), "δ image saturates Ext^1(B,A)"),
+    )
+    return _finalize("extension", B, A, X, seq, eta, reports)
 
 
-def build_universal_coextension(B: FinGenAb, A: FinGenAb, force_path: Optional[str] = None) -> UniversalCertificate:
+def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     """Canonical universal co-extension B^X ↪ E ↠ A with X = Ext^1(A, B)."""
     ext = ext_group(A, B)
     _require_finite_ext(ext)
     if ext.order() == 1:
         return _degenerate_certificate("coextension", B, A)
     X = list(ext.classes())
-    size = B.dim * len(X) + A.dim
-    structured = size > STRUCTURED_THRESHOLD and A.is_finite() and B.is_finite()
-    if force_path == "generic":
-        structured = False
-    elif force_path == "structured":
-        if not (A.is_finite() and B.is_finite()):
-            raise UnsupportedInstance("structured path needs finite groups")
-        structured = True
-    if structured:
-        try:
-            return _build_coextension_structured(B, A, ext, X)
-        except _ChainFallback:
-            pass
-    seqs = [realize(c) for c in X]
-    big, ds_sub, _ds_mid, ds_quot = ses_direct_sum(seqs)
-    delta_map = ds_quot.injections[0]
-    for mu in ds_quot.injections[1:]:
-        delta_map = delta_map + mu
-    pb = pullback(big.g, delta_map)
-    fprime = pb.mediator(big.f, AbMap.zero(big.sub, A))
-    seq = ShortExactSeq(fprime, pb.right)
-    cls = classify(seq)
-    for i, c in enumerate(X):
-        if pushout_action(cls, ds_sub.projections[i]) != c:
-            raise DomainError("Φ of the constructed sequence does not reproduce the inputs")
-    reports = verify_coextension_conditions(seq, B)
-    return _finalize("coextension", B, A, X, seq, cls, reports)
+    dA, dB, kA = A.dim, B.dim, A.torsion_count
+    BX, slot = _power_group(B, len(X))
+    # A's j-th generator lifts to T_j with d_j·T_j = p(v_j), v_j = Σ_x μ_x(x's j-th twist).
+    v = [[0] * BX.dim for _ in range(kA)]
+    for x, cls in enumerate(X):
+        for j in range(kA):
+            for i, c in enumerate(cls.block(j)):
+                v[j][slot[x, i]] = c
+    if any(tuple(v[j][slot[x, i]] for j in range(kA) for i in range(dB)) != cls.coords for x, cls in enumerate(X)):
+        raise DomainError("universal co-extension: Φ does not reproduce the inputs")
+    # Slots of equal modulus and twist pattern merge.  Listing each key's
+    # slots together keeps the splits of one key adjacent in E.
+    keyed: Dict[tuple, List[int]] = {}
+    for s, m in enumerate(BX.moduli()):
+        keyed.setdefault((m, tuple(v[j][s] % m if m else v[j][s] for j in range(kA))), []).append(s)
+    tw = _twist_merge(
+        [(s, key) for key, group in keyed.items() for s in group],
+        lambda keys: _presentation(
+            [m for m, _ in keys],
+            [(d, tuple(pat[j] for _, pat in keys) if d else (0,) * len(keys)) for j, d in enumerate(A.moduli())],
+        ),
+    )
+    E = tw.E
+    nk = len(tw.keys)
+    n = nk + dA
+
+    # p sends a key's first slot to the key's core generator minus the key's
+    # splits, and every other slot to its split.
+    pcols: List[Dict[int, int]] = [{} for _ in range(BX.dim)]
+    for k, key in enumerate(tw.keys):
+        pcols[tw.first[key]] = tw.embed(_unit(k, n))
+    for (s, key), w in zip(tw.splits, tw.place[tw.ncore :]):
+        pcols[s] = w
+        first = pcols[tw.first[key]]
+        for k, c in w.items():
+            first[k] = first.get(k, 0) - c
+    p = AbMap(BX, E, IntMatrix.from_columns([_dense(c, E.dim) for c in pcols], E.dim))
+    images = [{j: c for j, c in enumerate(col[nk:]) if c} for col in tw.core_lift] + [{}] * len(tw.splits)
+    ucols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
+    u = AbMap(E, A, IntMatrix.from_columns([_dense(c, dA) for c in ucols], dA))
+    seq = ShortExactSeq(p, u)
+
+    # Componentwise Φ check: u(T_j) = e_j and d_j·T_j = p(v_j), which makes
+    # γ the class of the sequence.
+    for j, d in enumerate(A.invariant_factors):
+        t = tw.embed(_unit(nk + j, n))
+        hit = _lin([(c, ucols[k]) for k, c in t.items()] + [(-1, {j: 1})])
+        twist = _lin([(d, t)] + [(-c, pcols[s]) for s, c in enumerate(v[j]) if c])
+        if not (_vanishes(hit, A.moduli()) and _vanishes(twist, E.moduli())):
+            raise DomainError("universal co-extension: a lift breaks the Φ identity")
+    gamma = ExtClass(A, BX, tuple(c for vj in v for c in vj))
+
+    # (a*): Ext^1(u, B) kills every basis class of Ext^1(A, B).
+    ok_a = all(pullback_action(c, u).is_zero() for c in ext.basis_classes())
+    # (b*): Ext^1(p, B) is injective iff it is on the coordinates over each
+    # generator of B.  Its matrix sends the block of E's jp-th factor e to
+    # D·p[jp][jq]/e times the block of B^X's jq-th factor D.
+    efacts = E.invariant_factors
+    weights = [
+        [D * c // e for c, e in zip(col, efacts)] for col, D in zip(zip(*p.matrix.rows), BX.invariant_factors)
+    ]
+    ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, weights) for m in sorted(set(B.moduli())))
+    # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B).
+    delta = [
+        (ExtClass(A, B, tuple(entry * v[a][j] if t == i else 0 for a in range(kA) for t in range(dB))), g)
+        for j, i, g, entry in hom_pieces(BX, B)
+    ]
+    reports = (
+        ConditionReport("a", ok_a, "pullback of Ext^1(A,B) basis along u vanishes"),
+        ConditionReport("b", ok_b, "blockwise kernel of Ext^1(p,B)"),
+        ConditionReport("c", _generates(ext, delta), "δ image saturates Ext^1(A,B)"),
+    )
+    return _finalize("coextension", B, A, X, seq, gamma, reports)
 
 
 # ---------------------------------------------------------------------------
-# Structured large-scale constructions
-
-
-class _ChainFallback(Exception):
-    """Merged factor multiset is not a divisibility chain; use the slow path."""
+# The twist-merge construction shared by both builders
 
 
 def _power_group(B: FinGenAb, n: int):
     """B^(n) canonically, with slot (copy x, generator j) → coordinate index.
 
-    Slot ordering matches direct_sum([B]*n): stable sort of concatenated
-    slots by invariant factor, so certificates agree across build paths.
+    Slot order matches direct_sum([B]*n): the torsion slots stably sorted by
+    invariant factor, then the free slots in copy order.
     """
-    kB = B.torsion_count
-    dB = B.dim
-    slots = [(x, j) for x in range(n) for j in range(kB)]
-    order = sorted(range(len(slots)), key=lambda t: (B.invariant_factors[slots[t][1]], slots[t][0] * dB + slots[t][1]))
-    factors = tuple(B.invariant_factors[slots[t][1]] for t in order)
-    group = FinGenAb(0, factors)
-    index = {slots[t]: pos for pos, t in enumerate(order)}
-    return group, index
+    torsion = sorted((d, x, j) for x in range(n) for j, d in enumerate(B.invariant_factors))
+    order = [(x, j) for _, x, j in torsion]
+    order += [(x, j) for x in range(n) for j in range(B.torsion_count, B.dim)]
+    group = FinGenAb(n * B.free_rank, tuple(d for d, _, _ in torsion))
+    return group, {s: pos for pos, s in enumerate(order)}
 
 
-def _merge_factor_positions(core_factors, split_factors):
-    """Stable merge of two factor multisets; raises unless the result chains."""
-    entries = [(f, 0, i) for i, f in enumerate(core_factors)]
-    entries += [(f, 1, t) for t, f in enumerate(split_factors)]
-    entries.sort(key=lambda e: (e[0], e[1], e[2]))
-    factors = [e[0] for e in entries]
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise _ChainFallback()
-    core_pos = {}
-    split_pos = {}
-    for pos, (f, kind, idx) in enumerate(entries):
-        if kind == 0:
-            core_pos[idx] = pos
-        else:
-            split_pos[idx] = pos
-    return tuple(factors), core_pos, split_pos
-
-
-def _build_extension_structured(B, A, ext: ExtGroup, X: List[ExtClass]) -> UniversalCertificate:
-    nX = len(X)
-    dA = A.dim
-    kB = B.torsion_count
-    BX, slot_index = _power_group(B, nX)
-    if B.free_rank:
-        raise _ChainFallback()
-    # Twist relations d_j t_{x,j} = b; identical (d, b) twists differ by a
-    # generator of order d, so only the first of each kind stays in the core.
-    key_first: Dict[tuple, tuple] = {}
-    key_order: List[tuple] = []
-    slot_key = {}
-    for x in range(nX):
-        for j in range(kB):
-            key = (B.invariant_factors[j], X[x].block(j))
-            if key not in key_first:
-                key_first[key] = (x, j)
-                key_order.append(key)
-            slot_key[(x, j)] = key
-    splits = [
-        (x, j) for x in range(nX) for j in range(kB) if key_first[slot_key[(x, j)]] != (x, j)
-    ]
-    nk = len(key_order)
-    key_col = {key: dA + k for k, key in enumerate(key_order)}
-    rows = []
-    for i, m in enumerate(A.moduli()):
-        if m:
-            rows.append([m if t == i else 0 for t in range(dA + nk)])
-    for k, (d, b) in enumerate(key_order):
-        rows.append([-b[i] for i in range(dA)] + [d if t == k else 0 for t in range(nk)])
-    core, projc, liftc = canonicalize(IntMatrix.from_rows(rows, ncols=dA + nk))
-    if core.free_rank != A.free_rank:
-        raise _ChainFallback()
-    factors, core_pos, split_pos = _merge_factor_positions(
-        core.invariant_factors, [slot_key[s][0] for s in splits]
-    )
-    E = FinGenAb(A.free_rank, factors)
-    dE = E.dim
-    # Free generators of the core (none unless A has free rank) sit last.
-    free_base = len(factors)
-    for ci in range(core.torsion_count, core.dim):
-        core_pos[ci] = free_base
-        free_base += 1
-
-    # u : A → E through the core.
-    ucore = projc.select_columns(list(range(dA)))
-    urows = [[0] * dA for _ in range(dE)]
-    for ci in range(core.dim):
-        row = ucore.rows[ci]
-        trow = urows[core_pos[ci]]
-        for a in range(dA):
-            trow[a] = row[a]
-    u = AbMap(A, E, IntMatrix.from_rows(urows, ncols=dA))
-
-    # p : E → B^(X).
-    prow_data = [[0] * dE for _ in range(BX.dim)]
-    for ci in range(core.dim):
-        col = core_pos[ci]
-        for t in range(nk):
-            v = liftc.rows[dA + t][ci]
-            if v:
-                prow_data[slot_index[key_first[key_order[t]]]][col] += v
-    for t, (x, j) in enumerate(splits):
-        col = split_pos[t]
-        prow_data[slot_index[(x, j)]][col] += 1
-        prow_data[slot_index[key_first[slot_key[(x, j)]]]][col] -= 1
-    p = AbMap(E, BX, IntMatrix.from_rows(prow_data, ncols=dE))
-    seq = ShortExactSeq(u, p)
-
-    # Componentwise Ψ check with explicit lifts: for every slot the lift of
-    # its generator is t_{x,j}, and d_j · t_{x,j} must equal u(b) exactly.
-    emods = E.moduli()
-    core_t_coords = {}
-    for t in range(nk):
-        vec = projc.apply([1 if q == dA + t else 0 for q in range(dA + nk)])
-        w = [0] * dE
-        for ci in range(core.dim):
-            w[core_pos[ci]] = vec[ci]
-        core_t_coords[t] = w
-    pcols_core = {}
-    for t in range(nk):
-        w = core_t_coords[t]
-        acc = [0] * BX.dim
-        for cidx, val in enumerate(w):
-            if val:
-                for r in range(BX.dim):
-                    pv = p.matrix.rows[r][cidx]
-                    if pv:
-                        acc[r] += val * pv
-        pcols_core[t] = acc
-    big_coords = [0] * (BX.torsion_count * dA)
-    for (x, j), pos in slot_index.items():
-        blk = X[x].block(j)
-        big_coords[pos * dA : (pos + 1) * dA] = list(blk)
-    big_class = ExtClass(BX, A, tuple(big_coords))
-    split_idx = {s: t for t, s in enumerate(splits)}
-    for x in range(nX):
-        for j in range(kB):
-            key = slot_key[(x, j)]
-            t = key_col[key] - dA
-            w = list(core_t_coords[t])
-            target = list(pcols_core[t])
-            if key_first[key] != (x, j):
-                sidx = split_idx[(x, j)]
-                w[split_pos[sidx]] += 1
-                target[slot_index[(x, j)]] += 1
-                target[slot_index[key_first[key]]] -= 1
-            expect = [0] * BX.dim
-            expect[slot_index[(x, j)]] = 1
-            if BX.reduce(target) != tuple(expect):
-                raise DomainError("structured extension: lift fails to hit its slot")
-            d = B.invariant_factors[j]
-            dv = [d * wi for wi in w]
-            ub = u.matrix.apply(list(X[x].block(j)))
-            if E.reduce(dv) != E.reduce(ub):
-                raise DomainError("structured extension: twist relation violated")
-
-    # Condition (a): Ext^1(B, u) kills every basis class of Ext^1(B, A).
-    ok_a = True
-    for cls in ext.basis_classes():
-        for j in range(kB):
-            img = u.matrix.apply(list(cls.block(j)))
-            d = B.invariant_factors[j]
-            for i, m in enumerate(emods):
-                g = math.gcd(d, m) if m else d
-                if g and img[i] % g:
-                    ok_a = False
-    ra = ConditionReport("a", ok_a, "pushout of Ext^1(B,A) basis along u lands in d·E")
-
-    # Condition (b): per distinct invariant factor d of B, the reduction of p
-    # must be injective from E/dE to B^(X)/d·B^(X).
-    ok_b = True
-    for d in sorted(set(B.invariant_factors)):
-        QE, _pE, keptE = mod_quotient(E, d)
-        QT, _pT, keptT = mod_quotient(BX, d)
-        mat = IntMatrix.from_rows(
-            [[p.matrix.rows[i][j] for j in keptE] for i in keptT], ncols=len(keptE)
-        )
-        if not is_mono(AbMap(QE, QT, mat)):
-            ok_b = False
-    rb = ConditionReport("b", ok_b, "blockwise kernel of Ext^1(B,p)")
-
-    # Condition (c): δ on the generating pieces of Hom(B, B^(X)).
-    rc = ConditionReport(
-        "c", _delta_surjective_ext(B, BX, big_class, ext), "δ image saturates Ext^1(B,A)"
-    )
-    return _finalize("extension", B, A, X, seq, big_class, (ra, rb, rc))
-
-
-def _delta_surjective_ext(B, BX, big_class: ExtClass, ext: ExtGroup) -> bool:
-    """Surjectivity of δ(h) = η·h over the cyclic pieces of Hom(B, B^(X))."""
-    dA = big_class.B.dim
-    bmods = B.moduli()
-    cols = []
-    col_mods = []
-    for j_src, dsrc in enumerate(B.invariant_factors):
-        for i_tgt, Dtgt in enumerate(BX.invariant_factors):
-            g = math.gcd(dsrc, Dtgt)
-            if g <= 1:
-                continue
-            coeff = dsrc // g
-            blk = big_class.block(i_tgt)
-            flat = [0] * (B.torsion_count * dA)
-            for t in range(dA):
-                flat[j_src * dA + t] = coeff * blk[t]
-            cls = ExtClass(B, big_class.B, tuple(flat))
-            cols.append(ext.to_carrier(cls))
-            col_mods.append(g)
-    order = sorted(range(len(cols)), key=lambda t: col_mods[t])
-    src = FinGenAb(0, tuple(col_mods[t] for t in order))
-    mat = IntMatrix.from_rows(
-        [[cols[t][r] for t in order] for r in range(ext.carrier.dim)], ncols=len(cols)
-    )
-    return is_epi(AbMap(src, ext.carrier, mat))
-
-
-def _build_coextension_structured(B, A, ext: ExtGroup, X: List[ExtClass]) -> UniversalCertificate:
-    nX = len(X)
-    dA, dB = A.dim, B.dim
-    kA = A.torsion_count
-    if B.free_rank or A.free_rank:
-        raise _ChainFallback()
-    BX, slot_index = _power_group(B, nX)
-    # Twist vectors v_j = Σ_x μ_x(c_x.block(j)) in B^X.
-    v = [[0] * BX.dim for _ in range(kA)]
-    for x in range(nX):
-        for j in range(kA):
-            blk = X[x].block(j)
-            for i in range(dB):
-                v[j][slot_index[(x, i)]] = blk[i]
-    # Merge B^X generators with equal modulus and twist pattern: the sum of
-    # each class stays in the core, the rest split off as Z(m) summands.
-    key_members: Dict[tuple, List[int]] = {}
-    key_order: List[tuple] = []
-    slot_mod = BX.moduli()
-    for s in range(BX.dim):
-        key = (slot_mod[s], tuple(v[j][s] % slot_mod[s] for j in range(kA)))
-        if key not in key_members:
-            key_members[key] = []
-            key_order.append(key)
-        key_members[key].append(s)
-    nk = len(key_order)
-    rows = []
-    for k, (m, pat) in enumerate(key_order):
-        rows.append([m if t == k else 0 for t in range(nk + dA)])
-    for j, d in enumerate(A.invariant_factors):
-        row = [-key_order[k][1][j] for k in range(nk)] + [
-            d if t == j else 0 for t in range(dA)
-        ]
+def _presentation(base_mods: Sequence[int], twists: Sequence[Tuple[int, Sequence[int]]]) -> IntMatrix:
+    """Relations m_i·e_i = 0 and d_k·t_k = Σ_i b_k,i·e_i on the generators (e, t)."""
+    n = len(base_mods) + len(twists)
+    rows = [[m if c == i else 0 for c in range(n)] for i, m in enumerate(base_mods) if m]
+    for k, (d, b) in enumerate(twists):
+        row = [-c for c in b] + [0] * len(twists)
+        row[len(base_mods) + k] = d
         rows.append(row)
-    core, projc, liftc = canonicalize(IntMatrix.from_rows(rows, ncols=nk + dA))
-    split_factors = []
-    split_slots = []
-    for key in key_order:
-        members = key_members[key]
-        for s in members[1:]:
-            split_factors.append(key[0])
-            split_slots.append(s)
-    factors, core_pos, split_pos = _merge_factor_positions(core.invariant_factors, split_factors)
-    E = FinGenAb(0, factors)
-    dE = E.dim
+    return IntMatrix.from_rows(rows, ncols=n)
 
-    # p : B^X → E.  Slot s in a key with members [s0, s1, ...]: the sum goes
-    # to the core generator H, the basis change is s0 = H - s1 - ... - sr.
-    core_H = {}
-    for k, key in enumerate(key_order):
-        vec = projc.apply([1 if q == k else 0 for q in range(nk + dA)])
-        w = [0] * dE
-        for ci in range(core.dim):
-            w[core_pos[ci]] += vec[ci]
-        core_H[k] = w
-    slot_split_idx = {s: t for t, s in enumerate(split_slots)}
-    prows = [[0] * BX.dim for _ in range(dE)]
-    for k, key in enumerate(key_order):
-        members = key_members[key]
-        first = members[0]
-        H = core_H[k]
-        for r in range(dE):
-            if H[r]:
-                prows[r][first] += H[r]
-        for s in members[1:]:
-            prows[split_pos[slot_split_idx[s]]][first] -= 1
-            prows[split_pos[slot_split_idx[s]]][s] += 1
-    p = AbMap(BX, E, IntMatrix.from_rows(prows, ncols=BX.dim))
 
-    # u : E → A through the core lift.
-    urows = [[0] * dE for _ in range(dA)]
-    for ci in range(core.dim):
-        pos = core_pos[ci]
-        for j in range(dA):
-            urows[j][pos] = liftc.rows[nk + j][ci]
-    u = AbMap(E, A, IntMatrix.from_rows(urows, ncols=dE))
-    seq = ShortExactSeq(p, u)
+@dataclass(frozen=True)
+class _Twist:
+    """Middle group E = core ⊕ splits, with its generators placed.
 
-    big_coords: List[int] = []
-    for j in range(kA):
-        big_coords.extend(v[j])
-    big_class = ExtClass(A, BX, tuple(big_coords))
+    The combined generators are the core's canonical generators followed by
+    one per split.  Vectors are sparse dicts from coordinate to coefficient.
+    """
 
-    # Componentwise Φ check: the lift of e_j is T_j, with d_j T_j = p(v_j).
-    for j, d in enumerate(A.invariant_factors):
-        vec = projc.apply([1 if q == nk + j else 0 for q in range(nk + dA)])
-        w = [0] * dE
-        for ci in range(core.dim):
-            w[core_pos[ci]] += vec[ci]
-        if A.reduce(u.matrix.apply(w)) != tuple(1 if t == j else 0 for t in range(dA)):
-            raise DomainError("structured coextension: lift fails to hit e_j")
-        pv = p.matrix.apply(v[j])
-        if E.reduce([d * wi for wi in w]) != E.reduce(pv):
-            raise DomainError("structured coextension: twist relation violated")
-    for x in range(nX):
-        got = [0] * (kA * dB)
-        for j in range(kA):
-            for i in range(dB):
-                got[j * dB + i] = v[j][slot_index[(x, i)]]
-        if ExtClass(A, B, tuple(got)) != X[x]:
-            raise DomainError("structured coextension: Φ does not reproduce inputs")
+    keys: List[tuple]
+    first: Dict[tuple, int]  # key -> the slot that stays in the core
+    splits: List[Tuple[int, tuple]]  # (slot, key) split off as Z(key[0])
+    projc: IntMatrix  # core presentation coordinates -> core coordinates
+    core_lift: List[tuple]  # each core generator on the core presentation
+    E: FinGenAb
+    place: List[Dict[int, int]]  # each combined generator in E
+    lift: List[Dict[int, int]]  # each generator of E on the combined ones
 
-    # Condition (a*): pullback along u kills Ext^1(A, B).
-    ok_a = True
-    for cls in ext.basis_classes():
-        for jp, dp in enumerate(E.invariant_factors):
-            acc = [0] * dB
-            for i, di in enumerate(A.invariant_factors):
-                wgt = dp * u.matrix.rows[i][jp]
-                if wgt % di:
-                    raise DomainError("pullback weight not integral")
-                c = wgt // di
-                if c:
-                    blk = cls.block(i)
-                    for t in range(dB):
-                        acc[t] += c * blk[t]
-            for t, m in enumerate(B.moduli()):
-                g = math.gcd(dp, m) if m else dp
-                if g and acc[t] % g:
-                    ok_a = False
-    ra = ConditionReport("a", ok_a, "pullback of Ext^1(A,B) basis along u vanishes")
+    @property
+    def ncore(self) -> int:
+        return len(self.core_lift)
 
-    # Condition (b*): pullback along p injective, blockwise per B generator.
-    ok_b = True
-    efacts = E.invariant_factors
-    bxfacts = BX.invariant_factors
-    for m_t in sorted(set(B.invariant_factors)):
-        src_keep = [jp for jp, dpr in enumerate(efacts) if math.gcd(dpr, m_t) > 1]
-        tgt_keep = [jq for jq, dq in enumerate(bxfacts) if math.gcd(dq, m_t) > 1]
-        src_sorted = sorted(src_keep, key=lambda jp: math.gcd(efacts[jp], m_t))
-        src = FinGenAb(0, tuple(math.gcd(efacts[jp], m_t) for jp in src_sorted))
-        tgt_sorted = sorted(tgt_keep, key=lambda jq: math.gcd(bxfacts[jq], m_t))
-        tgt = FinGenAb(0, tuple(math.gcd(bxfacts[jq], m_t) for jq in tgt_sorted))
-        mat_rows = []
-        for jq in tgt_sorted:
-            dq = bxfacts[jq]
-            row = []
-            for jp in src_sorted:
-                wgt = dq * p.matrix.rows[jp][jq]
-                if wgt % efacts[jp]:
-                    raise DomainError("pullback weight not integral")
-                row.append(wgt // efacts[jp])
-            mat_rows.append(row)
-        mat = IntMatrix.from_rows(mat_rows, ncols=len(src_sorted))
-        if not is_mono(AbMap(src, tgt, mat)):
-            ok_b = False
-    rb = ConditionReport("b", ok_b, "blockwise kernel of Ext^1(p,B)")
+    def embed(self, vec: Sequence[int]) -> Dict[int, int]:
+        """E coordinates of a vector on the core presentation's generators."""
+        return _lin((c, self.place[g]) for g, c in enumerate(self.projc.apply(vec)) if c)
 
-    # Condition (c*): δ(h) = h·γ over the cyclic pieces of Hom(B^X, B).
-    cols = []
-    col_mods = []
-    extAB = ext
-    for j_src, Dsrc in enumerate(BX.invariant_factors):
-        for i_tgt, m_tgt in enumerate(B.moduli()):
-            g = math.gcd(Dsrc, m_tgt) if m_tgt else Dsrc
-            if g <= 1:
-                continue
-            entry = (m_tgt // g) if m_tgt else 1
-            flat = [0] * (kA * dB)
-            for j in range(kA):
-                flat[j * dB + i_tgt] = entry * v[j][j_src]
-            cols.append(extAB.to_carrier(ExtClass(A, B, tuple(flat))))
-            col_mods.append(g)
-    order = sorted(range(len(cols)), key=lambda t: col_mods[t])
-    src = FinGenAb(0, tuple(col_mods[t] for t in order))
-    mat = IntMatrix.from_rows(
-        [[cols[t][r] for t in order] for r in range(extAB.carrier.dim)], ncols=len(cols)
-    )
-    ok_c = is_epi(AbMap(src, extAB.carrier, mat))
-    rc = ConditionReport("c", ok_c, "δ image saturates Ext^1(A,B)")
-    return _finalize("coextension", B, A, X, seq, big_class, (ra, rb, rc))
+
+def _twist_merge(slots: Sequence[Tuple[int, tuple]], presentation: Callable[[List[tuple]], IntMatrix]) -> _Twist:
+    """Group slots by key, split off repeats, canonicalize the core, place E.
+
+    ``slots`` lists (slot, key) pairs; key[0] is the slot's modulus, 0 for a
+    free slot.  Slots with equal keys carry the same twist, so any two of them
+    differ by a generator of that modulus: the first slot of each key stays in
+    the core and every later one splits off as a Z(key[0]) summand.
+    ``presentation(keys)`` is the core's relation matrix, one generator per key.
+    """
+    first: Dict[tuple, int] = {}
+    splits: List[Tuple[int, tuple]] = []
+    for s, key in slots:
+        if key in first:
+            splits.append((s, key))
+        else:
+            first[key] = s
+    keys = list(first)
+    core, projc, liftc = canonicalize(presentation(keys))
+    E, place, lift = _regroup(core, [key[0] for _, key in splits])
+    return _Twist(keys, first, splits, projc, list(zip(*liftc.rows)), E, place, lift)
+
+
+def _regroup(core: FinGenAb, split_mods: Sequence[int]):
+    """Canonical form of core ⊕ ⊕_t Z(split_mods[t]), a modulus of 0 meaning Z.
+
+    Returns (E, place, lift) over the combined generators.  Torsion regroups
+    prime by prime through CRT idempotents, so the moduli need not form a
+    divisibility chain; when they do, this is the stable sort by modulus,
+    core generators before splits.
+    """
+    ncore = core.dim
+    torsion = list(range(core.torsion_count)) + [ncore + t for t, m in enumerate(split_mods) if m]
+    free = list(range(core.torsion_count, ncore)) + [ncore + t for t, m in enumerate(split_mods) if not m]
+    mods = core.invariant_factors + tuple(m for m in split_mods if m)
+    blocks = invariant_factor_blocks(mods)
+    factors = [math.prod(q for _, q in block) for block in blocks]
+    place: List[Dict[int, int]] = [{} for _ in range(ncore + len(split_mods))]
+    lift: List[Dict[int, int]] = []
+    for k, (F, block) in enumerate(zip(factors, blocks)):
+        row: Dict[int, int] = {}
+        for i, q in block:
+            g, m = torsion[i], mods[i]
+            row[g] = (row.get(g, 0) + _idempotent(m, q)) % m
+            place[g][k] = (place[g].get(k, 0) + _idempotent(F, q)) % F
+        lift.append(row)
+    for k, g in enumerate(free, start=len(factors)):
+        place[g][k] = 1
+        lift.append({g: 1})
+    return FinGenAb(len(free), tuple(factors)), place, lift
+
+
+def _idempotent(m: int, q: int) -> int:
+    """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
+    r = m // q
+    return r * pow(r, -1, q) % m
+
+
+def _unit(i: int, n: int) -> List[int]:
+    return [1 if t == i else 0 for t in range(n)]
+
+
+def _lin(terms) -> Dict[int, int]:
+    """Σ c·vec over (coefficient, sparse vector) pairs."""
+    out: Dict[int, int] = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            out[i] = out.get(i, 0) + c * x
+    return out
+
+
+def _dense(vec: Dict[int, int], dim: int) -> List[int]:
+    out = [0] * dim
+    for i, x in vec.items():
+        out[i] = x
+    return out
+
+
+def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
+    return all(x % mods[i] == 0 if mods[i] else x == 0 for i, x in vec.items())
+
+
+def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], rows) -> bool:
+    """Injectivity of ``rows`` (target by source) from ⊕Z(gcd(q, s)) to ⊕Z(gcd(q, t)).
+
+    The moduli form chains (0 for Z, read as gcd q), so their gcds with q do
+    too, in the same order.
+    """
+    src = [(j, math.gcd(m, q)) for j, m in enumerate(src_mods) if math.gcd(m, q) > 1]
+    tgt = [(i, math.gcd(m, q)) for i, m in enumerate(tgt_mods) if math.gcd(m, q) > 1]
+    mat = IntMatrix.from_rows([[rows[i][j] for j, _ in src] for i, _ in tgt], ncols=len(src))
+    return is_mono(AbMap(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat))
+
+
+def _generates(ext: ExtGroup, pieces: Sequence[Tuple[ExtClass, int]]) -> bool:
+    """Whether classes of the given orders (0: infinite) generate ``ext``."""
+    pieces = sorted(pieces, key=lambda piece: (piece[1] == 0, piece[1]))
+    src = FinGenAb(sum(1 for _, g in pieces if not g), tuple(g for _, g in pieces if g))
+    cols = [ext.to_carrier(cls) for cls, _ in pieces]
+    return is_epi(AbMap(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -764,11 +642,7 @@ def cyclic_generation_check(
     cols = []
     for b in H.basis:
         cols.append(ext_big.to_carrier(pullback_action(eta, b)))
-    mat = IntMatrix.from_rows(
-        [[cols[c][r] for c in range(len(cols))] for r in range(ext_big.carrier.dim)],
-        ncols=H.carrier.dim,
-    )
-    m = AbMap(H.carrier, ext_big.carrier, mat)
+    m = AbMap(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)
@@ -811,13 +685,8 @@ def sufficient_condition_check(A: FinGenAb, B: FinGenAb, check_certificate: bool
         if check_certificate:
             cert_ok = build_universal_extension(B, A).conditions_agree()
         return SufficientConditionReport(len(X), True, cert_ok, cert_ok)
-    seqs = [realize(c) for c in X]
-    if A.dim + len(X) * max(s.middle.dim for s in seqs) <= STRUCTURED_THRESHOLD * 4:
-        big, _s, _m, _q = ses_direct_sum(seqs)
-        monic = is_mono(big.f)
-    else:
-        # ⊕f_x is block diagonal, so monic iff every block is.
-        monic = all(is_mono(s.f) for s in seqs)
+    # ⊕f_x is block diagonal, so it is monic iff every block is.
+    monic = all(is_mono(realize(c).f) for c in X)
     cert_ok = True
     if check_certificate:
         cert = build_universal_extension(B, A)

@@ -15,6 +15,7 @@ from abext.abgroup import (
     cokernel,
     diagonal,
     direct_sum,
+    invariant_factor_blocks,
     is_epi,
     is_mono,
     kernel,
@@ -275,6 +276,14 @@ def test_group_enumeration():
     ]
     assert len(abelian_groups_up_to_order(12)) == 17
     assert abelian_groups_of_order(1) == [ZERO_GROUP]
+
+
+def test_invariant_factor_blocks():
+    # moduli that chain stay whole, in stable-sort order
+    assert invariant_factor_blocks([6, 2, 2]) == [[(1, 2)], [(2, 2)], [(0, 2), (0, 3)]]
+    # Z(2) + Z(3) + Z(3) + Z(6) = Z(3) + Z(6) + Z(6), regrouped by prime
+    assert invariant_factor_blocks([2, 3, 3, 6]) == [[(1, 3)], [(0, 2), (2, 3)], [(3, 2), (3, 3)]]
+    assert invariant_factor_blocks([]) == []
 
 
 def test_mod_quotient():

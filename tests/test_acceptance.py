@@ -5,6 +5,7 @@ lines, or `abext suite` for the JSON scorecard.
 """
 
 from abext import acceptance
+from abext.errors import DomainError
 
 
 def _check(fn):
@@ -52,3 +53,18 @@ def test_criterion_09_cotorsion_implication():
 
 def test_criterion_10_witness_growth():
     _check(acceptance.criterion_10_witness_growth)
+
+
+def test_run_all_records_a_raising_criterion_as_failed(monkeypatch):
+    def crashed(seed=0, budget=None):
+        raise DomainError("universal extension construction failed its own verification")
+
+    criteria = list(acceptance.CRITERIA)
+    criteria[4] = crashed
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    card = acceptance.run_all(only=[5, 8])
+    assert not card["all_passed"]
+    five, eight = card["criteria"]
+    assert five["id"] == 5 and not five["passed"]
+    assert five["detail"] == "raised DomainError: universal extension construction failed its own verification"
+    assert eight["passed"]

@@ -192,3 +192,23 @@ def test_rank_mod_p():
 def test_matrix_json_roundtrip():
     M = IntMatrix.from_rows([[10 ** 30, -2], [0, 7]])
     assert IntMatrix.from_json(M.to_json()).rows == M.rows
+
+
+def test_zero_row_matrices_keep_their_width():
+    a, b = IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 5)
+    assert a.shape == (0, 3) and b.shape == (0, 5)
+    assert a != b and hash(a) != hash(b)
+    assert a == IntMatrix.from_rows([], ncols=3) == IntMatrix.from_columns([(), (), ()], 0)
+    assert a.transpose() == IntMatrix.zeros(3, 0)
+    assert (IntMatrix.zeros(2, 0) * a).shape == (2, 3)
+
+
+def test_from_columns():
+    M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
+    assert M.rows == ((1, 3, 5), (2, 4, 6))
+    assert M == M.transpose().transpose()
+    assert IntMatrix.from_columns([], 2).shape == (2, 0)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_columns([(1, 2), (3,)], 2)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_rows([[1, 2]], ncols=3)

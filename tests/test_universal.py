@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from abext.abgroup import FinGenAb, ZERO_GROUP, abelian_groups_up_to_order, direct_sum
 from abext.homext import (
     ExtClass,
@@ -15,9 +17,11 @@ from abext.universal import (
     build_universal_extension,
     cyclic_generation_check,
     phi,
+    phi_inverse_via_lim,
     psi,
     psi_inverse_via_colim,
     sufficient_condition_check,
+    verify_coextension_conditions,
     verify_extension_conditions,
 )
 
@@ -139,17 +143,50 @@ def test_certificate_pullbacks_recover_representatives():
         assert pullback_action(eta, ds.injections[i]) == cls
 
 
-def test_structured_path_matches_generic():
-    cases = [(FinGenAb(0, (2, 2)), Z2), (FinGenAb(0, (2, 4)), Z4), (Z4, FinGenAb(0, (2, 2)))]
-    for B, A in cases:
-        g = build_universal_extension(B, A, force_path="generic")
-        s = build_universal_extension(B, A, force_path="structured")
-        assert g.sequence.middle == s.sequence.middle
-        assert classify(g.sequence) == s.canonical_class
-        cg = build_universal_coextension(B, A, force_path="generic")
-        cs = build_universal_coextension(B, A, force_path="structured")
-        assert cg.sequence.middle == cs.sequence.middle
-        assert classify(cg.sequence) == cs.canonical_class
+A336 = FinGenAb(0, (3, 3, 6))
+
+AUDIT_CASES = [
+    # small finite pairs, both directions
+    ("extension", FinGenAb(0, (2, 2)), Z2),
+    ("coextension", FinGenAb(0, (2, 2)), Z2),
+    ("extension", FinGenAb(0, (2, 4)), Z4),
+    ("coextension", FinGenAb(0, (2, 4)), Z4),
+    ("extension", Z4, FinGenAb(0, (2, 2))),
+    ("coextension", Z4, FinGenAb(0, (2, 2))),
+    # free rank in A: the free part of A lifts
+    ("coextension", Z2, FinGenAb(1, (2,))),
+    ("coextension", Z4, FinGenAb(1, (2,))),
+    ("coextension", FinGenAb(0, (2, 2)), FinGenAb(1, (2,))),
+    ("extension", Z2, FinGenAb(1, (2,))),
+    # free rank in B: free slots split off as free summands
+    ("extension", FinGenAb(1, (2,)), Z2),
+    ("coextension", FinGenAb(1, (2,)), Z2),
+    ("extension", FinGenAb(1, (2,)), FinGenAb(1, (4,))),
+    ("coextension", FinGenAb(1, (4,)), Z2),
+    # split factors that do not chain with the core: regrouped by prime
+    ("extension", FinGenAb(0, (2, 2)), A336),
+    ("coextension", FinGenAb(0, (2, 2)), A336),
+    ("extension", FinGenAb(0, (2, 4)), A336),
+    ("coextension", FinGenAb(0, (2, 4)), A336),
+]
+
+
+@pytest.mark.parametrize(
+    "direction,B,A", AUDIT_CASES, ids=[f"{d}:{B}:{A}".replace(" ", "") for d, B, A in AUDIT_CASES]
+)
+def test_builder_matches_literal_construction(direction, B, A):
+    if direction == "extension":
+        cert = build_universal_extension(B, A)
+        literal = psi_inverse_via_colim(cert.X)
+        reports = verify_extension_conditions(cert.sequence, B)
+    else:
+        cert = build_universal_coextension(B, A)
+        literal = phi_inverse_via_lim(cert.X)
+        reports = verify_coextension_conditions(cert.sequence, B)
+    assert classify(cert.sequence) == cert.canonical_class
+    assert cert.sequence.middle == literal.middle
+    assert classify(literal) == cert.canonical_class
+    assert all(r.passed for r in reports)
 
 
 def test_non_universal_candidate_fails_all_three():
