@@ -7,6 +7,13 @@ chain), free generators last, so the moduli vector of ``Z^r ⊕ ⊕ Z(d_i)`` is
 generators, normalized entrywise modulo the target moduli; equality of maps
 is equality of those normal forms.
 
+A direct sum of cyclic groups ⊕ Z(m_i) has one canonical form,
+``cyclic_sum``: the moduli regroup prime by prime into invariant factors
+(CRT), with sparse placements of the summands and lifts of the canonical
+generators.  Biproducts, G/dG, the Hom and Ext carriers and every diagonal
+presentation go through it, so only presentations with genuinely mixed
+relations reach SNF.
+
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  For finite groups,
 mono/epi tests are decided per prime by F_p-rank of socle/quotient matrices,
@@ -26,6 +33,7 @@ from .errors import DomainError, EndpointMismatch
 from .intlin import (
     DimensionMismatch,
     IntMatrix,
+    augment_moduli,
     hnf,
     kernel_basis,
     rank_mod_p,
@@ -173,45 +181,87 @@ def _unimodular_inverse(V: IntMatrix) -> IntMatrix:
     return U
 
 
+def cyclic_sum(moduli: Sequence[int]):
+    """Canonical form of ⊕ Z(m_i), a modulus of 0 meaning Z and 1 the zero group.
+
+    Returns ``(group, place, lift)`` as sparse vectors (dicts from coordinate
+    to coefficient): ``place[i]`` is the i-th summand's generator in canonical
+    coordinates and ``lift[k]`` the k-th canonical generator written on the
+    summands.  Torsion regroups prime by prime through CRT idempotents, so the
+    moduli need not form a divisibility chain; when they do, this is the
+    stable sort by modulus.  Free summands come last, in input order.
+
+    >>> cyclic_sum([2, 3])
+    (FinGenAb(free_rank=0, invariant_factors=(6,)), [{0: 3}, {0: 4}], [{0: 1, 1: 1}])
+    """
+    torsion = [i for i, m in enumerate(moduli) if m > 1]
+    free = [i for i, m in enumerate(moduli) if m == 0]
+    blocks = invariant_factor_blocks([moduli[i] for i in torsion])
+    factors = [math.prod(q for _, q in block) for block in blocks]
+    place: List[Dict[int, int]] = [{} for _ in moduli]
+    lift: List[Dict[int, int]] = []
+    for k, (F, block) in enumerate(zip(factors, blocks)):
+        row: Dict[int, int] = {}
+        for t, q in block:
+            i = torsion[t]
+            row[i] = (row.get(i, 0) + _idempotent(moduli[i], q)) % moduli[i]
+            place[i][k] = (place[i].get(k, 0) + _idempotent(F, q)) % F
+        lift.append(row)
+    for k, i in enumerate(free, start=len(factors)):
+        place[i][k] = 1
+        lift.append({i: 1})
+    return FinGenAb(len(free), tuple(factors)), place, lift
+
+
+def _idempotent(m: int, q: int) -> int:
+    """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
+    r = m // q
+    return r * pow(r, -1, q) % m
+
+
+def dense_matrix(cols: Sequence[Dict[int, int]], nrows: int) -> IntMatrix:
+    """The nrows x len(cols) matrix whose j-th column is the sparse vector cols[j]."""
+    rows = [[0] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    return IntMatrix.from_rows(rows, ncols=len(cols))
+
+
+def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int) -> List[int]:
+    """Σ_j vec[j]·cols[j] as a dense vector of length nrows."""
+    out = [0] * nrows
+    for c, col in zip(vec, cols):
+        if c:
+            for i, x in col.items():
+                out[i] += c * x
+    return out
+
+
 def canonicalize(presentation: IntMatrix):
     """Quotient of Z^n by the row lattice of ``presentation``.
 
     Returns ``(group, proj, lift)``: ``proj`` (dim x n) sends a vector of
     Z^n to canonical coordinates of its class, ``lift`` (n x dim) picks a
     representative for each canonical generator, and ``proj * lift`` is the
-    identity exactly.
+    identity on the group: exactly after SNF, and modulo the invariant
+    factors for a diagonal lattice (each row touching one column), which is
+    a sum of cyclic groups and goes through ``cyclic_sum`` instead.
     """
     n = presentation.ncols
     rows = [r for r in presentation.rows if any(r)]
-    # Fast path: rows touching a single column each present a diagonal
-    # lattice; if the resulting factor multiset is a divisibility chain the
-    # canonical form is just a column permutation (no SNF).
-    diag_ok = True
+    # Rows touching a single column each present a sum of cyclic groups.
     col_mod = [0] * n
     for r in rows:
         nz = [(j, v) for j, v in enumerate(r) if v]
         if len(nz) != 1:
-            diag_ok = False
             break
         j, v = nz[0]
-        col_mod[j] = math.gcd(col_mod[j], abs(v))
-    if diag_ok:
-        torsion = sorted((d, j) for j, d in enumerate(col_mod) if d >= 2)
-        chain = all(torsion[i + 1][0] % torsion[i][0] == 0 for i in range(len(torsion) - 1))
-        if chain:
-            free = [j for j, d in enumerate(col_mod) if d == 0]
-            kept = [j for _, j in torsion] + free
-            group = FinGenAb(len(free), tuple(d for d, _ in torsion))
-            proj = IntMatrix.from_rows(
-                [[1 if j == k else 0 for j in range(n)] for k in kept], ncols=n
-            )
-            lift = IntMatrix.from_rows(
-                [[1 if kept[c] == i else 0 for c in range(len(kept))] for i in range(n)],
-                ncols=len(kept),
-            )
-            return group, proj, lift
-    R = IntMatrix.from_rows(rows, ncols=n)
-    dec = snf(R)
+        col_mod[j] = math.gcd(col_mod[j], v)
+    else:  # no row broke off: the lattice is diagonal
+        group, place, lift = cyclic_sum(col_mod)
+        return group, dense_matrix(place, group.dim), dense_matrix(lift, n)
+    dec = snf(IntMatrix.from_rows(rows, ncols=n))
     diag = dec.diagonal()
     # Relations are the image of R^T; with U R V = D the quotient Z^n/im(R^T)
     # becomes Z^n/im(D^T) under y = V^T x, so classes read off V^T and
@@ -222,9 +272,7 @@ def canonicalize(presentation: IntMatrix):
     free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     kept = torsion_idx + free_idx
     group = FinGenAb(len(free_idx), tuple(diag[i] for i in torsion_idx))
-    proj = vt.select_rows(kept)
-    lift = vinvt.select_columns(kept)
-    return group, proj, lift
+    return group, vt.select_rows(kept), vinvt.select_columns(kept)
 
 
 @dataclass(frozen=True)
@@ -352,60 +400,17 @@ def direct_sum(groups: Sequence[FinGenAb]) -> SumDiagram:
     0
     """
     groups = tuple(groups)
-    offsets = []
-    pos = 0
-    for g in groups:
-        offsets.append(pos)
-        pos += g.dim
-    total_dim = pos
-    concat_mods = []
-    for g in groups:
-        concat_mods.extend(g.moduli())
-    torsion = sorted((d, j) for j, d in enumerate(concat_mods) if d >= 2)
-    chain = all(torsion[i + 1][0] % torsion[i][0] == 0 for i in range(len(torsion) - 1))
-    if chain:
-        # Concatenated factors already form a chain after sorting, so the
-        # canonical form is a permutation of slots (always the case for
-        # copies of a single group).  Avoids SNF on huge diagonal matrices.
-        free = [j for j, d in enumerate(concat_mods) if d == 0]
-        kept = [j for _, j in torsion] + free
-        slot_to_canon = {slot: k for k, slot in enumerate(kept)}
-        total = FinGenAb(len(free), tuple(d for d, _ in torsion))
-        injections = []
-        projections = []
-        for gi, g in enumerate(groups):
-            base = offsets[gi]
-            inj_rows = [[0] * g.dim for _ in range(total_dim)]
-            for local in range(g.dim):
-                inj_rows[slot_to_canon[base + local]][local] = 1
-            inj = AbMap(g, total, IntMatrix.from_rows(inj_rows, ncols=g.dim))
-            proj_rows = [[0] * total_dim for _ in range(g.dim)]
-            for local in range(g.dim):
-                proj_rows[local][slot_to_canon[base + local]] = 1
-            proj = AbMap(total, g, IntMatrix.from_rows(proj_rows, ncols=total_dim))
-            injections.append(inj)
-            projections.append(proj)
-        return SumDiagram(groups, total, tuple(injections), tuple(projections))
-    rel_rows = []
-    for j, d in enumerate(concat_mods):
-        if d:
-            rel_rows.append([d if k == j else 0 for k in range(total_dim)])
-    total, proj, lift = canonicalize(IntMatrix.from_rows(rel_rows, ncols=total_dim))
+    mods = [m for g in groups for m in g.moduli()]
+    total, place, lift = cyclic_sum(mods)
     injections = []
     projections = []
-    for gi, g in enumerate(groups):
-        base = offsets[gi]
-        # Embed local coordinates into the concatenated space.
-        emb_rows = [[0] * g.dim for _ in range(total_dim)]
-        for local in range(g.dim):
-            emb_rows[base + local][local] = 1
-        emb = IntMatrix.from_rows(emb_rows, ncols=g.dim)
-        injections.append(AbMap(g, total, proj * emb))
-        sel_rows = [[0] * total_dim for _ in range(g.dim)]
-        for local in range(g.dim):
-            sel_rows[local][base + local] = 1
-        sel = IntMatrix.from_rows(sel_rows, ncols=total_dim)
-        projections.append(AbMap(total, g, sel * lift))
+    base = 0
+    for g in groups:
+        end = base + g.dim
+        injections.append(AbMap(g, total, dense_matrix(place[base:end], total.dim)))
+        local = [{i - base: x for i, x in row.items() if base <= i < end} for row in lift]
+        projections.append(AbMap(total, g, dense_matrix(local, g.dim)))
+        base = end
     return SumDiagram(groups, total, tuple(injections), tuple(projections))
 
 
@@ -439,15 +444,7 @@ def diagonal(A: FinGenAb, X: int) -> AbMap:
 def _preimage_lattice(M: IntMatrix, target_mods: Sequence[int]) -> IntMatrix:
     """Columns spanning {x : M x lies in the target relation lattice}."""
     n = M.ncols
-    slack_cols = [i for i, m in enumerate(target_mods) if m]
-    rows = []
-    for i in range(M.nrows):
-        row = list(M.rows[i])
-        for k in slack_cols:
-            row.append(target_mods[i] if k == i else 0)
-        rows.append(row)
-    aug = IntMatrix.from_rows(rows, ncols=n + len(slack_cols))
-    ker = kernel_basis(aug)
+    ker = kernel_basis(augment_moduli(M, target_mods))
     return ker.select_rows(list(range(n))) if ker.ncols else IntMatrix.zeros(n, 0)
 
 
@@ -487,20 +484,12 @@ def _socle_matrix(f: AbMap, p: int):
     """F_p matrix of f restricted to the p-socle of its source."""
     smod = f.source.moduli()
     tmod = f.target.moduli()
-    cols = [j for j, m in enumerate(smod) if m and m % p == 0]
-    rows_idx = [i for i, m in enumerate(tmod) if m and m % p == 0]
+    cols = [(j, _pval(m, p)) for j, m in enumerate(smod) if m and m % p == 0]
     mat = []
-    for i in rows_idx:
-        a = _pval(tmod[i], p)
-        row = []
-        for j in cols:
-            b = _pval(smod[j], p)
-            w = f.matrix.rows[i][j]
-            if b >= a:
-                row.append((w * p ** (b - a)) % p)
-            else:
-                row.append((w // p ** (a - b)) % p)
-        mat.append(row)
+    for i, m in enumerate(tmod):
+        if m and m % p == 0:
+            a, row = _pval(m, p), f.matrix.rows[i]
+            mat.append([0 if b > a else row[j] // p ** (a - b) % p for j, b in cols])
     return mat, len(cols)
 
 
@@ -665,26 +654,6 @@ def abelian_groups_up_to_order(n: int) -> List[FinGenAb]:
 
 
 def mod_quotient(G: FinGenAb, d: int) -> Tuple[FinGenAb, AbMap, List[int]]:
-    """G/dG with its projection and the kept coordinate indices.
-
-    Used for the per-block Ext computations: for G finite with chain moduli
-    the quotient moduli gcd(m_i, d) keep the chain, so this is coordinate
-    selection, never SNF.
-    """
-    if d == 0:
-        return G, AbMap.identity(G), list(range(G.dim))
-    mods = G.moduli()
-    kept = []
-    factors = []
-    for i, m in enumerate(mods):
-        q = math.gcd(m, d) if m else d
-        if q > 1:
-            kept.append(i)
-            factors.append(q)
-    order = sorted(range(len(kept)), key=lambda t: (factors[t], kept[t]))
-    kept = [kept[t] for t in order]
-    factors = [factors[t] for t in order]
-    Q = FinGenAb(0, tuple(factors))
-    rows = [[1 if j == i else 0 for j in range(G.dim)] for i in kept]
-    proj = AbMap(G, Q, IntMatrix.from_rows(rows, ncols=G.dim))
-    return Q, proj, kept
+    """G/dG with its projection and, per generator of G/dG, the generator of G it comes from."""
+    Q, place, lift = cyclic_sum([math.gcd(m, d) for m in G.moduli()])
+    return Q, AbMap(G, Q, dense_matrix(place, Q.dim)), [i for row in lift for i in row]

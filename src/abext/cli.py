@@ -57,28 +57,41 @@ from . import acceptance
 
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return fh.read()
+        except OSError as e:
+            raise DomainError(f"cannot read {value[1:]}: {e.strerror}") from e
     return value
 
 
-def _load_json(value: str):
+def _decode(text: str, build):
+    """``build`` applied to the decoded JSON; any malformed input is a DomainError."""
     try:
-        return json.loads(_read_arg(value))
+        return build(json.loads(text))
     except json.JSONDecodeError as e:
         raise DomainError(f"malformed JSON input: {e}") from e
+    except DimensionMismatch:
+        raise  # main reports shape errors with their own message
+    except KeyError as e:
+        raise DomainError(f"malformed input: missing field {e}") from e
+    except (AttributeError, TypeError, ValueError) as e:
+        raise DomainError(f"malformed input: {e}") from e
+
+
+def _load_json(value: str, build):
+    return _decode(_read_arg(value), build)
 
 
 def _group(value: str) -> FinGenAb:
     text = _read_arg(value)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return FinGenAb.from_json(json.loads(text))
+    if text.lstrip().startswith("{"):
+        return _decode(text, FinGenAb.from_json)
     return parse_finite_group(text)
 
 
 def _matrix(value: str) -> IntMatrix:
-    return IntMatrix.from_json(_load_json(value))
+    return _load_json(value, IntMatrix.from_json)
 
 
 def _emit(obj, pretty: bool) -> None:
@@ -114,25 +127,25 @@ def _cmd_ext(args):
 
 
 def _cmd_realize(args):
-    cls = ExtClass.from_json(_load_json(args.cls))
+    cls = _load_json(args.cls, ExtClass.from_json)
     return {"sequence": realize(cls).to_json()}
 
 
 def _cmd_classify(args):
-    seq = ShortExactSeq.from_json(_load_json(args.sequence))
+    seq = _load_json(args.sequence, ShortExactSeq.from_json)
     return {"class": classify_seq(seq).to_json()}
 
 
 def _cmd_baer(args):
-    c1 = ExtClass.from_json(_load_json(args.c1))
-    c2 = ExtClass.from_json(_load_json(args.c2))
+    c1 = _load_json(args.c1, ExtClass.from_json)
+    c2 = _load_json(args.c2, ExtClass.from_json)
     out = c1 - c2 if args.subtract else c1 + c2
     return {"class": out.to_json()}
 
 
 def _cmd_act(args):
-    cls = ExtClass.from_json(_load_json(args.cls))
-    h = AbMap.from_json(_load_json(args.map))
+    cls = _load_json(args.cls, ExtClass.from_json)
+    h = _load_json(args.map, AbMap.from_json)
     if args.side == "pull":
         out = pullback_action(cls, h)
     else:
@@ -141,7 +154,7 @@ def _cmd_act(args):
 
 
 def _cmd_delta(args):
-    seq = ShortExactSeq.from_json(_load_json(args.sequence))
+    seq = _load_json(args.sequence, ShortExactSeq.from_json)
     T = _group(args.T)
     d = connecting_hom_dual(seq, T) if args.dual else connecting_hom(seq, T)
     return {"map": d.to_json()}

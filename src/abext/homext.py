@@ -21,14 +21,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch, NotExactSequence
 from .intlin import IntMatrix, solve_mod
 from .abgroup import (
     AbMap,
     FinGenAb,
+    apply_sparse,
     canonicalize,
+    cyclic_sum,
     direct_sum,
     is_epi,
     is_mono,
@@ -48,16 +50,17 @@ class HomGroup:
 
     ``pieces`` lists the nontrivial cyclic pieces as tuples
     (source_gen, target_gen, piece_modulus, generator_entry); the carrier is
-    their canonical form.  ``decompose`` and ``recompose`` are mutually
-    inverse between maps and carrier coordinates.
+    their canonical form, with ``place`` and ``lift`` from ``cyclic_sum``.
+    ``decompose`` and ``recompose`` are mutually inverse between maps and
+    carrier coordinates.
     """
 
     source: FinGenAb
     target: FinGenAb
     pieces: Tuple[Tuple[int, int, int, int], ...]
     carrier: FinGenAb
-    proj: IntMatrix
-    lift: IntMatrix
+    place: List[Dict[int, int]]
+    lift: List[Dict[int, int]]
 
     @property
     def basis(self) -> Tuple[AbMap, ...]:
@@ -71,10 +74,10 @@ class HomGroup:
             v = f.matrix.rows[i][j]
             c = v // entry
             raw.append(c % g if g else c)
-        return self.carrier.reduce(self.proj.apply(raw))
+        return self.carrier.reduce(apply_sparse(self.place, raw, self.carrier.dim))
 
     def recompose(self, coords: Sequence[int]) -> AbMap:
-        raw = self.lift.apply(list(coords))
+        raw = apply_sparse(self.lift, coords, len(self.pieces))
         rows = [[0] * self.source.dim for _ in range(self.target.dim)]
         for (j, i, g, entry), c in zip(self.pieces, raw):
             rows[i][j] += c * entry
@@ -111,12 +114,8 @@ def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
 def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
     """Hom(A, B) ≅ ⊕ over generator pairs of cyclic pieces."""
     pieces = hom_pieces(A, B)
-    rel = IntMatrix.from_rows(
-        [[g if t == k else 0 for t in range(len(pieces))] for k, (_, _, g, _) in enumerate(pieces) if g],
-        ncols=len(pieces),
-    )
-    carrier, proj, lift = canonicalize(rel)
-    return HomGroup(A, B, tuple(pieces), carrier, proj, lift)
+    carrier, place, lift = cyclic_sum([g for _, _, g, _ in pieces])
+    return HomGroup(A, B, tuple(pieces), carrier, place, lift)
 
 
 def hom_postcompose(h: AbMap, T: FinGenAb) -> AbMap:
@@ -138,15 +137,16 @@ class ExtGroup:
 
     Flat coordinates have one slot per (torsion factor d_j of A, generator i
     of B); slot modulus is gcd(d_j, m_i), with gcd(d, 0) read as d.  The
-    carrier is the canonical form of the direct sum of the slots.
+    carrier is the canonical form of the direct sum of the slots, with
+    ``place`` and ``lift`` from ``cyclic_sum``.
     """
 
     A: FinGenAb
     B: FinGenAb
     piece_mods: Tuple[int, ...]
     carrier: FinGenAb
-    proj: IntMatrix
-    lift: IntMatrix
+    place: List[Dict[int, int]]
+    lift: List[Dict[int, int]]
 
     @property
     def group(self) -> FinGenAb:
@@ -162,10 +162,10 @@ class ExtGroup:
         return tuple(v % g if g else v for v, g in zip(flat, self.piece_mods))
 
     def to_carrier(self, cls: "ExtClass") -> Tuple[int, ...]:
-        return self.carrier.reduce(self.proj.apply(list(cls.coords)))
+        return self.carrier.reduce(apply_sparse(self.place, cls.coords, self.carrier.dim))
 
     def from_carrier(self, coords: Sequence[int]) -> "ExtClass":
-        return ExtClass(self.A, self.B, self.reduce(self.lift.apply(list(coords))))
+        return ExtClass(self.A, self.B, self.reduce(apply_sparse(self.lift, coords, len(self.piece_mods))))
 
     def classes(self) -> Iterator["ExtClass"]:
         """All classes, lexicographic on normal-form coordinates."""
@@ -187,12 +187,8 @@ def ext_pieces(A: FinGenAb, B: FinGenAb) -> Tuple[int, ...]:
 def ext_group(A: FinGenAb, B: FinGenAb) -> ExtGroup:
     """Ext^1(A, B) = ⊕_j B/d_jB over the invariant factors of A."""
     mods = ext_pieces(A, B)
-    rel = IntMatrix.from_rows(
-        [[g if t == k else 0 for t in range(len(mods))] for k, g in enumerate(mods)],
-        ncols=len(mods),
-    )
-    carrier, proj, lift = canonicalize(rel)
-    return ExtGroup(A, B, mods, carrier, proj, lift)
+    carrier, place, lift = cyclic_sum(mods)
+    return ExtGroup(A, B, mods, carrier, place, lift)
 
 
 @dataclass(frozen=True)

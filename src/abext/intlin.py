@@ -405,6 +405,17 @@ def solve(M: IntMatrix, b: Sequence[int]):
     return dec.V.apply(w)
 
 
+def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
+    """[M | diag(moduli)] without the columns of zero moduli.
+
+    Its column lattice is the image of M plus the relations m_i·e_i, so
+    x ↦ M x taken modulo the moduli becomes a map of lattices.
+    """
+    slack = [i for i, m in enumerate(moduli) if m]
+    rows = [list(row) + [moduli[i] if k == i else 0 for k in slack] for i, row in enumerate(M.rows)]
+    return IntMatrix.from_rows(rows, ncols=M.ncols + len(slack))
+
+
 def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
     """Solve M x ≡ b componentwise mod the given per-row moduli.
 
@@ -414,15 +425,7 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
     m, n = M.shape
     if len(b) != m or len(moduli) != m:
         raise DimensionMismatch("solve_mod shape mismatch")
-    slack_cols = [i for i in range(m) if moduli[i] != 0]
-    aug_rows = []
-    for i in range(m):
-        row = list(M.rows[i]) if m else []
-        for k in slack_cols:
-            row.append(moduli[i] if k == i else 0)
-        aug_rows.append(row)
-    aug = IntMatrix.from_rows(aug_rows, ncols=n + len(slack_cols))
-    z = solve(aug, b)
+    z = solve(augment_moduli(M, moduli), b)
     if z is None:
         return None
     return z[:n]
@@ -430,18 +433,11 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
 
 def is_surjective_mod(M: IntMatrix, moduli: Sequence[int]) -> bool:
     """Whether x ↦ M x is onto the product of Z/moduli[i] (0 meaning Z)."""
-    m, n = M.shape
-    if len(moduli) != m:
+    if len(moduli) != M.nrows:
         raise DimensionMismatch("moduli length mismatch")
-    rows = []
-    for i in range(m):
-        row = list(M.rows[i]) if m else []
-        for k in range(m):
-            row.append(moduli[i] if k == i else 0)
-        rows.append(row)
-    diag = snf_diagonal(IntMatrix.from_rows(rows, ncols=n + m))
+    diag = snf_diagonal(augment_moduli(M, moduli))
     ones = sum(1 for d in diag if abs(d) == 1)
-    return ones == m
+    return ones == M.nrows
 
 
 def rank_gf2(rows: list) -> int:

@@ -44,8 +44,9 @@ from .abgroup import (
     SumDiagram,
     ZERO_GROUP,
     canonicalize,
+    cyclic_sum,
+    dense_matrix,
     direct_sum,
-    invariant_factor_blocks,
     is_epi,
     is_mono,
     pullback,
@@ -324,13 +325,13 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     n = dA + len(tw.keys)
 
     ucols = [tw.embed(_unit(a, n)) for a in range(dA)]
-    u = AbMap(A, E, IntMatrix.from_columns([_dense(c, E.dim) for c in ucols], E.dim))
+    u = AbMap(A, E, dense_matrix(ucols, E.dim))
     # p sends a key's core generator to the key's first slot and a split to
     # its own slot minus that first slot.
     images = [{tw.first[key]: c for key, c in zip(tw.keys, col[dA:]) if c} for col in tw.core_lift]
     images += [{s: 1, tw.first[key]: -1} for s, key in tw.splits]
     pcols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
-    p = AbMap(E, BX, IntMatrix.from_columns([_dense(c, BX.dim) for c in pcols], BX.dim))
+    p = AbMap(E, BX, dense_matrix(pcols, BX.dim))
     seq = ShortExactSeq(u, p)
 
     # Componentwise Ψ check: slot s of key (d, b) lifts to ℓ, the key's core
@@ -414,10 +415,10 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
         first = pcols[tw.first[key]]
         for k, c in w.items():
             first[k] = first.get(k, 0) - c
-    p = AbMap(BX, E, IntMatrix.from_columns([_dense(c, E.dim) for c in pcols], E.dim))
+    p = AbMap(BX, E, dense_matrix(pcols, E.dim))
     images = [{j: c for j, c in enumerate(col[nk:]) if c} for col in tw.core_lift] + [{}] * len(tw.splits)
     ucols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
-    u = AbMap(E, A, IntMatrix.from_columns([_dense(c, dA) for c in ucols], dA))
+    u = AbMap(E, A, dense_matrix(ucols, dA))
     seq = ShortExactSeq(p, u)
 
     # Componentwise Φ check: u(T_j) = e_j and d_j·T_j = p(v_j), which makes
@@ -463,11 +464,8 @@ def _power_group(B: FinGenAb, n: int):
     Slot order matches direct_sum([B]*n): the torsion slots stably sorted by
     invariant factor, then the free slots in copy order.
     """
-    torsion = sorted((d, x, j) for x in range(n) for j, d in enumerate(B.invariant_factors))
-    order = [(x, j) for _, x, j in torsion]
-    order += [(x, j) for x in range(n) for j in range(B.torsion_count, B.dim)]
-    group = FinGenAb(n * B.free_rank, tuple(d for d, _, _ in torsion))
-    return group, {s: pos for pos, s in enumerate(order)}
+    group, place, _lift = cyclic_sum(B.moduli() * n)
+    return group, {divmod(s, B.dim): k for s, col in enumerate(place) for k in col}
 
 
 def _presentation(base_mods: Sequence[int], twists: Sequence[Tuple[int, Sequence[int]]]) -> IntMatrix:
@@ -525,43 +523,8 @@ def _twist_merge(slots: Sequence[Tuple[int, tuple]], presentation: Callable[[Lis
             first[key] = s
     keys = list(first)
     core, projc, liftc = canonicalize(presentation(keys))
-    E, place, lift = _regroup(core, [key[0] for _, key in splits])
+    E, place, lift = cyclic_sum(core.moduli() + tuple(key[0] for _, key in splits))
     return _Twist(keys, first, splits, projc, list(zip(*liftc.rows)), E, place, lift)
-
-
-def _regroup(core: FinGenAb, split_mods: Sequence[int]):
-    """Canonical form of core ⊕ ⊕_t Z(split_mods[t]), a modulus of 0 meaning Z.
-
-    Returns (E, place, lift) over the combined generators.  Torsion regroups
-    prime by prime through CRT idempotents, so the moduli need not form a
-    divisibility chain; when they do, this is the stable sort by modulus,
-    core generators before splits.
-    """
-    ncore = core.dim
-    torsion = list(range(core.torsion_count)) + [ncore + t for t, m in enumerate(split_mods) if m]
-    free = list(range(core.torsion_count, ncore)) + [ncore + t for t, m in enumerate(split_mods) if not m]
-    mods = core.invariant_factors + tuple(m for m in split_mods if m)
-    blocks = invariant_factor_blocks(mods)
-    factors = [math.prod(q for _, q in block) for block in blocks]
-    place: List[Dict[int, int]] = [{} for _ in range(ncore + len(split_mods))]
-    lift: List[Dict[int, int]] = []
-    for k, (F, block) in enumerate(zip(factors, blocks)):
-        row: Dict[int, int] = {}
-        for i, q in block:
-            g, m = torsion[i], mods[i]
-            row[g] = (row.get(g, 0) + _idempotent(m, q)) % m
-            place[g][k] = (place[g].get(k, 0) + _idempotent(F, q)) % F
-        lift.append(row)
-    for k, g in enumerate(free, start=len(factors)):
-        place[g][k] = 1
-        lift.append({g: 1})
-    return FinGenAb(len(free), tuple(factors)), place, lift
-
-
-def _idempotent(m: int, q: int) -> int:
-    """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
-    r = m // q
-    return r * pow(r, -1, q) % m
 
 
 def _unit(i: int, n: int) -> List[int]:
@@ -574,13 +537,6 @@ def _lin(terms) -> Dict[int, int]:
     for c, vec in terms:
         for i, x in vec.items():
             out[i] = out.get(i, 0) + c * x
-    return out
-
-
-def _dense(vec: Dict[int, int], dim: int) -> List[int]:
-    out = [0] * dim
-    for i, x in vec.items():
-        out[i] = x
     return out
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from abext.errors import DomainError
-from abext.intlin import IntMatrix
+from abext.intlin import IntMatrix, snf_diagonal
 from abext.abgroup import (
     AbMap,
     FinGenAb,
@@ -13,6 +13,8 @@ from abext.abgroup import (
     canonicalize,
     codiagonal,
     cokernel,
+    cyclic_sum,
+    dense_matrix,
     diagonal,
     direct_sum,
     invariant_factor_blocks,
@@ -76,6 +78,11 @@ def test_canonicalize_examples():
     G, proj, lift = canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert G == FinGenAb(0, (2, 4))
     assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
+    # a diagonal lattice whose moduli do not chain
+    G, proj, lift = canonicalize(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    assert G == Z6
+    assert G.reduce((proj * lift).rows[0]) == (1,)
+    assert G.reduce(proj.apply([2, 0])) == G.reduce(proj.apply([0, 3])) == (0,)
 
 
 def test_canonicalize_kills_relations():
@@ -94,24 +101,59 @@ def test_direct_sum_examples():
     assert direct_sum([]).total == ZERO_GROUP
     ds = direct_sum([Z2, Z4])
     assert ds.total == FinGenAb(0, (2, 4))
-    assert direct_sum([Z2, Z3]).total == Z6
+    # moduli that do not chain regroup by prime
+    ds = direct_sum([Z2, Z3])
+    assert ds.total == Z6
+    assert_biproduct(ds)
+
+
+def assert_biproduct(ds):
+    groups = ds.summands
+    for i, gi in enumerate(groups):
+        for j, gj in enumerate(groups):
+            comp = ds.projections[i] @ ds.injections[j]
+            want = AbMap.identity(gi) if i == j else AbMap.zero(gj, gi)
+            assert comp == want
+    if groups:
+        total = ds.injections[0] @ ds.projections[0]
+        for k in range(1, len(groups)):
+            total = total + ds.injections[k] @ ds.projections[k]
+        assert total == AbMap.identity(ds.total)
 
 
 def test_biproduct_identities():
     rng = random.Random(4)
     for _ in range(30):
-        groups = [random_group(rng, 6) for _ in range(rng.randint(0, 3))]
-        ds = direct_sum(groups)
-        for i, gi in enumerate(groups):
-            for j, gj in enumerate(groups):
-                comp = ds.projections[i] @ ds.injections[j]
-                want = AbMap.identity(gi) if i == j else AbMap.zero(gj, gi)
-                assert comp == want
-        if groups:
-            total = ds.injections[0] @ ds.projections[0]
-            for k in range(1, len(groups)):
-                total = total + ds.injections[k] @ ds.projections[k]
-            assert total == AbMap.identity(ds.total)
+        assert_biproduct(direct_sum([random_group(rng, 6) for _ in range(rng.randint(0, 3))]))
+
+
+def test_cyclic_sum_examples():
+    # a chain is the stable sort by modulus, free summands last, Z(1) dropped
+    G, place, lift = cyclic_sum([4, 0, 2, 1, 2])
+    assert G == FinGenAb(1, (2, 2, 4))
+    assert place == [{2: 1}, {3: 1}, {0: 1}, {}, {1: 1}]
+    assert lift == [{2: 1}, {4: 1}, {0: 1}, {1: 1}]
+    assert cyclic_sum([]) == (ZERO_GROUP, [], [])
+
+
+def test_cyclic_sum_matches_snf():
+    rng = random.Random(11)
+    for _ in range(80):
+        mods = [rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]) for _ in range(rng.randint(1, 7))]
+        G, place, lift = cyclic_sum(mods)
+        diag = [abs(d) for d in snf_diagonal(IntMatrix.diagonal(mods))]
+        assert G.invariant_factors == tuple(d for d in diag if d > 1)
+        assert G.free_rank == diag.count(0)
+        P, L = dense_matrix(place, G.dim), dense_matrix(lift, len(mods))
+
+        def on_summands(vec):
+            return [v % m if m else v for v, m in zip(vec, mods)]
+
+        # place and lift are mutually inverse modulo the moduli
+        for k, col in enumerate(zip(*(P * L).rows)):
+            assert G.reduce(col) == tuple(int(t == k) for t in range(G.dim))
+        for i, col in enumerate(zip(*(L * P).rows)):
+            assert on_summands(col) == on_summands([int(t == i) for t in range(len(mods))])
 
 
 def test_diagonal_codiagonal():

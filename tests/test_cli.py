@@ -140,6 +140,32 @@ def test_domain_error_exit_code(capsys):
     assert "error" in data
 
 
+def assert_structured_error(capsys, *argv):
+    code, data = run_json(capsys, *argv)
+    assert code == 1
+    assert isinstance(data["error"]["code"], str) and isinstance(data["error"]["message"], str)
+    return data["error"]["message"]
+
+
+def test_group_json_with_a_bad_field_is_a_structured_error(capsys):
+    assert_structured_error(capsys, "hom", "--A", '{"rank":"x"}', "--B", "Z(2)")
+
+
+def test_unclosed_group_json_is_a_structured_error(capsys):
+    message = assert_structured_error(capsys, "ext", "--A", '{"rank": 0, "factors": ["2"]', "--B", "Z(2)")
+    assert message.startswith("malformed JSON input")
+
+
+def test_missing_argument_file_is_a_structured_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-group.json"
+    assert str(missing) in assert_structured_error(capsys, "hom", "--A", f"@{missing}", "--B", "Z(2)")
+
+
+def test_class_without_its_quotient_end_is_a_structured_error(capsys):
+    cls = {"B": {"rank": 0, "factors": ["2"]}, "coords": ["1"]}
+    assert "'A'" in assert_structured_error(capsys, "realize", "--class", json.dumps(cls))
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["ext", "--A", "Z(2)"])  # missing --B
     capsys.readouterr()
