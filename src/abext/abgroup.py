@@ -7,12 +7,14 @@ chain), free generators last, so the moduli vector of ``Z^r ⊕ ⊕ Z(d_i)`` is
 generators, normalized entrywise modulo the target moduli; equality of maps
 is equality of those normal forms.
 
-A direct sum of cyclic groups ⊕ Z(m_i) has one canonical form,
+A direct sum of cyclic groups ⊕ Z(m_i) is put in canonical form by
 ``cyclic_sum``: the moduli regroup prime by prime into invariant factors
 (CRT), with sparse placements of the summands and lifts of the canonical
-generators.  Biproducts, G/dG, the Hom and Ext carriers and every diagonal
-presentation go through it, so only presentations with genuinely mixed
-relations reach SNF.
+generators, inverse modulo the moduli.  Biproducts, G/dG, the Hom and Ext
+carriers and the universal middle groups go through it.  ``canonicalize``
+must return integer coordinates that are exactly inverse, so a diagonal
+presentation takes the same group through gcd/lcm steps instead; only
+presentations with genuinely mixed relations reach SNF.
 
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  For finite groups,
@@ -244,9 +246,9 @@ def canonicalize(presentation: IntMatrix):
     Returns ``(group, proj, lift)``: ``proj`` (dim x n) sends a vector of
     Z^n to canonical coordinates of its class, ``lift`` (n x dim) picks a
     representative for each canonical generator, and ``proj * lift`` is the
-    identity on the group: exactly after SNF, and modulo the invariant
-    factors for a diagonal lattice (each row touching one column), which is
-    a sum of cyclic groups and goes through ``cyclic_sum`` instead.
+    identity exactly.  A diagonal lattice (each row touching one column)
+    presents a sum of cyclic groups and takes ``_diagonal_quotient``
+    instead of SNF.
     """
     n = presentation.ncols
     rows = [r for r in presentation.rows if any(r)]
@@ -259,8 +261,7 @@ def canonicalize(presentation: IntMatrix):
         j, v = nz[0]
         col_mod[j] = math.gcd(col_mod[j], v)
     else:  # no row broke off: the lattice is diagonal
-        group, place, lift = cyclic_sum(col_mod)
-        return group, dense_matrix(place, group.dim), dense_matrix(lift, n)
+        return _diagonal_quotient(col_mod)
     dec = snf(IntMatrix.from_rows(rows, ncols=n))
     diag = dec.diagonal()
     # Relations are the image of R^T; with U R V = D the quotient Z^n/im(R^T)
@@ -273,6 +274,55 @@ def canonicalize(presentation: IntMatrix):
     kept = torsion_idx + free_idx
     group = FinGenAb(len(free_idx), tuple(diag[i] for i in torsion_idx))
     return group, vt.select_rows(kept), vinvt.select_columns(kept)
+
+
+def _diagonal_quotient(moduli: Sequence[int]):
+    """``canonicalize`` for Z^n / ⊕ m_i·Z e_i, with ``proj * lift`` exactly the identity.
+
+    The torsion moduli go in ascending order into a divisibility chain
+    c_1 | ... | c_r.  A modulus that c_r does not divide is carried along the
+    chain: each pair (c_j, carry) with c_j not dividing carry becomes
+    (gcd, lcm) under a unimodular change of the two coordinates, so every
+    step keeps the coordinates exact.  The group and, on moduli that already
+    chain, the coordinates (a stable sort) are those of ``cyclic_sum``; its
+    CRT coordinates are inverse only modulo the moduli, and for moduli such
+    as 75, 45 no integer pair realizes them exactly.
+    """
+    n = len(moduli)
+    chain: List[list] = []  # [modulus, row of proj, column of lift], sparse
+    for m, i in sorted((m, i) for i, m in enumerate(moduli) if m > 1):
+        carry = [m, {i: 1}, {i: 1}]
+        if chain and m % chain[-1][0]:  # else c_r | m and m just goes last
+            for link in chain:
+                a, b = link[0], carry[0]
+                if b % a == 0:
+                    continue
+                g = math.gcd(a, b)
+                # p = 0 mod a/g and 1 mod b/g; the new coordinates are
+                # z_g = z_a - z_b and z_l = (1 - p) z_a + p z_b, with
+                # inverse z_a = p z_g + z_l and z_b = (p - 1) z_g + z_l.
+                p = a // g * pow(a // g, -1, b // g)
+                (_, ra, ca), (_, rb, cb) = link, carry
+                link[:] = [g, _combine(ra, 1, rb, -1), _combine(ca, p, cb, p - 1)]
+                carry[:] = [a // g * b, _combine(ra, 1 - p, rb, p), _combine(ca, 1, cb, 1)]
+        chain.append(carry)
+    chain = [link for link in chain if link[0] > 1]
+    free = [[0, {i: 1}, {i: 1}] for i, m in enumerate(moduli) if m == 0]
+    group = FinGenAb(len(free), tuple(link[0] for link in chain))
+    links = chain + free
+    proj = [[0] * n for _ in links]
+    for out, (_, row, _) in zip(proj, links):
+        for j, v in row.items():
+            out[j] = v
+    return group, IntMatrix.from_rows(proj, ncols=n), dense_matrix([col for _, _, col in links], n)
+
+
+def _combine(x: Dict[int, int], a: int, y: Dict[int, int], b: int) -> Dict[int, int]:
+    """The sparse vector a·x + b·y."""
+    out = {i: a * v for i, v in x.items()}
+    for i, v in y.items():
+        out[i] = out.get(i, 0) + b * v
+    return {i: v for i, v in out.items() if v}
 
 
 @dataclass(frozen=True)

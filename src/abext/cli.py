@@ -66,16 +66,23 @@ def _read_arg(value: str) -> str:
 
 
 def _decode(text: str, build):
-    """``build`` applied to the decoded JSON; any malformed input is a DomainError."""
+    """``build`` applied to the decoded JSON.
+
+    Malformed JSON, a missing field (KeyError) and a field that is not an
+    integer (ValueError from ``int``) become DomainErrors; anything else
+    ``build`` raises is left alone, so a fault in a constructor stays visible.
+    """
     try:
-        return build(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DomainError(f"malformed JSON input: {e}") from e
+    try:
+        return build(data)
     except DimensionMismatch:
         raise  # main reports shape errors with their own message
     except KeyError as e:
         raise DomainError(f"malformed input: missing field {e}") from e
-    except (AttributeError, TypeError, ValueError) as e:
+    except ValueError as e:
         raise DomainError(f"malformed input: {e}") from e
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch, NotExactSequence
@@ -59,8 +59,9 @@ class HomGroup:
     target: FinGenAb
     pieces: Tuple[Tuple[int, int, int, int], ...]
     carrier: FinGenAb
-    place: List[Dict[int, int]]
-    lift: List[Dict[int, int]]
+    # derived from the fields above, so equality and hashing leave them out
+    place: List[Dict[int, int]] = field(compare=False)
+    lift: List[Dict[int, int]] = field(compare=False)
 
     @property
     def basis(self) -> Tuple[AbMap, ...]:
@@ -145,8 +146,9 @@ class ExtGroup:
     B: FinGenAb
     piece_mods: Tuple[int, ...]
     carrier: FinGenAb
-    place: List[Dict[int, int]]
-    lift: List[Dict[int, int]]
+    # derived from the fields above, so equality and hashing leave them out
+    place: List[Dict[int, int]] = field(compare=False)
+    lift: List[Dict[int, int]] = field(compare=False)
 
     @property
     def group(self) -> FinGenAb:

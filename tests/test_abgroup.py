@@ -81,7 +81,7 @@ def test_canonicalize_examples():
     # a diagonal lattice whose moduli do not chain
     G, proj, lift = canonicalize(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert G == Z6
-    assert G.reduce((proj * lift).rows[0]) == (1,)
+    assert (proj * lift).rows == ((1,),)
     assert G.reduce(proj.apply([2, 0])) == G.reduce(proj.apply([0, 3])) == (0,)
 
 
@@ -94,6 +94,23 @@ def test_canonicalize_kills_relations():
         assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
         for row in R.rows:
             assert G.reduce(proj.apply(list(row))) == (0,) * G.dim
+
+
+def test_canonicalize_diagonal_lattices():
+    # the group of cyclic_sum, with coordinates that are exactly inverse
+    rng = random.Random(12)
+    for _ in range(80):
+        mods = [rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30, 45, 75]) for _ in range(rng.randint(1, 7))]
+        G, proj, lift = canonicalize(IntMatrix.diagonal(mods))
+        H, place, cyc_lift = cyclic_sum(mods)
+        assert G == H
+        assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
+        for i, m in enumerate(mods):
+            assert G.reduce(proj.apply([m if t == i else 0 for t in range(len(mods))])) == (0,) * G.dim
+        torsion = sorted(m for m in mods if m > 1)
+        if all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
+            assert proj == dense_matrix(place, G.dim)
+            assert lift == dense_matrix(cyc_lift, len(mods))
 
 
 def test_direct_sum_examples():

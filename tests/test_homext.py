@@ -78,6 +78,12 @@ def test_hom_decompose_recompose_roundtrip():
         assert H.recompose(H.decompose(f)) == f
 
 
+def test_hom_and_ext_groups_are_values():
+    assert hom_group(Z4, Z6) == hom_group(Z4, Z6)
+    assert ext_group(Z4, Z12) == ext_group(Z4, Z12)
+    assert len({hom_group(Z4, Z6), hom_group(Z4, Z6), ext_group(Z4, Z12), ext_group(Z4, Z12)}) == 2
+
+
 # ---------------------------------------------------------------------------
 # Ext groups
 
