@@ -240,6 +240,15 @@ def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int)
     return out
 
 
+def sparse_sum(terms) -> Dict[int, int]:
+    """Σ c·vec over (coefficient, sparse vector) pairs."""
+    out: Dict[int, int] = {}
+    for c, vec in terms:
+        for i, x in vec.items():
+            out[i] = out.get(i, 0) + c * x
+    return out
+
+
 def canonicalize(presentation: IntMatrix):
     """Quotient of Z^n by the row lattice of ``presentation``.
 
@@ -303,8 +312,8 @@ def _diagonal_quotient(moduli: Sequence[int]):
                 # inverse z_a = p z_g + z_l and z_b = (p - 1) z_g + z_l.
                 p = a // g * pow(a // g, -1, b // g)
                 (_, ra, ca), (_, rb, cb) = link, carry
-                link[:] = [g, _combine(ra, 1, rb, -1), _combine(ca, p, cb, p - 1)]
-                carry[:] = [a // g * b, _combine(ra, 1 - p, rb, p), _combine(ca, 1, cb, 1)]
+                link[:] = [g, sparse_sum([(1, ra), (-1, rb)]), sparse_sum([(p, ca), (p - 1, cb)])]
+                carry[:] = [a // g * b, sparse_sum([(1 - p, ra), (p, rb)]), sparse_sum([(1, ca), (1, cb)])]
         chain.append(carry)
     chain = [link for link in chain if link[0] > 1]
     free = [[0, {i: 1}, {i: 1}] for i, m in enumerate(moduli) if m == 0]
@@ -315,14 +324,6 @@ def _diagonal_quotient(moduli: Sequence[int]):
         for j, v in row.items():
             out[j] = v
     return group, IntMatrix.from_rows(proj, ncols=n), dense_matrix([col for _, _, col in links], n)
-
-
-def _combine(x: Dict[int, int], a: int, y: Dict[int, int], b: int) -> Dict[int, int]:
-    """The sparse vector a·x + b·y."""
-    out = {i: a * v for i, v in x.items()}
-    for i, v in y.items():
-        out[i] = out.get(i, 0) + b * v
-    return {i: v for i, v in out.items() if v}
 
 
 @dataclass(frozen=True)

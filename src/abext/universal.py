@@ -51,6 +51,7 @@ from .abgroup import (
     is_mono,
     pullback,
     pushout,
+    sparse_sum,
 )
 from .homext import (
     ExtClass,
@@ -330,7 +331,7 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     # its own slot minus that first slot.
     images = [{tw.first[key]: c for key, c in zip(tw.keys, col[dA:]) if c} for col in tw.core_lift]
     images += [{s: 1, tw.first[key]: -1} for s, key in tw.splits]
-    pcols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
+    pcols = [sparse_sum((c, images[g]) for g, c in row.items()) for row in tw.lift]
     p = AbMap(E, BX, dense_matrix(pcols, BX.dim))
     seq = ShortExactSeq(u, p)
 
@@ -341,9 +342,9 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     split_of = {s: tw.place[tw.ncore + t] for t, (s, _key) in enumerate(tw.splits)}
     bxmods, emods = BX.moduli(), E.moduli()
     for s, (d, b) in slots:
-        lift = _lin([(1, core_t[d, b]), (1, split_of.get(s, {}))])
-        hit = _lin([(c, pcols[k]) for k, c in lift.items()] + [(-1, {s: 1})])
-        twist = _lin([(d, lift)] + [(-c, ucols[a]) for a, c in enumerate(b)])
+        lift = sparse_sum([(1, core_t[d, b]), (1, split_of.get(s, {}))])
+        hit = sparse_sum([(c, pcols[k]) for k, c in lift.items()] + [(-1, {s: 1})])
+        twist = sparse_sum([(d, lift)] + [(-c, ucols[a]) for a, c in enumerate(b)])
         if not (_vanishes(hit, bxmods) and _vanishes(twist, emods)):
             raise DomainError("universal extension: a slot's lift breaks the Ψ identity")
     twist_at = dict(slots)
@@ -417,7 +418,7 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
             first[k] = first.get(k, 0) - c
     p = AbMap(BX, E, dense_matrix(pcols, E.dim))
     images = [{j: c for j, c in enumerate(col[nk:]) if c} for col in tw.core_lift] + [{}] * len(tw.splits)
-    ucols = [_lin((c, images[g]) for g, c in row.items()) for row in tw.lift]
+    ucols = [sparse_sum((c, images[g]) for g, c in row.items()) for row in tw.lift]
     u = AbMap(E, A, dense_matrix(ucols, dA))
     seq = ShortExactSeq(p, u)
 
@@ -425,8 +426,8 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     # γ the class of the sequence.
     for j, d in enumerate(A.invariant_factors):
         t = tw.embed(_unit(nk + j, n))
-        hit = _lin([(c, ucols[k]) for k, c in t.items()] + [(-1, {j: 1})])
-        twist = _lin([(d, t)] + [(-c, pcols[s]) for s, c in enumerate(v[j]) if c])
+        hit = sparse_sum([(c, ucols[k]) for k, c in t.items()] + [(-1, {j: 1})])
+        twist = sparse_sum([(d, t)] + [(-c, pcols[s]) for s, c in enumerate(v[j]) if c])
         if not (_vanishes(hit, A.moduli()) and _vanishes(twist, E.moduli())):
             raise DomainError("universal co-extension: a lift breaks the Φ identity")
     gamma = ExtClass(A, BX, tuple(c for vj in v for c in vj))
@@ -502,7 +503,7 @@ class _Twist:
 
     def embed(self, vec: Sequence[int]) -> Dict[int, int]:
         """E coordinates of a vector on the core presentation's generators."""
-        return _lin((c, self.place[g]) for g, c in enumerate(self.projc.apply(vec)) if c)
+        return sparse_sum((c, self.place[g]) for g, c in enumerate(self.projc.apply(vec)) if c)
 
 
 def _twist_merge(slots: Sequence[Tuple[int, tuple]], presentation: Callable[[List[tuple]], IntMatrix]) -> _Twist:
@@ -529,15 +530,6 @@ def _twist_merge(slots: Sequence[Tuple[int, tuple]], presentation: Callable[[Lis
 
 def _unit(i: int, n: int) -> List[int]:
     return [1 if t == i else 0 for t in range(n)]
-
-
-def _lin(terms) -> Dict[int, int]:
-    """Σ c·vec over (coefficient, sparse vector) pairs."""
-    out: Dict[int, int] = {}
-    for c, vec in terms:
-        for i, x in vec.items():
-            out[i] = out.get(i, 0) + c * x
-    return out
 
 
 def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
