@@ -37,6 +37,8 @@ from .intlin import (
     IntMatrix,
     augment_moduli,
     hnf,
+    json_int,
+    json_of,
     kernel_basis,
     rank_mod_p,
     snf,
@@ -60,7 +62,7 @@ class FinGenAb:
     invariant_factors: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "invariant_factors", tuple(int(d) for d in self.invariant_factors))
+        object.__setattr__(self, "invariant_factors", tuple(self.invariant_factors))
         if self.free_rank < 0:
             raise DomainError("negative free rank")
         prev = None
@@ -95,12 +97,7 @@ class FinGenAb:
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
     def primes(self) -> Tuple[int, ...]:
-        seen = []
-        for d in self.invariant_factors:
-            for p in prime_factors(d):
-                if p not in seen:
-                    seen.append(p)
-        return tuple(sorted(seen))
+        return _primes(self.invariant_factors)
 
     def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Normalize a coordinate vector modulo this group's relations."""
@@ -118,7 +115,9 @@ class FinGenAb:
 
     @staticmethod
     def from_json(data: dict) -> "FinGenAb":
-        return FinGenAb(int(data.get("rank", 0)), tuple(int(d) for d in data.get("factors", ())))
+        data = json_of(dict, data)
+        factors = json_of(list, data.get("factors", []))
+        return FinGenAb(json_int(data.get("rank", 0)), tuple(json_int(d) for d in factors))
 
 
 ZERO_GROUP = FinGenAb(0, ())
@@ -137,6 +136,11 @@ def prime_factors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _primes(moduli: Sequence[int]) -> Tuple[int, ...]:
+    """The primes dividing some nonzero modulus, ascending."""
+    return tuple(sorted({p for m in set(moduli) if m for p in prime_factors(m)}))
 
 
 def invariant_factor_blocks(moduli: Sequence[int]) -> List[List[Tuple[int, int]]]:
@@ -345,28 +349,28 @@ class AbMap:
             raise DimensionMismatch(
                 f"map matrix {self.matrix.shape} does not match {self.target.dim}x{self.source.dim}"
             )
-        tmod = self.target.moduli()
-        norm = []
-        for i, row in enumerate(self.matrix.rows):
-            m = tmod[i]
-            if m:
-                norm.append(tuple(v % m if v else 0 for v in row))
-            else:
-                norm.append(tuple(row))
-        nmat = IntMatrix.from_rows(norm, ncols=self.source.dim)
-        object.__setattr__(self, "matrix", nmat)
         smod = self.source.moduli()
-        for j, mj in enumerate(smod):
-            if mj == 0:
-                continue
-            for i, mi in enumerate(tmod):
-                v = nmat.rows[i][j]
-                if not v:
-                    continue
-                if mi == 0 or (mj * v) % mi:
-                    raise DomainError(
-                        f"map not well defined: {mj} * column {j} not in target relations"
-                    )
+        # smod[j]·v ≡ 0 mod m means r | v for r = m / gcd(m, smod[j]), r = 0
+        # meaning v = 0; per target modulus m, the columns with r != 1.
+        constraints: Dict[int, List[Tuple[int, int]]] = {}
+        rows = []
+        bad = None
+        for row, m in zip(self.matrix.rows, self.target.moduli()):
+            if m:
+                reduced = tuple(v % m for v in row)
+                if reduced != row:  # a reduced matrix is kept, not rebuilt
+                    row = reduced
+            if m not in constraints:
+                constraints[m] = [(j, m // math.gcd(m, mj)) for j, mj in enumerate(smod) if mj and (m == 0 or mj % m)]
+            for j, r in constraints[m]:
+                if row[j] % r if r else row[j]:
+                    bad = j if bad is None else min(bad, j)
+                    break
+            rows.append(row)
+        if bad is not None:
+            raise DomainError(f"map not well defined: {smod[bad]} * column {bad} not in target relations")
+        if any(new is not old for new, old in zip(rows, self.matrix.rows)):
+            object.__setattr__(self, "matrix", IntMatrix(tuple(rows), self.source.dim))
 
     @staticmethod
     def identity(G: FinGenAb) -> "AbMap":
@@ -427,6 +431,7 @@ class AbMap:
 
     @staticmethod
     def from_json(data: dict) -> "AbMap":
+        data = json_of(dict, data)
         src = FinGenAb.from_json(data["source"])
         tgt = FinGenAb.from_json(data["target"])
         return AbMap(src, tgt, IntMatrix.from_json(data["matrix"], ncols=src.dim))
@@ -531,47 +536,50 @@ def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     return C, AbMap(f.target, C, proj)
 
 
-def _socle_matrix(f: AbMap, p: int):
-    """F_p matrix of f restricted to the p-socle of its source."""
-    smod = f.source.moduli()
-    tmod = f.target.moduli()
+def _socle_matrix(rows, smod: Sequence[int], tmod: Sequence[int], p: int):
+    """F_p matrix of ``rows`` (target by source) on the p-socle of ⊕Z(smod)."""
     cols = [(j, _pval(m, p)) for j, m in enumerate(smod) if m and m % p == 0]
     mat = []
-    for i, m in enumerate(tmod):
+    for row, m in zip(rows, tmod):
         if m and m % p == 0:
-            a, row = _pval(m, p), f.matrix.rows[i]
+            a = _pval(m, p)
             mat.append([0 if b > a else row[j] // p ** (a - b) % p for j, b in cols])
     return mat, len(cols)
 
 
+def is_mono_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
+    """Whether the well-defined ``rows`` (target by source, entries not
+    necessarily reduced) embed ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z."""
+    for p in _primes(smod):
+        mat, ncols = _socle_matrix(rows, smod, tmod, p)
+        if rank_mod_p(mat, ncols, p) < ncols:
+            return False
+    return True
+
+
+def is_epi_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
+    """Whether the well-defined ``rows`` (target by source, entries not
+    necessarily reduced) map ⊕Z(smod), 0 meaning Z, onto ⊕Z(tmod), all positive."""
+    for p in _primes(tmod):
+        cols = [j for j, m in enumerate(smod) if m % p == 0]
+        mat = [[row[j] % p for j in cols] for row, m in zip(rows, tmod) if m % p == 0]
+        if rank_mod_p(mat, len(cols), p) < len(mat):
+            return False
+    return True
+
+
 def is_mono(f: AbMap) -> bool:
     """Trivial kernel.  Finite sources use per-prime socle rank."""
-    if f.source.is_trivial():
-        return True
     if f.source.is_finite():
-        for p in f.source.primes():
-            mat, ncols = _socle_matrix(f, p)
-            if rank_mod_p(mat, ncols, p) < ncols:
-                return False
-        return True
+        return is_mono_mod(f.matrix.rows, f.source.moduli(), f.target.moduli())
     K, _ = kernel(f)
     return K.is_trivial()
 
 
 def is_epi(f: AbMap) -> bool:
     """Trivial cokernel.  Finite targets use per-prime quotient rank."""
-    if f.target.is_trivial():
-        return True
     if f.target.is_finite():
-        smod = f.source.moduli()
-        tmod = f.target.moduli()
-        for p in f.target.primes():
-            rows_idx = [i for i, m in enumerate(tmod) if m % p == 0]
-            cols = [j for j, m in enumerate(smod) if m == 0 or m % p == 0]
-            mat = [[f.matrix.rows[i][j] % p for j in cols] for i in rows_idx]
-            if rank_mod_p(mat, len(cols), p) < len(rows_idx):
-                return False
-        return True
+        return is_epi_mod(f.matrix.rows, f.source.moduli(), f.target.moduli())
     C, _ = cokernel(f)
     return C.is_trivial()
 

@@ -55,6 +55,11 @@ from .universal import (
 from . import acceptance
 
 
+def _int_list(text: str) -> list:
+    """Comma-separated integers, "" for none; argparse reports a ValueError as a usage error."""
+    return [int(x) for x in text.split(",")] if text else []
+
+
 def _read_arg(value: str) -> str:
     if value.startswith("@"):
         try:
@@ -68,13 +73,14 @@ def _read_arg(value: str) -> str:
 def _decode(text: str, build):
     """``build`` applied to the decoded JSON.
 
-    Malformed JSON, a missing field (KeyError) and a field that is not an
-    integer (ValueError from ``int``) become DomainErrors; anything else
-    ``build`` raises is left alone, so a fault in a constructor stays visible.
+    Malformed JSON, a missing field (KeyError) and a field of the wrong
+    shape or not an integer (ValueError from the ``from_json`` decoders)
+    become DomainErrors; anything else ``build`` raises is left alone, so a
+    fault in a constructor stays visible.
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or a number past int's digit limit
         raise DomainError(f"malformed JSON input: {e}") from e
     try:
         return build(data)
@@ -218,8 +224,7 @@ def _cmd_parse(args):
 
 def _cmd_classify_torsion(args):
     expr = parse_torsion(_read_arg(args.expression))
-    primes = [int(p) for p in args.p.split(",")] if args.p else []
-    return classify_torsion(expr, primes=primes).to_json()
+    return classify_torsion(expr, primes=args.p).to_json()
 
 
 def _cmd_cotorsion(args):
@@ -243,8 +248,7 @@ def _cmd_ab4_witness(args):
 
 
 def _cmd_suite(args):
-    only = [int(x) for x in args.only.split(",")] if args.only else None
-    return acceptance.run_all(seed=args.seed, budget=args.budget, only=only)
+    return acceptance.run_all(seed=args.seed, budget=args.budget, only=args.only)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("classify-torsion", _cmd_classify_torsion, "co-Ext^1-universality classification")
     p.add_argument("expression")
-    p.add_argument("--p", default="", help="extra primes for T_p verdicts, comma-separated")
+    p.add_argument("--p", type=_int_list, default=[], help="extra primes for T_p verdicts, comma-separated")
 
     p = add("cotorsion", _cmd_cotorsion, "Baer–Fomin cotorsion test with witness")
     p.add_argument("expression")
@@ -336,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "brute", "fast"], default="auto")
 
     p = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
-    p.add_argument("--only", default="", help="comma-separated criterion ids")
+    p.add_argument("--only", type=_int_list, default=[], help="comma-separated criterion ids")
 
     return top
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch, NotExactSequence
-from .intlin import IntMatrix, solve_mod
+from .intlin import IntMatrix, json_int, json_of, solve_mod
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -237,10 +237,11 @@ class ExtClass:
 
     @staticmethod
     def from_json(data: dict) -> "ExtClass":
+        data = json_of(dict, data)
         return ExtClass(
             FinGenAb.from_json(data["A"]),
             FinGenAb.from_json(data["B"]),
-            tuple(int(c) for c in data["coords"]),
+            tuple(json_int(c) for c in json_of(list, data["coords"])),
         )
 
 
@@ -311,6 +312,7 @@ class ShortExactSeq:
 
     @staticmethod
     def from_json(data: dict) -> "ShortExactSeq":
+        data = json_of(dict, data)
         return ShortExactSeq(AbMap.from_json(data["f"]), AbMap.from_json(data["g"]))
 
 
@@ -378,10 +380,7 @@ def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
     for jp, dp in enumerate(Ap.invariant_factors):
         acc = [0] * nB
         for i, d in enumerate(A.invariant_factors):
-            w = dp * h.matrix.rows[i][jp]
-            if w % d:
-                raise DomainError("map fails well-definedness against resolution")
-            coeff = w // d
+            coeff = dp * h.matrix.rows[i][jp] // d  # exact: h is well defined
             if coeff:
                 blk = c.block(i)
                 for t in range(nB):

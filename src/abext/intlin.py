@@ -25,15 +25,17 @@ class DimensionMismatch(ValueError):
 class IntMatrix:
     """Immutable integer matrix, row-major tuple of tuples.
 
-    ``ncols`` is part of the value, so matrices with no rows still differ
-    by width; it is read off the rows when there are any.
+    Cells must be ints: they are stored as given, and text becomes integers
+    only where it enters, in ``from_json``.  ``ncols`` is part of the value,
+    so matrices with no rows still differ by width; it is read off the rows
+    when there are any.
     """
 
     rows: tuple
     ncols: Optional[int] = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(r) for r in self.rows)
         width = len(rows[0]) if rows else self.ncols or 0
         if any(len(r) != width for r in rows):
             raise DimensionMismatch("ragged rows")
@@ -68,12 +70,8 @@ class IntMatrix:
         ncols = k if ncols is None else ncols
         rows = [[0] * ncols for _ in range(nrows)]
         for i, d in enumerate(entries):
-            rows[i][i] = int(d)
+            rows[i][i] = d
         return IntMatrix(tuple(rows), ncols)
-
-    @staticmethod
-    def column(entries: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple((int(x),) for x in entries), 1)
 
     @property
     def nrows(self) -> int:
@@ -85,9 +83,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def col(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -153,7 +148,30 @@ class IntMatrix:
 
     @staticmethod
     def from_json(data, ncols: Optional[int] = None) -> "IntMatrix":
-        return IntMatrix.from_rows([[int(x) for x in r] for r in data], ncols=ncols)
+        """The matrix of a JSON list of rows of integers (see ``json_int``).
+
+        >>> IntMatrix.from_json([["-2", 3]]).rows
+        ((-2, 3),)
+        >>> IntMatrix.from_json([[1.5, 2]])
+        Traceback (most recent call last):
+        ...
+        ValueError: expected an integer, got 1.5
+        """
+        return IntMatrix.from_rows([[json_int(x) for x in json_of(list, r)] for r in json_of(list, data)], ncols=ncols)
+
+
+def json_int(value) -> int:
+    """A JSON int (not a bool) or a decimal string as an int; anything else is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def json_of(kind: type, value):
+    """``value`` if it is a JSON ``list`` or ``dict``, else ValueError."""
+    if not isinstance(value, kind):
+        raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def det(M: IntMatrix) -> int:

@@ -34,6 +34,9 @@ Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
 
 DEFAULT_WITNESS_BUDGET = 1 << 24
 
+# Python prints no int of more than 4300 digits; 2^99999999999 would not even fit in memory.
+MAX_BOUND_DIGITS = 4300
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -376,14 +379,24 @@ def _prime_report(e: TorsionExpr, p: int) -> PrimeReport:
     comp = p_component(e, p)
     div, red = divisible_reduced_split(comp)
     unbounded = any(isinstance(a, UnboundedFamily) for a, _ in red.terms)
-    bound = None
-    if not unbounded:
-        kmax = 0
-        for a, _ in red.terms:
-            if isinstance(a, Cyclic):
-                kmax = max(kmax, a.k)
-        bound = p ** kmax if kmax else 1
+    bound = None if unbounded else _bound(red)
     return PrimeReport(p, div, red, not unbounded, bound)
+
+
+def _bound(e: TorsionExpr) -> int:
+    """The least common multiple of the orders of e's cyclic atoms.
+
+    Its digits are estimated from Σ k·log10 p before any power is taken, and
+    a bound of more than MAX_BOUND_DIGITS digits is refused.
+    """
+    kmax: Dict[int, int] = {}
+    for a, _ in e.terms:
+        if isinstance(a, Cyclic):
+            kmax[a.p] = max(kmax.get(a.p, 0), a.k)
+    digits = sum(k * math.log10(p) for p, k in kmax.items())
+    if digits >= MAX_BOUND_DIGITS:
+        raise BudgetExceeded(f"bound of about {int(digits) + 1} digits exceeds {MAX_BOUND_DIGITS}")
+    return math.prod(p**k for p, k in kmax.items())
 
 
 def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport:
@@ -407,12 +420,7 @@ def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport
     has_w = e.has_all_primes_cyclic()
     has_u = any(isinstance(a, UnboundedFamily) for a, _ in e.terms)
     cotorsion = not has_u and not has_w
-    bound = None
-    if cotorsion:
-        bound = 1
-        for a, _ in e.terms:
-            if isinstance(a, Cyclic):
-                bound = math.lcm(bound, a.p ** a.k)
+    bound = _bound(e) if cotorsion else None
     return ClassificationReport(
         e, reports, verdict, witness, verdict_tp, cotorsion, bound, has_w
     )

@@ -48,7 +48,9 @@ from .abgroup import (
     dense_matrix,
     direct_sum,
     is_epi,
+    is_epi_mod,
     is_mono,
+    is_mono_mod,
     pullback,
     pushout,
     sparse_sum,
@@ -539,21 +541,18 @@ def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
 def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], rows) -> bool:
     """Injectivity of ``rows`` (target by source) from ⊕Z(gcd(q, s)) to ⊕Z(gcd(q, t)).
 
-    The moduli form chains (0 for Z, read as gcd q), so their gcds with q do
-    too, in the same order.
+    The moduli are 0 for Z, read as gcd q.  ``rows`` is p or its Ext-dual
+    weights read modulo q, well defined because p was checked when it was
+    built, so nothing is checked again here.
     """
-    src = [(j, math.gcd(m, q)) for j, m in enumerate(src_mods) if math.gcd(m, q) > 1]
-    tgt = [(i, math.gcd(m, q)) for i, m in enumerate(tgt_mods) if math.gcd(m, q) > 1]
-    mat = IntMatrix.from_rows([[rows[i][j] for j, _ in src] for i, _ in tgt], ncols=len(src))
-    return is_mono(AbMap(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat))
+    return is_mono_mod(rows, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
 
 
 def _generates(ext: ExtGroup, pieces: Sequence[Tuple[ExtClass, int]]) -> bool:
     """Whether classes of the given orders (0: infinite) generate ``ext``."""
-    pieces = sorted(pieces, key=lambda piece: (piece[1] == 0, piece[1]))
-    src = FinGenAb(sum(1 for _, g in pieces if not g), tuple(g for _, g in pieces if g))
     cols = [ext.to_carrier(cls) for cls, _ in pieces]
-    return is_epi(AbMap(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim)))
+    rows = [[col[i] for col in cols] for i in range(ext.carrier.dim)]
+    return is_epi_mod(rows, [g for _, g in pieces], ext.carrier.moduli())
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,17 @@ def test_invariant_factor_validation():
         FinGenAb(-1, ())
 
 
+def test_ill_defined_map_names_its_lowest_bad_column():
+    # Row 0 breaks at column 1 and row 1 at column 0: the message names column 0.
+    Z2Z2, Z4Z4 = FinGenAb(0, (2, 2)), FinGenAb(0, (4, 4))
+    with pytest.raises(DomainError) as err:
+        AbMap(Z2Z2, Z4Z4, IntMatrix.from_rows([[2, 1], [1, 2]]))
+    assert str(err.value) == "map not well defined: 2 * column 0 not in target relations"
+    with pytest.raises(DomainError) as err:
+        AbMap(FinGenAb(0, (2, 4)), FinGenAb(1, (4,)), IntMatrix.from_rows([[2, 1], [0, 3]]))
+    assert str(err.value) == "map not well defined: 4 * column 1 not in target relations"
+
+
 def test_canonicalize_examples():
     G, _, _ = canonicalize(IntMatrix.from_rows([[2, 0], [0, 4]]))
     assert G == FinGenAb(0, (2, 4))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from abext.cli import main
 
 
@@ -164,6 +166,43 @@ def test_missing_argument_file_is_a_structured_error(capsys, tmp_path):
 def test_class_without_its_quotient_end_is_a_structured_error(capsys):
     cls = {"B": {"rank": 0, "factors": ["2"]}, "coords": ["1"]}
     assert "'A'" in assert_structured_error(capsys, "realize", "--class", json.dumps(cls))
+
+
+WRONG_TYPE_REQUESTS = [
+    ("snf", "--matrix", "[[1.5,2],[3,4]]"),
+    ("canon", "--presentation", "[[2.7]]"),
+    ("snf", "--matrix", "[[true]]"),
+    ("hom", "--A", '{"rank":null}', "--B", "Z(2)"),
+    ("realize", "--class", '{"A":5,"B":{"rank":0,"factors":["2"]},"coords":["1"]}'),
+]
+
+
+@pytest.mark.parametrize("argv", WRONG_TYPE_REQUESTS, ids=[" ".join(argv[:3]) for argv in WRONG_TYPE_REQUESTS])
+def test_json_fields_of_the_wrong_type_are_structured_errors(capsys, argv):
+    assert assert_structured_error(capsys, *argv).startswith("malformed input: expected")
+
+
+@pytest.mark.parametrize("argv", [("classify-torsion", "Z(4)", "--p", "x"), ("suite", "--only", "x")])
+def test_integer_list_options_reject_text(capsys, argv):
+    code = main(list(argv))
+    assert code == 2 and "invalid _int_list value: 'x'" in capsys.readouterr().err
+
+
+def test_extra_primes_option(capsys):
+    code, data = run_json(capsys, "classify-torsion", "Z(4)", "--p", "3,5")
+    assert code == 0 and data["universal_Tp"] == {"2": True, "3": True, "5": True}
+
+
+@pytest.mark.parametrize("verb", ["classify-torsion", "cotorsion"])
+@pytest.mark.parametrize("expression", ["Z(2^40000000)", "Z(3^10000)"])
+def test_bounds_past_the_digit_budget_are_refused(capsys, verb, expression):
+    code, data = run_json(capsys, verb, expression)
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+
+
+def test_bound_just_inside_the_digit_budget(capsys):
+    code, data = run_json(capsys, "cotorsion", "Z(3^9000)")  # 4,295 digits
+    assert code == 0 and data["bound"] == str(3**9000)
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,8 +1,21 @@
+import math
 import random
 
 import pytest
 
-from abext.abgroup import FinGenAb, ZERO_GROUP, abelian_groups_up_to_order, direct_sum
+import abext.universal as universal
+from abext.intlin import IntMatrix
+from abext.abgroup import (
+    AbMap,
+    FinGenAb,
+    ZERO_GROUP,
+    abelian_groups_up_to_order,
+    cokernel,
+    direct_sum,
+    is_epi,
+    is_mono,
+    kernel,
+)
 from abext.homext import (
     ExtClass,
     ShortExactSeq,
@@ -223,6 +236,112 @@ def test_projective_b_is_vacuously_universal():
     for A in (Z2, Z4, FinGenAb(2, (6,))):
         cert = build_universal_extension(Zfree, A)
         assert cert.degenerate and cert.all_pass
+
+
+# ---------------------------------------------------------------------------
+# Conditions (b) and (c): the rank cores against the restricted-map route
+
+
+def _restricted_map(q, src_mods, tgt_mods, rows):
+    """``rows`` restricted to the gcd groups as an AbMap, which checks that it
+    is well defined: the route ``_injective_mod`` took before its rank core."""
+    src = [(j, math.gcd(m, q)) for j, m in enumerate(src_mods) if math.gcd(m, q) > 1]
+    tgt = [(i, math.gcd(m, q)) for i, m in enumerate(tgt_mods) if math.gcd(m, q) > 1]
+    mat = IntMatrix.from_rows([[rows[i][j] for j, _ in src] for i, _ in tgt], ncols=len(src))
+    return AbMap(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat)
+
+
+def _pieces_map(ext, pieces):
+    """The pieces as a canonical source group mapping to the carrier: the
+    route ``_generates`` took before its rank core."""
+    pieces = sorted(pieces, key=lambda piece: (piece[1] == 0, piece[1]))
+    src = FinGenAb(sum(1 for _, g in pieces if not g), tuple(g for _, g in pieces if g))
+    cols = [ext.to_carrier(cls) for cls, _ in pieces]
+    return AbMap(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim))
+
+
+def _record(monkeypatch, name):
+    calls = []
+    real = getattr(universal, name)
+
+    def record(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(universal, name, record)
+    return calls
+
+
+RANK_CORE_CASES = [
+    (Z2, Z2),
+    (FinGenAb(0, (2, 4)), Z2),
+    (Z4, FinGenAb(0, (2, 6))),
+    (FinGenAb(0, (6,)), FinGenAb(0, (6,))),
+    (FinGenAb(1, (2,)), Z4),
+    (FinGenAb(1, (4,)), Z2),
+    (Z2, FinGenAb(1, (2,))),
+]
+# q values that share all, some or none of the primes of the moduli above.
+EXTRA_Q = (2, 3, 4, 10, 12, 15)
+
+
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
+def test_injective_mod_matches_restricted_map(monkeypatch, build):
+    # The builders pass p (extension) or its Ext-dual weights (co-extension).
+    calls = _record(monkeypatch, "_injective_mod")
+    for B, A in RANK_CORE_CASES:
+        build(B, A)
+    monkeypatch.undo()
+    assert calls
+    for q, src_mods, tgt_mods, rows in calls:
+        for q2 in (q,) + EXTRA_Q:
+            got = universal._injective_mod(q2, src_mods, tgt_mods, rows)
+            f = _restricted_map(q2, src_mods, tgt_mods, rows)
+            assert got == is_mono(f) == kernel(f)[0].is_trivial()
+
+
+def test_injective_mod_matches_restricted_map_on_random_chains():
+    rng = random.Random(29)
+    pool = abelian_groups_up_to_order(12)
+    verdicts = set()
+    for _ in range(80):
+        S, T = (FinGenAb(rng.choice((0, 0, 1, 2)), rng.choice(pool).invariant_factors) for _ in range(2))
+        rows = []
+        for m in T.moduli():
+            row = []
+            for mj in S.moduli():
+                if mj == 0:
+                    v = rng.randint(-5, 5)
+                elif m == 0:
+                    v = 0
+                else:
+                    v = m // math.gcd(m, mj) * rng.randint(-3, 3)  # well defined, not reduced
+                row.append(v)
+            rows.append(row)
+        for q in EXTRA_Q:
+            got = universal._injective_mod(q, S.moduli(), T.moduli(), rows)
+            f = _restricted_map(q, S.moduli(), T.moduli(), rows)
+            assert got == is_mono(f) == kernel(f)[0].is_trivial()
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
+def test_generates_matches_epi_of_the_pieces(monkeypatch, build):
+    calls = _record(monkeypatch, "_generates")
+    for B, A in RANK_CORE_CASES:
+        build(B, A)
+    monkeypatch.undo()
+    assert calls
+    rng = random.Random(31)
+    verdicts = set()
+    for ext, pieces in calls:
+        for some in (pieces, rng.sample(pieces, len(pieces) // 2), pieces[1:]):
+            got = universal._generates(ext, some)
+            f = _pieces_map(ext, some)
+            assert got == is_epi(f) == cokernel(f)[0].is_trivial()
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------
