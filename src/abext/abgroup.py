@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch
@@ -350,22 +351,30 @@ class AbMap:
                 f"map matrix {self.matrix.shape} does not match {self.target.dim}x{self.source.dim}"
             )
         smod = self.source.moduli()
+        cols = tuple(range(len(smod)))
         # smod[j]·v ≡ 0 mod m means r | v for r = m / gcd(m, smod[j]), r = 0
         # meaning v = 0; per target modulus m, the columns with r != 1.
-        constraints: Dict[int, List[Tuple[int, int]]] = {}
+        constraints: Dict[int, Dict[int, int]] = {}
         rows = []
         bad = None
         for row, m in zip(self.matrix.rows, self.target.moduli()):
             if m:
-                reduced = tuple(v % m for v in row)
-                if reduced != row:  # a reduced matrix is kept, not rebuilt
-                    row = reduced
+                # min/max over the nonzero entries; a reduced row is kept, not rebuilt
+                nonzero = tuple(filter(None, row))
+                if nonzero and (min(nonzero) < 0 or max(nonzero) >= m):
+                    reduced = list(row)
+                    for j in compress(cols, row):
+                        reduced[j] %= m
+                    row = tuple(reduced)
             if m not in constraints:
-                constraints[m] = [(j, m // math.gcd(m, mj)) for j, mj in enumerate(smod) if mj and (m == 0 or mj % m)]
-            for j, r in constraints[m]:
-                if row[j] % r if r else row[j]:
-                    bad = j if bad is None else min(bad, j)
-                    break
+                constraints[m] = {j: m // math.gcd(m, mj) for j, mj in enumerate(smod) if mj and (m == 0 or mj % m)}
+            constrained = constraints[m]
+            if constrained:
+                for j in compress(cols, row):
+                    r = constrained.get(j)
+                    if r is not None and (r == 0 or row[j] % r):
+                        bad = j if bad is None else min(bad, j)
+                        break
             rows.append(row)
         if bad is not None:
             raise DomainError(f"map not well defined: {smod[bad]} * column {bad} not in target relations")
@@ -537,14 +546,25 @@ def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
 
 
 def _socle_matrix(rows, smod: Sequence[int], tmod: Sequence[int], p: int):
-    """F_p matrix of ``rows`` (target by source) on the p-socle of ⊕Z(smod)."""
-    cols = [(j, _pval(m, p)) for j, m in enumerate(smod) if m and m % p == 0]
+    """F_p matrix of ``rows`` (target by source) on the p-socle of ⊕Z(smod).
+
+    Returns sparse rows {source column: entry}, one per target modulus that p
+    divides, and the number of socle columns.  Only the nonzero cells of
+    ``rows`` are read, and only they take the p-valuation shift.
+    """
+    val = {j: _pval(m, p) for j, m in enumerate(smod) if m and m % p == 0}
+    cols = tuple(range(len(smod)))
     mat = []
     for row, m in zip(rows, tmod):
         if m and m % p == 0:
             a = _pval(m, p)
-            mat.append([0 if b > a else row[j] // p ** (a - b) % p for j, b in cols])
-    return mat, len(cols)
+            out = {}
+            for j in compress(cols, row):
+                b = val.get(j)
+                if b is not None and b <= a:
+                    out[j] = row[j] // p ** (a - b)
+            mat.append(out)
+    return mat, len(val)
 
 
 def is_mono_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
@@ -559,11 +579,16 @@ def is_mono_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
 
 def is_epi_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     """Whether the well-defined ``rows`` (target by source, entries not
-    necessarily reduced) map ⊕Z(smod), 0 meaning Z, onto ⊕Z(tmod), all positive."""
+    necessarily reduced) map ⊕Z(smod), 0 meaning Z, onto ⊕Z(tmod), all positive.
+
+    Per prime p, the rank over F_p of the rows whose modulus p divides.  A
+    column of order prime to p needs no filtering out: well-definedness makes
+    its entries in those rows divisible by p, and rank_mod_p drops them.
+    """
+    cols = tuple(range(len(smod)))
     for p in _primes(tmod):
-        cols = [j for j, m in enumerate(smod) if m % p == 0]
-        mat = [[row[j] % p for j in cols] for row, m in zip(rows, tmod) if m % p == 0]
-        if rank_mod_p(mat, len(cols), p) < len(mat):
+        mat = [{j: row[j] for j in compress(cols, row)} for row, m in zip(rows, tmod) if m % p == 0]
+        if rank_mod_p(mat, len(smod), p) < len(mat):
             return False
     return True
 

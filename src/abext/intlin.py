@@ -14,7 +14,8 @@ depend on pivot choices (smallest absolute value, first in row-major order).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import compress
+from typing import Dict, Iterable, Optional, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -94,22 +95,18 @@ class IntMatrix:
         if self.ncols != other.nrows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         ocols = other.ncols
-        orows = other.rows
+        # Only nonzero cells of either factor are visited; compress finds them
+        # at C speed, faster over a tuple of column indices than over a range.
+        cols = tuple(range(ocols))
+        sparse = [[(j, orow[j]) for j in compress(cols, orow)] for orow in other.rows]
+        inner = tuple(range(self.ncols))
         out = []
         for r in self.rows:
             acc = [0] * ocols
-            for k, a in enumerate(r):
-                if a == 0:
-                    continue
-                orow = orows[k]
-                if a == 1:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += b
-                else:
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] += a * b
+            for k in compress(inner, r):
+                a = r[k]
+                for j, b in sparse[k]:
+                    acc[j] += a * b
             out.append(acc)
         return IntMatrix(tuple(out), ocols)
 
@@ -141,7 +138,7 @@ class IntMatrix:
         return IntMatrix(tuple(self.rows[i] for i in idx), self.ncols)
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in r) for r in self.rows)
+        return not any(map(any, self.rows))
 
     def to_json(self) -> list:
         return [[str(a) for a in r] for r in self.rows]
@@ -458,53 +455,59 @@ def is_surjective_mod(M: IntMatrix, moduli: Sequence[int]) -> bool:
     return ones == M.nrows
 
 
-def rank_gf2(rows: list) -> int:
-    """Rank over F_2 of rows given as Python-int bitmasks."""
-    pivots = []
-    rank = 0
+def rank_gf2(rows: Iterable[int]) -> int:
+    """Rank over F_2 of rows given as Python-int bitmasks.
+
+    Pivots are keyed by their highest set bit, so a row is reduced only
+    against the pivots whose bit it meets, and each reduction lowers it.
+    """
+    pivots: Dict[int, int] = {}
     for r in rows:
-        for p in pivots:
-            low = p & -p
-            if r & low:
-                r ^= p
-        if r:
-            pivots.append(r)
-            rank += 1
-    return rank
-
-
-def rank_mod_p(rows: list, ncols: int, p: int) -> int:
-    """Rank over F_p of dense integer rows (entries reduced mod p here)."""
-    if p == 2:
-        bit_rows = []
-        for r in rows:
-            acc = 0
-            for j, v in enumerate(r):
-                if v & 1:
-                    acc |= 1 << j
-            bit_rows.append(acc)
-        return rank_gf2(bit_rows)
-    work = [[v % p for v in r] for r in rows]
-    rank = 0
-    col = 0
-    nrows = len(work)
-    while rank < nrows and col < ncols:
-        piv = None
-        for i in range(rank, nrows):
-            if work[i][col]:
-                piv = i
+        while r:
+            top = r.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = r
                 break
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        prow = work[rank]
-        for i in range(nrows):
-            if i != rank and work[i][col]:
-                c = work[i][col]
-                work[i] = [(v - c * w) % p for v, w in zip(work[i], prow)]
-        rank += 1
-        col += 1
-    return rank
+            r ^= pivot
+    return len(pivots)
+
+
+def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
+    """Rank over F_p of sparse integer rows, each a dict {column: entry}.
+
+    Columns lie in range(ncols); entries are any integers, reduced mod p
+    here, and zero entries may be left out.  Only the given cells are read:
+    over F_2 each row becomes a bitmask, and for odd p each row is reduced
+    against pivots keyed by their last column.
+
+    Rows go sparsest first, so a row with one entry is a pivot at once.
+    Pivots are keyed by the last column, not the first, because the
+    certificate maps send a split generator to e_s - e_first with ``first``
+    the lowest slot of its key: keyed by the first column, each split of a
+    key would be reduced through the one before it.
+
+    >>> rank_mod_p([{0: 1, 2: 1}, {1: -1}, {0: 3, 1: 2, 2: 3}], 3, 3)
+    2
+    """
+    rows = sorted(rows, key=len)
+    if p == 2:
+        return rank_gf2(sum(1 << j for j, v in r.items() if v & 1) for r in rows)
+    pivots: Dict[int, Dict[int, int]] = {}
+    for r in rows:
+        row = {j: v % p for j, v in r.items() if v % p}
+        while row:
+            last = max(row)
+            pivot = pivots.get(last)
+            if pivot is None:
+                inv = pow(row[last], -1, p)
+                pivots[last] = {j: v * inv % p for j, v in row.items()}
+                break
+            c = row[last]
+            for j, v in pivot.items():
+                w = (row.get(j, 0) - c * v) % p
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+    return len(pivots)

@@ -297,13 +297,13 @@ def parse(text: str) -> TorsionExpr:
 def parse_finite_group(text: str) -> FinGenAb:
     """Group expression for the homological verbs: finite atoms plus Z / Z^r."""
     free_rank, terms = _parse_expr(text, allow_free=True)
-    pieces: List[int] = []
     for atom, mult in terms:
         if not isinstance(atom, Cyclic):
             raise DomainError(f"'{_atom_str(atom)}' is not finitely generated")
         if mult is None:
             raise DomainError("infinite multiplicity is not finitely generated")
-        pieces.extend([atom.p ** atom.k] * mult)
+        _refuse_past_digits(_atom_str(atom), [(atom.p, atom.k)])
+    pieces = [atom.p ** atom.k for atom, mult in terms for _ in range(mult)]
     return FinGenAb(free_rank, invariant_factors_of(pieces))
 
 
@@ -386,17 +386,23 @@ def _prime_report(e: TorsionExpr, p: int) -> PrimeReport:
 def _bound(e: TorsionExpr) -> int:
     """The least common multiple of the orders of e's cyclic atoms.
 
-    Its digits are estimated from Σ k·log10 p before any power is taken, and
-    a bound of more than MAX_BOUND_DIGITS digits is refused.
+    A bound of more than MAX_BOUND_DIGITS digits is refused before any power
+    is taken.
     """
     kmax: Dict[int, int] = {}
     for a, _ in e.terms:
         if isinstance(a, Cyclic):
             kmax[a.p] = max(kmax.get(a.p, 0), a.k)
-    digits = sum(k * math.log10(p) for p, k in kmax.items())
-    if digits >= MAX_BOUND_DIGITS:
-        raise BudgetExceeded(f"bound of about {int(digits) + 1} digits exceeds {MAX_BOUND_DIGITS}")
+    _refuse_past_digits("bound", kmax.items())
     return math.prod(p**k for p, k in kmax.items())
+
+
+def _refuse_past_digits(what: str, powers) -> None:
+    """BudgetExceeded when Π p^k over the pairs (p, k), estimated in digits as
+    Σ k·log10 p, could not be printed: it has more than MAX_BOUND_DIGITS digits."""
+    digits = sum(k * math.log10(p) for p, k in powers)
+    if digits >= MAX_BOUND_DIGITS:
+        raise BudgetExceeded(f"{what} of about {int(digits) + 1} digits exceeds {MAX_BOUND_DIGITS}")
 
 
 def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport:
@@ -550,6 +556,30 @@ def _vector_order(values, p, exponents) -> int:
     return o
 
 
+def _brute_force(p: int, N: int, k: int, budget: int, mode: str) -> bool:
+    """Check a witness request whose search space is p^k; True when it is searched.
+
+    The order p^N and the search space are estimated in digits, as k·log10 p,
+    before any power is taken: an order that could not be printed is refused,
+    and a search space past the budget takes the fast path, or is refused in
+    brute mode.
+    """
+    if not _is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if N < 1:
+        raise DomainError("N must be >= 1")
+    if mode not in ("auto", "brute", "fast"):
+        raise DomainError("mode must be auto, brute, or fast")
+    _refuse_past_digits(f"order {p}^{N}", [(p, N)])
+    over, space = True, f"{p}^{k}"  # past any budget a search could meet
+    if k * math.log10(p) < MAX_BOUND_DIGITS:
+        space = p**k
+        over = space > budget
+    if mode == "brute" and over:
+        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
+    return mode == "brute" or (mode == "auto" and not over)
+
+
 def counterexample_witness(
     p: int, N: int, budget: int = DEFAULT_WITNESS_BUDGET, mode: str = "auto"
 ) -> WitnessResult:
@@ -560,18 +590,9 @@ def counterexample_witness(
     the labeled fast path above it.  This is the finite shadow of the
     product P/t(P) failing to be divisible.
     """
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    exponents = list(range(1, N + 1))
-    space = p ** sum(exponents)
-    if mode not in ("auto", "brute", "fast"):
-        raise DomainError("mode must be auto, brute, or fast")
-    if mode == "brute" and space > budget:
-        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
-    if mode == "fast" or (mode == "auto" and space > budget):
+    if not _brute_force(p, N, N * (N + 1) // 2, budget, mode):
         return WitnessResult(p ** N, "fast-path", p, N)
+    exponents = list(range(1, N + 1))
     best = None
     for alpha in itertools.product(*(range(p ** n) for n in exponents)):
         vals = [(1 - p * a) % (p ** n) for a, n in zip(alpha, exponents)]
@@ -593,18 +614,9 @@ def ab4star_failure_witness(
     finite shadow of the product of epimorphisms failing to be epi in the
     torsion category.
     """
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if N < 1:
-        raise DomainError("N must be >= 1")
-    exponents = list(range(1, N + 1))
-    space = p ** sum(n - 1 for n in exponents)
-    if mode not in ("auto", "brute", "fast"):
-        raise DomainError("mode must be auto, brute, or fast")
-    if mode == "brute" and space > budget:
-        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
-    if mode == "fast" or (mode == "auto" and space > budget):
+    if not _brute_force(p, N, N * (N - 1) // 2, budget, mode):
         return WitnessResult(p ** N, "fast-path", p, N)
+    exponents = list(range(1, N + 1))
     best = None
     for choice in itertools.product(*(range(p ** (n - 1)) for n in exponents)):
         vals = [(1 + p * c) % (p ** n) for c, n in zip(choice, exponents)]

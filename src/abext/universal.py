@@ -359,14 +359,14 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
         _injective_mod(d, E.moduli(), BX.moduli(), p.matrix.rows) for d in sorted(set(B.invariant_factors))
     )
     # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
-    # unless h starts at a torsion generator of B.
+    # unless h starts at a torsion generator of B, and depends only on h's
+    # source, order and the twist at its target, so equal pieces count once.
     kB = B.torsion_count
     delta = []
-    for j, i, g, _entry in hom_pieces(B, BX):
-        if j < kB:
-            flat = [0] * (kB * dA)
-            flat[j * dA : (j + 1) * dA] = [B.invariant_factors[j] // g * c for c in eta.block(i)]
-            delta.append((ExtClass(B, A, tuple(flat)), g))
+    for j, g, block in dict.fromkeys((j, g, eta.block(i)) for j, i, g, _ in hom_pieces(B, BX) if j < kB):
+        flat = [0] * (kB * dA)
+        flat[j * dA : (j + 1) * dA] = [B.invariant_factors[j] // g * c for c in block]
+        delta.append((ExtClass(B, A, tuple(flat)), g))
     reports = (
         ConditionReport("a", ok_a, "pushout of Ext^1(B,A) basis along u lands in d·E"),
         ConditionReport("b", ok_b, "blockwise kernel of Ext^1(B,p)"),
@@ -438,16 +438,22 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     ok_a = all(pullback_action(c, u).is_zero() for c in ext.basis_classes())
     # (b*): Ext^1(p, B) is injective iff it is on the coordinates over each
     # generator of B.  Its matrix sends the block of E's jp-th factor e to
-    # D·p[jp][jq]/e times the block of B^X's jq-th factor D.
+    # D·p[jp][jq]/e times the block of B^X's jq-th factor D.  The rows are
+    # read off p's sparse columns; a torsion slot's image is torsion, so its
+    # column has no entry at a free coordinate of E.
     efacts = E.invariant_factors
-    weights = [
-        [D * c // e for c, e in zip(col, efacts)] for col, D in zip(zip(*p.matrix.rows), BX.invariant_factors)
-    ]
+    weights = [[0] * len(efacts) for _ in BX.invariant_factors]
+    for row, col, D in zip(weights, pcols, BX.invariant_factors):
+        for jp, c in col.items():
+            row[jp] = D * (c % efacts[jp]) // efacts[jp]
     ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, weights) for m in sorted(set(B.moduli())))
-    # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B).
+    # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
+    # only on h's target, order and entry and the twists at h's source, so
+    # equal pieces count once.
+    pieces = dict.fromkeys((i, g, entry, tuple(vj[j] for vj in v)) for j, i, g, entry in hom_pieces(BX, B))
     delta = [
-        (ExtClass(A, B, tuple(entry * v[a][j] if t == i else 0 for a in range(kA) for t in range(dB))), g)
-        for j, i, g, entry in hom_pieces(BX, B)
+        (ExtClass(A, B, tuple(entry * c if t == i else 0 for c in twists for t in range(dB))), g)
+        for i, g, entry, twists in pieces
     ]
     reports = (
         ConditionReport("a", ok_a, "pullback of Ext^1(A,B) basis along u vanishes"),

@@ -19,7 +19,9 @@ from abext.abgroup import (
     direct_sum,
     invariant_factor_blocks,
     is_epi,
+    is_epi_mod,
     is_mono,
+    is_mono_mod,
     kernel,
     mod_quotient,
     power_sum,
@@ -79,6 +81,10 @@ def test_ill_defined_map_names_its_lowest_bad_column():
     with pytest.raises(DomainError) as err:
         AbMap(FinGenAb(0, (2, 4)), FinGenAb(1, (4,)), IntMatrix.from_rows([[2, 1], [0, 3]]))
     assert str(err.value) == "map not well defined: 4 * column 1 not in target relations"
+    # Row 0 breaks at column 0 and row 1 at column 1: still column 0.
+    with pytest.raises(DomainError) as err:
+        AbMap(Z2Z2, Z4Z4, IntMatrix.from_rows([[1, 2], [2, 1]]))
+    assert str(err.value) == "map not well defined: 2 * column 0 not in target relations"
 
 
 def test_canonicalize_examples():
@@ -328,6 +334,68 @@ def test_mono_epi_fast_path_matches_lattice_path():
         C, _ = cokernel(f)
         assert is_mono(f) == K.is_trivial()
         assert is_epi(f) == C.is_trivial()
+
+
+def unreduced(rng, rows, moduli):
+    """The same map with multiples of the target moduli added and some rows negated."""
+    out = []
+    for row, m in zip(rows, moduli):
+        sign = rng.choice((1, -1))
+        out.append([sign * v + m * rng.randint(-2, 2) for v in row])
+    return out
+
+
+def permutation_like(rng, d, n):
+    """Z(d)^n to itself: generator 0 to e_0 and generator s to e_s - e_0, the
+    shape of a universal extension's p, with generators shuffled and, at
+    random, one column repeated (not mono) or one row cleared (not epi)."""
+    cols = [{0: 1}] + [{s: 1, 0: -1} for s in range(1, n)]
+    rng.shuffle(cols)
+    if rng.random() < 0.3:
+        cols[rng.randrange(n)] = dict(cols[rng.randrange(n)])
+    rows = [[col.get(i, 0) for col in cols] for i in range(n)]
+    if rng.random() < 0.3:
+        rows[rng.randrange(n)] = [0] * n
+    return rows
+
+
+def test_mono_epi_mod_match_kernel_and_cokernel():
+    # The rank cores on unreduced rows against the SNF route of kernel/cokernel.
+    rng = random.Random(23)
+    pool = abelian_groups_up_to_order(12)
+    verdicts = set()
+    for case in range(160):
+        if case % 4 == 0:
+            d, n = rng.choice((2, 3, 4, 6)), rng.randint(1, 12)
+            S = T = FinGenAb(0, (d,) * n)
+            rows = permutation_like(rng, d, n)
+        else:
+            S, T = (direct_sum([rng.choice(pool) for _ in range(rng.randint(1, 3))]).total for _ in range(2))
+            if case % 4 == 1:
+                S = FinGenAb(rng.randint(1, 2), S.invariant_factors)  # free source: epi only
+            rows = [list(r) for r in random_map(rng, S, T).matrix.rows]
+        f = AbMap(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
+        rows = unreduced(rng, rows, T.moduli())
+        mono = is_mono_mod(rows, S.moduli(), T.moduli()) if S.is_finite() else None
+        epi = is_epi_mod(rows, S.moduli(), T.moduli())
+        if mono is not None:
+            assert mono == kernel(f)[0].is_trivial(), (S, T, rows)
+        assert epi == cokernel(f)[0].is_trivial(), (S, T, rows)
+        verdicts.add((mono, epi))
+    assert {(True, True), (False, False), (True, False), (False, True), (None, True), (None, False)} <= verdicts
+
+
+def test_map_entries_reduce_like_python_mod():
+    rng = random.Random(25)
+    pool = abelian_groups_up_to_order(12)
+    for _ in range(60):
+        S, T = rng.choice(pool), FinGenAb(rng.randint(0, 1), rng.choice(pool).invariant_factors)
+        reduced = random_map(rng, S, T).matrix
+        rows = unreduced(rng, reduced.rows, T.moduli())
+        f = AbMap(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
+        want = tuple(tuple(v % m if m else v for v in row) for row, m in zip(rows, T.moduli()))
+        assert f.matrix.rows == want
+        assert AbMap(S, T, reduced).matrix is reduced  # a reduced matrix is kept as given
 
 
 def test_group_enumeration():

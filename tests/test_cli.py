@@ -205,6 +205,21 @@ def test_bound_just_inside_the_digit_budget(capsys):
     assert code == 0 and data["bound"] == str(3**9000)
 
 
+@pytest.mark.parametrize("verb", ["witness", "ab4-witness"])
+def test_witness_order_past_the_digit_budget_is_refused(capsys, verb):
+    code, data = run_json(capsys, verb, "--p", "2", "--N", "20000")  # 2^20000 has 6,021 digits
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+    code, data = run_json(capsys, verb, "--p", "2", "--N", "14000")  # 4,215 digits
+    assert code == 0 and data["method"] == "fast-path" and data["order"] == str(2**14000)
+
+
+def test_group_past_the_digit_budget_is_refused(capsys):
+    code, data = run_json(capsys, "univ-ext", "--B", "Z(2)", "--A", "Z(2^40000000)")
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+    code, data = run_json(capsys, "ext", "--A", "Z(3^9000)", "--B", "Z(3)")  # 4,295 digits
+    assert code == 0 and data["group"]["factors"] == ["3"]
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["ext", "--A", "Z(2)"])  # missing --B
     capsys.readouterr()

@@ -183,10 +183,64 @@ def test_hnf_properties():
 
 
 def test_rank_mod_p():
-    rows = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    rows = [{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1}]
     assert rank_mod_p(rows, 3, 2) == 2
     assert rank_mod_p(rows, 3, 3) == 3
     assert rank_mod_p([], 3, 2) == 0
+    assert rank_mod_p([{}, {}], 0, 5) == 0
+    assert rank_mod_p([{0: 4, 1: -2}, {0: 0, 1: 0}], 2, 2) == 0  # even entries vanish
+    assert rank_mod_p([{1: -1}, {1: 6}], 2, 7) == 1
+
+
+def dense_rank_mod_p(rows, ncols, p):
+    """Gauss-Jordan over F_p on dense rows: the reference for ``rank_mod_p``."""
+    work = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [v * inv % p for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                c = work[i][col]
+                work[i] = [(v - c * w) % p for v, w in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_mod_p_matches_dense_gauss_jordan():
+    rng = random.Random(17)
+    ranks = set()
+    for case in range(600):
+        p = (2, 3, 5, 7)[case % 4]
+        density = (0.1, 0.3, 1.0)[case // 4 % 3]
+        m, n = rng.randint(0, 12), rng.randint(0, 12)
+        dense = [[rng.randint(-3 * p, 3 * p) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)]
+        if m > 2 and case % 5 == 0:  # a row that is a combination of two others
+            a, b = rng.sample(range(m - 1), 2)
+            c = rng.randint(-p, p)
+            dense[-1] = [x + c * y + p * rng.randint(-2, 2) for x, y in zip(dense[a], dense[b])]
+        sparse = [{j: v for j, v in enumerate(row) if v or rng.random() < 0.2} for row in dense]
+        want = dense_rank_mod_p(dense, n, p)
+        assert rank_mod_p(sparse, n, p) == want, (p, dense)
+        ranks.add((want == min(m, n), want == 0))
+    assert ranks == {(True, False), (False, False), (True, True), (False, True)}
+
+
+def test_mul_matches_triple_loop():
+    rng = random.Random(19)
+    shapes = [(2, 0, 3), (0, 3, 2), (3, 2, 0), (1, 1, 1)] + [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]
+    for m, k, n in shapes:
+        a = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(k)] for _ in range(m)]
+        b = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(k)]
+        want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
+        got = IntMatrix.from_rows(a, ncols=k) * IntMatrix.from_rows(b, ncols=n)
+        assert got.shape == (m, n)
+        assert got.rows == tuple(tuple(r) for r in want)
+    assert (IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3)).rows == ((0, 0, 0), (0, 0, 0))
 
 
 def test_matrix_json_roundtrip():

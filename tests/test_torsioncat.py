@@ -247,6 +247,29 @@ def test_witness_fast_path_and_budget():
     assert counterexample_witness(2, 4, mode="brute").order == counterexample_witness(2, 4, mode="fast").order
 
 
+def test_witness_sizes_are_estimated_before_any_power():
+    # N = 10^9 would build a list of N exponents and a search space of 5·10^17 bits.
+    for witness in (counterexample_witness, ab4star_failure_witness):
+        with pytest.raises(BudgetExceeded, match="order 2\\^1000000000 of about 301029996 digits"):
+            witness(2, 10**9)
+    # a search space of 6,051 digits takes the fast path, or is refused by name
+    assert counterexample_witness(2, 200) == counterexample_witness(2, 200, mode="fast")
+    with pytest.raises(BudgetExceeded, match="search space 2\\^20100 exceeds budget 1024"):
+        counterexample_witness(2, 200, budget=1024, mode="brute")
+    with pytest.raises(BudgetExceeded, match="search space 32768 exceeds budget 1024"):
+        counterexample_witness(2, 5, budget=1024, mode="brute")
+
+
+def test_group_atom_past_the_digit_budget_is_refused():
+    with pytest.raises(BudgetExceeded, match="Z\\(2\\^99999999999\\) of about 30102999567 digits"):
+        parse_finite_group("Z(2^99999999999)")
+    with pytest.raises(BudgetExceeded):
+        parse_finite_group("Z(3) + Z(3^10000)")
+    assert parse_finite_group("Z(2^9000) + Z(3^5000)") == FinGenAb(0, (2**9000 * 3**5000,))  # 2,710 + 2,386 digits
+    with pytest.raises(ParseError):
+        parse_finite_group("Z(2000000000000000006^2)")  # not prime: a parse error, as before
+
+
 def test_witnesses_agree_and_grow():
     prev_c = prev_a = 0
     for N in range(1, 6):
