@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, EndpointMismatch
+from .errors import BudgetExceeded, DomainError, EndpointMismatch
 from .intlin import (
     DimensionMismatch,
     IntMatrix,
@@ -40,6 +40,7 @@ from .intlin import (
     hnf,
     json_int,
     json_of,
+    json_str,
     kernel_basis,
     rank_mod_p,
     snf,
@@ -112,7 +113,7 @@ class FinGenAb:
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {"rank": self.free_rank, "factors": [str(d) for d in self.invariant_factors]}
+        return {"rank": self.free_rank, "factors": [json_str(d) for d in self.invariant_factors]}
 
     @staticmethod
     def from_json(data: dict) -> "FinGenAb":
@@ -124,7 +125,99 @@ class FinGenAb:
 ZERO_GROUP = FinGenAb(0, ())
 
 
+# Trial division stops at 2^16: every n < 2^32 is split by division alone,
+# and a cofactor left past that is decided by Miller–Rabin.
+_TRIAL_BOUND = 1 << 16
+# Miller–Rabin on the first thirteen primes is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017); the first twelve, 2..37, all pass 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether n, below ``_MR_EXACT_BELOW`` with no prime factor up to 2^16, is prime."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n, e >= 1 with a root below 2^1000.
+
+    Newton's method from just above the root: the float estimate is within
+    a relative 10^-12 of it, so a few steps settle it.
+    """
+    r = int(2 ** (math.log2(n) / e) * (1 + 1e-9)) + 1
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def _prime_root(n: int) -> int:
+    """The prime r with n = r^e, for n with no prime factor up to 2^16.
+
+    r exceeds 2^16 and must be below ``_MR_EXACT_BELOW`` (under 2^82) to be
+    decided, so only the exponents e with 16e < bits(n) <= 82e are tried.
+    Any other n, such as a product of two distinct primes, is refused with
+    BudgetExceeded.
+    """
+    bits = n.bit_length()
+    for e in range(max(1, bits // 82), bits // 16 + 1):
+        r = _iroot(n, e)
+        if r < _MR_EXACT_BELOW and r**e == n and _miller_rabin(r):
+            return r
+    raise BudgetExceeded(f"cannot factor a {bits}-bit cofactor with no prime factor up to 2^16")
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division up to 2^16, then Miller–Rabin on the
+    bases 2, 3, ..., 41, deterministic for n < 3.3·10^24.  A larger n with
+    no prime factor up to 2^16 is refused with BudgetExceeded.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime(10**18 + 3), is_prime(10**18 + 1)
+    (True, False)
+    """
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        if p > _TRIAL_BOUND:
+            if n >= _MR_EXACT_BELOW:
+                raise BudgetExceeded(f"cannot decide whether a {n.bit_length()}-bit integer is prime")
+            return _miller_rabin(n)
+        p += 1 if p == 2 else 2
+    return True
+
+
 def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n != 0, ascending.
+
+    Trial division up to 2^16 splits off every small factor; a cofactor left
+    over must be a power of one prime that ``is_prime`` can decide, and any
+    other is refused with BudgetExceeded.
+
+    >>> prime_factors(-360), prime_factors(6 * (10**18 + 3) ** 2)
+    ([2, 3, 5], [2, 3, 1000000000000000003])
+    """
     n = abs(n)
     out = []
     p = 2
@@ -133,6 +226,9 @@ def prime_factors(n: int) -> List[int]:
             out.append(p)
             while n % p == 0:
                 n //= p
+        elif p > _TRIAL_BOUND:
+            n = _prime_root(n)
+            break
         p += 1 if p == 2 else 2
     if n > 1:
         out.append(n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from .abgroup import (
     AbMap,
@@ -273,7 +273,7 @@ CRITERIA: List[Callable[..., dict]] = [
 ]
 
 
-def run_all(seed: int = 0, budget: Optional[int] = None, only: Optional[List[int]] = None) -> dict:
+def run_all(seed: int = 0, budget: Optional[int] = None, only: Sequence[int] = ()) -> dict:
     """Scorecard of the criteria; one that raises is recorded as failed."""
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):

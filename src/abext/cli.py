@@ -4,8 +4,15 @@ Output is a single JSON document on stdout; algebraic values are decimal
 strings so arbitrary precision survives the wire.  Exit codes: 0 success,
 1 domain error (structured {"error": {code, message, position?}}), 2 usage
 error.  `--seed` fixes any sampling, `--budget` bounds oracle searches
-(default from ABEXT_BUDGET), `--pretty` toggles indentation; output is
-byte-for-byte deterministic for identical argv otherwise.
+(default from ABEXT_BUDGET, read on each request; a value that is not an
+integer is a usage error), `--pretty` toggles indentation; output is
+byte-for-byte deterministic for identical argv otherwise.  An integer of
+more than 4,300 digits cannot be printed, so a result holding one is
+refused with the structured error `budget-exceeded`.
+
+The argument parser is built once per process, on the first request, and
+reused by every later ``main`` call: no default it holds is mutable or read
+from the environment.
 
 Group arguments accept either an expression ("Z(4)+Z(6)", "Z^2+Z(12)" —
 composite orders CRT-split, free parts for the homological verbs only) or
@@ -16,13 +23,14 @@ with '@' are read from the named file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from typing import Optional
 
 from .errors import DomainError, ParseError
-from .intlin import DimensionMismatch, IntMatrix, snf
+from .intlin import DimensionMismatch, IntMatrix, json_str, snf
 from .abgroup import AbMap, FinGenAb, canonicalize
 from .homext import (
     ExtClass,
@@ -214,10 +222,10 @@ def _cmd_parse(args):
     for atom, mult in expr.terms:
         entry = {"atom": type(atom).__name__}
         if hasattr(atom, "p"):
-            entry["p"] = str(atom.p)
+            entry["p"] = json_str(atom.p)
         if hasattr(atom, "k"):
-            entry["k"] = str(atom.k)
-        entry["multiplicity"] = "inf" if mult is None else str(mult)
+            entry["k"] = json_str(atom.k)
+        entry["multiplicity"] = "inf" if mult is None else json_str(mult)
         terms.append(entry)
     return {"expression": str(expr), "terms": terms}
 
@@ -231,7 +239,7 @@ def _cmd_cotorsion(args):
     res = is_cotorsion(parse_torsion(_read_arg(args.expression)))
     return {
         "cotorsion": res.cotorsion,
-        "bound": str(res.bound) if res.bound is not None else None,
+        "bound": json_str(res.bound) if res.bound is not None else None,
         "divisible": str(res.divisible_part),
         "bounded": str(res.bounded_part),
     }
@@ -239,20 +247,20 @@ def _cmd_cotorsion(args):
 
 def _cmd_witness(args):
     w = counterexample_witness(args.p, args.N, budget=args.budget, mode=args.mode)
-    return {"order": str(w.order), "method": w.method}
+    return {"order": json_str(w.order), "method": w.method}
 
 
 def _cmd_ab4_witness(args):
     w = ab4star_failure_witness(args.p, args.N, budget=args.budget, mode=args.mode)
-    return {"order": str(w.order), "method": w.method}
+    return {"order": json_str(w.order), "method": w.method}
 
 
 def _cmd_suite(args):
     return acceptance.run_all(seed=args.seed, budget=args.budget, only=args.only)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    default_budget = int(os.environ.get("ABEXT_BUDGET", DEFAULT_WITNESS_BUDGET))
     top = argparse.ArgumentParser(prog="abext", description="exact toolkit for abelian group extensions")
     sub = top.add_subparsers(dest="verb", required=True)
 
@@ -261,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-        p.add_argument("--budget", type=int, default=default_budget, help="search budget")
+        p.add_argument("--budget", type=int, help="search budget")
         return p
 
     p = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
@@ -324,7 +332,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("classify-torsion", _cmd_classify_torsion, "co-Ext^1-universality classification")
     p.add_argument("expression")
-    p.add_argument("--p", type=_int_list, default=[], help="extra primes for T_p verdicts, comma-separated")
+    p.add_argument("--p", type=_int_list, default=(), help="extra primes for T_p verdicts, comma-separated")
 
     p = add("cotorsion", _cmd_cotorsion, "Baer–Fomin cotorsion test with witness")
     p.add_argument("expression")
@@ -340,17 +348,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "brute", "fast"], default="auto")
 
     p = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
-    p.add_argument("--only", type=_int_list, default=[], help="comma-separated criterion ids")
+    p.add_argument("--only", type=_int_list, default=(), help="comma-separated criterion ids")
 
     return top
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
+    if args.budget is None:
+        env = os.environ.get("ABEXT_BUDGET")
+        try:
+            args.budget = DEFAULT_WITNESS_BUDGET if env is None else int(env)
+        except ValueError:
+            sys.stderr.write(f"abext: error: ABEXT_BUDGET: invalid int value: {env!r}\n")
+            return 2
     try:
         result = args.fn(args)
     except ParseError as e:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, EndpointMismatch, NotExactSequence
-from .intlin import IntMatrix, json_int, json_of, solve_mod
+from .intlin import IntMatrix, json_int, json_of, json_str, solve_mod
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -232,7 +232,7 @@ class ExtClass:
         return {
             "A": self.A.to_json(),
             "B": self.B.to_json(),
-            "coords": [str(c) for c in self.coords],
+            "coords": [json_str(c) for c in self.coords],
         }
 
     @staticmethod

@@ -17,6 +17,13 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Dict, Iterable, Optional, Sequence
 
+from .errors import BudgetExceeded
+
+# Python prints no int of more than 4300 digits; 2^99999999999 would not even fit in memory.
+MAX_BOUND_DIGITS = 4300
+_UNPRINTABLE = 10**MAX_BOUND_DIGITS  # the least integer of more than MAX_BOUND_DIGITS digits
+_UNPRINTABLE_BITS = _UNPRINTABLE.bit_length()
+
 
 class DimensionMismatch(ValueError):
     """Raised when matrix/vector shapes are inconsistent."""
@@ -141,7 +148,7 @@ class IntMatrix:
         return not any(map(any, self.rows))
 
     def to_json(self) -> list:
-        return [[str(a) for a in r] for r in self.rows]
+        return [[json_str(a) for a in r] for r in self.rows]
 
     @staticmethod
     def from_json(data, ncols: Optional[int] = None) -> "IntMatrix":
@@ -162,6 +169,27 @@ def json_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def json_str(value: int) -> str:
+    """``value`` as a decimal string; BudgetExceeded past MAX_BOUND_DIGITS digits.
+
+    Every integer the CLI prints as a decimal string comes from here.  The bit length
+    settles all but the integers of exactly ``_UNPRINTABLE_BITS`` bits,
+    which are compared with 10^MAX_BOUND_DIGITS.
+
+    >>> json_str(-12)
+    '-12'
+    >>> len(json_str(10**4300 - 1))
+    4300
+    >>> json_str(10**4300)
+    Traceback (most recent call last):
+    ...
+    abext.errors.BudgetExceeded: an integer of more than 4300 digits cannot be printed
+    """
+    if value.bit_length() >= _UNPRINTABLE_BITS and abs(value) >= _UNPRINTABLE:
+        raise BudgetExceeded(f"an integer of more than {MAX_BOUND_DIGITS} digits cannot be printed")
+    return str(value)
 
 
 def json_of(kind: type, value):

@@ -28,25 +28,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DomainError, ParseError
-from .abgroup import FinGenAb, invariant_factors_of, prime_factors
+from .abgroup import FinGenAb, invariant_factors_of, is_prime, prime_factors
+from .intlin import MAX_BOUND_DIGITS, json_str
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
 
 DEFAULT_WITNESS_BUDGET = 1 << 24
-
-# Python prints no int of more than 4300 digits; 2^99999999999 would not even fit in memory.
-MAX_BOUND_DIGITS = 4300
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
 
 
 @dataclass(frozen=True)
@@ -227,7 +214,7 @@ def _parse_atom_list(sc: _Scanner, allow_free: bool):
         sc.expect("(")
         pstart = sc.pos
         p = sc.number()
-        if not _is_prime(p):
+        if not is_prime(p):
             raise ParseError(f"U({p}): {p} is not prime", pstart)
         sc.expect(")")
         return 0, [(UnboundedFamily(p), 1)]
@@ -241,7 +228,7 @@ def _parse_atom_list(sc: _Scanner, allow_free: bool):
         n = sc.number()
         if sc.peek() == "^":
             sc.expect("^")
-            if not _is_prime(n):
+            if not is_prime(n):
                 raise ParseError(f"Z({n}^..): {n} is not prime", nstart)
             if sc.keyword("inf"):
                 sc.expect(")")
@@ -313,7 +300,7 @@ def parse_finite_group(text: str) -> FinGenAb:
 
 def p_component(e: TorsionExpr, p: int) -> TorsionExpr:
     """Torsion radical t_p: the atoms living at p; W contributes Z(p)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     out = []
     for atom, mult in e.terms:
@@ -356,22 +343,22 @@ class ClassificationReport:
             "expression": str(self.expression),
             "primes": [
                 {
-                    "p": str(r.p),
+                    "p": json_str(r.p),
                     "divisible": str(r.divisible_part),
                     "reduced": str(r.reduced_part),
                     "bounded": r.reduced_bounded,
-                    "bound": str(r.bound) if r.bound is not None else None,
+                    "bound": json_str(r.bound) if r.bound is not None else None,
                 }
                 for r in self.primes
             ],
             "universal_TZ": self.verdict_TZ,
-            "universal_Tp": {str(p): v for p, v in sorted(self.verdict_Tp.items())},
+            "universal_Tp": {json_str(p): v for p, v in sorted(self.verdict_Tp.items())},
             "cotorsion": self.cotorsion,
-            "cotorsion_bound": str(self.cotorsion_bound) if self.cotorsion_bound is not None else None,
+            "cotorsion_bound": json_str(self.cotorsion_bound) if self.cotorsion_bound is not None else None,
             "all_primes_cyclic": self.has_all_primes_cyclic,
         }
         if self.witness_prime is not None:
-            out["witness_prime"] = str(self.witness_prime)
+            out["witness_prime"] = json_str(self.witness_prime)
         return out
 
 
@@ -564,7 +551,7 @@ def _brute_force(p: int, N: int, k: int, budget: int, mode: str) -> bool:
     and a search space past the budget takes the fast path, or is refused in
     brute mode.
     """
-    if not _is_prime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if N < 1:
         raise DomainError("N must be >= 1")

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from abext.errors import DomainError
+from abext.errors import BudgetExceeded, DomainError
 from abext.intlin import IntMatrix, snf_diagonal
 from abext.abgroup import (
     AbMap,
@@ -19,12 +20,14 @@ from abext.abgroup import (
     direct_sum,
     invariant_factor_blocks,
     is_epi,
+    is_prime,
     is_epi_mod,
     is_mono,
     is_mono_mod,
     kernel,
     mod_quotient,
     power_sum,
+    prime_factors,
     pullback,
     pushout,
     torsion_part,
@@ -440,3 +443,76 @@ def test_group_json_roundtrip():
     assert FinGenAb.from_json(g.to_json()) == g
     m = AbMap(Z4, Z6, IntMatrix.from_rows([[3]]))
     assert AbMap.from_json(m.to_json()) == m
+
+
+def _smallest_prime_factors(n):
+    """spf[m] for m < n by a sieve: the reference for small factorizations."""
+    spf = list(range(n))
+    for p in range(2, int(n**0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def test_prime_factors_and_is_prime_match_the_sieve_up_to_1e5():
+    spf = _smallest_prime_factors(10**5 + 1)
+    for n in range(2, 10**5 + 1):
+        want, m = [], n
+        while m > 1:
+            p = spf[m]
+            want.append(p)
+            while m % p == 0:
+                m //= p
+        assert prime_factors(n) == want
+        assert prime_factors(-n) == want
+        assert is_prime(n) == (spf[n] == n)
+    assert prime_factors(1) == [] and not is_prime(1) and not is_prime(0)
+
+
+def test_prime_factors_matches_sympy_on_factors_below_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    for _ in range(60):
+        n = 1
+        for _ in range(rng.randint(1, 6)):
+            n *= rng.randrange(2, 1 << 16) ** rng.randint(1, 3)
+        if rng.random() < 0.5:  # one prime cofactor past 2^32, within Miller–Rabin's exact range
+            n *= sympy.nextprime(rng.randrange(1 << 32, 10**24))
+        assert prime_factors(n) == sorted(sympy.factorint(n))
+
+
+def test_is_prime_matches_sympy_past_trial_division():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    cases = [rng.randrange(1 << 32, 3 * 10**24) | 1 for _ in range(200)]
+    cases += [sympy.nextprime(rng.randrange(1 << 32, 3 * 10**24)) for _ in range(20)]
+    # the least strong pseudoprimes to the primes up to 7, 23 and 37 (OEIS A014233)
+    cases += [3215031751, 3825123056546413051, 318665857834031151167461]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_large_cofactors_answer_at_once():
+    p, q = 1000000000000000003, 1000000000000000009  # two 19-digit primes
+    t0 = time.perf_counter()
+    assert prime_factors(2 * p) == [2, p] and is_prime(p)
+    assert prime_factors(6 * p**2) == [2, 3, p]
+    with pytest.raises(BudgetExceeded):
+        prime_factors(p * q)
+    # prime, the least strong pseudoprime to 2..41, and a product of two primes:
+    # all past the exact range of Miller-Rabin, with no prime factor up to 2^16
+    for undecided in (2**89 - 1, 3317044064679887385961981, p * q):
+        with pytest.raises(BudgetExceeded):
+            is_prime(undecided)
+    assert not is_prime(2**89 + 1) and not is_prime(p**2 * 11)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_cofactors_past_trial_division_are_prime_powers_or_refused():
+    assert prime_factors(70001**816) == [70001] and prime_factors(65537**3 * 70001) == [65537, 70001]
+    # two distinct primes past 2^16, and 4,300 digits leaving a 14,272-bit cofactor
+    for unsplit in (70001 * 70003, 10**4299 + 1):
+        with pytest.raises(BudgetExceeded):
+            prime_factors(unsplit)

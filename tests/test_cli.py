@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import abext
+from abext import cli
 from abext.cli import main
 
 
@@ -258,3 +265,84 @@ def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.delenv("ABEXT_BUDGET")
     code, data = run_json(capsys, "witness", "--p", "2", "--N", "5")
     assert data["method"] == "brute-force"
+
+
+@pytest.mark.parametrize("verb", [["ext", "--A", "Z(2)", "--B", "Z(2)"], ["witness", "--p", "2", "--N", "3"]])
+def test_budget_env_that_is_not_an_integer_is_a_usage_error(capsys, monkeypatch, verb):
+    monkeypatch.setenv("ABEXT_BUDGET", "abc")
+    code = main(verb)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "abext: error: ABEXT_BUDGET: invalid int value: 'abc'\n"
+    code, data = run_json(capsys, *verb, "--budget", "64")  # an explicit budget never reads it
+    assert code == 0
+
+
+def test_printed_integers_stop_at_4300_digits(capsys):
+    code, data = run_json(capsys, "canon", "--presentation", json.dumps([[str(10**4300 - 1)]]))
+    assert code == 0 and data["group"]["factors"] == ["9" * 4300]
+    # Z(2^4300) + Z(5^4300) is Z(10^4300): every input fits, the invariant factor does not
+    code, data = run_json(capsys, "canon", "--presentation", json.dumps([[str(2**4300), "0"], ["0", str(5**4300)]]))
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+    code, data = run_json(capsys, "univ-ext", "--A", "Z(2^9000) + Z(3^5000)", "--B", "Z(6)")
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize(
+    "group, want",
+    [
+        ("Z(2000000000000000006)", {"group": {"rank": 0, "factors": ["2"]}}),  # 2 times the prime 10^18 + 3
+        ("Z(1000000000000000003^2)", {"group": {"rank": 0, "factors": []}}),
+        ("Z(1000000000000000012000000000000000027)", "budget-exceeded"),  # two 19-digit primes
+    ],
+)
+def test_large_prime_moduli_answer_at_once(capsys, group, want):
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, "ext", "--A", group, "--B", "Z(2)")
+    assert time.perf_counter() - t0 < 1
+    if isinstance(want, dict):
+        assert code == 0 and data == want
+    else:
+        assert code == 1 and data["error"]["code"] == want
+
+
+# One process, one parser: requests whose options differ, interleaved, so a
+# default or a value left over from one request would show in the next.
+REUSED_PARSER_REQUESTS = [
+    ["witness", "--p", "2", "--N", "5", "--budget", "1024"],
+    ["witness", "--p", "2", "--N", "5"],
+    ["ext", "--A", "Z(4)", "--B", "Z(6)", "--pretty"],
+    ["classify-torsion", "Z(4)", "--p", "3"],
+    ["classify-torsion", "Z(4)"],
+    ["suite", "--only", "9"],
+    ["suite", "--only", "10"],
+    ["ext", "--A", "Z(2)"],
+    ["--help"],
+    ["ext", "--A", "Z(2)", "--B", "Z(2)"],
+]
+
+
+def _without_timings(argv, out):
+    """The suite scorecard reports each criterion's wall seconds; the rest must match."""
+    if argv[0] != "suite":
+        return out
+    data = json.loads(out)
+    for c in data["criteria"]:
+        del c["seconds"]
+    return data
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
+    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+    parser = cli._build_parser()
+    answers = [run(capsys, *argv) for argv in REUSED_PARSER_REQUESTS]
+    assert cli._build_parser() is parser and cli._build_parser.cache_info().misses == 1
+    assert [code for code, _ in answers] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    env = {**os.environ, "PYTHONPATH": str(Path(abext.__file__).resolve().parents[1])}
+    for argv, (code, out) in zip(REUSED_PARSER_REQUESTS, answers):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "abext.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert fresh.returncode == code, argv
+        assert _without_timings(argv, fresh.stdout) == _without_timings(argv, out), argv

@@ -4,10 +4,12 @@ import random
 
 import pytest
 
+from abext.errors import BudgetExceeded
 from abext.intlin import (
     DimensionMismatch,
     IntMatrix,
     det,
+    json_str,
     hnf,
     is_surjective_mod,
     kernel_basis,
@@ -266,3 +268,26 @@ def test_from_columns():
         IntMatrix.from_columns([(1, 2), (3,)], 2)
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2]], ncols=3)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_json_str_prints_up_to_4300_digits_and_refuses_more(sign):
+    assert json_str(sign * (10**4300 - 1)) == str(sign * (10**4300 - 1))
+    for past in (10**4300, 10**4300 + 1, 2**20000):
+        with pytest.raises(BudgetExceeded):
+            json_str(sign * past)
+    # bit lengths on both sides of 10^4300's
+    rng = random.Random(7)
+    for _ in range(50):
+        v = rng.randrange(2**14284, 2**14286)
+        if v < 10**4300:
+            assert json_str(sign * v) == str(sign * v)
+        else:
+            with pytest.raises(BudgetExceeded):
+                json_str(sign * v)
+
+
+def test_matrix_json_refuses_an_unprintable_entry():
+    assert IntMatrix.from_rows([[10**4300 - 1, 0]]).to_json()[0][0] == "9" * 4300
+    with pytest.raises(BudgetExceeded):
+        IntMatrix.from_rows([[0], [10**4300]]).to_json()
