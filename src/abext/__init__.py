@@ -6,7 +6,7 @@ morphism, canonical universal (co)extensions with verified certificates,
 and the co-Ext^1-universality classifier for symbolic torsion groups.
 """
 
-from .intlin import IntMatrix, SnfDecomposition, det, hnf, is_surjective_mod, snf, solve_mod
+from .intlin import IntMatrix, SnfDecomposition, det, hnf, snf, solve_mod
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -16,6 +16,7 @@ from .abgroup import (
     canonicalize,
     codiagonal,
     cokernel,
+    cokernel_group,
     diagonal,
     direct_sum,
     is_epi,
@@ -30,7 +31,6 @@ from .homext import (
     ExtGroup,
     HomGroup,
     ShortExactSeq,
-    baer_sum,
     classify,
     connecting_hom,
     connecting_hom_dual,
@@ -39,16 +39,13 @@ from .homext import (
     ext_group,
     find_equivalence,
     hom_group,
-    induced_ext_map,
-    negate,
     pullback_action,
     pushout_action,
     realize,
     ses_equivalent,
 )
 from .universal import (
-    PhiMap,
-    PsiMap,
+    ComparisonMap,
     UniversalCertificate,
     build_universal_coextension,
     build_universal_extension,

@@ -17,10 +17,11 @@ presentation takes the same group through gcd/lcm steps instead; only
 presentations with genuinely mixed relations reach SNF.
 
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
-together with transported legs and mediator solvers.  For finite groups,
-mono/epi tests are decided per prime by F_p-rank of socle/quotient matrices,
-which stays fast even for groups with a thousand cyclic factors; groups with
-free rank fall back to integer lattice computations.
+together with transported legs and mediator solvers.  Mono and epi build
+no (co)kernel: torsion is decided per prime by F_p-rank of socle/quotient
+matrices, which stays fast even for groups with a thousand cyclic factors,
+and free rank by SNF diagonals alone (the rank over Q of the free block, and
+``cokernel_group``), with no unimodular transforms.
 
 All values are immutable and safe to share across threads.
 """
@@ -44,8 +45,13 @@ from .intlin import (
     kernel_basis,
     rank_mod_p,
     snf,
+    snf_diagonal,
     solve_mod,
 )
+
+
+# The most generators (free rank plus cyclic summands) a group read from input may have.
+MAX_GROUP_DIM = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,10 @@ class FinGenAb:
     def from_json(data: dict) -> "FinGenAb":
         data = json_of(dict, data)
         factors = json_of(list, data.get("factors", []))
-        return FinGenAb(json_int(data.get("rank", 0)), tuple(json_int(d) for d in factors))
+        rank = json_int(data.get("rank", 0))
+        if rank > MAX_GROUP_DIM:
+            raise BudgetExceeded(f"a free rank of {rank} exceeds {MAX_GROUP_DIM}")
+        return FinGenAb(rank, tuple(json_int(d) for d in factors))
 
 
 ZERO_GROUP = FinGenAb(0, ())
@@ -665,7 +674,10 @@ def _socle_matrix(rows, smod: Sequence[int], tmod: Sequence[int], p: int):
 
 def is_mono_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     """Whether the well-defined ``rows`` (target by source, entries not
-    necessarily reduced) embed ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z."""
+    necessarily reduced) embed ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z.
+
+    Only the first len(smod) columns are read, so the torsion generators of a
+    source with free rank are tested on its full rows."""
     for p in _primes(smod):
         mat, ncols = _socle_matrix(rows, smod, tmod, p)
         if rank_mod_p(mat, ncols, p) < ncols:
@@ -690,19 +702,48 @@ def is_epi_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
 
 
 def is_mono(f: AbMap) -> bool:
-    """Trivial kernel.  Finite sources use per-prime socle rank."""
-    if f.source.is_finite():
-        return is_mono_mod(f.matrix.rows, f.source.moduli(), f.target.moduli())
-    K, _ = kernel(f)
-    return K.is_trivial()
+    """Trivial kernel, from the torsion generators and the rank over Q.
+
+    ker f ∩ t(source) is the kernel of f on the torsion generators, decided
+    per prime by socle rank, and ker f has rank free_rank - rank_Q(f), where
+    f ⊗ Q is the block of free target rows by free source columns.  A finitely
+    generated group that is torsion-free of rank 0 is zero, so f is mono iff
+    both tests pass.
+    """
+    S, T = f.source, f.target
+    if not is_mono_mod(f.matrix.rows, S.invariant_factors, T.moduli()):
+        return False
+    if not S.free_rank:
+        return True
+    k = S.torsion_count
+    block = IntMatrix(tuple(row[k:] for row in f.matrix.rows[T.torsion_count :]), S.free_rank)
+    return sum(1 for d in snf_diagonal(block) if d) == S.free_rank
 
 
 def is_epi(f: AbMap) -> bool:
-    """Trivial cokernel.  Finite targets use per-prime quotient rank."""
+    """Trivial cokernel.  Finite targets use per-prime quotient rank, others
+    the invariant factors of the cokernel."""
     if f.target.is_finite():
         return is_epi_mod(f.matrix.rows, f.source.moduli(), f.target.moduli())
-    C, _ = cokernel(f)
-    return C.is_trivial()
+    return cokernel_group(f.matrix.rows, f.target.moduli()).is_trivial()
+
+
+def cokernel_group(rows, moduli: Sequence[int]) -> FinGenAb:
+    """Canonical cokernel of x ↦ Mx into ⊕Z(moduli[i]), 0 meaning Z, with
+    ``rows`` the rows of M (target by source).
+
+    A coordinate that no column touches is its own summand Z(moduli[i]); the
+    touched ones are read off the SNF diagonal of [M | diag(moduli)] on their
+    rows, with a Z for each row past the diagonal.
+
+    >>> print(cokernel_group([[2], [3], [0]], [4, 0, 0]))
+    Z + Z(12)
+    """
+    touched = [i for i, row in enumerate(rows) if any(row)]
+    block = IntMatrix(tuple(rows[i] for i in touched), len(rows[0]) if rows else 0)
+    diag = snf_diagonal(augment_moduli(block, [moduli[i] for i in touched]))
+    mods = [m for row, m in zip(rows, moduli) if not any(row)] + diag + [0] * (len(touched) - len(diag))
+    return cyclic_sum(mods)[0]
 
 
 def torsion_part(A: FinGenAb) -> FinGenAb:

@@ -1,9 +1,10 @@
 """Acceptance criteria as runnable checks with a machine-readable scorecard.
 
-Each criterion function returns a dict with its verdict and timing; the
+Each criterion function returns a dict with its verdict and detail; the
 test suite asserts on these and the CLI `suite` verb serializes them.
 Tolerances are exact everywhere (integer arithmetic); the stated runtime
-bounds are enforced as part of the verdict.
+bounds are enforced as part of the verdict, and the times themselves are not
+reported, so the scorecard is the same on every run.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ from .universal import (
 )
 
 
-def _result(cid, name, passed, detail, seconds):
-    return {
-        "id": cid,
-        "name": name,
-        "passed": bool(passed),
-        "detail": detail,
-        "seconds": round(seconds, 2),
-    }
+def _result(cid, name, passed, detail):
+    return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
 
 
 def criterion_1_ext_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
@@ -62,7 +57,7 @@ def criterion_1_ext_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
     dt = time.time() - t0
     ok = not mismatches and dt < 60
     detail = f"{len(groups) ** 2} pairs, {len(mismatches)} mismatches"
-    return _result(1, "oracle equivalence: Ext", ok, detail, dt)
+    return _result(1, "oracle equivalence: Ext", ok, detail)
 
 
 def criterion_2_hom_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
@@ -79,7 +74,7 @@ def criterion_2_hom_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
     dt = time.time() - t0
     ok = not mismatches and dt < 30
     detail = f"{len(groups) ** 2} pairs, {len(mismatches)} mismatches"
-    return _result(2, "oracle equivalence: Hom", ok, detail, dt)
+    return _result(2, "oracle equivalence: Hom", ok, detail)
 
 
 def criterion_3_gng_law(seed: int = 0, budget: Optional[int] = None) -> dict:
@@ -97,12 +92,11 @@ def criterion_3_gng_law(seed: int = 0, budget: Optional[int] = None) -> dict:
                 failures.append((str(G), n))
     dt = time.time() - t0
     ok = not failures and dt < 10
-    return _result(3, "G/nG law", ok, f"{len(groups) * 12} cases, {len(failures)} failures", dt)
+    return _result(3, "G/nG law", ok, f"{len(groups) * 12} cases, {len(failures)} failures")
 
 
 def criterion_4_psi_bijective(seed: int = 0, budget: Optional[int] = None) -> dict:
     """Psi bijective and constructively inverted for 200 random families."""
-    t0 = time.time()
     rng = random.Random(seed)
     pool = abelian_groups_up_to_order(16)
     bad = 0
@@ -121,8 +115,7 @@ def criterion_4_psi_bijective(seed: int = 0, budget: Optional[int] = None) -> di
         if classes:
             # psi_inverse machine-checks the componentwise roundtrip itself.
             psi_inverse_via_colim(classes)
-    dt = time.time() - t0
-    return _result(4, "Psi bijectivity + colim inverse", bad == 0, f"200 families, {bad} failures", dt)
+    return _result(4, "Psi bijectivity + colim inverse", bad == 0, f"200 families, {bad} failures")
 
 
 def criterion_5_tri_condition(seed: int = 0, budget: Optional[int] = None) -> dict:
@@ -141,13 +134,12 @@ def criterion_5_tri_condition(seed: int = 0, budget: Optional[int] = None) -> di
     dt = time.time() - t0
     ok = not failures and dt < 120
     return _result(
-        5, "universal tri-condition", ok, f"{2 * len(groups) ** 2} certificates, {len(failures)} failures", dt
+        5, "universal tri-condition", ok, f"{2 * len(groups) ** 2} certificates, {len(failures)} failures"
     )
 
 
 def criterion_6_cyclic_generation(seed: int = 0, budget: Optional[int] = None) -> dict:
     """Cyclic generation over End(B^(X)) for all pairs with |Ext| <= 4."""
-    t0 = time.time()
     groups = abelian_groups_up_to_order(8)
     checked = 0
     failures = []
@@ -160,13 +152,11 @@ def criterion_6_cyclic_generation(seed: int = 0, budget: Optional[int] = None) -
             checked += 1
             if not res.passed:
                 failures.append((str(B), str(A)))
-    dt = time.time() - t0
-    return _result(6, "cyclic generation", not failures, f"{checked} pairs, {len(failures)} failures", dt)
+    return _result(6, "cyclic generation", not failures, f"{checked} pairs, {len(failures)} failures")
 
 
 def criterion_7_closure(seed: int = 0, budget: Optional[int] = None) -> dict:
     """Coproduct and direct-summand closure over 100 random instances."""
-    t0 = time.time()
     rng = random.Random(seed)
     pool = abelian_groups_up_to_order(4)
     violations = 0
@@ -180,8 +170,7 @@ def criterion_7_closure(seed: int = 0, budget: Optional[int] = None) -> dict:
             violations += 1
         if cert.all_pass and not (ok1 and ok2):
             violations += 1
-    dt = time.time() - t0
-    return _result(7, "closure laws", violations == 0, f"100 instances, {violations} violations", dt)
+    return _result(7, "closure laws", violations == 0, f"100 instances, {violations} violations")
 
 
 TORSION_FIXTURES = [
@@ -204,30 +193,26 @@ TORSION_FIXTURES = [
 
 def criterion_8_torsion_fixtures(seed: int = 0, budget: Optional[int] = None) -> dict:
     """Classifier fixture table: verdicts and cotorsion flags, exact match."""
-    t0 = time.time()
     failures = []
     for text, want_tz, want_cot in TORSION_FIXTURES:
         rep = classify_torsion(parse(text))
         if rep.verdict_TZ != want_tz or rep.cotorsion != want_cot:
             failures.append(text)
-    dt = time.time() - t0
     return _result(
         8, "torsion classifier fixtures", not failures,
-        f"{len(TORSION_FIXTURES)} fixtures, {len(failures)} failures", dt,
+        f"{len(TORSION_FIXTURES)} fixtures, {len(failures)} failures",
     )
 
 
 def criterion_9_cotorsion_implication(seed: int = 0, budget: Optional[int] = None) -> dict:
     """cotorsion ⇒ co-Ext^1-universal over 1000 random expressions."""
-    t0 = time.time()
     rng = random.Random(seed)
     violations = 0
     for _ in range(1000):
         rep = classify_torsion(random_expression(rng))
         if rep.cotorsion and not rep.verdict_TZ:
             violations += 1
-    dt = time.time() - t0
-    return _result(9, "cotorsion implies universal", violations == 0, f"1000 expressions, {violations} violations", dt)
+    return _result(9, "cotorsion implies universal", violations == 0, f"1000 expressions, {violations} violations")
 
 
 def criterion_10_witness_growth(seed: int = 0, budget: Optional[int] = None) -> dict:
@@ -256,7 +241,7 @@ def criterion_10_witness_growth(seed: int = 0, budget: Optional[int] = None) -> 
         failures.append("boundary N=4 cross-check")
     dt = time.time() - t0
     ok = not failures and dt < 30
-    return _result(10, "witness growth", ok, f"N=1..8, {len(failures)} failures", dt)
+    return _result(10, "witness growth", ok, f"N=1..8, {len(failures)} failures")
 
 
 CRITERIA: List[Callable[..., dict]] = [
@@ -279,10 +264,9 @@ def run_all(seed: int = 0, budget: Optional[int] = None, only: Sequence[int] = (
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:
             continue
-        t0 = time.time()
         try:
             results.append(fn(seed=seed, budget=budget))
         except Exception as exc:  # the suite reports every criterion, so a crash is a FAIL
             detail = f"raised {type(exc).__name__}: {exc}"
-            results.append(_result(idx, fn.__name__, False, detail, time.time() - t0))
+            results.append(_result(idx, fn.__name__, False, detail))
     return {"criteria": results, "all_passed": all(r["passed"] for r in results)}

@@ -30,11 +30,11 @@ from .abgroup import (
     FinGenAb,
     apply_sparse,
     canonicalize,
+    cokernel_group,
     cyclic_sum,
     direct_sum,
     is_epi,
     is_mono,
-    kernel,
     pullback,
     pushout,
 )
@@ -245,14 +245,6 @@ class ExtClass:
         )
 
 
-def baer_sum(c1: ExtClass, c2: ExtClass) -> ExtClass:
-    return c1 + c2
-
-
-def negate(c: ExtClass) -> ExtClass:
-    return -c
-
-
 # ---------------------------------------------------------------------------
 # Short exact sequences
 
@@ -261,9 +253,11 @@ def negate(c: ExtClass) -> ExtClass:
 class ShortExactSeq:
     """B ↪ E ↠ A with exactness machine-checked at construction.
 
-    For finite groups exactness is decided as: g∘f = 0, f mono, g epi and
-    |E| = |A|·|B| (these force im f = ker g); when free rank is present the
-    image/kernel lattices are compared directly.
+    Exactness is decided as g∘f = 0, f mono, g epi and coker f ≅ A: then g
+    induces an epimorphism coker f ↠ A, and finitely generated abelian groups
+    are Hopfian, so that epimorphism is an isomorphism and im f = ker g.  For
+    a finite middle group coker f ≅ A is |E| = |A|·|B|; otherwise coker f is
+    read off invariant factors (``cokernel_group``).
     """
 
     f: AbMap
@@ -280,20 +274,11 @@ class ShortExactSeq:
         if not is_epi(g):
             raise NotExactSequence("g is not an epimorphism")
         B, E, A = f.source, f.target, g.target
-        if B.is_finite() and E.is_finite() and A.is_finite():
+        if E.is_finite():
             if E.order() != A.order() * B.order():
                 raise NotExactSequence("middle order is not |A|·|B|")
-        else:
-            K, incl = kernel(g)
-            emods = list(E.moduli())
-            for j in range(B.dim):
-                col = [f.matrix.rows[i][j] for i in range(E.dim)]
-                if solve_mod(incl.matrix, col, emods) is None:
-                    raise NotExactSequence("image of f not contained in kernel of g")
-            for j in range(K.dim):
-                col = [incl.matrix.rows[i][j] for i in range(E.dim)]
-                if solve_mod(f.matrix, col, emods) is None:
-                    raise NotExactSequence("kernel of g not contained in image of f")
+        elif cokernel_group(f.matrix.rows, E.moduli()) != A:
+            raise NotExactSequence("kernel of g not contained in image of f")
 
     @property
     def sub(self) -> FinGenAb:
@@ -473,15 +458,6 @@ def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
     cols = [XT.to_carrier(pullback_action(c, h)) for c in XS.basis_classes()]
     mat = IntMatrix.from_columns(cols, XT.carrier.dim)
     return AbMap(XS.carrier, XT.carrier, mat)
-
-
-def induced_ext_map(h: AbMap, T: FinGenAb, variable: str) -> AbMap:
-    """Dispatcher for the two Ext functorialities: 'sub' or 'quot' variable."""
-    if variable == "sub":
-        return ext_covariant_map(T, h)
-    if variable == "quot":
-        return ext_contravariant_map(h, T)
-    raise DomainError("variable must be 'sub' or 'quot'")
 
 
 # ---------------------------------------------------------------------------

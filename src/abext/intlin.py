@@ -2,9 +2,8 @@
 
 Everything here works over plain Python ints (arbitrary precision), with
 matrices stored immutably.  This is the computational bedrock for the group
-machinery: canonical forms come from SNF, morphism equations are solved as
-integer linear systems with per-row cyclic moduli, and surjectivity mod
-moduli is decided from the SNF of an augmented relation matrix.
+machinery: canonical forms come from SNF, and morphism equations are solved
+as integer linear systems with per-row cyclic moduli.
 
 No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
@@ -318,7 +317,10 @@ def _snf_inplace(a, m, n, with_transforms=True):
                         break
             if restart:
                 continue
-            # Divisibility fix-up: pivot must divide every trailing entry.
+            # Divisibility fix-up: pivot must divide every trailing entry,
+            # which a unit does, so only a larger pivot scans them.
+            if abs(a[t][t]) == 1:
+                break
             done = True
             for i in range(t + 1, m):
                 ai = a[i]
@@ -472,15 +474,6 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
     if z is None:
         return None
     return z[:n]
-
-
-def is_surjective_mod(M: IntMatrix, moduli: Sequence[int]) -> bool:
-    """Whether x ↦ M x is onto the product of Z/moduli[i] (0 meaning Z)."""
-    if len(moduli) != M.nrows:
-        raise DimensionMismatch("moduli length mismatch")
-    diag = snf_diagonal(augment_moduli(M, moduli))
-    ones = sum(1 for d in diag if abs(d) == 1)
-    return ones == M.nrows
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

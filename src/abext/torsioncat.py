@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DomainError, ParseError
-from .abgroup import FinGenAb, invariant_factors_of, is_prime, prime_factors
+from .abgroup import MAX_GROUP_DIM, FinGenAb, invariant_factors_of, is_prime, prime_factors
 from .intlin import MAX_BOUND_DIGITS, json_str
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
@@ -171,12 +171,15 @@ class _Scanner:
         self.pos += 1
 
     def number(self) -> int:
+        """A run of ASCII digits, of at most MAX_BOUND_DIGITS."""
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if start == self.pos:
             raise ParseError("expected a number", start)
+        if self.pos - start > MAX_BOUND_DIGITS:
+            raise ParseError(f"a number of more than {MAX_BOUND_DIGITS} digits", start)
         return int(self.text[start : self.pos])
 
     def keyword(self, word: str) -> bool:
@@ -290,6 +293,9 @@ def parse_finite_group(text: str) -> FinGenAb:
         if mult is None:
             raise DomainError("infinite multiplicity is not finitely generated")
         _refuse_past_digits(_atom_str(atom), [(atom.p, atom.k)])
+    dim = free_rank + sum(mult for _, mult in terms)
+    if dim > MAX_GROUP_DIM:
+        raise BudgetExceeded(f"a group of {dim} generators exceeds {MAX_GROUP_DIM}")
     pieces = [atom.p ** atom.k for atom, mult in terms for _ in range(mult)]
     return FinGenAb(free_rank, invariant_factors_of(pieces))
 

@@ -83,8 +83,9 @@ CYCLIC_CHECK_BUDGET = 1024
 
 
 @dataclass(frozen=True)
-class PsiMap:
-    """Ψ : Ext^1(⊕A_i, B) → ∏ Ext^1(A_i, B), ε ↦ (ε·μ_i)."""
+class ComparisonMap:
+    """Ψ : Ext^1(⊕A_i, B) → ∏ Ext^1(A_i, B), ε ↦ (ε·μ_i), or dually
+    Φ : Ext^1(B, ∏A_i) → ∏ Ext^1(B, A_i), ε ↦ (π_i·ε)."""
 
     summands: Tuple[FinGenAb, ...]
     B: FinGenAb
@@ -95,53 +96,35 @@ class PsiMap:
     bijective: bool
 
 
-@dataclass(frozen=True)
-class PhiMap:
-    """Φ : Ext^1(B, ∏A_i) → ∏ Ext^1(B, A_i), ε ↦ (π_i·ε)."""
-
-    summands: Tuple[FinGenAb, ...]
-    B: FinGenAb
-    domain: ExtGroup
-    codomain: SumDiagram
-    matrix: AbMap
-    injective: bool
-    bijective: bool
+def psi(A_list: Sequence[FinGenAb], B: FinGenAb) -> ComparisonMap:
+    return _comparison(A_list, B, dual=False)
 
 
-def psi(A_list: Sequence[FinGenAb], B: FinGenAb) -> PsiMap:
+def phi(A_list: Sequence[FinGenAb], B: FinGenAb) -> ComparisonMap:
+    return _comparison(A_list, B, dual=True)
+
+
+def _comparison(A_list: Sequence[FinGenAb], B: FinGenAb, dual: bool) -> ComparisonMap:
+    """Ψ pulls back along the injections μ_i; Φ, with the summands in Ext's
+    second argument, pushes out along the projections π_i."""
     summands = tuple(A_list)
     ds = direct_sum(summands)
-    dom = ext_group(ds.total, B)
-    pieces = [ext_group(Ai, B) for Ai in summands]
+    if dual:
+        ext, legs, act = (lambda Ai: ext_group(B, Ai)), ds.projections, pushout_action
+    else:
+        ext, legs, act = (lambda Ai: ext_group(Ai, B)), ds.injections, pullback_action
+    dom = ext(ds.total)
+    pieces = [ext(Ai) for Ai in summands]
     cod = direct_sum([pc.carrier for pc in pieces])
+    basis = dom.basis_classes()
     mat = AbMap.zero(dom.carrier, cod.total)
-    for i, pc in enumerate(pieces):
-        cols = []
-        for cls in dom.basis_classes():
-            cols.append(pc.to_carrier(pullback_action(cls, ds.injections[i])))
+    for pc, leg, mu in zip(pieces, legs, cod.injections):
+        cols = [pc.to_carrier(act(cls, leg)) for cls in basis]
         block = IntMatrix.from_columns(cols, pc.carrier.dim)
-        mat = mat + cod.injections[i] @ AbMap(dom.carrier, pc.carrier, block)
+        mat = mat + mu @ AbMap(dom.carrier, pc.carrier, block)
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
-    return PsiMap(summands, B, dom, cod, mat, inj, bij)
-
-
-def phi(A_list: Sequence[FinGenAb], B: FinGenAb) -> PhiMap:
-    summands = tuple(A_list)
-    ds = direct_sum(summands)
-    dom = ext_group(B, ds.total)
-    pieces = [ext_group(B, Ai) for Ai in summands]
-    cod = direct_sum([pc.carrier for pc in pieces])
-    mat = AbMap.zero(dom.carrier, cod.total)
-    for i, pc in enumerate(pieces):
-        cols = []
-        for cls in dom.basis_classes():
-            cols.append(pc.to_carrier(pushout_action(cls, ds.projections[i])))
-        block = IntMatrix.from_columns(cols, pc.carrier.dim)
-        mat = mat + cod.injections[i] @ AbMap(dom.carrier, pc.carrier, block)
-    inj = is_mono(mat)
-    bij = inj and is_epi(mat)
-    return PhiMap(summands, B, dom, cod, mat, inj, bij)
+    return ComparisonMap(summands, B, dom, cod, mat, inj, bij)
 
 
 def psi_inverse_via_colim(classes: Sequence[ExtClass]) -> ShortExactSeq:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import time
 
@@ -14,6 +16,7 @@ from abext.abgroup import (
     canonicalize,
     codiagonal,
     cokernel,
+    cokernel_group,
     cyclic_sum,
     dense_matrix,
     diagonal,
@@ -328,15 +331,50 @@ def test_mono_epi_examples():
 
 
 def test_mono_epi_fast_path_matches_lattice_path():
+    # Free rank 0-2 on both sides against kernel and cokernel with transforms.
     rng = random.Random(14)
-    for _ in range(60):
-        A = rng.choice(abelian_groups_up_to_order(8))
-        B = rng.choice(abelian_groups_up_to_order(8))
+    torsion = abelian_groups_up_to_order(8)
+    verdicts = set()
+    for _ in range(200):
+        A, B = (FinGenAb(rng.randint(0, 2), rng.choice(torsion).invariant_factors) for _ in range(2))
         f = random_map(rng, A, B)
         K, _ = kernel(f)
         C, _ = cokernel(f)
         assert is_mono(f) == K.is_trivial()
         assert is_epi(f) == C.is_trivial()
+        assert cokernel_group(f.matrix.rows, B.moduli()) == C
+        verdicts.add((A.is_finite(), B.is_finite(), is_mono(f), is_epi(f)))
+    assert {(False, False, True, False), (False, False, False, True), (False, True, False, True)} <= verdicts
+
+
+def test_cokernel_group_examples():
+    assert cokernel_group([[1]], [5]).is_trivial()
+    assert cokernel_group([[2]], [4]) == Z2
+    # Z -> Z/4 + Z/9 via (2,3): image generated by an element of order 6 < 36
+    assert cokernel_group([[2], [3]], [4, 9]) == Z6
+    reachable = {(2 * x % 4, 3 * x % 9) for x in range(36)}
+    assert len(reachable) == 6
+    # untouched coordinates stay whole, free ones too; no columns at all
+    assert cokernel_group([[0, 0], [1, 3], [0, 0]], [4, 0, 0]) == FinGenAb(1, (4,))
+    assert cokernel_group([[], []], [3, 0]) == FinGenAb(1, (3,))
+    assert cokernel_group([], []) == ZERO_GROUP
+
+
+def test_cokernel_group_against_enumeration():
+    rng = random.Random(11)
+    for _ in range(60):
+        m = rng.randint(1, 2)
+        n = rng.randint(1, 2)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        moduli = [rng.choice([2, 3, 4]) for _ in range(m)]
+        M = IntMatrix.from_rows(rows)
+        total = math.prod(moduli)
+        L = math.lcm(*moduli)
+        image = set()
+        for x in itertools.product(range(L), repeat=n):
+            vals = M.apply(list(x))
+            image.add(tuple(v % md for v, md in zip(vals, moduli)))
+        assert cokernel_group(rows, moduli).order() == total // len(image)
 
 
 def unreduced(rng, rows, moduli):

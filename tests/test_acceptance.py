@@ -11,7 +11,7 @@ from abext.errors import DomainError
 def _check(fn):
     res = fn(seed=0)
     status = "PASS" if res["passed"] else "FAIL"
-    print(f"[{status}] criterion {res['id']:>2}: {res['name']} — {res['detail']} ({res['seconds']}s)")
+    print(f"[{status}] criterion {res['id']:>2}: {res['name']} — {res['detail']}")
     assert res["passed"], res
 
 

@@ -3,12 +3,13 @@ import random
 import pytest
 
 from abext.errors import EndpointMismatch, NotExactSequence
-from abext.intlin import IntMatrix
+from abext.intlin import IntMatrix, solve_mod
 from abext.abgroup import (
     AbMap,
     FinGenAb,
     ZERO_GROUP,
     abelian_groups_up_to_order,
+    cokernel,
     is_epi,
     kernel,
 )
@@ -150,6 +151,48 @@ def test_classify_rejects_non_exact():
     with pytest.raises(NotExactSequence):
         # mono followed by a map that is not epi onto its stated target
         ShortExactSeq(AbMap(Z2, Z4, IntMatrix.from_rows([[2]])), AbMap.zero(Z4, Z2))
+    with pytest.raises(NotExactSequence, match="kernel of g not contained in image of f"):
+        # Z --2--> Z → 0: mono, epi and g∘f = 0, but the cokernel Z(2) is not 0
+        ShortExactSeq(AbMap(Z, Z, IntMatrix.from_rows([[2]])), AbMap.zero(Z, ZERO_GROUP))
+
+
+def exact_by_lattices(f, g):
+    """The lattice route exactness once took, kept as the oracle: g∘f = 0,
+    trivial kernel of f and cokernel of g, and ker g ⊆ im f by one solve per
+    generator of ker g."""
+    if not (g @ f).is_zero() or not kernel(f)[0].is_trivial() or not cokernel(g)[0].is_trivial():
+        return False
+    K, incl = kernel(g)
+    emods = list(f.target.moduli())
+    return all(solve_mod(f.matrix, list(incl.matrix.col(j)), emods) is not None for j in range(K.dim))
+
+
+def test_exactness_matches_lattice_route():
+    # Realized sequences with free rank 0-2 at both ends, and the same with f
+    # scaled by 2 or 3, which is exact only when that keeps im f = ker g.
+    rng = random.Random(41)
+    torsion = abelian_groups_up_to_order(8)
+    seen = set()
+    for _ in range(120):
+        A, B = (FinGenAb(rng.randint(0, 2), rng.choice(torsion).invariant_factors) for _ in range(2))
+        s = realize(random_class(rng, A, B))
+        for k in (1, 2, 3):
+            f = s.f.scale(k)
+            try:
+                ShortExactSeq(f, s.g)
+                verdict = "exact"
+            except NotExactSequence as e:
+                verdict = str(e)
+            assert (verdict == "exact") == exact_by_lattices(f, s.g), (A, B, k)
+            seen.add((verdict, s.middle.is_finite()))
+    # exact and not, with finite and infinite middle, and with f mono but coker f ≇ A
+    assert {
+        ("exact", True),
+        ("exact", False),
+        ("f is not a monomorphism", True),
+        ("f is not a monomorphism", False),
+        ("kernel of g not contained in image of f", False),
+    } <= seen
 
 
 def test_classify_realize_roundtrip_random():
@@ -390,13 +433,11 @@ def test_mixed_free_torsion_roundtrips():
 
 
 def test_connecting_hom_dual_example():
-    from abext.homext import connecting_hom_dual, induced_ext_map
-
     s = realize(ExtClass(Z2, Z2, (1,)))
     dd = connecting_hom_dual(s, Z2)  # Hom(Z2,Z2) → Ext^1(Z2,Z2)
     assert is_epi(dd)
-    # dispatcher covers both functorialities
-    m = induced_ext_map(AbMap.identity(Z4), Z2, "sub")
+    # both functorialities send the identity to the identity
+    m = ext_covariant_map(Z2, AbMap.identity(Z4))
     assert m == AbMap.identity(ext_group(Z2, Z4).carrier)
-    m = induced_ext_map(AbMap.identity(Z4), Z2, "quot")
+    m = ext_contravariant_map(AbMap.identity(Z4), Z2)
     assert m == AbMap.identity(ext_group(Z4, Z2).carrier)

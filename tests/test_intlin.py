@@ -11,7 +11,6 @@ from abext.intlin import (
     det,
     json_str,
     hnf,
-    is_surjective_mod,
     kernel_basis,
     rank_mod_p,
     snf,
@@ -123,32 +122,6 @@ def test_solve_mod_against_exhaustive_search():
             vals = M.apply(got)
             for v, t, md in zip(vals, b, moduli):
                 assert (v - t) % md == 0
-
-
-def test_is_surjective_mod_examples():
-    assert is_surjective_mod(IntMatrix.from_rows([[1]]), [5])
-    assert not is_surjective_mod(IntMatrix.from_rows([[2]]), [4])
-    # Z -> Z/4 + Z/9 via (2,3): image generated by an element of order 6 < 36
-    M = IntMatrix.from_rows([[2], [3]])
-    assert not is_surjective_mod(M, [4, 9])
-    reachable = {(2 * x % 4, 3 * x % 9) for x in range(36)}
-    assert len(reachable) < 36
-
-
-def test_is_surjective_mod_against_enumeration():
-    rng = random.Random(11)
-    for _ in range(60):
-        m = rng.randint(1, 2)
-        n = rng.randint(1, 2)
-        M = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        moduli = [rng.choice([2, 3, 4]) for _ in range(m)]
-        total = math.prod(moduli)
-        L = math.lcm(*moduli)
-        image = set()
-        for x in itertools.product(range(L), repeat=n):
-            vals = M.apply(list(x))
-            image.add(tuple(v % md for v, md in zip(vals, moduli)))
-        assert is_surjective_mod(M, moduli) == (len(image) == total)
 
 
 def test_solve_plain():

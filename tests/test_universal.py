@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -228,6 +229,25 @@ def test_certificate_with_free_sub_end():
     cert = build_universal_extension(Z2, Zfree)  # Ext^1(Z2, Z) = Z2
     assert len(cert.X) == 2
     assert cert.all_pass
+
+
+@pytest.mark.parametrize(
+    "build, k, size, twos",
+    [
+        (build_universal_coextension, 3, 64, 125),
+        (build_universal_extension, 3, 256, 508),
+        (build_universal_coextension, 4, 256, 508),
+    ],
+    ids=["coextension", "extension", "coextension-256"],
+)
+def test_free_rank_pairs_build_in_seconds(build, k, size, twos):
+    # B = Z(2)^2, A = Z + Z(2)^k: exactness with a free summand in the middle
+    # is read off invariant factors, not solved for column by column.
+    t0 = time.perf_counter()
+    cert = build(FinGenAb(0, (2, 2)), FinGenAb(1, (2,) * k))
+    assert time.perf_counter() - t0 < 5
+    assert cert.all_pass and len(cert.X) == size
+    assert cert.sequence.middle == FinGenAb(1, (2,) * twos + (4,) * k)
 
 
 def test_projective_b_is_vacuously_universal():
