@@ -732,13 +732,31 @@ def cokernel_group(rows, moduli: Sequence[int]) -> FinGenAb:
     """Canonical cokernel of x ↦ Mx into ⊕Z(moduli[i]), 0 meaning Z, with
     ``rows`` the rows of M (target by source).
 
-    A coordinate that no column touches is its own summand Z(moduli[i]); the
-    touched ones are read off the SNF diagonal of [M | diag(moduli)] on their
-    rows, with a Z for each row past the diagonal.
+    A column whose only nonzero entry is a unit modulo its row's modulus
+    puts that coordinate in the image, so the row and the column drop out
+    (the split slots of a universal co-extension are such columns).  A
+    remaining coordinate that no remaining column touches is its own summand
+    Z(moduli[i]); the touched ones are read off the SNF diagonal of
+    [M | diag(moduli)] on their rows, with a Z for each row past the diagonal.
 
     >>> print(cokernel_group([[2], [3], [0]], [4, 0, 0]))
     Z + Z(12)
+    >>> print(cokernel_group([[1, 2], [0, 3]], [0, 0]))
+    Z(3)
     """
+    ncols = len(rows[0]) if rows else 0
+    cols = tuple(range(ncols))
+    hits, last = [0] * ncols, [0] * ncols
+    for i, row in enumerate(rows):
+        for j in compress(cols, row):
+            hits[j] += 1
+            last[j] = i
+    unit = [hits[j] == 1 and math.gcd(rows[last[j]][j], moduli[last[j]]) == 1 for j in cols]
+    if any(unit):
+        dropped = {last[j] for j in compress(cols, unit)}
+        keep = [j for j in cols if not unit[j]]
+        kept = [i for i in range(len(rows)) if i not in dropped]
+        rows, moduli = [[rows[i][j] for j in keep] for i in kept], [moduli[i] for i in kept]
     touched = [i for i, row in enumerate(rows) if any(row)]
     block = IntMatrix(tuple(rows[i] for i in touched), len(rows[0]) if rows else 0)
     diag = snf_diagonal(augment_moduli(block, [moduli[i] for i in touched]))

@@ -32,11 +32,13 @@ from .abgroup import (
     canonicalize,
     cokernel_group,
     cyclic_sum,
+    dense_matrix,
     direct_sum,
     is_epi,
     is_mono,
     pullback,
     pushout,
+    sparse_sum,
 )
 
 
@@ -309,25 +311,83 @@ def split_sequence(A: FinGenAb, B: FinGenAb) -> ShortExactSeq:
 def realize(c: ExtClass) -> ShortExactSeq:
     """An explicit B ↪ E ↠ A whose class is c.
 
-    E is presented on B's generators plus one lift generator per generator
-    of A, with the torsion lifts twisted by the class coordinates.
+    E is presented on B's generators e_i plus one lift t_j per generator a_j
+    of A, with relations m_i·e_i = 0 and, for the torsion lifts,
+    d_j·t_j = Σ_i b_ji·e_i, where b_j is the j-th twist.  Repeats split off
+    before anything is canonicalized, by two unimodular changes of basis on
+    (e, t) that commute:
+
+    - lifts t_j, t_k with equal (d, twist row) differ by t_k − t_j, of order
+      d, which splits off as Z(d) with g(t_k − t_j) = a_k − a_j; free lifts
+      carry no twist, so all but the first split off as Z;
+    - generators of B with equal (modulus, twist column) share every
+      relation: each one after the first splits off as Z(m), and their sum
+      takes the first one's place.  Every dropped row repeats a kept one, so
+      columns are compared on the kept rows.
+
+    Only the core of first occurrences is canonicalized, and ``cyclic_sum``
+    regroups it with the split summands by prime; with no repeats E is the
+    core itself.  This keeps the universal (co)extensions small: their
+    |X|·dim B slots share a handful of twists.  Every torsion lift ℓ_j is
+    machine-checked: g(ℓ_j) = a_j and d_j·ℓ_j = f(b_j).
     """
     A, B = c.A, c.B
-    nB, nA = B.dim, A.dim
-    rows = []
-    for i, m in enumerate(B.moduli()):
-        if m:
-            rows.append([m if t == i else 0 for t in range(nB + nA)])
-    for j, d in enumerate(A.invariant_factors):
+    nB, bmods = B.dim, B.moduli()
+    tfirst = _firsts([(d, c.block(j)) for j, d in enumerate(A.invariant_factors)] + [(0, ())] * A.free_rank)
+    kept_rows = [j for j in range(A.torsion_count) if tfirst[j] == j]
+    efirst = _firsts([(m, tuple(c.coords[j * nB + i] for j in kept_rows)) for i, m in enumerate(bmods)])
+    core_e = [i for i, first in enumerate(efirst) if first == i]
+    core_t = [j for j, first in enumerate(tfirst) if first == j]
+    esplit = [i for i, first in enumerate(efirst) if first != i]
+    tsplit = [j for j, first in enumerate(tfirst) if first != j]
+
+    # The core presents E on the first generators of B, then the first lifts.
+    ce = {i: k for k, i in enumerate(core_e)}
+    ct = {j: len(core_e) + k for k, j in enumerate(core_t)}
+    rels = [[bmods[i] if k == i else 0 for k in core_e] + [0] * len(core_t) for i in core_e if bmods[i]]
+    for j in kept_rows:
         b = c.block(j)
-        row = [-b[i] for i in range(nB)] + [d if t == j else 0 for t in range(nA)]
-        rows.append(row)
-    E, proj, lift = canonicalize(IntMatrix.from_rows(rows, ncols=nB + nA))
-    fmat = proj.select_columns(list(range(nB)))
-    gmat = lift.select_rows(list(range(nB, nB + nA)))
-    f = AbMap(B, E, fmat)
-    g = AbMap(E, A, gmat)
-    return ShortExactSeq(f, g)
+        rels.append([-b[i] for i in core_e] + [A.invariant_factors[j] if t == j else 0 for t in core_t])
+    core, projc, liftc = canonicalize(IntMatrix.from_rows(rels, ncols=len(ce) + len(ct)))
+    amods = A.moduli()
+    E, place, lift = cyclic_sum(core.moduli() + tuple(bmods[i] for i in esplit) + tuple(amods[j] for j in tsplit))
+    nc = core.dim
+    # Each core generator's image in E is a column of projc, read once.
+    img = [sparse_sum((x, place[r]) for r, x in enumerate(col) if x) for col in projc.transpose().rows]
+    esplit_at = {i: place[nc + k] for k, i in enumerate(esplit)}
+    tsplit_at = {j: place[nc + len(esplit) + k] for k, j in enumerate(tsplit)}
+
+    # f sends a first generator to its core image minus its group's splits,
+    # and a later one to its own split.
+    minus: Dict[int, list] = {}
+    for i in esplit:
+        minus.setdefault(efirst[i], []).append((-1, esplit_at[i]))
+    fcols = [esplit_at[i] if i in esplit_at else sparse_sum([(1, img[ce[i]])] + minus.get(i, [])) for i in range(nB)]
+    # g reads a core generator's lift on the core lifts; a split of B maps to
+    # 0 and a split lift t_k − t_j to a_k − a_j.
+    gimg = [
+        {j: col[ct[j]] for j in core_t if col[ct[j]]} for col in liftc.transpose().rows
+    ] + [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
+    gcols = [sparse_sum((x, gimg[q]) for q, x in row.items()) for row in lift]
+
+    emods = E.moduli()
+    for j, d in enumerate(A.invariant_factors):
+        ell = sparse_sum([(1, img[ct[tfirst[j]]]), (1, tsplit_at.get(j, {}))])
+        hit = sparse_sum([(x, gcols[k]) for k, x in ell.items()] + [(-1, {j: 1})])
+        twist = sparse_sum([(d, ell)] + [(-b, fcols[i]) for i, b in enumerate(c.block(j)) if b])
+        if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
+            raise DomainError("realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)")
+    return ShortExactSeq(AbMap(B, E, dense_matrix(fcols, E.dim)), AbMap(E, A, dense_matrix(gcols, A.dim)))
+
+
+def _firsts(keys: Sequence) -> List[int]:
+    """For each key, the index of its first occurrence."""
+    seen: Dict[object, int] = {}
+    return [seen.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
+    return all(x % mods[i] == 0 if mods[i] else x == 0 for i, x in vec.items())
 
 
 def classify(s: ShortExactSeq) -> ExtClass:

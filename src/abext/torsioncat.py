@@ -451,16 +451,15 @@ def _resources(e: TorsionExpr):
     w_mult: Mult = 0
     for atom, mult in e.terms:
         if isinstance(atom, AllPrimesCyclic):
-            w_mult = _mult_add(w_mult, mult) if w_mult != 0 else mult
+            w_mult = _mult_add(w_mult, mult)
             continue
         slot = per_prime.setdefault(atom.p, {"cyclic": {}, "u": 0, "prufer": 0})
         if isinstance(atom, Cyclic):
-            cur = slot["cyclic"].get(atom.k, 0)
-            slot["cyclic"][atom.k] = _mult_add(cur, mult) if cur != 0 else mult
+            slot["cyclic"][atom.k] = _mult_add(slot["cyclic"].get(atom.k, 0), mult)
         elif isinstance(atom, UnboundedFamily):
-            slot["u"] = _mult_add(slot["u"], mult) if slot["u"] != 0 else mult
+            slot["u"] = _mult_add(slot["u"], mult)
         else:
-            slot["prufer"] = _mult_add(slot["prufer"], mult) if slot["prufer"] != 0 else mult
+            slot["prufer"] = _mult_add(slot["prufer"], mult)
     return per_prime, w_mult
 
 
@@ -482,13 +481,13 @@ def quotient_closure_check(e: TorsionExpr, q: TorsionExpr) -> QuotientCheck:
     """
     res, w_avail = _resources(e)
     dem, w_need = _resources(q)
-    if w_need != 0 and not _mult_le(w_need, w_avail if w_avail != 0 else 0):
+    if not _mult_le(w_need, w_avail):
         raise DomainError("quotient check: W demand exceeds supply")
     for p, slot in dem.items():
         have = res.get(p, {"cyclic": {}, "u": 0, "prufer": 0})
-        if slot["prufer"] != 0 and not _mult_le(slot["prufer"], have["prufer"] if have["prufer"] != 0 else 0):
+        if not _mult_le(slot["prufer"], have["prufer"]):
             raise DomainError(f"quotient check: Prüfer demand at p={p} exceeds supply")
-        if slot["u"] != 0 and not _mult_le(slot["u"], have["u"] if have["u"] != 0 else 0):
+        if not _mult_le(slot["u"], have["u"]):
             raise DomainError(f"quotient check: U demand at p={p} exceeds supply")
         demands = sorted(slot["cyclic"].items(), reverse=True)
         if not demands:
@@ -497,7 +496,7 @@ def quotient_closure_check(e: TorsionExpr, q: TorsionExpr) -> QuotientCheck:
             continue  # an unbounded family surjects onto any cyclic sum at p
         supply = dict(have["cyclic"])
         if w_avail != 0:
-            supply[1] = _mult_add(supply.get(1, 0), w_avail) if supply.get(1, 0) != 0 else w_avail
+            supply[1] = _mult_add(supply.get(1, 0), w_avail)
         for k, need in demands:
             remaining: Mult = need
             for kk in sorted([s for s in supply if s >= k]):

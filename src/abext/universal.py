@@ -13,14 +13,12 @@ independent verdicts for the three equivalent defining conditions:
 and their duals for co-extensions.  Any disagreement between the verdicts is
 a build failure.
 
-Both builders realize the class directly from stacked coordinates, since Ext
-over a finite coproduct is blockwise.  Slots of B^(X) (resp. B^X) with the
-same twist differ by a generator of their own order, so all but the first
-slot of each twist split off as Z(d) summands (Z for free slots) and only a
-tiny core is canonicalized, even when |X| runs into the hundreds; the pieces
-are then regrouped by prime into invariant factors.  Each build
-machine-checks the componentwise pullback (resp. pushout) identities on its
-result.
+Both builders stack X into one class, η ∈ Ext^1(B^(X), A) whose x-th
+component is x (resp. γ ∈ Ext^1(A, B^X)), since Ext over a finite coproduct
+is blockwise, and take its ``realize``.  The slots of B^(X) share a handful
+of twists, and ``realize`` splits the repeats off, so only a small core is
+canonicalized even when |X| runs into the hundreds.  X is listed only when
+B^(X) has fewer than ``UNIVERSAL_SLOT_BUDGET`` slots.
 
 The paper's literal constructions stay as references: ``psi_inverse_via_colim``
 pushes the coproduct of realizations out along the codiagonal (Ψ^{-1}) and
@@ -34,7 +32,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
 from .intlin import IntMatrix, solve_mod
@@ -43,9 +42,7 @@ from .abgroup import (
     FinGenAb,
     SumDiagram,
     ZERO_GROUP,
-    canonicalize,
     cyclic_sum,
-    dense_matrix,
     direct_sum,
     is_epi,
     is_epi_mod,
@@ -53,7 +50,6 @@ from .abgroup import (
     is_mono_mod,
     pullback,
     pushout,
-    sparse_sum,
 )
 from .homext import (
     ExtClass,
@@ -76,6 +72,9 @@ from .homext import (
 # End(B^(X)) has dim^2 generating pieces; beyond this the dense hom-group
 # bookkeeping stops being reasonable and the check refuses rather than crawl.
 CYCLIC_CHECK_BUDGET = 1024
+# A universal (co)extension must have fewer slots |X|·dim B than this, checked
+# before X is listed: p and u are dense, so 2^14 slots is a 268M-cell matrix.
+UNIVERSAL_SLOT_BUDGET = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -295,45 +294,13 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     _require_finite_ext(ext)
     if ext.order() == 1:
         return _degenerate_certificate("extension", B, A)
-    X = list(ext.classes())
-    dA = A.dim
+    X = _list_classes(ext, B)
     BX, slot = _power_group(B, len(X))
-    # Slot (x, j) lifts to t with d_j·t = u(b), b the j-th twist of the x-th
-    # class; free slots carry no twist.
-    untwisted = (0,) * dA
-    slots = [
-        (slot[x, j], (d, X[x].block(j) if d else untwisted))
-        for x in range(len(X))
-        for j, d in enumerate(B.moduli())
-    ]
-    tw = _twist_merge(slots, lambda keys: _presentation(A.moduli(), keys))
-    E = tw.E
-    n = dA + len(tw.keys)
-
-    ucols = [tw.embed(_unit(a, n)) for a in range(dA)]
-    u = AbMap(A, E, dense_matrix(ucols, E.dim))
-    # p sends a key's core generator to the key's first slot and a split to
-    # its own slot minus that first slot.
-    images = [{tw.first[key]: c for key, c in zip(tw.keys, col[dA:]) if c} for col in tw.core_lift]
-    images += [{s: 1, tw.first[key]: -1} for s, key in tw.splits]
-    pcols = [sparse_sum((c, images[g]) for g, c in row.items()) for row in tw.lift]
-    p = AbMap(E, BX, dense_matrix(pcols, BX.dim))
-    seq = ShortExactSeq(u, p)
-
-    # Componentwise Ψ check: slot s of key (d, b) lifts to ℓ, the key's core
-    # generator plus s's split, with p(ℓ) = e_s and d·ℓ = u(b).  This makes η
-    # the class of the sequence.
-    core_t = {key: tw.embed(_unit(dA + k, n)) for k, key in enumerate(tw.keys)}
-    split_of = {s: tw.place[tw.ncore + t] for t, (s, _key) in enumerate(tw.splits)}
-    bxmods, emods = BX.moduli(), E.moduli()
-    for s, (d, b) in slots:
-        lift = sparse_sum([(1, core_t[d, b]), (1, split_of.get(s, {}))])
-        hit = sparse_sum([(c, pcols[k]) for k, c in lift.items()] + [(-1, {s: 1})])
-        twist = sparse_sum([(d, lift)] + [(-c, ucols[a]) for a, c in enumerate(b)])
-        if not (_vanishes(hit, bxmods) and _vanishes(twist, emods)):
-            raise DomainError("universal extension: a slot's lift breaks the Ψ identity")
-    twist_at = dict(slots)
-    eta = ExtClass(BX, A, tuple(c for s in range(BX.torsion_count) for c in twist_at[s][1]))
+    # η's component at slot (x, j) is the j-th twist of the x-th class.
+    twist_at = {slot[x, j]: cls.block(j) for x, cls in enumerate(X) for j in range(B.torsion_count)}
+    eta = ExtClass(BX, A, tuple(c for s in range(BX.torsion_count) for c in twist_at[s]))
+    seq = realize(eta)
+    u, p, E = seq.f, seq.g, seq.middle
 
     # (a): Ext^1(B, u) kills every basis class of Ext^1(B, A).
     ok_a = all(pushout_action(c, u).is_zero() for c in ext.basis_classes())
@@ -344,7 +311,7 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
     # unless h starts at a torsion generator of B, and depends only on h's
     # source, order and the twist at its target, so equal pieces count once.
-    kB = B.torsion_count
+    kB, dA = B.torsion_count, A.dim
     delta = []
     for j, g, block in dict.fromkeys((j, g, eta.block(i)) for j, i, g, _ in hom_pieces(B, BX) if j < kB):
         flat = [0] * (kB * dA)
@@ -364,10 +331,10 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     _require_finite_ext(ext)
     if ext.order() == 1:
         return _degenerate_certificate("coextension", B, A)
-    X = list(ext.classes())
-    dA, dB, kA = A.dim, B.dim, A.torsion_count
+    X = _list_classes(ext, B)
+    dB, kA = B.dim, A.torsion_count
     BX, slot = _power_group(B, len(X))
-    # A's j-th generator lifts to T_j with d_j·T_j = p(v_j), v_j = Σ_x μ_x(x's j-th twist).
+    # γ's j-th twist is v_j = Σ_x μ_x(x's j-th twist).
     v = [[0] * BX.dim for _ in range(kA)]
     for x, cls in enumerate(X):
         for j in range(kA):
@@ -375,61 +342,23 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
                 v[j][slot[x, i]] = c
     if any(tuple(v[j][slot[x, i]] for j in range(kA) for i in range(dB)) != cls.coords for x, cls in enumerate(X)):
         raise DomainError("universal co-extension: Φ does not reproduce the inputs")
-    # Slots of equal modulus and twist pattern merge.  Listing each key's
-    # slots together keeps the splits of one key adjacent in E.
-    keyed: Dict[tuple, List[int]] = {}
-    for s, m in enumerate(BX.moduli()):
-        keyed.setdefault((m, tuple(v[j][s] % m if m else v[j][s] for j in range(kA))), []).append(s)
-    tw = _twist_merge(
-        [(s, key) for key, group in keyed.items() for s in group],
-        lambda keys: _presentation(
-            [m for m, _ in keys],
-            [(d, tuple(pat[j] for _, pat in keys) if d else (0,) * len(keys)) for j, d in enumerate(A.moduli())],
-        ),
-    )
-    E = tw.E
-    nk = len(tw.keys)
-    n = nk + dA
-
-    # p sends a key's first slot to the key's core generator minus the key's
-    # splits, and every other slot to its split.
-    pcols: List[Dict[int, int]] = [{} for _ in range(BX.dim)]
-    for k, key in enumerate(tw.keys):
-        pcols[tw.first[key]] = tw.embed(_unit(k, n))
-    for (s, key), w in zip(tw.splits, tw.place[tw.ncore :]):
-        pcols[s] = w
-        first = pcols[tw.first[key]]
-        for k, c in w.items():
-            first[k] = first.get(k, 0) - c
-    p = AbMap(BX, E, dense_matrix(pcols, E.dim))
-    images = [{j: c for j, c in enumerate(col[nk:]) if c} for col in tw.core_lift] + [{}] * len(tw.splits)
-    ucols = [sparse_sum((c, images[g]) for g, c in row.items()) for row in tw.lift]
-    u = AbMap(E, A, dense_matrix(ucols, dA))
-    seq = ShortExactSeq(p, u)
-
-    # Componentwise Φ check: u(T_j) = e_j and d_j·T_j = p(v_j), which makes
-    # γ the class of the sequence.
-    for j, d in enumerate(A.invariant_factors):
-        t = tw.embed(_unit(nk + j, n))
-        hit = sparse_sum([(c, ucols[k]) for k, c in t.items()] + [(-1, {j: 1})])
-        twist = sparse_sum([(d, t)] + [(-c, pcols[s]) for s, c in enumerate(v[j]) if c])
-        if not (_vanishes(hit, A.moduli()) and _vanishes(twist, E.moduli())):
-            raise DomainError("universal co-extension: a lift breaks the Φ identity")
     gamma = ExtClass(A, BX, tuple(c for vj in v for c in vj))
+    seq = realize(gamma)
+    p, u, E = seq.f, seq.g, seq.middle
 
     # (a*): Ext^1(u, B) kills every basis class of Ext^1(A, B).
     ok_a = all(pullback_action(c, u).is_zero() for c in ext.basis_classes())
     # (b*): Ext^1(p, B) is injective iff it is on the coordinates over each
     # generator of B.  Its matrix sends the block of E's jp-th factor e to
-    # D·p[jp][jq]/e times the block of B^X's jq-th factor D.  The rows are
-    # read off p's sparse columns; a torsion slot's image is torsion, so its
-    # column has no entry at a free coordinate of E.
-    efacts = E.invariant_factors
-    weights = [[0] * len(efacts) for _ in BX.invariant_factors]
-    for row, col, D in zip(weights, pcols, BX.invariant_factors):
-        for jp, c in col.items():
-            row[jp] = D * (c % efacts[jp]) // efacts[jp]
-    ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, weights) for m in sorted(set(B.moduli())))
+    # D·p[jp][s]/e times the block of B^X's s-th factor D, read off the
+    # nonzero cells of p's torsion rows and torsion slots.
+    efacts, dfacts = E.invariant_factors, BX.invariant_factors
+    slots = tuple(range(len(dfacts)))
+    weights = [[0] * len(efacts) for _ in dfacts]
+    for jp, (row, e) in enumerate(zip(p.matrix.rows, efacts)):
+        for s in compress(slots, row):
+            weights[s][jp] = dfacts[s] * row[s] // e
+    ok_b = all(_injective_mod(m, efacts, dfacts, weights) for m in sorted(set(B.moduli())))
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
     # only on h's target, order and entry and the twists at h's source, so
     # equal pieces count once.
@@ -447,7 +376,16 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
 
 
 # ---------------------------------------------------------------------------
-# The twist-merge construction shared by both builders
+# Helpers shared by both builders
+
+
+def _list_classes(ext: ExtGroup, B: FinGenAb) -> List[ExtClass]:
+    """X, every class of ``ext``, refused before it is listed when B^(X)
+    would have UNIVERSAL_SLOT_BUDGET slots or more."""
+    slots = ext.order() * B.dim
+    if slots >= UNIVERSAL_SLOT_BUDGET:
+        raise BudgetExceeded(f"B^(X) would have {slots} slots, at least {UNIVERSAL_SLOT_BUDGET}")
+    return list(ext.classes())
 
 
 def _power_group(B: FinGenAb, n: int):
@@ -458,73 +396,6 @@ def _power_group(B: FinGenAb, n: int):
     """
     group, place, _lift = cyclic_sum(B.moduli() * n)
     return group, {divmod(s, B.dim): k for s, col in enumerate(place) for k in col}
-
-
-def _presentation(base_mods: Sequence[int], twists: Sequence[Tuple[int, Sequence[int]]]) -> IntMatrix:
-    """Relations m_i·e_i = 0 and d_k·t_k = Σ_i b_k,i·e_i on the generators (e, t)."""
-    n = len(base_mods) + len(twists)
-    rows = [[m if c == i else 0 for c in range(n)] for i, m in enumerate(base_mods) if m]
-    for k, (d, b) in enumerate(twists):
-        row = [-c for c in b] + [0] * len(twists)
-        row[len(base_mods) + k] = d
-        rows.append(row)
-    return IntMatrix.from_rows(rows, ncols=n)
-
-
-@dataclass(frozen=True)
-class _Twist:
-    """Middle group E = core ⊕ splits, with its generators placed.
-
-    The combined generators are the core's canonical generators followed by
-    one per split.  Vectors are sparse dicts from coordinate to coefficient.
-    """
-
-    keys: List[tuple]
-    first: Dict[tuple, int]  # key -> the slot that stays in the core
-    splits: List[Tuple[int, tuple]]  # (slot, key) split off as Z(key[0])
-    projc: IntMatrix  # core presentation coordinates -> core coordinates
-    core_lift: List[tuple]  # each core generator on the core presentation
-    E: FinGenAb
-    place: List[Dict[int, int]]  # each combined generator in E
-    lift: List[Dict[int, int]]  # each generator of E on the combined ones
-
-    @property
-    def ncore(self) -> int:
-        return len(self.core_lift)
-
-    def embed(self, vec: Sequence[int]) -> Dict[int, int]:
-        """E coordinates of a vector on the core presentation's generators."""
-        return sparse_sum((c, self.place[g]) for g, c in enumerate(self.projc.apply(vec)) if c)
-
-
-def _twist_merge(slots: Sequence[Tuple[int, tuple]], presentation: Callable[[List[tuple]], IntMatrix]) -> _Twist:
-    """Group slots by key, split off repeats, canonicalize the core, place E.
-
-    ``slots`` lists (slot, key) pairs; key[0] is the slot's modulus, 0 for a
-    free slot.  Slots with equal keys carry the same twist, so any two of them
-    differ by a generator of that modulus: the first slot of each key stays in
-    the core and every later one splits off as a Z(key[0]) summand.
-    ``presentation(keys)`` is the core's relation matrix, one generator per key.
-    """
-    first: Dict[tuple, int] = {}
-    splits: List[Tuple[int, tuple]] = []
-    for s, key in slots:
-        if key in first:
-            splits.append((s, key))
-        else:
-            first[key] = s
-    keys = list(first)
-    core, projc, liftc = canonicalize(presentation(keys))
-    E, place, lift = cyclic_sum(core.moduli() + tuple(key[0] for _, key in splits))
-    return _Twist(keys, first, splits, projc, list(zip(*liftc.rows)), E, place, lift)
-
-
-def _unit(i: int, n: int) -> List[int]:
-    return [1 if t == i else 0 for t in range(n)]
-
-
-def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
-    return all(x % mods[i] == 0 if mods[i] else x == 0 for i, x in vec.items())
 
 
 def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], rows) -> bool:
@@ -615,12 +486,12 @@ def sufficient_condition_check(A: FinGenAb, B: FinGenAb, check_certificate: bool
     """
     ext = ext_group(B, A)
     _require_finite_ext(ext)
-    X = list(ext.classes())
-    if not X or ext.order() == 1:
+    if ext.order() == 1:
         cert_ok = True
         if check_certificate:
             cert_ok = build_universal_extension(B, A).conditions_agree()
-        return SufficientConditionReport(len(X), True, cert_ok, cert_ok)
+        return SufficientConditionReport(1, True, cert_ok, cert_ok)
+    X = _list_classes(ext, B)
     # ⊕f_x is block diagonal, so it is monic iff every block is.
     monic = all(is_mono(realize(c).f) for c in X)
     cert_ok = True

@@ -345,6 +345,19 @@ def test_mono_epi_fast_path_matches_lattice_path():
         assert cokernel_group(f.matrix.rows, B.moduli()) == C
         verdicts.add((A.is_finite(), B.is_finite(), is_mono(f), is_epi(f)))
     assert {(False, False, True, False), (False, False, False, True), (False, True, False, True)} <= verdicts
+    # Permutation-like maps from Z^n, with unit columns for cokernel_group to drop.
+    epis = set()
+    for _ in range(100):
+        B = FinGenAb(rng.randint(0, 2), rng.choice(torsion).invariant_factors or (2,))
+        A = FinGenAb(rng.randint(2, 6), ())
+        f = AbMap(A, B, IntMatrix.from_rows(unit_column_rows(rng, B.moduli(), A.dim), ncols=A.dim))
+        K, _ = kernel(f)
+        C, _ = cokernel(f)
+        assert is_mono(f) == K.is_trivial()
+        assert is_epi(f) == C.is_trivial()
+        assert cokernel_group(f.matrix.rows, B.moduli()) == C
+        epis.add((B.is_finite(), is_epi(f)))
+    assert epis == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cokernel_group_examples():
@@ -375,6 +388,48 @@ def test_cokernel_group_against_enumeration():
             vals = M.apply(list(x))
             image.add(tuple(v % md for v, md in zip(vals, moduli)))
         assert cokernel_group(rows, moduli).order() == total // len(image)
+    # Columns that are units at their one nonzero entry, against the
+    # subgroup their span generates and against cokernel with transforms.
+    for _ in range(60):
+        moduli = [rng.choice([2, 3, 4, 6]) for _ in range(rng.randint(1, 3))]
+        rows = unit_column_rows(rng, moduli, rng.randint(2, 5))
+        T, place, _ = cyclic_sum(moduli)
+        image = {(0,) * len(moduli)}
+        frontier = list(image)
+        while frontier:
+            v = frontier.pop()
+            for col in zip(*rows):
+                w = tuple((a + b) % m for a, b, m in zip(v, col, moduli))
+                if w not in image:
+                    image.add(w)
+                    frontier.append(w)
+        got = cokernel_group(rows, moduli)
+        assert got.order() == math.prod(moduli) // len(image), (rows, moduli)
+        # the same map into the canonical form of ⊕Z(moduli)
+        M = dense_matrix(place, T.dim) * IntMatrix.from_rows(rows)
+        assert got == cokernel(AbMap(FinGenAb(M.ncols, ()), T, M))[0]
+
+
+def unit_column_rows(rng, moduli, n):
+    """n columns into ⊕Z(moduli), 0 meaning Z, in the shape of a universal
+    co-extension's p: two single-entry unit columns on one row (±1, m-1 or
+    another unit of Z(m)), other unit columns on random rows, and dense
+    columns that also hit the first unit row; shuffled."""
+    k = len(moduli)
+    units = [[u for u in range(-1, max(m, 2)) if u and math.gcd(u, m) == 1] for m in moduli]
+    i0 = rng.randrange(k)
+    cols = []
+    for c in range(n):
+        col = [0] * k
+        if c < 2 or rng.random() < 0.4:
+            i = i0 if c < 2 else rng.randrange(k)
+            col[i] = rng.choice(units[i])
+        else:
+            col = [rng.randint(-3, 3) for _ in range(k)]
+            col[i0] = rng.choice([1, 2, -2, 3])
+        cols.append(col)
+    rng.shuffle(cols)
+    return [list(row) for row in zip(*cols)]
 
 
 def unreduced(rng, rows, moduli):

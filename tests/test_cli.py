@@ -319,6 +319,10 @@ def test_large_prime_moduli_answer_at_once(capsys, group, want):
         (["ext", "--A", "Z(2)^1048577", "--B", "Z(2)"], "budget-exceeded"),
         (["hom", "--A", "Z^1000000000000", "--B", "Z(2)"], "budget-exceeded"),
         (["hom", "--A", json.dumps({"rank": 10**12}), "--B", "Z(2)"], "budget-exceeded"),
+        # |X|·dim B slots of B^(X): 163,840 and 10^18 + 3
+        (["univ-ext", "--B", "Z(2)^5", "--A", "Z(2)^3"], "budget-exceeded"),
+        (["univ-coext", "--B", "Z(2)^5", "--A", "Z(2)^3"], "budget-exceeded"),
+        (["univ-ext", "--B", "Z(1000000000000000003)", "--A", "Z(1000000000000000003^2)"], "budget-exceeded"),
     ],
 )
 def test_group_inputs_are_bounded_before_any_work(capsys, argv, want):

@@ -9,6 +9,7 @@ from abext.abgroup import (
     FinGenAb,
     ZERO_GROUP,
     abelian_groups_up_to_order,
+    canonicalize,
     cokernel,
     is_epi,
     kernel,
@@ -210,6 +211,66 @@ def test_classify_realize_roundtrip_random():
     s = realize(ExtClass(Z4, Z4, (3,)))
     phi = find_equivalence(s, realize(classify(s)))
     assert phi is not None
+
+
+def _realize_full_presentation(c):
+    """realize before repeats split off: canonicalize the whole presentation
+    on B's generators and one lift per generator of A.  The oracle for
+    ``test_realize_splits_repeated_twists``."""
+    A, B = c.A, c.B
+    nB, n = B.dim, B.dim + A.dim
+    rows = [[m if t == i else 0 for t in range(n)] for i, m in enumerate(B.moduli()) if m]
+    for j, d in enumerate(A.invariant_factors):
+        rows.append([-b for b in c.block(j)] + [d if t == nB + j else 0 for t in range(nB, n)])
+    E, proj, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
+    return ShortExactSeq(
+        AbMap(B, E, proj.select_columns(range(nB))), AbMap(E, A, lift.select_rows(range(nB, n)))
+    )
+
+
+A336 = FinGenAb(0, (3, 3, 6))
+Z2_2 = FinGenAb(0, (2, 2))
+SPLIT_CASES = [
+    # equal lift rows: t_1 - t_0 splits off
+    ExtClass(Z2_2, Z2, (1, 1)),
+    ExtClass(FinGenAb(0, (4, 4)), Z4, (2, 2)),
+    # equal sub columns: e_1 splits off, e_0 + e_1 stays
+    ExtClass(Z2, Z2_2, (1, 1)),
+    ExtClass(Z4, FinGenAb(0, (4, 4)), (3, 3)),
+    # both at once; rows 0 and 1 repeat, then columns 0 and 2 on the kept rows
+    ExtClass(Z2_2, Z2_2, (1, 1, 1, 1)),
+    ExtClass(FinGenAb(0, (2, 2, 2)), FinGenAb(0, (2, 2, 2)), (1, 0, 1, 1, 0, 1, 0, 1, 0)),
+    # equal twists on different moduli, different twists on equal ones: no merge
+    ExtClass(FinGenAb(0, (2, 4)), Z2, (1, 1)),
+    ExtClass(Z2, FinGenAb(0, (2, 4)), (1, 1)),
+    ExtClass(Z2_2, Z2, (1, 0)),
+    ExtClass(Z2, Z2_2, (0, 1)),
+    # the zero class
+    ExtClass(Z2_2, Z2_2, (0, 0, 0, 0)),
+    ExtClass(FinGenAb(2, (2,)), FinGenAb(2, (2,)), (0, 0, 0)),
+    # invisible twists: coordinates modulo gcd(2, 3) = 1 are always 0
+    ExtClass(Z2, A336, (0, 0, 1)),
+    ExtClass(Z2, A336, (0, 0, 0)),
+    ExtClass(A336, Z2, (0, 0, 1)),
+    ExtClass(A336, Z2, (0, 0, 0)),
+]
+
+
+def test_realize_splits_repeated_twists():
+    rng = random.Random(26)
+    cases = list(SPLIT_CASES)
+    # free rank 0-2 at both ends: free lifts repeat, free sub columns are read modulo d
+    for ra in range(3):
+        for rb in range(3):
+            A, B = FinGenAb(ra, (2, 2)), FinGenAb(rb, (2, 4))
+            cases.append(ExtClass(A, B, (1,) * len(ext_group(A, B).piece_mods)))
+            cases += [random_class(rng, A, B) for _ in range(3)]
+    for c in cases:
+        s = realize(c)
+        assert classify(s) == c, c
+        oracle = _realize_full_presentation(c)
+        assert s.middle == oracle.middle, c
+        assert find_equivalence(s, oracle) is not None, c
 
 
 # ---------------------------------------------------------------------------

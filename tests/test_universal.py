@@ -5,6 +5,7 @@ import time
 import pytest
 
 import abext.universal as universal
+from abext.errors import BudgetExceeded
 from abext.intlin import IntMatrix
 from abext.abgroup import (
     AbMap,
@@ -19,6 +20,7 @@ from abext.abgroup import (
 )
 from abext.homext import (
     ExtClass,
+    ExtGroup,
     ShortExactSeq,
     classify,
     ext_group,
@@ -248,6 +250,45 @@ def test_free_rank_pairs_build_in_seconds(build, k, size, twos):
     assert time.perf_counter() - t0 < 5
     assert cert.all_pass and len(cert.X) == size
     assert cert.sequence.middle == FinGenAb(1, (2,) * twos + (4,) * k)
+
+
+P19 = 1000000000000000003  # prime
+
+
+@pytest.mark.parametrize(
+    "B, A, slots",
+    [
+        (FinGenAb(0, (2,) * 5), FinGenAb(0, (2,) * 3), 163840),
+        (FinGenAb(0, (P19,)), FinGenAb(0, (P19**2,)), P19),
+    ],
+    ids=["Z(2)^5/Z(2)^3", "Z(p)/Z(p^2)"],
+)
+def test_oversized_pairs_are_refused_before_x_is_listed(monkeypatch, B, A, slots):
+    def listed(self):
+        raise AssertionError("X was listed")
+
+    monkeypatch.setattr(ExtGroup, "classes", listed)
+    t0 = time.perf_counter()
+    # Ext^1(B, A) and Ext^1(A, B) have the same order here, so B^(X) has
+    # ``slots`` slots in both directions.
+    for refused in (build_universal_extension, build_universal_coextension):
+        with pytest.raises(BudgetExceeded, match=f"{slots} slots"):
+            refused(B, A)
+    with pytest.raises(BudgetExceeded, match=f"{slots} slots"):
+        sufficient_condition_check(A, B)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_slot_budget_boundary(monkeypatch):
+    # B = A = Z(2): |X| = 2 and dim B = 1, so two slots.
+    monkeypatch.setattr(universal, "UNIVERSAL_SLOT_BUDGET", 3)
+    assert build_universal_extension(Z2, Z2).all_pass
+    assert build_universal_coextension(Z2, Z2).all_pass
+    assert sufficient_condition_check(Z2, Z2).consistent
+    monkeypatch.setattr(universal, "UNIVERSAL_SLOT_BUDGET", 2)
+    for refused in (build_universal_extension, build_universal_coextension, sufficient_condition_check):
+        with pytest.raises(BudgetExceeded):
+            refused(Z2, Z2)
 
 
 def test_projective_b_is_vacuously_universal():
