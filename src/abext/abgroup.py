@@ -43,10 +43,10 @@ from .intlin import (
     json_of,
     json_str,
     kernel_basis,
+    mod_solver,
     rank_mod_p,
     snf,
     snf_diagonal,
-    solve_mod,
 )
 
 
@@ -770,17 +770,20 @@ def torsion_part(A: FinGenAb) -> FinGenAb:
 
 
 @dataclass(frozen=True)
-class Pushout:
+class Square:
+    """Apex of a pushout (legs from f.target and g.target) or a pullback
+    (legs to f.source and g.source), and the mediator of a (co)cone."""
+
     apex: FinGenAb
-    left: AbMap   # from f.target
-    right: AbMap  # from g.target
+    left: AbMap
+    right: AbMap
     _mediator: Callable = field(repr=False, compare=False)
 
     def mediator(self, left_map: AbMap, right_map: AbMap) -> AbMap:
         return self._mediator(left_map, right_map)
 
 
-def pushout(f: AbMap, g: AbMap) -> Pushout:
+def pushout(f: AbMap, g: AbMap) -> Square:
     """Pushout of f : A → B and g : A → C along their common source."""
     if f.source != g.source:
         raise EndpointMismatch("pushout legs must share their source")
@@ -804,21 +807,10 @@ def pushout(f: AbMap, g: AbMap) -> Pushout:
         h = AbMap(P, bq.target, m.matrix * clift)
         return h
 
-    return Pushout(P, left, right, mediator)
+    return Square(P, left, right, mediator)
 
 
-@dataclass(frozen=True)
-class Pullback:
-    apex: FinGenAb
-    left: AbMap   # to f.source
-    right: AbMap  # to g.source
-    _mediator: Callable = field(repr=False, compare=False)
-
-    def mediator(self, left_map: AbMap, right_map: AbMap) -> AbMap:
-        return self._mediator(left_map, right_map)
-
-
-def pullback(f: AbMap, g: AbMap) -> Pullback:
+def pullback(f: AbMap, g: AbMap) -> Square:
     """Pullback of f : B → A and g : C → A along their common target."""
     if f.target != g.target:
         raise EndpointMismatch("pullback legs must share their target")
@@ -838,16 +830,13 @@ def pullback(f: AbMap, g: AbMap) -> Pullback:
         if not (f @ bq - g @ cq).is_zero():
             raise DomainError("cone does not commute with the span")
         pair = muB @ bq + muC @ cq
-        cols = []
-        for j in range(pair.source.dim):
-            target_vec = [pair.matrix.rows[i][j] for i in range(ds.total.dim)]
-            x = solve_mod(incl.matrix, target_vec, list(total_mods))
-            if x is None:
-                raise DomainError("cone does not factor through the pullback")
-            cols.append(x)
+        solve = mod_solver(incl.matrix, total_mods)
+        cols = [solve(col) for col in pair.matrix.transpose().rows]
+        if None in cols:
+            raise DomainError("cone does not factor through the pullback")
         return AbMap(pair.source, K, IntMatrix.from_columns(cols, K.dim))
 
-    return Pullback(K, left, right, mediator)
+    return Square(K, left, right, mediator)
 
 
 def partitions(n: int):

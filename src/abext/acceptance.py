@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
+from .errors import DomainError
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -43,7 +44,7 @@ def _result(cid, name, passed, detail):
     return {"id": cid, "name": name, "passed": bool(passed), "detail": detail}
 
 
-def criterion_1_ext_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_1_ext_oracle(seed: int = 0) -> dict:
     """|Ext^1(A,B)| equals the cocycle count for all pairs of order <= 12."""
     t0 = time.time()
     groups = abelian_groups_up_to_order(12)
@@ -60,7 +61,7 @@ def criterion_1_ext_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
     return _result(1, "oracle equivalence: Ext", ok, detail)
 
 
-def criterion_2_hom_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_2_hom_oracle(seed: int = 0) -> dict:
     """|Hom(A,B)| equals the enumeration count for all pairs of order <= 12."""
     t0 = time.time()
     groups = abelian_groups_up_to_order(12)
@@ -77,7 +78,7 @@ def criterion_2_hom_oracle(seed: int = 0, budget: Optional[int] = None) -> dict:
     return _result(2, "oracle equivalence: Hom", ok, detail)
 
 
-def criterion_3_gng_law(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_3_gng_law(seed: int = 0) -> dict:
     """Ext^1(Z(n), G) has the canonical form of G/nG for |G| <= 16, n <= 12."""
     t0 = time.time()
     groups = abelian_groups_up_to_order(16)
@@ -95,7 +96,7 @@ def criterion_3_gng_law(seed: int = 0, budget: Optional[int] = None) -> dict:
     return _result(3, "G/nG law", ok, f"{len(groups) * 12} cases, {len(failures)} failures")
 
 
-def criterion_4_psi_bijective(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_4_psi_bijective(seed: int = 0) -> dict:
     """Psi bijective and constructively inverted for 200 random families."""
     rng = random.Random(seed)
     pool = abelian_groups_up_to_order(16)
@@ -118,7 +119,7 @@ def criterion_4_psi_bijective(seed: int = 0, budget: Optional[int] = None) -> di
     return _result(4, "Psi bijectivity + colim inverse", bad == 0, f"200 families, {bad} failures")
 
 
-def criterion_5_tri_condition(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_5_tri_condition(seed: int = 0) -> dict:
     """Universal (co)extension certificates for all pairs of order <= 8."""
     t0 = time.time()
     groups = abelian_groups_up_to_order(8)
@@ -138,7 +139,7 @@ def criterion_5_tri_condition(seed: int = 0, budget: Optional[int] = None) -> di
     )
 
 
-def criterion_6_cyclic_generation(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_6_cyclic_generation(seed: int = 0) -> dict:
     """Cyclic generation over End(B^(X)) for all pairs with |Ext| <= 4."""
     groups = abelian_groups_up_to_order(8)
     checked = 0
@@ -155,7 +156,7 @@ def criterion_6_cyclic_generation(seed: int = 0, budget: Optional[int] = None) -
     return _result(6, "cyclic generation", not failures, f"{checked} pairs, {len(failures)} failures")
 
 
-def criterion_7_closure(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_7_closure(seed: int = 0) -> dict:
     """Coproduct and direct-summand closure over 100 random instances."""
     rng = random.Random(seed)
     pool = abelian_groups_up_to_order(4)
@@ -191,7 +192,7 @@ TORSION_FIXTURES = [
 ]
 
 
-def criterion_8_torsion_fixtures(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_8_torsion_fixtures(seed: int = 0) -> dict:
     """Classifier fixture table: verdicts and cotorsion flags, exact match."""
     failures = []
     for text, want_tz, want_cot in TORSION_FIXTURES:
@@ -204,7 +205,7 @@ def criterion_8_torsion_fixtures(seed: int = 0, budget: Optional[int] = None) ->
     )
 
 
-def criterion_9_cotorsion_implication(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_9_cotorsion_implication(seed: int = 0) -> dict:
     """cotorsion ⇒ co-Ext^1-universal over 1000 random expressions."""
     rng = random.Random(seed)
     violations = 0
@@ -215,7 +216,7 @@ def criterion_9_cotorsion_implication(seed: int = 0, budget: Optional[int] = Non
     return _result(9, "cotorsion implies universal", violations == 0, f"1000 expressions, {violations} violations")
 
 
-def criterion_10_witness_growth(seed: int = 0, budget: Optional[int] = None) -> dict:
+def criterion_10_witness_growth(seed: int = 0) -> dict:
     """counterexample_witness(2, N) = 2^N for N = 1..8; fast/brute cross-check."""
     t0 = time.time()
     brute_budget = 1 << 10  # makes N = 4 the brute/fast boundary for p = 2
@@ -258,14 +259,18 @@ CRITERIA: List[Callable[..., dict]] = [
 ]
 
 
-def run_all(seed: int = 0, budget: Optional[int] = None, only: Sequence[int] = ()) -> dict:
-    """Scorecard of the criteria; one that raises is recorded as failed."""
+def run_all(seed: int = 0, only: Sequence[int] = ()) -> dict:
+    """Scorecard of the criteria; one that raises is recorded as failed.
+    An id in ``only`` that names no criterion is a DomainError."""
+    unknown = sorted(set(only) - set(range(1, len(CRITERIA) + 1)))
+    if unknown:
+        raise DomainError(f"no criterion {unknown[0]}: ids run from 1 to {len(CRITERIA)}")
     results = []
     for idx, fn in enumerate(CRITERIA, start=1):
         if only and idx not in only:
             continue
         try:
-            results.append(fn(seed=seed, budget=budget))
+            results.append(fn(seed=seed))
         except Exception as exc:  # the suite reports every criterion, so a crash is a FAIL
             detail = f"raised {type(exc).__name__}: {exc}"
             results.append(_result(idx, fn.__name__, False, detail))

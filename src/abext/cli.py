@@ -256,7 +256,7 @@ def _cmd_ab4_witness(args):
 
 
 def _cmd_suite(args):
-    return acceptance.run_all(seed=args.seed, budget=args.budget, only=args.only)
+    return acceptance.run_all(seed=args.seed, only=args.only)
 
 
 @functools.cache

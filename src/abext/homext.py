@@ -23,9 +23,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import DomainError, EndpointMismatch, NotExactSequence
-from .intlin import IntMatrix, json_int, json_of, json_str, solve_mod
+from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
+from .intlin import IntMatrix, json_int, json_of, json_str, mod_solver, solve_mod
 from .abgroup import (
+    MAX_GROUP_DIM,
     AbMap,
     FinGenAb,
     apply_sparse,
@@ -96,8 +97,11 @@ def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
     """Nontrivial cyclic pieces (source_gen, target_gen, modulus, entry) of Hom(A, B).
 
     The piece's generator sends source generator j to ``entry`` times target
-    generator i; a modulus of 0 marks an infinite piece.
+    generator i; a modulus of 0 marks an infinite piece.  Past MAX_GROUP_DIM
+    pairs of generators, nothing is listed.
     """
+    if A.dim * B.dim > MAX_GROUP_DIM:
+        raise BudgetExceeded(f"{A.dim} x {B.dim} Hom pieces exceed {MAX_GROUP_DIM}")
     pieces = []
     for j, mj in enumerate(A.moduli()):
         for i, ni in enumerate(B.moduli()):
@@ -189,7 +193,10 @@ def ext_pieces(A: FinGenAb, B: FinGenAb) -> Tuple[int, ...]:
 
 
 def ext_group(A: FinGenAb, B: FinGenAb) -> ExtGroup:
-    """Ext^1(A, B) = ⊕_j B/d_jB over the invariant factors of A."""
+    """Ext^1(A, B) = ⊕_j B/d_jB over the invariant factors of A, refused
+    past MAX_GROUP_DIM slots (d_j, generator of B) before any is listed."""
+    if A.torsion_count * B.dim > MAX_GROUP_DIM:
+        raise BudgetExceeded(f"{A.torsion_count} x {B.dim} Ext slots exceed {MAX_GROUP_DIM}")
     mods = ext_pieces(A, B)
     carrier, place, lift = cyclic_sum(mods)
     return ExtGroup(A, B, mods, carrier, place, lift)
@@ -395,16 +402,14 @@ def classify(s: ShortExactSeq) -> ExtClass:
     if not isinstance(s, ShortExactSeq):
         raise NotExactSequence("classify expects a validated ShortExactSeq")
     B, E, A = s.sub, s.middle, s.quot
-    amods = list(A.moduli())
-    emods = list(E.moduli())
+    lift = mod_solver(s.g.matrix, A.moduli())
+    descend = mod_solver(s.f.matrix, E.moduli())
     coords: List[int] = []
     for j, d in enumerate(A.invariant_factors):
-        target = [1 if t == j else 0 for t in range(A.dim)]
-        x = solve_mod(s.g.matrix, target, amods)
+        x = lift([1 if t == j else 0 for t in range(A.dim)])
         if x is None:
             raise NotExactSequence("quotient map is not surjective")
-        v = [d * xi for xi in x]
-        b = solve_mod(s.f.matrix, v, emods)
+        b = descend([d * xi for xi in x])
         if b is None:
             raise NotExactSequence("d·lift does not land in the subobject")
         coords.extend(b)

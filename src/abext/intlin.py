@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -428,28 +428,6 @@ def kernel_basis(M: IntMatrix) -> IntMatrix:
     return dec.V.select_columns(free)
 
 
-def solve(M: IntMatrix, b: Sequence[int]):
-    """One integer solution of M x = b, or None if none exists."""
-    if len(b) != M.nrows:
-        raise DimensionMismatch("rhs length mismatch")
-    dec = snf(M)
-    c = dec.U.apply(list(b))
-    diag = dec.diagonal()
-    n = M.ncols
-    w = [0] * n
-    for i in range(M.nrows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % d:
-                return None
-            if i < n:
-                w[i] = c[i] // d
-    return dec.V.apply(w)
-
-
 def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     """[M | diag(moduli)] without the columns of zero moduli.
 
@@ -461,19 +439,46 @@ def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=M.ncols + len(slack))
 
 
+def mod_solver(M: IntMatrix, moduli: Sequence[int]) -> Callable[[Sequence[int]], Optional[list]]:
+    """b ↦ one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
+
+    A modulus of 0 means that row is an exact equation over Z.  The SNF with
+    transforms U·[M | diag(moduli)]·V = D is taken once, here, for every b:
+    M x ≡ b is solvable iff D w = U b is, and x is the head of V w.
+
+    >>> solve = mod_solver(IntMatrix.from_rows([[2]]), [4])
+    >>> solve([2]), solve([1])
+    ([1], None)
+    """
+    m, n = M.shape
+    if len(moduli) != m:
+        raise DimensionMismatch("solve_mod shape mismatch")
+    dec = snf(augment_moduli(M, moduli))
+    diag = dec.diagonal()
+    vrows = dec.V.rows[:n]
+
+    def solve(b: Sequence[int]) -> Optional[list]:
+        if len(b) != m:
+            raise DimensionMismatch("solve_mod shape mismatch")
+        c = dec.U.apply(list(b))
+        if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag) :]):
+            return None
+        w = [ci // d if d else 0 for ci, d in zip(c, diag)]
+        return [sum(a * x for a, x in zip(r, w) if a) for r in vrows]
+
+    return solve
+
+
 def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
     """Solve M x ≡ b componentwise mod the given per-row moduli.
 
     A modulus of 0 means that row is an exact equation over Z.  Returns one
-    solution vector or None when the system has no solution.
+    solution vector or None when the system has no solution.  One right-hand
+    side, one factorization: a caller with many takes one ``mod_solver``.
     """
-    m, n = M.shape
-    if len(b) != m or len(moduli) != m:
+    if len(b) != M.nrows or len(moduli) != M.nrows:
         raise DimensionMismatch("solve_mod shape mismatch")
-    z = solve(augment_moduli(M, moduli), b)
-    if z is None:
-        return None
-    return z[:n]
+    return mod_solver(M, moduli)(b)
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

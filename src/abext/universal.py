@@ -20,11 +20,12 @@ of twists, and ``realize`` splits the repeats off, so only a small core is
 canonicalized even when |X| runs into the hundreds.  X is listed only when
 B^(X) has fewer than ``UNIVERSAL_SLOT_BUDGET`` slots.
 
-The paper's literal constructions stay as references: ``psi_inverse_via_colim``
-pushes the coproduct of realizations out along the codiagonal (Ψ^{-1}) and
-``phi_inverse_via_lim`` pulls their product back along the diagonal
-(Φ^{-1}).  With ``verify_extension_conditions`` and
-``verify_coextension_conditions`` they audit the builders independently.
+The paper's literal constructions stay as references: Ψ^{-1} is
+``psi_inverse_via_colim``, the ``seq_pushout`` of the coproduct of
+realizations along the codiagonal ∇, and Φ^{-1} is ``phi_inverse_via_lim``,
+the ``seq_pullback`` of their product along the diagonal Δ.  With
+``verify_extension_conditions`` and ``verify_coextension_conditions`` they
+audit the builders independently.
 """
 
 from __future__ import annotations
@@ -36,20 +37,20 @@ from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
-from .intlin import IntMatrix, solve_mod
+from .intlin import IntMatrix, mod_solver
 from .abgroup import (
     AbMap,
     FinGenAb,
     SumDiagram,
     ZERO_GROUP,
+    codiagonal,
     cyclic_sum,
+    diagonal,
     direct_sum,
     is_epi,
     is_epi_mod,
     is_mono,
     is_mono_mod,
-    pullback,
-    pushout,
 )
 from .homext import (
     ExtClass,
@@ -66,12 +67,16 @@ from .homext import (
     pullback_action,
     pushout_action,
     realize,
+    seq_pullback,
+    seq_pushout,
     ses_direct_sum,
 )
 
 # End(B^(X)) has dim^2 generating pieces; beyond this the dense hom-group
 # bookkeeping stops being reasonable and the check refuses rather than crawl.
 CYCLIC_CHECK_BUDGET = 1024
+# The most witnesses a cyclic generation check samples, checked before any work.
+CYCLIC_SAMPLE_BUDGET = 1024
 # A universal (co)extension must have fewer slots |X|·dim B than this, checked
 # before X is listed: p and u are dense, so 2^14 slots is a 268M-cell matrix.
 UNIVERSAL_SLOT_BUDGET = 1 << 14
@@ -138,14 +143,8 @@ def psi_inverse_via_colim(classes: Sequence[ExtClass]) -> ShortExactSeq:
     A = classes[0].B
     if any(c.B != A for c in classes):
         raise DomainError("classes must share their sub end")
-    seqs = [realize(c) for c in classes]
-    big, ds_sub, _ds_mid, ds_quot = ses_direct_sum(seqs)
-    nabla = ds_sub.projections[0]
-    for pi in ds_sub.projections[1:]:
-        nabla = nabla + pi
-    po = pushout(big.f, nabla)
-    g_eta = po.mediator(big.g, AbMap.zero(A, big.quot))
-    seq = ShortExactSeq(po.right, g_eta)
+    big, _ds_sub, _ds_mid, ds_quot = ses_direct_sum([realize(c) for c in classes])
+    seq = seq_pushout(big, codiagonal(A, len(classes)))
     got = classify(seq)
     for i, c in enumerate(classes):
         if pullback_action(got, ds_quot.injections[i]) != c:
@@ -165,14 +164,8 @@ def phi_inverse_via_lim(classes: Sequence[ExtClass]) -> ShortExactSeq:
     A = classes[0].A
     if any(c.A != A for c in classes):
         raise DomainError("classes must share their quotient end")
-    seqs = [realize(c) for c in classes]
-    big, ds_sub, _ds_mid, ds_quot = ses_direct_sum(seqs)
-    delta = ds_quot.injections[0]
-    for mu in ds_quot.injections[1:]:
-        delta = delta + mu
-    pb = pullback(big.g, delta)
-    fprime = pb.mediator(big.f, AbMap.zero(big.sub, A))
-    seq = ShortExactSeq(fprime, pb.right)
+    big, ds_sub, _ds_mid, _ds_quot = ses_direct_sum([realize(c) for c in classes])
+    seq = seq_pullback(big, diagonal(A, len(classes)))
     got = classify(seq)
     for i, c in enumerate(classes):
         if pushout_action(got, ds_sub.projections[i]) != c:
@@ -434,8 +427,13 @@ def cyclic_generation_check(
     Builds the additive map γ ↦ η·γ over the generating pieces of
     End(B^(X)) (matrix units composed with the cyclic generators) and
     decides surjectivity; on success returns explicit γ witnesses for
-    sampled target classes, each re-verified by recomputing η·γ.
+    sampled target classes, each re-verified by recomputing η·γ.  One
+    factorization of the system serves every sample.
     """
+    if samples < 0:
+        raise DomainError(f"samples must be at least 0, not {samples}")
+    if samples > CYCLIC_SAMPLE_BUDGET:
+        raise BudgetExceeded(f"{samples} samples exceed {CYCLIC_SAMPLE_BUDGET}")
     if cert.direction != "extension":
         raise DomainError("cyclic generation check applies to extension certificates")
     if cert.degenerate:
@@ -446,21 +444,20 @@ def cyclic_generation_check(
     if BX.dim * BX.dim > CYCLIC_CHECK_BUDGET:
         raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
-    cols = []
-    for b in H.basis:
-        cols.append(ext_big.to_carrier(pullback_action(eta, b)))
+    cols = [ext_big.to_carrier(pullback_action(eta, b)) for b in H.basis]
     m = AbMap(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)
     witnesses = []
-    carrier_mods = list(ext_big.carrier.moduli())
+    carrier_mods = ext_big.carrier.moduli()
+    solve = mod_solver(m.matrix, carrier_mods)
     for _ in range(samples):
         target = tuple(rng.randrange(md) if md else rng.randrange(-9, 10) for md in carrier_mods)
-        x = solve_mod(m.matrix, list(target), carrier_mods)
+        x = solve(target)
         if x is None:
             return CyclicGenerationResult(False, "no γ for a sampled class", ())
-        gamma = H.recompose([xi for xi in x])
+        gamma = H.recompose(x)
         got = ext_big.to_carrier(pullback_action(eta, gamma))
         want = ext_big.carrier.reduce(list(target))
         if got != want:
@@ -477,7 +474,7 @@ class SufficientConditionReport:
     consistent: bool
 
 
-def sufficient_condition_check(A: FinGenAb, B: FinGenAb, check_certificate: bool = True) -> SufficientConditionReport:
+def sufficient_condition_check(A: FinGenAb, B: FinGenAb) -> SufficientConditionReport:
     """⊕f_x monic over a complete set of representatives of Ext^1(B, A).
 
     The coproduct of the inclusions of all realizations is monic in Ab for
@@ -487,15 +484,10 @@ def sufficient_condition_check(A: FinGenAb, B: FinGenAb, check_certificate: bool
     ext = ext_group(B, A)
     _require_finite_ext(ext)
     if ext.order() == 1:
-        cert_ok = True
-        if check_certificate:
-            cert_ok = build_universal_extension(B, A).conditions_agree()
+        cert_ok = build_universal_extension(B, A).conditions_agree()
         return SufficientConditionReport(1, True, cert_ok, cert_ok)
     X = _list_classes(ext, B)
     # ⊕f_x is block diagonal, so it is monic iff every block is.
     monic = all(is_mono(realize(c).f) for c in X)
-    cert_ok = True
-    if check_certificate:
-        cert = build_universal_extension(B, A)
-        cert_ok = cert.all_pass
+    cert_ok = build_universal_extension(B, A).all_pass
     return SufficientConditionReport(len(X), monic, cert_ok, monic == cert_ok)

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import abext
-from abext import cli
+from abext import cli, homext
 from abext.cli import main
+from abext.errors import BudgetExceeded
 from abext.torsioncat import parse_finite_group
 
 
@@ -323,6 +324,20 @@ def test_large_prime_moduli_answer_at_once(capsys, group, want):
         (["univ-ext", "--B", "Z(2)^5", "--A", "Z(2)^3"], "budget-exceeded"),
         (["univ-coext", "--B", "Z(2)^5", "--A", "Z(2)^3"], "budget-exceeded"),
         (["univ-ext", "--B", "Z(1000000000000000003)", "--A", "Z(1000000000000000003^2)"], "budget-exceeded"),
+        # dim A · dim B Hom pieces, torsion count of A · dim B Ext slots: 4M and 9M, past 2^20
+        (["hom", "--A", "Z(2)^2000", "--B", "Z(2)^2000"], "budget-exceeded"),
+        (["ext", "--A", "Z(2)^3000", "--B", "Z(2)^3000"], "budget-exceeded"),
+        (["ext", "--A", "Z^5000 + Z(2)^3000", "--B", "Z^1000"], "budget-exceeded"),
+        # cyclic-check samples past CYCLIC_SAMPLE_BUDGET = 1024, or negative
+        (["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "1000000000"], "budget-exceeded"),
+        (["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "1025"], "budget-exceeded"),
+        (
+            ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "-3"],
+            {"code": "domain-error", "message": "samples must be at least 0, not -3"},
+        ),
+        # suite ids outside 1..10
+        (["suite", "--only", "99"], {"code": "domain-error", "message": "no criterion 99: ids run from 1 to 10"}),
+        (["suite", "--only", "5,0,11"], {"code": "domain-error", "message": "no criterion 0: ids run from 1 to 10"}),
     ],
 )
 def test_group_inputs_are_bounded_before_any_work(capsys, argv, want):
@@ -336,6 +351,19 @@ def test_group_inputs_are_bounded_before_any_work(capsys, argv, want):
         assert data["error"]["code"] == want
     # the bound itself is allowed: 2^20 generators
     assert parse_finite_group("Z^1048576").free_rank == 1 << 20
+
+
+def test_piece_counts_are_bounded_at_the_group_bound(monkeypatch):
+    monkeypatch.setattr(homext, "MAX_GROUP_DIM", 12)
+    G3, G4, G5 = (parse_finite_group(f"Z(2)^{n}") for n in (3, 4, 5))
+    assert homext.hom_group(G3, G4).carrier.dim == 12
+    assert homext.ext_group(G4, parse_finite_group("Z^2 + Z(2)")).carrier.dim == 12
+    # free rank in A gives no Ext slots
+    assert homext.ext_group(parse_finite_group("Z^9 + Z(4)^4"), G3).carrier.dim == 12
+    with pytest.raises(BudgetExceeded):
+        homext.hom_group(G5, parse_finite_group("Z + Z(2)^2"))
+    with pytest.raises(BudgetExceeded):
+        homext.ext_group(G5, G3)
 
 
 # One process, one parser: requests whose options differ, interleaved, so a

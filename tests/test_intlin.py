@@ -13,8 +13,8 @@ from abext.intlin import (
     hnf,
     kernel_basis,
     rank_mod_p,
+    mod_solver,
     snf,
-    solve,
     solve_mod,
 )
 
@@ -126,8 +126,60 @@ def test_solve_mod_against_exhaustive_search():
 
 def test_solve_plain():
     M = IntMatrix.from_rows([[2, 0], [0, 3]])
-    assert solve(M, [4, 9]) == [2, 3]
-    assert solve(M, [1, 0]) is None
+    assert solve_mod(M, [4, 9], [0, 0]) == [2, 3]
+    assert solve_mod(M, [1, 0], [0, 0]) is None
+
+
+def _in_column_lattice(M, b, moduli):
+    """Whether b lies in the span of M's columns and the m_i·e_i, by row HNF
+    of the spanning vectors: an oracle that takes no SNF."""
+    m = M.nrows
+    gens = [list(c) for c in M.transpose().rows] + [[md if k == i else 0 for k in range(m)] for i, md in enumerate(moduli) if md]
+    H, _ = hnf(IntMatrix.from_rows(gens, ncols=m))
+    v = list(b)
+    for row in H.rows:
+        piv = next((j for j, a in enumerate(row) if a), None)
+        if piv is None:
+            break
+        if v[piv] % row[piv]:
+            return False
+        q = v[piv] // row[piv]
+        v = [x - q * a for x, a in zip(v, row)]
+    return not any(v)
+
+
+def test_mod_solver_matches_fresh_solves():
+    rng = random.Random(17)
+    answered = unsolvable = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 6), rng.randint(1, 3)
+        M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
+        if rng.random() < 0.3:  # rank-deficient: a row that is a sum of two others
+            rows = [list(r) for r in M.rows] + [[a + b for a, b in zip(M.rows[0], M.rows[-1])]]
+            M, m = IntMatrix.from_rows(rows, ncols=n), m + 1
+        # free rows (0) among mixed moduli, so some right-hand sides have no solution
+        moduli = [rng.choice([0, 0, 0, 2, 3, 4, 6, 9]) for _ in range(m)]
+        solve = mod_solver(M, moduli)
+        for _ in range(8):
+            b = [rng.randint(-9, 9) for _ in range(m)]
+            x = solve(b)
+            assert x == solve_mod(M, b, moduli)
+            if x is None:
+                unsolvable += 1
+                assert not _in_column_lattice(M, b, moduli)
+            else:
+                answered += 1
+                assert all((v - t) % md == 0 if md else v == t for v, t, md in zip(M.apply(x), b, moduli))
+    assert answered > 100 and unsolvable > 100
+    # inconsistent right-hand sides give None, consistent ones the same vector
+    M = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
+    solve = mod_solver(M, [4, 0, 5])
+    assert solve([1, 0, 0]) is None and solve([0, 1, 0]) is None and solve([0, 0, 1]) is None
+    assert solve([2, 3, 5]) == solve_mod(M, [2, 3, 5], [4, 0, 5]) == [1, 1]
+    with pytest.raises(DimensionMismatch):
+        mod_solver(IntMatrix.from_rows([[1, 2]]), [3, 4])
+    with pytest.raises(DimensionMismatch):
+        solve([1, 2])
 
 
 def test_kernel_basis():

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
+import abext.intlin as intlin
 import abext.universal as universal
-from abext.errors import BudgetExceeded
+from abext.errors import BudgetExceeded, DomainError
 from abext.intlin import IntMatrix
 from abext.abgroup import (
     AbMap,
@@ -17,6 +18,7 @@ from abext.abgroup import (
     is_epi,
     is_mono,
     kernel,
+    pullback,
 )
 from abext.homext import (
     ExtClass,
@@ -111,6 +113,61 @@ def test_psi_inverse_roundtrip_random():
             )
         # componentwise pullback check happens inside; raises on failure
         psi_inverse_via_colim(classes)
+
+
+def test_phi_inverse_roundtrip_random():
+    rng = random.Random(44)
+    pool = abelian_groups_up_to_order(8)
+    for _ in range(25):
+        A = rng.choice(pool)
+        classes = []
+        for _ in range(rng.randint(1, 3)):
+            Bi = rng.choice(pool)
+            eg = ext_group(A, Bi)
+            classes.append(
+                ExtClass(A, Bi, tuple(rng.randrange(g) if g else 0 for g in eg.piece_mods))
+            )
+        # componentwise pushout check happens inside; raises on failure
+        seq = phi_inverse_via_lim(classes)
+        assert seq.quot == A
+
+
+@pytest.mark.parametrize("inverse", [psi_inverse_via_colim, phi_inverse_via_lim])
+def test_inverses_refuse_empty_and_mismatched_families(inverse):
+    with pytest.raises(DomainError, match="at least one class"):
+        inverse([])
+    # Ψ^{-1} needs a shared sub end, Φ^{-1} a shared quotient end: these
+    # two classes share neither.
+    with pytest.raises(DomainError, match="must share their"):
+        inverse([ExtClass(Z2, Z2, (1,)), ExtClass(Z4, Z4, (2,))])
+
+
+def test_each_system_is_factored_once(monkeypatch):
+    calls = []
+    real_snf = intlin.snf
+
+    def counting_snf(M):
+        calls.append(M.shape)
+        return real_snf(M)
+
+    A = FinGenAb(0, (2, 2, 4, 4))
+    seq = realize(ExtClass(A, Z4, (1, 0, 3, 2)))
+    cert = build_universal_extension(Z2, Z2)
+    G = FinGenAb(0, (2, 4, 4))
+    square = pullback(AbMap.identity(G), AbMap.identity(G))
+    monkeypatch.setattr(intlin, "snf", counting_snf)
+
+    # one factorization of [g | diag(A)] and one of [f | diag(E)]
+    assert classify(seq) == ExtClass(A, Z4, (1, 0, 3, 2))
+    assert len(calls) == 2
+    calls.clear()
+    assert len(cyclic_generation_check(cert, samples=5).witnesses) == 5
+    assert len(calls) == 1
+    calls.clear()
+    assert square.apex.dim == 3
+    med = square.mediator(square.left, square.right)
+    assert med == AbMap.identity(square.apex)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +474,25 @@ def test_cyclic_generation_examples():
         eta = build_universal_extension(Z2, Z2).canonical_class
         assert pullback_action(eta, gamma) == cls
     assert cyclic_generation_check(build_universal_extension(Z4, Z4)).passed
+
+
+def test_cyclic_generation_samples_are_bounded_before_any_work(monkeypatch):
+    cert = build_universal_extension(Z2, Z2)
+    assert universal.CYCLIC_SAMPLE_BUDGET == 1024
+    assert len(cyclic_generation_check(cert, samples=1024).witnesses) == 1024
+    assert cyclic_generation_check(cert, samples=0).witnesses == ()
+
+    def no_end_ring(*_args):
+        raise AssertionError("End(B^(X)) built before the sample count was checked")
+
+    monkeypatch.setattr(universal, "hom_group", no_end_ring)
+    with pytest.raises(BudgetExceeded):
+        cyclic_generation_check(cert, samples=1025)
+    with pytest.raises(BudgetExceeded):
+        cyclic_generation_check(cert, samples=10**9)
+    with pytest.raises(DomainError) as info:
+        cyclic_generation_check(cert, samples=-3)
+    assert not isinstance(info.value, BudgetExceeded)
 
 
 def test_cyclic_generation_deterministic():
