@@ -439,6 +439,27 @@ def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
     return ExtClass(Ap, B, tuple(out))
 
 
+def pullback_columns(c: ExtClass, H: HomGroup) -> List[ExtClass]:
+    """η·h for each generator h of H = Hom(A', A), equal to ``pullback_action``
+    over ``H.basis`` but read off H's pieces with no map built: the piece
+    (j, i, g, entry) adds (d'_j·entry/d_i)·η.block(i) to block j, for the
+    invariant factors d' of A' and d of A; a free generator adds nothing."""
+    if H.target != c.A:
+        raise EndpointMismatch("pullback action endpoint mismatch")
+    dp, d, nB = H.source.invariant_factors, c.A.invariant_factors, c.B.dim
+    out = []
+    for unit in H.lift:
+        flat = [0] * (len(dp) * nB)
+        for k, coef in unit.items():
+            j, i, _, entry = H.pieces[k]
+            if j < len(dp) and i < len(d):
+                coeff = coef * (dp[j] * entry // d[i])
+                for t, v in enumerate(c.block(i), j * nB):
+                    flat[t] += coeff * v
+        out.append(ExtClass(H.source, c.B, tuple(flat)))
+    return out
+
+
 def pushout_action(c: ExtClass, k: AbMap) -> ExtClass:
     """k·η for k : B → B'."""
     if k.source != c.B:

@@ -7,7 +7,9 @@ as integer linear systems with per-row cyclic moduli.
 
 No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
-depend on pivot choices (smallest absolute value, first in row-major order).
+depend on pivot choices (smallest absolute value, first in row-major order)
+and on the least-remainder pass that clears each pivot's column and row,
+which keeps their entries small.
 """
 
 from __future__ import annotations
@@ -238,19 +240,55 @@ class SnfDecomposition:
         return [self.D.entry(i, i) for i in range(n)]
 
 
-def _snf_inplace(a, m, n, with_transforms=True):
-    # Returns (U_rows, V_rows) as lists of lists; a is mutated to D.
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if with_transforms else None
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if with_transforms else None
-    t = 0
-    while t < m and t < n:
-        # Pivot: smallest nonzero absolute value in the trailing submatrix,
-        # first such entry in row-major order.  Keeps coefficient growth down.
+def _sweep(a, t, c):
+    """Least-remainder pass: clear column c below row t by row operations.
+
+    With the pivot p at (t, c), a sweep takes from every row below t the
+    nearest multiple of row t, leaving at most |p|/2, and the row with the
+    least nonzero remainder becomes the pivot row of the next sweep, until
+    none is left (after Havas–Majewski–Matthews 1998).  Rows from t on must
+    be zero left of c; a row may carry its row of the transform on the right.
+    """
+    while True:
+        at = a[t]
+        p = at[c]
+        best = least = 0
+        for i, ai in enumerate(a[t + 1 :], t + 1):
+            x = ai[c]
+            if x:
+                q = (2 * x + p) // (2 * p)
+                if q:
+                    for k in range(c, len(ai)):
+                        ai[k] -= q * at[k]
+                    x -= q * p
+                if x and (not best or abs(x) < least):
+                    best, least = i, abs(x)
+        if not best:
+            return
+        a[t], a[best] = a[best], a[t]
+
+
+def _identity(n):
+    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+
+
+def _snf(rows, n, with_transforms=True):
+    """(diagonal, U rows, V columns) of the Smith form of the m x n ``rows``.
+
+    ``a`` is the block not yet diagonal, pivot at (0, 0), each row followed by
+    its row of U; W holds the columns of V, as rows (none without transforms).
+    """
+    m = len(rows)
+    a = [list(r) + u for r, u in zip(rows, _identity(m))] if with_transforms else [list(r) for r in rows]
+    W = _identity(n) if with_transforms else []
+    done_u, done_w, diag, k = [], [], [], min(m, n)
+    while a and n:
+        # Pivot: smallest nonzero absolute value in the block, first such
+        # entry in row-major order.  Keeps coefficient growth down.
         piv = None
         best = None
-        for i in range(t, m):
-            ai = a[i]
-            for j in range(t, n):
+        for i, ai in enumerate(a):
+            for j in range(n):
                 v = ai[j]
                 if v:
                     av = abs(v)
@@ -264,91 +302,54 @@ def _snf_inplace(a, m, n, with_transforms=True):
         if piv is None:
             break
         pi, pj = piv
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-            if U is not None:
-                U[t], U[pi] = U[pi], U[t]
-        if pj != t:
+        a[0], a[pi] = a[pi], a[0]
+        if pj:
             for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            if V is not None:
-                for row in V:
-                    row[t], row[pj] = row[pj], row[t]
+                row[0], row[pj] = row[pj], row[0]
+            if W:
+                W[0], W[pj] = W[pj], W[0]
         while True:
-            # Clear column t below the pivot.
-            restart = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
+            _sweep(a, 0, 0)
+            # Row 0 by column operations, one sweep of the same pass: column 0
+            # is clear, so they change only a[0] and W.  The least remainder
+            # is swapped into column 0, and the column pass clears it again.
+            a0 = a[0]
+            p = a0[0]
+            best = least = 0
+            for j in range(1, n):
+                x = a0[j]
+                if x:
+                    q = (2 * x + p) // (2 * p)
                     if q:
-                        ai, at = a[i], a[t]
-                        for j in range(t, n):
-                            ai[j] -= q * at[j]
-                        if U is not None:
-                            ui, ut = U[i], U[t]
-                            for j in range(m):
-                                ui[j] -= q * ut[j]
-                    if a[i][t]:
-                        # Remainder is a smaller pivot; swap it up and restart.
-                        a[t], a[i] = a[i], a[t]
-                        if U is not None:
-                            U[t], U[i] = U[i], U[t]
-                        restart = True
-                        break
-            if restart:
-                continue
-            # Clear row t to the right of the pivot.
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a:
-                            row[j] -= q * row[t]
-                        if V is not None:
-                            for row in V:
-                                row[j] -= q * row[t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        if V is not None:
-                            for row in V:
-                                row[t], row[j] = row[j], row[t]
-                        restart = True
-                        break
-            if restart:
+                        x -= q * p
+                        a0[j] = x
+                        if W:
+                            wj, w0 = W[j], W[0]
+                            for col in range(len(wj)):
+                                wj[col] -= q * w0[col]
+                    if x and (not best or abs(x) < least):
+                        best, least = j, abs(x)
+            if best:
+                for row in a:
+                    row[0], row[best] = row[best], row[0]
+                if W:
+                    W[0], W[best] = W[best], W[0]
                 continue
             # Divisibility fix-up: pivot must divide every trailing entry,
             # which a unit does, so only a larger pivot scans them.
-            if abs(a[t][t]) == 1:
+            bad = abs(p) != 1 and next((i for i, row in enumerate(a) for x in row[1:n] if x % p), 0)
+            if not bad:
                 break
-            done = True
-            for i in range(t + 1, m):
-                ai = a[i]
-                bad = None
-                for j in range(t + 1, n):
-                    if ai[j] % a[t][t]:
-                        bad = j
-                        break
-                if bad is not None:
-                    at = a[t]
-                    for j in range(t, n):
-                        at[j] += ai[j]
-                    if U is not None:
-                        ut, ui = U[t], U[i]
-                        for j in range(m):
-                            ut[j] += ui[j]
-                    done = False
-                    break
-            if done:
-                break
-        if a[t][t] < 0:
-            for j in range(t, n):
-                a[t][j] = -a[t][j]
-            if U is not None:
-                for j in range(m):
-                    U[t][j] = -U[t][j]
-        t += 1
-    return U, V
+            a[0] = [x + y for x, y in zip(a0, a[bad])]
+        if a[0][0] < 0:
+            a[0] = [-x for x in a[0]]
+        diag.append(a[0][0])
+        if W:
+            done_u.append(a[0][n:])
+            done_w.append(W.pop(0))
+        a = [row[1:] for row in a[1:]]
+        n -= 1
+    return diag + [0] * (k - len(diag)), done_u + [row[n:] for row in a], done_w + W
 
 
 def snf(M: IntMatrix) -> SnfDecomposition:
@@ -358,20 +359,14 @@ def snf(M: IntMatrix) -> SnfDecomposition:
     Deterministic for identical inputs.  Works for any shape including empty.
     """
     m, n = M.shape
-    a = [list(r) for r in M.rows]
-    U, V = _snf_inplace(a, m, n, with_transforms=True)
-    D = IntMatrix.from_rows(a, ncols=n)
-    Um = IntMatrix.from_rows(U, ncols=m)
-    Vm = IntMatrix.from_rows(V, ncols=n)
-    return SnfDecomposition(U=Um, D=D, V=Vm)
+    diag, U, W = _snf(M.rows, n)
+    D = IntMatrix.diagonal(diag, m, n)
+    return SnfDecomposition(U=IntMatrix.from_rows(U, ncols=m), D=D, V=IntMatrix.from_columns(W, n))
 
 
 def snf_diagonal(M: IntMatrix) -> list:
     """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    m, n = M.shape
-    a = [list(r) for r in M.rows]
-    _snf_inplace(a, m, n, with_transforms=False)
-    return [a[i][i] for i in range(min(m, n))]
+    return _snf(M.rows, M.ncols, with_transforms=False)[0]
 
 
 def hnf(M: IntMatrix):
@@ -381,42 +376,24 @@ def hnf(M: IntMatrix):
     above each pivot reduced to [0, pivot).
     """
     m, n = M.shape
-    a = [list(r) for r in M.rows]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    a = [list(r) + u for r, u in zip(M.rows, _identity(m))]
     r = 0
     for c in range(n):
-        # Euclid down column c among rows >= r.
-        while True:
-            nz = [i for i in range(r, m) if a[i][c]]
-            if len(nz) <= 1:
-                break
-            nz.sort(key=lambda i: abs(a[i][c]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = a[i][c] // a[i0][c]
-                for j in range(n):
-                    a[i][j] -= q * a[i0][j]
-                for j in range(m):
-                    U[i][j] -= q * U[i0][j]
-        nz = [i for i in range(r, m) if a[i][c]]
-        if not nz:
+        i0 = next((i for i in range(r, m) if a[i][c]), None)
+        if i0 is None:
             continue
-        i0 = nz[0]
-        if i0 != r:
-            a[r], a[i0] = a[i0], a[r]
-            U[r], U[i0] = U[i0], U[r]
+        a[r], a[i0] = a[i0], a[r]
+        _sweep(a, r, c)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            U[r] = [-x for x in U[r]]
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
-                for j in range(n):
-                    a[i][j] -= q * a[r][j]
-                for j in range(m):
-                    U[i][j] -= q * U[r][j]
+                ai, ar = a[i], a[r]
+                for k in range(c, len(ai)):
+                    ai[k] -= q * ar[k]
         r += 1
-    return IntMatrix.from_rows(a, ncols=n), IntMatrix.from_rows(U, ncols=m)
+    return IntMatrix.from_rows([row[:n] for row in a], ncols=n), IntMatrix.from_rows([row[n:] for row in a], ncols=m)
 
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:

@@ -65,6 +65,7 @@ from .homext import (
     hom_group,
     hom_pieces,
     pullback_action,
+    pullback_columns,
     pushout_action,
     realize,
     seq_pullback,
@@ -425,7 +426,7 @@ def cyclic_generation_check(
     """Ext^1(B^(X), A) as a cyclic right End(B^(X))-module generated by η̄.
 
     Builds the additive map γ ↦ η·γ over the generating pieces of
-    End(B^(X)) (matrix units composed with the cyclic generators) and
+    End(B^(X)), read off the pieces by ``pullback_columns``, and
     decides surjectivity; on success returns explicit γ witnesses for
     sampled target classes, each re-verified by recomputing η·γ.  One
     factorization of the system serves every sample.
@@ -444,7 +445,7 @@ def cyclic_generation_check(
     if BX.dim * BX.dim > CYCLIC_CHECK_BUDGET:
         raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
-    cols = [ext_big.to_carrier(pullback_action(eta, b)) for b in H.basis]
+    cols = [ext_big.to_carrier(c) for c in pullback_columns(eta, H)]
     m = AbMap(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())

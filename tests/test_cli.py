@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,6 +12,7 @@ import abext
 from abext import cli, homext
 from abext.cli import main
 from abext.errors import BudgetExceeded
+from abext.intlin import IntMatrix
 from abext.torsioncat import parse_finite_group
 
 
@@ -54,6 +56,15 @@ def test_snf_verb(capsys):
     code, data = run_json(capsys, "snf", "--matrix", '[["2","4"],["6","8"]]')
     assert code == 0
     assert data["D"] == [["2", "0"], ["0", "4"]]
+
+
+def test_snf_verb_answers_a_dense_30x30_matrix(capsys):
+    rng = random.Random(30)
+    M = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(30)] for _ in range(30)])
+    code, data = run_json(capsys, "snf", "--matrix", json.dumps([list(r) for r in M.rows]))
+    assert code == 0
+    U, D, V = (IntMatrix.from_json(data[key]) for key in ("U", "D", "V"))
+    assert (U * M * V) == D
 
 
 def test_canon_verb(capsys):

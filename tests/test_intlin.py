@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from abext.intlin import (
     rank_mod_p,
     mod_solver,
     snf,
+    snf_diagonal,
     solve_mod,
 )
 
@@ -316,3 +318,121 @@ def test_matrix_json_refuses_an_unprintable_entry():
     assert IntMatrix.from_rows([[10**4300 - 1, 0]]).to_json()[0][0] == "9" * 4300
     with pytest.raises(BudgetExceeded):
         IntMatrix.from_rows([[0], [10**4300]]).to_json()
+
+
+# ---------------------------------------------------------------------------
+# The least-remainder pass: oracles and bounds on transform size
+
+
+def _dense(rng, m, n):
+    return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], ncols=n)
+
+
+def _of_rank(rng, m, n, rank):
+    """m x n of rank ``rank``: a random rank x rank core, then extra columns
+    and rows, each the sum or difference of two earlier ones."""
+    while True:
+        core = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rank)]
+        if det(IntMatrix.from_rows(core)):
+            break
+    cols = [list(c) for c in zip(*core)]
+    while len(cols) < n:
+        a, b, s = *rng.sample(range(rank), 2), rng.choice((-1, 1))
+        cols.append([x + s * y for x, y in zip(cols[a], cols[b])])
+    rows = [list(r) for r in zip(*cols)]
+    while len(rows) < m:
+        a, b, s = *rng.sample(range(rank), 2), rng.choice((-1, 1))
+        rows.append([x + s * y for x, y in zip(rows[a], rows[b])])
+    rng.shuffle(rows)
+    return IntMatrix.from_rows(rows, ncols=n)
+
+
+def _assert_smith(M, dec, max_digits=None):
+    assert (dec.U * M * dec.V).rows == dec.D.rows
+    diag = dec.diagonal()
+    assert all(d >= 0 for d in diag)
+    assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+    assert all(v == 0 for i, row in enumerate(dec.D.rows) for j, v in enumerate(row) if i != j)
+    if max_digits is not None:
+        bound = 10**max_digits
+        assert all(abs(v) < bound for T in (dec.U, dec.V) for row in T.rows for v in row)
+
+
+SHAPES = [(9, 9, None), (11, 11, 7), (12, 7, None), (7, 12, None), (12, 8, 5), (8, 12, 5)]
+
+
+def _shape_matrices():
+    rng = random.Random(2024)
+    for m, n, rank in SHAPES:
+        for _ in range(3):
+            yield (_dense(rng, m, n) if rank is None else _of_rank(rng, m, n, rank)), rank
+
+
+def test_snf_agrees_with_snf_diagonal_on_every_shape():
+    for M, rank in _shape_matrices():
+        dec = snf(M)
+        _assert_smith(M, dec)
+        assert det(dec.U) in (1, -1) and det(dec.V) in (1, -1)
+        assert dec.diagonal() == snf_diagonal(M)
+        if rank is not None:
+            assert sum(1 for d in dec.diagonal() if d) == rank
+
+
+def test_snf_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    for M, _ in _shape_matrices():
+        S = smith_normal_form(sympy.Matrix([list(r) for r in M.rows]), domain=sympy.ZZ)
+        assert snf_diagonal(M) == [int(S[i, i]) for i in range(min(M.shape))]
+
+
+@pytest.mark.parametrize("m, n, rank", [(40, 40, None), (40, 40, 30), (30, 40, None)])
+def test_snf_transforms_stay_small_at_40_columns(m, n, rank):
+    rng = random.Random(40)
+    M = _dense(rng, m, n) if rank is None else _of_rank(rng, m, n, rank)
+    dec = snf(M)
+    _assert_smith(M, dec, max_digits=1000)
+    assert sum(1 for d in dec.diagonal() if d) == (rank or min(m, n))
+
+
+def test_snf_of_the_benchmarks_24x24_rank_18_shape():
+    # The snf benchmark's construction, written out: the sign is drawn per
+    # entry, so the matrix has full rank.  The transforms of the old Euclid
+    # loops reached thousands of digits on it.
+    rng = random.Random(4)
+    core = [[rng.randint(-4, 4) for _ in range(18)] for _ in range(18)]
+    cols = [list(c) for c in zip(*core)]
+    while len(cols) < 24:
+        a, b = rng.sample(range(18), 2)
+        cols.append([x + rng.choice((-1, 1)) * y for x, y in zip(cols[a], cols[b])])
+    rows = [list(r) for r in zip(*cols)]
+    while len(rows) < 24:
+        a, b = rng.sample(range(18), 2)
+        rows.append([x + rng.choice((-1, 1)) * y for x, y in zip(rows[a], rows[b])])
+    rng.shuffle(rows)
+    M = IntMatrix.from_rows(rows)
+    _assert_smith(M, snf(M), max_digits=1000)
+
+
+def test_solve_mod_dense_16x16_with_a_modulus_on_every_row():
+    rng = random.Random(16)
+    M = _dense(rng, 16, 16)
+    moduli = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(16)]
+    planted = [rng.randint(-5, 5) for _ in range(16)]
+    b = [v % md for v, md in zip(M.apply(planted), moduli)]
+    start = time.perf_counter()
+    x = solve_mod(M, b, moduli)
+    assert time.perf_counter() - start < 2.0
+    assert x is not None
+    assert all((v - t) % md == 0 for v, t, md in zip(M.apply(x), b, moduli))
+
+
+def test_hnf_is_unchanged_by_a_row_permutation():
+    rng = random.Random(11)
+    for M, _ in _shape_matrices():
+        H, U = hnf(M)
+        assert (U * M).rows == H.rows and det(U) in (1, -1)
+        order = list(range(M.nrows))
+        rng.shuffle(order)
+        assert hnf(M.select_rows(order))[0] == H

@@ -27,7 +27,9 @@ from abext.homext import (
     classify,
     ext_group,
     find_equivalence,
+    hom_group,
     pullback_action,
+    pullback_columns,
     realize,
 )
 from abext.universal import (
@@ -474,6 +476,24 @@ def test_cyclic_generation_examples():
         eta = build_universal_extension(Z2, Z2).canonical_class
         assert pullback_action(eta, gamma) == cls
     assert cyclic_generation_check(build_universal_extension(Z4, Z4)).passed
+
+
+def test_pullback_columns_match_pullback_action_on_the_basis():
+    # Every pair with |B|, |A| <= 4 and 1 < |X| <= 8, both orders: the
+    # extension class over End(B^(X)) and the co-extension class over End(A).
+    groups = [G for G in abelian_groups_up_to_order(4) if G.dim]
+    checked = 0
+    for B in groups:
+        for A in groups:
+            if not 1 < ext_group(B, A).order() <= 8:
+                continue
+            for cert, S in ((build_universal_extension(B, A), None), (build_universal_coextension(A, B), A)):
+                cls = cert.canonical_class
+                H = hom_group(S or cls.A, cls.A)
+                want = [pullback_action(cls, h) for h in H.basis]
+                assert pullback_columns(cls, H) == want
+                checked += 1
+    assert checked == 2 * 9
 
 
 def test_cyclic_generation_samples_are_bounded_before_any_work(monkeypatch):
