@@ -3,9 +3,11 @@
 A group is kept in canonical invariant-factor form only.  Generator order is
 fixed: torsion generators first (factors ascending in the divisibility
 chain), free generators last, so the moduli vector of ``Z^r ⊕ ⊕ Z(d_i)`` is
-``(d_1, ..., d_k, 0, ..., 0)``.  A morphism is an integer matrix on canonical
-generators, normalized entrywise modulo the target moduli; equality of maps
-is equality of those normal forms.
+``(d_1, ..., d_k, 0, ..., 0)``.  A morphism keeps the image of each canonical
+generator as a sparse column {target generator: entry}, normalized modulo the
+target moduli with zeros dropped; equality of maps is equality of those
+normal forms, and every map operation takes time in the nonzero entries.  The
+dense integer matrix is a view, built only when a caller reads it.
 
 A direct sum of cyclic groups ⊕ Z(m_i) is put in canonical form by
 ``cyclic_sum``: the moduli regroup prime by prime into invariant factors
@@ -19,9 +21,10 @@ presentations with genuinely mixed relations reach SNF.
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  Mono and epi build
 no (co)kernel: torsion is decided per prime by F_p-rank of socle/quotient
-matrices, which stays fast even for groups with a thousand cyclic factors,
-and free rank by SNF diagonals alone (the rank over Q of the free block, and
-``cokernel_group``), with no unimodular transforms.
+matrices, read off the columns (rank is transpose-invariant), which stays
+fast even for groups with a thousand cyclic factors, and free rank by SNF
+diagonals alone (the rank over Q of the free block, and ``cokernel_group``),
+with no unimodular transforms.
 
 All values are immutable and safe to share across threads.
 """
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -337,7 +341,19 @@ def dense_matrix(cols: Sequence[Dict[int, int]], nrows: int) -> IntMatrix:
     for j, col in enumerate(cols):
         for i, x in col.items():
             rows[i][j] = x
+    for i, row in enumerate(rows):  # one row at a time, so a list and its tuple never all coexist
+        rows[i] = tuple(row)
     return IntMatrix.from_rows(rows, ncols=len(cols))
+
+
+def sparse_columns(rows: Sequence[Sequence[int]], ncols: int) -> List[Dict[int, int]]:
+    """The nonzero cells of ``rows`` as ncols sparse columns: the inverse of ``dense_matrix``."""
+    cols: List[Dict[int, int]] = [{} for _ in range(ncols)]
+    idx = tuple(range(ncols))
+    for i, row in enumerate(rows):
+        for j in compress(idx, row):
+            cols[j][i] = row[j]
+    return cols
 
 
 def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int) -> List[int]:
@@ -438,67 +454,73 @@ def _diagonal_quotient(moduli: Sequence[int]):
 
 @dataclass(frozen=True)
 class AbMap:
-    """Morphism between canonical groups as a matrix on generators.
+    """Morphism between canonical groups, kept as sparse columns.
 
-    ``matrix`` is (target.dim x source.dim); column j is the image of the
-    j-th source generator.  Entries are normalized into [0, m) for each
-    target modulus m > 0.  Construction validates well-definedness: for each
-    source generator of order m, m times its image must vanish in the target.
+    ``cols[j]`` is the image of the j-th source generator, a dict {target
+    generator: entry} with entries reduced into [0, m) for each target
+    modulus m > 0, free target rows left as they are, and zeros dropped.
+    Construction normalizes and validates well-definedness in time linear in
+    the nonzero entries: for each source generator of order m, m times its
+    image must vanish in the target.  ``matrix`` is the dense
+    (target.dim x source.dim) view, built on first use.
     """
 
     source: FinGenAb
     target: FinGenAb
-    matrix: IntMatrix
+    cols: Tuple[Dict[int, int], ...]
 
     def __post_init__(self):
-        if self.matrix.shape != (self.target.dim, self.source.dim):
-            raise DimensionMismatch(
-                f"map matrix {self.matrix.shape} does not match {self.target.dim}x{self.source.dim}"
-            )
-        smod = self.source.moduli()
-        cols = tuple(range(len(smod)))
-        # smod[j]·v ≡ 0 mod m means r | v for r = m / gcd(m, smod[j]), r = 0
-        # meaning v = 0; per target modulus m, the columns with r != 1.
-        constraints: Dict[int, Dict[int, int]] = {}
-        rows = []
-        bad = None
-        for row, m in zip(self.matrix.rows, self.target.moduli()):
-            if m:
-                # min/max over the nonzero entries; a reduced row is kept, not rebuilt
-                nonzero = tuple(filter(None, row))
-                if nonzero and (min(nonzero) < 0 or max(nonzero) >= m):
-                    reduced = list(row)
-                    for j in compress(cols, row):
-                        reduced[j] %= m
-                    row = tuple(reduced)
-            if m not in constraints:
-                constraints[m] = {j: m // math.gcd(m, mj) for j, mj in enumerate(smod) if mj and (m == 0 or mj % m)}
-            constrained = constraints[m]
-            if constrained:
-                for j in compress(cols, row):
-                    r = constrained.get(j)
-                    if r is not None and (r == 0 or row[j] % r):
-                        bad = j if bad is None else min(bad, j)
-                        break
-            rows.append(row)
-        if bad is not None:
-            raise DomainError(f"map not well defined: {smod[bad]} * column {bad} not in target relations")
-        if any(new is not old for new, old in zip(rows, self.matrix.rows)):
-            object.__setattr__(self, "matrix", IntMatrix(tuple(rows), self.source.dim))
+        tmods = self.target.moduli()
+        n = len(tmods)
+        if len(self.cols) != self.source.dim:
+            raise DimensionMismatch(f"map has {len(self.cols)} columns, not {self.source.dim}")
+        cols = []
+        for j, (col, s) in enumerate(zip(self.cols, self.source.moduli())):
+            out = {}
+            for i, v in col.items():
+                if not 0 <= i < n:
+                    raise DimensionMismatch(f"column {j} has row {i}, past target dimension {n}")
+                m = tmods[i]
+                if m:
+                    v %= m
+                if v:
+                    # s·v ≡ 0 mod m; into a free row (m = 0) only a free column may map
+                    if s * v % m if m else s:
+                        raise DomainError(f"map not well defined: {s} * column {j} not in target relations")
+                    out[i] = v
+            cols.append(out)
+        object.__setattr__(self, "cols", tuple(cols))
+
+    @staticmethod
+    def from_matrix(source: FinGenAb, target: FinGenAb, M: IntMatrix) -> "AbMap":
+        """The map whose j-th column is M's; an M already normalized becomes the ``matrix`` view."""
+        if M.shape != (target.dim, source.dim):
+            raise DimensionMismatch(f"map matrix {M.shape} does not match {target.dim}x{source.dim}")
+        cols = sparse_columns(M.rows, M.ncols)
+        f = AbMap(source, target, cols)
+        if f.cols == tuple(cols):
+            object.__setattr__(f, "matrix", M)
+        return f
+
+    @cached_property
+    def matrix(self) -> IntMatrix:
+        return dense_matrix(self.cols, self.target.dim)
 
     @staticmethod
     def identity(G: FinGenAb) -> "AbMap":
-        return AbMap(G, G, IntMatrix.identity(G.dim))
+        return AbMap(G, G, [{j: 1} for j in range(G.dim)])
 
     @staticmethod
     def zero(source: FinGenAb, target: FinGenAb) -> "AbMap":
-        return AbMap(source, target, IntMatrix.zeros(target.dim, source.dim))
+        return AbMap(source, target, ({},) * source.dim)
 
     def compose(self, other: "AbMap") -> "AbMap":
         """self ∘ other (apply other first)."""
         if other.target != self.source:
             raise EndpointMismatch("composition endpoint mismatch")
-        return AbMap(other.source, self.target, self.matrix * other.matrix)
+        mine = self.cols
+        cols = [sparse_sum((x, mine[k]) for k, x in col.items()) for col in other.cols]
+        return AbMap(other.source, self.target, cols)
 
     def __matmul__(self, other: "AbMap") -> "AbMap":
         return self.compose(other)
@@ -506,35 +528,32 @@ class AbMap:
     def __add__(self, other: "AbMap") -> "AbMap":
         if self.source != other.source or self.target != other.target:
             raise EndpointMismatch("sum endpoint mismatch")
-        return AbMap(self.source, self.target, self.matrix + other.matrix)
+        return AbMap(self.source, self.target, [sparse_sum(((1, a), (1, b))) for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other: "AbMap") -> "AbMap":
         return self + (-other)
 
     def __neg__(self) -> "AbMap":
-        return AbMap(self.source, self.target, -self.matrix)
+        return self.scale(-1)
 
     def scale(self, c: int) -> "AbMap":
-        return AbMap(self.source, self.target, self.matrix.scale(c))
+        return AbMap(self.source, self.target, [{i: c * v for i, v in col.items()} for col in self.cols])
 
     def apply(self, vec: Sequence[int]) -> Tuple[int, ...]:
-        out = self.matrix.apply(list(vec))
-        return self.target.reduce(out)
+        if len(vec) != self.source.dim:
+            raise DimensionMismatch("vector length mismatch")
+        return self.target.reduce(apply_sparse(self.cols, vec, self.target.dim))
 
     def __eq__(self, other):
         if not isinstance(other, AbMap):
             return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.matrix.rows == other.matrix.rows
-        )
+        return self.source == other.source and self.target == other.target and self.cols == other.cols
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix.rows))
+        return hash((self.source, self.target, tuple(frozenset(col.items()) for col in self.cols)))
 
     def is_zero(self) -> bool:
-        return self.matrix.is_zero()
+        return not any(self.cols)
 
     def to_json(self) -> dict:
         return {
@@ -548,7 +567,7 @@ class AbMap:
         data = json_of(dict, data)
         src = FinGenAb.from_json(data["source"])
         tgt = FinGenAb.from_json(data["target"])
-        return AbMap(src, tgt, IntMatrix.from_json(data["matrix"], ncols=src.dim))
+        return AbMap.from_matrix(src, tgt, IntMatrix.from_json(data["matrix"], ncols=src.dim))
 
 
 @dataclass(frozen=True)
@@ -577,9 +596,8 @@ def direct_sum(groups: Sequence[FinGenAb]) -> SumDiagram:
     base = 0
     for g in groups:
         end = base + g.dim
-        injections.append(AbMap(g, total, dense_matrix(place[base:end], total.dim)))
-        local = [{i - base: x for i, x in row.items() if base <= i < end} for row in lift]
-        projections.append(AbMap(total, g, dense_matrix(local, g.dim)))
+        injections.append(AbMap(g, total, place[base:end]))
+        projections.append(AbMap(total, g, [{i - base: x for i, x in row.items() if base <= i < end} for row in lift]))
         base = end
     return SumDiagram(groups, total, tuple(injections), tuple(projections))
 
@@ -622,14 +640,14 @@ def kernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     """Kernel with its inclusion; the universal property is exercised in tests."""
     A, B = f.source, f.target
     if A.is_trivial():
-        return ZERO_GROUP, AbMap(ZERO_GROUP, A, IntMatrix.zeros(A.dim, 0))
+        return ZERO_GROUP, AbMap.zero(ZERO_GROUP, A)
     P = _preimage_lattice(f.matrix, B.moduli())
     if P.ncols == 0:
-        return ZERO_GROUP, AbMap(ZERO_GROUP, A, IntMatrix.zeros(A.dim, 0))
+        return ZERO_GROUP, AbMap.zero(ZERO_GROUP, A)
     T = _preimage_lattice(P, A.moduli())
     rel = T.transpose()
     K, _projK, liftK = canonicalize(rel)
-    incl = AbMap(K, A, P * liftK)
+    incl = AbMap.from_matrix(K, A, P * liftK)
     return K, incl
 
 
@@ -639,64 +657,62 @@ def _cokernel_data(f: AbMap):
     for j, d in enumerate(B.moduli()):
         if d:
             rows.append([d if k == j else 0 for k in range(B.dim)])
-    for j in range(f.source.dim):
-        rows.append([f.matrix.rows[i][j] for i in range(B.dim)])
+    for col in f.cols:
+        rows.append([col.get(i, 0) for i in range(B.dim)])
     return canonicalize(IntMatrix.from_rows(rows, ncols=B.dim))
 
 
 def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     """Cokernel with its projection."""
     C, proj, _lift = _cokernel_data(f)
-    return C, AbMap(f.target, C, proj)
+    return C, AbMap.from_matrix(f.target, C, proj)
 
 
-def _socle_matrix(rows, smod: Sequence[int], tmod: Sequence[int], p: int):
-    """F_p matrix of ``rows`` (target by source) on the p-socle of ⊕Z(smod).
-
-    Returns sparse rows {source column: entry}, one per target modulus that p
-    divides, and the number of socle columns.  Only the nonzero cells of
-    ``rows`` are read, and only they take the p-valuation shift.
+def _socle_matrix(cols, smod: Sequence[int], tmod: Sequence[int], p: int):
+    """F_p matrix of the map with sparse columns ``cols`` on the p-socle of
+    ⊕Z(smod), transposed: one sparse row {target index: entry} per socle
+    generator, over the targets whose modulus p divides.  Only the nonzero
+    cells are read, and only they take the p-valuation shift.
     """
-    val = {j: _pval(m, p) for j, m in enumerate(smod) if m and m % p == 0}
-    cols = tuple(range(len(smod)))
+    val = {m: _pval(m, p) for m in set(smod).union(tmod) if m and m % p == 0}
     mat = []
-    for row, m in zip(rows, tmod):
-        if m and m % p == 0:
-            a = _pval(m, p)
+    for col, s in zip(cols, smod):
+        b = val.get(s)
+        if b is not None:
             out = {}
-            for j in compress(cols, row):
-                b = val.get(j)
-                if b is not None and b <= a:
-                    out[j] = row[j] // p ** (a - b)
+            for i, v in col.items():
+                a = val.get(tmod[i])
+                if a is not None and b <= a:
+                    out[i] = v // p ** (a - b)
             mat.append(out)
-    return mat, len(val)
+    return mat
 
 
-def is_mono_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
-    """Whether the well-defined ``rows`` (target by source, entries not
-    necessarily reduced) embed ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z.
+def is_mono_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
+    """Whether the well-defined map with sparse columns ``cols`` (entries not
+    necessarily reduced) embeds ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z.
 
     Only the first len(smod) columns are read, so the torsion generators of a
-    source with free rank are tested on its full rows."""
+    source with free rank are tested on their own columns."""
     for p in _primes(smod):
-        mat, ncols = _socle_matrix(rows, smod, tmod, p)
-        if rank_mod_p(mat, ncols, p) < ncols:
+        mat = _socle_matrix(cols, smod, tmod, p)
+        if rank_mod_p(mat, len(tmod), p) < len(mat):
             return False
     return True
 
 
-def is_epi_mod(rows, smod: Sequence[int], tmod: Sequence[int]) -> bool:
-    """Whether the well-defined ``rows`` (target by source, entries not
-    necessarily reduced) map ⊕Z(smod), 0 meaning Z, onto ⊕Z(tmod), all positive.
+def is_epi_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
+    """Whether the well-defined map with sparse columns ``cols`` (entries not
+    necessarily reduced) maps ⊕Z(smod), 0 meaning Z, onto ⊕Z(tmod), all positive.
 
-    Per prime p, the rank over F_p of the rows whose modulus p divides.  A
+    Per prime p, the rank over F_p on the targets whose modulus p divides.  A
     column of order prime to p needs no filtering out: well-definedness makes
-    its entries in those rows divisible by p, and rank_mod_p drops them.
+    its entries on those targets divisible by p, and rank_mod_p drops them.
     """
-    cols = tuple(range(len(smod)))
     for p in _primes(tmod):
-        mat = [{j: row[j] for j in compress(cols, row)} for row, m in zip(rows, tmod) if m % p == 0]
-        if rank_mod_p(mat, len(smod), p) < len(mat):
+        hit = [m % p == 0 for m in tmod]
+        mat = [{i: v for i, v in col.items() if hit[i]} for col, _ in zip(cols, smod)]
+        if rank_mod_p(mat, len(tmod), p) < sum(hit):
             return False
     return True
 
@@ -711,12 +727,13 @@ def is_mono(f: AbMap) -> bool:
     both tests pass.
     """
     S, T = f.source, f.target
-    if not is_mono_mod(f.matrix.rows, S.invariant_factors, T.moduli()):
+    if not is_mono_mod(f.cols, S.invariant_factors, T.moduli()):
         return False
     if not S.free_rank:
         return True
-    k = S.torsion_count
-    block = IntMatrix(tuple(row[k:] for row in f.matrix.rows[T.torsion_count :]), S.free_rank)
+    t = T.torsion_count
+    free = [{i - t: v for i, v in col.items() if i >= t} for col in f.cols[S.torsion_count :]]
+    block = dense_matrix(free, T.free_rank)
     return sum(1 for d in snf_diagonal(block) if d) == S.free_rank
 
 
@@ -724,13 +741,13 @@ def is_epi(f: AbMap) -> bool:
     """Trivial cokernel.  Finite targets use per-prime quotient rank, others
     the invariant factors of the cokernel."""
     if f.target.is_finite():
-        return is_epi_mod(f.matrix.rows, f.source.moduli(), f.target.moduli())
-    return cokernel_group(f.matrix.rows, f.target.moduli()).is_trivial()
+        return is_epi_mod(f.cols, f.source.moduli(), f.target.moduli())
+    return cokernel_group(f.cols, f.target.moduli()).is_trivial()
 
 
-def cokernel_group(rows, moduli: Sequence[int]) -> FinGenAb:
+def cokernel_group(cols, moduli: Sequence[int]) -> FinGenAb:
     """Canonical cokernel of x ↦ Mx into ⊕Z(moduli[i]), 0 meaning Z, with
-    ``rows`` the rows of M (target by source).
+    ``cols`` the sparse columns {row: entry} of M.
 
     A column whose only nonzero entry is a unit modulo its row's modulus
     puts that coordinate in the image, so the row and the column drop out
@@ -739,29 +756,24 @@ def cokernel_group(rows, moduli: Sequence[int]) -> FinGenAb:
     Z(moduli[i]); the touched ones are read off the SNF diagonal of
     [M | diag(moduli)] on their rows, with a Z for each row past the diagonal.
 
-    >>> print(cokernel_group([[2], [3], [0]], [4, 0, 0]))
+    >>> print(cokernel_group([{0: 2, 1: 3}], [4, 0, 0]))
     Z + Z(12)
-    >>> print(cokernel_group([[1, 2], [0, 3]], [0, 0]))
+    >>> print(cokernel_group([{0: 1}, {0: 2, 1: 3}], [0, 0]))
     Z(3)
     """
-    ncols = len(rows[0]) if rows else 0
-    cols = tuple(range(ncols))
-    hits, last = [0] * ncols, [0] * ncols
-    for i, row in enumerate(rows):
-        for j in compress(cols, row):
-            hits[j] += 1
-            last[j] = i
-    unit = [hits[j] == 1 and math.gcd(rows[last[j]][j], moduli[last[j]]) == 1 for j in cols]
-    if any(unit):
-        dropped = {last[j] for j in compress(cols, unit)}
-        keep = [j for j in cols if not unit[j]]
-        kept = [i for i in range(len(rows)) if i not in dropped]
-        rows, moduli = [[rows[i][j] for j in keep] for i in kept], [moduli[i] for i in kept]
-    touched = [i for i, row in enumerate(rows) if any(row)]
-    block = IntMatrix(tuple(rows[i] for i in touched), len(rows[0]) if rows else 0)
+    dropped, kept = set(), []
+    for col in cols:
+        nz = [(i, v) for i, v in col.items() if v]
+        if len(nz) == 1 and math.gcd(nz[0][1], moduli[nz[0][0]]) == 1:
+            dropped.add(nz[0][0])
+        else:
+            kept.append(nz)
+    touched = sorted({i for nz in kept for i, _ in nz} - dropped)
+    at = {i: r for r, i in enumerate(touched)}
+    block = dense_matrix([{at[i]: v for i, v in nz if i in at} for nz in kept], len(touched))
     diag = snf_diagonal(augment_moduli(block, [moduli[i] for i in touched]))
-    mods = [m for row, m in zip(rows, moduli) if not any(row)] + diag + [0] * (len(touched) - len(diag))
-    return cyclic_sum(mods)[0]
+    untouched = [m for i, m in enumerate(moduli) if i not in at and i not in dropped]
+    return cyclic_sum(untouched + diag + [0] * (len(touched) - len(diag)))[0]
 
 
 def torsion_part(A: FinGenAb) -> FinGenAb:
@@ -794,7 +806,7 @@ def pushout(f: AbMap, g: AbMap) -> Square:
     span = muB @ f - muC @ g
     # clift: coordinate lift of a canonical P generator to a B⊕C vector.
     P, cproj, clift = _cokernel_data(span)
-    proj = AbMap(ds.total, P, cproj)
+    proj = AbMap.from_matrix(ds.total, P, cproj)
     left = proj @ muB
     right = proj @ muC
 
@@ -804,8 +816,7 @@ def pushout(f: AbMap, g: AbMap) -> Square:
         if not (bq @ f - cq @ g).is_zero():
             raise DomainError("cocone does not commute with the span")
         m = bq @ piB + cq @ piC
-        h = AbMap(P, bq.target, m.matrix * clift)
-        return h
+        return AbMap.from_matrix(P, bq.target, m.matrix * clift)
 
     return Square(P, left, right, mediator)
 
@@ -834,7 +845,7 @@ def pullback(f: AbMap, g: AbMap) -> Square:
         cols = [solve(col) for col in pair.matrix.transpose().rows]
         if None in cols:
             raise DomainError("cone does not factor through the pullback")
-        return AbMap(pair.source, K, IntMatrix.from_columns(cols, K.dim))
+        return AbMap.from_matrix(pair.source, K, IntMatrix.from_columns(cols, K.dim))
 
     return Square(K, left, right, mediator)
 
@@ -884,4 +895,4 @@ def abelian_groups_up_to_order(n: int) -> List[FinGenAb]:
 def mod_quotient(G: FinGenAb, d: int) -> Tuple[FinGenAb, AbMap, List[int]]:
     """G/dG with its projection and, per generator of G/dG, the generator of G it comes from."""
     Q, place, lift = cyclic_sum([math.gcd(m, d) for m in G.moduli()])
-    return Q, AbMap(G, Q, dense_matrix(place, Q.dim)), [i for row in lift for i in row]
+    return Q, AbMap(G, Q, place), [i for row in lift for i in row]

@@ -21,7 +21,6 @@ from .abgroup import (
     cokernel,
     direct_sum,
 )
-from .intlin import IntMatrix
 from .homext import ExtClass, ext_group, hom_group
 from .oracle import ConcreteGroup, enumerate_homs, ext_count_by_cocycles
 from .torsioncat import (
@@ -87,7 +86,7 @@ def criterion_3_gng_law(seed: int = 0) -> dict:
         for n in range(1, 13):
             zn = FinGenAb(0, (n,)) if n > 1 else FinGenAb(0, ())
             lhs = ext_group(zn, G).group
-            mul = AbMap(G, G, IntMatrix.diagonal([n] * G.dim))
+            mul = AbMap.identity(G).scale(n)
             rhs, _ = cokernel(mul)
             if lhs != rhs:
                 failures.append((str(G), n))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
@@ -33,7 +34,6 @@ from .abgroup import (
     canonicalize,
     cokernel_group,
     cyclic_sum,
-    dense_matrix,
     direct_sum,
     is_epi,
     is_mono,
@@ -75,17 +75,16 @@ class HomGroup:
             raise EndpointMismatch("map does not belong to this Hom group")
         raw = []
         for (j, i, g, entry) in self.pieces:
-            v = f.matrix.rows[i][j]
-            c = v // entry
+            c = f.cols[j].get(i, 0) // entry
             raw.append(c % g if g else c)
         return self.carrier.reduce(apply_sparse(self.place, raw, self.carrier.dim))
 
     def recompose(self, coords: Sequence[int]) -> AbMap:
         raw = apply_sparse(self.lift, coords, len(self.pieces))
-        rows = [[0] * self.source.dim for _ in range(self.target.dim)]
+        cols: List[Dict[int, int]] = [{} for _ in range(self.source.dim)]
         for (j, i, g, entry), c in zip(self.pieces, raw):
-            rows[i][j] += c * entry
-        return AbMap(self.source, self.target, IntMatrix.from_rows(rows, ncols=self.source.dim))
+            cols[j][i] = c * entry
+        return AbMap(self.source, self.target, cols)
 
 
 def _units(n: int):
@@ -130,8 +129,7 @@ def hom_postcompose(h: AbMap, T: FinGenAb) -> AbMap:
     HS = hom_group(T, h.source)
     HT = hom_group(T, h.target)
     cols = [HT.decompose(h @ b) for b in HS.basis]
-    mat = IntMatrix.from_columns(cols, HT.carrier.dim)
-    return AbMap(HS.carrier, HT.carrier, mat)
+    return AbMap.from_matrix(HS.carrier, HT.carrier, IntMatrix.from_columns(cols, HT.carrier.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +182,9 @@ class ExtGroup:
         return [self.from_carrier(u) for u in _units(self.carrier.dim)]
 
 
+# Every ExtClass reduces its coordinates by these moduli, and the universal
+# builders make hundreds of classes over the same pair.
+@lru_cache(maxsize=256)
 def ext_pieces(A: FinGenAb, B: FinGenAb) -> Tuple[int, ...]:
     mods = []
     for d in A.invariant_factors:
@@ -286,7 +287,7 @@ class ShortExactSeq:
         if E.is_finite():
             if E.order() != A.order() * B.order():
                 raise NotExactSequence("middle order is not |A|·|B|")
-        elif cokernel_group(f.matrix.rows, E.moduli()) != A:
+        elif cokernel_group(f.cols, E.moduli()) != A:
             raise NotExactSequence("kernel of g not contained in image of f")
 
     @property
@@ -384,7 +385,7 @@ def realize(c: ExtClass) -> ShortExactSeq:
         twist = sparse_sum([(d, ell)] + [(-b, fcols[i]) for i, b in enumerate(c.block(j)) if b])
         if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
             raise DomainError("realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)")
-    return ShortExactSeq(AbMap(B, E, dense_matrix(fcols, E.dim)), AbMap(E, A, dense_matrix(gcols, A.dim)))
+    return ShortExactSeq(AbMap(B, E, fcols), AbMap(E, A, gcols))
 
 
 def _firsts(keys: Sequence) -> List[int]:
@@ -424,19 +425,17 @@ def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
     """η·h for h : A' → A, computed by lifting h to the resolutions."""
     if h.target != c.A:
         raise EndpointMismatch("pullback action endpoint mismatch")
-    A, Ap, B = c.A, h.source, c.B
-    nB = B.dim
+    d, Ap, nB = c.A.invariant_factors, h.source, c.B.dim
     out: List[int] = []
-    for jp, dp in enumerate(Ap.invariant_factors):
+    for dp, col in zip(Ap.invariant_factors, h.cols):
         acc = [0] * nB
-        for i, d in enumerate(A.invariant_factors):
-            coeff = dp * h.matrix.rows[i][jp] // d  # exact: h is well defined
-            if coeff:
-                blk = c.block(i)
-                for t in range(nB):
-                    acc[t] += coeff * blk[t]
+        for i, v in col.items():
+            if i < len(d):
+                coeff = dp * v // d[i]  # exact: h is well defined
+                for t, b in enumerate(c.block(i)):
+                    acc[t] += coeff * b
         out.extend(acc)
-    return ExtClass(Ap, B, tuple(out))
+    return ExtClass(Ap, c.B, tuple(out))
 
 
 def pullback_columns(c: ExtClass, H: HomGroup) -> List[ExtClass]:
@@ -467,7 +466,7 @@ def pushout_action(c: ExtClass, k: AbMap) -> ExtClass:
     Bp = k.target
     out: List[int] = []
     for j in range(c.A.torsion_count):
-        out.extend(k.matrix.apply(list(c.block(j))))
+        out.extend(apply_sparse(k.cols, c.block(j), Bp.dim))
     return ExtClass(c.A, Bp, tuple(out))
 
 
@@ -514,8 +513,7 @@ def connecting_hom(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     H = hom_group(T, s.quot)
     X = ext_group(T, s.sub)
     cols = [X.to_carrier(pullback_action(cls, b)) for b in H.basis]
-    mat = IntMatrix.from_columns(cols, X.carrier.dim)
-    return AbMap(H.carrier, X.carrier, mat)
+    return AbMap.from_matrix(H.carrier, X.carrier, IntMatrix.from_columns(cols, X.carrier.dim))
 
 
 def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
@@ -524,8 +522,7 @@ def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     H = hom_group(s.sub, T)
     X = ext_group(s.quot, T)
     cols = [X.to_carrier(pushout_action(cls, b)) for b in H.basis]
-    mat = IntMatrix.from_columns(cols, X.carrier.dim)
-    return AbMap(H.carrier, X.carrier, mat)
+    return AbMap.from_matrix(H.carrier, X.carrier, IntMatrix.from_columns(cols, X.carrier.dim))
 
 
 def ext_covariant_map(T: FinGenAb, h: AbMap) -> AbMap:
@@ -533,8 +530,7 @@ def ext_covariant_map(T: FinGenAb, h: AbMap) -> AbMap:
     XS = ext_group(T, h.source)
     XT = ext_group(T, h.target)
     cols = [XT.to_carrier(pushout_action(c, h)) for c in XS.basis_classes()]
-    mat = IntMatrix.from_columns(cols, XT.carrier.dim)
-    return AbMap(XS.carrier, XT.carrier, mat)
+    return AbMap.from_matrix(XS.carrier, XT.carrier, IntMatrix.from_columns(cols, XT.carrier.dim))
 
 
 def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
@@ -542,8 +538,7 @@ def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
     XS = ext_group(h.target, T)
     XT = ext_group(h.source, T)
     cols = [XT.to_carrier(pullback_action(c, h)) for c in XS.basis_classes()]
-    mat = IntMatrix.from_columns(cols, XT.carrier.dim)
-    return AbMap(XS.carrier, XT.carrier, mat)
+    return AbMap.from_matrix(XS.carrier, XT.carrier, IntMatrix.from_columns(cols, XT.carrier.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -600,9 +595,7 @@ def find_equivalence(s1: ShortExactSeq, s2: ShortExactSeq) -> Optional[AbMap]:
     sol = solve_mod(IntMatrix.from_rows(rows, ncols=nvars), rhs, rmods)
     if sol is None:
         return None
-    phi = AbMap(
-        E1, E2, IntMatrix.from_rows([[sol[var(i, j)] for j in range(n1)] for i in range(n2)], ncols=n1)
-    )
+    phi = AbMap(E1, E2, [{i: sol[var(i, j)] for i in range(n2)} for j in range(n1)])
     if not (is_mono(phi) and is_epi(phi)):
         raise DomainError("commuting middle map is not an isomorphism")
     return phi

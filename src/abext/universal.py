@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
@@ -79,7 +78,9 @@ CYCLIC_CHECK_BUDGET = 1024
 # The most witnesses a cyclic generation check samples, checked before any work.
 CYCLIC_SAMPLE_BUDGET = 1024
 # A universal (co)extension must have fewer slots |X|·dim B than this, checked
-# before X is listed: p and u are dense, so 2^14 slots is a 268M-cell matrix.
+# before X is listed.  p and u keep sparse columns, so a build takes time and
+# memory about linear in the slots; the budget still bounds the classes listed
+# and the dense p that ``--full`` prints, |X|·dim B by dim E cells.
 UNIVERSAL_SLOT_BUDGET = 1 << 14
 
 
@@ -126,7 +127,7 @@ def _comparison(A_list: Sequence[FinGenAb], B: FinGenAb, dual: bool) -> Comparis
     for pc, leg, mu in zip(pieces, legs, cod.injections):
         cols = [pc.to_carrier(act(cls, leg)) for cls in basis]
         block = IntMatrix.from_columns(cols, pc.carrier.dim)
-        mat = mat + mu @ AbMap(dom.carrier, pc.carrier, block)
+        mat = mat + mu @ AbMap.from_matrix(dom.carrier, pc.carrier, block)
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
     return ComparisonMap(summands, B, dom, cod, mat, inj, bij)
@@ -299,9 +300,7 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     # (a): Ext^1(B, u) kills every basis class of Ext^1(B, A).
     ok_a = all(pushout_action(c, u).is_zero() for c in ext.basis_classes())
     # (b): Ext^1(B, p) is injective iff E/dE → B^(X)/dB^(X) is, for each factor d of B.
-    ok_b = all(
-        _injective_mod(d, E.moduli(), BX.moduli(), p.matrix.rows) for d in sorted(set(B.invariant_factors))
-    )
+    ok_b = all(_injective_mod(d, E.moduli(), BX.moduli(), p.cols) for d in sorted(set(B.invariant_factors)))
     # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
     # unless h starts at a torsion generator of B, and depends only on h's
     # source, order and the twist at its target, so equal pieces count once.
@@ -347,11 +346,11 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     # D·p[jp][s]/e times the block of B^X's s-th factor D, read off the
     # nonzero cells of p's torsion rows and torsion slots.
     efacts, dfacts = E.invariant_factors, BX.invariant_factors
-    slots = tuple(range(len(dfacts)))
-    weights = [[0] * len(efacts) for _ in dfacts]
-    for jp, (row, e) in enumerate(zip(p.matrix.rows, efacts)):
-        for s in compress(slots, row):
-            weights[s][jp] = dfacts[s] * row[s] // e
+    weights = [{} for _ in efacts]
+    for s, (col, D) in enumerate(zip(p.cols, dfacts)):
+        for jp, x in col.items():
+            if jp < len(efacts):
+                weights[jp][s] = D * x // efacts[jp]
     ok_b = all(_injective_mod(m, efacts, dfacts, weights) for m in sorted(set(B.moduli())))
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
     # only on h's target, order and entry and the twists at h's source, so
@@ -392,21 +391,20 @@ def _power_group(B: FinGenAb, n: int):
     return group, {divmod(s, B.dim): k for s, col in enumerate(place) for k in col}
 
 
-def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], rows) -> bool:
-    """Injectivity of ``rows`` (target by source) from ⊕Z(gcd(q, s)) to ⊕Z(gcd(q, t)).
+def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], cols) -> bool:
+    """Injectivity of the sparse columns ``cols`` from ⊕Z(gcd(q, s)) to ⊕Z(gcd(q, t)).
 
-    The moduli are 0 for Z, read as gcd q.  ``rows`` is p or its Ext-dual
+    The moduli are 0 for Z, read as gcd q.  ``cols`` are p's or its Ext-dual
     weights read modulo q, well defined because p was checked when it was
     built, so nothing is checked again here.
     """
-    return is_mono_mod(rows, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
+    return is_mono_mod(cols, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
 
 
 def _generates(ext: ExtGroup, pieces: Sequence[Tuple[ExtClass, int]]) -> bool:
     """Whether classes of the given orders (0: infinite) generate ``ext``."""
-    cols = [ext.to_carrier(cls) for cls, _ in pieces]
-    rows = [[col[i] for col in cols] for i in range(ext.carrier.dim)]
-    return is_epi_mod(rows, [g for _, g in pieces], ext.carrier.moduli())
+    cols = [{i: x for i, x in enumerate(ext.to_carrier(cls)) if x} for cls, _ in pieces]
+    return is_epi_mod(cols, [g for _, g in pieces], ext.carrier.moduli())
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +444,7 @@ def cyclic_generation_check(
         raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
     cols = [ext_big.to_carrier(c) for c in pullback_columns(eta, H)]
-    m = AbMap(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
+    m = AbMap.from_matrix(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)

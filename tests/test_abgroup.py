@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -33,6 +34,7 @@ from abext.abgroup import (
     prime_factors,
     pullback,
     pushout,
+    sparse_columns,
     torsion_part,
 )
 from abext.homext import hom_group
@@ -52,6 +54,11 @@ def random_group(rng, max_order=8):
     return g
 
 
+def columns(rows):
+    """Dense rows (target by source) as the sparse columns the rank cores read."""
+    return sparse_columns(rows, len(rows[0]) if rows else 0)
+
+
 def random_map(rng, A, B):
     rows = []
     for m in B.moduli():
@@ -66,7 +73,7 @@ def random_map(rng, A, B):
                 step = m // __import__("math").gcd(m, mj)
                 row.append(step * rng.randrange(m // step))
         rows.append(row)
-    return AbMap(A, B, IntMatrix.from_rows(rows, ncols=A.dim))
+    return AbMap.from_matrix(A, B, IntMatrix.from_rows(rows, ncols=A.dim))
 
 
 def test_invariant_factor_validation():
@@ -82,14 +89,14 @@ def test_ill_defined_map_names_its_lowest_bad_column():
     # Row 0 breaks at column 1 and row 1 at column 0: the message names column 0.
     Z2Z2, Z4Z4 = FinGenAb(0, (2, 2)), FinGenAb(0, (4, 4))
     with pytest.raises(DomainError) as err:
-        AbMap(Z2Z2, Z4Z4, IntMatrix.from_rows([[2, 1], [1, 2]]))
+        AbMap.from_matrix(Z2Z2, Z4Z4, IntMatrix.from_rows([[2, 1], [1, 2]]))
     assert str(err.value) == "map not well defined: 2 * column 0 not in target relations"
     with pytest.raises(DomainError) as err:
-        AbMap(FinGenAb(0, (2, 4)), FinGenAb(1, (4,)), IntMatrix.from_rows([[2, 1], [0, 3]]))
+        AbMap.from_matrix(FinGenAb(0, (2, 4)), FinGenAb(1, (4,)), IntMatrix.from_rows([[2, 1], [0, 3]]))
     assert str(err.value) == "map not well defined: 4 * column 1 not in target relations"
     # Row 0 breaks at column 0 and row 1 at column 1: still column 0.
     with pytest.raises(DomainError) as err:
-        AbMap(Z2Z2, Z4Z4, IntMatrix.from_rows([[1, 2], [2, 1]]))
+        AbMap.from_matrix(Z2Z2, Z4Z4, IntMatrix.from_rows([[1, 2], [2, 1]]))
     assert str(err.value) == "map not well defined: 2 * column 0 not in target relations"
 
 
@@ -195,7 +202,7 @@ def test_diagonal_codiagonal():
     assert delta.matrix.rows == ((1,), (1,), (1,))
     Z5 = FinGenAb(0, (5,))
     comp = codiagonal(Z5, 2) @ diagonal(Z5, 2)
-    assert comp == AbMap(Z5, Z5, IntMatrix.from_rows([[2]]))
+    assert comp == AbMap.from_matrix(Z5, Z5, IntMatrix.from_rows([[2]]))
     ds = power_sum(Z5, 2)
     for i in range(2):
         assert codiagonal(Z5, 2) @ ds.injections[i] == AbMap.identity(Z5)
@@ -203,10 +210,10 @@ def test_diagonal_codiagonal():
 
 
 def test_kernel_cokernel_examples():
-    K, incl = kernel(AbMap(Z4, Z4, IntMatrix.from_rows([[2]])))
+    K, incl = kernel(AbMap.from_matrix(Z4, Z4, IntMatrix.from_rows([[2]])))
     assert K == Z2
     assert incl.matrix.rows == ((2,),)
-    C, _ = cokernel(AbMap(Z, Z, IntMatrix.from_rows([[2]])))
+    C, _ = cokernel(AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])))
     assert C == Z2
     K, _ = kernel(AbMap.identity(Z4))
     assert K == ZERO_GROUP
@@ -239,7 +246,7 @@ def test_kernel_universal_property():
                     break
                 cols.append(x)
             assert ok
-            factor = AbMap(T, K, IntMatrix.from_rows(
+            factor = AbMap.from_matrix(T, K, IntMatrix.from_rows(
                 [[cols[j][i] for j in range(T.dim)] for i in range(K.dim)], ncols=T.dim))
             assert incl @ factor == t
 
@@ -258,7 +265,7 @@ def test_cokernel_projection_is_epi():
 def test_pushout_examples():
     po = pushout(AbMap.identity(Z2), AbMap.identity(Z2))
     assert po.apex == Z2
-    inc = AbMap(Z2, Z4, IntMatrix.from_rows([[2]]))
+    inc = AbMap.from_matrix(Z2, Z4, IntMatrix.from_rows([[2]]))
     po2 = pushout(AbMap.identity(Z2), inc)
     # |B ⊕ C| / |A| = 2*4/2 = 4
     assert po2.apex.order() == 4
@@ -323,9 +330,9 @@ def test_pullback_mediator():
 
 
 def test_mono_epi_examples():
-    assert is_mono(AbMap(Z, Z, IntMatrix.from_rows([[2]])))
-    assert not is_epi(AbMap(Z, Z, IntMatrix.from_rows([[2]])))
-    red = AbMap(Z4, Z2, IntMatrix.from_rows([[1]]))
+    assert is_mono(AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])))
+    assert not is_epi(AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])))
+    red = AbMap.from_matrix(Z4, Z2, IntMatrix.from_rows([[1]]))
     assert is_epi(red) and not is_mono(red)
     assert torsion_part(FinGenAb(2, (6,))) == Z6
 
@@ -342,7 +349,7 @@ def test_mono_epi_fast_path_matches_lattice_path():
         C, _ = cokernel(f)
         assert is_mono(f) == K.is_trivial()
         assert is_epi(f) == C.is_trivial()
-        assert cokernel_group(f.matrix.rows, B.moduli()) == C
+        assert cokernel_group(f.cols, B.moduli()) == C
         verdicts.add((A.is_finite(), B.is_finite(), is_mono(f), is_epi(f)))
     assert {(False, False, True, False), (False, False, False, True), (False, True, False, True)} <= verdicts
     # Permutation-like maps from Z^n, with unit columns for cokernel_group to drop.
@@ -350,27 +357,27 @@ def test_mono_epi_fast_path_matches_lattice_path():
     for _ in range(100):
         B = FinGenAb(rng.randint(0, 2), rng.choice(torsion).invariant_factors or (2,))
         A = FinGenAb(rng.randint(2, 6), ())
-        f = AbMap(A, B, IntMatrix.from_rows(unit_column_rows(rng, B.moduli(), A.dim), ncols=A.dim))
+        f = AbMap.from_matrix(A, B, IntMatrix.from_rows(unit_column_rows(rng, B.moduli(), A.dim), ncols=A.dim))
         K, _ = kernel(f)
         C, _ = cokernel(f)
         assert is_mono(f) == K.is_trivial()
         assert is_epi(f) == C.is_trivial()
-        assert cokernel_group(f.matrix.rows, B.moduli()) == C
+        assert cokernel_group(f.cols, B.moduli()) == C
         epis.add((B.is_finite(), is_epi(f)))
     assert epis == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_cokernel_group_examples():
-    assert cokernel_group([[1]], [5]).is_trivial()
-    assert cokernel_group([[2]], [4]) == Z2
+    assert cokernel_group(columns([[1]]), [5]).is_trivial()
+    assert cokernel_group(columns([[2]]), [4]) == Z2
     # Z -> Z/4 + Z/9 via (2,3): image generated by an element of order 6 < 36
-    assert cokernel_group([[2], [3]], [4, 9]) == Z6
+    assert cokernel_group(columns([[2], [3]]), [4, 9]) == Z6
     reachable = {(2 * x % 4, 3 * x % 9) for x in range(36)}
     assert len(reachable) == 6
     # untouched coordinates stay whole, free ones too; no columns at all
-    assert cokernel_group([[0, 0], [1, 3], [0, 0]], [4, 0, 0]) == FinGenAb(1, (4,))
-    assert cokernel_group([[], []], [3, 0]) == FinGenAb(1, (3,))
-    assert cokernel_group([], []) == ZERO_GROUP
+    assert cokernel_group(columns([[0, 0], [1, 3], [0, 0]]), [4, 0, 0]) == FinGenAb(1, (4,))
+    assert cokernel_group(columns([[], []]), [3, 0]) == FinGenAb(1, (3,))
+    assert cokernel_group(columns([]), []) == ZERO_GROUP
 
 
 def test_cokernel_group_against_enumeration():
@@ -387,7 +394,7 @@ def test_cokernel_group_against_enumeration():
         for x in itertools.product(range(L), repeat=n):
             vals = M.apply(list(x))
             image.add(tuple(v % md for v, md in zip(vals, moduli)))
-        assert cokernel_group(rows, moduli).order() == total // len(image)
+        assert cokernel_group(columns(rows), moduli).order() == total // len(image)
     # Columns that are units at their one nonzero entry, against the
     # subgroup their span generates and against cokernel with transforms.
     for _ in range(60):
@@ -403,11 +410,11 @@ def test_cokernel_group_against_enumeration():
                 if w not in image:
                     image.add(w)
                     frontier.append(w)
-        got = cokernel_group(rows, moduli)
+        got = cokernel_group(columns(rows), moduli)
         assert got.order() == math.prod(moduli) // len(image), (rows, moduli)
         # the same map into the canonical form of ⊕Z(moduli)
         M = dense_matrix(place, T.dim) * IntMatrix.from_rows(rows)
-        assert got == cokernel(AbMap(FinGenAb(M.ncols, ()), T, M))[0]
+        assert got == cokernel(AbMap.from_matrix(FinGenAb(M.ncols, ()), T, M))[0]
 
 
 def unit_column_rows(rng, moduli, n):
@@ -470,10 +477,11 @@ def test_mono_epi_mod_match_kernel_and_cokernel():
             if case % 4 == 1:
                 S = FinGenAb(rng.randint(1, 2), S.invariant_factors)  # free source: epi only
             rows = [list(r) for r in random_map(rng, S, T).matrix.rows]
-        f = AbMap(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
+        f = AbMap.from_matrix(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
         rows = unreduced(rng, rows, T.moduli())
-        mono = is_mono_mod(rows, S.moduli(), T.moduli()) if S.is_finite() else None
-        epi = is_epi_mod(rows, S.moduli(), T.moduli())
+        cols = sparse_columns(rows, S.dim)
+        mono = is_mono_mod(cols, S.moduli(), T.moduli()) if S.is_finite() else None
+        epi = is_epi_mod(cols, S.moduli(), T.moduli())
         if mono is not None:
             assert mono == kernel(f)[0].is_trivial(), (S, T, rows)
         assert epi == cokernel(f)[0].is_trivial(), (S, T, rows)
@@ -488,10 +496,52 @@ def test_map_entries_reduce_like_python_mod():
         S, T = rng.choice(pool), FinGenAb(rng.randint(0, 1), rng.choice(pool).invariant_factors)
         reduced = random_map(rng, S, T).matrix
         rows = unreduced(rng, reduced.rows, T.moduli())
-        f = AbMap(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
+        f = AbMap.from_matrix(S, T, IntMatrix.from_rows(rows, ncols=S.dim))
         want = tuple(tuple(v % m if m else v for v in row) for row, m in zip(rows, T.moduli()))
         assert f.matrix.rows == want
-        assert AbMap(S, T, reduced).matrix is reduced  # a reduced matrix is kept as given
+        assert AbMap.from_matrix(S, T, reduced).matrix is reduced  # a reduced matrix is kept as given
+
+
+def _normalized(M, T):
+    """A dense matrix into T in normal form: each row reduced modulo its target modulus."""
+    return tuple(tuple(v % m if m else v for v in row) for row, m in zip(M.rows, T.moduli()))
+
+
+def test_sparse_maps_match_dense_arithmetic():
+    # Sparse columns against dense IntMatrix arithmetic, and mono/epi against
+    # kernel/cokernel through SNF, on groups with torsion, free rank, the zero
+    # group and so maps with no rows or no columns.
+    rng = random.Random(41)
+    pool = abelian_groups_up_to_order(12) + [Z, FinGenAb(2, ()), FinGenAb(1, (2, 6)), FinGenAb(2, (3,))]
+    verdicts = set()
+    for _ in range(200):
+        S, T, U = (rng.choice(pool) for _ in range(3))
+        rows = unreduced(rng, [list(r) for r in random_map(rng, S, T).matrix.rows], T.moduli())
+        F = IntMatrix.from_rows(rows, ncols=S.dim)
+        # explicit zeros and unreduced entries in the columns, as callers may pass them
+        f = AbMap(S, T, [{i: r[j] for i, r in enumerate(rows) if r[j] or rng.random() < 0.3} for j in range(S.dim)])
+        assert f.matrix.shape == (T.dim, S.dim) and f.matrix.rows == _normalized(F, T)
+        g, h = random_map(rng, T, U), random_map(rng, S, T)
+        G, H = g.matrix, h.matrix
+        assert (g @ f).matrix.rows == _normalized(G * F, U)
+        assert (f + h).matrix.rows == _normalized(F + H, T)
+        assert (f - h).matrix.rows == _normalized(F - H, T)
+        c = rng.randint(-5, 5)
+        assert f.scale(c).matrix.rows == _normalized(F.scale(c), T)
+        x = [rng.randint(-9, 9) for _ in range(S.dim)]
+        assert f.apply(x) == T.reduce(F.apply(x))
+        assert f.is_zero() == (not any(map(any, _normalized(F, T))))
+        same = AbMap.from_matrix(S, T, F)
+        assert same == f and hash(same) == hash(f)
+        assert (f == h) == (f.matrix.rows == H.rows)
+        mono, epi = is_mono(f), is_epi(f)
+        assert mono == kernel(f)[0].is_trivial()
+        assert epi == cokernel(f)[0].is_trivial()
+        verdicts.add((mono, epi))
+        text = json.dumps(f.to_json())
+        back = AbMap.from_json(json.loads(text))
+        assert back == f and json.dumps(back.to_json()) == text
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_group_enumeration():
@@ -534,7 +584,7 @@ def test_trivial_group_everywhere():
 def test_group_json_roundtrip():
     g = FinGenAb(2, (2, 6))
     assert FinGenAb.from_json(g.to_json()) == g
-    m = AbMap(Z4, Z6, IntMatrix.from_rows([[3]]))
+    m = AbMap.from_matrix(Z4, Z6, IntMatrix.from_rows([[3]]))
     assert AbMap.from_json(m.to_json()) == m
 
 

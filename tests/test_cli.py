@@ -407,3 +407,31 @@ def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
         )
         assert fresh.returncode == code, argv
         assert fresh.stdout == out, argv
+
+
+FOUND25_CHILD = """
+import contextlib, io, json, resource, sys, time
+from abext.cli import main
+out = io.StringIO()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(out):
+    code = main(["univ-ext", "--B", "Z(2)^3", "--A", "Z+Z(2)^3"])
+wall = time.perf_counter() - t0
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"code": code, "X_size": json.loads(out.getvalue())["X_size"], "wall": wall, "peak_mb": peak_mb}))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_universal_extension_with_free_rank_and_4096_classes_stays_small():
+    # 12,288 slots, just under the slot budget: a dense p has 12,288 x 12,288
+    # cells, gigabytes of tuples, while its sparse columns hold about two
+    # nonzeros each.  The child reports its own peak, free of the test runner's.
+    env = {**os.environ, "PYTHONPATH": str(Path(abext.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", FOUND25_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    got = json.loads(child.stdout)
+    assert got["code"] == 0 and got["X_size"] == 4096
+    assert got["peak_mb"] < 500 and got["wall"] < 30

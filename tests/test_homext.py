@@ -130,8 +130,8 @@ def test_realize_z_by_z2():
     s = realize(ExtClass(Z2, Z, (1,)))
     assert s.middle == Z
     doubling = ShortExactSeq(
-        AbMap(Z, Z, IntMatrix.from_rows([[2]])),
-        AbMap(Z, Z2, IntMatrix.from_rows([[1]])),
+        AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])),
+        AbMap.from_matrix(Z, Z2, IntMatrix.from_rows([[1]])),
     )
     assert classify(doubling) == classify(s)
     assert ses_equivalent(s, doubling)  # middle iso found despite free rank
@@ -140,8 +140,8 @@ def test_realize_z_by_z2():
 def test_classify_examples():
     assert classify(split_sequence(Z4, Z6)).is_zero()
     s = ShortExactSeq(
-        AbMap(Z2, Z4, IntMatrix.from_rows([[2]])),
-        AbMap(Z4, Z2, IntMatrix.from_rows([[1]])),
+        AbMap.from_matrix(Z2, Z4, IntMatrix.from_rows([[2]])),
+        AbMap.from_matrix(Z4, Z2, IntMatrix.from_rows([[1]])),
     )
     assert not classify(s).is_zero()
 
@@ -151,10 +151,10 @@ def test_classify_rejects_non_exact():
         ShortExactSeq(AbMap.identity(Z4), AbMap.identity(Z4))
     with pytest.raises(NotExactSequence):
         # mono followed by a map that is not epi onto its stated target
-        ShortExactSeq(AbMap(Z2, Z4, IntMatrix.from_rows([[2]])), AbMap.zero(Z4, Z2))
+        ShortExactSeq(AbMap.from_matrix(Z2, Z4, IntMatrix.from_rows([[2]])), AbMap.zero(Z4, Z2))
     with pytest.raises(NotExactSequence, match="kernel of g not contained in image of f"):
         # Z --2--> Z → 0: mono, epi and g∘f = 0, but the cokernel Z(2) is not 0
-        ShortExactSeq(AbMap(Z, Z, IntMatrix.from_rows([[2]])), AbMap.zero(Z, ZERO_GROUP))
+        ShortExactSeq(AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])), AbMap.zero(Z, ZERO_GROUP))
 
 
 def exact_by_lattices(f, g):
@@ -224,7 +224,7 @@ def _realize_full_presentation(c):
         rows.append([-b for b in c.block(j)] + [d if t == nB + j else 0 for t in range(nB, n)])
     E, proj, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
     return ShortExactSeq(
-        AbMap(B, E, proj.select_columns(range(nB))), AbMap(E, A, lift.select_rows(range(nB, n)))
+        AbMap.from_matrix(B, E, proj.select_columns(range(nB))), AbMap.from_matrix(E, A, lift.select_rows(range(nB, n)))
     )
 
 
@@ -394,8 +394,8 @@ def test_actions_are_additive():
 
 def test_connecting_hom_examples():
     s = ShortExactSeq(
-        AbMap(Z2, Z4, IntMatrix.from_rows([[2]])),
-        AbMap(Z4, Z2, IntMatrix.from_rows([[1]])),
+        AbMap.from_matrix(Z2, Z4, IntMatrix.from_rows([[2]])),
+        AbMap.from_matrix(Z4, Z2, IntMatrix.from_rows([[1]])),
     )
     # T = Z: Ext^1(Z, B) = 0
     d = connecting_hom(s, Z)
@@ -413,7 +413,7 @@ def test_connecting_hom_examples():
 def test_induced_map_examples():
     assert ext_covariant_map(Z2, AbMap.identity(Z4)) == AbMap.identity(ext_group(Z2, Z4).carrier)
     assert ext_contravariant_map(AbMap.identity(Z4), Z2) == AbMap.identity(ext_group(Z4, Z2).carrier)
-    doubling = AbMap(Z4, Z4, IntMatrix.from_rows([[2]]))
+    doubling = AbMap.from_matrix(Z4, Z4, IntMatrix.from_rows([[2]]))
     assert ext_covariant_map(Z2, doubling).is_zero()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -19,6 +20,7 @@ from abext.abgroup import (
     is_mono,
     kernel,
     pullback,
+    sparse_columns,
 )
 from abext.homext import (
     ExtClass,
@@ -350,6 +352,39 @@ def test_slot_budget_boundary(monkeypatch):
             refused(Z2, Z2)
 
 
+# SHA-256 of repr(matrix.rows) for (B, A) = (Z(2)^4, Z(2)^2): the rows the
+# dense construction gave, as (direction, leg) -> (shape, digest).
+SPARSE_GUARD_ROWS = {
+    ("extension", "f"): ((1024, 2), "3746a1490126304e9078da3f2a9cfbc3ab593135aa7554f8bd758e593e303e33"),
+    ("extension", "g"): ((1024, 1024), "a02be2d3a0c8693961ed71f361c18ce7587d5e51f062e484b5b150fcb932d3fb"),
+    ("coextension", "f"): ((1024, 1024), "f800c6e6e65bcf4943e127a40e3ed394dc978a14ea97ab0fda2f2ab49267293f"),
+    ("coextension", "g"): ((2, 1024), "4e89885087fa81fa06d79cbb5710cf009f1faa1bc8c51be0bef6c003be252c70"),
+}
+
+
+def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
+    # |X| = 256 and dim B = 4: p is 1024 x 1024 with about two nonzeros per
+    # column, so no matrix the build makes may come near its dense size.
+    cells = []
+    real = intlin.IntMatrix.__post_init__
+
+    def counting(self):
+        real(self)
+        cells.append(self.nrows * self.ncols)
+
+    monkeypatch.setattr(intlin.IntMatrix, "__post_init__", counting)
+    B, A = FinGenAb(0, (2,) * 4), FinGenAb(0, (2,) * 2)
+    certs = [build_universal_extension(B, A), build_universal_coextension(B, A)]
+    monkeypatch.undo()
+    assert cells and max(cells) <= 4096
+    for cert in certs:
+        for leg in ("f", "g"):
+            rows = getattr(cert.sequence, leg).matrix.rows
+            shape, digest = SPARSE_GUARD_ROWS[cert.direction, leg]
+            assert (len(rows), len(rows[0])) == shape
+            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
 def test_projective_b_is_vacuously_universal():
     # free B has Ext^1(B, A) = 0, so every pair degenerates to a vacuous pass
     Zfree = FinGenAb(1, ())
@@ -362,13 +397,13 @@ def test_projective_b_is_vacuously_universal():
 # Conditions (b) and (c): the rank cores against the restricted-map route
 
 
-def _restricted_map(q, src_mods, tgt_mods, rows):
-    """``rows`` restricted to the gcd groups as an AbMap, which checks that it
-    is well defined: the route ``_injective_mod`` took before its rank core."""
+def _restricted_map(q, src_mods, tgt_mods, cols):
+    """The sparse ``cols`` restricted to the gcd groups as an AbMap, which checks
+    that it is well defined: the route ``_injective_mod`` took before its rank core."""
     src = [(j, math.gcd(m, q)) for j, m in enumerate(src_mods) if math.gcd(m, q) > 1]
     tgt = [(i, math.gcd(m, q)) for i, m in enumerate(tgt_mods) if math.gcd(m, q) > 1]
-    mat = IntMatrix.from_rows([[rows[i][j] for j, _ in src] for i, _ in tgt], ncols=len(src))
-    return AbMap(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat)
+    mat = IntMatrix.from_rows([[cols[j].get(i, 0) for j, _ in src] for i, _ in tgt], ncols=len(src))
+    return AbMap.from_matrix(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat)
 
 
 def _pieces_map(ext, pieces):
@@ -377,7 +412,7 @@ def _pieces_map(ext, pieces):
     pieces = sorted(pieces, key=lambda piece: (piece[1] == 0, piece[1]))
     src = FinGenAb(sum(1 for _, g in pieces if not g), tuple(g for _, g in pieces if g))
     cols = [ext.to_carrier(cls) for cls, _ in pieces]
-    return AbMap(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim))
+    return AbMap.from_matrix(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim))
 
 
 def _record(monkeypatch, name):
@@ -413,10 +448,10 @@ def test_injective_mod_matches_restricted_map(monkeypatch, build):
         build(B, A)
     monkeypatch.undo()
     assert calls
-    for q, src_mods, tgt_mods, rows in calls:
+    for q, src_mods, tgt_mods, cols in calls:
         for q2 in (q,) + EXTRA_Q:
-            got = universal._injective_mod(q2, src_mods, tgt_mods, rows)
-            f = _restricted_map(q2, src_mods, tgt_mods, rows)
+            got = universal._injective_mod(q2, src_mods, tgt_mods, cols)
+            f = _restricted_map(q2, src_mods, tgt_mods, cols)
             assert got == is_mono(f) == kernel(f)[0].is_trivial()
 
 
@@ -438,9 +473,10 @@ def test_injective_mod_matches_restricted_map_on_random_chains():
                     v = m // math.gcd(m, mj) * rng.randint(-3, 3)  # well defined, not reduced
                 row.append(v)
             rows.append(row)
+        cols = sparse_columns(rows, S.dim)
         for q in EXTRA_Q:
-            got = universal._injective_mod(q, S.moduli(), T.moduli(), rows)
-            f = _restricted_map(q, S.moduli(), T.moduli(), rows)
+            got = universal._injective_mod(q, S.moduli(), T.moduli(), cols)
+            f = _restricted_map(q, S.moduli(), T.moduli(), cols)
             assert got == is_mono(f) == kernel(f)[0].is_trivial()
             verdicts.add(got)
     assert verdicts == {True, False}
