@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -181,19 +181,56 @@ def _iroot(n: int, e: int) -> int:
         r = s
 
 
-def _prime_root(n: int) -> int:
-    """The prime r with n = r^e, for n with no prime factor up to 2^16.
+# Pollard–Brent rho gives up after this many steps (two primes near 1.8·10^12 take 1.6·10^6).
+_RHO_STEPS = 1 << 21
 
-    r exceeds 2^16 and must be below ``_MR_EXACT_BELOW`` (under 2^82) to be
-    decided, so only the exponents e with 16e < bits(n) <= 82e are tried.
-    Any other n, such as a product of two distinct primes, is refused with
-    BudgetExceeded.
+
+def _rho(n: int) -> Optional[int]:
+    """A proper divisor of the composite n < ``_MR_EXACT_BELOW``, by Pollard–Brent
+    rho on x^2 + c from 2 for c = 1, 2, ..., or None after ``_RHO_STEPS`` steps."""
+    steps, c = 0, 0
+    while steps < _RHO_STEPS:
+        c, y, r, g = c + 1, 2, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x, q, steps = y, 1, steps + 2 * r
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):  # one gcd per 128 products
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := math.gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: step through it one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _cofactor_primes(n: int) -> List[int]:
+    """The distinct primes of n > 1 with no prime factor up to 2^16, ascending.
+
+    Below ``_MR_EXACT_BELOW`` n is prime or split by ``_rho``.  Past it, or
+    when rho gives up, n must be r^e for a prime 2^16 < r < ``_MR_EXACT_BELOW``
+    (< 2^82), so only the e with 16e < bits(n) <= 82e are tried; any other n
+    is refused with BudgetExceeded.
     """
+    if n < _MR_EXACT_BELOW:
+        if _miller_rabin(n):
+            return [n]
+        if d := _rho(n):
+            return sorted(set(_cofactor_primes(d) + _cofactor_primes(n // d)))
     bits = n.bit_length()
     for e in range(max(1, bits // 82), bits // 16 + 1):
         r = _iroot(n, e)
         if r < _MR_EXACT_BELOW and r**e == n and _miller_rabin(r):
-            return r
+            return [r]
     raise BudgetExceeded(f"cannot factor a {bits}-bit cofactor with no prime factor up to 2^16")
 
 
@@ -224,12 +261,15 @@ def is_prime(n: int) -> bool:
 def prime_factors(n: int) -> List[int]:
     """The distinct primes dividing n != 0, ascending.
 
-    Trial division up to 2^16 splits off every small factor; a cofactor left
-    over must be a power of one prime that ``is_prime`` can decide, and any
-    other is refused with BudgetExceeded.
+    Trial division up to 2^16 splits off every small factor.  A cofactor left
+    below 3.3·10^24, the exact range of ``is_prime``, is split by a bounded,
+    deterministic Pollard–Brent rho; past it, or when rho gives up, it must be
+    a power of one prime ``is_prime`` can decide, or is refused with BudgetExceeded.
 
     >>> prime_factors(-360), prime_factors(6 * (10**18 + 3) ** 2)
     ([2, 3, 5], [2, 3, 1000000000000000003])
+    >>> prime_factors(70001 * 70003)
+    [70001, 70003]
     """
     n = abs(n)
     out = []
@@ -240,8 +280,7 @@ def prime_factors(n: int) -> List[int]:
             while n % p == 0:
                 n //= p
         elif p > _TRIAL_BOUND:
-            n = _prime_root(n)
-            break
+            return out + _cofactor_primes(n)
         p += 1 if p == 2 else 2
     if n > 1:
         out.append(n)
@@ -329,6 +368,7 @@ def cyclic_sum(moduli: Sequence[int]):
     return FinGenAb(len(free), tuple(factors)), place, lift
 
 
+@lru_cache(maxsize=1024)  # a sum of thousands of cyclic groups has a few distinct (m, q)
 def _idempotent(m: int, q: int) -> int:
     """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
     r = m // q
@@ -363,6 +403,15 @@ def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int)
         if c:
             for i, x in col.items():
                 out[i] += c * x
+    return out
+
+
+def sparse_image(cols: Sequence[Dict[int, int]], vec: Dict[int, int]) -> Dict[int, int]:
+    """Σ_k vec[k]·cols[k] for a sparse vec: the image of vec under the map with columns ``cols``."""
+    out: Dict[int, int] = {}
+    for k, c in vec.items():
+        for i, x in cols[k].items():
+            out[i] = out.get(i, 0) + c * x
     return out
 
 
@@ -519,7 +568,7 @@ class AbMap:
         if other.target != self.source:
             raise EndpointMismatch("composition endpoint mismatch")
         mine = self.cols
-        cols = [sparse_sum((x, mine[k]) for k, x in col.items()) for col in other.cols]
+        cols = [sparse_image(mine, col) for col in other.cols]
         return AbMap(other.source, self.target, cols)
 
     def __matmul__(self, other: "AbMap") -> "AbMap":
@@ -668,34 +717,19 @@ def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     return C, AbMap.from_matrix(f.target, C, proj)
 
 
-def _socle_matrix(cols, smod: Sequence[int], tmod: Sequence[int], p: int):
-    """F_p matrix of the map with sparse columns ``cols`` on the p-socle of
-    ⊕Z(smod), transposed: one sparse row {target index: entry} per socle
-    generator, over the targets whose modulus p divides.  Only the nonzero
-    cells are read, and only they take the p-valuation shift.
-    """
-    val = {m: _pval(m, p) for m in set(smod).union(tmod) if m and m % p == 0}
-    mat = []
-    for col, s in zip(cols, smod):
-        b = val.get(s)
-        if b is not None:
-            out = {}
-            for i, v in col.items():
-                a = val.get(tmod[i])
-                if a is not None and b <= a:
-                    out[i] = v // p ** (a - b)
-            mat.append(out)
-    return mat
-
-
 def is_mono_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     """Whether the well-defined map with sparse columns ``cols`` (entries not
     necessarily reduced) embeds ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z.
 
-    Only the first len(smod) columns are read, so the torsion generators of a
-    source with free rank are tested on their own columns."""
+    Per prime p, the F_p rank on the p-socle: one sparse row {target: entry}
+    per socle generator, over the targets p divides, read off the nonzero cells
+    shifted by p^(a - b) for target and source valuations a and b.  Only the
+    first len(smod) columns are read, so a source with free rank is tested on
+    its torsion generators."""
     for p in _primes(smod):
-        mat = _socle_matrix(cols, smod, tmod, p)
+        val = {m: _pval(m, p) for m in set(smod).union(tmod) if m and m % p == 0}
+        shifts = {s: {m: p ** (a - b) for m, a in val.items() if b <= a} for s, b in val.items()}
+        mat = [{i: v // d for i, v in col.items() if (d := shifts[s].get(tmod[i]))} for col, s in zip(cols, smod) if s in shifts]
         if rank_mod_p(mat, len(tmod), p) < len(mat):
             return False
     return True
@@ -711,7 +745,7 @@ def is_epi_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     """
     for p in _primes(tmod):
         hit = [m % p == 0 for m in tmod]
-        mat = [{i: v for i, v in col.items() if hit[i]} for col, _ in zip(cols, smod)]
+        mat = cols[: len(smod)] if all(hit) else [{i: v for i, v in col.items() if hit[i]} for col, _ in zip(cols, smod)]
         if rank_mod_p(mat, len(tmod), p) < sum(hit):
             return False
     return True

@@ -39,6 +39,7 @@ from .abgroup import (
     is_mono,
     pullback,
     pushout,
+    sparse_image,
     sparse_sum,
 )
 
@@ -174,9 +175,9 @@ class ExtGroup:
         return ExtClass(self.A, self.B, self.reduce(apply_sparse(self.lift, coords, len(self.piece_mods))))
 
     def classes(self) -> Iterator["ExtClass"]:
-        """All classes, lexicographic on normal-form coordinates."""
+        """All classes, lexicographic on normal-form coordinates (reduced by construction)."""
         for combo in itertools.product(*(range(max(g, 1)) for g in self.piece_mods)):
-            yield ExtClass(self.A, self.B, combo)
+            yield _reduced_class(self.A, self.B, combo)
 
     def basis_classes(self) -> List["ExtClass"]:
         return [self.from_carrier(u) for u in _units(self.carrier.dim)]
@@ -224,8 +225,13 @@ class ExtClass:
         n = self.B.dim
         return self.coords[j * n : (j + 1) * n]
 
+    def twists(self) -> List[Tuple[int, ...]]:
+        """Every twist in order, ``[self.block(j) for j in range(A.torsion_count)]``."""
+        n = self.B.dim
+        return list(zip(*[iter(self.coords)] * n)) if n else [()] * self.A.torsion_count
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return not any(self.coords)
 
     def __add__(self, other: "ExtClass") -> "ExtClass":
         if self.A != other.A or self.B != other.B:
@@ -253,6 +259,13 @@ class ExtClass:
             FinGenAb.from_json(data["B"]),
             tuple(json_int(c) for c in json_of(list, data["coords"])),
         )
+
+
+def _reduced_class(A: FinGenAb, B: FinGenAb, coords: Tuple[int, ...]) -> ExtClass:
+    """The ExtClass of coordinates already in normal form, not reduced again."""
+    cls = object.__new__(ExtClass)
+    cls.__dict__.update(A=A, B=B, coords=coords)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -336,14 +349,20 @@ def realize(c: ExtClass) -> ShortExactSeq:
     Only the core of first occurrences is canonicalized, and ``cyclic_sum``
     regroups it with the split summands by prime; with no repeats E is the
     core itself.  This keeps the universal (co)extensions small: their
-    |X|·dim B slots share a handful of twists.  Every torsion lift ℓ_j is
-    machine-checked: g(ℓ_j) = a_j and d_j·ℓ_j = f(b_j).
+    |X|·dim B slots share a handful of twists.
+
+    Every torsion lift ℓ_j is machine-checked: g(ℓ_j) = a_j and d_j·ℓ_j =
+    f(b_j).  The first lift ℓ_j0 of a key is checked whole; a later one is
+    ℓ_j0 + s_j, with s_j its own split summand's generator, d_j = d_j0 and
+    b_j = b_j0, so by linearity it passes iff g(s_j) = a_j − a_j0 and
+    d_j·s_j = 0, read off s_j's own cells.
     """
     A, B = c.A, c.B
     nB, bmods = B.dim, B.moduli()
-    tfirst = _firsts([(d, c.block(j)) for j, d in enumerate(A.invariant_factors)] + [(0, ())] * A.free_rank)
+    twists = c.twists()
+    tfirst = _firsts(list(zip(A.invariant_factors, twists)) + [(0, ())] * A.free_rank)
     kept_rows = [j for j in range(A.torsion_count) if tfirst[j] == j]
-    efirst = _firsts([(m, tuple(c.coords[j * nB + i] for j in kept_rows)) for i, m in enumerate(bmods)])
+    efirst = _firsts(list(zip(bmods, zip(*(twists[j] for j in kept_rows)) if kept_rows else [()] * nB)))
     core_e = [i for i, first in enumerate(efirst) if first == i]
     core_t = [j for j, first in enumerate(tfirst) if first == j]
     esplit = [i for i, first in enumerate(efirst) if first != i]
@@ -354,7 +373,7 @@ def realize(c: ExtClass) -> ShortExactSeq:
     ct = {j: len(core_e) + k for k, j in enumerate(core_t)}
     rels = [[bmods[i] if k == i else 0 for k in core_e] + [0] * len(core_t) for i in core_e if bmods[i]]
     for j in kept_rows:
-        b = c.block(j)
+        b = twists[j]
         rels.append([-b[i] for i in core_e] + [A.invariant_factors[j] if t == j else 0 for t in core_t])
     core, projc, liftc = canonicalize(IntMatrix.from_rows(rels, ncols=len(ce) + len(ct)))
     amods = A.moduli()
@@ -376,13 +395,13 @@ def realize(c: ExtClass) -> ShortExactSeq:
     gimg = [
         {j: col[ct[j]] for j in core_t if col[ct[j]]} for col in liftc.transpose().rows
     ] + [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
-    gcols = [sparse_sum((x, gimg[q]) for q, x in row.items()) for row in lift]
+    gcols = [sparse_image(gimg, row) for row in lift]
 
     emods = E.moduli()
     for j, d in enumerate(A.invariant_factors):
-        ell = sparse_sum([(1, img[ct[tfirst[j]]]), (1, tsplit_at.get(j, {}))])
-        hit = sparse_sum([(x, gcols[k]) for k, x in ell.items()] + [(-1, {j: 1})])
-        twist = sparse_sum([(d, ell)] + [(-b, fcols[i]) for i, b in enumerate(c.block(j)) if b])
+        v, a, b = (tsplit_at[j], {j: 1, tfirst[j]: -1}, ()) if j in tsplit_at else (img[ct[j]], {j: 1}, twists[j])
+        hit = sparse_sum([(1, sparse_image(gcols, v)), (-1, a)])
+        twist = sparse_sum([(d, v)] + [(-x, fcols[i]) for i, x in enumerate(b) if x])
         if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
             raise DomainError("realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)")
     return ShortExactSeq(AbMap(B, E, fcols), AbMap(E, A, gcols))
@@ -395,7 +414,7 @@ def _firsts(keys: Sequence) -> List[int]:
 
 
 def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
-    return all(x % mods[i] == 0 if mods[i] else x == 0 for i, x in vec.items())
+    return not any(x % mods[i] if mods[i] else x for i, x in vec.items())
 
 
 def classify(s: ShortExactSeq) -> ExtClass:
@@ -426,16 +445,18 @@ def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
     if h.target != c.A:
         raise EndpointMismatch("pullback action endpoint mismatch")
     d, Ap, nB = c.A.invariant_factors, h.source, c.B.dim
-    out: List[int] = []
-    for dp, col in zip(Ap.invariant_factors, h.cols):
+    twists, bmods = c.twists(), c.B.moduli()
+    out = [0] * (Ap.torsion_count * nB)
+    for jp in itertools.compress(range(Ap.torsion_count), h.cols):  # the columns h does not send to 0
+        dp, col = Ap.invariant_factors[jp], h.cols[jp]
         acc = [0] * nB
         for i, v in col.items():
             if i < len(d):
                 coeff = dp * v // d[i]  # exact: h is well defined
-                for t, b in enumerate(c.block(i)):
+                for t, b in enumerate(twists[i]):
                     acc[t] += coeff * b
-        out.extend(acc)
-    return ExtClass(Ap, c.B, tuple(out))
+        out[jp * nB : (jp + 1) * nB] = [x % math.gcd(dp, m) for x, m in zip(acc, bmods)]
+    return _reduced_class(Ap, c.B, tuple(out))
 
 
 def pullback_columns(c: ExtClass, H: HomGroup) -> List[ExtClass]:
@@ -463,11 +484,12 @@ def pushout_action(c: ExtClass, k: AbMap) -> ExtClass:
     """k·η for k : B → B'."""
     if k.source != c.B:
         raise EndpointMismatch("pushout action endpoint mismatch")
-    Bp = k.target
-    out: List[int] = []
-    for j in range(c.A.torsion_count):
-        out.extend(apply_sparse(k.cols, c.block(j), Bp.dim))
-    return ExtClass(c.A, Bp, tuple(out))
+    n, bmods = k.target.dim, k.target.moduli()
+    out = [0] * (c.A.torsion_count * n)
+    for j, (d, twist) in enumerate(zip(c.A.invariant_factors, c.twists())):
+        for i, x in sparse_image(k.cols, {t: b for t, b in enumerate(twist) if b}).items():
+            out[j * n + i] = x % math.gcd(d, bmods[i])
+    return _reduced_class(c.A, k.target, tuple(out))
 
 
 def seq_pullback(s: ShortExactSeq, h: AbMap) -> ShortExactSeq:

@@ -495,7 +495,12 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
     """
     rows = sorted(rows, key=len)
     if p == 2:
-        return rank_gf2(sum(1 << j for j, v in r.items() if v & 1) for r in rows)
+        masks = [0] * len(rows)
+        for k, r in enumerate(rows):
+            for j, v in r.items():
+                if v & 1:
+                    masks[k] |= 1 << j
+        return rank_gf2(masks)
     pivots: Dict[int, Dict[int, int]] = {}
     for r in rows:
         row = {j: v % p for j, v in r.items() if v % p}

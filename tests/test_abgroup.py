@@ -655,7 +655,24 @@ def test_large_cofactors_answer_at_once():
 
 def test_cofactors_past_trial_division_are_prime_powers_or_refused():
     assert prime_factors(70001**816) == [70001] and prime_factors(65537**3 * 70001) == [65537, 70001]
-    # two distinct primes past 2^16, and 4,300 digits leaving a 14,272-bit cofactor
-    for unsplit in (70001 * 70003, 10**4299 + 1):
+    # 4,300 digits leaving a 14,272-bit cofactor, and two distinct primes past
+    # the exact range of is_prime: neither a prime power nor split by rho
+    for unsplit in (10**4299 + 1, 10000000000037 * 10000000000051):
         with pytest.raises(BudgetExceeded):
             prime_factors(unsplit)
+
+
+def test_cofactors_in_the_exact_range_are_split_by_rho():
+    # two, three and four distinct primes past 2^16, two primes near the
+    # square root of the range's end, and a product of two prime powers
+    cases = [
+        [70001, 70003],
+        [65537, 1000003, 1000033],
+        [65537, 65539, 65543, 65551],
+        [1799999999969, 1799999999977],
+    ]
+    for primes in cases:
+        n = math.prod(primes)
+        assert n < 3317044064679887385961981 and all(is_prime(p) for p in primes)
+        assert prime_factors(6 * n) == [2, 3] + primes
+    assert prime_factors(70001**3 * 70003**2) == [70001, 70003]

@@ -320,6 +320,24 @@ def test_large_prime_moduli_answer_at_once(capsys, group, want):
 
 
 @pytest.mark.parametrize(
+    "B, want",
+    [("Z(70001)", ["70001"]), ("Z(2)", [])],
+)
+def test_a_modulus_with_two_primes_past_trial_division_answers(capsys, B, want):
+    # 4900280003 = 70001 · 70003: the cofactor past 2^16 is split by rho
+    code, data = run_json(capsys, "ext", "--A", "Z(4900280003)", "--B", B)
+    assert code == 0 and data == {"group": {"rank": 0, "factors": want}}
+
+
+def test_a_cofactor_past_the_exact_range_is_still_refused(capsys):
+    # two 14-digit primes: a product past 3.3·10^24 with no prime factor up to 2^16
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, "ext", "--A", "Z(100000000000880000000001887)", "--B", "Z(2)")
+    assert time.perf_counter() - t0 < 5
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize(
     "argv, want",
     [
         (["parse", "Z(²)"], {"code": "parse-error", "message": "expected a number", "position": 2}),

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from abext.errors import EndpointMismatch, NotExactSequence
+import abext.homext as homext
+from abext.errors import DomainError, EndpointMismatch, NotExactSequence
 from abext.intlin import IntMatrix, solve_mod
 from abext.abgroup import (
     AbMap,
@@ -135,6 +136,47 @@ def test_realize_z_by_z2():
     )
     assert classify(doubling) == classify(s)
     assert ses_equivalent(s, doubling)  # middle iso found despite free rank
+
+
+# A over Z(4) with twists (2, 2, 1): lifts 0 and 1 share a key, so E is
+# presented on the core Z(2) + Z(16) and lift 1 splits off as Z(2), the last
+# summand ``realize`` hands to ``cyclic_sum``.
+LIFT_CHECK_CLASS = ExtClass(FinGenAb(0, (2, 2, 4)), Z4, (2, 2, 1))
+
+
+def _place(k, x, target):
+    """The k-th summand's place: x times the place of summand ``target``."""
+
+    def corrupt(place):
+        place[k] = {i: x * v for i, v in place[target].items()}
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_place(-1, 2, -1), _place(-1, 1, 0), _place(1, 2, 1), _place(0, 1, 1)],
+    ids=["split-lift-times-2", "split-lift-at-core", "core-lift-times-2", "core-lift-at-other"],
+)
+def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, corrupt):
+    real = homext.cyclic_sum
+    moduli = []
+
+    def corrupted(mods):
+        group, place, lift = real(mods)
+        moduli.append(tuple(mods))
+        corrupt(place)
+        return group, place, lift
+
+    def exactness_test(*_):
+        raise AssertionError("ShortExactSeq ran")
+
+    assert realize(LIFT_CHECK_CLASS).middle == FinGenAb(0, (2, 2, 16))
+    monkeypatch.setattr(homext, "cyclic_sum", corrupted)
+    monkeypatch.setattr(homext, "ShortExactSeq", exactness_test)
+    with pytest.raises(DomainError, match="a lift ℓ breaks g"):
+        realize(LIFT_CHECK_CLASS)
+    assert moduli == [(2, 16, 2)]
 
 
 def test_classify_examples():

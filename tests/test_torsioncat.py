@@ -21,6 +21,7 @@ from abext.torsioncat import (
     quotient_closure_check,
     random_expression,
 )
+from abext.universal import build_universal_coextension, verify_coextension_conditions
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +288,31 @@ def test_witness_argument_validation():
         counterexample_witness(2, 0)
     with pytest.raises(DomainError):
         ab4star_failure_witness(2, 2, mode="wrong")
+
+
+# ---------------------------------------------------------------------------
+# The Q ⊕ R theorem from both sides: a bounded expression called universal
+# builds and verifies its universal co-extension, and one called not
+# universal has a witness of unbounded order at its witness prime.
+
+
+@pytest.mark.parametrize("text", ["Z(2)+Z(8)^3", "Z(12)", "Z(3)^2+Z(9)"])
+def test_bounded_expressions_called_universal_build_their_coextension(text):
+    assert classify(parse(text)).verdict_TZ
+    B = parse_finite_group(text)
+    built = 0
+    for A in (FinGenAb(0, (2,)), FinGenAb(0, (3,)), FinGenAb(0, (6,))):
+        cert = build_universal_coextension(B, A)
+        assert cert.all_pass
+        if not cert.degenerate:
+            assert all(r.passed for r in verify_coextension_conditions(cert.sequence, B))
+            built += 1
+    assert built >= 2
+
+
+@pytest.mark.parametrize("text", ["U(2)", "U(3)", "U(5)+Z(5^inf)^inf"])
+def test_unbounded_expressions_have_witnesses_of_growing_order(text):
+    report = classify(parse(text))
+    assert not report.verdict_TZ
+    orders = [ab4star_failure_witness(report.witness_prime, N).order for N in (2, 3, 4)]
+    assert orders[0] < orders[1] < orders[2]

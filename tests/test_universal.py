@@ -7,6 +7,7 @@ import pytest
 
 import abext.intlin as intlin
 import abext.universal as universal
+from abext.oracle import ConcreteGroup, ext_count_by_cocycles
 from abext.errors import BudgetExceeded, DomainError
 from abext.intlin import IntMatrix
 from abext.abgroup import (
@@ -15,6 +16,7 @@ from abext.abgroup import (
     ZERO_GROUP,
     abelian_groups_up_to_order,
     cokernel,
+    cyclic_sum,
     direct_sum,
     is_epi,
     is_mono,
@@ -266,6 +268,42 @@ def test_builder_matches_literal_construction(direction, B, A):
     assert all(r.passed for r in reports)
 
 
+def _audit(direction, B, A):
+    """The certificate of (B, A) against checks the builder does not share:
+    the generic verifiers, ``classify`` of the built sequence, and |X|
+    against the cocycle count."""
+    if direction == "extension":
+        cert, verify, pair = build_universal_extension(B, A), verify_extension_conditions, (B, A)
+    else:
+        cert, verify, pair = build_universal_coextension(B, A), verify_coextension_conditions, (A, B)
+    assert all(r.passed for r in verify(cert.sequence, B))
+    assert classify(cert.sequence) == cert.canonical_class
+    assert len(cert.X) == ext_count_by_cocycles(*(ConcreteGroup.from_group(G) for G in pair))
+
+
+def test_independent_audit_of_every_pair_up_to_order_8_with_x_up_to_32():
+    groups = abelian_groups_up_to_order(8)
+    audited = 0
+    for B in groups:
+        for A in groups:
+            for direction, pair in (("extension", (B, A)), ("coextension", (A, B))):
+                if 1 < ext_group(*pair).order() <= 32:
+                    _audit(direction, B, A)
+                    audited += 1
+    assert audited == 98
+
+
+@pytest.mark.parametrize(
+    "direction, B, A",
+    [
+        ("extension", FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 2))),
+        ("coextension", FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 2))),
+    ],
+)
+def test_independent_audit_at_x_64(direction, B, A):
+    _audit(direction, B, A)
+
+
 def test_non_universal_candidate_fails_all_three():
     # split sequence A ↪ A ⊕ B^(X) ↠ B^(X) is not universal when Ext ≠ 0
     B, A = Z2, Z2
@@ -383,6 +421,27 @@ def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
             shape, digest = SPARSE_GUARD_ROWS[cert.direction, leg]
             assert (len(rows), len(rows[0])) == shape
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_power_group_numbers_the_slots_as_cyclic_sum():
+    # B^(n) and its slot numbering read off B's runs equal the canonical
+    # form of the n copies, for B with free rank and mixed primes.
+    rng = random.Random(13)
+    pool = [G.invariant_factors for G in abelian_groups_up_to_order(36)] + [(2, 6, 12), (3, 3, 15, 30)]
+    for _ in range(60):
+        B = FinGenAb(rng.randint(0, 2), rng.choice(pool))
+        if B.is_trivial():
+            continue
+        n = rng.randint(1, 9)
+        group, runs = universal._power_group(B, n)
+        want, place, _lift = cyclic_sum(B.moduli() * n)
+        assert group == want
+        slot = {}
+        for j0, j1 in runs:
+            for x in range(n):
+                for j in range(j0, j1):
+                    slot[x * B.dim + j] = {n * j0 + x * (j1 - j0) + (j - j0): 1}
+        assert [slot[s] for s in range(n * B.dim)] == place
 
 
 def test_projective_b_is_vacuously_universal():
