@@ -14,9 +14,10 @@ A direct sum of cyclic groups ⊕ Z(m_i) is put in canonical form by
 (CRT), with sparse placements of the summands and lifts of the canonical
 generators, inverse modulo the moduli.  Biproducts, G/dG, the Hom and Ext
 carriers and the universal middle groups go through it.  ``canonicalize``
-must return integer coordinates that are exactly inverse, so a diagonal
-presentation takes the same group through gcd/lcm steps instead; only
-presentations with genuinely mixed relations reach SNF.
+gives a quotient of Z^n in the same ``(group, place, lift)`` format, with
+place and lift exactly inverse over Z, so a diagonal presentation takes the
+same group through gcd/lcm steps instead; only presentations with
+genuinely mixed relations reach SNF, one elimination that keeps V and V^-1.
 
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  Mono and epi build
@@ -41,15 +42,14 @@ from .errors import BudgetExceeded, DomainError, EndpointMismatch
 from .intlin import (
     DimensionMismatch,
     IntMatrix,
+    _snf,
     augment_moduli,
-    hnf,
     json_int,
     json_of,
     json_str,
     kernel_basis,
     mod_solver,
     rank_mod_p,
-    snf,
     snf_diagonal,
 )
 
@@ -329,13 +329,6 @@ def _pval(n: int, p: int) -> int:
     return v
 
 
-def _unimodular_inverse(V: IntMatrix) -> IntMatrix:
-    H, U = hnf(V)
-    if H.rows != IntMatrix.identity(V.nrows).rows:
-        raise DomainError("matrix is not unimodular")
-    return U
-
-
 def cyclic_sum(moduli: Sequence[int]):
     """Canonical form of ⊕ Z(m_i), a modulus of 0 meaning Z and 1 the zero group.
 
@@ -425,14 +418,18 @@ def sparse_sum(terms) -> Dict[int, int]:
 
 
 def canonicalize(presentation: IntMatrix):
-    """Quotient of Z^n by the row lattice of ``presentation``.
+    """Quotient of Z^n by the row lattice R of ``presentation``, in ``cyclic_sum``'s format.
 
-    Returns ``(group, proj, lift)``: ``proj`` (dim x n) sends a vector of
-    Z^n to canonical coordinates of its class, ``lift`` (n x dim) picks a
-    representative for each canonical generator, and ``proj * lift`` is the
-    identity exactly.  A diagonal lattice (each row touching one column)
-    presents a sum of cyclic groups and takes ``_diagonal_quotient``
-    instead of SNF.
+    Returns sparse ``(group, place, lift)``: ``place[i]`` is the class of e_i
+    in canonical coordinates, ``lift[k]`` a representative in Z^n of the k-th
+    canonical generator, and placing the lifts is exactly the identity.  A
+    diagonal lattice (each row touching one column) takes ``_diagonal_quotient``,
+    any other one SNF U·R·V = D that keeps V and V^-1: y = V^T x turns
+    Z^n / R^T Z^m into Z^n / D^T Z^m, so place reads V and lift V^-1 on the
+    kept coordinates.
+
+    >>> canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    (FinGenAb(free_rank=0, invariant_factors=(2, 4)), [{0: 1, 1: -2}, {1: 1}], [{0: 1, 1: 2}, {1: 1}])
     """
     n = presentation.ncols
     rows = [r for r in presentation.rows if any(r)]
@@ -446,22 +443,17 @@ def canonicalize(presentation: IntMatrix):
         col_mod[j] = math.gcd(col_mod[j], v)
     else:  # no row broke off: the lattice is diagonal
         return _diagonal_quotient(col_mod)
-    dec = snf(IntMatrix.from_rows(rows, ncols=n))
-    diag = dec.diagonal()
-    # Relations are the image of R^T; with U R V = D the quotient Z^n/im(R^T)
-    # becomes Z^n/im(D^T) under y = V^T x, so classes read off V^T and
-    # representatives come from columns of V^{-T}.
-    vt = dec.V.transpose()
-    vinvt = _unimodular_inverse(dec.V).transpose()
-    torsion_idx = [i for i, d in enumerate(diag) if d not in (0, 1)]
-    free_idx = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    kept = torsion_idx + free_idx
-    group = FinGenAb(len(free_idx), tuple(diag[i] for i in torsion_idx))
-    return group, vt.select_rows(kept), vinvt.select_columns(kept)
+    diag, vinv, vcols = _snf(rows, n, track="Vinv")
+    torsion = [i for i, d in enumerate(diag) if d > 1]
+    free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
+    kept = torsion + free
+    group = FinGenAb(len(free), tuple(diag[i] for i in torsion))
+    lift = [{i: x for i, x in enumerate(vinv[c]) if x} for c in kept]
+    return group, sparse_columns([vcols[c] for c in kept], n), lift
 
 
 def _diagonal_quotient(moduli: Sequence[int]):
-    """``canonicalize`` for Z^n / ⊕ m_i·Z e_i, with ``proj * lift`` exactly the identity.
+    """``canonicalize`` for Z^n / ⊕ m_i·Z e_i, with place and lift exactly inverse.
 
     The torsion moduli go in ascending order into a divisibility chain
     c_1 | ... | c_r.  A modulus that c_r does not divide is carried along the
@@ -472,8 +464,7 @@ def _diagonal_quotient(moduli: Sequence[int]):
     CRT coordinates are inverse only modulo the moduli, and for moduli such
     as 75, 45 no integer pair realizes them exactly.
     """
-    n = len(moduli)
-    chain: List[list] = []  # [modulus, row of proj, column of lift], sparse
+    chain: List[list] = []  # [modulus, its coordinate as a form on Z^n, its lift], sparse
     for m, i in sorted((m, i) for i, m in enumerate(moduli) if m > 1):
         carry = [m, {i: 1}, {i: 1}]
         if chain and m % chain[-1][0]:  # else c_r | m and m just goes last
@@ -494,11 +485,8 @@ def _diagonal_quotient(moduli: Sequence[int]):
     free = [[0, {i: 1}, {i: 1}] for i, m in enumerate(moduli) if m == 0]
     group = FinGenAb(len(free), tuple(link[0] for link in chain))
     links = chain + free
-    proj = [[0] * n for _ in links]
-    for out, (_, row, _) in zip(proj, links):
-        for j, v in row.items():
-            out[j] = v
-    return group, IntMatrix.from_rows(proj, ncols=n), dense_matrix([col for _, _, col in links], n)
+    place = sparse_columns([[coord.get(i, 0) for i in range(len(moduli))] for _, coord, _ in links], len(moduli))
+    return group, place, [{i: v for i, v in col.items() if v} for _, _, col in links]
 
 
 @dataclass(frozen=True)
@@ -694,10 +682,9 @@ def kernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     if P.ncols == 0:
         return ZERO_GROUP, AbMap.zero(ZERO_GROUP, A)
     T = _preimage_lattice(P, A.moduli())
-    rel = T.transpose()
-    K, _projK, liftK = canonicalize(rel)
-    incl = AbMap.from_matrix(K, A, P * liftK)
-    return K, incl
+    K, _place, lift = canonicalize(T.transpose())
+    pcols = sparse_columns(P.rows, P.ncols)
+    return K, AbMap(K, A, [sparse_image(pcols, vec) for vec in lift])
 
 
 def _cokernel_data(f: AbMap):
@@ -713,8 +700,8 @@ def _cokernel_data(f: AbMap):
 
 def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     """Cokernel with its projection."""
-    C, proj, _lift = _cokernel_data(f)
-    return C, AbMap.from_matrix(f.target, C, proj)
+    C, place, _lift = _cokernel_data(f)
+    return C, AbMap(f.target, C, place)
 
 
 def is_mono_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
@@ -839,8 +826,8 @@ def pushout(f: AbMap, g: AbMap) -> Square:
     piB, piC = ds.projections
     span = muB @ f - muC @ g
     # clift: coordinate lift of a canonical P generator to a B⊕C vector.
-    P, cproj, clift = _cokernel_data(span)
-    proj = AbMap.from_matrix(ds.total, P, cproj)
+    P, cplace, clift = _cokernel_data(span)
+    proj = AbMap(ds.total, P, cplace)
     left = proj @ muB
     right = proj @ muC
 
@@ -849,8 +836,8 @@ def pushout(f: AbMap, g: AbMap) -> Square:
             raise EndpointMismatch("cocone endpoints do not match pushout")
         if not (bq @ f - cq @ g).is_zero():
             raise DomainError("cocone does not commute with the span")
-        m = bq @ piB + cq @ piC
-        return AbMap.from_matrix(P, bq.target, m.matrix * clift)
+        m = (bq @ piB + cq @ piC).cols
+        return AbMap(P, bq.target, [sparse_image(m, vec) for vec in clift])
 
     return Square(P, left, right, mediator)
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import DomainError, ParseError
 from .intlin import DimensionMismatch, IntMatrix, json_str, snf
-from .abgroup import AbMap, FinGenAb, canonicalize
+from .abgroup import AbMap, FinGenAb, canonicalize, dense_matrix
 from .homext import (
     ExtClass,
     ShortExactSeq,
@@ -129,11 +129,11 @@ def _cmd_snf(args):
 
 def _cmd_canon(args):
     pres = _matrix(args.presentation)
-    group, proj, lift = canonicalize(pres)
+    group, place, lift = canonicalize(pres)
     return {
         "group": group.to_json(),
-        "to_canonical": proj.to_json(),
-        "from_canonical": lift.to_json(),
+        "to_canonical": dense_matrix(place, group.dim).to_json(),
+        "from_canonical": dense_matrix(lift, pres.ncols).to_json(),
     }
 
 

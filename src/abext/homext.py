@@ -375,12 +375,12 @@ def realize(c: ExtClass) -> ShortExactSeq:
     for j in kept_rows:
         b = twists[j]
         rels.append([-b[i] for i in core_e] + [A.invariant_factors[j] if t == j else 0 for t in core_t])
-    core, projc, liftc = canonicalize(IntMatrix.from_rows(rels, ncols=len(ce) + len(ct)))
+    core, placec, liftc = canonicalize(IntMatrix.from_rows(rels, ncols=len(ce) + len(ct)))
     amods = A.moduli()
     E, place, lift = cyclic_sum(core.moduli() + tuple(bmods[i] for i in esplit) + tuple(amods[j] for j in tsplit))
     nc = core.dim
-    # Each core generator's image in E is a column of projc, read once.
-    img = [sparse_sum((x, place[r]) for r, x in enumerate(col) if x) for col in projc.transpose().rows]
+    # Each core generator's image in E is its core coordinates, placed in E.
+    img = [sparse_image(place, vec) for vec in placec]
     esplit_at = {i: place[nc + k] for k, i in enumerate(esplit)}
     tsplit_at = {j: place[nc + len(esplit) + k] for k, j in enumerate(tsplit)}
 
@@ -392,9 +392,9 @@ def realize(c: ExtClass) -> ShortExactSeq:
     fcols = [esplit_at[i] if i in esplit_at else sparse_sum([(1, img[ce[i]])] + minus.get(i, [])) for i in range(nB)]
     # g reads a core generator's lift on the core lifts; a split of B maps to
     # 0 and a split lift t_k − t_j to a_k − a_j.
-    gimg = [
-        {j: col[ct[j]] for j in core_t if col[ct[j]]} for col in liftc.transpose().rows
-    ] + [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
+    ne = len(core_e)
+    gimg = [{core_t[i - ne]: x for i, x in vec.items() if i >= ne} for vec in liftc]
+    gimg += [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
     gcols = [sparse_image(gimg, row) for row in lift]
 
     emods = E.moduli()

@@ -9,7 +9,8 @@ No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
 depend on pivot choices (smallest absolute value, first in row-major order)
 and on the least-remainder pass that clears each pivot's column and row,
-which keeps their entries small.
+which keeps their entries small.  The same elimination can keep V^-1 in
+place of U (for ``abgroup.canonicalize``) by undoing each column operation.
 """
 
 from __future__ import annotations
@@ -272,16 +273,28 @@ def _identity(n):
     return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
 
 
-def _snf(rows, n, with_transforms=True):
-    """(diagonal, U rows, V columns) of the Smith form of the m x n ``rows``.
+def _swap_first(j, a, W, Z):
+    """Swap column j of the block ``a`` into column 0, and with it V's columns and V^-1's rows."""
+    for row in a:
+        row[0], row[j] = row[j], row[0]
+    for T in (W, Z):
+        if T:
+            T[0], T[j] = T[j], T[0]
 
-    ``a`` is the block not yet diagonal, pivot at (0, 0), each row followed by
-    its row of U; W holds the columns of V, as rows (none without transforms).
+
+def _snf(rows, n, track="U"):
+    """(diagonal, left, V columns) of the Smith form U·M·V = D of the m x n ``rows``.
+
+    ``track`` is "U" (``left`` holds U's rows), "Vinv" (the rows of V^-1,
+    and U is skipped) or "" (no transforms).  ``a`` is the block not yet
+    diagonal, pivot at (0, 0), each row followed by its row of U; W holds V's
+    columns, as rows, and Z V^-1's rows: each column operation on V is undone on Z.
     """
     m = len(rows)
-    a = [list(r) + u for r, u in zip(rows, _identity(m))] if with_transforms else [list(r) for r in rows]
-    W = _identity(n) if with_transforms else []
-    done_u, done_w, diag, k = [], [], [], min(m, n)
+    a = [list(r) + u for r, u in zip(rows, _identity(m))] if track == "U" else [list(r) for r in rows]
+    W = _identity(n) if track else []
+    Z = _identity(n) if track == "Vinv" else []
+    done_left, done_w, diag, k = [], [], [], min(m, n)
     while a and n:
         # Pivot: smallest nonzero absolute value in the block, first such
         # entry in row-major order.  Keeps coefficient growth down.
@@ -304,14 +317,11 @@ def _snf(rows, n, with_transforms=True):
         pi, pj = piv
         a[0], a[pi] = a[pi], a[0]
         if pj:
-            for row in a:
-                row[0], row[pj] = row[pj], row[0]
-            if W:
-                W[0], W[pj] = W[pj], W[0]
+            _swap_first(pj, a, W, Z)
         while True:
             _sweep(a, 0, 0)
             # Row 0 by column operations, one sweep of the same pass: column 0
-            # is clear, so they change only a[0] and W.  The least remainder
+            # is clear, so they change only a[0], W and Z.  The least remainder
             # is swapped into column 0, and the column pass clears it again.
             a0 = a[0]
             p = a0[0]
@@ -327,13 +337,14 @@ def _snf(rows, n, with_transforms=True):
                             wj, w0 = W[j], W[0]
                             for col in range(len(wj)):
                                 wj[col] -= q * w0[col]
+                        if Z:
+                            zj, z0 = Z[j], Z[0]
+                            for col in range(len(zj)):
+                                z0[col] += q * zj[col]
                     if x and (not best or abs(x) < least):
                         best, least = j, abs(x)
             if best:
-                for row in a:
-                    row[0], row[best] = row[best], row[0]
-                if W:
-                    W[0], W[best] = W[best], W[0]
+                _swap_first(best, a, W, Z)
                 continue
             # Divisibility fix-up: pivot must divide every trailing entry,
             # which a unit does, so only a larger pivot scans them.
@@ -345,11 +356,12 @@ def _snf(rows, n, with_transforms=True):
             a[0] = [-x for x in a[0]]
         diag.append(a[0][0])
         if W:
-            done_u.append(a[0][n:])
+            done_left.append(Z.pop(0) if Z else a[0][n:])
             done_w.append(W.pop(0))
         a = [row[1:] for row in a[1:]]
         n -= 1
-    return diag + [0] * (k - len(diag)), done_u + [row[n:] for row in a], done_w + W
+    left = done_left + (Z if track == "Vinv" else [row[n:] for row in a])
+    return diag + [0] * (k - len(diag)), left, done_w + W
 
 
 def snf(M: IntMatrix) -> SnfDecomposition:
@@ -366,7 +378,7 @@ def snf(M: IntMatrix) -> SnfDecomposition:
 
 def snf_diagonal(M: IntMatrix) -> list:
     """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    return _snf(M.rows, M.ncols, with_transforms=False)[0]
+    return _snf(M.rows, M.ncols, track="")[0]
 
 
 def hnf(M: IntMatrix):

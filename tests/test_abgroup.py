@@ -2,10 +2,12 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 
 import pytest
 
+from abext import abgroup
 from abext.errors import BudgetExceeded, DomainError
 from abext.intlin import IntMatrix, snf_diagonal
 from abext.abgroup import (
@@ -14,6 +16,7 @@ from abext.abgroup import (
     ZERO_GROUP,
     abelian_groups_of_order,
     abelian_groups_up_to_order,
+    apply_sparse,
     canonicalize,
     codiagonal,
     cokernel,
@@ -35,6 +38,7 @@ from abext.abgroup import (
     pullback,
     pushout,
     sparse_columns,
+    sparse_image,
     torsion_part,
 )
 from abext.homext import hom_group
@@ -105,12 +109,14 @@ def test_canonicalize_examples():
     assert G == FinGenAb(0, (2, 4))
     G, _, _ = canonicalize(IntMatrix.from_rows([], ncols=3))
     assert G == FinGenAb(3, ())
-    G, proj, lift = canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    G, place, lift = canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert G == FinGenAb(0, (2, 4))
+    proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, 2)
     assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
     # a diagonal lattice whose moduli do not chain
-    G, proj, lift = canonicalize(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    G, place, lift = canonicalize(IntMatrix.from_rows([[2, 0], [0, 3]]))
     assert G == Z6
+    proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, 2)
     assert (proj * lift).rows == ((1,),)
     assert G.reduce(proj.apply([2, 0])) == G.reduce(proj.apply([0, 3])) == (0,)
 
@@ -123,10 +129,41 @@ def test_canonicalize_kills_relations():
         m, n = rng.randint(0, 4), rng.randint(1, 4)
         presentations.append(IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], ncols=n))
     for R in presentations:
-        G, proj, lift = canonicalize(R)
+        G, place, lift = canonicalize(R)
+        assert len(place) == R.ncols and len(lift) == G.dim
+        # on the sparse vectors: placing the lifts is the identity, exactly
+        for k, vec in enumerate(lift):
+            assert {i: x for i, x in sparse_image(place, vec).items() if x} == {k: 1}
+        for row in R.rows:
+            assert not any(G.reduce(apply_sparse(place, row, G.dim)))
+        proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, R.ncols)
         assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
         for row in R.rows:
             assert G.reduce(proj.apply(list(row))) == (0,) * G.dim
+
+
+def test_canonicalize_runs_one_elimination_and_no_hnf(monkeypatch):
+    def no_hnf(*_args):
+        raise AssertionError("hnf called")
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("abext")]:
+        if hasattr(mod, "hnf"):
+            monkeypatch.setattr(mod, "hnf", no_hnf)
+    calls = []
+    real = abgroup._snf
+    monkeypatch.setattr(abgroup, "_snf", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    rng = random.Random(5)
+    for _ in range(20):
+        m, n = rng.randint(1, 5), rng.randint(2, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        rows[0][:2] = [rng.randint(1, 9), rng.randint(1, 9)]  # two nonzeros in a row: not diagonal
+        calls.clear()
+        G, place, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
+        assert len(calls) == 1
+        assert G.dim == len(lift)
+    calls.clear()
+    canonicalize(IntMatrix.diagonal([4, 6, 0]))  # a diagonal lattice takes no SNF
+    assert calls == []
 
 
 def test_direct_sum_examples():
@@ -188,11 +225,11 @@ def test_cyclic_sum_matches_snf():
         for i, col in enumerate(zip(*(L * P).rows)):
             assert on_summands(col) == on_summands([int(t == i) for t in range(len(mods))])
         # canonicalize finds the same group, and on a chain the same coordinates
-        H, proj, lift = canonicalize(IntMatrix.diagonal(mods))
+        H, hplace, hlift = canonicalize(IntMatrix.diagonal(mods))
         assert H == G
         torsion = sorted(m for m in mods if m > 1)
         if all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
-            assert (proj, lift) == (P, L)
+            assert (dense_matrix(hplace, H.dim), dense_matrix(hlift, len(mods))) == (P, L)
 
 
 def test_diagonal_codiagonal():

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import abext
-from abext import cli, homext
+from abext import cli, homext, torsioncat
 from abext.cli import main
 from abext.errors import BudgetExceeded
 from abext.intlin import IntMatrix
@@ -278,6 +278,26 @@ def test_budget_env_default(capsys, monkeypatch):
     monkeypatch.delenv("ABEXT_BUDGET")
     code, data = run_json(capsys, "witness", "--p", "2", "--N", "5")
     assert data["method"] == "brute-force"
+
+
+def test_default_budget_takes_the_fast_path_past_2_to_the_20(capsys, monkeypatch):
+    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
+    # 3^15 tuples, over a minute of brute force: the default answers at once
+    start = time.perf_counter()
+    code, out = run(capsys, "witness", "--p", "3", "--N", "5")
+    assert code == 0 and out == '{"method":"fast-path","order":"243"}\n'
+    assert time.perf_counter() - start < 1.0
+
+    class SearchStarted(Exception):
+        pass
+
+    def started(*_args):
+        raise SearchStarted
+
+    # an explicit budget of 2^24 still admits it: the search starts
+    monkeypatch.setattr(torsioncat, "_vector_order", started)
+    with pytest.raises(SearchStarted):
+        main(["witness", "--p", "3", "--N", "5", "--budget", "16777216"])
 
 
 @pytest.mark.parametrize("verb", [["ext", "--A", "Z(2)", "--B", "Z(2)"], ["witness", "--p", "2", "--N", "3"]])

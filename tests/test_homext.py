@@ -12,6 +12,7 @@ from abext.abgroup import (
     abelian_groups_up_to_order,
     canonicalize,
     cokernel,
+    dense_matrix,
     is_epi,
     kernel,
 )
@@ -264,7 +265,8 @@ def _realize_full_presentation(c):
     rows = [[m if t == i else 0 for t in range(n)] for i, m in enumerate(B.moduli()) if m]
     for j, d in enumerate(A.invariant_factors):
         rows.append([-b for b in c.block(j)] + [d if t == nB + j else 0 for t in range(nB, n)])
-    E, proj, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
+    E, place, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
+    proj, lift = dense_matrix(place, E.dim), dense_matrix(lift, n)
     return ShortExactSeq(
         AbMap.from_matrix(B, E, proj.select_columns(range(nB))), AbMap.from_matrix(E, A, lift.select_rows(range(nB, n)))
     )

@@ -8,6 +8,7 @@ import pytest
 from abext.errors import BudgetExceeded
 from abext.intlin import (
     DimensionMismatch,
+    _snf,
     IntMatrix,
     det,
     json_str,
@@ -376,6 +377,22 @@ def test_snf_agrees_with_snf_diagonal_on_every_shape():
         assert dec.diagonal() == snf_diagonal(M)
         if rank is not None:
             assert sum(1 for d in dec.diagonal() if d) == rank
+
+
+def test_snf_tracking_v_inverse_gives_snf_v_and_its_exact_inverse():
+    rng = random.Random(7)
+    cases = [IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(3, 3)]
+    cases += [_dense(rng, m, n) for m, n in ((3, 8), (8, 3), (6, 6), (1, 5), (5, 1))]
+    cases += [_of_rank(rng, m, n, r) for m, n, r in ((7, 7, 4), (9, 6, 3), (6, 9, 3))]
+    cases += [M for M, _ in _shape_matrices()]
+    for M in cases:
+        n = M.ncols
+        diag, vinv, vcols = _snf(M.rows, n, track="Vinv")
+        dec = snf(M)
+        assert diag == dec.diagonal()
+        V = IntMatrix.from_columns(vcols, n)
+        assert V == dec.V
+        assert (V * IntMatrix.from_rows(vinv, ncols=n)).rows == IntMatrix.identity(n).rows
 
 
 def test_snf_diagonal_matches_sympy():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import time
@@ -632,6 +633,38 @@ def test_closure_properties():
         assert build_universal_extension(Bsum, A).all_pass  # coproduct closure
         # summand closure is the same assertion read backwards
         assert build_universal_extension(B1, A).all_pass
+
+
+@pytest.mark.parametrize(
+    "build, verify",
+    [(build_universal_extension, verify_extension_conditions), (build_universal_coextension, verify_coextension_conditions)],
+    ids=["extension", "coextension"],
+)
+def test_closure_law_on_sums_up_to_order_4(build, verify):
+    """|X(B1 ⊕ B2, A)| = |X(B1, A)|·|X(B2, A)|, as Ext^1 turns the sum in B
+    into a product, and the certificate of the sum passes the checks the
+    builder does not share.  A degenerate certificate has |X| = 1."""
+    pool = abelian_groups_up_to_order(4)
+    certs = {}
+
+    def size(B, A):
+        if (B, A) not in certs:
+            certs[B, A] = build(B, A)
+        return 1 if certs[B, A].degenerate else len(certs[B, A].X)
+
+    sums = set()
+    for B1, B2, A in itertools.product(pool, repeat=3):
+        Bsum = direct_sum([B1, B2]).total
+        assert size(Bsum, A) == size(B1, A) * size(B2, A)
+        sums.add((Bsum, A))
+    audited = 0
+    for Bsum, A in sums:
+        cert = certs[Bsum, A]
+        if 1 < len(cert.X) <= 32:
+            assert all(r.passed for r in verify(cert.sequence, Bsum))
+            assert classify(cert.sequence) == cert.canonical_class
+            audited += 1
+    assert (len(sums), audited) == (70, 35)
 
 
 def test_sufficient_condition_examples():
