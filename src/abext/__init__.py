@@ -6,7 +6,7 @@ morphism, canonical universal (co)extensions with verified certificates,
 and the co-Ext^1-universality classifier for symbolic torsion groups.
 """
 
-from .intlin import IntMatrix, SnfDecomposition, det, hnf, mod_solver, snf, solve_mod
+from .intlin import IntMatrix, SnfDecomposition, det, hnf, snf, solve_mod, solve_mod_many
 from .abgroup import (
     AbMap,
     FinGenAb,

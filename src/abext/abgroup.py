@@ -42,15 +42,15 @@ from .errors import BudgetExceeded, DomainError, EndpointMismatch
 from .intlin import (
     DimensionMismatch,
     IntMatrix,
+    _kernel_head,
     _snf,
     augment_moduli,
     json_int,
     json_of,
     json_str,
-    kernel_basis,
-    mod_solver,
     rank_mod_p,
     snf_diagonal,
+    solve_mod_many,
 )
 
 
@@ -443,7 +443,7 @@ def canonicalize(presentation: IntMatrix):
         col_mod[j] = math.gcd(col_mod[j], v)
     else:  # no row broke off: the lattice is diagonal
         return _diagonal_quotient(col_mod)
-    diag, vinv, vcols = _snf(rows, n, track="Vinv")
+    diag, vinv, vcols = _snf(rows, n, head=n, inverse=True)
     torsion = [i for i, d in enumerate(diag) if d > 1]
     free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     kept = torsion + free
@@ -668,9 +668,7 @@ def diagonal(A: FinGenAb, X: int) -> AbMap:
 
 def _preimage_lattice(M: IntMatrix, target_mods: Sequence[int]) -> IntMatrix:
     """Columns spanning {x : M x lies in the target relation lattice}."""
-    n = M.ncols
-    ker = kernel_basis(augment_moduli(M, target_mods))
-    return ker.select_rows(list(range(n))) if ker.ncols else IntMatrix.zeros(n, 0)
+    return _kernel_head(augment_moduli(M, target_mods), M.ncols)
 
 
 def kernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
@@ -862,8 +860,7 @@ def pullback(f: AbMap, g: AbMap) -> Square:
         if not (f @ bq - g @ cq).is_zero():
             raise DomainError("cone does not commute with the span")
         pair = muB @ bq + muC @ cq
-        solve = mod_solver(incl.matrix, total_mods)
-        cols = [solve(col) for col in pair.matrix.transpose().rows]
+        cols = solve_mod_many(incl.matrix, pair.matrix.transpose().rows, total_mods)
         if None in cols:
             raise DomainError("cone does not factor through the pullback")
         return AbMap.from_matrix(pair.source, K, IntMatrix.from_columns(cols, K.dim))

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
-from .intlin import IntMatrix, json_int, json_of, json_str, mod_solver, solve_mod
+from .intlin import IntMatrix, json_int, json_of, json_str, solve_mod, solve_mod_many
 from .abgroup import (
     MAX_GROUP_DIM,
     AbMap,
@@ -422,18 +422,15 @@ def classify(s: ShortExactSeq) -> ExtClass:
     if not isinstance(s, ShortExactSeq):
         raise NotExactSequence("classify expects a validated ShortExactSeq")
     B, E, A = s.sub, s.middle, s.quot
-    lift = mod_solver(s.g.matrix, A.moduli())
-    descend = mod_solver(s.f.matrix, E.moduli())
-    coords: List[int] = []
-    for j, d in enumerate(A.invariant_factors):
-        x = lift([1 if t == j else 0 for t in range(A.dim)])
-        if x is None:
-            raise NotExactSequence("quotient map is not surjective")
-        b = descend([d * xi for xi in x])
-        if b is None:
-            raise NotExactSequence("d·lift does not land in the subobject")
-        coords.extend(b)
-    return ExtClass(A, B, tuple(coords))
+    units = [[1 if t == j else 0 for t in range(A.dim)] for j in range(A.torsion_count)]
+    lifts = solve_mod_many(s.g.matrix, units, A.moduli())
+    if None in lifts:
+        raise NotExactSequence("quotient map is not surjective")
+    scaled = [[d * xi for xi in x] for d, x in zip(A.invariant_factors, lifts)]
+    descents = solve_mod_many(s.f.matrix, scaled, E.moduli())
+    if None in descents:
+        raise NotExactSequence("d·lift does not land in the subobject")
+    return ExtClass(A, B, tuple(itertools.chain.from_iterable(descents)))
 
 
 # ---------------------------------------------------------------------------

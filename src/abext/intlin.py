@@ -9,15 +9,23 @@ No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
 depend on pivot choices (smallest absolute value, first in row-major order)
 and on the least-remainder pass that clears each pivot's column and row,
-which keeps their entries small.  The same elimination can keep V^-1 in
-place of U (for ``abgroup.canonicalize``) by undoing each column operation.
+which keeps their entries small.
+
+One elimination, ``_snf``, serves every caller and computes only what that
+caller reads.  Each row carries a block through the row operations: the
+identity for ``snf``'s U, the right-hand sides for a solve (which so reads
+U·b without forming U), nothing for ``snf_diagonal``, ``canonicalize`` and
+kernels.  V's columns are kept on their leading coordinates only: all of
+them for ``snf`` and ``canonicalize``, the unknowns for a solve or a
+preimage lattice, none for ``snf_diagonal``.  ``canonicalize`` also keeps
+V^-1, by undoing each column operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .errors import BudgetExceeded
 
@@ -269,8 +277,10 @@ def _sweep(a, t, c):
         a[t], a[best] = a[best], a[t]
 
 
-def _identity(n):
-    return [[0] * i + [1] + [0] * (n - i - 1) for i in range(n)]
+def _identity(n, width=None):
+    """The rows of the n x n identity, cut to their first ``width`` entries."""
+    width = n if width is None else width
+    return [[0] * i + [1] + [0] * (width - i - 1) if i < width else [0] * width for i in range(n)]
 
 
 def _swap_first(j, a, W, Z):
@@ -282,18 +292,22 @@ def _swap_first(j, a, W, Z):
             T[0], T[j] = T[j], T[0]
 
 
-def _snf(rows, n, track="U"):
+def _snf(rows, n, carry=None, head=0, inverse=False):
     """(diagonal, left, V columns) of the Smith form U·M·V = D of the m x n ``rows``.
 
-    ``track`` is "U" (``left`` holds U's rows), "Vinv" (the rows of V^-1,
-    and U is skipped) or "" (no transforms).  ``a`` is the block not yet
-    diagonal, pivot at (0, 0), each row followed by its row of U; W holds V's
-    columns, as rows, and Z V^-1's rows: each column operation on V is undone on Z.
+    ``carry`` gives each row a block that goes through the row operations
+    with it, and ``left`` is U times that block: U itself when it is the
+    identity, U·b for right-hand-side columns; None carries nothing.  V's
+    columns, as rows, keep their first ``head`` coordinates (0: V is not
+    kept).  With ``inverse`` (and head = n), ``left`` is V^-1's rows instead,
+    each column operation on V undone on them.  ``a`` is the block not yet
+    diagonal, pivot at (0, 0), each row followed by its carried row; W holds
+    V's columns and Z V^-1's rows.
     """
     m = len(rows)
-    a = [list(r) + u for r, u in zip(rows, _identity(m))] if track == "U" else [list(r) for r in rows]
-    W = _identity(n) if track else []
-    Z = _identity(n) if track == "Vinv" else []
+    a = [list(r) + c for r, c in zip(rows, carry)] if carry is not None else [list(r) for r in rows]
+    W = _identity(n, head) if head else []
+    Z = _identity(n) if inverse else []
     done_left, done_w, diag, k = [], [], [], min(m, n)
     while a and n:
         # Pivot: smallest nonzero absolute value in the block, first such
@@ -355,13 +369,19 @@ def _snf(rows, n, track="U"):
         if a[0][0] < 0:
             a[0] = [-x for x in a[0]]
         diag.append(a[0][0])
+        if carry is not None:
+            done_left.append(a[0][n:])
         if W:
-            done_left.append(Z.pop(0) if Z else a[0][n:])
             done_w.append(W.pop(0))
+        if Z:
+            done_left.append(Z.pop(0))
         a = [row[1:] for row in a[1:]]
         n -= 1
-    left = done_left + (Z if track == "Vinv" else [row[n:] for row in a])
-    return diag + [0] * (k - len(diag)), left, done_w + W
+    if inverse:
+        done_left += Z
+    elif carry is not None:
+        done_left += [row[n:] for row in a]
+    return diag + [0] * (k - len(diag)), done_left, done_w + W
 
 
 def snf(M: IntMatrix) -> SnfDecomposition:
@@ -371,14 +391,14 @@ def snf(M: IntMatrix) -> SnfDecomposition:
     Deterministic for identical inputs.  Works for any shape including empty.
     """
     m, n = M.shape
-    diag, U, W = _snf(M.rows, n)
+    diag, U, W = _snf(M.rows, n, carry=_identity(m), head=n)
     D = IntMatrix.diagonal(diag, m, n)
     return SnfDecomposition(U=IntMatrix.from_rows(U, ncols=m), D=D, V=IntMatrix.from_columns(W, n))
 
 
 def snf_diagonal(M: IntMatrix) -> list:
     """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    return _snf(M.rows, M.ncols, track="")[0]
+    return _snf(M.rows, M.ncols)[0]
 
 
 def hnf(M: IntMatrix):
@@ -410,11 +430,19 @@ def hnf(M: IntMatrix):
 
 def kernel_basis(M: IntMatrix) -> IntMatrix:
     """Basis of the integer kernel {x : M x = 0}, as columns."""
-    dec = snf(M)
-    diag = dec.diagonal()
+    return _kernel_head(M, M.ncols)
+
+
+def _kernel_head(M: IntMatrix, head: int) -> IntMatrix:
+    """The first ``head`` coordinates of ``kernel_basis(M)``'s columns.
+
+    The kernel is spanned by V's columns past the rank, so only their heads
+    are kept through the elimination, and no U is formed.
+    """
     n = M.ncols
+    diag, _, W = _snf(M.rows, n, head=head)
     free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    return dec.V.select_columns(free)
+    return IntMatrix.from_columns([W[j] for j in free], head)
 
 
 def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
@@ -428,34 +456,42 @@ def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=M.ncols + len(slack))
 
 
-def mod_solver(M: IntMatrix, moduli: Sequence[int]) -> Callable[[Sequence[int]], Optional[list]]:
-    """b ↦ one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
+def solve_mod_many(M: IntMatrix, rhs: Sequence[Sequence[int]], moduli: Sequence[int]) -> List[Optional[list]]:
+    """For each b in ``rhs``, one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
 
-    A modulus of 0 means that row is an exact equation over Z.  The SNF with
-    transforms U·[M | diag(moduli)]·V = D is taken once, here, for every b:
-    M x ≡ b is solvable iff D w = U b is, and x is the head of V w.
+    A modulus of 0 means that row is an exact equation over Z.  One
+    elimination of [M | diag(moduli)] serves every b: each row carries the
+    right-hand sides through the row operations, which gives U·b with no U,
+    and V keeps only the coordinates of the unknowns.  D w = U·b is solvable
+    iff M x ≡ b is, and x = V_head w.
 
-    >>> solve = mod_solver(IntMatrix.from_rows([[2]]), [4])
-    >>> solve([2]), solve([1])
-    ([1], None)
+    >>> M = IntMatrix.from_rows([[2, 0], [0, 3]])
+    >>> solve_mod_many(M, [[2, 3], [1, 0], [0, 6]], [4, 9])
+    [[1, 1], None, [0, 2]]
     """
     m, n = M.shape
-    if len(moduli) != m:
+    if len(moduli) != m or any(len(b) != m for b in rhs):
         raise DimensionMismatch("solve_mod shape mismatch")
-    dec = snf(augment_moduli(M, moduli))
-    diag = dec.diagonal()
-    vrows = dec.V.rows[:n]
-
-    def solve(b: Sequence[int]) -> Optional[list]:
-        if len(b) != m:
-            raise DimensionMismatch("solve_mod shape mismatch")
-        c = dec.U.apply(list(b))
+    if not rhs:
+        return []
+    aug = augment_moduli(M, moduli)
+    carry = [list(col) for col in zip(*rhs)] if m else None
+    diag, left, W = _snf(aug.rows, aug.ncols, carry=carry, head=n)
+    out: List[Optional[list]] = []
+    for t in range(len(rhs)):
+        c = [row[t] for row in left]
         if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag) :]):
-            return None
-        w = [ci // d if d else 0 for ci, d in zip(c, diag)]
-        return [sum(a * x for a, x in zip(r, w) if a) for r in vrows]
-
-    return solve
+            out.append(None)
+            continue
+        x = [0] * n
+        for ci, d, col in zip(c, diag, W):
+            if ci:
+                w = ci // d
+                for i, v in enumerate(col):
+                    if v:
+                        x[i] += w * v
+        out.append(x)
+    return out
 
 
 def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
@@ -463,11 +499,10 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
 
     A modulus of 0 means that row is an exact equation over Z.  Returns one
     solution vector or None when the system has no solution.  One right-hand
-    side, one factorization: a caller with many takes one ``mod_solver``.
+    side, one elimination: a caller with many passes them all to
+    ``solve_mod_many``.
     """
-    if len(b) != M.nrows or len(moduli) != M.nrows:
-        raise DimensionMismatch("solve_mod shape mismatch")
-    return mod_solver(M, moduli)(b)
+    return solve_mod_many(M, [b], moduli)[0]
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

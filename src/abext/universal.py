@@ -39,7 +39,7 @@ from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
-from .intlin import IntMatrix, mod_solver
+from .intlin import IntMatrix, solve_mod_many
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -450,10 +450,10 @@ def cyclic_generation_check(
     rng = random.Random(seed)
     witnesses = []
     carrier_mods = ext_big.carrier.moduli()
-    solve = mod_solver(m.matrix, carrier_mods)
-    for _ in range(samples):
-        target = tuple(rng.randrange(md) if md else rng.randrange(-9, 10) for md in carrier_mods)
-        x = solve(target)
+    targets = [
+        tuple(rng.randrange(md) if md else rng.randrange(-9, 10) for md in carrier_mods) for _ in range(samples)
+    ]
+    for target, x in zip(targets, solve_mod_many(m.matrix, targets, carrier_mods)):
         if x is None:
             return CyclicGenerationResult(False, "no γ for a sampled class", ())
         gamma = H.recompose(x)

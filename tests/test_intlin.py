@@ -10,16 +10,18 @@ from abext.intlin import (
     DimensionMismatch,
     _snf,
     IntMatrix,
+    augment_moduli,
     det,
     json_str,
     hnf,
     kernel_basis,
     rank_mod_p,
-    mod_solver,
     snf,
     snf_diagonal,
     solve_mod,
+    solve_mod_many,
 )
+from abext import intlin
 
 
 def entries_gcd(M):
@@ -151,7 +153,7 @@ def _in_column_lattice(M, b, moduli):
     return not any(v)
 
 
-def test_mod_solver_matches_fresh_solves():
+def test_batched_solves_match_one_at_a_time_solve_mod():
     rng = random.Random(17)
     answered = unsolvable = 0
     for _ in range(60):
@@ -162,10 +164,8 @@ def test_mod_solver_matches_fresh_solves():
             M, m = IntMatrix.from_rows(rows, ncols=n), m + 1
         # free rows (0) among mixed moduli, so some right-hand sides have no solution
         moduli = [rng.choice([0, 0, 0, 2, 3, 4, 6, 9]) for _ in range(m)]
-        solve = mod_solver(M, moduli)
-        for _ in range(8):
-            b = [rng.randint(-9, 9) for _ in range(m)]
-            x = solve(b)
+        rhs = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(8)]
+        for b, x in zip(rhs, solve_mod_many(M, rhs, moduli)):
             assert x == solve_mod(M, b, moduli)
             if x is None:
                 unsolvable += 1
@@ -176,13 +176,73 @@ def test_mod_solver_matches_fresh_solves():
     assert answered > 100 and unsolvable > 100
     # inconsistent right-hand sides give None, consistent ones the same vector
     M = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
-    solve = mod_solver(M, [4, 0, 5])
-    assert solve([1, 0, 0]) is None and solve([0, 1, 0]) is None and solve([0, 0, 1]) is None
-    assert solve([2, 3, 5]) == solve_mod(M, [2, 3, 5], [4, 0, 5]) == [1, 1]
+    got = solve_mod_many(M, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 5]], [4, 0, 5])
+    assert got == [None, None, None, [1, 1]] and solve_mod(M, [2, 3, 5], [4, 0, 5]) == [1, 1]
     with pytest.raises(DimensionMismatch):
-        mod_solver(IntMatrix.from_rows([[1, 2]]), [3, 4])
+        solve_mod_many(IntMatrix.from_rows([[1, 2]]), [], [3, 4])
     with pytest.raises(DimensionMismatch):
-        solve([1, 2])
+        solve_mod_many(M, [[1, 0, 0], [1, 2]], [4, 0, 5])
+
+
+def _solve_through_u(M, b, moduli):
+    """The solve as it was before right-hand sides were carried: the SNF with
+    both transforms of [M | diag(moduli)], then U·b, then V's first n rows."""
+    dec = snf(augment_moduli(M, moduli))
+    diag = dec.diagonal()
+    c = dec.U.apply(list(b))
+    if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag) :]):
+        return None
+    w = [ci // d if d else 0 for ci, d in zip(c, diag)]
+    return [sum(a * x for a, x in zip(r, w) if a) for r in dec.V.rows[: M.ncols]]
+
+
+def _carried_solve_cases():
+    rng = random.Random(151)
+    yield IntMatrix.zeros(0, 3), []  # no equations: x = 0
+    yield IntMatrix.zeros(3, 0), [4, 0, 6]  # no unknowns: b must vanish
+    yield IntMatrix.zeros(4, 0), [0, 0, 0, 0]
+    for _ in range(40):
+        m, n = rng.randint(1, 7), rng.randint(1, 6)
+        M = _dense(rng, m, n)
+        if rng.random() < 0.4:  # rank-deficient: a row that is a sum of two others
+            rows = [list(r) for r in M.rows] + [[a + b for a, b in zip(M.rows[0], M.rows[-1])]]
+            M, m = IntMatrix.from_rows(rows, ncols=n), m + 1
+        pool = rng.choice(([0], [0, 0, 2, 3, 4, 6, 9], [2, 3, 4, 5, 6, 8, 9, 12]))  # exact, mixed, all nonzero
+        yield M, [rng.choice(pool) for _ in range(m)]
+
+
+def test_carried_solve_equals_the_solve_through_u(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a solve formed U")
+
+    real = intlin._snf
+    widths = []
+
+    def carried(rows, ncols, carry=None, head=0, inverse=False):
+        widths.append({len(c) for c in carry or ()})
+        return real(rows, ncols, carry, head, inverse)
+
+    rng = random.Random(152)
+    answers = []
+    for M, moduli in _carried_solve_cases():
+        m, n = M.shape
+        rhs = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(6)]
+        for _ in range(3):  # planted, so solvable
+            x0 = [rng.randint(-5, 5) for _ in range(n)]
+            rhs.append([v % md if md else v for v, md in zip(M.apply(x0), moduli)])
+        want = [_solve_through_u(M, b, moduli) for b in rhs]
+        widths.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(intlin, "snf", refuse)
+            patch.setattr(intlin, "hnf", refuse)
+            patch.setattr(intlin, "_snf", carried)
+            assert solve_mod_many(M, rhs, moduli) == want
+            assert [solve_mod(M, b, moduli) for b in rhs] == want
+            assert solve_mod_many(M, [], moduli) == []
+        # one elimination per call, each row carrying the right-hand sides and no row of U
+        assert widths == [{len(rhs)} if m else set()] + [{1} if m else set()] * len(rhs)
+        answers += want
+    assert sum(x is None for x in answers) > 60 and sum(x is not None for x in answers) > 150
 
 
 def test_kernel_basis():
@@ -192,6 +252,30 @@ def test_kernel_basis():
     for j in range(K.ncols):
         col = [K.entry(i, j) for i in range(3)]
         assert sum(a * b for a, b in zip([1, 2, 3], col)) == 0
+
+
+def test_kernel_basis_is_snfs_v_on_the_free_columns(monkeypatch):
+    rng = random.Random(190)
+    cases = [IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), IntMatrix.zeros(2, 4), IntMatrix.identity(3)]
+    cases += [_dense(rng, m, n) for m, n in ((1, 3), (3, 5), (5, 3), (6, 6))]
+    cases += [_of_rank(rng, m, n, r) for m, n, r in ((6, 6, 3), (4, 7, 2), (7, 5, 4))]
+    real = intlin._snf
+
+    def uncarried(rows, ncols, carry=None, head=0, inverse=False):
+        assert carry is None and head == ncols and not inverse  # no U, all of V
+        return real(rows, ncols, carry, head, inverse)
+
+    for M in cases:
+        # the kernel as it was taken before: V of the SNF with both transforms
+        dec = snf(M)
+        diag = dec.diagonal()
+        want = dec.V.select_columns([j for j in range(M.ncols) if j >= len(diag) or diag[j] == 0])
+        with monkeypatch.context() as patch:
+            patch.setattr(intlin, "snf", None)
+            patch.setattr(intlin, "_snf", uncarried)
+            got = kernel_basis(M)
+        assert got == want
+        assert (M * got).is_zero()
 
 
 def test_hnf_properties():
@@ -387,7 +471,7 @@ def test_snf_tracking_v_inverse_gives_snf_v_and_its_exact_inverse():
     cases += [M for M, _ in _shape_matrices()]
     for M in cases:
         n = M.ncols
-        diag, vinv, vcols = _snf(M.rows, n, track="Vinv")
+        diag, vinv, vcols = _snf(M.rows, n, head=n, inverse=True)
         dec = snf(M)
         assert diag == dec.diagonal()
         V = IntMatrix.from_columns(vcols, n)

@@ -151,18 +151,19 @@ def test_inverses_refuse_empty_and_mismatched_families(inverse):
 
 def test_each_system_is_factored_once(monkeypatch):
     calls = []
-    real_snf = intlin.snf
+    real_snf = intlin._snf
 
-    def counting_snf(M):
-        calls.append(M.shape)
-        return real_snf(M)
+    def counting_snf(rows, n, carry=None, head=0, inverse=False):
+        calls.append((len(rows), n))
+        return real_snf(rows, n, carry, head, inverse)
 
     A = FinGenAb(0, (2, 2, 4, 4))
     seq = realize(ExtClass(A, Z4, (1, 0, 3, 2)))
     cert = build_universal_extension(Z2, Z2)
     G = FinGenAb(0, (2, 4, 4))
     square = pullback(AbMap.identity(G), AbMap.identity(G))
-    monkeypatch.setattr(intlin, "snf", counting_snf)
+    monkeypatch.setattr(intlin, "_snf", counting_snf)
+    monkeypatch.setattr(intlin, "snf", None)  # a solve forms no U
 
     # one factorization of [g | diag(A)] and one of [f | diag(E)]
     assert classify(seq) == ExtClass(A, Z4, (1, 0, 3, 2))
@@ -294,11 +295,13 @@ def test_independent_audit_of_every_pair_up_to_order_8_with_x_up_to_32():
     assert audited == 98
 
 
+# Every certificate of order at most 8 with |X| = 64, in both directions.
 @pytest.mark.parametrize(
     "direction, B, A",
     [
-        ("extension", FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 2))),
-        ("coextension", FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 2))),
+        (direction, FinGenAb(0, B), FinGenAb(0, A))
+        for B, A in (((2, 4), (2, 2, 2)), ((2, 2, 2), (2, 4)), ((2, 2), (2, 2, 2)), ((2, 2, 2), (2, 2)))
+        for direction in ("extension", "coextension")
     ],
 )
 def test_independent_audit_at_x_64(direction, B, A):
