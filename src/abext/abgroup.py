@@ -292,33 +292,39 @@ def _primes(moduli: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted({p for m in set(moduli) if m for p in prime_factors(m)}))
 
 
-def invariant_factor_blocks(moduli: Sequence[int]) -> List[List[Tuple[int, int]]]:
-    """Regroup ⊕ Z(m_i), every m_i >= 2, into its invariant factors, prime by prime.
+def _prime_runs(counts: Dict[int, int]):
+    """Regroup ⊕ Z(m)^counts[m], every m >= 2, into its invariant factors, prime by prime.
 
-    Returns one block per invariant factor, ascending: the pairs (i, q) of
-    the prime-power parts q of Z(m_i) whose product is that factor.  Equal
-    parts are placed in order of (m_i, i), so moduli that already form a
-    chain keep each m_i whole, in the place a stable sort gives it.
+    Returns ``(factors, runs)``: the invariant factors, ascending, and one run
+    ``(q, m, pos)`` per prime-power part q of each modulus m, whose counts[m]
+    copies fill the factors at positions pos, pos + 1, ...  Per prime the parts
+    go in order of (q, m), so moduli that already form a chain keep each m
+    whole, in the place a stable sort gives it.  The work is per distinct
+    modulus, plus one multiplication per part.
     """
     per_prime: Dict[int, list] = {}
-    parts_of: Dict[int, List[Tuple[int, int]]] = {}
-    for i, m in enumerate(moduli):
-        if m not in parts_of:
-            parts_of[m] = [(p, p ** _pval(m, p)) for p in prime_factors(m)]
-        for p, q in parts_of[m]:
-            per_prime.setdefault(p, []).append((q, m, i))
-    k = max((len(parts) for parts in per_prime.values()), default=0)
-    blocks: List[List[Tuple[int, int]]] = [[] for _ in range(k)]
+    for m in counts:
+        for p in prime_factors(m):
+            per_prime.setdefault(p, []).append((p ** _pval(m, p), m))
+    k = max((sum(counts[m] for _, m in parts) for parts in per_prime.values()), default=0)
+    factors, runs = [1] * k, []
     for parts in per_prime.values():
         parts.sort()
-        for pos, (q, _m, i) in enumerate(parts, start=k - len(parts)):
-            blocks[pos].append((i, q))
-    return blocks
+        pos = k - sum(counts[m] for _, m in parts)
+        for q, m in parts:
+            end = pos + counts[m]
+            factors[pos:end] = [F * q for F in factors[pos:end]]
+            runs.append((q, m, pos))
+            pos = end
+    return factors, runs
 
 
 def invariant_factors_of(prime_powers: Sequence[int]) -> Tuple[int, ...]:
     """Invariant factors of ⊕ Z(q) over prime powers q >= 2."""
-    return tuple(math.prod(q for _, q in block) for block in invariant_factor_blocks(prime_powers))
+    counts: Dict[int, int] = {}
+    for q in prime_powers:
+        counts[q] = counts.get(q, 0) + 1
+    return tuple(_prime_runs(counts)[0])
 
 
 def _pval(n: int, p: int) -> int:
@@ -339,22 +345,33 @@ def cyclic_sum(moduli: Sequence[int]):
     moduli need not form a divisibility chain; when they do, this is the
     stable sort by modulus.  Free summands come last, in input order.
 
+    The summands are grouped by modulus, so prime parts, their order and the
+    idempotents are found once per distinct modulus; a summand of prime-power
+    order has one place and one lift entry, written directly.
+
     >>> cyclic_sum([2, 3])
     (FinGenAb(free_rank=0, invariant_factors=(6,)), [{0: 3}, {0: 4}], [{0: 1, 1: 1}])
     """
-    torsion = [i for i, m in enumerate(moduli) if m > 1]
-    free = [i for i, m in enumerate(moduli) if m == 0]
-    blocks = invariant_factor_blocks([moduli[i] for i in torsion])
-    factors = [math.prod(q for _, q in block) for block in blocks]
+    by_mod: Dict[int, List[int]] = {}
+    for i, m in enumerate(moduli):
+        by_mod.setdefault(m, []).append(i)
+    free = by_mod.pop(0, [])
+    by_mod = {m: idx for m, idx in by_mod.items() if m > 1}
+    factors, runs = _prime_runs({m: len(idx) for m, idx in by_mod.items()})
     place: List[Dict[int, int]] = [{} for _ in moduli]
-    lift: List[Dict[int, int]] = []
-    for k, (F, block) in enumerate(zip(factors, blocks)):
-        row: Dict[int, int] = {}
-        for t, q in block:
-            i = torsion[t]
-            row[i] = (row.get(i, 0) + _idempotent(moduli[i], q)) % moduli[i]
-            place[i][k] = (place[i].get(k, 0) + _idempotent(F, q)) % F
-        lift.append(row)
+    lift: List[Dict[int, int]] = [{} for _ in factors]
+    for q, m, pos in runs:
+        if m == q:  # Z(q) is its own q-part: idempotent 1 in Z(m), and no other part to add
+            for k, i in enumerate(by_mod[m], pos):
+                F = factors[k]
+                lift[k][i] = 1
+                place[i][k] = 1 if F == q else _idempotent(F, q)
+            continue
+        e = _idempotent(m, q)
+        for k, i in enumerate(by_mod[m], pos):
+            F, row, col = factors[k], lift[k], place[i]
+            row[i] = (row.get(i, 0) + e) % m
+            col[k] = (col.get(k, 0) + _idempotent(F, q)) % F
     for k, i in enumerate(free, start=len(factors)):
         place[i][k] = 1
         lift.append({i: 1})
@@ -512,18 +529,18 @@ class AbMap:
         if len(self.cols) != self.source.dim:
             raise DimensionMismatch(f"map has {len(self.cols)} columns, not {self.source.dim}")
         cols = []
-        for j, (col, s) in enumerate(zip(self.cols, self.source.moduli())):
+        for col, s in zip(self.cols, self.source.moduli()):  # column len(cols)
             out = {}
             for i, v in col.items():
                 if not 0 <= i < n:
-                    raise DimensionMismatch(f"column {j} has row {i}, past target dimension {n}")
+                    raise DimensionMismatch(f"column {len(cols)} has row {i}, past target dimension {n}")
                 m = tmods[i]
                 if m:
                     v %= m
                 if v:
                     # s·v ≡ 0 mod m; into a free row (m = 0) only a free column may map
                     if s * v % m if m else s:
-                        raise DomainError(f"map not well defined: {s} * column {j} not in target relations")
+                        raise DomainError(f"map not well defined: {s} * column {len(cols)} not in target relations")
                     out[i] = v
             cols.append(out)
         object.__setattr__(self, "cols", tuple(cols))
@@ -710,11 +727,23 @@ def is_mono_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     per socle generator, over the targets p divides, read off the nonzero cells
     shifted by p^(a - b) for target and source valuations a and b.  Only the
     first len(smod) columns are read, so a source with free rank is tested on
-    its torsion generators."""
+    its torsion generators.  When p divides every source and target modulus
+    to the same power, every shift is 1 and the columns are the rows."""
+    mods = set(smod).union(tmod)
     for p in _primes(smod):
-        val = {m: _pval(m, p) for m in set(smod).union(tmod) if m and m % p == 0}
-        shifts = {s: {m: p ** (a - b) for m, a in val.items() if b <= a} for s, b in val.items()}
-        mat = [{i: v // d for i, v in col.items() if (d := shifts[s].get(tmod[i]))} for col, s in zip(cols, smod) if s in shifts]
+        val = {m: _pval(m, p) for m in mods if m and m % p == 0}
+        if len(val) == len(mods) and len(set(val.values())) == 1:
+            mat = cols[: len(smod)]
+        else:
+            shifts = {s: {m: p ** (a - b) for m, a in val.items() if b <= a} for s, b in val.items()}
+            mat = []
+            for col, s in zip(cols, smod):
+                if (shift := shifts.get(s)) is not None:
+                    row = {}
+                    for i, v in col.items():
+                        if d := shift.get(tmod[i]):
+                            row[i] = v // d
+                    mat.append(row)
         if rank_mod_p(mat, len(tmod), p) < len(mat):
             return False
     return True

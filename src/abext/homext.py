@@ -290,8 +290,11 @@ class ShortExactSeq:
         f, g = self.f, self.g
         if f.target != g.source:
             raise NotExactSequence("middle objects disagree")
-        if not (g @ f).is_zero():
-            raise NotExactSequence("g ∘ f is not zero")
+        gcols, amods = g.cols, g.target.moduli()
+        for col in f.cols:  # g ∘ f, one column at a time, with no map built
+            for i, x in sparse_image(gcols, col).items():
+                if x % amods[i] if amods[i] else x:
+                    raise NotExactSequence("g ∘ f is not zero")
         if not is_mono(f):
             raise NotExactSequence("f is not a monomorphism")
         if not is_epi(g):
@@ -384,12 +387,13 @@ def realize(c: ExtClass) -> ShortExactSeq:
     esplit_at = {i: place[nc + k] for k, i in enumerate(esplit)}
     tsplit_at = {j: place[nc + len(esplit) + k] for k, j in enumerate(tsplit)}
 
-    # f sends a first generator to its core image minus its group's splits,
-    # and a later one to its own split.
-    minus: Dict[int, list] = {}
+    # f sends a later generator to its own split, and a first one to its core
+    # image (a fresh dict) minus its group's splits.
+    fcols = [esplit_at[i] if i in esplit_at else img[ce[i]] for i in range(nB)]
     for i in esplit:
-        minus.setdefault(efirst[i], []).append((-1, esplit_at[i]))
-    fcols = [esplit_at[i] if i in esplit_at else sparse_sum([(1, img[ce[i]])] + minus.get(i, [])) for i in range(nB)]
+        col = fcols[efirst[i]]
+        for k, x in esplit_at[i].items():
+            col[k] = col.get(k, 0) - x
     # g reads a core generator's lift on the core lifts; a split of B maps to
     # 0 and a split lift t_k − t_j to a_k − a_j.
     ne = len(core_e)
@@ -397,14 +401,30 @@ def realize(c: ExtClass) -> ShortExactSeq:
     gimg += [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
     gcols = [sparse_image(gimg, row) for row in lift]
 
-    emods = E.moduli()
-    for j, d in enumerate(A.invariant_factors):
-        v, a, b = (tsplit_at[j], {j: 1, tfirst[j]: -1}, ()) if j in tsplit_at else (img[ct[j]], {j: 1}, twists[j])
-        hit = sparse_sum([(1, sparse_image(gcols, v)), (-1, a)])
-        twist = sparse_sum([(d, v)] + [(-x, fcols[i]) for i, x in enumerate(b) if x])
+    emods, dA = E.moduli(), A.invariant_factors
+    for j in kept_rows:
+        v, d = img[ct[j]], dA[j]
+        hit = sparse_sum([(1, sparse_image(gcols, v)), (-1, {j: 1})])
+        twist = sparse_sum([(d, v)] + [(-x, fcols[i]) for i, x in enumerate(twists[j]) if x])
         if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
-            raise DomainError("realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)")
+            raise DomainError(_BROKEN_LIFT)
+    for j in tsplit:
+        if j >= len(dA):  # free lifts come last and carry no relation
+            break
+        d, hit = dA[j], {j: -1, tfirst[j]: 1}
+        for k, x in tsplit_at[j].items():
+            m = emods[k]
+            if d * x % m if m else x:
+                raise DomainError(_BROKEN_LIFT)
+            for a, y in gcols[k].items():
+                hit[a] = hit.get(a, 0) + x * y
+        for a, x in hit.items():
+            if x % amods[a] if amods[a] else x:
+                raise DomainError(_BROKEN_LIFT)
     return ShortExactSeq(AbMap(B, E, fcols), AbMap(E, A, gcols))
+
+
+_BROKEN_LIFT = "realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)"
 
 
 def _firsts(keys: Sequence) -> List[int]:

@@ -531,26 +531,38 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
     over F_2 each row becomes a bitmask, and for odd p each row is reduced
     against pivots keyed by their last column.
 
-    Rows go sparsest first, so a row with one entry is a pivot at once.
-    Pivots are keyed by the last column, not the first, because the
-    certificate maps send a split generator to e_s - e_first with ``first``
-    the lowest slot of its key: keyed by the first column, each split of a
-    key would be reduced through the one before it.
+    A row whose single entry is a unit mod p is its own pivot, and its column
+    drops out of every other row: that is the first step of structured
+    Gaussian elimination (LaMacchia–Odlyzko 1990), and it takes the split
+    slots of a universal (co)extension, unit vectors, off the elimination.
+    The other rows go sparsest first, and their pivots are keyed by the last
+    column, not the first, because the certificate maps send a split
+    generator to e_s - e_first with ``first`` the lowest slot of its key:
+    keyed by the first column, each split of a key would be reduced through
+    the one before it.
 
     >>> rank_mod_p([{0: 1, 2: 1}, {1: -1}, {0: 3, 1: 2, 2: 3}], 3, 3)
     2
     """
-    rows = sorted(rows, key=len)
-    if p == 2:
-        masks = [0] * len(rows)
-        for k, r in enumerate(rows):
-            for j, v in r.items():
-                if v & 1:
-                    masks[k] |= 1 << j
-        return rank_gf2(masks)
-    pivots: Dict[int, Dict[int, int]] = {}
+    units, rest = set(), []
     for r in rows:
-        row = {j: v % p for j, v in r.items() if v % p}
+        if len(r) == 1:
+            for j, v in r.items():
+                if v % p:
+                    units.add(j)
+        elif r:
+            rest.append(r)
+    rest.sort(key=len)
+    if p == 2:
+        masks = [0] * len(rest)
+        for k, r in enumerate(rest):
+            for j, v in r.items():
+                if v & 1 and j not in units:
+                    masks[k] |= 1 << j
+        return len(units) + rank_gf2(masks)
+    pivots: Dict[int, Dict[int, int]] = {}
+    for r in rest:
+        row = {j: v % p for j, v in r.items() if v % p and j not in units}
         while row:
             last = max(row)
             pivot = pivots.get(last)
@@ -565,4 +577,4 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
                     row[j] = w
                 else:
                     del row[j]
-    return len(pivots)
+    return len(units) + len(pivots)

@@ -25,7 +25,6 @@ from abext.abgroup import (
     dense_matrix,
     diagonal,
     direct_sum,
-    invariant_factor_blocks,
     is_epi,
     is_prime,
     is_epi_mod,
@@ -230,6 +229,72 @@ def test_cyclic_sum_matches_snf():
         torsion = sorted(m for m in mods if m > 1)
         if all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
             assert (dense_matrix(hplace, H.dim), dense_matrix(hlift, len(mods))) == (P, L)
+
+
+def _cyclic_sum_oracle(moduli):
+    """``cyclic_sum`` as it was before summands were grouped by modulus: every
+    summand's prime parts, sorted per prime by (part, modulus, index), each
+    idempotent added in its own step."""
+    torsion = [i for i, m in enumerate(moduli) if m > 1]
+    free = [i for i, m in enumerate(moduli) if m == 0]
+    per_prime = {}
+    for t, i in enumerate(torsion):
+        m = moduli[i]
+        for p in prime_factors(m):
+            q = p ** abgroup._pval(m, p)
+            per_prime.setdefault(p, []).append((q, m, t))
+    k = max((len(parts) for parts in per_prime.values()), default=0)
+    blocks = [[] for _ in range(k)]
+    for parts in per_prime.values():
+        parts.sort()
+        for pos, (q, _m, t) in enumerate(parts, start=k - len(parts)):
+            blocks[pos].append((t, q))
+    factors = [math.prod(q for _, q in block) for block in blocks]
+    place = [{} for _ in moduli]
+    lift = []
+    for k, (F, block) in enumerate(zip(factors, blocks)):
+        row = {}
+        for t, q in block:
+            i = torsion[t]
+            row[i] = (row.get(i, 0) + abgroup._idempotent(moduli[i], q)) % moduli[i]
+            place[i][k] = (place[i].get(k, 0) + abgroup._idempotent(F, q)) % F
+        lift.append(row)
+    for k, i in enumerate(free, start=len(factors)):
+        place[i][k] = 1
+        lift.append({i: 1})
+    return FinGenAb(len(free), tuple(factors)), place, lift
+
+
+def test_cyclic_sum_matches_the_ungrouped_oracle():
+    """Same group, place and lift values as the summand-by-summand regrouping
+    (dict order may differ), and placing the lifts is the identity modulo the
+    group's moduli."""
+    rng = random.Random(23)
+    pools = [
+        [0, 1, 2, 4, 8, 3, 9, 5, 25, 7],  # 0, 1 and prime powers
+        [0, 1, 2, 3, 4, 5, 6, 10, 15, 30, 12, 60, 9, 45],  # mixed moduli
+        [2, 6, 10, 30],
+    ]
+    lists = []
+    for case in range(3000):
+        pool = pools[case % 3]
+        mods = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+        if mods and case % 4 == 0:  # repeats
+            mods += [rng.choice(mods) for _ in range(rng.randint(1, 6))]
+            rng.shuffle(mods)
+        lists.append(mods)
+    for m in (2, 6, 30, 0, 1):  # runs of at least 1,000 equal moduli, alone and mixed in
+        lists.append([m] * 1000)
+        mixed = [m] * 1200 + [rng.choice(pools[1]) for _ in range(30)]
+        rng.shuffle(mixed)
+        lists.append(mixed)
+    for mods in lists:
+        G, place, lift = cyclic_sum(mods)
+        assert (G, place, lift) == _cyclic_sum_oracle(mods), mods
+        gmods = G.moduli()
+        for k, vec in enumerate(lift):
+            image = {i: x % gmods[i] if gmods[i] else x for i, x in sparse_image(place, vec).items()}
+            assert {i: x for i, x in image.items() if x} == {k: 1}, mods
 
 
 def test_diagonal_codiagonal():
@@ -591,12 +656,12 @@ def test_group_enumeration():
     assert abelian_groups_of_order(1) == [ZERO_GROUP]
 
 
-def test_invariant_factor_blocks():
-    # moduli that chain stay whole, in stable-sort order
-    assert invariant_factor_blocks([6, 2, 2]) == [[(1, 2)], [(2, 2)], [(0, 2), (0, 3)]]
-    # Z(2) + Z(3) + Z(3) + Z(6) = Z(3) + Z(6) + Z(6), regrouped by prime
-    assert invariant_factor_blocks([2, 3, 3, 6]) == [[(1, 3)], [(0, 2), (2, 3)], [(3, 2), (3, 3)]]
-    assert invariant_factor_blocks([]) == []
+def test_prime_runs():
+    # moduli that chain stay whole, in stable-sort order: Z(2)^2 + Z(6) = Z(2) + Z(2) + Z(6)
+    assert abgroup._prime_runs({6: 1, 2: 2}) == ([2, 2, 6], [(2, 2, 0), (2, 6, 2), (3, 6, 2)])
+    # Z(2) + Z(3)^2 + Z(6) = Z(3) + Z(6) + Z(6), regrouped by prime
+    assert abgroup._prime_runs({2: 1, 3: 2, 6: 1}) == ([3, 6, 6], [(2, 2, 1), (2, 6, 2), (3, 3, 0), (3, 6, 2)])
+    assert abgroup._prime_runs({}) == ([], [])
 
 
 def test_mod_quotient():

@@ -15,6 +15,7 @@ from abext.abgroup import (
     dense_matrix,
     is_epi,
     kernel,
+    sparse_sum,
 )
 from abext.homext import (
     connecting_hom_dual,
@@ -154,10 +155,21 @@ def _place(k, x, target):
     return corrupt
 
 
+def _add_place(k, x, target):
+    """The k-th summand's place plus x times the place of summand ``target``."""
+
+    def corrupt(place):
+        place[k] = sparse_sum([(1, place[k]), (x, place[target])])
+
+    return corrupt
+
+
+# 4 times the Z(16) generator is in ker g (4·A = 0) and has order 4, so the
+# split lift it is added to keeps g(s) = a_k − a_j and breaks 2·s = 0.
 @pytest.mark.parametrize(
     "corrupt",
-    [_place(-1, 2, -1), _place(-1, 1, 0), _place(1, 2, 1), _place(0, 1, 1)],
-    ids=["split-lift-times-2", "split-lift-at-core", "core-lift-times-2", "core-lift-at-other"],
+    [_place(-1, 2, -1), _place(-1, 1, 0), _add_place(-1, 4, 1), _place(1, 2, 1), _place(0, 1, 1)],
+    ids=["split-lift-times-2", "split-lift-at-core", "split-lift-order-4", "core-lift-times-2", "core-lift-at-other"],
 )
 def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, corrupt):
     real = homext.cyclic_sum

@@ -344,6 +344,40 @@ def test_rank_mod_p_matches_dense_gauss_jordan():
     assert ranks == {(True, False), (False, False), (True, True), (False, True)}
 
 
+def test_rank_mod_p_with_single_entry_rows_matches_dense_gauss_jordan():
+    """Rows of one entry are peeled off as pivots when that entry is a unit mod
+    p; the cross-check covers non-unit single entries, several single-entry
+    rows in one column, negative entries, explicit zeros, and general rows
+    that touch the peeled columns."""
+    assert rank_mod_p([{0: 3}, {0: -3}, {0: 6}], 1, 3) == 0  # single entries that are not units
+    assert rank_mod_p([{0: -1}, {0: 2}, {0: 1, 1: 0}, {1: 5}], 2, 5) == 1
+    assert rank_mod_p([{0: 1}, {0: 1, 1: 2}, {1: 7, 0: 0}], 2, 7) == 2
+    rng = random.Random(29)
+    peeled = 0
+    for case in range(800):
+        p = (2, 3, 5, 7)[case % 4]
+        n = rng.randint(1, 10)
+        dense = []
+        for _ in range(rng.randint(0, 12)):
+            row = [0] * n
+            if rng.random() < 0.6:  # a single entry: a unit, a multiple of p, or negative
+                row[rng.randrange(min(n, 3))] = rng.choice((1, -1, p, -p, 2 * p, rng.randint(-3 * p, 3 * p)))
+            else:
+                for j in range(n):
+                    if rng.random() < 0.4:
+                        row[j] = rng.randint(-3 * p, 3 * p)
+            dense.append(row)
+        sparse = []
+        for row in dense:
+            cells = {j: v for j, v in enumerate(row) if v}
+            if rng.random() < 0.2:  # an explicit zero, which makes a single entry a row of two
+                cells = {rng.randrange(n): 0, **cells}
+            sparse.append(cells)
+        peeled += sum(1 for r in sparse if len(r) == 1 and next(iter(r.values())) % p)
+        assert rank_mod_p(sparse, n, p) == dense_rank_mod_p(dense, n, p), (p, dense)
+    assert peeled > 1000
+
+
 def test_mul_matches_triple_loop():
     rng = random.Random(19)
     shapes = [(2, 0, 3), (0, 3, 2), (3, 2, 0), (1, 1, 1)] + [(rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)) for _ in range(40)]

@@ -183,12 +183,17 @@ def test_each_system_is_factored_once(monkeypatch):
 
 
 def test_degenerate_certificate():
+    # X = Ext^1 is trivial, so it is the zero class alone: |X| = 1
     cert = build_universal_extension(Z2, Z3)
     assert cert.degenerate and cert.all_pass
-    assert len(cert.X) == 0
+    assert cert.X == (ExtClass(Z2, Z3, (0,)),)
+    assert cert.to_json()["X_size"] == 1
     assert cert.sequence.middle == Z3
     co = build_universal_coextension(Z2, Z3)
     assert co.degenerate and co.all_pass
+    assert co.X == (ExtClass(Z3, Z2, (0,)),)
+    free = build_universal_extension(FinGenAb(1, ()), Z2)  # Ext^1(Z, -) = 0 has no coordinates
+    assert free.degenerate and free.X == (ExtClass(FinGenAb(1, ()), Z2, ()),)
 
 
 def test_certificate_z2_z2():
@@ -427,6 +432,17 @@ def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
+def test_coextension_read_back_catches_misplaced_slots(monkeypatch):
+    """The co-extension builder reads every class back from γ before it
+    realizes γ; a γ with its slots out of place is refused."""
+    real = universal._reduced_class
+    B, A = FinGenAb(0, (2, 4)), Z2
+    assert build_universal_coextension(B, A).all_pass
+    monkeypatch.setattr(universal, "_reduced_class", lambda A_, B_, coords: real(A_, B_, coords[::-1]))
+    with pytest.raises(DomainError, match="Φ does not reproduce the inputs"):
+        build_universal_coextension(B, A)
+
+
 def test_power_group_numbers_the_slots_as_cyclic_sum():
     # B^(n) and its slot numbering read off B's runs equal the canonical
     # form of the n copies, for B with free rank and mixed primes.
@@ -646,14 +662,14 @@ def test_closure_properties():
 def test_closure_law_on_sums_up_to_order_4(build, verify):
     """|X(B1 ⊕ B2, A)| = |X(B1, A)|·|X(B2, A)|, as Ext^1 turns the sum in B
     into a product, and the certificate of the sum passes the checks the
-    builder does not share.  A degenerate certificate has |X| = 1."""
+    builder does not share."""
     pool = abelian_groups_up_to_order(4)
     certs = {}
 
     def size(B, A):
         if (B, A) not in certs:
             certs[B, A] = build(B, A)
-        return 1 if certs[B, A].degenerate else len(certs[B, A].X)
+        return len(certs[B, A].X)
 
     sums = set()
     for B1, B2, A in itertools.product(pool, repeat=3):
