@@ -19,6 +19,14 @@ kernels.  V's columns are kept on their leading coordinates only: all of
 them for ``snf`` and ``canonicalize``, the unknowns for a solve or a
 preimage lattice, none for ``snf_diagonal``.  ``canonicalize`` also keeps
 V^-1, by undoing each column operation.
+
+The elimination pays for nonzero cells only.  A row or column operation
+walks the nonzero support of the row or column it subtracts (listed at C
+speed by ``itertools.compress``, once per pass and only once a quotient is
+nonzero), and the pivot search and the divisibility check skip zeros at C
+speed.  The pivots, quotients and swaps are those of the loops that visit
+every cell, so every result is the same; the tests keep those loops as an
+oracle.
 """
 
 from __future__ import annotations
@@ -257,17 +265,25 @@ def _sweep(a, t, c):
     least nonzero remainder becomes the pivot row of the next sweep, until
     none is left (after Havas–Majewski–Matthews 1998).  Rows from t on must
     be zero left of c; a row may carry its row of the transform on the right.
+
+    A row operation walks only the nonzero cells of row t, which all lie at
+    or right of c, listed once per sweep and only once some quotient is
+    nonzero; subtracting a multiple of a zero changes nothing, so the result
+    is that of the loop over every cell.
     """
     while True:
         at = a[t]
         p = at[c]
+        cells = None
         best = least = 0
         for i, ai in enumerate(a[t + 1 :], t + 1):
             x = ai[c]
             if x:
                 q = (2 * x + p) // (2 * p)
                 if q:
-                    for k in range(c, len(ai)):
+                    if cells is None:
+                        cells = list(compress(range(len(at)), at))
+                    for k in cells:
                         ai[k] -= q * at[k]
                     x -= q * p
                 if x and (not best or abs(x) < least):
@@ -303,6 +319,13 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
     each column operation on V undone on them.  ``a`` is the block not yet
     diagonal, pivot at (0, 0), each row followed by its carried row; W holds
     V's columns and Z V^-1's rows.
+
+    Cost: each row or column operation walks the nonzero cells of the row it
+    subtracts (``_sweep``'s row t, V's column 0, V^-1's row j), and the
+    pivot search and the divisibility check skip zeros at C speed, keeping
+    the dense loops' pivots, quotients and swaps.  Each pivot's row and
+    column are deleted from the block in place: its rows are copies made
+    here, and every row handed back is sliced off them.
     """
     m = len(rows)
     a = [list(r) + c for r, c in zip(rows, carry)] if carry is not None else [list(r) for r in rows]
@@ -312,18 +335,17 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
     while a and n:
         # Pivot: smallest nonzero absolute value in the block, first such
         # entry in row-major order.  Keeps coefficient growth down.
+        cols = tuple(range(n))
         piv = None
         best = None
         for i, ai in enumerate(a):
-            for j in range(n):
-                v = ai[j]
-                if v:
-                    av = abs(v)
-                    if best is None or av < best:
-                        best = av
-                        piv = (i, j)
-                        if av == 1:
-                            break
+            for j in compress(cols, ai):
+                av = abs(ai[j])
+                if best is None or av < best:
+                    best = av
+                    piv = (i, j)
+                    if av == 1:
+                        break
             if best == 1:
                 break
         if piv is None:
@@ -339,30 +361,35 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
             # is swapped into column 0, and the column pass clears it again.
             a0 = a[0]
             p = a0[0]
+            wcells = None
             best = least = 0
-            for j in range(1, n):
+            for j in compress(cols[1:], a0[1:n]):
                 x = a0[j]
-                if x:
-                    q = (2 * x + p) // (2 * p)
-                    if q:
-                        x -= q * p
-                        a0[j] = x
-                        if W:
-                            wj, w0 = W[j], W[0]
-                            for col in range(len(wj)):
-                                wj[col] -= q * w0[col]
-                        if Z:
-                            zj, z0 = Z[j], Z[0]
-                            for col in range(len(zj)):
-                                z0[col] += q * zj[col]
-                    if x and (not best or abs(x) < least):
-                        best, least = j, abs(x)
+                q = (2 * x + p) // (2 * p)
+                if q:
+                    x -= q * p
+                    a0[j] = x
+                    if W:
+                        w0 = W[0]
+                        if wcells is None:
+                            wcells = list(compress(range(len(w0)), w0))
+                        wj = W[j]
+                        for col in wcells:
+                            wj[col] -= q * w0[col]
+                    if Z:
+                        zj, z0 = Z[j], Z[0]
+                        for col in compress(range(len(zj)), zj):
+                            z0[col] += q * zj[col]
+                if x and (not best or abs(x) < least):
+                    best, least = j, abs(x)
             if best:
                 _swap_first(best, a, W, Z)
                 continue
             # Divisibility fix-up: pivot must divide every trailing entry,
-            # which a unit does, so only a larger pivot scans them.
-            bad = abs(p) != 1 and next((i for i, row in enumerate(a) for x in row[1:n] if x % p), 0)
+            # which a unit does, so only a larger pivot scans them, nonzero
+            # ones only.
+            rmod = p.__rmod__
+            bad = abs(p) != 1 and next((i for i, row in enumerate(a) if any(map(rmod, filter(None, row[1:n])))), 0)
             if not bad:
                 break
             a[0] = [x + y for x, y in zip(a0, a[bad])]
@@ -375,7 +402,9 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
             done_w.append(W.pop(0))
         if Z:
             done_left.append(Z.pop(0))
-        a = [row[1:] for row in a[1:]]
+        del a[0]
+        for row in a:
+            del row[0]
         n -= 1
     if inverse:
         done_left += Z
@@ -405,7 +434,8 @@ def hnf(M: IntMatrix):
     """Row-style Hermite normal form: returns (H, U) with H = U*M.
 
     U unimodular; H is an upper staircase with positive pivots and entries
-    above each pivot reduced to [0, pivot).
+    above each pivot reduced to [0, pivot), each row above subtracting the
+    pivot row on its nonzero cells only.
     """
     m, n = M.shape
     a = [list(r) + u for r, u in zip(M.rows, _identity(m))]
@@ -418,11 +448,15 @@ def hnf(M: IntMatrix):
         _sweep(a, r, c)
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-        for i in range(r):
-            q = a[i][c] // a[r][c]
+        ar = a[r]
+        p = ar[c]
+        cells = None
+        for ai in a[:r]:
+            q = ai[c] // p
             if q:
-                ai, ar = a[i], a[r]
-                for k in range(c, len(ai)):
+                if cells is None:
+                    cells = list(compress(range(len(ar)), ar))
+                for k in cells:
                     ai[k] -= q * ar[k]
         r += 1
     return IntMatrix.from_rows([row[:n] for row in a], ncols=n), IntMatrix.from_rows([row[n:] for row in a], ncols=m)
@@ -480,16 +514,14 @@ def solve_mod_many(M: IntMatrix, rhs: Sequence[Sequence[int]], moduli: Sequence[
     out: List[Optional[list]] = []
     for t in range(len(rhs)):
         c = [row[t] for row in left]
-        if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag) :]):
+        if any(not d or ci % d for ci, d in compress(zip(c, diag), c)) or any(c[len(diag) :]):
             out.append(None)
             continue
         x = [0] * n
-        for ci, d, col in zip(c, diag, W):
-            if ci:
-                w = ci // d
-                for i, v in enumerate(col):
-                    if v:
-                        x[i] += w * v
+        for ci, d, col in compress(zip(c, diag, W), c):
+            w = ci // d
+            for i, v in compress(enumerate(col), col):
+                x[i] += w * v
         out.append(x)
     return out
 

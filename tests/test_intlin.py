@@ -571,3 +571,78 @@ def test_hnf_is_unchanged_by_a_row_permutation():
         order = list(range(M.nrows))
         rng.shuffle(order)
         assert hnf(M.select_rows(order))[0] == H
+
+
+# ---------------------------------------------------------------------------
+# The elimination walks nonzero cells only: equal to the dense loops
+
+
+def _twisted_presentation(rng, nb, na):
+    """A torsion presentation shaped like ``realize``'s core, rows and columns
+    permuted: diag(B's moduli) on B's columns, then per A-generator a row of
+    twists on B's columns and A's modulus on its own column.  Coprime moduli
+    (2 against 3) make a pivot that does not divide its block, so the
+    divisibility fix-up runs."""
+    bmods = [rng.choice((2, 3, 4, 6, 8, 9)) for _ in range(nb)]
+    amods = [rng.choice((2, 3, 4, 5, 9)) for _ in range(na)]
+    rows = [[b if k == i else 0 for k in range(nb)] + [0] * na for i, b in enumerate(bmods)]
+    for j, d in enumerate(amods):
+        twist = [-rng.randrange(b) if rng.random() < 0.5 else 0 for b in bmods]
+        rows.append(twist + [d if t == j else 0 for t in range(na)])
+    order = list(range(nb + na))
+    rng.shuffle(order)
+    rng.shuffle(rows)
+    return IntMatrix.from_rows([[row[k] for k in order] for row in rows], ncols=nb + na)
+
+
+def _oracle_matrices():
+    rng = random.Random(17)
+    yield from (IntMatrix.zeros(m, n) for m, n in ((0, 0), (0, 3), (3, 0)))
+    for m, n in ((20, 20), (20, 14), (14, 20), (1, 7), (7, 1)):
+        yield _dense(rng, m, n)
+    for _ in range(24):
+        yield _dense(rng, rng.randint(1, 12), rng.randint(1, 12))
+    for m, n, r in ((10, 10, 6), (12, 8, 5), (8, 12, 5), (6, 6, 2)):
+        yield _of_rank(rng, m, n, r)
+    for _ in range(24):
+        yield _twisted_presentation(rng, rng.randint(1, 6), rng.randint(0, 6))
+    yield IntMatrix.from_rows([[0, 3], [2, 0]])
+    for _ in range(6):
+        M = IntMatrix.from_rows([[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(8)] for _ in range(6)])
+        yield augment_moduli(M, [rng.choice((0, 2, 3, 4, 6, 9)) for _ in range(6)])
+    # negative pivots: every least entry negative
+    yield IntMatrix.from_rows([[-2, 4, 0], [6, -3, 0], [0, 0, -5]])
+    yield _dense(rng, 9, 9).scale(-1)
+    yield _twisted_presentation(rng, 4, 3).scale(-1)
+
+
+def test_nonzero_cell_elimination_equals_the_dense_loops():
+    import dense_elimination as dense
+
+    rng = random.Random(1998)
+    for M in _oracle_matrices():
+        m, n = M.shape
+        for carry in ("identity", "rhs", None):
+            for head in sorted({0, n // 2, n}):
+                block = {"identity": intlin._identity(m), "rhs": _dense(rng, m, 3).rows, None: None}[carry]
+                args = (M.rows, n, None if block is None else [list(r) for r in block], head)
+                want = dense._snf(*args)
+                assert intlin._snf(*args) == want, (M, carry, head)
+        assert intlin._snf(M.rows, n, head=n, inverse=True) == dense._snf(M.rows, n, head=n, inverse=True), M
+        assert hnf(M) == dense.hnf(M), M
+    # diag(2, 3) is not a Smith form: only the divisibility fix-up gives (1, 6)
+    assert snf_diagonal(IntMatrix.from_rows([[0, 3], [2, 0]])) == [1, 6]
+
+
+def test_solve_read_back_equals_the_dense_read_back():
+    import dense_elimination as dense
+
+    rng = random.Random(2)
+    for M in _oracle_matrices():
+        m, n = M.shape
+        moduli = [rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(m)]
+        planted = [M.apply([rng.randint(-4, 4) for _ in range(n)]) for _ in range(4)]
+        rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(4)]
+        got = solve_mod_many(M, rhs, moduli)
+        assert got == dense.solve_mod_many(M, rhs, moduli), M
+        assert all(x is not None for x in got[:4])
