@@ -12,7 +12,11 @@ refused with the structured error `budget-exceeded`.
 
 The argument parser is built once per process, on the first request, and
 reused by every later ``main`` call: no default it holds is mutable or read
-from the environment.
+from the environment.  A request is parsed by its verb's parser alone; the
+full parser sees only help, an unknown verb and leftover arguments, so its
+messages are unchanged.  Verb modules load on first use: ``univ-ext``,
+``univ-coext``, ``psi`` and ``cyclic-check`` import ``universal`` when they
+run, and ``suite`` imports ``acceptance`` (and with it ``oracle``).
 
 Group arguments accept either an expression ("Z(4)+Z(6)", "Z^2+Z(12)" —
 composite orders CRT-split, free parts for the homological verbs only) or
@@ -53,14 +57,6 @@ from .torsioncat import (
     parse as parse_torsion,
     parse_finite_group,
 )
-from .universal import (
-    build_universal_coextension,
-    build_universal_extension,
-    cyclic_generation_check,
-    phi,
-    psi,
-)
-from . import acceptance
 
 
 def _int_list(text: str) -> list:
@@ -182,6 +178,8 @@ def _cmd_delta(args):
 
 
 def _cmd_psi(args):
+    from .universal import phi, psi
+
     summands = [_group(s) for s in args.summands.split(";") if s.strip()]
     B = _group(args.B)
     pm = phi(summands, B) if args.phi else psi(summands, B)
@@ -195,16 +193,22 @@ def _cmd_psi(args):
 
 
 def _cmd_univ_ext(args):
+    from .universal import build_universal_extension
+
     cert = build_universal_extension(_group(args.B), _group(args.A))
     return cert.to_json(include_sequence=args.full)
 
 
 def _cmd_univ_coext(args):
+    from .universal import build_universal_coextension
+
     cert = build_universal_coextension(_group(args.B), _group(args.A))
     return cert.to_json(include_sequence=args.full)
 
 
 def _cmd_cyclic_check(args):
+    from .universal import build_universal_extension, cyclic_generation_check
+
     cert = build_universal_extension(_group(args.B), _group(args.A))
     res = cyclic_generation_check(cert, samples=args.samples, seed=args.seed)
     return {
@@ -256,7 +260,13 @@ def _cmd_ab4_witness(args):
 
 
 def _cmd_suite(args):
-    return acceptance.run_all(seed=args.seed, only=args.only)
+    from .acceptance import run_all
+
+    return run_all(seed=args.seed, only=args.only)
+
+
+# verb -> its parser, recorded by _build_parser as it adds each one
+_VERB_PARSERS: dict = {}
 
 
 @functools.cache
@@ -265,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="verb", required=True)
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        p = _VERB_PARSERS[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
@@ -353,9 +363,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _parse(argv: list) -> argparse.Namespace:
+    """The request ``argv``, parsed by its verb's parser alone.
+
+    The full parser answers what that one cannot: no verb, an unknown verb
+    or ``-h`` first, and leftover arguments, which it reports under its own
+    usage line.
+    """
+    top = _build_parser()
+    verb = _VERB_PARSERS.get(argv[0]) if argv else None
+    if verb is not None:
+        args, extras = verb.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return top.parse_args(argv)
+
+
 def main(argv: Optional[list] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     if args.budget is None:

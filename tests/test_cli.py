@@ -426,8 +426,11 @@ REUSED_PARSER_REQUESTS = [
     ["suite", "--only", "9"],
     ["suite", "--only", "10"],
     ["ext", "--A", "Z(2)"],
+    ["psi", "--summands", "Z(2);Z(4)", "--B", "Z(4)", "--phi"],
     ["--help"],
+    ["univ-coext", "--B", "Z(2)", "--A", "Z(4)"],
     ["ext", "--A", "Z(2)", "--B", "Z(2)"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "2", "--seed", "3"],
 ]
 
 
@@ -437,7 +440,7 @@ def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
     parser = cli._build_parser()
     answers = [run(capsys, *argv) for argv in REUSED_PARSER_REQUESTS]
     assert cli._build_parser() is parser and cli._build_parser.cache_info().misses == 1
-    assert [code for code, _ in answers] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0]
+    assert [code for code, _ in answers] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
     env = {**os.environ, "PYTHONPATH": str(Path(abext.__file__).resolve().parents[1])}
     for argv, (code, out) in zip(REUSED_PARSER_REQUESTS, answers):
         fresh = subprocess.run(
@@ -445,6 +448,100 @@ def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
         )
         assert fresh.returncode == code, argv
         assert fresh.stdout == out, argv
+
+
+SEQUENCE_Z2_Z4_Z2 = json.dumps({
+    "f": {"matrix": [["2"]], "source": {"factors": ["2"], "rank": 0}, "target": {"factors": ["4"], "rank": 0}},
+    "g": {"matrix": [["1"]], "source": {"factors": ["4"], "rank": 0}, "target": {"factors": ["2"], "rank": 0}},
+})
+CLASS_Z4_Z4 = json.dumps({"A": {"rank": 0, "factors": ["4"]}, "B": {"rank": 0, "factors": ["4"]}, "coords": ["1"]})
+ID_Z4 = json.dumps({"source": {"rank": 0, "factors": ["4"]}, "target": {"rank": 0, "factors": ["4"]}, "matrix": [["1"]]})
+
+# A valid request of every verb, then options written as --X=v or
+# abbreviated, usage errors, a "--" separator, help, and argv with no verb.
+PARSE_TABLE = [
+    ["snf", "--matrix", '[["2","4"],["6","8"]]'],
+    ["canon", "--presentation", '[["2","4"],["6","8"]]', "--pretty"],
+    ["hom", "--A", "Z(4)", "--B", "Z(6)"],
+    ["ext", "--A", "Z(4)", "--B", "Z(6)"],
+    ["realize", "--class", CLASS_Z4_Z4],
+    ["classify", "--sequence", SEQUENCE_Z2_Z4_Z2],
+    ["baer", "--c1", CLASS_Z4_Z4, "--c2", CLASS_Z4_Z4, "--subtract"],
+    ["act", "--class", CLASS_Z4_Z4, "--map", ID_Z4, "--side", "push"],
+    ["delta", "--sequence", SEQUENCE_Z2_Z4_Z2, "--T", "Z(2)", "--dual"],
+    ["psi", "--summands", "Z(2);Z(2)", "--B", "Z(2)"],
+    ["univ-ext", "--B", "Z(2)", "--A", "Z(2)", "--full"],
+    ["univ-coext", "--B", "Z(2)", "--A", "Z(4)"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "2"],
+    ["parse", "Z(12)"],
+    ["classify-torsion", "Z(4)", "--p", "3,5"],
+    ["cotorsion", "Z(2)^inf"],
+    ["witness", "--p", "2", "--N", "4", "--mode", "brute"],
+    ["ab4-witness", "--p", "5", "--N", "2", "--budget", "64"],
+    ["suite", "--only", "9"],
+    ["ext", "--A=Z(2)", "--B", "Z(2)"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--sam", "3"],
+    ["ext", "--A", "Z(2)", "--B", "Z(4)", "--pre"],
+    ["ext", "--A", "Z(2)"],
+    ["hom", "--A", "Z(2)", "--B", "Z(2)", "--seed", "x"],
+    ["act", "--class", CLASS_Z4_Z4, "--map", ID_Z4, "--side", "sideways"],
+    ["ext", "--A", "Z(2)", "--B", "Z(2)", "--no-such-option"],
+    ["ext", "--A", "Z(2)", "--B", "Z(2)", "extra"],
+    ["parse", "Z(2)", "Z(3)"],
+    ["parse", "--", "Z(2)"],
+    ["no-such-verb", "--A", "Z(2)"],
+    [],
+    ["--help"],
+    ["-h", "ext"],
+    ["ext", "--help"],
+]
+
+
+def answer_and_namespace(capsys, argv):
+    """main's (exit code, stdout, stderr), and the parse as vars without
+    ``verb`` (or the parser's exit code)."""
+    try:
+        parsed = vars(cli._parse(list(argv)))
+        parsed.pop("verb", None)
+    except SystemExit as e:
+        parsed = e.code
+    capsys.readouterr()
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return (code, captured.out, captured.err), parsed
+
+
+PARSE_IDS = [" ".join(a for a in argv if not a.startswith(("{", "["))) or "no-arguments" for argv in PARSE_TABLE]
+
+
+@pytest.mark.parametrize("argv", PARSE_TABLE, ids=PARSE_IDS)
+def test_verb_parser_answers_like_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage lines wrap to the terminal width
+    got = answer_and_namespace(capsys, argv)
+    monkeypatch.setattr(cli, "_parse", lambda args: cli._build_parser().parse_args(args))
+    want = answer_and_namespace(capsys, argv)
+    assert got == want
+
+
+COLD_EXT_CHILD = """
+import sys
+from abext.cli import main
+main(["ext", "--A", "Z(2)", "--B", "Z(2)"])
+print(sorted(name for name in sys.modules if name.startswith("abext")))
+"""
+
+
+def test_ext_in_a_fresh_process_loads_only_what_it_runs():
+    env = {**os.environ, "PYTHONPATH": str(Path(abext.__file__).resolve().parents[1])}
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_EXT_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines() == [
+        '{"group":{"factors":["2"],"rank":0}}',
+        "['abext', 'abext.abgroup', 'abext.cli', 'abext.errors', 'abext.homext', 'abext.intlin', 'abext.torsioncat']",
+    ]
 
 
 FOUND25_CHILD = """
