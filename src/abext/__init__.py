@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 _HOME = {
     name: module
     for module, names in (
-        ("intlin", "IntMatrix SnfDecomposition det hnf snf solve_mod solve_mod_many"),
+        ("intlin", "IntMatrix SnfDecomposition hnf snf solve_mod solve_mod_many"),
         (
             "abgroup",
             "AbMap FinGenAb SumDiagram abelian_groups_of_order abelian_groups_up_to_order canonicalize"

@@ -35,22 +35,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch
 from .intlin import (
     DimensionMismatch,
     IntMatrix,
-    _kernel_head,
+    _augmented,
     _snf,
-    augment_moduli,
     json_int,
     json_of,
     json_str,
+    preimage_lattice,
     rank_mod_p,
     snf_diagonal,
     solve_mod_many,
+    sparse_columns,
 )
 
 
@@ -396,16 +396,6 @@ def dense_matrix(cols: Sequence[Dict[int, int]], nrows: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=len(cols))
 
 
-def sparse_columns(rows: Sequence[Sequence[int]], ncols: int) -> List[Dict[int, int]]:
-    """The nonzero cells of ``rows`` as ncols sparse columns: the inverse of ``dense_matrix``."""
-    cols: List[Dict[int, int]] = [{} for _ in range(ncols)]
-    idx = tuple(range(ncols))
-    for i, row in enumerate(rows):
-        for j in compress(idx, row):
-            cols[j][i] = row[j]
-    return cols
-
-
 def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int) -> List[int]:
     """Σ_j vec[j]·cols[j] as a dense vector of length nrows."""
     out = [0] * nrows
@@ -434,29 +424,28 @@ def sparse_sum(terms) -> Dict[int, int]:
     return out
 
 
-def canonicalize(presentation: IntMatrix):
-    """Quotient of Z^n by the row lattice R of ``presentation``, in ``cyclic_sum``'s format.
+def canonicalize(relations: Sequence[Dict[int, int]], n: int):
+    """Quotient of Z^n by the lattice R spanned by the sparse ``relations``, in ``cyclic_sum``'s format.
 
-    Returns sparse ``(group, place, lift)``: ``place[i]`` is the class of e_i
-    in canonical coordinates, ``lift[k]`` a representative in Z^n of the k-th
-    canonical generator, and placing the lifts is exactly the identity.  A
-    diagonal lattice (each row touching one column) takes ``_diagonal_quotient``,
-    any other one SNF U·R·V = D that keeps V and V^-1: y = V^T x turns
-    Z^n / R^T Z^m into Z^n / D^T Z^m, so place reads V and lift V^-1 on the
-    kept coordinates.
+    Each relation is a dict {column: entry} with columns in range(n), zero
+    entries allowed.  Returns sparse ``(group, place, lift)``: ``place[i]``
+    is the class of e_i in canonical coordinates, ``lift[k]`` a
+    representative in Z^n of the k-th canonical generator, and placing the
+    lifts is exactly the identity.  A diagonal lattice (each relation
+    touching one column) takes ``_diagonal_quotient``, any other one SNF
+    U·R·V = D that keeps V and V^-1: y = V^T x turns Z^n / R^T Z^m into
+    Z^n / D^T Z^m, so place reads V and lift V^-1 on the kept coordinates.
 
-    >>> canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    >>> canonicalize([{0: 2, 1: 4}, {0: 6, 1: 8}], 2)
     (FinGenAb(free_rank=0, invariant_factors=(2, 4)), [{0: 1, 1: -2}, {1: 1}], [{0: 1, 1: 2}, {1: 1}])
     """
-    n = presentation.ncols
-    rows = [r for r in presentation.rows if any(r)]
+    rows = [r for r in ({j: v for j, v in rel.items() if v} for rel in relations) if r]
     # Rows touching a single column each present a sum of cyclic groups.
     col_mod = [0] * n
     for r in rows:
-        nz = [(j, v) for j, v in enumerate(r) if v]
-        if len(nz) != 1:
+        if len(r) != 1:
             break
-        j, v = nz[0]
+        ((j, v),) = r.items()
         col_mod[j] = math.gcd(col_mod[j], v)
     else:  # no row broke off: the lattice is diagonal
         return _diagonal_quotient(col_mod)
@@ -502,7 +491,11 @@ def _diagonal_quotient(moduli: Sequence[int]):
     free = [[0, {i: 1}, {i: 1}] for i, m in enumerate(moduli) if m == 0]
     group = FinGenAb(len(free), tuple(link[0] for link in chain))
     links = chain + free
-    place = sparse_columns([[coord.get(i, 0) for i in range(len(moduli))] for _, coord, _ in links], len(moduli))
+    place: List[Dict[int, int]] = [{} for _ in moduli]
+    for k, (_, coord, _) in enumerate(links):
+        for i, v in coord.items():
+            if v:
+                place[i][k] = v
     return group, place, [{i: v for i, v in col.items() if v} for _, _, col in links]
 
 
@@ -683,34 +676,27 @@ def diagonal(A: FinGenAb, X: int) -> AbMap:
     return delta
 
 
-def _preimage_lattice(M: IntMatrix, target_mods: Sequence[int]) -> IntMatrix:
-    """Columns spanning {x : M x lies in the target relation lattice}."""
-    return _kernel_head(augment_moduli(M, target_mods), M.ncols)
-
-
 def kernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
-    """Kernel with its inclusion; the universal property is exercised in tests."""
+    """Kernel with its inclusion; the universal property is exercised in tests.
+
+    P spans the preimage of B's relations, and the kernel is Z^k / T for
+    the vectors T that P maps into A's relations; the inclusion sends a
+    lift y to P y.
+    """
     A, B = f.source, f.target
     if A.is_trivial():
         return ZERO_GROUP, AbMap.zero(ZERO_GROUP, A)
-    P = _preimage_lattice(f.matrix, B.moduli())
-    if P.ncols == 0:
+    P = preimage_lattice(f.cols, B.moduli())
+    if not P:
         return ZERO_GROUP, AbMap.zero(ZERO_GROUP, A)
-    T = _preimage_lattice(P, A.moduli())
-    K, _place, lift = canonicalize(T.transpose())
-    pcols = sparse_columns(P.rows, P.ncols)
-    return K, AbMap(K, A, [sparse_image(pcols, vec) for vec in lift])
+    K, _place, lift = canonicalize(preimage_lattice(P, A.moduli()), len(P))
+    return K, AbMap(K, A, [sparse_image(P, vec) for vec in lift])
 
 
 def _cokernel_data(f: AbMap):
+    """``canonicalize`` of B by its own relations and f's columns."""
     B = f.target
-    rows = []
-    for j, d in enumerate(B.moduli()):
-        if d:
-            rows.append([d if k == j else 0 for k in range(B.dim)])
-    for col in f.cols:
-        rows.append([col.get(i, 0) for i in range(B.dim)])
-    return canonicalize(IntMatrix.from_rows(rows, ncols=B.dim))
+    return canonicalize([{j: d} for j, d in enumerate(B.moduli()) if d] + list(f.cols), B.dim)
 
 
 def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
@@ -781,8 +767,8 @@ def is_mono(f: AbMap) -> bool:
         return True
     t = T.torsion_count
     free = [{i - t: v for i, v in col.items() if i >= t} for col in f.cols[S.torsion_count :]]
-    block = dense_matrix(free, T.free_rank)
-    return sum(1 for d in snf_diagonal(block) if d) == S.free_rank
+    # The block's columns are taken as rows: the rank is transpose-invariant.
+    return sum(1 for d in snf_diagonal(free, T.free_rank) if d) == S.free_rank
 
 
 def is_epi(f: AbMap) -> bool:
@@ -818,8 +804,8 @@ def cokernel_group(cols, moduli: Sequence[int]) -> FinGenAb:
             kept.append(nz)
     touched = sorted({i for nz in kept for i, _ in nz} - dropped)
     at = {i: r for r, i in enumerate(touched)}
-    block = dense_matrix([{at[i]: v for i, v in nz if i in at} for nz in kept], len(touched))
-    diag = snf_diagonal(augment_moduli(block, [moduli[i] for i in touched]))
+    block = [{at[i]: v for i, v in nz if i in at} for nz in kept]
+    diag = snf_diagonal(*_augmented(block, [moduli[i] for i in touched]))
     untouched = [m for i, m in enumerate(moduli) if i not in at and i not in dropped]
     return cyclic_sum(untouched + diag + [0] * (len(touched) - len(diag)))[0]
 
@@ -889,10 +875,10 @@ def pullback(f: AbMap, g: AbMap) -> Square:
         if not (f @ bq - g @ cq).is_zero():
             raise DomainError("cone does not commute with the span")
         pair = muB @ bq + muC @ cq
-        cols = solve_mod_many(incl.matrix, pair.matrix.transpose().rows, total_mods)
+        cols = solve_mod_many(incl.cols, pair.cols, total_mods)
         if None in cols:
             raise DomainError("cone does not factor through the pullback")
-        return AbMap.from_matrix(pair.source, K, IntMatrix.from_columns(cols, K.dim))
+        return AbMap(pair.source, K, [dict(enumerate(x)) for x in cols])
 
     return Square(K, left, right, mediator)
 

@@ -34,7 +34,7 @@ import sys
 from typing import Optional
 
 from .errors import DomainError, ParseError
-from .intlin import DimensionMismatch, IntMatrix, json_str, snf
+from .intlin import DimensionMismatch, IntMatrix, json_str, snf, sparse_rows
 from .abgroup import AbMap, FinGenAb, canonicalize, dense_matrix
 from .homext import (
     ExtClass,
@@ -125,7 +125,7 @@ def _cmd_snf(args):
 
 def _cmd_canon(args):
     pres = _matrix(args.presentation)
-    group, place, lift = canonicalize(pres)
+    group, place, lift = canonicalize(sparse_rows(pres.rows), pres.ncols)
     return {
         "group": group.to_json(),
         "to_canonical": dense_matrix(place, group.dim).to_json(),

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
-from .intlin import IntMatrix, json_int, json_of, json_str, solve_mod, solve_mod_many
+from .intlin import json_int, json_of, json_str, solve_mod_many
 from .abgroup import (
     MAX_GROUP_DIM,
     AbMap,
@@ -129,8 +129,7 @@ def hom_postcompose(h: AbMap, T: FinGenAb) -> AbMap:
     """Hom(T, h): Hom(T, source) → Hom(T, target), f ↦ h ∘ f."""
     HS = hom_group(T, h.source)
     HT = hom_group(T, h.target)
-    cols = [HT.decompose(h @ b) for b in HS.basis]
-    return AbMap.from_matrix(HS.carrier, HT.carrier, IntMatrix.from_columns(cols, HT.carrier.dim))
+    return AbMap(HS.carrier, HT.carrier, [dict(enumerate(HT.decompose(h @ b))) for b in HS.basis])
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +373,13 @@ def realize(c: ExtClass) -> ShortExactSeq:
     # The core presents E on the first generators of B, then the first lifts.
     ce = {i: k for k, i in enumerate(core_e)}
     ct = {j: len(core_e) + k for k, j in enumerate(core_t)}
-    rels = [[bmods[i] if k == i else 0 for k in core_e] + [0] * len(core_t) for i in core_e if bmods[i]]
+    rels = [{ce[i]: bmods[i]} for i in core_e if bmods[i]]
     for j in kept_rows:
         b = twists[j]
-        rels.append([-b[i] for i in core_e] + [A.invariant_factors[j] if t == j else 0 for t in core_t])
-    core, placec, liftc = canonicalize(IntMatrix.from_rows(rels, ncols=len(ce) + len(ct)))
+        rel = {ce[i]: -b[i] for i in core_e if b[i]}
+        rel[ct[j]] = A.invariant_factors[j]
+        rels.append(rel)
+    core, placec, liftc = canonicalize(rels, len(ce) + len(ct))
     amods = A.moduli()
     E, place, lift = cyclic_sum(core.moduli() + tuple(bmods[i] for i in esplit) + tuple(amods[j] for j in tsplit))
     nc = core.dim
@@ -442,12 +443,12 @@ def classify(s: ShortExactSeq) -> ExtClass:
     if not isinstance(s, ShortExactSeq):
         raise NotExactSequence("classify expects a validated ShortExactSeq")
     B, E, A = s.sub, s.middle, s.quot
-    units = [[1 if t == j else 0 for t in range(A.dim)] for j in range(A.torsion_count)]
-    lifts = solve_mod_many(s.g.matrix, units, A.moduli())
+    units = [{j: 1} for j in range(A.torsion_count)]
+    lifts = solve_mod_many(s.g.cols, units, A.moduli())
     if None in lifts:
         raise NotExactSequence("quotient map is not surjective")
-    scaled = [[d * xi for xi in x] for d, x in zip(A.invariant_factors, lifts)]
-    descents = solve_mod_many(s.f.matrix, scaled, E.moduli())
+    scaled = [{i: d * xi for i, xi in enumerate(x) if xi} for d, x in zip(A.invariant_factors, lifts)]
+    descents = solve_mod_many(s.f.cols, scaled, E.moduli())
     if None in descents:
         raise NotExactSequence("d·lift does not land in the subobject")
     return ExtClass(A, B, tuple(itertools.chain.from_iterable(descents)))
@@ -551,8 +552,7 @@ def connecting_hom(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     cls = classify(s)
     H = hom_group(T, s.quot)
     X = ext_group(T, s.sub)
-    cols = [X.to_carrier(pullback_action(cls, b)) for b in H.basis]
-    return AbMap.from_matrix(H.carrier, X.carrier, IntMatrix.from_columns(cols, X.carrier.dim))
+    return AbMap(H.carrier, X.carrier, [dict(enumerate(X.to_carrier(pullback_action(cls, b)))) for b in H.basis])
 
 
 def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
@@ -560,24 +560,23 @@ def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     cls = classify(s)
     H = hom_group(s.sub, T)
     X = ext_group(s.quot, T)
-    cols = [X.to_carrier(pushout_action(cls, b)) for b in H.basis]
-    return AbMap.from_matrix(H.carrier, X.carrier, IntMatrix.from_columns(cols, X.carrier.dim))
+    return AbMap(H.carrier, X.carrier, [dict(enumerate(X.to_carrier(pushout_action(cls, b)))) for b in H.basis])
 
 
 def ext_covariant_map(T: FinGenAb, h: AbMap) -> AbMap:
     """Ext^1(T, h) : Ext^1(T, B) → Ext^1(T, B') on carriers, for h : B → B'."""
     XS = ext_group(T, h.source)
     XT = ext_group(T, h.target)
-    cols = [XT.to_carrier(pushout_action(c, h)) for c in XS.basis_classes()]
-    return AbMap.from_matrix(XS.carrier, XT.carrier, IntMatrix.from_columns(cols, XT.carrier.dim))
+    cols = [dict(enumerate(XT.to_carrier(pushout_action(c, h)))) for c in XS.basis_classes()]
+    return AbMap(XS.carrier, XT.carrier, cols)
 
 
 def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
     """Ext^1(h, T) : Ext^1(A, T) → Ext^1(A', T) on carriers, for h : A' → A."""
     XS = ext_group(h.target, T)
     XT = ext_group(h.source, T)
-    cols = [XT.to_carrier(pullback_action(c, h)) for c in XS.basis_classes()]
-    return AbMap.from_matrix(XS.carrier, XT.carrier, IntMatrix.from_columns(cols, XT.carrier.dim))
+    cols = [dict(enumerate(XT.to_carrier(pullback_action(c, h)))) for c in XS.basis_classes()]
+    return AbMap(XS.carrier, XT.carrier, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -594,44 +593,41 @@ def find_equivalence(s1: ShortExactSeq, s2: ShortExactSeq) -> Optional[AbMap]:
         return None
     E1, E2 = s1.middle, s2.middle
     n1, n2 = E1.dim, E2.dim
-    mods1 = E1.moduli()
     mods2 = E2.moduli()
     amods = s1.quot.moduli()
-    nvars = n1 * n2
 
     def var(i, j):
         return i * n1 + j
 
-    rows, rhs, rmods = [], [], []
-    for j in range(n1):
-        mj = mods1[j]
-        if not mj:
-            continue
-        for i in range(n2):
-            row = [0] * nvars
-            row[var(i, j)] = mj
-            rows.append(row)
-            rhs.append(0)
-            rmods.append(mods2[i])
-    for b in range(s1.sub.dim):
-        for i in range(n2):
-            row = [0] * nvars
-            for j in range(n1):
-                if s1.f.matrix.rows[j][b]:
-                    row[var(i, j)] = s1.f.matrix.rows[j][b]
-            rows.append(row)
-            rhs.append(s2.f.matrix.rows[i][b])
-            rmods.append(mods2[i])
-    for j in range(n1):
-        for a in range(s1.quot.dim):
-            row = [0] * nvars
+    # The system in the map's sparse columns: one column per unknown φ[i][j],
+    # {equation: coefficient}, equations numbered as they are stated.
+    cols: List[Dict[int, int]] = [{} for _ in range(n1 * n2)]
+    rhs: Dict[int, int] = {}
+    rmods: List[int] = []
+
+    def equation(cells, b, modulus):
+        r = len(rmods)
+        for v, x in cells:
+            cols[v][r] = x
+        if b:
+            rhs[r] = b
+        rmods.append(modulus)
+
+    for j, mj in enumerate(E1.moduli()):  # φ is well defined: m_j·φ(e_j) = 0
+        if mj:
             for i in range(n2):
-                if s2.g.matrix.rows[a][i]:
-                    row[var(i, j)] = s2.g.matrix.rows[a][i]
-            rows.append(row)
-            rhs.append(s1.g.matrix.rows[a][j])
-            rmods.append(amods[a])
-    sol = solve_mod(IntMatrix.from_rows(rows, ncols=nvars), rhs, rmods)
+                equation([(var(i, j), mj)], 0, mods2[i])
+    for f1, f2 in zip(s1.f.cols, s2.f.cols):  # φ ∘ f1 = f2
+        for i in range(n2):
+            equation([(var(i, j), x) for j, x in f1.items()], f2.get(i, 0), mods2[i])
+    g2rows: List[Dict[int, int]] = [{} for _ in amods]
+    for i, col in enumerate(s2.g.cols):
+        for a, x in col.items():
+            g2rows[a][i] = x
+    for j, g1 in enumerate(s1.g.cols):  # g2 ∘ φ = g1
+        for a, row in enumerate(g2rows):
+            equation([(var(i, j), x) for i, x in row.items()], g1.get(a, 0), amods[a])
+    sol = solve_mod_many(cols, [rhs], rmods)[0]
     if sol is None:
         return None
     phi = AbMap(E1, E2, [{i: sol[var(i, j)] for i in range(n2)} for j in range(n1)])

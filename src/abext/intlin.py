@@ -1,9 +1,16 @@
 """Exact integer linear algebra: Smith/Hermite normal forms and solvers.
 
-Everything here works over plain Python ints (arbitrary precision), with
-matrices stored immutably.  This is the computational bedrock for the group
-machinery: canonical forms come from SNF, and morphism equations are solved
-as integer linear systems with per-row cyclic moduli.
+Everything here works over plain Python ints (arbitrary precision).  This is
+the computational bedrock for the group machinery: canonical forms come from
+SNF, and morphism equations are solved as integer linear systems with
+per-row cyclic moduli.
+
+Every elimination takes sparse rows, dicts {column: entry} in which zero
+entries may be left out, the format ``rank_mod_p`` and the maps' sparse
+columns already use; only ``_snf`` builds the dense block it works on.
+``IntMatrix``, an immutable dense matrix, is the boundary type: ``snf``,
+``hnf`` and ``solve_mod`` take one, for JSON, the CLI and benchmarks, and
+convert it once.
 
 No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
@@ -15,8 +22,8 @@ One elimination, ``_snf``, serves every caller and computes only what that
 caller reads.  Each row carries a block through the row operations: the
 identity for ``snf``'s U, the right-hand sides for a solve (which so reads
 U·b without forming U), nothing for ``snf_diagonal``, ``canonicalize`` and
-kernels.  V's columns are kept on their leading coordinates only: all of
-them for ``snf`` and ``canonicalize``, the unknowns for a solve or a
+preimage lattices.  V's columns are kept on their leading coordinates only:
+all of them for ``snf`` and ``canonicalize``, the unknowns for a solve or a
 preimage lattice, none for ``snf_diagonal``.  ``canonicalize`` also keeps
 V^-1, by undoing each column operation.
 
@@ -49,7 +56,7 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major tuple of tuples.
+    """Immutable integer matrix, row-major tuple of tuples: the boundary type.
 
     Cells must be ints: they are stored as given, and text becomes integers
     only where it enters, in ``from_json``.  ``ncols`` is part of the value,
@@ -82,14 +89,6 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
 
     @staticmethod
-    def zeros(nrows: int, ncols: int) -> "IntMatrix":
-        return IntMatrix(((0,) * ncols,) * nrows, ncols)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
-
-    @staticmethod
     def diagonal(entries: Sequence[int], nrows: Optional[int] = None, ncols: Optional[int] = None) -> "IntMatrix":
         k = len(entries)
         nrows = k if nrows is None else nrows
@@ -109,61 +108,6 @@ class IntMatrix:
 
     def entry(self, i: int, j: int) -> int:
         return self.rows[i][j]
-
-    def col(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.rows)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_columns(self.rows, self.ncols)
-
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.ncols != other.nrows:
-            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = other.ncols
-        # Only nonzero cells of either factor are visited; compress finds them
-        # at C speed, faster over a tuple of column indices than over a range.
-        cols = tuple(range(ocols))
-        sparse = [[(j, orow[j]) for j in compress(cols, orow)] for orow in other.rows]
-        inner = tuple(range(self.ncols))
-        out = []
-        for r in self.rows:
-            acc = [0] * ocols
-            for k in compress(inner, r):
-                a = r[k]
-                for j, b in sparse[k]:
-                    acc[j] += a * b
-            out.append(acc)
-        return IntMatrix(tuple(out), ocols)
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch("shape mismatch in addition")
-        return IntMatrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)), self.ncols
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "IntMatrix":
-        return self.scale(-1)
-
-    def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(c * a for a in r) for r in self.rows), self.ncols)
-
-    def apply(self, vec: Sequence[int]) -> list:
-        if len(vec) != self.ncols:
-            raise DimensionMismatch("vector length mismatch")
-        return [sum(a * x for a, x in zip(r, vec) if a) for r in self.rows]
-
-    def select_columns(self, idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(r[j] for j in idx) for r in self.rows), len(idx))
-
-    def select_rows(self, idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix(tuple(self.rows[i] for i in idx), self.ncols)
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
 
     def to_json(self) -> list:
         return [[json_str(a) for a in r] for r in self.rows]
@@ -215,33 +159,6 @@ def json_of(kind: type, value):
     if not isinstance(value, kind):
         raise ValueError(f"expected a JSON {kind.__name__}, got {value!r}")
     return value
-
-
-def det(M: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = M.nrows
-    if n != M.ncols:
-        raise DimensionMismatch("determinant of non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in M.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -309,7 +226,8 @@ def _swap_first(j, a, W, Z):
 
 
 def _snf(rows, n, carry=None, head=0, inverse=False):
-    """(diagonal, left, V columns) of the Smith form U·M·V = D of the m x n ``rows``.
+    """(diagonal, left, V columns) of the Smith form U·M·V = D of the m x n
+    matrix M whose rows are the sparse ``rows``, each a dict {column: entry}.
 
     ``carry`` gives each row a block that goes through the row operations
     with it, and ``left`` is U times that block: U itself when it is the
@@ -323,12 +241,18 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
     Cost: each row or column operation walks the nonzero cells of the row it
     subtracts (``_sweep``'s row t, V's column 0, V^-1's row j), and the
     pivot search and the divisibility check skip zeros at C speed, keeping
-    the dense loops' pivots, quotients and swaps.  Each pivot's row and
-    column are deleted from the block in place: its rows are copies made
-    here, and every row handed back is sliced off them.
+    the dense loops' pivots, quotients and swaps.  The block is the one
+    dense copy of M, made here, and each pivot's row and column are deleted
+    from it in place; every row handed back is sliced off it.
     """
     m = len(rows)
-    a = [list(r) + c for r, c in zip(rows, carry)] if carry is not None else [list(r) for r in rows]
+    a = [[0] * n for _ in rows]
+    for row, r in zip(a, rows):
+        for j, v in r.items():
+            row[j] = v
+    if carry is not None:
+        for row, c in zip(a, carry):
+            row += c
     W = _identity(n, head) if head else []
     Z = _identity(n) if inverse else []
     done_left, done_w, diag, k = [], [], [], min(m, n)
@@ -413,6 +337,21 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
     return diag + [0] * (k - len(diag)), done_left, done_w + W
 
 
+def sparse_rows(rows: Iterable[Sequence[int]]) -> List[Dict[int, int]]:
+    """Dense rows as the sparse rows {column: entry} every elimination takes, zeros left out."""
+    return [dict(compress(enumerate(r), r)) for r in rows]
+
+
+def sparse_columns(rows: Sequence[Sequence[int]], ncols: int) -> List[Dict[int, int]]:
+    """The nonzero cells of the dense ``rows`` as ncols sparse columns {row: entry}."""
+    cols: List[Dict[int, int]] = [{} for _ in range(ncols)]
+    idx = tuple(range(ncols))
+    for i, row in enumerate(rows):
+        for j in compress(idx, row):
+            cols[j][i] = row[j]
+    return cols
+
+
 def snf(M: IntMatrix) -> SnfDecomposition:
     """Smith normal form with transforms: U*M*V = D.
 
@@ -420,14 +359,14 @@ def snf(M: IntMatrix) -> SnfDecomposition:
     Deterministic for identical inputs.  Works for any shape including empty.
     """
     m, n = M.shape
-    diag, U, W = _snf(M.rows, n, carry=_identity(m), head=n)
+    diag, U, W = _snf(sparse_rows(M.rows), n, carry=_identity(m), head=n)
     D = IntMatrix.diagonal(diag, m, n)
     return SnfDecomposition(U=IntMatrix.from_rows(U, ncols=m), D=D, V=IntMatrix.from_columns(W, n))
 
 
-def snf_diagonal(M: IntMatrix) -> list:
-    """Just the diagonal of the Smith form (no transform bookkeeping)."""
-    return _snf(M.rows, M.ncols)[0]
+def snf_diagonal(rows: Sequence[Dict[int, int]], n: int) -> list:
+    """Just the diagonal of the Smith form of the sparse ``rows`` of width n (no transform bookkeeping)."""
+    return _snf(rows, n)[0]
 
 
 def hnf(M: IntMatrix):
@@ -462,55 +401,64 @@ def hnf(M: IntMatrix):
     return IntMatrix.from_rows([row[:n] for row in a], ncols=n), IntMatrix.from_rows([row[n:] for row in a], ncols=m)
 
 
-def kernel_basis(M: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel {x : M x = 0}, as columns."""
-    return _kernel_head(M, M.ncols)
+def _augmented(cols: Sequence[Dict[int, int]], moduli: Sequence[int]):
+    """The sparse rows of [M | diag(moduli)], zero moduli adding no column, and their width.
 
-
-def _kernel_head(M: IntMatrix, head: int) -> IntMatrix:
-    """The first ``head`` coordinates of ``kernel_basis(M)``'s columns.
-
-    The kernel is spanned by V's columns past the rank, so only their heads
-    are kept through the elimination, and no U is formed.
+    M has the sparse columns ``cols`` and one row per modulus.  The column
+    lattice of [M | diag(moduli)] is the image of M plus the relations
+    m_i·e_i, so x ↦ M x taken modulo the moduli becomes a map of lattices.
     """
-    n = M.ncols
-    diag, _, W = _snf(M.rows, n, head=head)
-    free = [j for j in range(n) if j >= len(diag) or diag[j] == 0]
-    return IntMatrix.from_columns([W[j] for j in free], head)
+    rows: List[Dict[int, int]] = [{} for _ in moduli]
+    for j, col in enumerate(cols):
+        for i, v in col.items():
+            rows[i][j] = v
+    width = len(cols)
+    for row, m in zip(rows, moduli):
+        if m:
+            row[width] = m
+            width += 1
+    return rows, width
 
 
-def augment_moduli(M: IntMatrix, moduli: Sequence[int]) -> IntMatrix:
-    """[M | diag(moduli)] without the columns of zero moduli.
+def preimage_lattice(cols: Sequence[Dict[int, int]], moduli: Sequence[int]) -> List[Dict[int, int]]:
+    """Sparse vectors spanning {x : M x ≡ 0 componentwise mod the per-row moduli}.
 
-    Its column lattice is the image of M plus the relations m_i·e_i, so
-    x ↦ M x taken modulo the moduli becomes a map of lattices.
+    M has the sparse columns ``cols``; a modulus of 0 makes its row an exact
+    equation, so with every modulus 0 this is the integer kernel of M.  The
+    lattice is the kernel of [M | diag(moduli)], spanned by V's columns past
+    the rank, cut to the coordinates of x: only those are kept through the
+    elimination, and no U is formed.
     """
-    slack = [i for i, m in enumerate(moduli) if m]
-    rows = [list(row) + [moduli[i] if k == i else 0 for k in slack] for i, row in enumerate(M.rows)]
-    return IntMatrix.from_rows(rows, ncols=M.ncols + len(slack))
+    rows, width = _augmented(cols, moduli)
+    diag, _, W = _snf(rows, width, head=len(cols))
+    return sparse_rows(W[j] for j in range(width) if j >= len(diag) or diag[j] == 0)
 
 
-def solve_mod_many(M: IntMatrix, rhs: Sequence[Sequence[int]], moduli: Sequence[int]) -> List[Optional[list]]:
+def solve_mod_many(
+    cols: Sequence[Dict[int, int]], rhs: Sequence[Dict[int, int]], moduli: Sequence[int]
+) -> List[Optional[list]]:
     """For each b in ``rhs``, one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
 
-    A modulus of 0 means that row is an exact equation over Z.  One
-    elimination of [M | diag(moduli)] serves every b: each row carries the
-    right-hand sides through the row operations, which gives U·b with no U,
-    and V keeps only the coordinates of the unknowns.  D w = U·b is solvable
-    iff M x ≡ b is, and x = V_head w.
+    M has the sparse columns ``cols`` (a map's ``AbMap.cols``) and one row
+    per modulus; each b is sparse too, {row: entry}, and each x is a list of
+    len(cols) entries.  A modulus of 0 means that row is an exact equation
+    over Z.  One elimination of [M | diag(moduli)] serves every b: each row
+    carries the right-hand sides through the row operations, which gives U·b
+    with no U, and V keeps only the coordinates of the unknowns.  D w = U·b
+    is solvable iff M x ≡ b is, and x = V_head w.
 
-    >>> M = IntMatrix.from_rows([[2, 0], [0, 3]])
-    >>> solve_mod_many(M, [[2, 3], [1, 0], [0, 6]], [4, 9])
+    >>> solve_mod_many([{0: 2}, {1: 3}], [{0: 2, 1: 3}, {0: 1}, {1: 6}], [4, 9])
     [[1, 1], None, [0, 2]]
     """
-    m, n = M.shape
-    if len(moduli) != m or any(len(b) != m for b in rhs):
-        raise DimensionMismatch("solve_mod shape mismatch")
     if not rhs:
         return []
-    aug = augment_moduli(M, moduli)
-    carry = [list(col) for col in zip(*rhs)] if m else None
-    diag, left, W = _snf(aug.rows, aug.ncols, carry=carry, head=n)
+    n = len(cols)
+    rows, width = _augmented(cols, moduli)
+    carry = [[0] * len(rhs) for _ in moduli]
+    for t, b in enumerate(rhs):
+        for i, v in b.items():
+            carry[i][t] = v
+    diag, left, W = _snf(rows, width, carry=carry, head=n)
     out: List[Optional[list]] = []
     for t in range(len(rhs)):
         c = [row[t] for row in left]
@@ -531,10 +479,13 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
 
     A modulus of 0 means that row is an exact equation over Z.  Returns one
     solution vector or None when the system has no solution.  One right-hand
-    side, one elimination: a caller with many passes them all to
+    side, one elimination: a caller with many passes them all, sparse, to
     ``solve_mod_many``.
     """
-    return solve_mod_many(M, [b], moduli)[0]
+    m, n = M.shape
+    if len(moduli) != m or len(b) != m:
+        raise DimensionMismatch("solve_mod shape mismatch")
+    return solve_mod_many(sparse_columns(M.rows, n), sparse_rows([b]), moduli)[0]
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -338,27 +338,21 @@ def ses_equivalent_bruteforce(s1, s2) -> bool:
         raise BudgetExceeded("middle order exceeds brute-force budget")
     C1 = ConcreteGroup.from_group(E1)
     C2 = ConcreteGroup.from_group(E2)
-    A = s1.quot
-    B = s1.sub
     e2_elements = C2.elements()
-
-    def gmap(seq, x):
-        vec = seq.g.matrix.apply(list(x))
-        return seq.g.target.reduce(vec)
 
     candidates = []
     for j, d in enumerate(E1.moduli()):
         gen = tuple(1 if t == j else 0 for t in range(len(E1.moduli())))
-        target_g = gmap(s1, gen)
+        target_g = s1.g.apply(gen)
         opts = [
             t
             for t in e2_elements
-            if C2.scale(d, t) == C2.zero and gmap(s2, t) == target_g
+            if C2.scale(d, t) == C2.zero and s2.g.apply(t) == target_g
         ]
         candidates.append(opts)
 
-    f1_cols = [tuple(s1.f.matrix.col(j)) for j in range(B.dim)]
-    f2_cols = [tuple(s2.f.matrix.col(j)) for j in range(B.dim)]
+    f1_cols = [tuple(col.get(i, 0) for i in range(E1.dim)) for col in s1.f.cols]
+    f2_cols = [tuple(col.get(i, 0) for i in range(E2.dim)) for col in s2.f.cols]
 
     def phi_of(images, x):
         acc = C2.zero

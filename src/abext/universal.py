@@ -39,7 +39,7 @@ from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
-from .intlin import IntMatrix, solve_mod_many
+from .intlin import solve_mod_many
 from .abgroup import (
     AbMap,
     FinGenAb,
@@ -129,9 +129,8 @@ def _comparison(A_list: Sequence[FinGenAb], B: FinGenAb, dual: bool) -> Comparis
     basis = dom.basis_classes()
     mat = AbMap.zero(dom.carrier, cod.total)
     for pc, leg, mu in zip(pieces, legs, cod.injections):
-        cols = [pc.to_carrier(act(cls, leg)) for cls in basis]
-        block = IntMatrix.from_columns(cols, pc.carrier.dim)
-        mat = mat + mu @ AbMap.from_matrix(dom.carrier, pc.carrier, block)
+        cols = [dict(enumerate(pc.to_carrier(act(cls, leg)))) for cls in basis]
+        mat = mat + mu @ AbMap(dom.carrier, pc.carrier, cols)
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
     return ComparisonMap(summands, B, dom, cod, mat, inj, bij)
@@ -449,8 +448,7 @@ def cyclic_generation_check(
     if BX.dim * BX.dim > CYCLIC_CHECK_BUDGET:
         raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
-    cols = [ext_big.to_carrier(c) for c in pullback_columns(eta, H)]
-    m = AbMap.from_matrix(H.carrier, ext_big.carrier, IntMatrix.from_columns(cols, ext_big.carrier.dim))
+    m = AbMap(H.carrier, ext_big.carrier, [dict(enumerate(ext_big.to_carrier(c))) for c in pullback_columns(eta, H)])
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)
@@ -459,7 +457,7 @@ def cyclic_generation_check(
     targets = [
         tuple(rng.randrange(md) if md else rng.randrange(-9, 10) for md in carrier_mods) for _ in range(samples)
     ]
-    for target, x in zip(targets, solve_mod_many(m.matrix, targets, carrier_mods)):
+    for target, x in zip(targets, solve_mod_many(m.cols, [dict(enumerate(t)) for t in targets], carrier_mods)):
         if x is None:
             return CyclicGenerationResult(False, "no γ for a sampled class", ())
         gamma = H.recompose(x)

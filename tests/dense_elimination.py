@@ -6,10 +6,23 @@ solutions back over every cell of V's columns; ``abext.intlin`` walks only the n
 support of the row or column it subtracts, with the same pivots, quotients and
 swaps.  ``test_intlin.py`` asserts that both give equal values.
 Do not edit these loops to follow a change in ``intlin``: they are the
-reference that change is checked against.
+reference that change is checked against.  They take dense rows, as
+``intlin`` did before its eliminations took sparse ones.
+
+``canonicalize`` is ``abext.abgroup.canonicalize`` as it read dense rows,
+with its SNF from the loops here.  ``sparse_forms`` writes dense rows as the
+sparse rows an elimination now takes, in each form its contract allows.
+
+The dense matrix arithmetic at the end (products, determinants, transposes
+and the like) is what the tests check identities such as U·M·V = D with;
+``abext`` itself multiplies no dense matrices.
 """
 
-from abext.intlin import IntMatrix, augment_moduli
+import math
+from itertools import compress
+
+from abext.abgroup import FinGenAb, _diagonal_quotient
+from abext.intlin import DimensionMismatch, IntMatrix
 
 
 def _sweep(a, t, c):
@@ -167,3 +180,144 @@ def solve_mod_many(M: IntMatrix, rhs, moduli):
                         x[i] += w * v
         out.append(x)
     return out
+
+
+def canonicalize(presentation: IntMatrix):
+    """(group, place, lift) of Z^n modulo the rows of ``presentation``, as ``abext.abgroup.canonicalize``."""
+    n = presentation.ncols
+    rows = [r for r in presentation.rows if any(r)]
+    col_mod = [0] * n
+    for r in rows:
+        nz = [(j, v) for j, v in enumerate(r) if v]
+        if len(nz) != 1:
+            break
+        j, v = nz[0]
+        col_mod[j] = math.gcd(col_mod[j], v)
+    else:
+        return _diagonal_quotient(col_mod)
+    diag, vinv, vcols = _snf(rows, n, head=n, inverse=True)
+    torsion = [i for i, d in enumerate(diag) if d > 1]
+    free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
+    kept = torsion + free
+    group = FinGenAb(len(free), tuple(diag[i] for i in torsion))
+    place = [{k: vcols[c][i] for k, c in enumerate(kept) if vcols[c][i]} for i in range(n)]
+    return group, place, [{i: x for i, x in enumerate(vinv[c]) if x} for c in kept]
+
+
+def sparse_forms(rng, rows):
+    """The dense ``rows`` as sparse rows {column: entry} in four forms: zeros
+    left out (an all-zero row an empty dict); every cell, zeros explicit, keys
+    descending; and twice some zeros explicit, keys shuffled."""
+    yield [{j: v for j, v in enumerate(r) if v} for r in rows]
+    yield [dict(reversed(list(enumerate(r)))) for r in rows]
+    for _ in range(2):
+        forms = []
+        for r in rows:
+            cells = [(j, v) for j, v in enumerate(r) if v or rng.random() < 0.5]
+            rng.shuffle(cells)
+            forms.append(dict(cells))
+        yield forms
+
+
+# ---------------------------------------------------------------------------
+# Dense matrix arithmetic on IntMatrix
+
+
+def zeros(nrows: int, ncols: int) -> IntMatrix:
+    return IntMatrix(((0,) * ncols,) * nrows, ncols)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
+
+
+def matmul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """A·B, visiting only the nonzero cells of either factor."""
+    if A.ncols != B.nrows:
+        raise DimensionMismatch(f"cannot multiply {A.shape} by {B.shape}")
+    ocols = B.ncols
+    cols = tuple(range(ocols))
+    sparse = [[(j, orow[j]) for j in compress(cols, orow)] for orow in B.rows]
+    inner = tuple(range(A.ncols))
+    out = []
+    for r in A.rows:
+        acc = [0] * ocols
+        for k in compress(inner, r):
+            a = r[k]
+            for j, b in sparse[k]:
+                acc[j] += a * b
+        out.append(acc)
+    return IntMatrix(tuple(out), ocols)
+
+
+def product(*factors: IntMatrix) -> IntMatrix:
+    out = factors[0]
+    for M in factors[1:]:
+        out = matmul(out, M)
+    return out
+
+
+def add(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    if A.shape != B.shape:
+        raise DimensionMismatch("shape mismatch in addition")
+    return IntMatrix(tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(A.rows, B.rows)), A.ncols)
+
+
+def transpose(M: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_columns(M.rows, M.ncols)
+
+
+def apply(M: IntMatrix, vec) -> list:
+    if len(vec) != M.ncols:
+        raise DimensionMismatch("vector length mismatch")
+    return [sum(a * x for a, x in zip(r, vec) if a) for r in M.rows]
+
+
+def scale(M: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(c * a for a in r) for r in M.rows), M.ncols)
+
+
+def select_columns(M: IntMatrix, idx) -> IntMatrix:
+    return IntMatrix(tuple(tuple(r[j] for j in idx) for r in M.rows), len(idx))
+
+
+def select_rows(M: IntMatrix, idx) -> IntMatrix:
+    return IntMatrix(tuple(M.rows[i] for i in idx), M.ncols)
+
+
+def is_zero(M: IntMatrix) -> bool:
+    return not any(map(any, M.rows))
+
+
+def det(M: IntMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = M.nrows
+    if n != M.ncols:
+        raise DimensionMismatch("determinant of non-square matrix")
+    if n == 0:
+        return 1
+    a = [list(r) for r in M.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def augment_moduli(M: IntMatrix, moduli) -> IntMatrix:
+    """[M | diag(moduli)] without the columns of zero moduli."""
+    slack = [i for i, m in enumerate(moduli) if m]
+    rows = [list(row) + [moduli[i] if k == i else 0 for k in slack] for i, row in enumerate(M.rows)]
+    return IntMatrix.from_rows(rows, ncols=M.ncols + len(slack))

@@ -9,7 +9,8 @@ import pytest
 
 from abext import abgroup
 from abext.errors import BudgetExceeded, DomainError
-from abext.intlin import IntMatrix, snf_diagonal
+import dense_elimination as dense
+from abext.intlin import IntMatrix, snf_diagonal, sparse_rows
 from abext.abgroup import (
     AbMap,
     FinGenAb,
@@ -55,6 +56,11 @@ def random_group(rng, max_order=8):
     if rng.random() < 0.2:
         return FinGenAb(rng.randint(1, 2), g.invariant_factors)
     return g
+
+
+def canonicalize_rows(R):
+    """``canonicalize`` of the rows of the IntMatrix R, passed sparse."""
+    return canonicalize(sparse_rows(R.rows), R.ncols)
 
 
 def columns(rows):
@@ -104,20 +110,20 @@ def test_ill_defined_map_names_its_lowest_bad_column():
 
 
 def test_canonicalize_examples():
-    G, _, _ = canonicalize(IntMatrix.from_rows([[2, 0], [0, 4]]))
+    G, _, _ = canonicalize([{0: 2}, {1: 4}], 2)
     assert G == FinGenAb(0, (2, 4))
-    G, _, _ = canonicalize(IntMatrix.from_rows([], ncols=3))
+    G, _, _ = canonicalize([], 3)
     assert G == FinGenAb(3, ())
-    G, place, lift = canonicalize(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    G, place, lift = canonicalize([{0: 2, 1: 4}, {0: 6, 1: 8}], 2)
     assert G == FinGenAb(0, (2, 4))
     proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, 2)
-    assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
+    assert dense.matmul(proj, lift).rows == dense.identity(G.dim).rows
     # a diagonal lattice whose moduli do not chain
-    G, place, lift = canonicalize(IntMatrix.from_rows([[2, 0], [0, 3]]))
+    G, place, lift = canonicalize([{0: 2}, {1: 3}], 2)
     assert G == Z6
     proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, 2)
-    assert (proj * lift).rows == ((1,),)
-    assert G.reduce(proj.apply([2, 0])) == G.reduce(proj.apply([0, 3])) == (0,)
+    assert dense.matmul(proj, lift).rows == ((1,),)
+    assert G.reduce(dense.apply(proj, [2, 0])) == G.reduce(dense.apply(proj, [0, 3])) == (0,)
 
 
 def test_canonicalize_kills_relations():
@@ -128,7 +134,7 @@ def test_canonicalize_kills_relations():
         m, n = rng.randint(0, 4), rng.randint(1, 4)
         presentations.append(IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)], ncols=n))
     for R in presentations:
-        G, place, lift = canonicalize(R)
+        G, place, lift = canonicalize_rows(R)
         assert len(place) == R.ncols and len(lift) == G.dim
         # on the sparse vectors: placing the lifts is the identity, exactly
         for k, vec in enumerate(lift):
@@ -136,9 +142,27 @@ def test_canonicalize_kills_relations():
         for row in R.rows:
             assert not any(G.reduce(apply_sparse(place, row, G.dim)))
         proj, lift = dense_matrix(place, G.dim), dense_matrix(lift, R.ncols)
-        assert (proj * lift).rows == IntMatrix.identity(G.dim).rows
+        assert dense.matmul(proj, lift).rows == dense.identity(G.dim).rows
         for row in R.rows:
-            assert G.reduce(proj.apply(list(row))) == (0,) * G.dim
+            assert G.reduce(dense.apply(proj, list(row))) == (0,) * G.dim
+
+
+def test_canonicalize_of_sparse_relations_gives_the_dense_loops_results():
+    # Zero entries left out or explicit, keys in any order, all-zero rows as
+    # empty dicts or dicts of zeros, no rows or no columns: diagonal lattices
+    # (a relation touching one column, whatever zeros it lists) and mixed ones.
+    rng = random.Random(33)
+    presentations = [dense.zeros(0, 0), dense.zeros(0, 3), dense.zeros(3, 0), dense.zeros(2, 3)]
+    presentations += [IntMatrix.diagonal(mods, len(mods) + 1) for mods in ([2, 3], [75, 45], [4, 0, 9, 1, 6])]
+    presentations.append(IntMatrix.from_rows([[0, 4, 0], [0, 0, 0], [6, 0, 0], [0, 10, 0]]))
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.choice((0, 0, 0, 1, -2, 3, rng.randint(-9, 9))) for _ in range(n)] for _ in range(m)]
+        presentations.append(IntMatrix.from_rows(rows, ncols=n))
+    for R in presentations:
+        want = dense.canonicalize(R)
+        for rows in dense.sparse_forms(rng, R.rows):
+            assert canonicalize(rows, R.ncols) == want, (R, rows)
 
 
 def test_canonicalize_runs_one_elimination_and_no_hnf(monkeypatch):
@@ -157,11 +181,11 @@ def test_canonicalize_runs_one_elimination_and_no_hnf(monkeypatch):
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         rows[0][:2] = [rng.randint(1, 9), rng.randint(1, 9)]  # two nonzeros in a row: not diagonal
         calls.clear()
-        G, place, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
+        G, place, lift = canonicalize(sparse_rows(rows), n)
         assert len(calls) == 1
         assert G.dim == len(lift)
     calls.clear()
-    canonicalize(IntMatrix.diagonal([4, 6, 0]))  # a diagonal lattice takes no SNF
+    canonicalize([{0: 4}, {1: 6, 0: 0}, {}], 3)  # a diagonal lattice takes no SNF
     assert calls == []
 
 
@@ -210,7 +234,7 @@ def test_cyclic_sum_matches_snf():
     for _ in range(80):
         mods = [rng.choice([0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 30]) for _ in range(rng.randint(1, 7))]
         G, place, lift = cyclic_sum(mods)
-        diag = [abs(d) for d in snf_diagonal(IntMatrix.diagonal(mods))]
+        diag = [abs(d) for d in snf_diagonal([{i: m} for i, m in enumerate(mods)], len(mods))]
         assert G.invariant_factors == tuple(d for d in diag if d > 1)
         assert G.free_rank == diag.count(0)
         P, L = dense_matrix(place, G.dim), dense_matrix(lift, len(mods))
@@ -219,12 +243,12 @@ def test_cyclic_sum_matches_snf():
             return [v % m if m else v for v, m in zip(vec, mods)]
 
         # place and lift are mutually inverse modulo the moduli
-        for k, col in enumerate(zip(*(P * L).rows)):
+        for k, col in enumerate(zip(*dense.matmul(P, L).rows)):
             assert G.reduce(col) == tuple(int(t == k) for t in range(G.dim))
-        for i, col in enumerate(zip(*(L * P).rows)):
+        for i, col in enumerate(zip(*dense.matmul(L, P).rows)):
             assert on_summands(col) == on_summands([int(t == i) for t in range(len(mods))])
         # canonicalize finds the same group, and on a chain the same coordinates
-        H, hplace, hlift = canonicalize(IntMatrix.diagonal(mods))
+        H, hplace, hlift = canonicalize_rows(IntMatrix.diagonal(mods))
         assert H == G
         torsion = sorted(m for m in mods if m > 1)
         if all(b % a == 0 for a, b in zip(torsion, torsion[1:])):
@@ -494,7 +518,7 @@ def test_cokernel_group_against_enumeration():
         L = math.lcm(*moduli)
         image = set()
         for x in itertools.product(range(L), repeat=n):
-            vals = M.apply(list(x))
+            vals = dense.apply(M, list(x))
             image.add(tuple(v % md for v, md in zip(vals, moduli)))
         assert cokernel_group(columns(rows), moduli).order() == total // len(image)
     # Columns that are units at their one nonzero entry, against the
@@ -515,7 +539,7 @@ def test_cokernel_group_against_enumeration():
         got = cokernel_group(columns(rows), moduli)
         assert got.order() == math.prod(moduli) // len(image), (rows, moduli)
         # the same map into the canonical form of ⊕Z(moduli)
-        M = dense_matrix(place, T.dim) * IntMatrix.from_rows(rows)
+        M = dense.matmul(dense_matrix(place, T.dim), IntMatrix.from_rows(rows))
         assert got == cokernel(AbMap.from_matrix(FinGenAb(M.ncols, ()), T, M))[0]
 
 
@@ -625,13 +649,13 @@ def test_sparse_maps_match_dense_arithmetic():
         assert f.matrix.shape == (T.dim, S.dim) and f.matrix.rows == _normalized(F, T)
         g, h = random_map(rng, T, U), random_map(rng, S, T)
         G, H = g.matrix, h.matrix
-        assert (g @ f).matrix.rows == _normalized(G * F, U)
-        assert (f + h).matrix.rows == _normalized(F + H, T)
-        assert (f - h).matrix.rows == _normalized(F - H, T)
+        assert (g @ f).matrix.rows == _normalized(dense.matmul(G, F), U)
+        assert (f + h).matrix.rows == _normalized(dense.add(F, H), T)
+        assert (f - h).matrix.rows == _normalized(dense.add(F, dense.scale(H, -1)), T)
         c = rng.randint(-5, 5)
-        assert f.scale(c).matrix.rows == _normalized(F.scale(c), T)
+        assert f.scale(c).matrix.rows == _normalized(dense.scale(F, c), T)
         x = [rng.randint(-9, 9) for _ in range(S.dim)]
-        assert f.apply(x) == T.reduce(F.apply(x))
+        assert f.apply(x) == T.reduce(dense.apply(F, x))
         assert f.is_zero() == (not any(map(any, _normalized(F, T))))
         same = AbMap.from_matrix(S, T, F)
         assert same == f and hash(same) == hash(f)

@@ -14,6 +14,7 @@ from abext.cli import main
 from abext.errors import BudgetExceeded
 from abext.intlin import IntMatrix
 from abext.torsioncat import parse_finite_group
+from dense_elimination import product
 
 
 def run(capsys, *argv):
@@ -64,7 +65,7 @@ def test_snf_verb_answers_a_dense_30x30_matrix(capsys):
     code, data = run_json(capsys, "snf", "--matrix", json.dumps([list(r) for r in M.rows]))
     assert code == 0
     U, D, V = (IntMatrix.from_json(data[key]) for key in ("U", "D", "V"))
-    assert (U * M * V) == D
+    assert product(U, M, V) == D
 
 
 def test_canon_verb(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 import abext.homext as homext
 from abext.errors import DomainError, EndpointMismatch, NotExactSequence
-from abext.intlin import IntMatrix, solve_mod
+from abext.intlin import IntMatrix, solve_mod, sparse_rows
 from abext.abgroup import (
     AbMap,
     FinGenAb,
@@ -12,7 +12,6 @@ from abext.abgroup import (
     abelian_groups_up_to_order,
     canonicalize,
     cokernel,
-    dense_matrix,
     is_epi,
     kernel,
     sparse_sum,
@@ -220,7 +219,7 @@ def exact_by_lattices(f, g):
         return False
     K, incl = kernel(g)
     emods = list(f.target.moduli())
-    return all(solve_mod(f.matrix, list(incl.matrix.col(j)), emods) is not None for j in range(K.dim))
+    return all(solve_mod(f.matrix, [col.get(i, 0) for i in range(len(emods))], emods) is not None for col in incl.cols)
 
 
 def test_exactness_matches_lattice_route():
@@ -277,11 +276,8 @@ def _realize_full_presentation(c):
     rows = [[m if t == i else 0 for t in range(n)] for i, m in enumerate(B.moduli()) if m]
     for j, d in enumerate(A.invariant_factors):
         rows.append([-b for b in c.block(j)] + [d if t == nB + j else 0 for t in range(nB, n)])
-    E, place, lift = canonicalize(IntMatrix.from_rows(rows, ncols=n))
-    proj, lift = dense_matrix(place, E.dim), dense_matrix(lift, n)
-    return ShortExactSeq(
-        AbMap.from_matrix(B, E, proj.select_columns(range(nB))), AbMap.from_matrix(E, A, lift.select_rows(range(nB, n)))
-    )
+    E, place, lift = canonicalize(sparse_rows(rows), n)
+    return ShortExactSeq(AbMap(B, E, place[:nB]), AbMap(E, A, [{t - nB: x for t, x in vec.items() if t >= nB} for vec in lift]))
 
 
 A336 = FinGenAb(0, (3, 3, 6))

@@ -5,23 +5,25 @@ import time
 
 import pytest
 
+import dense_elimination as dense
 from abext.errors import BudgetExceeded
 from abext.intlin import (
     DimensionMismatch,
     _snf,
     IntMatrix,
-    augment_moduli,
-    det,
     json_str,
     hnf,
-    kernel_basis,
+    preimage_lattice,
     rank_mod_p,
     snf,
     snf_diagonal,
     solve_mod,
     solve_mod_many,
+    sparse_columns,
+    sparse_rows,
 )
 from abext import intlin
+from dense_elimination import augment_moduli, det, identity, matmul, product, zeros
 
 
 def entries_gcd(M):
@@ -36,7 +38,7 @@ def test_snf_spec_example():
     M = IntMatrix.from_rows([[2, 4], [6, 8]])
     dec = snf(M)
     assert dec.diagonal() == [2, 4]
-    assert (dec.U * M * dec.V).rows == dec.D.rows
+    assert product(dec.U, M, dec.V).rows == dec.D.rows
     assert det(dec.U) in (1, -1) and det(dec.V) in (1, -1)
     # d1 is the gcd of all entries, d1*d2 = |det M|
     assert dec.diagonal()[0] == entries_gcd(M)
@@ -44,15 +46,15 @@ def test_snf_spec_example():
 
 
 def test_snf_empty_and_identity():
-    dec = snf(IntMatrix.zeros(0, 0))
+    dec = snf(zeros(0, 0))
     assert dec.D.shape == (0, 0)
-    dec = snf(IntMatrix.identity(3))
+    dec = snf(identity(3))
     assert dec.diagonal() == [1, 1, 1]
 
 
 def test_snf_zero_rows_cols():
-    dec = snf(IntMatrix.zeros(3, 2))
-    assert dec.D.rows == IntMatrix.zeros(3, 2).rows
+    dec = snf(zeros(3, 2))
+    assert dec.D.rows == zeros(3, 2).rows
     dec = snf(IntMatrix.from_rows([], ncols=4))
     assert dec.D.shape == (0, 4)
 
@@ -66,7 +68,7 @@ def test_snf_random_properties():
             [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)], ncols=n
         )
         dec = snf(M)
-        assert (dec.U * M * dec.V).rows == dec.D.rows
+        assert product(dec.U, M, dec.V).rows == dec.D.rows
         assert det(dec.U) in (1, -1)
         assert det(dec.V) in (1, -1)
         diag = dec.diagonal()
@@ -104,7 +106,7 @@ def _exhaustive_solvable(M, b, moduli):
     L = math.lcm(*moduli)
     n = M.ncols
     for x in itertools.product(range(L), repeat=n):
-        vals = M.apply(list(x))
+        vals = dense.apply(M, list(x))
         if all((v - t) % m == 0 for v, t, m in zip(vals, b, moduli)):
             return True
     return False
@@ -124,7 +126,7 @@ def test_solve_mod_against_exhaustive_search():
             assert not brute
         else:
             assert brute
-            vals = M.apply(got)
+            vals = dense.apply(M, got)
             for v, t, md in zip(vals, b, moduli):
                 assert (v - t) % md == 0
 
@@ -139,7 +141,7 @@ def _in_column_lattice(M, b, moduli):
     """Whether b lies in the span of M's columns and the m_i·e_i, by row HNF
     of the spanning vectors: an oracle that takes no SNF."""
     m = M.nrows
-    gens = [list(c) for c in M.transpose().rows] + [[md if k == i else 0 for k in range(m)] for i, md in enumerate(moduli) if md]
+    gens = [list(c) for c in dense.transpose(M).rows] + [[md if k == i else 0 for k in range(m)] for i, md in enumerate(moduli) if md]
     H, _ = hnf(IntMatrix.from_rows(gens, ncols=m))
     v = list(b)
     for row in H.rows:
@@ -151,6 +153,11 @@ def _in_column_lattice(M, b, moduli):
         q = v[piv] // row[piv]
         v = [x - q * a for x, a in zip(v, row)]
     return not any(v)
+
+
+def solve_many(M, rhs, moduli):
+    """``solve_mod_many`` of an IntMatrix and dense right-hand sides, each passed sparse."""
+    return solve_mod_many(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli)
 
 
 def test_batched_solves_match_one_at_a_time_solve_mod():
@@ -165,23 +172,24 @@ def test_batched_solves_match_one_at_a_time_solve_mod():
         # free rows (0) among mixed moduli, so some right-hand sides have no solution
         moduli = [rng.choice([0, 0, 0, 2, 3, 4, 6, 9]) for _ in range(m)]
         rhs = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(8)]
-        for b, x in zip(rhs, solve_mod_many(M, rhs, moduli)):
+        for b, x in zip(rhs, solve_many(M, rhs, moduli)):
             assert x == solve_mod(M, b, moduli)
             if x is None:
                 unsolvable += 1
                 assert not _in_column_lattice(M, b, moduli)
             else:
                 answered += 1
-                assert all((v - t) % md == 0 if md else v == t for v, t, md in zip(M.apply(x), b, moduli))
+                assert all((v - t) % md == 0 if md else v == t for v, t, md in zip(dense.apply(M, x), b, moduli))
     assert answered > 100 and unsolvable > 100
     # inconsistent right-hand sides give None, consistent ones the same vector
     M = IntMatrix.from_rows([[2, 0], [0, 3], [0, 0]])
-    got = solve_mod_many(M, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 5]], [4, 0, 5])
+    got = solve_many(M, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [2, 3, 5]], [4, 0, 5])
     assert got == [None, None, None, [1, 1]] and solve_mod(M, [2, 3, 5], [4, 0, 5]) == [1, 1]
+    # shapes are checked where an IntMatrix comes in
     with pytest.raises(DimensionMismatch):
-        solve_mod_many(IntMatrix.from_rows([[1, 2]]), [], [3, 4])
+        solve_mod(IntMatrix.from_rows([[1, 2]]), [1], [3, 4])
     with pytest.raises(DimensionMismatch):
-        solve_mod_many(M, [[1, 0, 0], [1, 2]], [4, 0, 5])
+        solve_mod(M, [1, 2], [4, 0, 5])
 
 
 def _solve_through_u(M, b, moduli):
@@ -189,7 +197,7 @@ def _solve_through_u(M, b, moduli):
     both transforms of [M | diag(moduli)], then U·b, then V's first n rows."""
     dec = snf(augment_moduli(M, moduli))
     diag = dec.diagonal()
-    c = dec.U.apply(list(b))
+    c = dense.apply(dec.U, list(b))
     if any(ci % d if d else ci for ci, d in zip(c, diag)) or any(c[len(diag) :]):
         return None
     w = [ci // d if d else 0 for ci, d in zip(c, diag)]
@@ -198,9 +206,9 @@ def _solve_through_u(M, b, moduli):
 
 def _carried_solve_cases():
     rng = random.Random(151)
-    yield IntMatrix.zeros(0, 3), []  # no equations: x = 0
-    yield IntMatrix.zeros(3, 0), [4, 0, 6]  # no unknowns: b must vanish
-    yield IntMatrix.zeros(4, 0), [0, 0, 0, 0]
+    yield zeros(0, 3), []  # no equations: x = 0
+    yield zeros(3, 0), [4, 0, 6]  # no unknowns: b must vanish
+    yield zeros(4, 0), [0, 0, 0, 0]
     for _ in range(40):
         m, n = rng.randint(1, 7), rng.randint(1, 6)
         M = _dense(rng, m, n)
@@ -229,20 +237,26 @@ def test_carried_solve_equals_the_solve_through_u(monkeypatch):
         rhs = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(6)]
         for _ in range(3):  # planted, so solvable
             x0 = [rng.randint(-5, 5) for _ in range(n)]
-            rhs.append([v % md if md else v for v, md in zip(M.apply(x0), moduli)])
+            rhs.append([v % md if md else v for v, md in zip(dense.apply(M, x0), moduli)])
         want = [_solve_through_u(M, b, moduli) for b in rhs]
         widths.clear()
         with monkeypatch.context() as patch:
             patch.setattr(intlin, "snf", refuse)
             patch.setattr(intlin, "hnf", refuse)
             patch.setattr(intlin, "_snf", carried)
-            assert solve_mod_many(M, rhs, moduli) == want
+            assert solve_many(M, rhs, moduli) == want
             assert [solve_mod(M, b, moduli) for b in rhs] == want
-            assert solve_mod_many(M, [], moduli) == []
+            assert solve_many(M, [], moduli) == []
         # one elimination per call, each row carrying the right-hand sides and no row of U
         assert widths == [{len(rhs)} if m else set()] + [{1} if m else set()] * len(rhs)
         answers += want
     assert sum(x is None for x in answers) > 60 and sum(x is not None for x in answers) > 150
+
+
+def kernel_basis(M):
+    """The integer kernel of M: its preimage lattice with every modulus 0, as an IntMatrix of columns."""
+    cols = preimage_lattice(sparse_columns(M.rows, M.ncols), [0] * M.nrows)
+    return IntMatrix.from_columns([[col.get(i, 0) for i in range(M.ncols)] for col in cols], M.ncols)
 
 
 def test_kernel_basis():
@@ -256,7 +270,7 @@ def test_kernel_basis():
 
 def test_kernel_basis_is_snfs_v_on_the_free_columns(monkeypatch):
     rng = random.Random(190)
-    cases = [IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), IntMatrix.zeros(2, 4), IntMatrix.identity(3)]
+    cases = [zeros(0, 3), zeros(3, 0), zeros(2, 4), identity(3)]
     cases += [_dense(rng, m, n) for m, n in ((1, 3), (3, 5), (5, 3), (6, 6))]
     cases += [_of_rank(rng, m, n, r) for m, n, r in ((6, 6, 3), (4, 7, 2), (7, 5, 4))]
     real = intlin._snf
@@ -269,13 +283,13 @@ def test_kernel_basis_is_snfs_v_on_the_free_columns(monkeypatch):
         # the kernel as it was taken before: V of the SNF with both transforms
         dec = snf(M)
         diag = dec.diagonal()
-        want = dec.V.select_columns([j for j in range(M.ncols) if j >= len(diag) or diag[j] == 0])
+        want = dense.select_columns(dec.V, [j for j in range(M.ncols) if j >= len(diag) or diag[j] == 0])
         with monkeypatch.context() as patch:
             patch.setattr(intlin, "snf", None)
             patch.setattr(intlin, "_snf", uncarried)
             got = kernel_basis(M)
         assert got == want
-        assert (M * got).is_zero()
+        assert dense.is_zero(matmul(M, got))
 
 
 def test_hnf_properties():
@@ -285,7 +299,7 @@ def test_hnf_properties():
         n = rng.randint(1, 4)
         M = IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)])
         H, U = hnf(M)
-        assert (U * M).rows == H.rows
+        assert matmul(U, M).rows == H.rows
         assert det(U) in (1, -1)
         pivots = []
         for i in range(m):
@@ -385,10 +399,10 @@ def test_mul_matches_triple_loop():
         a = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(k)] for _ in range(m)]
         b = [[rng.choice((0, 0, 0, 1, -1, rng.randint(-9, 9))) for _ in range(n)] for _ in range(k)]
         want = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)] for i in range(m)]
-        got = IntMatrix.from_rows(a, ncols=k) * IntMatrix.from_rows(b, ncols=n)
+        got = matmul(IntMatrix.from_rows(a, ncols=k), IntMatrix.from_rows(b, ncols=n))
         assert got.shape == (m, n)
         assert got.rows == tuple(tuple(r) for r in want)
-    assert (IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3)).rows == ((0, 0, 0), (0, 0, 0))
+    assert matmul(zeros(2, 0), zeros(0, 3)).rows == ((0, 0, 0), (0, 0, 0))
 
 
 def test_matrix_json_roundtrip():
@@ -397,18 +411,18 @@ def test_matrix_json_roundtrip():
 
 
 def test_zero_row_matrices_keep_their_width():
-    a, b = IntMatrix.zeros(0, 3), IntMatrix.zeros(0, 5)
+    a, b = zeros(0, 3), zeros(0, 5)
     assert a.shape == (0, 3) and b.shape == (0, 5)
     assert a != b and hash(a) != hash(b)
     assert a == IntMatrix.from_rows([], ncols=3) == IntMatrix.from_columns([(), (), ()], 0)
-    assert a.transpose() == IntMatrix.zeros(3, 0)
-    assert (IntMatrix.zeros(2, 0) * a).shape == (2, 3)
+    assert dense.transpose(a) == zeros(3, 0)
+    assert matmul(zeros(2, 0), a).shape == (2, 3)
 
 
 def test_from_columns():
     M = IntMatrix.from_columns([(1, 2), (3, 4), (5, 6)], 2)
     assert M.rows == ((1, 3, 5), (2, 4, 6))
-    assert M == M.transpose().transpose()
+    assert M == dense.transpose(dense.transpose(M))
     assert IntMatrix.from_columns([], 2).shape == (2, 0)
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_columns([(1, 2), (3,)], 2)
@@ -467,7 +481,7 @@ def _of_rank(rng, m, n, rank):
 
 
 def _assert_smith(M, dec, max_digits=None):
-    assert (dec.U * M * dec.V).rows == dec.D.rows
+    assert product(dec.U, M, dec.V).rows == dec.D.rows
     diag = dec.diagonal()
     assert all(d >= 0 for d in diag)
     assert all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
@@ -492,25 +506,25 @@ def test_snf_agrees_with_snf_diagonal_on_every_shape():
         dec = snf(M)
         _assert_smith(M, dec)
         assert det(dec.U) in (1, -1) and det(dec.V) in (1, -1)
-        assert dec.diagonal() == snf_diagonal(M)
+        assert dec.diagonal() == snf_diagonal(sparse_rows(M.rows), M.ncols)
         if rank is not None:
             assert sum(1 for d in dec.diagonal() if d) == rank
 
 
 def test_snf_tracking_v_inverse_gives_snf_v_and_its_exact_inverse():
     rng = random.Random(7)
-    cases = [IntMatrix.zeros(0, 4), IntMatrix.zeros(3, 0), IntMatrix.zeros(3, 3)]
+    cases = [zeros(0, 4), zeros(3, 0), zeros(3, 3)]
     cases += [_dense(rng, m, n) for m, n in ((3, 8), (8, 3), (6, 6), (1, 5), (5, 1))]
     cases += [_of_rank(rng, m, n, r) for m, n, r in ((7, 7, 4), (9, 6, 3), (6, 9, 3))]
     cases += [M for M, _ in _shape_matrices()]
     for M in cases:
         n = M.ncols
-        diag, vinv, vcols = _snf(M.rows, n, head=n, inverse=True)
+        diag, vinv, vcols = _snf(sparse_rows(M.rows), n, head=n, inverse=True)
         dec = snf(M)
         assert diag == dec.diagonal()
         V = IntMatrix.from_columns(vcols, n)
         assert V == dec.V
-        assert (V * IntMatrix.from_rows(vinv, ncols=n)).rows == IntMatrix.identity(n).rows
+        assert matmul(V, IntMatrix.from_rows(vinv, ncols=n)).rows == identity(n).rows
 
 
 def test_snf_diagonal_matches_sympy():
@@ -519,7 +533,7 @@ def test_snf_diagonal_matches_sympy():
 
     for M, _ in _shape_matrices():
         S = smith_normal_form(sympy.Matrix([list(r) for r in M.rows]), domain=sympy.ZZ)
-        assert snf_diagonal(M) == [int(S[i, i]) for i in range(min(M.shape))]
+        assert snf_diagonal(sparse_rows(M.rows), M.ncols) == [int(S[i, i]) for i in range(min(M.shape))]
 
 
 @pytest.mark.parametrize("m, n, rank", [(40, 40, None), (40, 40, 30), (30, 40, None)])
@@ -555,22 +569,22 @@ def test_solve_mod_dense_16x16_with_a_modulus_on_every_row():
     M = _dense(rng, 16, 16)
     moduli = [rng.choice((2, 3, 4, 5, 6, 8, 9, 12)) for _ in range(16)]
     planted = [rng.randint(-5, 5) for _ in range(16)]
-    b = [v % md for v, md in zip(M.apply(planted), moduli)]
+    b = [v % md for v, md in zip(dense.apply(M, planted), moduli)]
     start = time.perf_counter()
     x = solve_mod(M, b, moduli)
     assert time.perf_counter() - start < 2.0
     assert x is not None
-    assert all((v - t) % md == 0 for v, t, md in zip(M.apply(x), b, moduli))
+    assert all((v - t) % md == 0 for v, t, md in zip(dense.apply(M, x), b, moduli))
 
 
 def test_hnf_is_unchanged_by_a_row_permutation():
     rng = random.Random(11)
     for M, _ in _shape_matrices():
         H, U = hnf(M)
-        assert (U * M).rows == H.rows and det(U) in (1, -1)
+        assert matmul(U, M).rows == H.rows and det(U) in (1, -1)
         order = list(range(M.nrows))
         rng.shuffle(order)
-        assert hnf(M.select_rows(order))[0] == H
+        assert hnf(dense.select_rows(M, order))[0] == H
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +611,7 @@ def _twisted_presentation(rng, nb, na):
 
 def _oracle_matrices():
     rng = random.Random(17)
-    yield from (IntMatrix.zeros(m, n) for m, n in ((0, 0), (0, 3), (3, 0)))
+    yield from (zeros(m, n) for m, n in ((0, 0), (0, 3), (3, 0)))
     for m, n in ((20, 20), (20, 14), (14, 20), (1, 7), (7, 1)):
         yield _dense(rng, m, n)
     for _ in range(24):
@@ -612,37 +626,77 @@ def _oracle_matrices():
         yield augment_moduli(M, [rng.choice((0, 2, 3, 4, 6, 9)) for _ in range(6)])
     # negative pivots: every least entry negative
     yield IntMatrix.from_rows([[-2, 4, 0], [6, -3, 0], [0, 0, -5]])
-    yield _dense(rng, 9, 9).scale(-1)
-    yield _twisted_presentation(rng, 4, 3).scale(-1)
+    yield dense.scale(_dense(rng, 9, 9), -1)
+    yield dense.scale(_twisted_presentation(rng, 4, 3), -1)
 
 
 def test_nonzero_cell_elimination_equals_the_dense_loops():
-    import dense_elimination as dense
-
     rng = random.Random(1998)
     for M in _oracle_matrices():
         m, n = M.shape
+        rows = sparse_rows(M.rows)
         for carry in ("identity", "rhs", None):
             for head in sorted({0, n // 2, n}):
                 block = {"identity": intlin._identity(m), "rhs": _dense(rng, m, 3).rows, None: None}[carry]
-                args = (M.rows, n, None if block is None else [list(r) for r in block], head)
-                want = dense._snf(*args)
-                assert intlin._snf(*args) == want, (M, carry, head)
-        assert intlin._snf(M.rows, n, head=n, inverse=True) == dense._snf(M.rows, n, head=n, inverse=True), M
+                carried = None if block is None else [list(r) for r in block]
+                want = dense._snf(M.rows, n, carried, head)
+                assert intlin._snf(rows, n, carried, head) == want, (M, carry, head)
+        assert intlin._snf(rows, n, head=n, inverse=True) == dense._snf(M.rows, n, head=n, inverse=True), M
         assert hnf(M) == dense.hnf(M), M
     # diag(2, 3) is not a Smith form: only the divisibility fix-up gives (1, 6)
-    assert snf_diagonal(IntMatrix.from_rows([[0, 3], [2, 0]])) == [1, 6]
+    assert snf_diagonal([{1: 3}, {0: 2}], 2) == [1, 6]
 
 
 def test_solve_read_back_equals_the_dense_read_back():
-    import dense_elimination as dense
-
     rng = random.Random(2)
     for M in _oracle_matrices():
         m, n = M.shape
         moduli = [rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(m)]
-        planted = [M.apply([rng.randint(-4, 4) for _ in range(n)]) for _ in range(4)]
+        planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(4)]
         rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(4)]
-        got = solve_mod_many(M, rhs, moduli)
+        got = solve_many(M, rhs, moduli)
         assert got == dense.solve_mod_many(M, rhs, moduli), M
         assert all(x is not None for x in got[:4])
+
+
+# ---------------------------------------------------------------------------
+# Sparse input: every form of the same rows gives the dense loops' results
+
+
+def _with_zero_lines(rng, M):
+    """M with an all-zero column and an all-zero row put in at random places."""
+    j = rng.randint(0, M.ncols)
+    rows = [list(r[:j]) + [0] + list(r[j:]) for r in M.rows]
+    rows.insert(rng.randint(0, len(rows)), [0] * (M.ncols + 1))
+    return IntMatrix.from_rows(rows, ncols=M.ncols + 1)
+
+
+def _contract_matrices():
+    rng = random.Random(31)
+    yield from (zeros(m, n) for m, n in ((0, 0), (0, 3), (3, 0), (2, 2)))
+    for _ in range(12):
+        M = _dense(rng, rng.randint(1, 6), rng.randint(1, 6))
+        yield M
+        yield _with_zero_lines(rng, M)
+    for _ in range(6):
+        yield _with_zero_lines(rng, _twisted_presentation(rng, rng.randint(1, 4), rng.randint(0, 3)))
+
+
+def test_sparse_input_gives_the_dense_loops_results():
+    rng = random.Random(32)
+    for M in _contract_matrices():
+        m, n = M.shape
+        carry = [list(r) for r in _dense(rng, m, 2).rows]
+        want = dense._snf(M.rows, n, carry, n)
+        want_inverse = dense._snf(M.rows, n, head=n, inverse=True)
+        for rows in dense.sparse_forms(rng, M.rows):
+            assert _snf(rows, n, carry, n) == want, (M, rows)
+            assert _snf(rows, n, head=n, inverse=True) == want_inverse, (M, rows)
+            assert snf_diagonal(rows, n) == want[0], (M, rows)
+        moduli = [rng.choice((0, 2, 3, 4, 6, 9)) for _ in range(m)]
+        planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(2)]
+        rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(3)]
+        want = dense.solve_mod_many(M, rhs, moduli)
+        forms = zip(dense.sparse_forms(rng, dense.transpose(M).rows), dense.sparse_forms(rng, rhs))
+        for cols, sparse_rhs in forms:
+            assert solve_mod_many(cols, sparse_rhs, moduli) == want, (M, cols, sparse_rhs)

@@ -17,6 +17,7 @@ from abext.abgroup import (
     ZERO_GROUP,
     abelian_groups_up_to_order,
     cokernel,
+    cokernel_group,
     cyclic_sum,
     direct_sum,
     is_epi,
@@ -36,6 +37,7 @@ from abext.homext import (
     pullback_action,
     pullback_columns,
     realize,
+    seq_pullback,
 )
 from abext.universal import (
     build_universal_coextension,
@@ -423,13 +425,45 @@ def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
     B, A = FinGenAb(0, (2,) * 4), FinGenAb(0, (2,) * 2)
     certs = [build_universal_extension(B, A), build_universal_coextension(B, A)]
     monkeypatch.undo()
-    assert cells and max(cells) <= 4096
+    assert not cells  # no IntMatrix at all: every elimination takes sparse rows
     for cert in certs:
         for leg in ("f", "g"):
             rows = getattr(cert.sequence, leg).matrix.rows
             shape, digest = SPARSE_GUARD_ROWS[cert.direction, leg]
             assert (len(rows), len(rows[0])) == shape
             assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def test_checks_build_no_dense_matrix(monkeypatch):
+    # The independent checks of a certificate hand maps to the elimination as
+    # their sparse columns: classify of the |X| = 256 co-extension (its
+    # [f | diag] is 1024 x 2048) and of the |X| = 128 extension, kernels,
+    # cokernels, pullback mediators, mono with free rank, cokernel_group and
+    # find_equivalence build no IntMatrix.
+    coext = build_universal_coextension(FinGenAb(0, (2,) * 4), FinGenAb(0, (2, 2)))
+    ext = build_universal_extension(FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 4)))
+    assert (len(coext.X), len(ext.X)) == (256, 128)
+    A, B = FinGenAb(0, (2, 4)), FinGenAb(1, (2, 4))
+    seq = realize(ExtClass(A, B, (1, 1, 2, 0, 3, 2)))
+    h = AbMap(Z4, A, [{0: 1, 1: 2}])
+    cells = []
+    real = intlin.IntMatrix.__post_init__
+
+    def counting(self):
+        real(self)
+        cells.append(self.shape)
+
+    monkeypatch.setattr(intlin.IntMatrix, "__post_init__", counting)
+    assert classify(coext.sequence) == coext.canonical_class
+    assert classify(ext.sequence) == ext.canonical_class
+    assert kernel(seq.g)[0] == B and cokernel(seq.f)[0] == A
+    pulled = seq_pullback(seq, h)  # a pullback and its mediator
+    assert classify(pulled) == pullback_action(classify(seq), h)
+    assert is_mono(seq.f) and not is_mono(AbMap(FinGenAb(2, ()), FinGenAb(1, ()), [{0: 1}, {0: 2}]))
+    assert cokernel_group(seq.f.cols, seq.middle.moduli()) == A
+    assert find_equivalence(seq, seq_pullback(seq, AbMap.identity(A))) is not None
+    monkeypatch.undo()
+    assert cells == []
 
 
 def test_coextension_read_back_catches_misplaced_slots(monkeypatch):
