@@ -18,9 +18,13 @@ component is x (resp. γ ∈ Ext^1(A, B^X)), since Ext over a finite coproduct
 is blockwise, and take its ``realize``.  The |X|·dim B slots of B^(X) are
 numbered run by run (``_power_group``), so η and γ are slices of the listed
 classes.  The slots share a handful of twists: ``realize`` splits the
-repeats off and checks each once, and δ reads each distinct twist once, so
-what a slot costs beyond that is linear bookkeeping.  X is listed only when
-B^(X) has fewer than ``UNIVERSAL_SLOT_BUDGET`` slots.
+repeats off and checks each once, and δ reads each distinct twist once as
+sparse flat vectors, so what a slot costs beyond that is linear bookkeeping.
+X is listed only when B^(X) has fewer than ``UNIVERSAL_SLOT_BUDGET`` slots.
+
+Every pair takes this one path.  When Ext^1 is trivial, X is its zero class
+alone, so B^(X) = B, the middle is A ⊕ B, and the three conditions are
+checked like any others; the certificate reads ``degenerate`` off |X| = 1.
 
 The paper's literal constructions stay as references: Ψ^{-1} is
 ``psi_inverse_via_colim``, the ``seq_pushout`` of the coproduct of
@@ -36,7 +40,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, UnsupportedInstance
 from .intlin import solve_mod_many
@@ -44,7 +48,6 @@ from .abgroup import (
     AbMap,
     FinGenAb,
     SumDiagram,
-    ZERO_GROUP,
     codiagonal,
     diagonal,
     direct_sum,
@@ -52,6 +55,7 @@ from .abgroup import (
     is_epi_mod,
     is_mono,
     is_mono_mod,
+    sparse_image,
 )
 from .homext import (
     ExtClass,
@@ -191,18 +195,27 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class UniversalCertificate:
-    """Constructed (co)extension plus verdicts for the defining conditions."""
+    """Constructed (co)extension plus verdicts for the defining conditions.
+
+    ``canonical_class`` is the class the builder realized: η ∈ Ext^1(B^(X), A)
+    for an extension, γ ∈ Ext^1(A, B^X) for a co-extension.
+    """
 
     direction: str  # "extension" | "coextension"
     B: FinGenAb
     A: FinGenAb
     X: Tuple[ExtClass, ...]
     sequence: ShortExactSeq
-    canonical_class: Optional[ExtClass]
-    degenerate: bool
+    canonical_class: ExtClass
     condition_a: ConditionReport
     condition_b: ConditionReport
     condition_c: ConditionReport
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the Ext group is trivial: X is its zero class alone, so
+        B^(X) = B and the middle is A ⊕ B."""
+        return len(self.X) == 1
 
     @property
     def all_pass(self) -> bool:
@@ -226,8 +239,7 @@ class UniversalCertificate:
         }
         if include_sequence:
             out["sequence"] = self.sequence.to_json()
-            if self.canonical_class is not None:
-                out["class"] = self.canonical_class.to_json()
+            out["class"] = self.canonical_class.to_json()
         return out
 
 
@@ -255,22 +267,9 @@ def verify_coextension_conditions(seq: ShortExactSeq, B: FinGenAb):
     return ra, rb, rc
 
 
-def _degenerate_certificate(direction: str, B: FinGenAb, A: FinGenAb, ext: ExtGroup) -> UniversalCertificate:
-    # Ext vanishes, so X = Ext is its zero class alone; the certificate is flagged.
-    if direction == "extension":
-        seq = ShortExactSeq(AbMap.identity(A), AbMap.zero(A, ZERO_GROUP))
-    else:
-        seq = ShortExactSeq(AbMap.zero(ZERO_GROUP, A), AbMap.identity(A))
-    note = "Ext group is trivial; vacuously universal (degenerate)"
-    rep = lambda n: ConditionReport(n, True, note)  # noqa: E731
-    return UniversalCertificate(
-        direction, B, A, (ext.zero(),), seq, None, True, rep("a"), rep("b"), rep("c")
-    )
-
-
 def _finalize(direction, B, A, X, seq, cls, reports) -> UniversalCertificate:
     ra, rb, rc = reports
-    cert = UniversalCertificate(direction, B, A, tuple(X), seq, cls, False, ra, rb, rc)
+    cert = UniversalCertificate(direction, B, A, tuple(X), seq, cls, ra, rb, rc)
     if not cert.conditions_agree():
         raise DomainError(
             f"universal {direction} verdicts disagree: "
@@ -284,8 +283,6 @@ def _finalize(direction, B, A, X, seq, cls, reports) -> UniversalCertificate:
 def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     """Canonical universal extension A ↪ E ↠ B^(X) with X = Ext^1(B, A)."""
     ext = ext_group(B, A)
-    if ext.order() == 1:
-        return _degenerate_certificate("extension", B, A, ext)
     X = _list_classes(ext, B)
     dA, kB = A.dim, B.torsion_count
     BX, runs = _power_group(B, len(X))
@@ -304,10 +301,11 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     # unless h starts at a torsion generator j of B, and depends only on j, h's
     # order g = gcd(d_j, D) and the twist at its target slot of factor D, so
     # each distinct (D, twist) is read once, and equal pieces count once.
+    # η·h is (d_j/g)·twist in the j-th twist and zero elsewhere: a sparse vector.
     bfacts = B.invariant_factors
     slots = dict.fromkeys(zip(BX.invariant_factors, eta.twists()))
     pieces = dict.fromkeys((j, g, tw) for D, tw in slots for j, d in enumerate(bfacts) if (g := math.gcd(d, D)) > 1)
-    delta = [(ExtClass(B, A, tuple(bfacts[j] // g * c if t == j else 0 for t in range(kB) for c in tw)), g) for j, g, tw in pieces]
+    delta = [({j * dA + t: bfacts[j] // g * c for t, c in enumerate(tw) if c}, g) for j, g, tw in pieces]
     reports = (
         ConditionReport("a", ok_a, "pushout of Ext^1(B,A) basis along u lands in d·E"),
         ConditionReport("b", ok_b, "blockwise kernel of Ext^1(B,p)"),
@@ -319,8 +317,6 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
 def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     """Canonical universal co-extension B^X ↪ E ↠ A with X = Ext^1(A, B)."""
     ext = ext_group(A, B)
-    if ext.order() == 1:
-        return _degenerate_certificate("coextension", B, A, ext)
     X = _list_classes(ext, B)
     dB, kA = B.dim, A.torsion_count
     BX, runs = _power_group(B, len(X))
@@ -351,16 +347,14 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
                 weights[jp][s] = D * x // efacts[jp]
     ok_b = all(_injective_mod(m, efacts, dfacts, weights) for m in sorted(set(B.moduli())))
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
-    # only on h's target, order and entry and the twists at h's source slot.
-    # A slot of modulus D has the pieces of B's generators of modulus D, so
-    # each distinct (D, twists) is read once, and equal pieces count once.
-    bmods, bpieces = B.moduli(), hom_pieces(B, B)
+    # only on h's target i, order and entry and the twists at h's source slot.
+    # A slot of modulus D has the pieces of Hom(Z(D), B) (Z when D = 0), listed
+    # once per D, so each distinct (D, twists) is read once, and equal pieces
+    # count once.  h·γ is entry·twist at generator i of B: a sparse vector.
     slots = dict.fromkeys(zip(BX.moduli(), zip(*v)))
-    pieces = dict.fromkeys((i, g, entry, tw) for D, tw in slots for j, i, g, entry in bpieces if bmods[j] == D)
-    delta = [
-        (ExtClass(A, B, tuple(entry * c if t == i else 0 for c in twists for t in range(dB))), g)
-        for i, g, entry, twists in pieces
-    ]
+    from_slot = {D: hom_pieces(FinGenAb(0, (D,)) if D else FinGenAb(1, ()), B) for D in {D for D, _ in slots}}
+    pieces = dict.fromkeys((i, g, entry, tw) for D, tw in slots for _, i, g, entry in from_slot[D])
+    delta = [({k * dB + i: entry * c for k, c in enumerate(tw) if c}, g) for i, g, entry, tw in pieces]
     reports = (
         ConditionReport("a", ok_a, "pullback of Ext^1(A,B) basis along u vanishes"),
         ConditionReport("b", ok_b, "blockwise kernel of Ext^1(p,B)"),
@@ -406,9 +400,10 @@ def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], col
     return is_mono_mod(cols, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
 
 
-def _generates(ext: ExtGroup, pieces: Sequence[Tuple[ExtClass, int]]) -> bool:
-    """Whether classes of the given orders (0: infinite) generate ``ext``."""
-    cols = [{i: x for i, x in enumerate(ext.to_carrier(cls)) if x} for cls, _ in pieces]
+def _generates(ext: ExtGroup, pieces: Sequence[Tuple[Dict[int, int], int]]) -> bool:
+    """Whether the classes of the given sparse flat coordinates (not necessarily
+    reduced) and orders (0: infinite) generate ``ext``."""
+    cols = [sparse_image(ext.place, vec) for vec, _ in pieces]
     return is_epi_mod(cols, [g for _, g in pieces], ext.carrier.moduli())
 
 
@@ -440,6 +435,8 @@ def cyclic_generation_check(
         raise BudgetExceeded(f"{samples} samples exceed {CYCLIC_SAMPLE_BUDGET}")
     if cert.direction != "extension":
         raise DomainError("cyclic generation check applies to extension certificates")
+    # A trivial Ext group is generated by anything, and the check below would
+    # refuse every B of dimension past 32 under CYCLIC_CHECK_BUDGET.
     if cert.degenerate:
         return CyclicGenerationResult(True, "Ext^1(B,A) trivial; vacuous", ())
     eta = cert.canonical_class
@@ -484,11 +481,7 @@ def sufficient_condition_check(A: FinGenAb, B: FinGenAb) -> SufficientConditionR
     finite X; the report records this together with the success of the
     universal-extension construction (the lemma's (b) ⇒ (c) direction).
     """
-    ext = ext_group(B, A)
-    if ext.order() == 1:
-        cert_ok = build_universal_extension(B, A).conditions_agree()
-        return SufficientConditionReport(1, True, cert_ok, cert_ok)
-    X = _list_classes(ext, B)
+    X = _list_classes(ext_group(B, A), B)
     # ⊕f_x is block diagonal, so it is monic iff every block is.
     monic = all(is_mono(realize(c).f) for c in X)
     cert_ok = build_universal_extension(B, A).all_pass

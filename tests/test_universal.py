@@ -34,8 +34,10 @@ from abext.homext import (
     ext_group,
     find_equivalence,
     hom_group,
+    hom_pieces,
     pullback_action,
     pullback_columns,
+    pushout_action,
     realize,
     seq_pullback,
 )
@@ -185,17 +187,22 @@ def test_each_system_is_factored_once(monkeypatch):
 
 
 def test_degenerate_certificate():
-    # X = Ext^1 is trivial, so it is the zero class alone: |X| = 1
+    # X = Ext^1 is trivial, so it is the zero class alone: |X| = 1, B^(X) = B
+    # and the middle is A ⊕ B, here Z(3) ⊕ Z(2) = Z(6), in both directions.
+    Z6 = FinGenAb(0, (6,))
     cert = build_universal_extension(Z2, Z3)
     assert cert.degenerate and cert.all_pass
     assert cert.X == (ExtClass(Z2, Z3, (0,)),)
     assert cert.to_json()["X_size"] == 1
-    assert cert.sequence.middle == Z3
+    assert (cert.sequence.sub, cert.sequence.middle, cert.sequence.quot) == (Z3, Z6, Z2)
     co = build_universal_coextension(Z2, Z3)
     assert co.degenerate and co.all_pass
     assert co.X == (ExtClass(Z3, Z2, (0,)),)
+    assert (co.sequence.sub, co.sequence.middle, co.sequence.quot) == (Z2, Z6, Z3)
     free = build_universal_extension(FinGenAb(1, ()), Z2)  # Ext^1(Z, -) = 0 has no coordinates
     assert free.degenerate and free.X == (ExtClass(FinGenAb(1, ()), Z2, ()),)
+    assert free.sequence.middle == FinGenAb(1, (2,))
+    assert free.to_json(include_sequence=True)["class"] == free.canonical_class.to_json()
 
 
 def test_certificate_z2_z2():
@@ -313,6 +320,49 @@ def test_independent_audit_of_every_pair_up_to_order_8_with_x_up_to_32():
 )
 def test_independent_audit_at_x_64(direction, B, A):
     _audit(direction, B, A)
+
+
+# Ends taken with free rank, beside the groups of order at most 8.
+FREE_ENDS = [FinGenAb(1, ()), FinGenAb(1, (2,)), FinGenAb(2, (2,)), FinGenAb(1, (3,))]
+
+
+def _property_pairs():
+    """Every ordered pair of order at most 8, then each free end as B and as A."""
+    small = abelian_groups_up_to_order(8)
+    yield from itertools.product(small, small)
+    for F in FREE_ENDS:
+        for G in small + FREE_ENDS:
+            yield F, G
+            if G not in FREE_ENDS:
+                yield G, F
+
+
+def test_every_certificate_has_the_ends_and_class_it_claims():
+    """The B^(X) end is B^(|X|), a finite middle has order |A|·|B|^|X|, and,
+    up to |X| = 32, ``classify`` gives back the class and the generic
+    verifiers pass; trivial Ext included, where |X| = 1 and E = A ⊕ B."""
+    counts = {"certificates": 0, "trivial": 0, "audited": 0}
+    for B, A in _property_pairs():
+        for build, verify in (
+            (build_universal_extension, verify_extension_conditions),
+            (build_universal_coextension, verify_coextension_conditions),
+        ):
+            cert = build(B, A)
+            n = len(cert.X)
+            seq = cert.sequence
+            power = FinGenAb(n * B.free_rank, tuple(sorted(B.invariant_factors * n)))
+            assert cert.all_pass
+            assert (seq.sub, seq.quot) == ((A, power) if cert.direction == "extension" else (power, A))
+            if seq.middle.is_finite():
+                assert A.is_finite() and B.is_finite()
+                assert seq.middle.order() == A.order() * B.order() ** n
+            if n <= 32:
+                assert classify(seq) == cert.canonical_class
+                assert all(r.passed for r in verify(seq, B))
+                counts["audited"] += 1
+            counts["certificates"] += 1
+            counts["trivial"] += cert.degenerate
+    assert counts == {"certificates": 450, "trivial": 206, "audited": 426}
 
 
 def test_non_universal_candidate_fails_all_three():
@@ -499,11 +549,14 @@ def test_power_group_numbers_the_slots_as_cyclic_sum():
 
 
 def test_projective_b_is_vacuously_universal():
-    # free B has Ext^1(B, A) = 0, so every pair degenerates to a vacuous pass
+    # free B has Ext^1(B, A) = 0, so X is the zero class and the split
+    # sequence A ↪ A ⊕ B ↠ B passes the generic verifier too
     Zfree = FinGenAb(1, ())
     for A in (Z2, Z4, FinGenAb(2, (6,))):
         cert = build_universal_extension(Zfree, A)
         assert cert.degenerate and cert.all_pass
+        assert cert.sequence.middle == direct_sum([A, Zfree]).total
+        assert all(r.passed for r in verify_extension_conditions(cert.sequence, Zfree))
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +572,18 @@ def _restricted_map(q, src_mods, tgt_mods, cols):
     return AbMap.from_matrix(FinGenAb(0, tuple(g for _, g in src)), FinGenAb(0, tuple(g for _, g in tgt)), mat)
 
 
+def _piece_class(ext, vec):
+    """The ExtClass of a sparse flat vector of ``ext``'s coordinates."""
+    return ExtClass(ext.A, ext.B, tuple(vec.get(k, 0) for k in range(len(ext.piece_mods))))
+
+
 def _pieces_map(ext, pieces):
     """The pieces as a canonical source group mapping to the carrier: the
-    route ``_generates`` took before its rank core."""
+    dense route ``_generates`` took before its rank core, each sparse flat
+    vector rebuilt as an ExtClass and placed by ``to_carrier``."""
     pieces = sorted(pieces, key=lambda piece: (piece[1] == 0, piece[1]))
     src = FinGenAb(sum(1 for _, g in pieces if not g), tuple(g for _, g in pieces if g))
-    cols = [ext.to_carrier(cls) for cls, _ in pieces]
+    cols = [ext.to_carrier(_piece_class(ext, vec)) for vec, _ in pieces]
     return AbMap.from_matrix(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim))
 
 
@@ -602,6 +661,7 @@ def test_generates_matches_epi_of_the_pieces(monkeypatch, build):
         build(B, A)
     monkeypatch.undo()
     assert calls
+    assert all(type(vec) is dict for _, pieces in calls for vec, _ in pieces)  # sparse flat vectors
     rng = random.Random(31)
     verdicts = set()
     for ext, pieces in calls:
@@ -613,12 +673,35 @@ def test_generates_matches_epi_of_the_pieces(monkeypatch, build):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
+def test_delta_pieces_are_the_images_of_the_hom_pieces(monkeypatch, build):
+    # The sparse pieces condition (c) hands ``_generates``, with their
+    # orders, are exactly the nonzero δ(h) over the cyclic pieces h of
+    # Hom(B, B^(X)) (co-extension: Hom(B^X, B)) with the orders of h, each
+    # δ(h) from the generic pullback (pushout) action.
+    calls = _record(monkeypatch, "_generates")
+    certs = [build(B, A) for B, A in RANK_CORE_CASES + [(Z2, Z3)]]
+    monkeypatch.undo()
+    for cert, (ext, pieces) in zip(certs, calls):
+        got = {(_piece_class(ext, vec), g) for vec, g in pieces}
+        if cert.direction == "extension":
+            S, T, act = cert.B, cert.sequence.quot, pullback_action
+        else:
+            S, T, act = cert.sequence.sub, cert.B, pushout_action
+        want = set()
+        for j, i, g, entry in hom_pieces(S, T):
+            cols = [{} for _ in range(S.dim)]
+            cols[j] = {i: entry}
+            want.add((act(cert.canonical_class, AbMap(S, T, cols)), g))
+        assert {p for p in got if not p[0].is_zero()} == {p for p in want if not p[0].is_zero()}
+
+
 # ---------------------------------------------------------------------------
 # Cyclic generation
 
 
 def test_cyclic_generation_examples():
-    assert cyclic_generation_check(build_universal_extension(Z2, Z3)).passed  # X empty
+    assert cyclic_generation_check(build_universal_extension(Z2, Z3)).passed  # Ext trivial, |X| = 1
     res = cyclic_generation_check(build_universal_extension(Z2, Z2))
     assert res.passed and len(res.witnesses) == 5
     for cls, gamma in res.witnesses:
@@ -723,7 +806,7 @@ def test_closure_law_on_sums_up_to_order_4(build, verify):
 def test_sufficient_condition_examples():
     rep = sufficient_condition_check(Z2, Z2)
     assert rep.monic and rep.certificate_exists and rep.consistent
-    rep = sufficient_condition_check(Z3, Z2)  # zero Ext: vacuous
-    assert rep.monic and rep.consistent
+    rep = sufficient_condition_check(Z3, Z2)  # zero Ext: X is the zero class
+    assert rep.X_size == 1 and rep.monic and rep.certificate_exists and rep.consistent
     rep = sufficient_condition_check(Z2, Z4)
     assert rep.monic and rep.consistent
