@@ -125,13 +125,6 @@ def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
     return HomGroup(A, B, tuple(pieces), carrier, place, lift)
 
 
-def hom_postcompose(h: AbMap, T: FinGenAb) -> AbMap:
-    """Hom(T, h): Hom(T, source) → Hom(T, target), f ↦ h ∘ f."""
-    HS = hom_group(T, h.source)
-    HT = hom_group(T, h.target)
-    return AbMap(HS.carrier, HT.carrier, [dict(enumerate(HT.decompose(h @ b))) for b in HS.basis])
-
-
 # ---------------------------------------------------------------------------
 # Ext groups and classes
 
@@ -164,14 +157,11 @@ class ExtGroup:
     def zero(self) -> "ExtClass":
         return ExtClass(self.A, self.B, (0,) * len(self.piece_mods))
 
-    def reduce(self, flat: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(v % g if g else v for v, g in zip(flat, self.piece_mods))
-
     def to_carrier(self, cls: "ExtClass") -> Tuple[int, ...]:
         return self.carrier.reduce(apply_sparse(self.place, cls.coords, self.carrier.dim))
 
     def from_carrier(self, coords: Sequence[int]) -> "ExtClass":
-        return ExtClass(self.A, self.B, self.reduce(apply_sparse(self.lift, coords, len(self.piece_mods))))
+        return ExtClass(self.A, self.B, apply_sparse(self.lift, coords, len(self.piece_mods)))  # reduced there
 
     def classes(self) -> Iterator["ExtClass"]:
         """All classes, lexicographic on normal-form coordinates (reduced by construction)."""
@@ -289,11 +279,9 @@ class ShortExactSeq:
         f, g = self.f, self.g
         if f.target != g.source:
             raise NotExactSequence("middle objects disagree")
-        gcols, amods = g.cols, g.target.moduli()
-        for col in f.cols:  # g ∘ f, one column at a time, with no map built
-            for i, x in sparse_image(gcols, col).items():
-                if x % amods[i] if amods[i] else x:
-                    raise NotExactSequence("g ∘ f is not zero")
+        amods = g.target.moduli()
+        if not all(_vanishes(sparse_image(g.cols, col), amods) for col in f.cols):  # g ∘ f, no map built
+            raise NotExactSequence("g ∘ f is not zero")
         if not is_mono(f):
             raise NotExactSequence("f is not a monomorphism")
         if not is_epi(g):
@@ -324,11 +312,6 @@ class ShortExactSeq:
     def from_json(data: dict) -> "ShortExactSeq":
         data = json_of(dict, data)
         return ShortExactSeq(AbMap.from_json(data["f"]), AbMap.from_json(data["g"]))
-
-
-def split_sequence(A: FinGenAb, B: FinGenAb) -> ShortExactSeq:
-    ds = direct_sum([B, A])
-    return ShortExactSeq(ds.injections[0], ds.projections[1])
 
 
 def realize(c: ExtClass) -> ShortExactSeq:
@@ -419,9 +402,8 @@ def realize(c: ExtClass) -> ShortExactSeq:
                 raise DomainError(_BROKEN_LIFT)
             for a, y in gcols[k].items():
                 hit[a] = hit.get(a, 0) + x * y
-        for a, x in hit.items():
-            if x % amods[a] if amods[a] else x:
-                raise DomainError(_BROKEN_LIFT)
+        if not _vanishes(hit, amods):
+            raise DomainError(_BROKEN_LIFT)
     return ShortExactSeq(AbMap(B, E, fcols), AbMap(E, A, gcols))
 
 
@@ -435,7 +417,10 @@ def _firsts(keys: Sequence) -> List[int]:
 
 
 def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
-    return not any(x % mods[i] if mods[i] else x for i, x in vec.items())
+    for i, x in vec.items():  # a plain loop costs less than any() over a generator
+        if x % mods[i] if mods[i] else x:
+            return False
+    return True
 
 
 def classify(s: ShortExactSeq) -> ExtClass:

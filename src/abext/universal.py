@@ -4,14 +4,17 @@ The canonical universal extension of B by A takes X = Ext^1(B, A) (the full
 lexicographic enumeration of classes) and realizes the class whose pullback
 along each inclusion μ_x is the x-th class; dually for co-extensions with
 the diagonal and projections.  A certificate records the sequence plus
-independent verdicts for the three equivalent defining conditions:
+verdicts for the three equivalent defining conditions on A ↪u E ↠p B^(X):
 
   (a) Ext^1(B, u) is zero,
   (b) Ext^1(B, p) is injective,
   (c) the connecting morphism δ : Hom(B, B^(X)) → Ext^1(B, A) is surjective,
 
 and their duals for co-extensions.  Any disagreement between the verdicts is
-a build failure.
+a build failure.  No condition acts on a class: Ext^1(B, h) is h modulo each
+invariant factor d of B, so (a) asks u(A) ⊆ dE and (b) that E/dE → B^(X)/dB^(X)
+be injective, and dually (a*)/(b*) read u's and p's ``_ext_weights`` modulo
+each modulus of B.
 
 Both builders stack X into one class, η ∈ Ext^1(B^(X), A) whose x-th
 component is x (resp. γ ∈ Ext^1(A, B^X)), since Ext over a finite coproduct
@@ -19,18 +22,17 @@ is blockwise, and take its ``realize``.  The |X|·dim B slots of B^(X) are
 numbered run by run (``_power_group``), so η and γ are slices of the listed
 classes.  The slots share a handful of twists: ``realize`` splits the
 repeats off and checks each once, and δ reads each distinct twist once as
-sparse flat vectors, so what a slot costs beyond that is linear bookkeeping.
+sparse flat vectors, so a slot costs little more than its bookkeeping.
 X is listed only when B^(X) has fewer than ``UNIVERSAL_SLOT_BUDGET`` slots.
-
-Every pair takes this one path.  When Ext^1 is trivial, X is its zero class
-alone, so B^(X) = B, the middle is A ⊕ B, and the three conditions are
-checked like any others; the certificate reads ``degenerate`` off |X| = 1.
+Every pair takes this path; when Ext^1 is trivial, X is its zero class, the
+middle is A ⊕ B, and the certificate reads ``degenerate`` off |X| = 1.
 
 The paper's literal constructions stay as references: Ψ^{-1} is
 ``psi_inverse_via_colim``, the ``seq_pushout`` of the coproduct of
 realizations along the codiagonal ∇, and Φ^{-1} is ``phi_inverse_via_lim``,
 the ``seq_pullback`` of their product along the diagonal Δ.  With
-``verify_extension_conditions`` and ``verify_coextension_conditions`` they
+``verify_extension_conditions`` and ``verify_coextension_conditions``, which
+act on classes and share none of the builders' three computations, they
 audit the builders independently.
 """
 
@@ -62,6 +64,7 @@ from .homext import (
     ExtGroup,
     ShortExactSeq,
     _reduced_class,
+    _vanishes,
     classify,
     connecting_hom,
     connecting_hom_dual,
@@ -293,10 +296,10 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     seq = realize(eta)
     u, p, E = seq.f, seq.g, seq.middle
 
-    # (a): Ext^1(B, u) kills every basis class of Ext^1(B, A).
-    ok_a = all(pushout_action(c, u).is_zero() for c in ext.basis_classes())
-    # (b): Ext^1(B, p) is injective iff E/dE → B^(X)/dB^(X) is, for each factor d of B.
-    ok_b = all(_injective_mod(d, E.moduli(), BX.moduli(), p.cols) for d in sorted(set(B.invariant_factors)))
+    # (a) and (b): u and p read modulo each factor d of B.
+    facts = sorted(set(B.invariant_factors))
+    ok_a = all(_zero_mod(d, E.moduli(), u.cols) for d in facts)
+    ok_b = all(_injective_mod(d, E.moduli(), BX.moduli(), p.cols) for d in facts)
     # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
     # unless h starts at a torsion generator j of B, and depends only on j, h's
     # order g = gcd(d_j, D) and the twist at its target slot of factor D, so
@@ -333,19 +336,11 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     seq = realize(gamma)
     p, u, E = seq.f, seq.g, seq.middle
 
-    # (a*): Ext^1(u, B) kills every basis class of Ext^1(A, B).
-    ok_a = all(pullback_action(c, u).is_zero() for c in ext.basis_classes())
-    # (b*): Ext^1(p, B) is injective iff it is on the coordinates over each
-    # generator of B.  Its matrix sends the block of E's jp-th factor e to
-    # D·p[jp][s]/e times the block of B^X's s-th factor D, read off the
-    # nonzero cells of p's torsion rows and torsion slots.
-    efacts, dfacts = E.invariant_factors, BX.invariant_factors
-    weights = [{} for _ in efacts]
-    for s, (col, D) in enumerate(zip(p.cols, dfacts)):
-        for jp, x in col.items():
-            if jp < len(efacts):
-                weights[jp][s] = D * x // efacts[jp]
-    ok_b = all(_injective_mod(m, efacts, dfacts, weights) for m in sorted(set(B.moduli())))
+    # (a*) and (b*): u's and p's weights read modulo each modulus m of B.
+    efacts, mods = E.invariant_factors, sorted(set(B.moduli()))
+    wu, wp = _ext_weights(u), _ext_weights(p)
+    ok_a = all(_zero_mod(m, efacts, wu) for m in mods)
+    ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, wp) for m in mods)
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
     # only on h's target i, order and entry and the twists at h's source slot.
     # A slot of modulus D has the pieces of Hom(Z(D), B) (Z when D = 0), listed
@@ -390,13 +385,32 @@ def _power_group(B: FinGenAb, n: int):
     return FinGenAb(B.free_rank * n, tuple(d for d in B.invariant_factors for _ in range(n))), runs
 
 
-def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], cols) -> bool:
-    """Injectivity of the sparse columns ``cols`` from ⊕Z(gcd(q, s)) to ⊕Z(gcd(q, t)).
+def _ext_weights(h: AbMap) -> List[Dict[int, int]]:
+    """Ext^1(h, ·) for h : S → T as sparse columns: the column over T's torsion
+    generator t holds σ_s·h[t][s]/τ_t at S's torsion generator s, for the
+    factors σ of S and τ of T, exact since h is well defined."""
+    sig, tau = h.source.invariant_factors, h.target.invariant_factors
+    cols: List[Dict[int, int]] = [{} for _ in tau]
+    for s, (col, d) in enumerate(zip(h.cols, sig)):
+        for t, x in col.items():
+            if t < len(tau):
+                cols[t][s] = d * x // tau[t]
+    return cols
 
-    The moduli are 0 for Z, read as gcd q.  ``cols`` are p's or its Ext-dual
-    weights read modulo q, well defined because p was checked when it was
-    built, so nothing is checked again here.
-    """
+
+def _zero_mod(q: int, tgt_mods: Sequence[int], cols) -> bool:
+    """Whether the sparse columns ``cols`` vanish in ⊕Z(gcd(q, t)), 0 for Z
+    read as q.  For u's weights that is each block's vanishing, since a weight
+    w from Z(gcd(d, q)) to Z(gcd(e, q)) has gcd(e, q) | w·gcd(d, q)."""
+    mods = [math.gcd(m, q) for m in tgt_mods]
+    return all(_vanishes(col, mods) for col in cols)
+
+
+def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], cols) -> bool:
+    """Injectivity of the sparse columns ``cols`` from ⊕Z(gcd(q, s)) to
+    ⊕Z(gcd(q, t)), 0 for Z read as q.  ``cols`` are p's or its ``_ext_weights``,
+    well defined because p was checked when it was built, so nothing is checked
+    again here."""
     return is_mono_mod(cols, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
 
 

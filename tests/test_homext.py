@@ -12,6 +12,7 @@ from abext.abgroup import (
     abelian_groups_up_to_order,
     canonicalize,
     cokernel,
+    direct_sum,
     is_epi,
     kernel,
     sparse_sum,
@@ -27,7 +28,6 @@ from abext.homext import (
     ext_group,
     find_equivalence,
     hom_group,
-    hom_postcompose,
     pullback_action,
     pushout_action,
     realize,
@@ -35,7 +35,6 @@ from abext.homext import (
     seq_pushout,
     ses_direct_sum,
     ses_equivalent,
-    split_sequence,
 )
 from abext.oracle import ConcreteGroup, enumerate_homs
 
@@ -45,6 +44,19 @@ Z3 = FinGenAb(0, (3,))
 Z4 = FinGenAb(0, (4,))
 Z6 = FinGenAb(0, (6,))
 Z12 = FinGenAb(0, (12,))
+
+
+def split_sequence(A, B):
+    """The split sequence B ↪ B ⊕ A ↠ A."""
+    ds = direct_sum([B, A])
+    return ShortExactSeq(ds.injections[0], ds.projections[1])
+
+
+def hom_postcompose(h, T):
+    """Hom(T, h): Hom(T, source) → Hom(T, target), f ↦ h ∘ f."""
+    HS = hom_group(T, h.source)
+    HT = hom_group(T, h.target)
+    return AbMap(HS.carrier, HT.carrier, [dict(enumerate(HT.decompose(h @ b))) for b in HS.basis])
 
 
 def random_class(rng, A, B):
@@ -209,6 +221,9 @@ def test_classify_rejects_non_exact():
     with pytest.raises(NotExactSequence, match="kernel of g not contained in image of f"):
         # Z --2--> Z → 0: mono, epi and g∘f = 0, but the cokernel Z(2) is not 0
         ShortExactSeq(AbMap.from_matrix(Z, Z, IntMatrix.from_rows([[2]])), AbMap.zero(Z, ZERO_GROUP))
+    with pytest.raises(NotExactSequence, match="g ∘ f is not zero"):
+        # Z --1--> Z --2--> Z: g∘f is nonzero in a free row, where nothing reduces it
+        ShortExactSeq(AbMap.identity(Z), AbMap(Z, Z, [{0: 2}]))
 
 
 def exact_by_lattices(f, g):

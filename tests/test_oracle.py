@@ -2,7 +2,7 @@ import pytest
 
 from abext.errors import BudgetExceeded
 from abext.abgroup import FinGenAb
-from abext.homext import ExtClass, realize, split_sequence
+from abext.homext import ExtClass, realize
 from abext.oracle import (
     ConcreteGroup,
     enumerate_homs,
@@ -10,6 +10,7 @@ from abext.oracle import (
     ext_representatives_by_cocycles,
     ses_equivalent_bruteforce,
 )
+from test_homext import split_sequence
 
 Z2 = FinGenAb(0, (2,))
 Z3 = FinGenAb(0, (3,))

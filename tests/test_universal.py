@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import abext.homext as homext
 import abext.intlin as intlin
 import abext.universal as universal
 from abext.oracle import ConcreteGroup, ext_count_by_cocycles
@@ -31,6 +32,8 @@ from abext.homext import (
     ExtGroup,
     ShortExactSeq,
     classify,
+    ext_contravariant_map,
+    ext_covariant_map,
     ext_group,
     find_equivalence,
     hom_group,
@@ -557,6 +560,106 @@ def test_projective_b_is_vacuously_universal():
         assert cert.degenerate and cert.all_pass
         assert cert.sequence.middle == direct_sum([A, Zfree]).total
         assert all(r.passed for r in verify_extension_conditions(cert.sequence, Zfree))
+
+
+# ---------------------------------------------------------------------------
+# Conditions (a) and (a*): the vanishing rules against the generic Ext maps
+
+
+def _covariant_rule(B, h):
+    """The builders' (a) on h: Ext^1(B, h) = 0 iff h vanishes modulo each factor of B."""
+    return all(universal._zero_mod(d, h.target.moduli(), h.cols) for d in sorted(set(B.invariant_factors)))
+
+
+def _contravariant_rule(h, B):
+    """The builders' (a*) on h: Ext^1(h, B) = 0 iff h's weights vanish modulo each modulus of B."""
+    weights = universal._ext_weights(h)
+    return all(universal._zero_mod(m, h.source.invariant_factors, weights) for m in sorted(set(B.moduli())))
+
+
+def test_vanishing_rules_match_the_generic_ext_maps():
+    # Seeded well-defined h : S → T with free ranks, some of them scaled so
+    # that they vanish modulo more factors; B of order at most 16, with or
+    # without a free summand.
+    rng = random.Random(22)
+    pool = abelian_groups_up_to_order(16)
+    verdicts = {"covariant": [], "contravariant": []}
+    for _ in range(700):
+        S, T = (FinGenAb(rng.choice((0, 0, 1, 2)), rng.choice(pool).invariant_factors) for _ in range(2))
+        B = FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors)
+        H = hom_group(S, T)
+        scale = rng.choice((1, 1, 2, 3, 4, 6))
+        h = H.recompose([scale * (rng.randrange(m) if m else rng.randint(-3, 3)) for m in H.carrier.moduli()])
+        cov = _covariant_rule(B, h)
+        assert cov == ext_covariant_map(B, h).is_zero()
+        contra = _contravariant_rule(h, B)
+        assert contra == ext_contravariant_map(h, B).is_zero()
+        verdicts["covariant"].append(cov)
+        verdicts["contravariant"].append(contra)
+    assert all(set(v) == {True, False} for v in verdicts.values())
+
+
+def test_ext_weights_are_the_blocks_of_the_pullback_action():
+    # Over a cyclic B = Z(m) (Z when m = 0), Ext^1(T, B) has one slot per
+    # torsion generator t of T, and pulling the unit class at t back along h
+    # puts weight[t][s] at slot s, reduced modulo gcd(σ_s, m).
+    rng = random.Random(23)
+    pool = abelian_groups_up_to_order(16)
+    for _ in range(200):
+        S, T = (FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors) for _ in range(2))
+        H = hom_group(S, T)
+        h = H.recompose([rng.randrange(m) if m else rng.randint(-3, 3) for m in H.carrier.moduli()])
+        weights = universal._ext_weights(h)
+        assert len(weights) == T.torsion_count
+        for m in (0, 2, 3, 4, 12):
+            B = FinGenAb(0, (m,)) if m else FinGenAb(1, ())
+            for t in range(T.torsion_count):
+                unit = ExtClass(T, B, tuple(int(k == t) for k in range(T.torsion_count)))
+                want = pullback_action(unit, h).coords
+                assert want == tuple(weights[t].get(s, 0) % math.gcd(d, m) for s, d in enumerate(S.invariant_factors))
+
+
+def test_split_sequences_fail_the_builders_conditions_when_ext_is_nontrivial(monkeypatch):
+    # With realize replaced by the split sequence A ↪ A ⊕ B^(X) ↠ B^(X)
+    # (dually B^X ↪ B^X ⊕ A ↠ A), Ext^1(B, u) and Ext^1(u, B) are injective
+    # and Ext^1(B, p), Ext^1(p, B) onto: the builders' (a) and (b) must fail
+    # exactly when the Ext group is nontrivial.
+    def split(cls):
+        ds = direct_sum([cls.B, cls.A])
+        return ShortExactSeq(ds.injections[0], ds.projections[1])
+
+    monkeypatch.setattr(universal, "realize", split)
+    monkeypatch.setattr(universal, "_finalize", lambda direction, B, A, X, seq, cls, reports: (len(X), reports))
+    groups = abelian_groups_up_to_order(8) + [FinGenAb(1, ()), FinGenAb(1, (2,)), FinGenAb(2, (3,))]
+    verdicts = set()
+    for B in groups:
+        for A in groups:
+            for build, ext in ((build_universal_extension, ext_group(B, A)), (build_universal_coextension, ext_group(A, B))):
+                if 0 in ext.piece_mods or ext.order() > 64:
+                    continue
+                n, (ra, rb, _) = build(B, A)
+                assert ra.passed == rb.passed == (n == 1), (build.__name__, B, A)
+                verdicts.add(ra.passed)
+    assert verdicts == {True, False}
+
+
+def test_builders_act_on_no_class(monkeypatch):
+    # The builders decide every condition on the legs' cells: no class
+    # action and no basis of an Ext group is reached, even with free ends.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a universal builder acted on an Ext class")
+
+    cases = RANK_CORE_CASES + [(FinGenAb(1, (2, 4)), FinGenAb(1, (2,))), (FinGenAb(0, (2, 2)), FinGenAb(2, (4,)))]
+    for module in (universal, homext):
+        monkeypatch.setattr(module, "pushout_action", refuse)
+        monkeypatch.setattr(module, "pullback_action", refuse)
+    monkeypatch.setattr(ExtGroup, "basis_classes", refuse)
+    certs = [build(B, A) for B, A in cases for build in (build_universal_extension, build_universal_coextension)]
+    monkeypatch.undo()
+    assert sum(not cert.degenerate for cert in certs) >= 12
+    for cert in certs:
+        verify = verify_extension_conditions if cert.direction == "extension" else verify_coextension_conditions
+        assert cert.all_pass and all(r.passed for r in verify(cert.sequence, cert.B))
 
 
 # ---------------------------------------------------------------------------
