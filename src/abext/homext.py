@@ -8,10 +8,13 @@ coordinate over the i-th generator of B well defined modulo gcd(d_j, m_i)
 literally vector addition, equality is O(1) after reduction, and the split
 class is the zero vector.
 
-The pullback action η·h and pushout action k·η are computed directly on
-coordinates (lifting h to a map of resolutions); geometric pullback/pushout
-of realized sequences exist alongside and the two routes are cross-checked
-in the test suite.
+Ext^1(h, k) acts on these flat slots, slot (j, i) for factor d_j of A and
+generator i of B, as one block-sparse map: k acts on each twist, and h : A' → A
+(lifted to the resolutions) through the weights σ_s·h[t][s]/τ_t of
+``_ext_weights``.  The class actions, the induced maps on carriers, δ, and the
+universal module's Ψ/Φ and cyclic check all read these sparse columns; the
+geometric pullback/pushout of realized sequences exist alongside and the two
+routes are cross-checked in the test suite.
 
 Ab is hereditary, so Ext^2 and higher vanish and are not represented.
 """
@@ -168,9 +171,6 @@ class ExtGroup:
         for combo in itertools.product(*(range(max(g, 1)) for g in self.piece_mods)):
             yield _reduced_class(self.A, self.B, combo)
 
-    def basis_classes(self) -> List["ExtClass"]:
-        return [self.from_carrier(u) for u in _units(self.carrier.dim)]
-
 
 # Every ExtClass reduces its coordinates by these moduli, and the universal
 # builders make hundreds of classes over the same pair.
@@ -209,13 +209,8 @@ class ExtClass:
             self, "coords", tuple(v % g if g else v for v, g in zip(self.coords, mods))
         )
 
-    def block(self, j: int) -> Tuple[int, ...]:
-        """Coordinates of the j-th twist, an element of B."""
-        n = self.B.dim
-        return self.coords[j * n : (j + 1) * n]
-
     def twists(self) -> List[Tuple[int, ...]]:
-        """Every twist in order, ``[self.block(j) for j in range(A.torsion_count)]``."""
+        """Every twist in order: the j-th is the j-th block of dim B coordinates, an element of B."""
         n = self.B.dim
         return list(zip(*[iter(self.coords)] * n)) if n else [()] * self.A.torsion_count
 
@@ -440,59 +435,79 @@ def classify(s: ShortExactSeq) -> ExtClass:
 
 
 # ---------------------------------------------------------------------------
-# Actions on classes
+# Actions on flat slots
 
 
-def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
-    """η·h for h : A' → A, computed by lifting h to the resolutions."""
-    if h.target != c.A:
-        raise EndpointMismatch("pullback action endpoint mismatch")
-    d, Ap, nB = c.A.invariant_factors, h.source, c.B.dim
-    twists, bmods = c.twists(), c.B.moduli()
-    out = [0] * (Ap.torsion_count * nB)
-    for jp in itertools.compress(range(Ap.torsion_count), h.cols):  # the columns h does not send to 0
-        dp, col = Ap.invariant_factors[jp], h.cols[jp]
-        acc = [0] * nB
-        for i, v in col.items():
-            if i < len(d):
-                coeff = dp * v // d[i]  # exact: h is well defined
-                for t, b in enumerate(twists[i]):
-                    acc[t] += coeff * b
-        out[jp * nB : (jp + 1) * nB] = [x % math.gcd(dp, m) for x, m in zip(acc, bmods)]
-    return _reduced_class(Ap, c.B, tuple(out))
-
-
-def pullback_columns(c: ExtClass, H: HomGroup) -> List[ExtClass]:
-    """η·h for each generator h of H = Hom(A', A), equal to ``pullback_action``
-    over ``H.basis`` but read off H's pieces with no map built: the piece
-    (j, i, g, entry) adds (d'_j·entry/d_i)·η.block(i) to block j, for the
-    invariant factors d' of A' and d of A; a free generator adds nothing."""
-    if H.target != c.A:
-        raise EndpointMismatch("pullback action endpoint mismatch")
-    dp, d, nB = H.source.invariant_factors, c.A.invariant_factors, c.B.dim
-    out = []
-    for unit in H.lift:
-        flat = [0] * (len(dp) * nB)
-        for k, coef in unit.items():
-            j, i, _, entry = H.pieces[k]
-            if j < len(dp) and i < len(d):
-                coeff = coef * (dp[j] * entry // d[i])
-                for t, v in enumerate(c.block(i), j * nB):
-                    flat[t] += coeff * v
-        out.append(ExtClass(H.source, c.B, tuple(flat)))
+def _ext_weights(cols: Sequence[Dict[int, int]], sig: Sequence[int], tau: Sequence[int]) -> List[Dict[int, int]]:
+    """Ext^1(h, ·) on twists for h with sparse columns ``cols`` from generators
+    of orders ``sig`` (0: free) to a group of torsion factors ``tau``: the
+    column over torsion generator t holds σ_s·h[t][s]/τ_t at s, exact since h
+    is well defined.  Free generators have no twist, so they carry no weight."""
+    out: List[Dict[int, int]] = [{} for _ in tau]
+    for s, (col, d) in enumerate(zip(cols, sig)):
+        if d:
+            for t, x in col.items():
+                if t < len(tau):
+                    out[t][s] = d * x // tau[t]
     return out
 
 
+def _pullback_slots(h: AbMap, B: FinGenAb) -> List[Dict[int, int]]:
+    """Ext^1(h, B) for h : A' → A on flat slots: slot (t, i) goes to
+    Σ_s w[t][s]·(s, i), w the ``_ext_weights`` of h."""
+    n = B.dim
+    w = _ext_weights(h.cols, h.source.invariant_factors, h.target.invariant_factors)
+    return [{s * n + i: x for s, x in col.items()} for col in w for i in range(n)]
+
+
+def _pushout_slots(A: FinGenAb, k: AbMap) -> List[Dict[int, int]]:
+    """Ext^1(A, k) for k : B → B' on flat slots: slot (j, i) goes to Σ k[i'][i]·(j, i')."""
+    n = k.target.dim
+    return [{j * n + t: x for t, x in col.items()} for j in range(A.torsion_count) for col in k.cols]
+
+
+def _pullback_pieces(c: ExtClass, H: HomGroup) -> List[Dict[int, int]]:
+    """c·h for each piece h = (j, i, g, entry) of H = Hom(A', A) as a sparse
+    flat vector: h's weight times c's i-th twist, in block j."""
+    n, sig = c.B.dim, H.source.moduli()
+    w = _ext_weights([{i: entry} for _, i, _, entry in H.pieces], [sig[j] for j, *_ in H.pieces], c.A.invariant_factors)
+    out: List[Dict[int, int]] = [{} for _ in H.pieces]
+    for col, twist in zip(w, c.twists()):
+        for k, x in col.items():
+            base = H.pieces[k][0] * n
+            out[k] = {base + b: x * y for b, y in enumerate(twist) if y}
+    return out
+
+
+def _pushout_pieces(c: ExtClass, H: HomGroup) -> List[Dict[int, int]]:
+    """h·c for each piece h = (j, i, g, entry) of H = Hom(B, B') as a sparse
+    flat vector: entry times c's cell at generator j of B, at generator i of
+    B' in every twist."""
+    n, twists = H.target.dim, c.twists()
+    return [{a * n + i: entry * tw[j] for a, tw in enumerate(twists) if tw[j]} for j, i, _, entry in H.pieces]
+
+
+def _carrier_map(G: HomGroup | ExtGroup, cols: Sequence[Dict[int, int]], X: ExtGroup) -> AbMap:
+    """The map from G's carrier whose generator v, ``G.lift[v]`` on G's Hom
+    pieces or Ext slots, goes through the sparse columns ``cols`` to X's flat
+    slots, placed in X's carrier."""
+    return AbMap(G.carrier, X.carrier, [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift])
+
+
+def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:
+    """η·h for h : A' → A, the flat-slot map ``_pullback_slots`` applied to η."""
+    if h.target != c.A:
+        raise EndpointMismatch("pullback action endpoint mismatch")
+    n = h.source.torsion_count * c.B.dim
+    return ExtClass(h.source, c.B, tuple(apply_sparse(_pullback_slots(h, c.B), c.coords, n)))
+
+
 def pushout_action(c: ExtClass, k: AbMap) -> ExtClass:
-    """k·η for k : B → B'."""
+    """k·η for k : B → B', the flat-slot map ``_pushout_slots`` applied to η."""
     if k.source != c.B:
         raise EndpointMismatch("pushout action endpoint mismatch")
-    n, bmods = k.target.dim, k.target.moduli()
-    out = [0] * (c.A.torsion_count * n)
-    for j, (d, twist) in enumerate(zip(c.A.invariant_factors, c.twists())):
-        for i, x in sparse_image(k.cols, {t: b for t, b in enumerate(twist) if b}).items():
-            out[j * n + i] = x % math.gcd(d, bmods[i])
-    return _reduced_class(c.A, k.target, tuple(out))
+    n = c.A.torsion_count * k.target.dim
+    return ExtClass(c.A, k.target, tuple(apply_sparse(_pushout_slots(c.A, k), c.coords, n)))
 
 
 def seq_pullback(s: ShortExactSeq, h: AbMap) -> ShortExactSeq:
@@ -536,32 +551,26 @@ def connecting_hom(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     """δ : Hom(T, A) → Ext^1(T, B) for B ↪ E ↠ A, δ(h) = classify(s)·h."""
     cls = classify(s)
     H = hom_group(T, s.quot)
-    X = ext_group(T, s.sub)
-    return AbMap(H.carrier, X.carrier, [dict(enumerate(X.to_carrier(pullback_action(cls, b)))) for b in H.basis])
+    return _carrier_map(H, _pullback_pieces(cls, H), ext_group(T, s.sub))
 
 
 def connecting_hom_dual(s: ShortExactSeq, T: FinGenAb) -> AbMap:
     """δ : Hom(B, T) → Ext^1(A, T) for B ↪ E ↠ A, δ(h) = h·classify(s)."""
     cls = classify(s)
     H = hom_group(s.sub, T)
-    X = ext_group(s.quot, T)
-    return AbMap(H.carrier, X.carrier, [dict(enumerate(X.to_carrier(pushout_action(cls, b)))) for b in H.basis])
+    return _carrier_map(H, _pushout_pieces(cls, H), ext_group(s.quot, T))
 
 
 def ext_covariant_map(T: FinGenAb, h: AbMap) -> AbMap:
     """Ext^1(T, h) : Ext^1(T, B) → Ext^1(T, B') on carriers, for h : B → B'."""
     XS = ext_group(T, h.source)
-    XT = ext_group(T, h.target)
-    cols = [dict(enumerate(XT.to_carrier(pushout_action(c, h)))) for c in XS.basis_classes()]
-    return AbMap(XS.carrier, XT.carrier, cols)
+    return _carrier_map(XS, _pushout_slots(T, h), ext_group(T, h.target))
 
 
 def ext_contravariant_map(h: AbMap, T: FinGenAb) -> AbMap:
     """Ext^1(h, T) : Ext^1(A, T) → Ext^1(A', T) on carriers, for h : A' → A."""
     XS = ext_group(h.target, T)
-    XT = ext_group(h.source, T)
-    cols = [dict(enumerate(XT.to_carrier(pullback_action(c, h)))) for c in XS.basis_classes()]
-    return AbMap(XS.carrier, XT.carrier, cols)
+    return _carrier_map(XS, _pullback_slots(h, T), ext_group(h.source, T))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,13 @@ The paper's literal constructions stay as references: Ψ^{-1} is
 ``psi_inverse_via_colim``, the ``seq_pushout`` of the coproduct of
 realizations along the codiagonal ∇, and Φ^{-1} is ``phi_inverse_via_lim``,
 the ``seq_pullback`` of their product along the diagonal Δ.  With
-``verify_extension_conditions`` and ``verify_coextension_conditions``, which
-act on classes and share none of the builders' three computations, they
-audit the builders independently.
+``verify_extension_conditions`` and ``verify_coextension_conditions`` they
+audit the builders.  The verifiers read the induced maps on carriers and
+decide with ``is_zero``, ``is_mono`` and ``is_epi``; the builders decide with
+``_zero_mod``, ``_injective_mod`` and ``_generates``, so the two share no
+decision code.  They do share ``homext._ext_weights``, the weights through
+which a map acts on Ext^1 in its first argument; the tests check those
+weights against the geometric pullback of realized sequences.
 """
 
 from __future__ import annotations
@@ -63,6 +67,9 @@ from .homext import (
     ExtClass,
     ExtGroup,
     ShortExactSeq,
+    _carrier_map,
+    _ext_weights,
+    _pullback_pieces,
     _reduced_class,
     _vanishes,
     classify,
@@ -74,7 +81,6 @@ from .homext import (
     hom_group,
     hom_pieces,
     pullback_action,
-    pullback_columns,
     pushout_action,
     realize,
     seq_pullback,
@@ -122,22 +128,18 @@ def phi(A_list: Sequence[FinGenAb], B: FinGenAb) -> ComparisonMap:
 
 
 def _comparison(A_list: Sequence[FinGenAb], B: FinGenAb, dual: bool) -> ComparisonMap:
-    """Ψ pulls back along the injections μ_i; Φ, with the summands in Ext's
-    second argument, pushes out along the projections π_i."""
+    """Ψ = Σ μ_i∘Ext^1(ι_i, B) over the injections ι_i; Φ, with the summands in
+    Ext's second argument, Σ μ_i∘Ext^1(B, π_i) over the projections π_i."""
     summands = tuple(A_list)
     ds = direct_sum(summands)
     if dual:
-        ext, legs, act = (lambda Ai: ext_group(B, Ai)), ds.projections, pushout_action
+        dom, parts = ext_group(B, ds.total), [ext_covariant_map(B, pi) for pi in ds.projections]
     else:
-        ext, legs, act = (lambda Ai: ext_group(Ai, B)), ds.injections, pullback_action
-    dom = ext(ds.total)
-    pieces = [ext(Ai) for Ai in summands]
-    cod = direct_sum([pc.carrier for pc in pieces])
-    basis = dom.basis_classes()
+        dom, parts = ext_group(ds.total, B), [ext_contravariant_map(mu, B) for mu in ds.injections]
+    cod = direct_sum([part.target for part in parts])
     mat = AbMap.zero(dom.carrier, cod.total)
-    for pc, leg, mu in zip(pieces, legs, cod.injections):
-        cols = [dict(enumerate(pc.to_carrier(act(cls, leg)))) for cls in basis]
-        mat = mat + mu @ AbMap(dom.carrier, pc.carrier, cols)
+    for part, mu in zip(parts, cod.injections):
+        mat = mat + mu @ part
     inj = is_mono(mat)
     bij = inj and is_epi(mat)
     return ComparisonMap(summands, B, dom, cod, mat, inj, bij)
@@ -338,7 +340,7 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
 
     # (a*) and (b*): u's and p's weights read modulo each modulus m of B.
     efacts, mods = E.invariant_factors, sorted(set(B.moduli()))
-    wu, wp = _ext_weights(u), _ext_weights(p)
+    wu, wp = (_ext_weights(h.cols, h.source.invariant_factors, h.target.invariant_factors) for h in (u, p))
     ok_a = all(_zero_mod(m, efacts, wu) for m in mods)
     ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, wp) for m in mods)
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
@@ -385,19 +387,6 @@ def _power_group(B: FinGenAb, n: int):
     return FinGenAb(B.free_rank * n, tuple(d for d in B.invariant_factors for _ in range(n))), runs
 
 
-def _ext_weights(h: AbMap) -> List[Dict[int, int]]:
-    """Ext^1(h, ·) for h : S → T as sparse columns: the column over T's torsion
-    generator t holds σ_s·h[t][s]/τ_t at S's torsion generator s, for the
-    factors σ of S and τ of T, exact since h is well defined."""
-    sig, tau = h.source.invariant_factors, h.target.invariant_factors
-    cols: List[Dict[int, int]] = [{} for _ in tau]
-    for s, (col, d) in enumerate(zip(h.cols, sig)):
-        for t, x in col.items():
-            if t < len(tau):
-                cols[t][s] = d * x // tau[t]
-    return cols
-
-
 def _zero_mod(q: int, tgt_mods: Sequence[int], cols) -> bool:
     """Whether the sparse columns ``cols`` vanish in ⊕Z(gcd(q, t)), 0 for Z
     read as q.  For u's weights that is each block's vanishing, since a weight
@@ -438,10 +427,11 @@ def cyclic_generation_check(
     """Ext^1(B^(X), A) as a cyclic right End(B^(X))-module generated by η̄.
 
     Builds the additive map γ ↦ η·γ over the generating pieces of
-    End(B^(X)), read off the pieces by ``pullback_columns``, and
-    decides surjectivity; on success returns explicit γ witnesses for
-    sampled target classes, each re-verified by recomputing η·γ.  One
-    factorization of the system serves every sample.
+    End(B^(X)), read off the pieces as sparse flat vectors (the reader δ
+    uses) with no map built, and decides surjectivity; on success returns
+    explicit γ witnesses for sampled target classes, each recomposed and
+    re-verified by recomputing η·γ.  One factorization of the system serves
+    every sample.
     """
     if samples < 0:
         raise DomainError(f"samples must be at least 0, not {samples}")
@@ -459,7 +449,7 @@ def cyclic_generation_check(
     if BX.dim * BX.dim > CYCLIC_CHECK_BUDGET:
         raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
-    m = AbMap(H.carrier, ext_big.carrier, [dict(enumerate(ext_big.to_carrier(c))) for c in pullback_columns(eta, H)])
+    m = _carrier_map(H, _pullback_pieces(eta, H), ext_big)
     if not is_epi(m):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)

@@ -4,8 +4,9 @@ Each request's exit code and stdout are hashed together (SHA-256 of
 ``"<code>\\n<stdout>"``) and compared with ``drift_digests.json``.  The
 requests cover every universal (co)extension certificate of order at most 8
 in full, ``canon`` and ``snf`` on the seeded 30x30 and 40x40 matrices of the
-CI, and a few sequence requests (``realize``, ``classify``, ``act``,
-``delta``).  A change that means to change an output regenerates the file
+CI, a few sequence requests (``realize``, ``classify``, ``act``, ``delta``),
+and the comparison maps and cyclic checks (``psi``, ``psi --phi``,
+``cyclic-check``), free summands and ends included.  A change that means to change an output regenerates the file
 with ``PYTHONPATH=src python tests/test_drift.py`` and records the drift in
 CHANGES.md.
 """
@@ -98,7 +99,43 @@ def sequence_requests():
     yield "act pull from a free source", ["act", "--class", ext_class((4,), (6,), (2,)), "--map", free, "--side", "pull"]
 
 
-FAMILIES = {"universal": universal_requests, "normal_forms": normal_form_requests, "sequences": sequence_requests}
+# (summands, B) of the comparison maps, each asked for both Ψ and Φ.
+COMPARISONS = [
+    ("Z(2);Z(4)", "Z(2)+Z(4)"),
+    ("Z+Z(2);Z(6)", "Z+Z(4)"),
+    ("Z(2)+Z(4);Z(4)", "Z(8)+Z"),
+    ("Z(6);Z(4)", "Z+Z(6)"),
+    ("Z(4);Z", "Z(2)"),
+    ("Z;Z(2)", "Z"),
+    ("Z(3)+Z(9)", "Z(3)^2"),
+]
+# (B, A, samples, seed) of the cyclic checks: trivial Ext, no samples, free ends.
+CYCLIC_CHECKS = [
+    ("Z(2)", "Z(2)^2", 3, 0),
+    ("Z(2)+Z", "Z(4)", 2, 0),
+    ("Z(4)", "Z+Z(2)", 2, 0),
+    ("Z(3)", "Z(2)", 5, 0),
+    ("Z(2)+Z(4)", "Z(2)", 0, 0),
+    ("Z(6)", "Z(4)+Z(3)", 1, 7),
+]
+
+
+def action_requests():
+    """Ψ and Φ of a few families, and cyclic checks with their witnesses."""
+    for summands, B in COMPARISONS:
+        yield f"psi {summands} B={B}", ["psi", "--summands", summands, "--B", B]
+        yield f"psi --phi {summands} B={B}", ["psi", "--summands", summands, "--B", B, "--phi"]
+    for B, A, samples, seed in CYCLIC_CHECKS:
+        argv = ["cyclic-check", "--B", B, "--A", A, "--samples", str(samples), "--seed", str(seed)]
+        yield f"cyclic-check B={B} A={A} samples={samples} seed={seed}", argv
+
+
+FAMILIES = {
+    "universal": universal_requests,
+    "normal_forms": normal_form_requests,
+    "sequences": sequence_requests,
+    "actions": action_requests,
+}
 
 
 def digest(argv) -> str:

@@ -289,8 +289,8 @@ def _realize_full_presentation(c):
     A, B = c.A, c.B
     nB, n = B.dim, B.dim + A.dim
     rows = [[m if t == i else 0 for t in range(n)] for i, m in enumerate(B.moduli()) if m]
-    for j, d in enumerate(A.invariant_factors):
-        rows.append([-b for b in c.block(j)] + [d if t == nB + j else 0 for t in range(nB, n)])
+    for j, (d, twist) in enumerate(zip(A.invariant_factors, c.twists())):
+        rows.append([-b for b in twist] + [d if t == nB + j else 0 for t in range(nB, n)])
     E, place, lift = canonicalize(sparse_rows(rows), n)
     return ShortExactSeq(AbMap(B, E, place[:nB]), AbMap(E, A, [{t - nB: x for t, x in vec.items() if t >= nB} for vec in lift]))
 
@@ -441,6 +441,24 @@ def test_actions_agree_with_geometric():
         B1 = rng.choice(groups)
         k = random_hom(rng, B, B1)
         assert classify(seq_pushout(s, k)) == pushout_action(c, k)
+    # Every column of the induced maps is the geometric action on its unit
+    # class: the class of the pulled-back (pushed-out) realization, with free
+    # ranks 0-2 on every end.
+    pool = abelian_groups_up_to_order(12)
+    columns, nonzero = 0, 0
+    for _ in range(80):
+        A, A1, B, B1 = (FinGenAb(rng.choice((0, 1, 2)), rng.choice(pool).invariant_factors) for _ in range(4))
+        h, k = random_hom(rng, A1, A), random_hom(rng, B, B1)
+        for M, XS, XT, geometric in (
+            (ext_contravariant_map(h, B), ext_group(A, B), ext_group(A1, B), lambda s: seq_pullback(s, h)),
+            (ext_covariant_map(A, k), ext_group(A, B), ext_group(A, B1), lambda s: seq_pushout(s, k)),
+        ):
+            for v, col in enumerate(M.cols):
+                unit = tuple(int(u == v) for u in range(XS.carrier.dim))
+                want = XT.to_carrier(classify(geometric(realize(XS.from_carrier(unit)))))
+                assert tuple(col.get(i, 0) for i in range(XT.carrier.dim)) == want
+                columns, nonzero = columns + 1, nonzero + bool(col)
+    assert columns >= 300 and nonzero >= 150
 
 
 def test_actions_are_additive():
@@ -494,6 +512,25 @@ def test_induced_maps_functorial():
         lhs = ext_covariant_map(T, k2 @ k)
         rhs = ext_covariant_map(T, k2) @ ext_covariant_map(T, k)
         assert lhs == rhs
+
+
+def test_connecting_homs_are_the_geometric_actions():
+    # δ(h) is the class of the pulled-back (dually pushed-out) sequence, for
+    # every basis map h of the Hom group, with free ranks 0-1 on every end.
+    rng = random.Random(32)
+    pool = abelian_groups_up_to_order(8)
+    columns = nonzero = 0
+    for _ in range(80):
+        A, B, T = (FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors) for _ in range(3))
+        s = realize(random_class(rng, A, B))
+        for delta, H, X, geometric in (
+            (connecting_hom(s, T), hom_group(T, A), ext_group(T, B), seq_pullback),
+            (connecting_hom_dual(s, T), hom_group(B, T), ext_group(A, T), seq_pushout),
+        ):
+            want = [dict(enumerate(X.to_carrier(classify(geometric(s, h))))) for h in H.basis]
+            assert delta == AbMap(H.carrier, X.carrier, want)
+            columns, nonzero = columns + len(want), nonzero + sum(map(any, delta.cols))
+    assert columns >= 200 and nonzero >= 30
 
 
 def test_les_exactness_at_hom_ext():

@@ -30,8 +30,11 @@ from abext.abgroup import (
 from abext.homext import (
     ExtClass,
     ExtGroup,
+    HomGroup,
     ShortExactSeq,
     classify,
+    connecting_hom,
+    connecting_hom_dual,
     ext_contravariant_map,
     ext_covariant_map,
     ext_group,
@@ -39,7 +42,6 @@ from abext.homext import (
     hom_group,
     hom_pieces,
     pullback_action,
-    pullback_columns,
     pushout_action,
     realize,
     seq_pullback,
@@ -573,7 +575,7 @@ def _covariant_rule(B, h):
 
 def _contravariant_rule(h, B):
     """The builders' (a*) on h: Ext^1(h, B) = 0 iff h's weights vanish modulo each modulus of B."""
-    weights = universal._ext_weights(h)
+    weights = homext._ext_weights(h.cols, h.source.invariant_factors, h.target.invariant_factors)
     return all(universal._zero_mod(m, h.source.invariant_factors, weights) for m in sorted(set(B.moduli())))
 
 
@@ -602,21 +604,24 @@ def test_vanishing_rules_match_the_generic_ext_maps():
 def test_ext_weights_are_the_blocks_of_the_pullback_action():
     # Over a cyclic B = Z(m) (Z when m = 0), Ext^1(T, B) has one slot per
     # torsion generator t of T, and pulling the unit class at t back along h
-    # puts weight[t][s] at slot s, reduced modulo gcd(σ_s, m).
+    # puts weight[t][s] at slot s, reduced modulo gcd(σ_s, m).  The weights
+    # are checked against the class of the geometrically pulled-back
+    # realization, and against pullback_action, which reads them.
     rng = random.Random(23)
     pool = abelian_groups_up_to_order(16)
     for _ in range(200):
         S, T = (FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors) for _ in range(2))
         H = hom_group(S, T)
         h = H.recompose([rng.randrange(m) if m else rng.randint(-3, 3) for m in H.carrier.moduli()])
-        weights = universal._ext_weights(h)
+        weights = homext._ext_weights(h.cols, S.invariant_factors, T.invariant_factors)
         assert len(weights) == T.torsion_count
         for m in (0, 2, 3, 4, 12):
             B = FinGenAb(0, (m,)) if m else FinGenAb(1, ())
             for t in range(T.torsion_count):
                 unit = ExtClass(T, B, tuple(int(k == t) for k in range(T.torsion_count)))
-                want = pullback_action(unit, h).coords
-                assert want == tuple(weights[t].get(s, 0) % math.gcd(d, m) for s, d in enumerate(S.invariant_factors))
+                want = tuple(weights[t].get(s, 0) % math.gcd(d, m) for s, d in enumerate(S.invariant_factors))
+                assert classify(seq_pullback(realize(unit), h)).coords == want
+                assert pullback_action(unit, h).coords == want
 
 
 def test_split_sequences_fail_the_builders_conditions_when_ext_is_nontrivial(monkeypatch):
@@ -645,21 +650,51 @@ def test_split_sequences_fail_the_builders_conditions_when_ext_is_nontrivial(mon
 
 def test_builders_act_on_no_class(monkeypatch):
     # The builders decide every condition on the legs' cells: no class
-    # action and no basis of an Ext group is reached, even with free ends.
+    # action and no induced map on an Ext group is reached, even with free ends.
     def refuse(*args, **kwargs):
         raise AssertionError("a universal builder acted on an Ext class")
 
     cases = RANK_CORE_CASES + [(FinGenAb(1, (2, 4)), FinGenAb(1, (2,))), (FinGenAb(0, (2, 2)), FinGenAb(2, (4,)))]
     for module in (universal, homext):
-        monkeypatch.setattr(module, "pushout_action", refuse)
-        monkeypatch.setattr(module, "pullback_action", refuse)
-    monkeypatch.setattr(ExtGroup, "basis_classes", refuse)
+        for name in ("pushout_action", "pullback_action", "ext_covariant_map", "ext_contravariant_map"):
+            monkeypatch.setattr(module, name, refuse)
     certs = [build(B, A) for B, A in cases for build in (build_universal_extension, build_universal_coextension)]
     monkeypatch.undo()
     assert sum(not cert.degenerate for cert in certs) >= 12
     for cert in certs:
         verify = verify_extension_conditions if cert.direction == "extension" else verify_coextension_conditions
         assert cert.all_pass and all(r.passed for r in verify(cert.sequence, cert.B))
+
+
+def test_induced_maps_act_on_flat_slots(monkeypatch):
+    # The induced maps, δ, Ψ/Φ and the cyclic check read Ext^1's action off
+    # flat slots and Hom pieces: none of them acts on a class, recomposes a
+    # Hom map or lifts a carrier generator to a class.  Witnesses still
+    # recompose γ and re-verify it by the class action, so no sample is drawn.
+    def refuse(*args, **kwargs):
+        raise AssertionError("an Ext^1 action went through a class or a Hom map")
+
+    A, B, T = FinGenAb(1, (2, 4)), FinGenAb(1, (2,)), FinGenAb(1, (2, 4))
+    s = realize(ExtClass(A, B, (1, 1, 2, 3)))
+    rng = random.Random(24)
+    h, k = (H.recompose([rng.randrange(m) if m else rng.randint(-3, 3) for m in H.carrier.moduli()]) for H in (hom_group(T, A), hom_group(B, T)))
+    cert = build_universal_extension(FinGenAb(0, (2, 4)), Z2)
+    for module in (universal, homext):
+        monkeypatch.setattr(module, "pushout_action", refuse)
+        monkeypatch.setattr(module, "pullback_action", refuse)
+    monkeypatch.setattr(HomGroup, "recompose", refuse)
+    monkeypatch.setattr(ExtGroup, "from_carrier", refuse)
+    maps = [
+        ext_covariant_map(Z4, k),
+        ext_contravariant_map(h, B),
+        connecting_hom(s, T),
+        connecting_hom_dual(s, T),
+        psi([A, T, Z2], B).matrix,
+        phi([A, T, Z2], B).matrix,
+    ]
+    assert cyclic_generation_check(cert, samples=0).passed
+    monkeypatch.undo()
+    assert all(not m.is_zero() for m in maps)
 
 
 # ---------------------------------------------------------------------------
@@ -813,22 +848,32 @@ def test_cyclic_generation_examples():
     assert cyclic_generation_check(build_universal_extension(Z4, Z4)).passed
 
 
-def test_pullback_columns_match_pullback_action_on_the_basis():
-    # Every pair with |B|, |A| <= 4 and 1 < |X| <= 8, both orders: the
-    # extension class over End(B^(X)) and the co-extension class over End(A).
+def test_piece_readers_match_the_actions_on_the_hom_basis():
+    # δ and the cyclic check read c·h and h·c off the pieces of a Hom group
+    # with no map built; over that group's basis, recomposed as maps, they
+    # equal the class actions.  Every pair with |B|, |A| <= 4 and
+    # 1 < |X| <= 8, both directions, over End of either end; then classes
+    # with free ends.
     groups = [G for G in abelian_groups_up_to_order(4) if G.dim]
-    checked = 0
+    classes = []
     for B in groups:
         for A in groups:
-            if not 1 < ext_group(B, A).order() <= 8:
-                continue
-            for cert, S in ((build_universal_extension(B, A), None), (build_universal_coextension(A, B), A)):
-                cls = cert.canonical_class
-                H = hom_group(S or cls.A, cls.A)
-                want = [pullback_action(cls, h) for h in H.basis]
-                assert pullback_columns(cls, H) == want
-                checked += 1
-    assert checked == 2 * 9
+            if 1 < ext_group(B, A).order() <= 8:
+                classes += [build(B, A).canonical_class for build in (build_universal_extension, build_universal_coextension)]
+    assert len(classes) == 2 * 9
+    classes += [
+        ExtClass(FinGenAb(1, (2, 4)), FinGenAb(1, (2,)), (1, 1, 2, 3)),
+        ExtClass(FinGenAb(2, (6,)), FinGenAb(2, (4,)), (3, 1, 5)),
+    ]
+    for cls in classes:
+        X = ext_group(cls.A, cls.B)
+        for H, reader, act in (
+            (hom_group(cls.A, cls.A), homext._pullback_pieces, pullback_action),
+            (hom_group(cls.B, cls.B), homext._pushout_pieces, pushout_action),
+        ):
+            got = homext._carrier_map(H, reader(cls, H), X)
+            want = [dict(enumerate(X.to_carrier(act(cls, h)))) for h in H.basis]
+            assert got == AbMap(H.carrier, X.carrier, want)
 
 
 def test_cyclic_generation_samples_are_bounded_before_any_work(monkeypatch):
