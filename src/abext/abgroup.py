@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch
@@ -42,11 +42,15 @@ from .intlin import (
     DimensionMismatch,
     IntMatrix,
     _augmented,
+    _idempotent,
+    _prime_parts,
     _snf,
+    _tops,
     json_int,
     json_of,
     json_str,
     preimage_lattice,
+    prime_factors,
     rank_mod_p,
     snf_diagonal,
     solve_mod_many,
@@ -138,158 +142,9 @@ class FinGenAb:
 ZERO_GROUP = FinGenAb(0, ())
 
 
-# Trial division stops at 2^16: every n < 2^32 is split by division alone,
-# and a cofactor left past that is decided by Miller–Rabin.
-_TRIAL_BOUND = 1 << 16
-# Miller–Rabin on the first thirteen primes is exact below this bound, the
-# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
-# 86, 2017); the first twelve, 2..37, all pass 318665857834031151167461.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def _miller_rabin(n: int) -> bool:
-    """Whether n, below ``_MR_EXACT_BELOW`` with no prime factor up to 2^16, is prime."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _iroot(n: int, e: int) -> int:
-    """floor(n^(1/e)) for n, e >= 1 with a root below 2^1000.
-
-    Newton's method from just above the root: the float estimate is within
-    a relative 10^-12 of it, so a few steps settle it.
-    """
-    r = int(2 ** (math.log2(n) / e) * (1 + 1e-9)) + 1
-    while True:
-        s = ((e - 1) * r + n // r ** (e - 1)) // e
-        if s >= r:
-            return r
-        r = s
-
-
-# Pollard–Brent rho gives up after this many steps (two primes near 1.8·10^12 take 1.6·10^6).
-_RHO_STEPS = 1 << 21
-
-
-def _rho(n: int) -> Optional[int]:
-    """A proper divisor of the composite n < ``_MR_EXACT_BELOW``, by Pollard–Brent
-    rho on x^2 + c from 2 for c = 1, 2, ..., or None after ``_RHO_STEPS`` steps."""
-    steps, c = 0, 0
-    while steps < _RHO_STEPS:
-        c, y, r, g = c + 1, 2, 1, 1
-        while g == 1 and steps < _RHO_STEPS:
-            x, q, steps = y, 1, steps + 2 * r
-            for _ in range(r):
-                y = (y * y + c) % n
-            for k in range(0, r, 128):  # one gcd per 128 products
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * (x - y) % n
-                if (g := math.gcd(q, n)) != 1:
-                    break
-            r *= 2
-        if g == n:  # the batch overshot: step through it one at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if 1 < g < n:
-            return g
-    return None
-
-
-def _cofactor_primes(n: int) -> List[int]:
-    """The distinct primes of n > 1 with no prime factor up to 2^16, ascending.
-
-    Below ``_MR_EXACT_BELOW`` n is prime or split by ``_rho``.  Past it, or
-    when rho gives up, n must be r^e for a prime 2^16 < r < ``_MR_EXACT_BELOW``
-    (< 2^82), so only the e with 16e < bits(n) <= 82e are tried; any other n
-    is refused with BudgetExceeded.
-    """
-    if n < _MR_EXACT_BELOW:
-        if _miller_rabin(n):
-            return [n]
-        if d := _rho(n):
-            return sorted(set(_cofactor_primes(d) + _cofactor_primes(n // d)))
-    bits = n.bit_length()
-    for e in range(max(1, bits // 82), bits // 16 + 1):
-        r = _iroot(n, e)
-        if r < _MR_EXACT_BELOW and r**e == n and _miller_rabin(r):
-            return [r]
-    raise BudgetExceeded(f"cannot factor a {bits}-bit cofactor with no prime factor up to 2^16")
-
-
-def is_prime(n: int) -> bool:
-    """Exact primality: trial division up to 2^16, then Miller–Rabin on the
-    bases 2, 3, ..., 41, deterministic for n < 3.3·10^24.  A larger n with
-    no prime factor up to 2^16 is refused with BudgetExceeded.
-
-    >>> [n for n in range(30) if is_prime(n)]
-    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    >>> is_prime(10**18 + 3), is_prime(10**18 + 1)
-    (True, False)
-    """
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        if p > _TRIAL_BOUND:
-            if n >= _MR_EXACT_BELOW:
-                raise BudgetExceeded(f"cannot decide whether a {n.bit_length()}-bit integer is prime")
-            return _miller_rabin(n)
-        p += 1 if p == 2 else 2
-    return True
-
-
-def prime_factors(n: int) -> List[int]:
-    """The distinct primes dividing n != 0, ascending.
-
-    Trial division up to 2^16 splits off every small factor.  A cofactor left
-    below 3.3·10^24, the exact range of ``is_prime``, is split by a bounded,
-    deterministic Pollard–Brent rho; past it, or when rho gives up, it must be
-    a power of one prime ``is_prime`` can decide, or is refused with BudgetExceeded.
-
-    >>> prime_factors(-360), prime_factors(6 * (10**18 + 3) ** 2)
-    ([2, 3, 5], [2, 3, 1000000000000000003])
-    >>> prime_factors(70001 * 70003)
-    [70001, 70003]
-    """
-    n = abs(n)
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        elif p > _TRIAL_BOUND:
-            return out + _cofactor_primes(n)
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _primes(moduli: Sequence[int]) -> Tuple[int, ...]:
     """The primes dividing some nonzero modulus, ascending."""
-    return tuple(sorted({p for m in set(moduli) if m for p in prime_factors(m)}))
+    return tuple(p for p, _ in _tops(moduli))
 
 
 def _prime_runs(counts: Dict[int, int]):
@@ -304,8 +159,8 @@ def _prime_runs(counts: Dict[int, int]):
     """
     per_prime: Dict[int, list] = {}
     for m in counts:
-        for p in prime_factors(m):
-            per_prime.setdefault(p, []).append((p ** _pval(m, p), m))
+        for p, q in _prime_parts(m):
+            per_prime.setdefault(p, []).append((q, m))
     k = max((sum(counts[m] for _, m in parts) for parts in per_prime.values()), default=0)
     factors, runs = [1] * k, []
     for parts in per_prime.values():
@@ -378,13 +233,6 @@ def cyclic_sum(moduli: Sequence[int]):
     return FinGenAb(len(free), tuple(factors)), place, lift
 
 
-@lru_cache(maxsize=1024)  # a sum of thousands of cyclic groups has a few distinct (m, q)
-def _idempotent(m: int, q: int) -> int:
-    """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
-    r = m // q
-    return r * pow(r, -1, q) % m
-
-
 def dense_matrix(cols: Sequence[Dict[int, int]], nrows: int) -> IntMatrix:
     """The nrows x len(cols) matrix whose j-th column is the sparse vector cols[j]."""
     rows = [[0] * len(cols) for _ in range(nrows)]
@@ -435,6 +283,14 @@ def canonicalize(relations: Sequence[Dict[int, int]], n: int):
     touching one column) takes ``_diagonal_quotient``, any other one SNF
     U·R·V = D that keeps V and V^-1: y = V^T x turns Z^n / R^T Z^m into
     Z^n / D^T Z^m, so place reads V and lift V^-1 on the kept coordinates.
+
+    This stays exact over Z, on the integer elimination, because its callers
+    read coordinates past any modulus: the ``canon`` verb prints place and
+    lift as mutually inverse matrices, and (co)kernels and presentations
+    with free rank have no modulus to read them by.  The per-prime
+    ``intlin.torsion_quotient`` gives CRT coordinates, inverse only modulo
+    the moduli (for moduli 75, 45 no integer pair is inverse exactly); a
+    finite core in ``realize`` takes it, since E reads no more than that.
 
     >>> canonicalize([{0: 2, 1: 4}, {0: 6, 1: 8}], 2)
     (FinGenAb(free_rank=0, invariant_factors=(2, 4)), [{0: 1, 1: -2}, {1: 1}], [{0: 1, 1: 2}, {1: 1}])

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
-from .intlin import json_int, json_of, json_str, solve_mod_many
+from .intlin import json_int, json_of, json_str, solve_mod_many, torsion_quotient
 from .abgroup import (
     MAX_GROUP_DIM,
     AbMap,
@@ -329,7 +329,12 @@ def realize(c: ExtClass) -> ShortExactSeq:
     Only the core of first occurrences is canonicalized, and ``cyclic_sum``
     regroups it with the split summands by prime; with no repeats E is the
     core itself.  This keeps the universal (co)extensions small: their
-    |X|·dim B slots share a handful of twists.
+    |X|·dim B slots share a handful of twists.  When A and B are finite the
+    core is finite, and ``torsion_quotient`` eliminates it one prime at a
+    time, e_i modulo m_i and t_j modulo d_j·exp B (a multiple of its order):
+    its prime-power summands go to ``cyclic_sum`` as they are, and its
+    coordinates hold modulo the moduli, which is all E and the checks below
+    read.  A free end keeps ``canonicalize``, exact over Z.
 
     Every torsion lift ℓ_j is machine-checked: g(ℓ_j) = a_j and d_j·ℓ_j =
     f(b_j).  The first lift ℓ_j0 of a key is checked whole; a later one is
@@ -351,16 +356,22 @@ def realize(c: ExtClass) -> ShortExactSeq:
     # The core presents E on the first generators of B, then the first lifts.
     ce = {i: k for k, i in enumerate(core_e)}
     ct = {j: len(core_e) + k for k, j in enumerate(core_t)}
-    rels = [{ce[i]: bmods[i]} for i in core_e if bmods[i]]
+    rels = []
     for j in kept_rows:
         b = twists[j]
         rel = {ce[i]: -b[i] for i in core_e if b[i]}
         rel[ct[j]] = A.invariant_factors[j]
         rels.append(rel)
-    core, placec, liftc = canonicalize(rels, len(ce) + len(ct))
+    colmods = [bmods[i] for i in core_e]
+    if A.is_finite() and B.is_finite():  # each lift's order divides d_j·exp B
+        expB = math.lcm(*colmods)
+        cmods, placec, liftc = torsion_quotient(rels, colmods + [A.invariant_factors[j] * expB for j in core_t])
+    else:
+        core, placec, liftc = canonicalize([{k: m} for k, m in enumerate(colmods) if m] + rels, len(ce) + len(ct))
+        cmods = list(core.moduli())
     amods = A.moduli()
-    E, place, lift = cyclic_sum(core.moduli() + tuple(bmods[i] for i in esplit) + tuple(amods[j] for j in tsplit))
-    nc = core.dim
+    E, place, lift = cyclic_sum(cmods + [bmods[i] for i in esplit] + [amods[j] for j in tsplit])
+    nc = len(cmods)
     # Each core generator's image in E is its core coordinates, placed in E.
     img = [sparse_image(place, vec) for vec in placec]
     esplit_at = {i: place[nc + k] for k, i in enumerate(esplit)}

@@ -3,7 +3,9 @@
 Everything here works over plain Python ints (arbitrary precision).  This is
 the computational bedrock for the group machinery: canonical forms come from
 SNF, and morphism equations are solved as integer linear systems with
-per-row cyclic moduli.
+per-row cyclic moduli.  The primes of the moduli come from here too
+(``prime_factors``, and ``_prime_parts`` cached per modulus), shared by the
+per-prime elimination and by the groups' prime-by-prime regrouping.
 
 Every elimination takes sparse rows, dicts {column: entry} in which zero
 entries may be left out, the format ``rank_mod_p`` and the maps' sparse
@@ -18,16 +20,27 @@ depend on pivot choices (smallest absolute value, first in row-major order)
 and on the least-remainder pass that clears each pivot's column and row,
 which keeps their entries small.
 
-One elimination, ``_snf``, serves every caller and computes only what that
-caller reads.  Each row carries a block through the row operations: the
-identity for ``snf``'s U, the right-hand sides for a solve (which so reads
-U·b without forming U), nothing for ``snf_diagonal``, ``canonicalize`` and
-preimage lattices.  V's columns are kept on their leading coordinates only:
-all of them for ``snf`` and ``canonicalize``, the unknowns for a solve or a
-preimage lattice, none for ``snf_diagonal``.  ``canonicalize`` also keeps
-V^-1, by undoing each column operation.
+Two eliminations, and the input picks one; there is no option.
 
-The elimination pays for nonzero cells only.  A row or column operation
+- ``_local`` eliminates a torsion system, every modulus nonzero, one prime
+  at a time over Z localized at p, on sparse rows, and CRT joins the primes.
+  It serves ``solve_mod_many`` (and so ``solve_mod``, ``classify``, the
+  cyclic check, ``find_equivalence`` and the pullback mediator) when every
+  modulus is nonzero, and ``torsion_quotient``, the finite core of
+  ``realize``.  Its coordinates hold modulo the moduli.
+- ``_snf``, over Z, serves solves with a zero modulus and every exact
+  contract: ``snf``, ``snf_diagonal``, preimage lattices and
+  ``canonicalize``, whose lifts place to the identity over Z.  It computes
+  only what its caller reads.  Each row carries a block through the row
+  operations: the identity for ``snf``'s U, the right-hand sides for a
+  solve (which so reads U·b without forming U), nothing for
+  ``snf_diagonal``, ``canonicalize`` and preimage lattices.  V's columns
+  are kept on their leading coordinates only: all of them for ``snf`` and
+  ``canonicalize``, the unknowns for a solve or a preimage lattice, none
+  for ``snf_diagonal``.  ``canonicalize`` also keeps V^-1, by undoing each
+  column operation.
+
+``_snf`` pays for nonzero cells only.  A row or column operation
 walks the nonzero support of the row or column it subtracts (listed at C
 speed by ``itertools.compress``, once per pass and only once a quotient is
 nonzero), and the pivot search and the divisibility check skip zeros at C
@@ -38,7 +51,10 @@ oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -401,6 +417,400 @@ def hnf(M: IntMatrix):
     return IntMatrix.from_rows([row[:n] for row in a], ncols=n), IntMatrix.from_rows([row[n:] for row in a], ncols=m)
 
 
+# ---------------------------------------------------------------------------
+# Primes
+
+
+# Trial division stops at 2^16: every n < 2^32 is split by division alone,
+# and a cofactor left past that is decided by Miller–Rabin.
+_TRIAL_BOUND = 1 << 16
+# Miller–Rabin on the first thirteen primes is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+# 86, 2017); the first twelve, 2..37, all pass 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _miller_rabin(n: int) -> bool:
+    """Whether n, below ``_MR_EXACT_BELOW`` with no prime factor up to 2^16, is prime."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n^(1/e)) for n, e >= 1 with a root below 2^1000.
+
+    Newton's method from just above the root: the float estimate is within
+    a relative 10^-12 of it, so a few steps settle it.
+    """
+    r = int(2 ** (math.log2(n) / e) * (1 + 1e-9)) + 1
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+# Pollard–Brent rho gives up after this many steps (two primes near 1.8·10^12 take 1.6·10^6).
+_RHO_STEPS = 1 << 21
+
+
+def _rho(n: int) -> Optional[int]:
+    """A proper divisor of the composite n < ``_MR_EXACT_BELOW``, by Pollard–Brent
+    rho on x^2 + c from 2 for c = 1, 2, ..., or None after ``_RHO_STEPS`` steps."""
+    steps, c = 0, 0
+    while steps < _RHO_STEPS:
+        c, y, r, g = c + 1, 2, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x, q, steps = y, 1, steps + 2 * r
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):  # one gcd per 128 products
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                if (g := math.gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: step through it one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def _cofactor_primes(n: int) -> List[int]:
+    """The distinct primes of n > 1 with no prime factor up to 2^16, ascending.
+
+    Below ``_MR_EXACT_BELOW`` n is prime or split by ``_rho``.  Past it, or
+    when rho gives up, n must be r^e for a prime 2^16 < r < ``_MR_EXACT_BELOW``
+    (< 2^82), so only the e with 16e < bits(n) <= 82e are tried; any other n
+    is refused with BudgetExceeded.
+    """
+    if n < _MR_EXACT_BELOW:
+        if _miller_rabin(n):
+            return [n]
+        if d := _rho(n):
+            return sorted(set(_cofactor_primes(d) + _cofactor_primes(n // d)))
+    bits = n.bit_length()
+    for e in range(max(1, bits // 82), bits // 16 + 1):
+        r = _iroot(n, e)
+        if r < _MR_EXACT_BELOW and r**e == n and _miller_rabin(r):
+            return [r]
+    raise BudgetExceeded(f"cannot factor a {bits}-bit cofactor with no prime factor up to 2^16")
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality: trial division up to 2^16, then Miller–Rabin on the
+    bases 2, 3, ..., 41, deterministic for n < 3.3·10^24.  A larger n with
+    no prime factor up to 2^16 is refused with BudgetExceeded.
+
+    >>> [n for n in range(30) if is_prime(n)]
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    >>> is_prime(10**18 + 3), is_prime(10**18 + 1)
+    (True, False)
+    """
+    if n < 2:
+        return False
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return False
+        if p > _TRIAL_BOUND:
+            if n >= _MR_EXACT_BELOW:
+                raise BudgetExceeded(f"cannot decide whether a {n.bit_length()}-bit integer is prime")
+            return _miller_rabin(n)
+        p += 1 if p == 2 else 2
+    return True
+
+
+def prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n != 0, ascending.
+
+    Trial division up to 2^16 splits off every small factor.  A cofactor left
+    below 3.3·10^24, the exact range of ``is_prime``, is split by a bounded,
+    deterministic Pollard–Brent rho; past it, or when rho gives up, it must be
+    a power of one prime ``is_prime`` can decide, or is refused with BudgetExceeded.
+
+    >>> prime_factors(-360), prime_factors(6 * (10**18 + 3) ** 2)
+    ([2, 3, 5], [2, 3, 1000000000000000003])
+    >>> prime_factors(70001 * 70003)
+    [70001, 70003]
+    """
+    n = abs(n)
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        elif p > _TRIAL_BOUND:
+            return out + _cofactor_primes(n)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+@lru_cache(maxsize=1024)
+def _prime_parts(m: int):
+    """(p, the p-part of m) for each prime p of m >= 1, ascending."""
+    parts = []
+    for p in prime_factors(m):
+        q = p
+        while not m % (q * p):
+            q *= p
+        parts.append((p, q))
+    return tuple(parts)
+
+
+def _tops(moduli: Sequence[int]):
+    """(p, the largest power of p dividing a modulus) for each prime p of the
+    nonzero ``moduli``, ascending; each distinct modulus is factored alone."""
+    tops: Dict[int, int] = {}
+    for m in set(moduli):
+        for p, q in _prime_parts(m):
+            if q > tops.get(p, 1):
+                tops[p] = q
+    return sorted(tops.items())
+
+
+# ---------------------------------------------------------------------------
+# Torsion systems: one elimination per prime
+
+
+@lru_cache(maxsize=1024)  # a sum of thousands of cyclic groups has a few distinct (m, q)
+def _idempotent(m: int, q: int) -> int:
+    """The element of Z(m) that is 1 on the q-primary part and 0 on the rest."""
+    r = m // q
+    return r * pow(r, -1, q) % m
+
+
+def _local(rows, qs, carry=None):
+    """Eliminate the sparse ``rows`` over Z localized at a prime p, in place: the pivots.
+
+    Column k is read modulo qs[k], a power of p; that is the relation
+    qs[k]·e_k, kept implicit.  An entry x's p-power is gcd(x, max(qs)).
+    Each pivot is an entry of least p-power, ties going to the fewest cells
+    in its row times its column (Markowitz 1957), from a heap whose keys are
+    refreshed only when popped; the rows on each column are kept as cells
+    appear and vanish, so nothing is rescanned.  A least p-power divides
+    every entry left, so each pivot clears its column by row operations
+    alone, and ``carry`` (one sparse row {index: entry} per row, read
+    modulo max(qs)) goes through them.
+
+    Each pivot is (c, q, row, carried) with row made q at c by a unit.  Row
+    by row this is a basis change: g = e_c + Σ_j (row[j] / q)·e_j has order
+    q, and the other rows no longer meet e_c.  When qs[c] > q, qs[c]·e_c
+    leaves the relation (qs[c] / q)·Σ_j row[j]·e_j on the columns left,
+    added as a row (it carries nothing).  A pivoted row becomes None in
+    ``rows``, and the rows left are zero by the end.
+    """
+    top = max(qs, default=1)
+    gcd = math.gcd
+    at: Dict[int, set] = {}
+    for r, row in enumerate(rows):
+        for c in row:
+            if c in at:
+                at[c].add(r)
+            else:
+                at[c] = {r}
+    heap = [(gcd(x, top), (len(row) - 1) * (len(at[c]) - 1), r, c) for r, row in enumerate(rows) for c, x in row.items()]
+    heapify(heap)
+    pivots = []
+    while heap:
+        q, cost, r, c = heappop(heap)
+        row = rows[r]
+        x = row and row.get(c)
+        if not x or gcd(x, top) != q:
+            continue  # a cell since changed or pivoted
+        now = (len(row) - 1) * (len(at[c]) - 1)
+        if now > cost:
+            heappush(heap, (q, now, r, c))
+            continue
+        rows[r] = None
+        crow = carry[r] if carry else None
+        if x != q:
+            inv = pow(x // q, -1, top)
+            row = {j: y * inv % qs[j] for j, y in row.items()}
+            if crow:
+                crow = {t: y * inv % top for t, y in crow.items()}
+        for j in row:
+            at[j].discard(r)
+        for r2 in at.pop(c):
+            row2 = rows[r2]
+            f = row2.pop(c) // q
+            for j, a in row.items():
+                if j != c:
+                    y = (row2.get(j, 0) - f * a) % qs[j]
+                    if y:
+                        if j not in row2:
+                            at[j].add(r2)
+                        row2[j] = y
+                        heappush(heap, (gcd(y, top), (len(row2) - 1) * (len(at[j]) - 1), r2, j))
+                    elif j in row2:
+                        del row2[j]
+                        at[j].discard(r2)
+            if crow:
+                c2 = carry[r2]
+                for t, y in crow.items():
+                    z = (c2.get(t, 0) - f * y) % top
+                    if z:
+                        c2[t] = z
+                    else:
+                        c2.pop(t, None)
+        if qs[c] < top and len(row) > 1:
+            s = qs[c] // q
+            fill = {j: y for j, a in row.items() if j != c and (y := -s * a % qs[j])}
+            for j, y in fill.items():
+                at.setdefault(j, set()).add(len(rows))
+                heappush(heap, (gcd(y, top), 0, len(rows), j))
+            if fill:
+                rows.append(fill)
+        pivots.append((c, q, row, crow))
+    return pivots
+
+
+def torsion_quotient(relations: Sequence[Dict[int, int]], moduli: Sequence[int]):
+    """The finite quotient of Z^n by the sparse ``relations`` and the moduli[k]·e_k,
+    as prime-power cyclic summands: ``(summand moduli, place, lift)``.
+
+    Every modulus must be nonzero (a multiple of the order of e_k).  Each
+    prime p of their lcm L is eliminated apart by ``_local``, column k
+    modulo the p-part of moduli[k]: a pivot of order q > 1 is a summand
+    Z(q), and so is a column no relation touches.  ``place[k]`` is e_k on
+    the summands and ``lift[s]`` the s-th summand's generator on the e_k,
+    its p-part picked out by the CRT idempotent of L; placing a lift gives
+    the unit vector modulo the summand moduli, and lifts hold modulo the
+    moduli, not over Z.  ``cyclic_sum`` regroups the summands.
+    """
+    L = math.lcm(*moduli)
+    mods: List[int] = []
+    place: List[Dict[int, int]] = [{} for _ in moduli]
+    lift: List[Dict[int, int]] = []
+    for _, top in _tops(moduli):
+        qs = moduli if top == L else [math.gcd(m, top) for m in moduli]
+        rows = []
+        for rel in relations:
+            row = {}
+            for c, x in rel.items():
+                if x % qs[c]:
+                    row[c] = x % qs[c]
+            if row:
+                rows.append(row)
+        e = _idempotent(L, top)
+        here: Dict[int, Dict[int, int]] = {}  # e_k on this prime's summands
+        for c, q, row, _ in reversed(_local(rows, qs)):  # e_c = g − Σ_j (row[j] / q)·e_j
+            vec: Dict[int, int] = {}
+            if q > 1:
+                vec[len(mods)] = 1
+                mods.append(q)
+                lift.append({j: e * (a // q) % moduli[j] for j, a in row.items()})
+            for j, a in row.items():
+                if j == c:
+                    continue
+                if j not in here:  # no later pivot took column j: its own summand
+                    here[j] = {len(mods): 1}
+                    mods.append(qs[j])
+                    lift.append({j: e % moduli[j]})
+                f = a // q
+                for s, y in here[j].items():
+                    z = (vec.get(s, 0) - f * y) % mods[s]
+                    if z:
+                        vec[s] = z
+                    else:
+                        vec.pop(s, None)
+            here[c] = vec
+        for c, q in enumerate(qs):
+            if q > 1 and c not in here:  # a column no relation touches
+                here[c] = {len(mods): 1}
+                mods.append(q)
+                lift.append({c: e % moduli[c]})
+        for c, vec in here.items():
+            place[c].update(vec)
+    return mods, place, lift
+
+
+def _solve_torsion(cols, rhs, moduli) -> List[Optional[list]]:
+    """``solve_mod_many`` with every modulus nonzero, one prime of their lcm L at a time.
+
+    For p with p-part P of L, row i multiplied by P / (p-part of m_i) turns
+    M x ≡ b into one system modulo P (rows p does not divide drop out);
+    ``_local`` triangulates it carrying the right-hand sides, and a zero row
+    must carry 0.  Back substitution, for all right-hand sides at once and
+    free unknowns 0, sets x_c = t / q for each pivot q at c: every entry
+    left of its row is a multiple of q, so b is solvable iff q divides each
+    carried t.  The CRT idempotents of L join the primes' solutions.
+    """
+    n = len(cols)
+    eqs: List[Dict[int, int]] = [{} for _ in moduli]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            eqs[i][j] = x
+    bs: List[Dict[int, int]] = [{} for _ in moduli]
+    for t, b in enumerate(rhs):
+        for i, x in b.items():
+            bs[i][t] = x
+    L = math.lcm(*moduli)
+    bad, parts = set(), []
+    for _, top in _tops(moduli):
+        rows, carry = [], []
+        for eq, b, m in zip(eqs, bs, moduli):
+            s = top // math.gcd(m, top)
+            if s < top:
+                rows.append({j: y for j, x in eq.items() if (y := x * s % top)})
+                carry.append({t: y for t, x in b.items() if (y := x * s % top)})
+        pivots = _local(rows, [top] * n, carry)
+        for row, b in zip(rows, carry):
+            if row is not None:  # never pivoted, so zero
+                bad.update(b)
+        X: Dict[int, Dict[int, int]] = {}
+        for c, q, row, crow in reversed(pivots):
+            acc = dict(crow or ())
+            for j, a in row.items():
+                if j != c and j in X:  # a free unknown is 0
+                    for t, y in X[j].items():
+                        acc[t] = acc.get(t, 0) - a * y
+            xc = {}
+            for t, y in acc.items():
+                y %= top
+                if y % q:
+                    bad.add(t)
+                elif y:
+                    xc[t] = y // q
+            X[c] = xc
+        parts.append((_idempotent(L, top), X))
+    out: List[Optional[list]] = [None if t in bad else [0] * n for t in range(len(rhs))]
+    for e, X in parts:
+        for c, xc in X.items():
+            for t, y in xc.items():
+                if out[t] is not None:
+                    out[t][c] = (out[t][c] + e * y) % L
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Solves and preimage lattices
+
+
 def _augmented(cols: Sequence[Dict[int, int]], moduli: Sequence[int]):
     """The sparse rows of [M | diag(moduli)], zero moduli adding no column, and their width.
 
@@ -434,24 +844,11 @@ def preimage_lattice(cols: Sequence[Dict[int, int]], moduli: Sequence[int]) -> L
     return sparse_rows(W[j] for j in range(width) if j >= len(diag) or diag[j] == 0)
 
 
-def solve_mod_many(
-    cols: Sequence[Dict[int, int]], rhs: Sequence[Dict[int, int]], moduli: Sequence[int]
-) -> List[Optional[list]]:
-    """For each b in ``rhs``, one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
-
-    M has the sparse columns ``cols`` (a map's ``AbMap.cols``) and one row
-    per modulus; each b is sparse too, {row: entry}, and each x is a list of
-    len(cols) entries.  A modulus of 0 means that row is an exact equation
-    over Z.  One elimination of [M | diag(moduli)] serves every b: each row
-    carries the right-hand sides through the row operations, which gives U·b
-    with no U, and V keeps only the coordinates of the unknowns.  D w = U·b
-    is solvable iff M x ≡ b is, and x = V_head w.
-
-    >>> solve_mod_many([{0: 2}, {1: 3}], [{0: 2, 1: 3}, {0: 1}, {1: 6}], [4, 9])
-    [[1, 1], None, [0, 2]]
-    """
-    if not rhs:
-        return []
+def _solve_integer(cols, rhs, moduli) -> List[Optional[list]]:
+    """``solve_mod_many`` by one integer elimination of [M | diag(moduli)],
+    any modulus 0: each row carries the right-hand sides through the row
+    operations, which gives U·b with no U, and V keeps only the coordinates
+    of the unknowns.  D w = U·b is solvable iff M x ≡ b is, and x = V_head w."""
     n = len(cols)
     rows, width = _augmented(cols, moduli)
     carry = [[0] * len(rhs) for _ in moduli]
@@ -472,6 +869,27 @@ def solve_mod_many(
                 x[i] += w * v
         out.append(x)
     return out
+
+
+def solve_mod_many(
+    cols: Sequence[Dict[int, int]], rhs: Sequence[Dict[int, int]], moduli: Sequence[int]
+) -> List[Optional[list]]:
+    """For each b in ``rhs``, one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
+
+    M has the sparse columns ``cols`` (a map's ``AbMap.cols``) and one row
+    per modulus; each b is sparse too, {row: entry}, and each x is a list of
+    len(cols) entries.  A modulus of 0 means that row is an exact equation
+    over Z.  One elimination serves every b: with every modulus nonzero it
+    is ``_solve_torsion``'s, one prime at a time, and x is reduced modulo
+    the lcm of the moduli (a modulus ``prime_factors`` refuses is refused
+    with BudgetExceeded); with some modulus 0 it is ``_solve_integer``'s.
+
+    >>> solve_mod_many([{0: 2}, {1: 3}], [{0: 2, 1: 3}, {0: 1}, {1: 6}], [4, 9])
+    [[9, 28], None, [0, 20]]
+    """
+    if not rhs:
+        return []
+    return (_solve_torsion if all(moduli) else _solve_integer)(cols, rhs, moduli)
 
 
 def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):

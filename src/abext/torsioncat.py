@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DomainError, ParseError
-from .abgroup import MAX_GROUP_DIM, FinGenAb, invariant_factors_of, is_prime, prime_factors
-from .intlin import MAX_BOUND_DIGITS, json_str
+from .abgroup import MAX_GROUP_DIM, FinGenAb, invariant_factors_of
+from .intlin import MAX_BOUND_DIGITS, is_prime, json_str, prime_factors
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
 

@@ -10,7 +10,7 @@ import pytest
 from abext import abgroup
 from abext.errors import BudgetExceeded, DomainError
 import dense_elimination as dense
-from abext.intlin import IntMatrix, snf_diagonal, sparse_rows
+from abext.intlin import IntMatrix, is_prime, prime_factors, snf_diagonal, sparse_rows
 from abext.abgroup import (
     AbMap,
     FinGenAb,
@@ -27,14 +27,12 @@ from abext.abgroup import (
     diagonal,
     direct_sum,
     is_epi,
-    is_prime,
     is_epi_mod,
     is_mono,
     is_mono_mod,
     kernel,
     mod_quotient,
     power_sum,
-    prime_factors,
     pullback,
     pushout,
     sparse_columns,

@@ -9,6 +9,11 @@ and the comparison maps and cyclic checks (``psi``, ``psi --phi``,
 ``cyclic-check``), free summands and ends included.  A change that means to change an output regenerates the file
 with ``PYTHONPATH=src python tests/test_drift.py`` and records the drift in
 CHANGES.md.
+
+The ``canonical`` family holds only what is canonical: the universal
+requests without ``--full`` and the ``classify`` answers.  A change to an
+elimination may move particular solutions (``--full``'s f and g,
+``realize``, cyclic-check witnesses), but never these digests.
 """
 
 import contextlib
@@ -55,12 +60,12 @@ def run(argv):
     return code, out.getvalue()
 
 
-def universal_requests():
-    """(label, argv) of every universal (co)extension request of order at most 8, in full."""
+def universal_requests(full=True):
+    """(label, argv) of every universal (co)extension request of order at most 8, with ``--full`` when ``full``."""
     for verb in ("univ-ext", "univ-coext"):
         for B in SMALL_GROUPS:
             for A in SMALL_GROUPS:
-                yield f"{verb} B={B} A={A}", [verb, "--B", group(B), "--A", group(A), "--full"]
+                yield f"{verb} B={B} A={A}", [verb, "--B", group(B), "--A", group(A)] + ["--full"] * full
 
 
 def normal_form_requests():
@@ -130,7 +135,16 @@ def action_requests():
         yield f"cyclic-check B={B} A={A} samples={samples} seed={seed}", argv
 
 
+def canonical_requests():
+    """What no choice of particular solution can move: every universal
+    (co)extension of order at most 8 without ``--full`` (verdicts, |X|, the
+    middle group) and the classes ``classify`` reads off realized sequences."""
+    yield from universal_requests(full=False)
+    yield from ((name, argv) for name, argv in sequence_requests() if name.startswith("classify "))
+
+
 FAMILIES = {
+    "canonical": canonical_requests,
     "universal": universal_requests,
     "normal_forms": normal_form_requests,
     "sequences": sequence_requests,

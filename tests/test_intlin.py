@@ -23,6 +23,8 @@ from abext.intlin import (
     sparse_rows,
 )
 from abext import intlin
+from abext.abgroup import FinGenAb, invariant_factors_of
+from abext.homext import ExtClass, classify, ext_group, realize
 from dense_elimination import augment_moduli, det, identity, matmul, product, zeros
 
 
@@ -160,6 +162,19 @@ def solve_many(M, rhs, moduli):
     return solve_mod_many(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli)
 
 
+def integer_solve(M, rhs, moduli):
+    """The integer elimination's solve, which ``solve_mod_many`` takes when some modulus is 0, of any system."""
+    return intlin._solve_integer(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli)
+
+
+def assert_answers_like(M, rhs, moduli, got, want):
+    """``got`` refuses the right-hand sides ``want`` refuses, and each of its answers solves its system."""
+    assert [x is None for x in got] == [x is None for x in want], (M, moduli)
+    for b, x in zip(rhs, got):
+        if x is not None:
+            assert all((v - t) % md == 0 if md else v == t for v, t, md in zip(dense.apply(M, x), b, moduli)), (M, b)
+
+
 def test_batched_solves_match_one_at_a_time_solve_mod():
     rng = random.Random(17)
     answered = unsolvable = 0
@@ -244,11 +259,18 @@ def test_carried_solve_equals_the_solve_through_u(monkeypatch):
             patch.setattr(intlin, "snf", refuse)
             patch.setattr(intlin, "hnf", refuse)
             patch.setattr(intlin, "_snf", carried)
-            assert solve_many(M, rhs, moduli) == want
-            assert [solve_mod(M, b, moduli) for b in rhs] == want
+            assert integer_solve(M, rhs, moduli) == want
+            assert [integer_solve(M, [b], moduli)[0] for b in rhs] == want
             assert solve_many(M, [], moduli) == []
         # one elimination per call, each row carrying the right-hand sides and no row of U
         assert widths == [{len(rhs)} if m else set()] + [{1} if m else set()] * len(rhs)
+        # with every modulus nonzero the torsion elimination answers instead
+        got = solve_many(M, rhs, moduli)
+        assert [solve_mod(M, b, moduli) for b in rhs] == got
+        if all(moduli):
+            assert_answers_like(M, rhs, moduli, got, want)
+        else:
+            assert got == want
         answers += want
     assert sum(x is None for x in answers) > 60 and sum(x is not None for x in answers) > 150
 
@@ -654,9 +676,12 @@ def test_solve_read_back_equals_the_dense_read_back():
         moduli = [rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(m)]
         planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(4)]
         rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(4)]
+        want = dense.solve_mod_many(M, rhs, moduli)
+        assert integer_solve(M, rhs, moduli) == want, M
+        assert all(x is not None for x in want[:4])
         got = solve_many(M, rhs, moduli)
-        assert got == dense.solve_mod_many(M, rhs, moduli), M
-        assert all(x is not None for x in got[:4])
+        assert_answers_like(M, rhs, moduli, got, want)
+        assert got == want or all(moduli)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +722,118 @@ def test_sparse_input_gives_the_dense_loops_results():
         planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(2)]
         rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(3)]
         want = dense.solve_mod_many(M, rhs, moduli)
+        got = solve_many(M, rhs, moduli)
+        assert_answers_like(M, rhs, moduli, got, want)
         forms = zip(dense.sparse_forms(rng, dense.transpose(M).rows), dense.sparse_forms(rng, rhs))
         for cols, sparse_rhs in forms:
-            assert solve_mod_many(cols, sparse_rhs, moduli) == want, (M, cols, sparse_rhs)
+            assert intlin._solve_integer(cols, sparse_rhs, moduli) == want, (M, cols, sparse_rhs)
+            assert solve_mod_many(cols, sparse_rhs, moduli) == got, (M, cols, sparse_rhs)
+
+
+# ---------------------------------------------------------------------------
+# Torsion systems: one elimination per prime, against the integer SNF
+
+
+def _torsion_systems():
+    """Seeded (relations, column moduli), every modulus nonzero: rank-deficient,
+    mixed-prime (2-, 3- and 5-parts), permutation-like, repeated moduli, and
+    unit-only columns (every entry ±1, or the modulus 1)."""
+    rng = random.Random(2501)
+    mixed = (2, 3, 4, 5, 6, 9, 10, 12, 15, 25, 30, 60)
+
+    def relations(m, n, entries=range(-9, 10)):
+        return [{j: rng.choice(entries) for j in range(n) if rng.random() < 0.6} for _ in range(m)]
+
+    for _ in range(12):  # rank-deficient: a relation that is the sum of two others
+        n = rng.randint(2, 6)
+        rows = relations(rng.randint(2, 5), n)
+        rows.append({j: rows[0].get(j, 0) + rows[-1].get(j, 0) for j in range(n)})
+        yield rows, [rng.choice(mixed) for _ in range(n)]
+    for _ in range(12):  # mixed-prime
+        n = rng.randint(1, 6)
+        yield relations(rng.randint(0, 6), n), [2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 2) for _ in range(n)]
+    for _ in range(8):  # permutation-like: a unit or a prime power per row, columns permuted
+        n = rng.randint(1, 7)
+        order = list(range(n))
+        rng.shuffle(order)
+        rows = [{order[i]: rng.choice((1, -1, 2, 3, 4, 9)), order[(i + 1) % n]: rng.choice((0, 0, 2, 6))} for i in range(n)]
+        yield rows, [rng.choice((4, 8, 9, 12, 36)) for _ in range(n)]
+    for _ in range(8):  # repeated moduli
+        n = rng.randint(2, 7)
+        yield relations(rng.randint(1, 5), n), [rng.choice((6, 12))] * n
+    for _ in range(8):  # unit-only columns: column 0 all ±1, column 1 of modulus 1
+        n = rng.randint(2, 6)
+        rows = relations(rng.randint(1, 5), n)
+        for row in rows:
+            row[0] = rng.choice((1, -1))
+        yield rows, [rng.choice(mixed), 1] + [rng.choice(mixed) for _ in range(n - 2)]
+    yield [], [4, 6]  # no relation: the moduli alone
+    yield [{0: 2, 1: 3}], [12, 18]
+
+
+def _image(place, vec):
+    out = {}
+    for k, x in vec.items():
+        for s, y in place[k].items():
+            out[s] = out.get(s, 0) + x * y
+    return out
+
+
+def test_torsion_quotient_regroups_to_the_integer_smith_diagonal():
+    for rels, moduli in _torsion_systems():
+        n = len(moduli)
+        mods, place, lift = intlin.torsion_quotient(rels, moduli)
+        assert all(len(intlin._prime_parts(q)) == 1 for q in mods), mods
+        presentation = [{k: m} for k, m in enumerate(moduli)] + rels
+        want = [d for d in _snf([dict(r) for r in presentation], n)[0] if d != 1]
+        dense_rows = [[r.get(j, 0) for j in range(n)] for r in presentation]
+        assert want == [d for d in dense._snf(dense_rows, n)[0] if d != 1]
+        assert list(invariant_factors_of(mods)) == want, (rels, moduli)
+        # every relation places to 0, and each lift places to its own unit vector
+        for rel in presentation:
+            assert all(x % mods[s] == 0 for s, x in _image(place, rel).items()), (rels, moduli)
+        for s, vec in enumerate(lift):
+            got = _image(place, vec)
+            assert all((x - (t == s)) % mods[t] == 0 for t, x in got.items()), (rels, moduli, s)
+            assert got.get(s, 0) % mods[s] == 1
+
+
+def test_torsion_solve_answers_as_the_integer_path():
+    # M^T y ≡ b mod the moduli, M's rows the relations: b is solvable iff it
+    # places to 0 in the torsion quotient, a third oracle beside the two paths.
+    rng = random.Random(2502)
+    answered = refused = 0
+    for rels, moduli in _torsion_systems():
+        n = len(moduli)
+        planted = [{j: sum(y * r.get(j, 0) for y, r in zip(ys, rels)) for j in range(n)} for ys in
+                   ([rng.randint(-5, 5) for _ in rels] for _ in range(3))]
+        rhs = planted + [{j: b.get(j, 0) + (j == k) for j in range(n)} for b, k in zip(planted, range(n))]
+        rhs += [{j: rng.randint(-9, 9) for j in range(n)} for _ in range(3)]
+        got = solve_mod_many(rels, rhs, moduli)
+        want = intlin._solve_integer(rels, rhs, moduli)
+        mods, place, _ = intlin.torsion_quotient(rels, moduli)
+        assert [x is None for x in got] == [x is None for x in want], (rels, moduli)
+        for t, (b, x) in enumerate(zip(rhs, got)):
+            zero = all(v % mods[s] == 0 for s, v in _image(place, b).items())
+            assert (x is not None) == zero, (rels, moduli, b)
+            if t < len(planted):
+                assert x is not None
+            if x is None:
+                refused += 1
+                continue
+            answered += 1
+            assert len(x) == len(rels)
+            for j, m in enumerate(moduli):
+                assert (sum(y * r.get(j, 0) for y, r in zip(x, rels)) - b.get(j, 0)) % m == 0, (rels, moduli, b)
+    assert answered > 150 and refused > 60
+
+
+def test_classify_inverts_realize_on_seeded_finite_classes():
+    rng = random.Random(2503)
+    groups = [(2,), (4,), (6,), (2, 2), (2, 6), (3, 9), (2, 4, 8), (6, 30), (5, 25), (2, 2, 4)]
+    for _ in range(60):
+        A, B = (FinGenAb(0, rng.choice(groups)) for _ in range(2))
+        c = ExtClass(A, B, tuple(rng.randrange(g) for g in ext_group(A, B).piece_mods))
+        s = realize(c)
+        assert s.middle.order() == A.order() * B.order()
+        assert classify(s) == c, c

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import abext.abgroup as abgroup
 import abext.homext as homext
 import abext.intlin as intlin
 import abext.universal as universal
@@ -160,21 +161,22 @@ def test_inverses_refuse_empty_and_mismatched_families(inverse):
 
 def test_each_system_is_factored_once(monkeypatch):
     calls = []
-    real_snf = intlin._snf
+    real_local = intlin._local
 
-    def counting_snf(rows, n, carry=None, head=0, inverse=False):
-        calls.append((len(rows), n))
-        return real_snf(rows, n, carry, head, inverse)
+    def counting_local(rows, qs, carry=None):
+        calls.append((len(rows), len(qs)))
+        return real_local(rows, qs, carry)
 
     A = FinGenAb(0, (2, 2, 4, 4))
     seq = realize(ExtClass(A, Z4, (1, 0, 3, 2)))
     cert = build_universal_extension(Z2, Z2)
     G = FinGenAb(0, (2, 4, 4))
     square = pullback(AbMap.identity(G), AbMap.identity(G))
-    monkeypatch.setattr(intlin, "_snf", counting_snf)
+    monkeypatch.setattr(intlin, "_local", counting_local)
+    monkeypatch.setattr(intlin, "_snf", None)  # every system here is torsion
     monkeypatch.setattr(intlin, "snf", None)  # a solve forms no U
 
-    # one factorization of [g | diag(A)] and one of [f | diag(E)]
+    # one elimination of g modulo A and one of f modulo E, each at the prime 2 alone
     assert classify(seq) == ExtClass(A, Z4, (1, 0, 3, 2))
     assert len(calls) == 2
     calls.clear()
@@ -185,6 +187,33 @@ def test_each_system_is_factored_once(monkeypatch):
     med = square.mediator(square.left, square.right)
     assert med == AbMap.identity(square.apex)
     assert len(calls) == 1
+
+
+def test_torsion_systems_never_reach_the_integer_elimination(monkeypatch):
+    # With the integer SNF and canonicalize gone, the finite work still runs:
+    # classify of the |X| = 128 extension, realize of finite classes and the
+    # cyclic check.  Free rank still takes the integer path.
+    cert = build_universal_extension(FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 4)))
+    small = build_universal_extension(Z2, FinGenAb(0, (2, 2)))
+    free = realize(ExtClass(Z2, FinGenAb(1, (2,)), (1, 1)))
+
+    def gone(*_args, **_kwargs):
+        raise AssertionError("the integer elimination ran")
+
+    monkeypatch.setattr(intlin, "_snf", gone)
+    monkeypatch.setattr(homext, "canonicalize", gone)
+    monkeypatch.setattr(abgroup, "canonicalize", gone)
+    assert classify(cert.sequence) == cert.canonical_class
+    rng = random.Random(2025)
+    for A, B in ((FinGenAb(0, (2, 2, 4)), Z4), (FinGenAb(0, (6, 6)), FinGenAb(0, (2, 6))), (Z3, FinGenAb(0, (3, 9)))):
+        for _ in range(5):
+            c = ExtClass(A, B, tuple(rng.randrange(max(g, 1)) for g in ext_group(A, B).piece_mods))
+            assert classify(realize(c)) == c
+    assert cyclic_generation_check(small, samples=3).passed
+    with pytest.raises(AssertionError, match="integer elimination"):
+        realize(ExtClass(Z2, FinGenAb(1, (2,)), (1, 1)))  # E has free rank
+    with pytest.raises(AssertionError, match="integer elimination"):
+        classify(free)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +371,16 @@ def _property_pairs():
                 yield G, F
 
 
+# The one certificate of order at most 8 not audited: its middle has free
+# rank, so its audit takes the integer elimination, and that runs a minute.
+UNAUDITED = ("extension", FinGenAb(0, (2, 2, 2)), FinGenAb(2, (2,)))
+
+
 def test_every_certificate_has_the_ends_and_class_it_claims():
     """The B^(X) end is B^(|X|), a finite middle has order |A|·|B|^|X|, and,
-    up to |X| = 32, ``classify`` gives back the class and the generic
-    verifiers pass; trivial Ext included, where |X| = 1 and E = A ⊕ B."""
+    for every certificate but ``UNAUDITED``, the other three at |X| = 512
+    among them, ``classify`` gives back the class and the generic verifiers
+    pass; trivial Ext included, where |X| = 1 and E = A ⊕ B."""
     counts = {"certificates": 0, "trivial": 0, "audited": 0}
     for B, A in _property_pairs():
         for build, verify in (
@@ -361,13 +396,13 @@ def test_every_certificate_has_the_ends_and_class_it_claims():
             if seq.middle.is_finite():
                 assert A.is_finite() and B.is_finite()
                 assert seq.middle.order() == A.order() * B.order() ** n
-            if n <= 32:
+            if (cert.direction, B, A) != UNAUDITED:
                 assert classify(seq) == cert.canonical_class
                 assert all(r.passed for r in verify(seq, B))
                 counts["audited"] += 1
             counts["certificates"] += 1
             counts["trivial"] += cert.degenerate
-    assert counts == {"certificates": 450, "trivial": 206, "audited": 426}
+    assert counts == {"certificates": 450, "trivial": 206, "audited": 449}
 
 
 def test_non_universal_candidate_fails_all_three():
@@ -456,14 +491,25 @@ def test_slot_budget_boundary(monkeypatch):
             refused(Z2, Z2)
 
 
-# SHA-256 of repr(matrix.rows) for (B, A) = (Z(2)^4, Z(2)^2): the rows the
-# dense construction gave, as (direction, leg) -> (shape, digest).
+# SHA-256 of repr(matrix.rows) for (B, A) = (Z(2)^4, Z(2)^2), as (direction,
+# leg) -> (shape, digest).  A change that means to move the legs prints the
+# table anew with ``PYTHONPATH=src python tests/test_universal.py``.
 SPARSE_GUARD_ROWS = {
-    ("extension", "f"): ((1024, 2), "3746a1490126304e9078da3f2a9cfbc3ab593135aa7554f8bd758e593e303e33"),
-    ("extension", "g"): ((1024, 1024), "a02be2d3a0c8693961ed71f361c18ce7587d5e51f062e484b5b150fcb932d3fb"),
-    ("coextension", "f"): ((1024, 1024), "f800c6e6e65bcf4943e127a40e3ed394dc978a14ea97ab0fda2f2ab49267293f"),
-    ("coextension", "g"): ((2, 1024), "4e89885087fa81fa06d79cbb5710cf009f1faa1bc8c51be0bef6c003be252c70"),
+    ("extension", "f"): ((1024, 2), "cb3e116674fa2ebdc107f240fb91f6aa5d5d2edebf6a6bbd006980b1c77a2e31"),
+    ("extension", "g"): ((1024, 1024), "0116353f5e50491d67146103db19f42482d65c8f104acca20d3782e230609924"),
+    ("coextension", "f"): ((1024, 1024), "908284cdb4375b07b2c85db60503e15e609c7ee7412b08612418c06632733357"),
+    ("coextension", "g"): ((2, 1024), "9887bb1e93bfc00a900c06781a3f9cd8f0bb7d32247532e592c38ef0634915fa"),
 }
+
+
+def leg_digests(certs) -> dict:
+    """(direction, leg) -> (shape, SHA-256 of repr(matrix.rows)) of the certificates' legs."""
+    table = {}
+    for cert in certs:
+        for leg in ("f", "g"):
+            rows = getattr(cert.sequence, leg).matrix.rows
+            table[cert.direction, leg] = ((len(rows), len(rows[0])), hashlib.sha256(repr(rows).encode()).hexdigest())
+    return table
 
 
 def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
@@ -481,12 +527,7 @@ def test_universal_builds_build_no_dense_slot_matrix(monkeypatch):
     certs = [build_universal_extension(B, A), build_universal_coextension(B, A)]
     monkeypatch.undo()
     assert not cells  # no IntMatrix at all: every elimination takes sparse rows
-    for cert in certs:
-        for leg in ("f", "g"):
-            rows = getattr(cert.sequence, leg).matrix.rows
-            shape, digest = SPARSE_GUARD_ROWS[cert.direction, leg]
-            assert (len(rows), len(rows[0])) == shape
-            assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+    assert leg_digests(certs) == SPARSE_GUARD_ROWS
 
 
 def test_checks_build_no_dense_matrix(monkeypatch):
@@ -958,3 +999,9 @@ def test_sufficient_condition_examples():
     assert rep.X_size == 1 and rep.monic and rep.certificate_exists and rep.consistent
     rep = sufficient_condition_check(Z2, Z4)
     assert rep.monic and rep.consistent
+
+
+if __name__ == "__main__":
+    B, A = FinGenAb(0, (2,) * 4), FinGenAb(0, (2,) * 2)
+    for key, value in leg_digests([build_universal_extension(B, A), build_universal_coextension(B, A)]).items():
+        print(f"    {key!r}: {value!r},")
