@@ -33,8 +33,9 @@ All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch
@@ -188,6 +189,35 @@ def _pval(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def orders_match(G: FinGenAb, parts: Sequence[FinGenAb]) -> bool:
+    """Whether |G| = Π |H| over the ``parts``, all groups finite.
+
+    The orders are compared prime by prime, as the exponent of p in each,
+    read once per run of equal invariant factors (they ascend, so a run's
+    end is found by bisection): no product is formed, so 262,144 factors of
+    2 cost one bisection, not a 262,144-bit multiplication.
+
+    >>> orders_match(FinGenAb(0, (2, 12)), [FinGenAb(0, (4,)), FinGenAb(0, (6,))])
+    True
+    """
+    exps: Dict[int, int] = {}
+    for sign, factors in [(1, G.invariant_factors)] + [(-1, H.invariant_factors) for H in parts]:
+        i, n = 0, len(factors)
+        while i < n:
+            m = factors[i]
+            j = bisect_right(factors, m, i)
+            for p, e in _prime_exponents(m):
+                exps[p] = exps.get(p, 0) + sign * (j - i) * e
+            i = j
+    return not any(exps.values())
+
+
+@lru_cache(maxsize=1024)
+def _prime_exponents(m: int) -> Tuple[Tuple[int, int], ...]:
+    """(p, the exponent of p in m) for each prime p of m >= 1, ascending."""
+    return tuple((p, _pval(q, p)) for p, q in _prime_parts(m))
 
 
 def cyclic_sum(moduli: Sequence[int]):

@@ -42,8 +42,8 @@ from .homext import (
     classify as classify_seq,
     connecting_hom,
     connecting_hom_dual,
-    ext_group,
-    hom_group,
+    ext_carrier,
+    hom_carrier,
     pullback_action,
     pushout_action,
     realize,
@@ -134,13 +134,11 @@ def _cmd_canon(args):
 
 
 def _cmd_hom(args):
-    H = hom_group(_group(args.A), _group(args.B))
-    return {"group": H.carrier.to_json()}
+    return {"group": hom_carrier(_group(args.A), _group(args.B)).to_json()}
 
 
 def _cmd_ext(args):
-    X = ext_group(_group(args.A), _group(args.B))
-    return {"group": X.group.to_json()}
+    return {"group": ext_carrier(_group(args.A), _group(args.B)).to_json()}
 
 
 def _cmd_realize(args):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -31,6 +32,7 @@ from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSeque
 from .intlin import json_int, json_of, json_str, solve_mod_many, torsion_quotient
 from .abgroup import (
     MAX_GROUP_DIM,
+    _prime_runs,
     AbMap,
     FinGenAb,
     apply_sparse,
@@ -40,6 +42,7 @@ from .abgroup import (
     direct_sum,
     is_epi,
     is_mono,
+    orders_match,
     pullback,
     pushout,
     sparse_image,
@@ -103,8 +106,7 @@ def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
     generator i; a modulus of 0 marks an infinite piece.  Past MAX_GROUP_DIM
     pairs of generators, nothing is listed.
     """
-    if A.dim * B.dim > MAX_GROUP_DIM:
-        raise BudgetExceeded(f"{A.dim} x {B.dim} Hom pieces exceed {MAX_GROUP_DIM}")
+    _refuse_past(A.dim, B.dim, "Hom pieces")
     pieces = []
     for j, mj in enumerate(A.moduli()):
         for i, ni in enumerate(B.moduli()):
@@ -126,6 +128,35 @@ def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
     pieces = hom_pieces(A, B)
     carrier, place, lift = cyclic_sum([g for _, _, g, _ in pieces])
     return HomGroup(A, B, tuple(pieces), carrier, place, lift)
+
+
+def hom_carrier(A: FinGenAb, B: FinGenAb) -> FinGenAb:
+    """``hom_group(A, B).carrier`` with no piece listed: Z(gcd(m, n)) for each
+    modulus m of A (0 for Z) and invariant factor n of B, and Z for each
+    pair of free generators, refused as ``hom_pieces`` refuses."""
+    _refuse_past(A.dim, B.dim, "Hom pieces")
+    return _gcd_sum(A.moduli(), B.invariant_factors, A.free_rank * B.free_rank)
+
+
+def _gcd_sum(left: Sequence[int], right: Sequence[int], free: int) -> FinGenAb:
+    """Z^free ⊕ ⊕ Z(gcd(m, n)) over every pair of a modulus m in ``left`` and
+    n in ``right``, not both 0, in canonical form.  Equal moduli are taken as
+    one run with its count, so the work is per pair of distinct moduli, and
+    the factors are ``cyclic_sum``'s."""
+    counts: Dict[int, int] = {}
+    runs = Counter(right)
+    for m, a in Counter(left).items():
+        for n, b in runs.items():
+            g = math.gcd(m, n)
+            if g > 1:
+                counts[g] = counts.get(g, 0) + a * b
+    return FinGenAb(free, tuple(_prime_runs(counts)[0]))
+
+
+def _refuse_past(n: int, k: int, what: str) -> None:
+    """Refuse n x k pieces past MAX_GROUP_DIM, before any is listed."""
+    if n * k > MAX_GROUP_DIM:
+        raise BudgetExceeded(f"{n} x {k} {what} exceed {MAX_GROUP_DIM}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +217,18 @@ def ext_pieces(A: FinGenAb, B: FinGenAb) -> Tuple[int, ...]:
 def ext_group(A: FinGenAb, B: FinGenAb) -> ExtGroup:
     """Ext^1(A, B) = ⊕_j B/d_jB over the invariant factors of A, refused
     past MAX_GROUP_DIM slots (d_j, generator of B) before any is listed."""
-    if A.torsion_count * B.dim > MAX_GROUP_DIM:
-        raise BudgetExceeded(f"{A.torsion_count} x {B.dim} Ext slots exceed {MAX_GROUP_DIM}")
+    _refuse_past(A.torsion_count, B.dim, "Ext slots")
     mods = ext_pieces(A, B)
     carrier, place, lift = cyclic_sum(mods)
     return ExtGroup(A, B, mods, carrier, place, lift)
+
+
+def ext_carrier(A: FinGenAb, B: FinGenAb) -> FinGenAb:
+    """``ext_group(A, B).group`` with no slot listed: Z(gcd(d, m)) for each
+    invariant factor d of A and modulus m of B (gcd(d, 0) = d), refused as
+    ``ext_group`` refuses."""
+    _refuse_past(A.torsion_count, B.dim, "Ext slots")
+    return _gcd_sum(A.invariant_factors, B.moduli(), 0)
 
 
 @dataclass(frozen=True)
@@ -263,8 +301,14 @@ class ShortExactSeq:
     Exactness is decided as g∘f = 0, f mono, g epi and coker f ≅ A: then g
     induces an epimorphism coker f ↠ A, and finitely generated abelian groups
     are Hopfian, so that epimorphism is an isomorphism and im f = ker g.  For
-    a finite middle group coker f ≅ A is |E| = |A|·|B|; otherwise coker f is
-    read off invariant factors (``cokernel_group``).
+    a finite middle group coker f ≅ A is |E| = |A|·|B|, compared prime by
+    prime (``orders_match``); otherwise coker f is read off invariant factors
+    (``cokernel_group``).  Mono and epi are per-prime F_p ranks over every
+    generator of E.
+
+    Every constructor runs this check but one: ``realize`` with a finite
+    middle proves the same exactness through the presentation it built (see
+    there) and constructs its sequence with ``_certified_seq``.
     """
 
     f: AbMap
@@ -283,7 +327,7 @@ class ShortExactSeq:
             raise NotExactSequence("g is not an epimorphism")
         B, E, A = f.source, f.target, g.target
         if E.is_finite():
-            if E.order() != A.order() * B.order():
+            if not orders_match(E, (A, B)):
                 raise NotExactSequence("middle order is not |A|·|B|")
         elif cokernel_group(f.cols, E.moduli()) != A:
             raise NotExactSequence("kernel of g not contained in image of f")
@@ -309,38 +353,65 @@ class ShortExactSeq:
         return ShortExactSeq(AbMap.from_json(data["f"]), AbMap.from_json(data["g"]))
 
 
+def _certified_seq(f: AbMap, g: AbMap) -> ShortExactSeq:
+    """The sequence of legs whose exactness the caller has proved, not checked again."""
+    seq = object.__new__(ShortExactSeq)
+    seq.__dict__.update(f=f, g=g)
+    return seq
+
+
 def realize(c: ExtClass) -> ShortExactSeq:
     """An explicit B ↪ E ↠ A whose class is c.
 
-    E is presented on B's generators e_i plus one lift t_j per generator a_j
-    of A, with relations m_i·e_i = 0 and, for the torsion lifts,
-    d_j·t_j = Σ_i b_ji·e_i, where b_j is the j-th twist.  Repeats split off
-    before anything is canonicalized, by two unimodular changes of basis on
-    (e, t) that commute:
+    E is presented as P, on B's generators e_i plus one lift t_j per
+    generator a_j of A, with relations m_i·e_i = 0 and, for the torsion
+    lifts, d_j·t_j = Σ_i b_ji·e_i, where b_j is the j-th twist.  Repeats
+    split off before anything is canonicalized, by two unimodular changes of
+    basis on (e, t) that commute:
 
     - lifts t_j, t_k with equal (d, twist row) differ by t_k − t_j, of order
       d, which splits off as Z(d) with g(t_k − t_j) = a_k − a_j; free lifts
       carry no twist, so all but the first split off as Z;
     - generators of B with equal (modulus, twist column) share every
       relation: each one after the first splits off as Z(m), and their sum
-      takes the first one's place.  Every dropped row repeats a kept one, so
-      columns are compared on the kept rows.
+      σ takes the first one's place.  Every dropped row repeats a kept one,
+      so columns are compared on the kept rows.
 
-    Only the core of first occurrences is canonicalized, and ``cyclic_sum``
-    regroups it with the split summands by prime; with no repeats E is the
-    core itself.  This keeps the universal (co)extensions small: their
-    |X|·dim B slots share a handful of twists.  When A and B are finite the
-    core is finite, and ``torsion_quotient`` eliminates it one prime at a
-    time, e_i modulo m_i and t_j modulo d_j·exp B (a multiple of its order):
-    its prime-power summands go to ``cyclic_sum`` as they are, and its
-    coordinates hold modulo the moduli, which is all E and the checks below
-    read.  A free end keeps ``canonicalize``, exact over Z.
+    Only the core of first occurrences (the σ's and the first lifts) is
+    canonicalized, and ``cyclic_sum`` regroups it with the split summands
+    by prime; with no repeats E is the core itself.  This keeps the
+    universal (co)extensions small: their |X|·dim B slots share a handful of
+    twists.  When A and B are finite the core is finite, and
+    ``torsion_quotient`` eliminates it one prime at a time, e_i modulo m_i
+    and t_j modulo d_j·exp B (a multiple of its order): its prime-power
+    summands go to ``cyclic_sum`` as they are, and its coordinates hold
+    modulo the moduli, which is all E and the checks below read.  A free
+    end keeps ``canonicalize``, exact over Z.
 
-    Every torsion lift ℓ_j is machine-checked: g(ℓ_j) = a_j and d_j·ℓ_j =
-    f(b_j).  The first lift ℓ_j0 of a key is checked whole; a later one is
-    ℓ_j0 + s_j, with s_j its own split summand's generator, d_j = d_j0 and
-    b_j = b_j0, so by linearity it passes iff g(s_j) = a_j − a_j0 and
-    d_j·s_j = 0, read off s_j's own cells.
+    The legs are f(e_i) and g, and ψ : P → E sends e_i ↦ f(e_i) and t_j ↦
+    ℓ_j, the lift of a_j: a core generator goes to its core image (σ to the
+    sum of its group's f(e_i), a first f(e_i) being its core image minus its
+    group's splits), and a later lift to ℓ_j0 + s_j, with s_j its own split
+    summand's generator.  Nothing the eliminations return is trusted:
+
+    - ψ is well defined.  f is a checked ``AbMap``, so m_i·f(e_i) = 0, and
+      each torsion lift is checked: g(ℓ_j) = a_j and d_j·ℓ_j = f(b_j).  A
+      kept lift is checked on core images, since b_j is constant on each
+      group of B's generators, so f(b_j) = Σ b_jσ·σ's image.  A later lift
+      has d_j = d_j0 and b_j = b_j0, so by linearity it passes iff
+      g(s_j) = a_j − a_j0 and d_j·s_j = 0, read off s_j's own cells.
+    - With E finite, ψ is onto.  Each core summand's place in E is its
+      ``torsion_quotient`` lift applied to the core images, each split
+      summand is a ψ-image by construction, and each generator of E is its
+      ``cyclic_sum`` lift applied to the summands' places.
+    - |P| = Π m_i·Π d_j, the determinant of its triangular relations, which
+      is |B|·|A|; ``orders_match`` checks |E| against it.
+
+    So ψ is an isomorphism.  B's generators span a copy of B in P, with
+    quotient A, so f is mono, and with g∘f = 0 (checked) g∘ψ is that
+    quotient, so g is epi with kernel im f.  This replaces
+    ``ShortExactSeq``'s F_p ranks over every generator of E; a free end
+    takes that generic check.
     """
     A, B = c.A, c.B
     nB, bmods = B.dim, B.moduli()
@@ -372,14 +443,14 @@ def realize(c: ExtClass) -> ShortExactSeq:
     amods = A.moduli()
     E, place, lift = cyclic_sum(cmods + [bmods[i] for i in esplit] + [amods[j] for j in tsplit])
     nc = len(cmods)
-    # Each core generator's image in E is its core coordinates, placed in E.
+    # Each core generator's image in E, ψ of it, is its core coordinates placed in E.
     img = [sparse_image(place, vec) for vec in placec]
     esplit_at = {i: place[nc + k] for k, i in enumerate(esplit)}
     tsplit_at = {j: place[nc + len(esplit) + k] for k, j in enumerate(tsplit)}
 
     # f sends a later generator to its own split, and a first one to its core
-    # image (a fresh dict) minus its group's splits.
-    fcols = [esplit_at[i] if i in esplit_at else img[ce[i]] for i in range(nB)]
+    # image minus its group's splits.
+    fcols = [esplit_at[i] if i in esplit_at else dict(img[ce[i]]) for i in range(nB)]
     for i in esplit:
         col = fcols[efirst[i]]
         for k, x in esplit_at[i].items():
@@ -393,9 +464,9 @@ def realize(c: ExtClass) -> ShortExactSeq:
 
     emods, dA = E.moduli(), A.invariant_factors
     for j in kept_rows:
-        v, d = img[ct[j]], dA[j]
+        v, d, b = img[ct[j]], dA[j], twists[j]
         hit = sparse_sum([(1, sparse_image(gcols, v)), (-1, {j: 1})])
-        twist = sparse_sum([(d, v)] + [(-x, fcols[i]) for i, x in enumerate(twists[j]) if x])
+        twist = sparse_sum([(d, v)] + [(-b[i], img[ce[i]]) for i in core_e if b[i]])
         if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
             raise DomainError(_BROKEN_LIFT)
     for j in tsplit:
@@ -410,10 +481,34 @@ def realize(c: ExtClass) -> ShortExactSeq:
                 hit[a] = hit.get(a, 0) + x * y
         if not _vanishes(hit, amods):
             raise DomainError(_BROKEN_LIFT)
-    return ShortExactSeq(AbMap(B, E, fcols), AbMap(E, A, gcols))
+    f, g = AbMap(B, E, fcols), AbMap(E, A, gcols)
+    if not E.is_finite():
+        return ShortExactSeq(f, g)
+    # g∘ψ kills B's generators: σ's image is the sum of its group's f(e_i),
+    # and a split of B is its own f(e_i).
+    for v in itertools.chain(img[:ne], esplit_at.values()):
+        if not _vanishes(sparse_image(gcols, v), amods):
+            raise DomainError(_NOT_EXACT)
+    for s in range(nc):  # the core summands are ψ-images
+        if not _vanishes(sparse_sum([(1, sparse_image(img, liftc[s])), (-1, place[s])]), emods):
+            raise DomainError(_NOT_EXACT)
+    for k, row in enumerate(lift):  # and so is every generator of E
+        if len(row) == 1:  # one summand, placed as a unit at k alone
+            ((s, x),) = row.items()
+            at = place[s]
+            if len(at) == 1 and at.get(k, 0) * x % emods[k] == 1:
+                continue
+        v = sparse_image(place, row)
+        v[k] = v.get(k, 0) - 1
+        if not _vanishes(v, emods):
+            raise DomainError(_NOT_EXACT)
+    if not orders_match(E, (A, B)):
+        raise DomainError(_NOT_EXACT)
+    return _certified_seq(f, g)
 
 
 _BROKEN_LIFT = "realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)"
+_NOT_EXACT = "realize: ψ is not an isomorphism onto E with g∘ψ the quotient onto A"
 
 
 def _firsts(keys: Sequence) -> List[int]:

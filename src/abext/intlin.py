@@ -930,7 +930,10 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
     Columns lie in range(ncols); entries are any integers, reduced mod p
     here, and zero entries may be left out.  Only the given cells are read:
     over F_2 each row becomes a bitmask, and for odd p each row is reduced
-    against pivots keyed by their last column.
+    against pivots keyed by their last column.  An odd-p pivot is kept as
+    read and scaled to 1 at its column only when it first reduces a row, so
+    a pivot that reduces nothing, as most do on the universal certificates'
+    maps, costs no inverse and no copy.
 
     A row whose single entry is a unit mod p is its own pivot, and its column
     drops out of every other row: that is the first step of structured
@@ -968,9 +971,11 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
             last = max(row)
             pivot = pivots.get(last)
             if pivot is None:
-                inv = pow(row[last], -1, p)
-                pivots[last] = {j: v * inv % p for j, v in row.items()}
+                pivots[last] = row  # scaled to 1 at ``last`` only if it ever reduces a row
                 break
+            if pivot[last] != 1:
+                inv = pow(pivot[last], -1, p)
+                pivot = pivots[last] = {j: v * inv % p for j, v in pivot.items()}
             c = row[last]
             for j, v in pivot.items():
                 w = (row.get(j, 0) - c * v) % p

@@ -13,6 +13,9 @@ reference that change is checked against.  They take dense rows, as
 with its SNF from the loops here.  ``sparse_forms`` writes dense rows as the
 sparse rows an elimination now takes, in each form its contract allows.
 
+``rank_mod_p`` is Gauss-Jordan over F_p on dense rows, the reference for
+``intlin.rank_mod_p``.
+
 The dense matrix arithmetic at the end (products, determinants, transposes
 and the like) is what the tests check identities such as U·M·V = D with;
 ``abext`` itself multiplies no dense matrices.
@@ -221,6 +224,25 @@ def sparse_forms(rng, rows):
 
 # ---------------------------------------------------------------------------
 # Dense matrix arithmetic on IntMatrix
+
+
+def rank_mod_p(rows, ncols, p):
+    """Gauss-Jordan over F_p on dense rows: the reference for ``intlin.rank_mod_p``."""
+    work = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [v * inv % p for v in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][col]:
+                c = work[i][col]
+                work[i] = [(v - c * w) % p for v, w in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 def zeros(nrows: int, ncols: int) -> IntMatrix:

@@ -686,6 +686,30 @@ def test_prime_runs():
     assert abgroup._prime_runs({}) == ([], [])
 
 
+def test_orders_match_agrees_with_the_products_of_the_orders():
+    rng = random.Random(2605)
+    chains = [(2, 4, 8, 16), (3, 9, 27), (2, 6, 12, 60), (5, 25), (7,)]
+    agreed = set()
+    for _ in range(2000):
+        G, H, K = (
+            FinGenAb(0, tuple(sorted(rng.choice(chain) for _ in range(rng.randint(0, 8)))))
+            for chain in (rng.choice(chains) for _ in range(3))
+        )
+        if rng.random() < 0.5:  # a middle group of the right order, often not the sum
+            parts = [q for d in H.invariant_factors + K.invariant_factors for _, q in abgroup._prime_parts(d)]
+            G = FinGenAb(0, abgroup.invariant_factors_of(parts))
+            if G.invariant_factors and rng.random() < 0.5:
+                G = FinGenAb(0, G.invariant_factors[:-1] + (G.invariant_factors[-1] * rng.choice((2, 3)),))
+        want = math.prod(G.invariant_factors) == math.prod(H.invariant_factors) * math.prod(K.invariant_factors)
+        assert abgroup.orders_match(G, (H, K)) == want, (G, H, K)
+        agreed.add(want)
+    assert agreed == {True, False}
+    assert abgroup.orders_match(ZERO_GROUP, ()) and abgroup.orders_match(ZERO_GROUP, (ZERO_GROUP,))
+    assert not abgroup.orders_match(Z2, ())
+    twos = FinGenAb(0, (2,) * (1 << 18))
+    assert abgroup.orders_match(twos, (FinGenAb(0, (2,) * (1 << 17)), FinGenAb(0, (4,) * (1 << 16))))
+
+
 def test_mod_quotient():
     G = FinGenAb(0, (2, 4, 8))
     Q, proj, kept = mod_quotient(G, 4)

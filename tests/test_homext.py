@@ -3,7 +3,7 @@ import random
 import pytest
 
 import abext.homext as homext
-from abext.errors import DomainError, EndpointMismatch, NotExactSequence
+from abext.errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
 from abext.intlin import IntMatrix, solve_mod, sparse_rows
 from abext.abgroup import (
     AbMap,
@@ -100,6 +100,28 @@ def test_hom_and_ext_groups_are_values():
     assert len({hom_group(Z4, Z6), hom_group(Z4, Z6), ext_group(Z4, Z12), ext_group(Z4, Z12)}) == 2
 
 
+def _seeded_group(rng, free):
+    """Z^free plus up to six cyclic factors drawn from a short chain, with repeats."""
+    chain = rng.choice([(2, 4, 8), (3, 9), (2, 6, 30), (4, 12, 60), (5,)])
+    return FinGenAb(free, tuple(sorted(rng.choice(chain) for _ in range(rng.randint(0, 6)))))
+
+
+def test_hom_and_ext_carriers_from_runs_match_the_listed_groups():
+    """``hom_carrier`` and ``ext_carrier`` count pieces by runs of equal moduli;
+    the carriers of ``hom_group`` and ``ext_group``, which list every piece,
+    are the oracle, on seeded pairs with free rank 0-2 at either end."""
+    rng = random.Random(2607)
+    for _ in range(300):
+        A, B = (_seeded_group(rng, rng.choice((0, 0, 1, 2))) for _ in range(2))
+        assert homext.hom_carrier(A, B) == hom_group(A, B).carrier, (A, B)
+        assert homext.ext_carrier(A, B) == ext_group(A, B).group, (A, B)
+    big = FinGenAb(0, (2,) * 1024)
+    assert homext.hom_carrier(big, big) == FinGenAb(0, (2,) * (1 << 20))
+    for carrier in (homext.hom_carrier, homext.ext_carrier):
+        with pytest.raises(BudgetExceeded):
+            carrier(FinGenAb(0, (2,) * 1025), big)
+
+
 # ---------------------------------------------------------------------------
 # Ext groups
 
@@ -153,14 +175,16 @@ def test_realize_z_by_z2():
 
 # A over Z(4) with twists (2, 2, 1): lifts 0 and 1 share a key, so E is
 # presented on the core Z(2) + Z(16) and lift 1 splits off as Z(2), the last
-# summand ``realize`` hands to ``cyclic_sum``.
+# summand ``realize`` hands to ``cyclic_sum``.  A and B are finite, so the
+# core goes through ``torsion_quotient`` and exactness through ψ.
 LIFT_CHECK_CLASS = ExtClass(FinGenAb(0, (2, 2, 4)), Z4, (2, 2, 1))
 
 
 def _place(k, x, target):
     """The k-th summand's place: x times the place of summand ``target``."""
 
-    def corrupt(place):
+    def corrupt(out):
+        place = out[1]
         place[k] = {i: x * v for i, v in place[target].items()}
 
     return corrupt
@@ -169,38 +193,100 @@ def _place(k, x, target):
 def _add_place(k, x, target):
     """The k-th summand's place plus x times the place of summand ``target``."""
 
-    def corrupt(place):
+    def corrupt(out):
+        place = out[1]
         place[k] = sparse_sum([(1, place[k]), (x, place[target])])
 
     return corrupt
 
 
-# 4 times the Z(16) generator is in ker g (4·A = 0) and has order 4, so the
-# split lift it is added to keeps g(s) = a_k − a_j and breaks 2·s = 0.
-@pytest.mark.parametrize(
-    "corrupt",
-    [_place(-1, 2, -1), _place(-1, 1, 0), _add_place(-1, 4, 1), _place(1, 2, 1), _place(0, 1, 1)],
-    ids=["split-lift-times-2", "split-lift-at-core", "split-lift-order-4", "core-lift-times-2", "core-lift-at-other"],
-)
-def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, corrupt):
-    real = homext.cyclic_sum
-    moduli = []
+def _add_entry(part, k, s, x):
+    """Entry s of the k-th place (part 0) or lift (part 1) plus x."""
 
-    def corrupted(mods):
-        group, place, lift = real(mods)
-        moduli.append(tuple(mods))
-        corrupt(place)
-        return group, place, lift
+    def corrupt(out):
+        vec = out[1 + part][k]
+        vec[s] = vec.get(s, 0) + x
+
+    return corrupt
+
+
+def _divide_modulus(s, x):
+    """``torsion_quotient``'s s-th summand modulus divided by x."""
+
+    def corrupt(out):
+        out[0][s] //= x
+
+    return corrupt
+
+
+BROKEN_LIFT = "a lift ℓ breaks g"
+NOT_ISOMORPHIC = "ψ is not an isomorphism"
+
+
+# The core is columns σ (B's generator), t_0 and t_2, with summands Z(2) and
+# Z(16); ``cyclic_sum`` takes (2, 16, 2) and numbers E's generators Z(2),
+# Z(2), Z(16).  4 times the Z(16) generator is in ker g (4·A = 0) and has
+# order 4, so the split lift it is added to keeps g(s) = a_k − a_j and breaks
+# 2·s = 0.  The next three corruptions leave g and every lift relation as
+# they were, so only the check that ψ maps onto E sees them: E's first
+# generator lifted to s_0 + 4·s_1, with 4·s_1 in ker g; the core Z(2) lifted
+# with σ added, which g does not read; and t_0 placed 8·s_1 off, which g and
+# d_0 = 2 both kill.  Their f and g are still exact: what fails is the proof.
+# The core Z(16) read as Z(8) leaves f not mono, and only |E| ≠ |A|·|B|
+# shows it.  In ``SPLIT_CLASS`` B's two generators share their twist, so the
+# second splits off as Z(4), E's first generator; placed at twice that
+# generator, a non-unit, f is not mono, and no lift check reads the split.
+SPLIT_CLASS = ExtClass(Z2, FinGenAb(0, (4, 4)), (1, 1))
+CLASSES = {"lift": (LIFT_CHECK_CLASS, FinGenAb(0, (2, 2, 16))), "split": (SPLIT_CLASS, FinGenAb(0, (4, 8)))}
+CALLS = {("lift", "cyclic_sum"): (2, 16, 2), ("lift", "torsion_quotient"): (4, 8, 16), ("split", "cyclic_sum"): (8, 4)}
+
+
+@pytest.mark.parametrize(
+    "cls, source, corrupt, message",
+    [
+        ("lift", "cyclic_sum", _place(-1, 2, -1), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _place(-1, 1, 0), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _add_place(-1, 4, 1), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _place(1, 2, 1), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _place(0, 1, 1), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _add_entry(1, 0, 1, 4), NOT_ISOMORPHIC),
+        ("lift", "torsion_quotient", _add_entry(1, 0, 0, 1), NOT_ISOMORPHIC),
+        ("lift", "torsion_quotient", _add_entry(0, 1, 1, 8), NOT_ISOMORPHIC),
+        ("lift", "torsion_quotient", _divide_modulus(1, 2), NOT_ISOMORPHIC),
+        ("split", "cyclic_sum", _place(1, 2, 1), NOT_ISOMORPHIC),
+    ],
+    ids=[
+        "split-lift-times-2",
+        "split-lift-at-core",
+        "split-lift-order-4",
+        "core-lift-times-2",
+        "core-lift-at-other",
+        "generator-lift-off-by-kernel",
+        "core-summand-lift-off",
+        "core-place-off-by-kernel",
+        "core-summand-order-halved",
+        "split-of-B-at-a-non-unit",
+    ],
+)
+def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, cls, source, corrupt, message):
+    (c, middle), real = CLASSES[cls], getattr(homext, source)
+    calls = []
+
+    def corrupted(*args):
+        out = list(real(*args))
+        calls.append(args[-1])
+        corrupt(out)
+        return tuple(out)
 
     def exactness_test(*_):
         raise AssertionError("ShortExactSeq ran")
 
-    assert realize(LIFT_CHECK_CLASS).middle == FinGenAb(0, (2, 2, 16))
-    monkeypatch.setattr(homext, "cyclic_sum", corrupted)
+    assert realize(c).middle == middle
+    monkeypatch.setattr(homext, source, corrupted)
     monkeypatch.setattr(homext, "ShortExactSeq", exactness_test)
-    with pytest.raises(DomainError, match="a lift ℓ breaks g"):
-        realize(LIFT_CHECK_CLASS)
-    assert moduli == [(2, 16, 2)]
+    with pytest.raises(DomainError, match=message):
+        realize(c)
+    assert [tuple(mods) for mods in calls] == [CALLS[cls, source]]
 
 
 def test_classify_examples():
@@ -280,6 +366,24 @@ def test_classify_realize_roundtrip_random():
     s = realize(ExtClass(Z4, Z4, (3,)))
     phi = find_equivalence(s, realize(classify(s)))
     assert phi is not None
+
+
+def test_generic_exactness_accepts_every_sequence_realize_certifies():
+    """With finite ends ``realize`` proves exactness through its presentation
+    map ψ and runs no generic check; the generic check of ``ShortExactSeq``
+    accepts every such sequence.  Seeded classes whose twists repeat, so
+    that generators of both ends split off, and free ends, which take the
+    generic check inside ``realize``."""
+    rng = random.Random(2604)
+    certified = 0
+    for _ in range(200):
+        A, B = (_seeded_group(rng, rng.choice((0, 0, 0, 1))) for _ in range(2))
+        c = random_class(rng, A, B)
+        s = realize(c)
+        assert ShortExactSeq(s.f, s.g) == s
+        assert classify(s) == c
+        certified += s.middle.is_finite()
+    assert 100 < certified < 200
 
 
 def _realize_full_presentation(c):
