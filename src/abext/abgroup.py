@@ -191,26 +191,41 @@ def _pval(n: int, p: int) -> int:
     return v
 
 
-def orders_match(G: FinGenAb, parts: Sequence[FinGenAb]) -> bool:
-    """Whether |G| = Π |H| over the ``parts``, all groups finite.
+def orders_match(G: FinGenAb, parts: Sequence[FinGenAb], q: int = 0, torsion: bool = False) -> bool:
+    """Whether |G/qG| = Π |H/qH| over the ``parts``: each factor Z(m) counts
+    as Z(gcd(q, m)) and Z as Z(q).  With ``torsion`` only the torsion
+    subgroups count; for a finite group T, |T/qT| = |T[q]|.  q = 0 compares
+    the orders themselves, of groups that must then be finite (or of their
+    torsion subgroups).
 
     The orders are compared prime by prime, as the exponent of p in each,
     read once per run of equal invariant factors (they ascend, so a run's
-    end is found by bisection): no product is formed, so 262,144 factors of
-    2 cost one bisection, not a 262,144-bit multiplication.
+    end is found by bisection, and gcd(q, ·) keeps each run a run): no
+    product is formed, so 262,144 factors of 2 cost one bisection, not a
+    262,144-bit multiplication.
 
     >>> orders_match(FinGenAb(0, (2, 12)), [FinGenAb(0, (4,)), FinGenAb(0, (6,))])
     True
+    >>> orders_match(FinGenAb(1, (2, 12)), [FinGenAb(0, (2, 2, 2))], 2)
+    True
+    >>> orders_match(FinGenAb(1, (2, 12)), [FinGenAb(0, (2, 2, 2))], 2, torsion=True)
+    False
     """
     exps: Dict[int, int] = {}
-    for sign, factors in [(1, G.invariant_factors)] + [(-1, H.invariant_factors) for H in parts]:
+
+    def count(m: int, times: int) -> None:
+        for p, e in _prime_exponents(m):
+            exps[p] = exps.get(p, 0) + times * e
+
+    for sign, H in [(1, G)] + [(-1, H) for H in parts]:
+        factors = H.invariant_factors
         i, n = 0, len(factors)
         while i < n:
-            m = factors[i]
-            j = bisect_right(factors, m, i)
-            for p, e in _prime_exponents(m):
-                exps[p] = exps.get(p, 0) + sign * (j - i) * e
+            j = bisect_right(factors, factors[i], i)
+            count(math.gcd(q, factors[i]), sign * (j - i))
             i = j
+        if q and not torsion:
+            count(q, sign * H.free_rank)
     return not any(exps.values())
 
 

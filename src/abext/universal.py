@@ -12,9 +12,27 @@ verdicts for the three equivalent defining conditions on A ↪u E ↠p B^(X):
 
 and their duals for co-extensions.  Any disagreement between the verdicts is
 a build failure.  No condition acts on a class: Ext^1(B, h) is h modulo each
-invariant factor d of B, so (a) asks u(A) ⊆ dE and (b) that E/dE → B^(X)/dB^(X)
-be injective, and dually (a*)/(b*) read u's and p's ``_ext_weights`` modulo
-each modulus of B.
+invariant factor d of B, so (a) asks u(A) ⊆ dE, and dually (a*) reads u's
+``_ext_weights`` modulo each modulus of B.  (b) and (b*) rank no map; they
+count, through ``orders_match``:
+
+  (b)  Ext^1(Z(d), G) ≅ G/dG naturally, so Ext^1(Z(d), p) is the map
+       E/dE → B^(X)/dB^(X).  p is epi, so that map is onto between finite
+       groups, and injective iff |E/dE| = |B^(X)/dB^(X)|: products of
+       gcd(d, e) over the moduli e of each group, Z read as Z(d).
+  (b*) p : B^X ↪ E is mono.  Ext^1(G, Z(m)) is naturally the dual of G[m]
+       (apply Hom(-, Q/Z) to 0 → G[m] → G →m G), and Ext^1(G, Z) that of
+       tors G (Hom(G, Q) → Hom(G, Q/Z) has image the maps that kill tors G),
+       written G[0].  So Ext^1(p, Z(m)) is the dual of B^X[m] → E[m],
+       injective iff that restriction of p is onto; it is injective, so that
+       is |B^X[m]| = |E[m]|: products of gcd(m, e) over the torsion factors
+       e of each group, for each modulus m of B.
+
+Both counts rest on p's being epi (resp. mono), which ``realize`` has
+already proved: its certificate shows the sequence exact through its
+presentation map (or ``ShortExactSeq`` checked it), so nothing is ranked
+again.  (a) still reads u and (c) still ranks δ, so the three verdicts come
+from three different computations.
 
 Both builders stack X into one class, η ∈ Ext^1(B^(X), A) whose x-th
 component is x (resp. γ ∈ Ext^1(A, B^X)), since Ext over a finite coproduct
@@ -34,7 +52,7 @@ the ``seq_pullback`` of their product along the diagonal Δ.  With
 ``verify_extension_conditions`` and ``verify_coextension_conditions`` they
 audit the builders.  The verifiers read the induced maps on carriers and
 decide with ``is_zero``, ``is_mono`` and ``is_epi``; the builders decide with
-``_zero_mod``, ``_injective_mod`` and ``_generates``, so the two share no
+``_zero_mod``, the order count and ``_generates``, so the two share no
 decision code.  They do share ``homext._ext_weights``, the weights through
 which a map acts on Ext^1 in its first argument; the tests check those
 weights against the geometric pullback of realized sequences.
@@ -60,7 +78,7 @@ from .abgroup import (
     is_epi,
     is_epi_mod,
     is_mono,
-    is_mono_mod,
+    orders_match,
     sparse_image,
 )
 from .homext import (
@@ -94,10 +112,12 @@ CYCLIC_CHECK_BUDGET = 1024
 # The most witnesses a cyclic generation check samples, checked before any work.
 CYCLIC_SAMPLE_BUDGET = 1024
 # A universal (co)extension must have fewer slots |X|·dim B than this, checked
-# before X is listed.  A build takes time and memory linear in the slots, about
-# 10 µs a slot in CPython 3.11 on 2 vCPU (12,288 in 0.08-0.20 s); the budget
-# bounds the classes listed and the dense p that ``--full`` prints, |X|·dim B
-# by dim E cells.
+# before X is listed, with the slots multiplied out only until they reach it.
+# A build takes time and memory linear in the slots, about 10 µs and 1.6 KB a
+# slot in CPython 3.11 on 2 vCPU (12,288 in 0.08-0.20 s; 262,144, past the
+# budget, in 2.3-2.5 s and 350-410 MB), since (b) and (b*) are counts and no
+# condition ranks a map over the slots; the budget bounds the classes listed
+# and the dense p that ``--full`` prints, |X|·dim B by dim E cells.
 UNIVERSAL_SLOT_BUDGET = 1 << 14
 
 
@@ -298,10 +318,11 @@ def build_universal_extension(B: FinGenAb, A: FinGenAb) -> UniversalCertificate:
     seq = realize(eta)
     u, p, E = seq.f, seq.g, seq.middle
 
-    # (a) and (b): u and p read modulo each factor d of B.
+    # (a): u read modulo each factor d of B; (b): |E/dE| = |B^(X)/dB^(X)|,
+    # since p is epi (see the module docstring).
     facts = sorted(set(B.invariant_factors))
     ok_a = all(_zero_mod(d, E.moduli(), u.cols) for d in facts)
-    ok_b = all(_injective_mod(d, E.moduli(), BX.moduli(), p.cols) for d in facts)
+    ok_b = all(orders_match(E, [BX], d) for d in facts)
     # (c): δ(h) = η·h over the cyclic pieces h of Hom(B, B^(X)); η·h vanishes
     # unless h starts at a torsion generator j of B, and depends only on j, h's
     # order g = gcd(d_j, D) and the twist at its target slot of factor D, so
@@ -338,11 +359,12 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     seq = realize(gamma)
     p, u, E = seq.f, seq.g, seq.middle
 
-    # (a*) and (b*): u's and p's weights read modulo each modulus m of B.
-    efacts, mods = E.invariant_factors, sorted(set(B.moduli()))
-    wu, wp = (_ext_weights(h.cols, h.source.invariant_factors, h.target.invariant_factors) for h in (u, p))
-    ok_a = all(_zero_mod(m, efacts, wu) for m in mods)
-    ok_b = all(_injective_mod(m, efacts, BX.invariant_factors, wp) for m in mods)
+    # (a*): u's weights read modulo each modulus m of B; (b*): |B^X[m]| = |E[m]|,
+    # since p is mono (see the module docstring).
+    mods = sorted(set(B.moduli()))
+    wu = _ext_weights(u.cols, u.source.invariant_factors, u.target.invariant_factors)
+    ok_a = all(_zero_mod(m, E.invariant_factors, wu) for m in mods)
+    ok_b = all(orders_match(E, [BX], m, torsion=True) for m in mods)
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
     # only on h's target i, order and entry and the twists at h's source slot.
     # A slot of modulus D has the pieces of Hom(Z(D), B) (Z when D = 0), listed
@@ -366,12 +388,18 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
 
 def _list_classes(ext: ExtGroup, B: FinGenAb) -> List[ExtClass]:
     """X, every class of ``ext``, refused before it is listed when B^(X)
-    would have UNIVERSAL_SLOT_BUDGET slots or more."""
+    would have UNIVERSAL_SLOT_BUDGET slots or more.  The slots |X|·dim B are
+    multiplied out only until they reach the budget, so an Ext group of
+    2^262144 classes costs no big product."""
     if 0 in ext.piece_mods:
         raise UnsupportedInstance("Ext group has an infinite carrier")
-    slots = ext.order() * B.dim
+    slots = B.dim
+    for g in ext.piece_mods:
+        if slots >= UNIVERSAL_SLOT_BUDGET:
+            break
+        slots *= g
     if slots >= UNIVERSAL_SLOT_BUDGET:
-        raise BudgetExceeded(f"B^(X) would have {slots} slots, at least {UNIVERSAL_SLOT_BUDGET}")
+        raise BudgetExceeded(f"B^(X) would have at least {UNIVERSAL_SLOT_BUDGET} slots, the slot budget")
     return list(ext.classes())
 
 
@@ -393,14 +421,6 @@ def _zero_mod(q: int, tgt_mods: Sequence[int], cols) -> bool:
     w from Z(gcd(d, q)) to Z(gcd(e, q)) has gcd(e, q) | w·gcd(d, q)."""
     mods = [math.gcd(m, q) for m in tgt_mods]
     return all(_vanishes(col, mods) for col in cols)
-
-
-def _injective_mod(q: int, src_mods: Sequence[int], tgt_mods: Sequence[int], cols) -> bool:
-    """Injectivity of the sparse columns ``cols`` from ⊕Z(gcd(q, s)) to
-    ⊕Z(gcd(q, t)), 0 for Z read as q.  ``cols`` are p's or its ``_ext_weights``,
-    well defined because p was checked when it was built, so nothing is checked
-    again here."""
-    return is_mono_mod(cols, [math.gcd(m, q) for m in src_mods], [math.gcd(m, q) for m in tgt_mods])
 
 
 def _generates(ext: ExtGroup, pieces: Sequence[Tuple[Dict[int, int], int]]) -> bool:

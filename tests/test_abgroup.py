@@ -710,6 +710,31 @@ def test_orders_match_agrees_with_the_products_of_the_orders():
     assert abgroup.orders_match(twos, (FinGenAb(0, (2,) * (1 << 17)), FinGenAb(0, (4,) * (1 << 16))))
 
 
+def test_orders_match_modulo_q_agrees_with_the_products_of_the_gcds():
+    # |G/qG| is the product of gcd(q, m) over G's moduli m (gcd(q, 0) = q),
+    # and |T[q]| over T's torsion factors alone; q = 0 reads each factor whole.
+    rng = random.Random(2705)
+    chains = [(2, 4, 8), (3, 9), (2, 6, 12, 60), (5,), (2, 6, 30)]
+    agreed = set()
+    for _ in range(2000):
+        G, H = (
+            FinGenAb(rng.randint(0, 2), tuple(sorted(rng.choice(chain) for _ in range(rng.randint(0, 6)))))
+            for chain in (rng.choice(chains) for _ in range(2))
+        )
+        torsion = rng.random() < 0.5
+        q = rng.choice((0, 2, 3, 4, 6, 10, 12, 15))
+        if q == 0 and not torsion:
+            G, H = FinGenAb(0, G.invariant_factors), FinGenAb(0, H.invariant_factors)
+        size = lambda K: math.prod(math.gcd(q, m) for m in (K.invariant_factors if torsion else K.moduli()))
+        want = size(G) == size(H)
+        assert abgroup.orders_match(G, [H], q, torsion=torsion) == want, (G, H, q, torsion)
+        agreed.add(want)
+    assert agreed == {True, False}
+    twos = FinGenAb(3, (2,) * (1 << 18) + (4,))
+    assert abgroup.orders_match(twos, [FinGenAb(0, (2,) * ((1 << 18) + 4))], 2)
+    assert abgroup.orders_match(twos, [FinGenAb(0, (2,) * ((1 << 18) + 1))], 2, torsion=True)
+
+
 def test_mod_quotient():
     G = FinGenAb(0, (2, 4, 8))
     Q, proj, kept = mod_quotient(G, 4)

@@ -4,6 +4,10 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines, or `abext suite` for the JSON scorecard.
 """
 
+import dataclasses
+
+import pytest
+
 from abext import acceptance
 from abext.errors import DomainError
 
@@ -33,6 +37,41 @@ def test_criterion_04_psi_bijectivity():
 
 def test_criterion_05_universal_tri_condition():
     _check(acceptance.criterion_5_tri_condition)
+
+
+def _flip_c(verify):
+    def lying(seq, B):
+        ra, rb, rc = verify(seq, B)
+        return ra, rb, dataclasses.replace(rc, passed=not rc.passed)
+
+    return lying
+
+
+def _refuse(*args):
+    raise DomainError("universal construction failed its own verification")
+
+
+# (name patched in acceptance, its replacement given the real one, failures
+# among the 50 certificates of the 5 groups of order at most 4).
+LIARS = [
+    ("classify", lambda real: lambda seq: None, 50),
+    ("verify_extension_conditions", _flip_c, 25),
+    ("verify_coextension_conditions", _flip_c, 25),
+    ("ext_count_by_cocycles", lambda real: lambda A, B: real(A, B) + 1, 50),
+    ("build_universal_coextension", lambda real: _refuse, 25),
+]
+
+
+@pytest.mark.parametrize("name, liar, failures", LIARS, ids=[name for name, _, _ in LIARS])
+def test_criterion_05_fails_when_an_independent_check_disagrees(monkeypatch, name, liar, failures):
+    # Each certificate is audited by classify, the generic verifiers and the
+    # cocycle count; one of them disagreeing, or a build raising, fails it.
+    groups = acceptance.abelian_groups_up_to_order
+    monkeypatch.setattr(acceptance, "abelian_groups_up_to_order", lambda n: groups(4))
+    assert acceptance.criterion_5_tri_condition()["detail"] == "50 certificates, 0 failures"
+    monkeypatch.setattr(acceptance, name, liar(getattr(acceptance, name)))
+    res = acceptance.criterion_5_tri_condition()
+    assert not res["passed"] and res["detail"] == f"50 certificates, {failures} failures"
 
 
 def test_criterion_06_cyclic_generation():

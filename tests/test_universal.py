@@ -26,7 +26,6 @@ from abext.abgroup import (
     is_mono,
     kernel,
     pullback,
-    sparse_columns,
 )
 from abext.homext import (
     ExtClass,
@@ -460,27 +459,42 @@ P19 = 1000000000000000003  # prime
 
 
 @pytest.mark.parametrize(
-    "B, A, slots",
+    "B, A",
     [
-        (FinGenAb(0, (2,) * 5), FinGenAb(0, (2,) * 3), 163840),
-        (FinGenAb(0, (P19,)), FinGenAb(0, (P19**2,)), P19),
+        (FinGenAb(0, (2,) * 5), FinGenAb(0, (2,) * 3)),
+        (FinGenAb(0, (P19,)), FinGenAb(0, (P19**2,))),
     ],
     ids=["Z(2)^5/Z(2)^3", "Z(p)/Z(p^2)"],
 )
-def test_oversized_pairs_are_refused_before_x_is_listed(monkeypatch, B, A, slots):
+def test_oversized_pairs_are_refused_before_x_is_listed(monkeypatch, B, A):
     def listed(self):
         raise AssertionError("X was listed")
 
     monkeypatch.setattr(ExtGroup, "classes", listed)
     t0 = time.perf_counter()
-    # Ext^1(B, A) and Ext^1(A, B) have the same order here, so B^(X) has
-    # ``slots`` slots in both directions.
+    # Ext^1(B, A) and Ext^1(A, B) have the same order here (2^15 and p), so
+    # B^(X) has 163,840 and p slots in both directions; the refusal names the budget.
+    budget = f"at least {universal.UNIVERSAL_SLOT_BUDGET} slots, the slot budget"
     for refused in (build_universal_extension, build_universal_coextension):
-        with pytest.raises(BudgetExceeded, match=f"{slots} slots"):
+        with pytest.raises(BudgetExceeded, match=budget):
             refused(B, A)
-    with pytest.raises(BudgetExceeded, match=f"{slots} slots"):
+    with pytest.raises(BudgetExceeded, match=budget):
         sufficient_condition_check(A, B)
     assert time.perf_counter() - t0 < 1
+
+
+def test_huge_ext_groups_are_refused_without_their_order(monkeypatch):
+    # Ext^1(Z(2)^512, Z(2)^512) has 2^262144 classes: the slots are multiplied
+    # out only until they reach the budget, so neither its order nor a digit
+    # string of it is ever formed.
+    def ordered(self):
+        raise AssertionError("the order of X was formed")
+
+    G = FinGenAb(0, (2,) * 512)
+    monkeypatch.setattr(ExtGroup, "order", ordered)
+    for refused in (build_universal_extension, build_universal_coextension):
+        with pytest.raises(BudgetExceeded, match=f"at least {universal.UNIVERSAL_SLOT_BUDGET} slots"):
+            refused(G, G)
 
 
 def test_slot_budget_boundary(monkeypatch):
@@ -743,12 +757,12 @@ def test_induced_maps_act_on_flat_slots(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Conditions (b) and (c): the rank cores against the restricted-map route
+# Conditions (b) and (c): the order count and the rank core against the restricted-map route
 
 
 def _restricted_map(q, src_mods, tgt_mods, cols):
-    """The sparse ``cols`` restricted to the gcd groups as an AbMap, which checks
-    that it is well defined: the route ``_injective_mod`` took before its rank core."""
+    """The sparse ``cols`` restricted to the gcd groups ⊕Z(gcd(q, m)), Z read
+    as Z(q), as an AbMap, which checks that it is well defined."""
     src = [(j, math.gcd(m, q)) for j, m in enumerate(src_mods) if math.gcd(m, q) > 1]
     tgt = [(i, math.gcd(m, q)) for i, m in enumerate(tgt_mods) if math.gcd(m, q) > 1]
     mat = IntMatrix.from_rows([[cols[j].get(i, 0) for j, _ in src] for i, _ in tgt], ncols=len(src))
@@ -795,46 +809,81 @@ RANK_CORE_CASES = [
 EXTRA_Q = (2, 3, 4, 10, 12, 15)
 
 
+def _p_restricted(seq, direction, q):
+    """p (extension) or its Ext-dual weights (co-extension) restricted to the
+    q-parts: the map whose injectivity is (b) or (b*) at q, and the route the
+    builders ranked before they counted."""
+    if direction == "extension":
+        p = seq.g
+        return _restricted_map(q, p.source.moduli(), p.target.moduli(), p.cols)
+    p = seq.f
+    weights = homext._ext_weights(p.cols, p.source.invariant_factors, p.target.invariant_factors)
+    return _restricted_map(q, p.target.invariant_factors, p.source.invariant_factors, weights)
+
+
+def _count(seq, direction, q):
+    """The builders' count for (b) or (b*) at q on any exact sequence with
+    p its quotient (extension) or sub (co-extension) leg."""
+    if direction == "extension":
+        return abgroup.orders_match(seq.middle, [seq.quot], q)
+    return abgroup.orders_match(seq.middle, [seq.sub], q, torsion=True)
+
+
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
-def test_injective_mod_matches_restricted_map(monkeypatch, build):
-    # The builders pass p (extension) or its Ext-dual weights (co-extension).
-    calls = _record(monkeypatch, "_injective_mod")
+def test_order_count_matches_the_restricted_map(monkeypatch, build):
+    # The builders count (b)/(b*) at each factor (extension) or modulus
+    # (co-extension) of B; the injectivity of p's restriction is the oracle.
+    calls = []
+    real = abgroup.orders_match
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(universal, "orders_match", record)
+    built = []
     for B, A in RANK_CORE_CASES:
-        build(B, A)
+        n = len(calls)
+        built.append((B, build(B, A), calls[n:]))
     monkeypatch.undo()
-    assert calls
-    for q, src_mods, tgt_mods, cols in calls:
-        for q2 in (q,) + EXTRA_Q:
-            got = universal._injective_mod(q2, src_mods, tgt_mods, cols)
-            f = _restricted_map(q2, src_mods, tgt_mods, cols)
-            assert got == is_mono(f) == kernel(f)[0].is_trivial()
-
-
-def test_injective_mod_matches_restricted_map_on_random_chains():
-    rng = random.Random(29)
-    pool = abelian_groups_up_to_order(12)
     verdicts = set()
-    for _ in range(80):
-        S, T = (FinGenAb(rng.choice((0, 0, 1, 2)), rng.choice(pool).invariant_factors) for _ in range(2))
-        rows = []
-        for m in T.moduli():
-            row = []
-            for mj in S.moduli():
-                if mj == 0:
-                    v = rng.randint(-5, 5)
-                elif m == 0:
-                    v = 0
-                else:
-                    v = m // math.gcd(m, mj) * rng.randint(-3, 3)  # well defined, not reduced
-                row.append(v)
-            rows.append(row)
-        cols = sparse_columns(rows, S.dim)
-        for q in EXTRA_Q:
-            got = universal._injective_mod(q, S.moduli(), T.moduli(), cols)
-            f = _restricted_map(q, S.moduli(), T.moduli(), cols)
-            assert got == is_mono(f) == kernel(f)[0].is_trivial()
+    for B, cert, made in built:
+        seq, direction = cert.sequence, cert.direction
+        coext = direction == "coextension"
+        BX = seq.sub if coext else seq.quot
+        assert all(args[:2] == (seq.middle, [BX]) and kwargs == ({"torsion": True} if coext else {}) for args, kwargs in made)
+        qs = [args[2] for args, _ in made]
+        assert qs == sorted(set(B.moduli() if coext else B.invariant_factors))
+        for q in qs + list(EXTRA_Q):
+            f = _p_restricted(seq, direction, q)
+            got = _count(seq, direction, q)
+            assert got == is_mono(f) == kernel(f)[0].is_trivial(), (str(B), direction, q)
             verdicts.add(got)
     assert verdicts == {True, False}
+
+
+def test_order_count_matches_the_verifiers_off_the_universal_sequences():
+    # Exact sequences over B^(n) that are not universal: realizations of
+    # random classes of Ext^1(B^(n), A) and Ext^1(A, B^(n)), half of them
+    # split.  The count decides (b)/(b*) as the generic verifiers do.
+    rng = random.Random(27)
+    pool = abelian_groups_up_to_order(8) + [FinGenAb(1, ()), FinGenAb(1, (2,)), FinGenAb(1, (4,))]
+    seen = {"extension": set(), "coextension": set()}
+    for k in range(240):
+        direction = ("extension", "coextension")[k % 2]
+        B, A = rng.choice(pool), rng.choice(pool)
+        BX = universal._power_group(B, rng.randint(1, 3))[0]
+        ext = ext_group(BX, A) if direction == "extension" else ext_group(A, BX)
+        coords = tuple(0 if k % 4 < 2 else rng.randrange(g) if g else rng.randint(-3, 3) for g in ext.piece_mods)
+        seq = realize(ExtClass(ext.A, ext.B, coords))
+        if direction == "extension":
+            qs, verify = B.invariant_factors, verify_extension_conditions
+        else:
+            qs, verify = B.moduli(), verify_coextension_conditions
+        got = all(_count(seq, direction, q) for q in qs)
+        assert got == verify(seq, B)[1].passed, (direction, str(B), str(A), coords)
+        seen[direction].add(got)
+    assert seen == {"extension": {True, False}, "coextension": {True, False}}
 
 
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
