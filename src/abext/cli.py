@@ -42,8 +42,8 @@ from .homext import (
     classify as classify_seq,
     connecting_hom,
     connecting_hom_dual,
-    ext_carrier,
-    hom_carrier,
+    ext_group,
+    hom_group,
     pullback_action,
     pushout_action,
     realize,
@@ -134,11 +134,11 @@ def _cmd_canon(args):
 
 
 def _cmd_hom(args):
-    return {"group": hom_carrier(_group(args.A), _group(args.B)).to_json()}
+    return {"group": hom_group(_group(args.A), _group(args.B)).carrier.to_json()}
 
 
 def _cmd_ext(args):
-    return {"group": ext_carrier(_group(args.A), _group(args.B)).to_json()}
+    return {"group": ext_group(_group(args.A), _group(args.B)).carrier.to_json()}
 
 
 def _cmd_realize(args):

@@ -15,10 +15,6 @@ class NotExactSequence(DomainError):
     code = "not-exact"
 
 
-class UnsupportedInstance(DomainError):
-    code = "unsupported-instance"
-
-
 class BudgetExceeded(DomainError):
     code = "budget-exceeded"
 

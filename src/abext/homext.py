@@ -16,6 +16,12 @@ universal module's Ψ/Φ and cyclic check all read these sparse columns; the
 geometric pullback/pushout of realized sequences exist alongside and the two
 routes are cross-checked in the test suite.
 
+``HomGroup`` and ``ExtGroup`` hold their two ends alone, which equality and
+hashing read; the rest is derived on first read and cached.  The ``hom`` and
+``ext`` verbs read the carrier alone, counted by runs of equal moduli; the
+universal builders read the slot moduli alone; only what reads coordinates
+runs ``cyclic_sum``, and a carrier read after it is that sum's group.
+
 Ab is hereditary, so Ext^2 and higher vanish and are not represented.
 """
 
@@ -24,8 +30,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSequence
@@ -54,28 +60,56 @@ from .abgroup import (
 # Hom groups
 
 
+class _Summed:
+    """What HomGroup and ExtGroup derive from their ends on first read:
+    ``place`` and ``lift`` from one ``cyclic_sum`` of the ``_moduli`` of their
+    pieces, and the carrier, that sum's group once it is formed and until
+    then ``_counted`` by runs of equal moduli, with no piece listed."""
+
+    @cached_property
+    def _summed(self):
+        return cyclic_sum(self._moduli())
+
+    @cached_property
+    def carrier(self) -> FinGenAb:
+        return self._summed[0] if "_summed" in self.__dict__ else self._counted()
+
+    @property
+    def place(self) -> List[Dict[int, int]]:
+        return self._summed[1]
+
+    @property
+    def lift(self) -> List[Dict[int, int]]:
+        return self._summed[2]
+
+
 @dataclass(frozen=True)
-class HomGroup:
-    """Hom(A, B) with a generating basis and coordinate maps.
+class HomGroup(_Summed):
+    """Hom(A, B) from its two ends; the rest is derived (``_Summed``).
 
     ``pieces`` lists the nontrivial cyclic pieces as tuples
-    (source_gen, target_gen, piece_modulus, generator_entry); the carrier is
-    their canonical form, with ``place`` and ``lift`` from ``cyclic_sum``.
-    ``decompose`` and ``recompose`` are mutually inverse between maps and
-    carrier coordinates.
+    (source_gen, target_gen, piece_modulus, generator_entry), and the carrier
+    is their canonical form.  ``decompose`` and ``recompose`` are mutually
+    inverse between maps and carrier coordinates.
     """
 
     source: FinGenAb
     target: FinGenAb
-    pieces: Tuple[Tuple[int, int, int, int], ...]
-    carrier: FinGenAb
-    # derived from the fields above, so equality and hashing leave them out
-    place: List[Dict[int, int]] = field(compare=False)
-    lift: List[Dict[int, int]] = field(compare=False)
+
+    @cached_property
+    def pieces(self) -> Tuple[Tuple[int, int, int, int], ...]:
+        return tuple(hom_pieces(self.source, self.target))
+
+    def _moduli(self) -> List[int]:
+        return [g for _, _, g, _ in self.pieces]
+
+    def _counted(self) -> FinGenAb:
+        S, T = self.source, self.target
+        return _gcd_sum(S.moduli(), T.invariant_factors, S.free_rank * T.free_rank)
 
     @property
     def basis(self) -> Tuple[AbMap, ...]:
-        return tuple(self.recompose(unit) for unit in _units(self.carrier.dim))
+        return tuple(self.recompose(unit) for unit in _units(len(self.lift)))
 
     def decompose(self, f: AbMap) -> Tuple[int, ...]:
         if f.source != self.source or f.target != self.target:
@@ -84,7 +118,8 @@ class HomGroup:
         for (j, i, g, entry) in self.pieces:
             c = f.cols[j].get(i, 0) // entry
             raw.append(c % g if g else c)
-        return self.carrier.reduce(apply_sparse(self.place, raw, self.carrier.dim))
+        coords = apply_sparse(self.place, raw, len(self.lift))  # first, so the carrier is the sum's
+        return self.carrier.reduce(coords)
 
     def recompose(self, coords: Sequence[int]) -> AbMap:
         raw = apply_sparse(self.lift, coords, len(self.pieces))
@@ -124,18 +159,10 @@ def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
 
 
 def hom_group(A: FinGenAb, B: FinGenAb) -> HomGroup:
-    """Hom(A, B) ≅ ⊕ over generator pairs of cyclic pieces."""
-    pieces = hom_pieces(A, B)
-    carrier, place, lift = cyclic_sum([g for _, _, g, _ in pieces])
-    return HomGroup(A, B, tuple(pieces), carrier, place, lift)
-
-
-def hom_carrier(A: FinGenAb, B: FinGenAb) -> FinGenAb:
-    """``hom_group(A, B).carrier`` with no piece listed: Z(gcd(m, n)) for each
-    modulus m of A (0 for Z) and invariant factor n of B, and Z for each
-    pair of free generators, refused as ``hom_pieces`` refuses."""
+    """Hom(A, B) ≅ ⊕ over generator pairs of cyclic pieces, refused past
+    MAX_GROUP_DIM pairs of generators before anything is computed."""
     _refuse_past(A.dim, B.dim, "Hom pieces")
-    return _gcd_sum(A.moduli(), B.invariant_factors, A.free_rank * B.free_rank)
+    return HomGroup(A, B)
 
 
 def _gcd_sum(left: Sequence[int], right: Sequence[int], free: int) -> FinGenAb:
@@ -164,42 +191,48 @@ def _refuse_past(n: int, k: int, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class ExtGroup:
-    """Ext^1(A, B) with indexing data for normal-form coordinates.
+class ExtGroup(_Summed):
+    """Ext^1(A, B) from its two ends; the rest is derived (``_Summed``).
 
     Flat coordinates have one slot per (torsion factor d_j of A, generator i
-    of B); slot modulus is gcd(d_j, m_i), with gcd(d, 0) read as d.  The
-    carrier is the canonical form of the direct sum of the slots, with
-    ``place`` and ``lift`` from ``cyclic_sum``.
+    of B); slot modulus is gcd(d_j, m_i), with gcd(d, 0) read as d, so every
+    slot is finite.  The carrier is the canonical form of the direct sum of
+    the slots.  The universal builders read ``piece_mods`` alone.
     """
 
     A: FinGenAb
     B: FinGenAb
-    piece_mods: Tuple[int, ...]
-    carrier: FinGenAb
-    # derived from the fields above, so equality and hashing leave them out
-    place: List[Dict[int, int]] = field(compare=False)
-    lift: List[Dict[int, int]] = field(compare=False)
+
+    @cached_property
+    def piece_mods(self) -> Tuple[int, ...]:
+        return ext_pieces(self.A, self.B)
+
+    def _moduli(self) -> Tuple[int, ...]:
+        return self.piece_mods
+
+    def _counted(self) -> FinGenAb:
+        return _gcd_sum(self.A.invariant_factors, self.B.moduli(), 0)
 
     @property
     def group(self) -> FinGenAb:
         return self.carrier
 
     def order(self) -> int:
-        return math.prod(self.piece_mods) if self.piece_mods else 1
+        return math.prod(self.piece_mods)
 
     def zero(self) -> "ExtClass":
         return ExtClass(self.A, self.B, (0,) * len(self.piece_mods))
 
     def to_carrier(self, cls: "ExtClass") -> Tuple[int, ...]:
-        return self.carrier.reduce(apply_sparse(self.place, cls.coords, self.carrier.dim))
+        coords = apply_sparse(self.place, cls.coords, len(self.lift))  # first, so the carrier is the sum's
+        return self.carrier.reduce(coords)
 
     def from_carrier(self, coords: Sequence[int]) -> "ExtClass":
         return ExtClass(self.A, self.B, apply_sparse(self.lift, coords, len(self.piece_mods)))  # reduced there
 
     def classes(self) -> Iterator["ExtClass"]:
         """All classes, lexicographic on normal-form coordinates (reduced by construction)."""
-        for combo in itertools.product(*(range(max(g, 1)) for g in self.piece_mods)):
+        for combo in itertools.product(*(range(g) for g in self.piece_mods)):
             yield _reduced_class(self.A, self.B, combo)
 
 
@@ -218,17 +251,7 @@ def ext_group(A: FinGenAb, B: FinGenAb) -> ExtGroup:
     """Ext^1(A, B) = ⊕_j B/d_jB over the invariant factors of A, refused
     past MAX_GROUP_DIM slots (d_j, generator of B) before any is listed."""
     _refuse_past(A.torsion_count, B.dim, "Ext slots")
-    mods = ext_pieces(A, B)
-    carrier, place, lift = cyclic_sum(mods)
-    return ExtGroup(A, B, mods, carrier, place, lift)
-
-
-def ext_carrier(A: FinGenAb, B: FinGenAb) -> FinGenAb:
-    """``ext_group(A, B).group`` with no slot listed: Z(gcd(d, m)) for each
-    invariant factor d of A and modulus m of B (gcd(d, 0) = d), refused as
-    ``ext_group`` refuses."""
-    _refuse_past(A.torsion_count, B.dim, "Ext slots")
-    return _gcd_sum(A.invariant_factors, B.moduli(), 0)
+    return ExtGroup(A, B)
 
 
 @dataclass(frozen=True)
@@ -597,7 +620,8 @@ def _carrier_map(G: HomGroup | ExtGroup, cols: Sequence[Dict[int, int]], X: ExtG
     """The map from G's carrier whose generator v, ``G.lift[v]`` on G's Hom
     pieces or Ext slots, goes through the sparse columns ``cols`` to X's flat
     slots, placed in X's carrier."""
-    return AbMap(G.carrier, X.carrier, [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift])
+    placed = [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift]  # first, so the carriers are the sums'
+    return AbMap(G.carrier, X.carrier, placed)
 
 
 def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:

@@ -26,8 +26,9 @@ Two eliminations, and the input picks one; there is no option.
   at a time over Z localized at p, on sparse rows, and CRT joins the primes.
   It serves ``solve_mod_many`` (and so ``solve_mod``, ``classify``, the
   cyclic check, ``find_equivalence`` and the pullback mediator) when every
-  modulus is nonzero, and ``torsion_quotient``, the finite core of
-  ``realize``.  Its coordinates hold modulo the moduli.
+  modulus is nonzero, ``torsion_quotient``, the finite core of ``realize``,
+  and ``rank_mod_p`` (so every mono and epi test), which counts its pivots
+  with each column read modulo p.  Its coordinates hold modulo the moduli.
 - ``_snf``, over Z, serves solves with a zero modulus and every exact
   contract: ``snf``, ``snf_diagonal``, preimage lattices and
   ``canonicalize``, whose lifts place to the identity over Z.  It computes
@@ -909,6 +910,9 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
 def rank_gf2(rows: Iterable[int]) -> int:
     """Rank over F_2 of rows given as Python-int bitmasks.
 
+    No production path calls it any more (``rank_mod_p`` counts ``_local``'s
+    pivots); it stays because ``perfbench/tracer.py`` binds it by name.
+
     Pivots are keyed by their highest set bit, so a row is reduced only
     against the pivots whose bit it meets, and each reduction lowers it.
     """
@@ -928,22 +932,13 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
     """Rank over F_p of sparse integer rows, each a dict {column: entry}.
 
     Columns lie in range(ncols); entries are any integers, reduced mod p
-    here, and zero entries may be left out.  Only the given cells are read:
-    over F_2 each row becomes a bitmask, and for odd p each row is reduced
-    against pivots keyed by their last column.  An odd-p pivot is kept as
-    read and scaled to 1 at its column only when it first reduces a row, so
-    a pivot that reduces nothing, as most do on the universal certificates'
-    maps, costs no inverse and no copy.
-
-    A row whose single entry is a unit mod p is its own pivot, and its column
-    drops out of every other row: that is the first step of structured
-    Gaussian elimination (LaMacchia–Odlyzko 1990), and it takes the split
-    slots of a universal (co)extension, unit vectors, off the elimination.
-    The other rows go sparsest first, and their pivots are keyed by the last
-    column, not the first, because the certificate maps send a split
-    generator to e_s - e_first with ``first`` the lowest slot of its key:
-    keyed by the first column, each split of a key would be reduced through
-    the one before it.
+    here, and zero entries may be left out.  A row whose single entry is a
+    unit mod p is its own pivot, and its column drops out of every other
+    row: that is the first step of structured Gaussian elimination
+    (LaMacchia–Odlyzko 1990), and it takes the split slots of a universal
+    (co)extension, unit vectors, off the elimination.  The other rows,
+    reduced mod p, go to ``_local`` with every column read modulo p: each
+    of its pivots is a unit, so the rank is the number of pivots.
 
     >>> rank_mod_p([{0: 1, 2: 1}, {1: -1}, {0: 3, 1: 2, 2: 3}], 3, 3)
     2
@@ -956,31 +951,5 @@ def rank_mod_p(rows: Iterable[Dict[int, int]], ncols: int, p: int) -> int:
                     units.add(j)
         elif r:
             rest.append(r)
-    rest.sort(key=len)
-    if p == 2:
-        masks = [0] * len(rest)
-        for k, r in enumerate(rest):
-            for j, v in r.items():
-                if v & 1 and j not in units:
-                    masks[k] |= 1 << j
-        return len(units) + rank_gf2(masks)
-    pivots: Dict[int, Dict[int, int]] = {}
-    for r in rest:
-        row = {j: v % p for j, v in r.items() if v % p and j not in units}
-        while row:
-            last = max(row)
-            pivot = pivots.get(last)
-            if pivot is None:
-                pivots[last] = row  # scaled to 1 at ``last`` only if it ever reduces a row
-                break
-            if pivot[last] != 1:
-                inv = pow(pivot[last], -1, p)
-                pivot = pivots[last] = {j: v * inv % p for j, v in pivot.items()}
-            c = row[last]
-            for j, v in pivot.items():
-                w = (row.get(j, 0) - c * v) % p
-                if w:
-                    row[j] = w
-                else:
-                    del row[j]
-    return len(units) + len(pivots)
+    rest = [row for r in rest if (row := {j: v % p for j, v in r.items() if v % p and j not in units})]
+    return len(units) + (len(_local(rest, [p] * ncols)) if rest else 0)

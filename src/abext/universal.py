@@ -31,8 +31,9 @@ count, through ``orders_match``:
 Both counts rest on p's being epi (resp. mono), which ``realize`` has
 already proved: its certificate shows the sequence exact through its
 presentation map (or ``ShortExactSeq`` checked it), so nothing is ranked
-again.  (a) still reads u and (c) still ranks δ, so the three verdicts come
-from three different computations.
+again.  (a) still reads u and (c) still ranks δ, on Ext's flat slots
+⊕Z(t_i): a map into a finite group is onto iff it is onto modulo every
+prime, chain or not.  So a build forms no carrier of Ext.
 
 Both builders stack X into one class, η ∈ Ext^1(B^(X), A) whose x-th
 component is x (resp. γ ∈ Ext^1(A, B^X)), since Ext over a finite coproduct
@@ -52,10 +53,11 @@ the ``seq_pullback`` of their product along the diagonal Δ.  With
 ``verify_extension_conditions`` and ``verify_coextension_conditions`` they
 audit the builders.  The verifiers read the induced maps on carriers and
 decide with ``is_zero``, ``is_mono`` and ``is_epi``; the builders decide with
-``_zero_mod``, the order count and ``_generates``, so the two share no
-decision code.  They do share ``homext._ext_weights``, the weights through
-which a map acts on Ext^1 in its first argument; the tests check those
-weights against the geometric pullback of realized sequences.
+``_zero_mod``, the order count and ``_generates``.  Both reach ``is_epi_mod``
+for (c), the builders on flat slots and the verifiers on carriers.  They
+also share ``homext._ext_weights``, the weights through which a map acts on
+Ext^1 in its first argument; the tests check those weights against the
+geometric pullback of realized sequences.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import BudgetExceeded, DomainError, UnsupportedInstance
+from .errors import BudgetExceeded, DomainError
 from .intlin import solve_mod_many
 from .abgroup import (
     AbMap,
@@ -79,7 +81,6 @@ from .abgroup import (
     is_epi_mod,
     is_mono,
     orders_match,
-    sparse_image,
 )
 from .homext import (
     ExtClass,
@@ -388,11 +389,10 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
 
 def _list_classes(ext: ExtGroup, B: FinGenAb) -> List[ExtClass]:
     """X, every class of ``ext``, refused before it is listed when B^(X)
-    would have UNIVERSAL_SLOT_BUDGET slots or more.  The slots |X|·dim B are
-    multiplied out only until they reach the budget, so an Ext group of
-    2^262144 classes costs no big product."""
-    if 0 in ext.piece_mods:
-        raise UnsupportedInstance("Ext group has an infinite carrier")
+    would have UNIVERSAL_SLOT_BUDGET slots or more.  Only the slot moduli
+    are read, each gcd(d, m) or d with d >= 2, so finite; the slots |X|·dim B
+    are multiplied out only until they reach the budget, so an Ext group of
+    2^262144 classes costs no big product and no canonical form."""
     slots = B.dim
     for g in ext.piece_mods:
         if slots >= UNIVERSAL_SLOT_BUDGET:
@@ -425,9 +425,11 @@ def _zero_mod(q: int, tgt_mods: Sequence[int], cols) -> bool:
 
 def _generates(ext: ExtGroup, pieces: Sequence[Tuple[Dict[int, int], int]]) -> bool:
     """Whether the classes of the given sparse flat coordinates (not necessarily
-    reduced) and orders (0: infinite) generate ``ext``."""
-    cols = [sparse_image(ext.place, vec) for vec, _ in pieces]
-    return is_epi_mod(cols, [g for _, g in pieces], ext.carrier.moduli())
+    reduced) and orders (0: infinite) generate ``ext``, decided on its flat
+    slots ⊕Z(t_i): a map into a finite group is onto iff it is onto modulo p
+    at every prime p, whether or not the t_i form a chain, so no carrier is
+    formed."""
+    return is_epi_mod([vec for vec, _ in pieces], [g for _, g in pieces], ext.piece_mods)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,37 @@ def test_criterion_07_closure_laws():
     _check(acceptance.criterion_7_closure)
 
 
+def _one_more_class(real):
+    def build(B, A):
+        cert = real(B, A)
+        return dataclasses.replace(cert, X=cert.X + cert.X[:1])
+
+    return build
+
+
+# (name patched in acceptance, its replacement given the real one, violations
+# among the 100 instances).  One more class in every X breaks the product
+# law everywhere, since (n1 + 1)(n2 + 1) > n1·n2 + 1; a sum that drops B2
+# breaks it wherever Ext^1(B2, A) is nontrivial.
+CLOSURE_LIARS = [
+    ("verify_extension_conditions", _flip_c, 100),
+    ("classify", lambda real: lambda seq: None, 100),
+    ("build_universal_extension", _one_more_class, 100),
+    ("direct_sum", lambda real: lambda groups: real(groups[:1]), 33),
+    ("build_universal_extension", lambda real: _refuse, 100),
+]
+
+
+@pytest.mark.parametrize("name, liar, violations", CLOSURE_LIARS, ids=[f"{name}-{n}" for n, (name, _, _) in enumerate(CLOSURE_LIARS)])
+def test_criterion_07_fails_when_the_law_or_a_check_breaks(monkeypatch, name, liar, violations):
+    # The sum's |X| must be the product of the summands', and its
+    # certificate must pass classify and the generic verifiers; a build
+    # that raises is a violation too.
+    monkeypatch.setattr(acceptance, name, liar(getattr(acceptance, name)))
+    res = acceptance.criterion_7_closure()
+    assert not res["passed"] and res["detail"] == f"100 instances, {violations} violations"
+
+
 def test_criterion_08_torsion_fixtures():
     _check(acceptance.criterion_8_torsion_fixtures)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from abext.abgroup import (
     abelian_groups_up_to_order,
     canonicalize,
     cokernel,
+    cyclic_sum,
     direct_sum,
     is_epi,
     kernel,
@@ -98,6 +100,14 @@ def test_hom_and_ext_groups_are_values():
     assert hom_group(Z4, Z6) == hom_group(Z4, Z6)
     assert ext_group(Z4, Z12) == ext_group(Z4, Z12)
     assert len({hom_group(Z4, Z6), hom_group(Z4, Z6), ext_group(Z4, Z12), ext_group(Z4, Z12)}) == 2
+    # The ends are the only fields; what is derived and cached on first read
+    # leaves equality and hashing alone.
+    assert [f.name for f in dataclasses.fields(homext.HomGroup)] == ["source", "target"]
+    assert [f.name for f in dataclasses.fields(homext.ExtGroup)] == ["A", "B"]
+    H, X = hom_group(Z4, Z6), ext_group(Z4, Z12)
+    assert (H.place, H.carrier, X.lift, X.carrier) == ([{0: 1}], Z2, [{0: 1}], Z4)
+    assert (H, X) == (hom_group(Z4, Z6), ext_group(Z4, Z12))
+    assert (hash(H), hash(X)) == (hash(hom_group(Z4, Z6)), hash(ext_group(Z4, Z12)))
 
 
 def _seeded_group(rng, free):
@@ -107,19 +117,26 @@ def _seeded_group(rng, free):
 
 
 def test_hom_and_ext_carriers_from_runs_match_the_listed_groups():
-    """``hom_carrier`` and ``ext_carrier`` count pieces by runs of equal moduli;
-    the carriers of ``hom_group`` and ``ext_group``, which list every piece,
-    are the oracle, on seeded pairs with free rank 0-2 at either end."""
+    """A carrier read first is counted by runs of equal moduli, with no piece
+    listed; ``cyclic_sum`` of the listed pieces or slot moduli is the oracle,
+    on seeded pairs with free rank 0-2 at either end.  Read after the
+    coordinates, the carrier is that sum's group itself."""
     rng = random.Random(2607)
     for _ in range(300):
         A, B = (_seeded_group(rng, rng.choice((0, 0, 1, 2))) for _ in range(2))
-        assert homext.hom_carrier(A, B) == hom_group(A, B).carrier, (A, B)
-        assert homext.ext_carrier(A, B) == ext_group(A, B).group, (A, B)
+        H, X = hom_group(A, B), ext_group(A, B)
+        assert H.carrier == cyclic_sum([g for _, _, g, _ in H.pieces])[0], (A, B)
+        assert X.carrier == cyclic_sum(X.piece_mods)[0], (A, B)
+        for G in (hom_group(A, B), ext_group(A, B)):
+            G.lift  # the coordinates first
+            assert G.carrier is G._summed[0]
     big = FinGenAb(0, (2,) * 1024)
-    assert homext.hom_carrier(big, big) == FinGenAb(0, (2,) * (1 << 20))
-    for carrier in (homext.hom_carrier, homext.ext_carrier):
+    H = hom_group(big, big)
+    assert H.carrier == FinGenAb(0, (2,) * (1 << 20))
+    assert "pieces" not in vars(H) and "_summed" not in vars(H)
+    for group in (hom_group, ext_group):
         with pytest.raises(BudgetExceeded):
-            carrier(FinGenAb(0, (2,) * 1025), big)
+            group(FinGenAb(0, (2,) * 1025), big)
 
 
 # ---------------------------------------------------------------------------

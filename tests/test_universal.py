@@ -905,6 +905,62 @@ def test_generates_matches_epi_of_the_pieces(monkeypatch, build):
     assert verdicts == {True, False}
 
 
+def test_builds_read_no_carrier_and_sum_once(monkeypatch):
+    # A build lists X off the slot moduli and decides (c) on flat slots, so
+    # it reads no carrier and no place or lift of an Ext group.  Its one
+    # ``cyclic_sum`` is realize's, when both ends are finite.
+    def refuse(self):
+        raise AssertionError("a universal build read an Ext carrier")
+
+    sums = []
+    real_sum = homext.cyclic_sum
+
+    def counted(moduli):
+        sums.append(len(moduli))
+        return real_sum(moduli)
+
+    for name in ("carrier", "place", "lift"):
+        monkeypatch.setattr(ExtGroup, name, property(refuse))
+    monkeypatch.setattr(homext, "cyclic_sum", counted)
+    cases = RANK_CORE_CASES + [(Z2, Z3), (FinGenAb(0, (2, 2, 2)), FinGenAb(0, (2, 2, 2, 2))), (FinGenAb(1, (2, 4)), FinGenAb(1, (2,)))]
+    certs = []
+    for B, A in cases:
+        for build in (build_universal_extension, build_universal_coextension):
+            sums.clear()
+            certs.append(build(B, A))
+            if B.is_finite() and A.is_finite():
+                assert len(sums) == 1, (build.__name__, str(B), str(A))
+    monkeypatch.undo()
+    assert {len(cert.X) for cert in certs} >= {1, 2, 4096}
+    assert all(cert.all_pass for cert in certs)
+
+
+def test_flat_slot_generation_matches_the_carrier_route(monkeypatch):
+    # Condition (c) is decided on Ext's flat slots ⊕Z(t_i), which need not
+    # form a chain.  On seeded subsets of the builders' δ pieces, the
+    # verdict equals ``is_epi_mod`` of the same pieces placed in the carrier.
+    calls = _record(monkeypatch, "_generates")
+    directions = []
+    # Ext^1(Z(2) + Z(6), Z(3) + Z(6)) has slot moduli 1, 2, 3, 6: no chain.
+    for B, A in RANK_CORE_CASES + [(FinGenAb(0, (2, 6)), FinGenAb(0, (3, 6))), (FinGenAb(0, (6, 12)), FinGenAb(0, (4,)))]:
+        for build in (build_universal_extension, build_universal_coextension):
+            build(B, A)
+            directions.append(build.__name__)
+    monkeypatch.undo()
+    assert len(calls) == len(directions)
+    rng = random.Random(29)
+    verdicts = {name: set() for name in directions}
+    for name, (ext, pieces) in zip(directions, calls):
+        for _ in range(40):
+            some = rng.sample(pieces, rng.randint(0, len(pieces)))
+            got = universal._generates(ext, some)
+            placed = [abgroup.sparse_image(ext.place, vec) for vec, _ in some]
+            assert got == abgroup.is_epi_mod(placed, [g for _, g in some], ext.carrier.moduli()), (name, ext)
+            verdicts[name].add(got)
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+    assert any(a % b and b % a for ext, _ in calls for a in ext.piece_mods for b in ext.piece_mods)
+
+
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
 def test_delta_pieces_are_the_images_of_the_hom_pieces(monkeypatch, build):
     # The sparse pieces condition (c) hands ``_generates``, with their
