@@ -20,7 +20,7 @@ routes are cross-checked in the test suite.
 hashing read; the rest is derived on first read and cached.  The ``hom`` and
 ``ext`` verbs read the carrier alone, counted by runs of equal moduli; the
 universal builders read the slot moduli alone; only what reads coordinates
-runs ``cyclic_sum``, and a carrier read after it is that sum's group.
+runs ``cyclic_sum``.
 
 Ab is hereditary, so Ext^2 and higher vanish and are not represented.
 """
@@ -61,18 +61,14 @@ from .abgroup import (
 
 
 class _Summed:
-    """What HomGroup and ExtGroup derive from their ends on first read:
+    """What HomGroup and ExtGroup derive alike from their ends on first read:
     ``place`` and ``lift`` from one ``cyclic_sum`` of the ``_moduli`` of their
-    pieces, and the carrier, that sum's group once it is formed and until
-    then ``_counted`` by runs of equal moduli, with no piece listed."""
+    pieces.  Each counts its ``carrier`` by runs of equal moduli, with no
+    piece listed."""
 
     @cached_property
     def _summed(self):
         return cyclic_sum(self._moduli())
-
-    @cached_property
-    def carrier(self) -> FinGenAb:
-        return self._summed[0] if "_summed" in self.__dict__ else self._counted()
 
     @property
     def place(self) -> List[Dict[int, int]]:
@@ -103,7 +99,8 @@ class HomGroup(_Summed):
     def _moduli(self) -> List[int]:
         return [g for _, _, g, _ in self.pieces]
 
-    def _counted(self) -> FinGenAb:
+    @cached_property
+    def carrier(self) -> FinGenAb:
         S, T = self.source, self.target
         return _gcd_sum(S.moduli(), T.invariant_factors, S.free_rank * T.free_rank)
 
@@ -118,8 +115,7 @@ class HomGroup(_Summed):
         for (j, i, g, entry) in self.pieces:
             c = f.cols[j].get(i, 0) // entry
             raw.append(c % g if g else c)
-        coords = apply_sparse(self.place, raw, len(self.lift))  # first, so the carrier is the sum's
-        return self.carrier.reduce(coords)
+        return self.carrier.reduce(apply_sparse(self.place, raw, self.carrier.dim))
 
     def recompose(self, coords: Sequence[int]) -> AbMap:
         raw = apply_sparse(self.lift, coords, len(self.pieces))
@@ -210,7 +206,8 @@ class ExtGroup(_Summed):
     def _moduli(self) -> Tuple[int, ...]:
         return self.piece_mods
 
-    def _counted(self) -> FinGenAb:
+    @cached_property
+    def carrier(self) -> FinGenAb:
         return _gcd_sum(self.A.invariant_factors, self.B.moduli(), 0)
 
     @property
@@ -224,8 +221,7 @@ class ExtGroup(_Summed):
         return ExtClass(self.A, self.B, (0,) * len(self.piece_mods))
 
     def to_carrier(self, cls: "ExtClass") -> Tuple[int, ...]:
-        coords = apply_sparse(self.place, cls.coords, len(self.lift))  # first, so the carrier is the sum's
-        return self.carrier.reduce(coords)
+        return self.carrier.reduce(apply_sparse(self.place, cls.coords, self.carrier.dim))
 
     def from_carrier(self, coords: Sequence[int]) -> "ExtClass":
         return ExtClass(self.A, self.B, apply_sparse(self.lift, coords, len(self.piece_mods)))  # reduced there
@@ -620,8 +616,7 @@ def _carrier_map(G: HomGroup | ExtGroup, cols: Sequence[Dict[int, int]], X: ExtG
     """The map from G's carrier whose generator v, ``G.lift[v]`` on G's Hom
     pieces or Ext slots, goes through the sparse columns ``cols`` to X's flat
     slots, placed in X's carrier."""
-    placed = [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift]  # first, so the carriers are the sums'
-    return AbMap(G.carrier, X.carrier, placed)
+    return AbMap(G.carrier, X.carrier, [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift])
 
 
 def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:

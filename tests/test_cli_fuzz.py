@@ -10,8 +10,8 @@ exit 2 (a usage error).  A traceback fails the test.  ``random.Random``
 draws everything, so a failure replays from its seed and index.
 
 Three kinds of admitted request are left out, because each alone takes
-seconds or gigabytes and the test must stay inside its time bound; all are
-recorded as open work.  There is no budget on printed size yet, so a group
+seconds or gigabytes and the test is sized by ``REQUESTS`` to run in a few
+seconds; all are recorded as open work.  There is no budget on printed size yet, so a group
 as large as Z(2)^2000 beside a small one makes Ψ print a dense 8000 x 8000
 matrix, and ``--full`` prints a universal certificate's legs densely, |X|·dim B
 by dim E cells (past 1.5 GB for ``univ-coext --B "Z(4)+Z(2)^2" --A
@@ -23,7 +23,6 @@ and no ``--full`` here; both are tested on their own elsewhere.
 
 import json
 import random
-import time
 from collections import Counter
 
 from abext.abgroup import AbMap, FinGenAb
@@ -239,7 +238,6 @@ def test_seeded_requests_over_every_verb_end_in_json_or_a_structured_error(capsy
     valid = valid_values()
     outcomes = Counter()
     answered = set()
-    t0 = time.perf_counter()
     for k in range(REQUESTS):
         verb = VERBS[k % len(VERBS)]
         argv = request(rng, verb, valid)
@@ -257,7 +255,5 @@ def test_seeded_requests_over_every_verb_end_in_json_or_a_structured_error(capsy
             assert "error" not in data, (k, argv)
             answered.add(verb)
         outcomes[code] += 1
-    elapsed = time.perf_counter() - t0
     assert sum(outcomes.values()) == REQUESTS and all(outcomes[c] >= 50 for c in (0, 1, 2)), outcomes
     assert answered == set(VERBS), set(VERBS) - answered  # every verb also answered
-    assert elapsed < 10, elapsed

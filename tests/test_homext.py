@@ -119,8 +119,8 @@ def _seeded_group(rng, free):
 def test_hom_and_ext_carriers_from_runs_match_the_listed_groups():
     """A carrier read first is counted by runs of equal moduli, with no piece
     listed; ``cyclic_sum`` of the listed pieces or slot moduli is the oracle,
-    on seeded pairs with free rank 0-2 at either end.  Read after the
-    coordinates, the carrier is that sum's group itself."""
+    on seeded pairs with free rank 0-2 at either end, read before and after
+    the coordinates."""
     rng = random.Random(2607)
     for _ in range(300):
         A, B = (_seeded_group(rng, rng.choice((0, 0, 1, 2))) for _ in range(2))
@@ -129,7 +129,7 @@ def test_hom_and_ext_carriers_from_runs_match_the_listed_groups():
         assert X.carrier == cyclic_sum(X.piece_mods)[0], (A, B)
         for G in (hom_group(A, B), ext_group(A, B)):
             G.lift  # the coordinates first
-            assert G.carrier is G._summed[0]
+            assert G.carrier == G._summed[0], (A, B)
     big = FinGenAb(0, (2,) * 1024)
     H = hom_group(big, big)
     assert H.carrier == FinGenAb(0, (2,) * (1 << 20))
