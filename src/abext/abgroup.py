@@ -779,7 +779,7 @@ def pullback(f: AbMap, g: AbMap) -> Square:
         cols = solve_mod_many(incl.cols, pair.cols, total_mods)
         if None in cols:
             raise DomainError("cone does not factor through the pullback")
-        return AbMap(pair.source, K, [dict(enumerate(x)) for x in cols])
+        return AbMap(pair.source, K, cols)
 
     return Square(K, left, right, mediator)
 

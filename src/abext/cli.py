@@ -205,9 +205,11 @@ def _cmd_univ_coext(args):
 
 
 def _cmd_cyclic_check(args):
-    from .universal import build_universal_extension, cyclic_generation_check
+    from .universal import build_universal_extension, check_samples, cyclic_generation_check
 
-    cert = build_universal_extension(_group(args.B), _group(args.A))
+    B, A = _group(args.B), _group(args.A)
+    check_samples(args.samples)
+    cert = build_universal_extension(B, A)
     res = cyclic_generation_check(cert, samples=args.samples, seed=args.seed)
     return {
         "passed": res.passed,

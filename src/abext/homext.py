@@ -86,7 +86,8 @@ class HomGroup(_Summed):
     ``pieces`` lists the nontrivial cyclic pieces as tuples
     (source_gen, target_gen, piece_modulus, generator_entry), and the carrier
     is their canonical form.  ``decompose`` and ``recompose`` are mutually
-    inverse between maps and carrier coordinates.
+    inverse between maps and carrier coordinates, which ``decompose`` gives
+    dense and ``recompose`` reads sparse.
     """
 
     source: FinGenAb
@@ -106,7 +107,7 @@ class HomGroup(_Summed):
 
     @property
     def basis(self) -> Tuple[AbMap, ...]:
-        return tuple(self.recompose(unit) for unit in _units(len(self.lift)))
+        return tuple(self.recompose({k: 1}) for k in range(len(self.lift)))
 
     def decompose(self, f: AbMap) -> Tuple[int, ...]:
         if f.source != self.source or f.target != self.target:
@@ -117,17 +118,14 @@ class HomGroup(_Summed):
             raw.append(c % g if g else c)
         return self.carrier.reduce(apply_sparse(self.place, raw, self.carrier.dim))
 
-    def recompose(self, coords: Sequence[int]) -> AbMap:
-        raw = apply_sparse(self.lift, coords, len(self.pieces))
+    def recompose(self, coords: Dict[int, int]) -> AbMap:
+        """The map with carrier coordinates ``coords``, sparse {coordinate: value}
+        as ``solve_mod_many`` answers (a coordinate left out is 0)."""
         cols: List[Dict[int, int]] = [{} for _ in range(self.source.dim)]
-        for (j, i, g, entry), c in zip(self.pieces, raw):
+        for k, c in sparse_image(self.lift, coords).items():
+            j, i, _, entry = self.pieces[k]
             cols[j][i] = c * entry
         return AbMap(self.source, self.target, cols)
-
-
-def _units(n: int):
-    for k in range(n):
-        yield tuple(1 if t == k else 0 for t in range(n))
 
 
 def hom_pieces(A: FinGenAb, B: FinGenAb) -> List[Tuple[int, int, int, int]]:
@@ -552,11 +550,11 @@ def classify(s: ShortExactSeq) -> ExtClass:
     lifts = solve_mod_many(s.g.cols, units, A.moduli())
     if None in lifts:
         raise NotExactSequence("quotient map is not surjective")
-    scaled = [{i: d * xi for i, xi in enumerate(x) if xi} for d, x in zip(A.invariant_factors, lifts)]
+    scaled = [{i: d * xi for i, xi in x.items()} for d, x in zip(A.invariant_factors, lifts)]
     descents = solve_mod_many(s.f.cols, scaled, E.moduli())
     if None in descents:
         raise NotExactSequence("d·lift does not land in the subobject")
-    return ExtClass(A, B, tuple(itertools.chain.from_iterable(descents)))
+    return ExtClass(A, B, tuple(x.get(i, 0) for x in descents for i in range(B.dim)))
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +747,11 @@ def find_equivalence(s1: ShortExactSeq, s2: ShortExactSeq) -> Optional[AbMap]:
     sol = solve_mod_many(cols, [rhs], rmods)[0]
     if sol is None:
         return None
-    phi = AbMap(E1, E2, [{i: sol[var(i, j)] for i in range(n2)} for j in range(n1)])
+    phi_cols: List[Dict[int, int]] = [{} for _ in range(n1)]
+    for v, x in sol.items():
+        i, j = divmod(v, n1)
+        phi_cols[j][i] = x
+    phi = AbMap(E1, E2, phi_cols)
     if not (is_mono(phi) and is_epi(phi)):
         raise DomainError("commuting middle map is not an isomorphism")
     return phi

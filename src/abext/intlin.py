@@ -10,9 +10,11 @@ per-prime elimination and by the groups' prime-by-prime regrouping.
 Every elimination takes sparse rows, dicts {column: entry} in which zero
 entries may be left out, the format ``rank_mod_p`` and the maps' sparse
 columns already use; only ``_snf`` builds the dense block it works on.
+Solutions come back sparse as well: ``solve_mod_many`` answers each
+right-hand side with a dict {unknown: value} of its nonzeros, or None.
 ``IntMatrix``, an immutable dense matrix, is the boundary type: ``snf``,
 ``hnf`` and ``solve_mod`` take one, for JSON, the CLI and benchmarks, and
-convert it once.
+convert it once; ``solve_mod`` alone spreads its answer into a dense list.
 
 No floats anywhere.  Unimodular transforms are accumulated explicitly so
 ``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
@@ -750,7 +752,7 @@ def torsion_quotient(relations: Sequence[Dict[int, int]], moduli: Sequence[int])
     return mods, place, lift
 
 
-def _solve_torsion(cols, rhs, moduli) -> List[Optional[list]]:
+def _solve_torsion(cols, rhs, moduli) -> List[Optional[Dict[int, int]]]:
     """``solve_mod_many`` with every modulus nonzero, one prime of their lcm L at a time.
 
     For p with p-part P of L, row i multiplied by P / (p-part of m_i) turns
@@ -759,7 +761,8 @@ def _solve_torsion(cols, rhs, moduli) -> List[Optional[list]]:
     must carry 0.  Back substitution, for all right-hand sides at once and
     free unknowns 0, sets x_c = t / q for each pivot q at c: every entry
     left of its row is a multiple of q, so b is solvable iff q divides each
-    carried t.  The CRT idempotents of L join the primes' solutions.
+    carried t.  The CRT idempotents of L join the primes' solutions: each
+    prime's x_c is nonzero modulo P, so no joined entry is 0.
     """
     n = len(cols)
     eqs: List[Dict[int, int]] = [{} for _ in moduli]
@@ -799,12 +802,13 @@ def _solve_torsion(cols, rhs, moduli) -> List[Optional[list]]:
                     xc[t] = y // q
             X[c] = xc
         parts.append((_idempotent(L, top), X))
-    out: List[Optional[list]] = [None if t in bad else [0] * n for t in range(len(rhs))]
+    out: List[Optional[Dict[int, int]]] = [None if t in bad else {} for t in range(len(rhs))]
     for e, X in parts:
         for c, xc in X.items():
             for t, y in xc.items():
-                if out[t] is not None:
-                    out[t][c] = (out[t][c] + e * y) % L
+                x = out[t]
+                if x is not None:
+                    x[c] = (x.get(c, 0) + e * y) % L
     return out
 
 
@@ -845,7 +849,7 @@ def preimage_lattice(cols: Sequence[Dict[int, int]], moduli: Sequence[int]) -> L
     return sparse_rows(W[j] for j in range(width) if j >= len(diag) or diag[j] == 0)
 
 
-def _solve_integer(cols, rhs, moduli) -> List[Optional[list]]:
+def _solve_integer(cols, rhs, moduli) -> List[Optional[Dict[int, int]]]:
     """``solve_mod_many`` by one integer elimination of [M | diag(moduli)],
     any modulus 0: each row carries the right-hand sides through the row
     operations, which gives U·b with no U, and V keeps only the coordinates
@@ -857,36 +861,37 @@ def _solve_integer(cols, rhs, moduli) -> List[Optional[list]]:
         for i, v in b.items():
             carry[i][t] = v
     diag, left, W = _snf(rows, width, carry=carry, head=n)
-    out: List[Optional[list]] = []
+    out: List[Optional[Dict[int, int]]] = []
     for t in range(len(rhs)):
         c = [row[t] for row in left]
         if any(not d or ci % d for ci, d in compress(zip(c, diag), c)) or any(c[len(diag) :]):
             out.append(None)
             continue
-        x = [0] * n
+        x: Dict[int, int] = {}
         for ci, d, col in compress(zip(c, diag, W), c):
             w = ci // d
             for i, v in compress(enumerate(col), col):
-                x[i] += w * v
-        out.append(x)
+                x[i] = x.get(i, 0) + w * v
+        out.append({i: v for i, v in x.items() if v})
     return out
 
 
 def solve_mod_many(
     cols: Sequence[Dict[int, int]], rhs: Sequence[Dict[int, int]], moduli: Sequence[int]
-) -> List[Optional[list]]:
+) -> List[Optional[Dict[int, int]]]:
     """For each b in ``rhs``, one solution x of M x ≡ b componentwise mod the per-row moduli, or None.
 
     M has the sparse columns ``cols`` (a map's ``AbMap.cols``) and one row
-    per modulus; each b is sparse too, {row: entry}, and each x is a list of
-    len(cols) entries.  A modulus of 0 means that row is an exact equation
-    over Z.  One elimination serves every b: with every modulus nonzero it
-    is ``_solve_torsion``'s, one prime at a time, and x is reduced modulo
-    the lcm of the moduli (a modulus ``prime_factors`` refuses is refused
-    with BudgetExceeded); with some modulus 0 it is ``_solve_integer``'s.
+    per modulus; each b is sparse, {row: entry}, and each x is sparse too,
+    {unknown: value} over range(len(cols)) with zeros left out.  A modulus
+    of 0 means that row is an exact equation over Z.  One elimination
+    serves every b: with every modulus nonzero it is ``_solve_torsion``'s,
+    one prime at a time, and x is reduced modulo the lcm of the moduli (a
+    modulus ``prime_factors`` refuses is refused with BudgetExceeded); with
+    some modulus 0 it is ``_solve_integer``'s.
 
     >>> solve_mod_many([{0: 2}, {1: 3}], [{0: 2, 1: 3}, {0: 1}, {1: 6}], [4, 9])
-    [[9, 28], None, [0, 20]]
+    [{0: 9, 1: 28}, None, {1: 20}]
     """
     if not rhs:
         return []
@@ -897,14 +902,16 @@ def solve_mod(M: IntMatrix, b: Sequence[int], moduli: Sequence[int]):
     """Solve M x ≡ b componentwise mod the given per-row moduli.
 
     A modulus of 0 means that row is an exact equation over Z.  Returns one
-    solution vector or None when the system has no solution.  One right-hand
-    side, one elimination: a caller with many passes them all, sparse, to
-    ``solve_mod_many``.
+    solution as a dense list of n entries, or None when the system has no
+    solution: the dense boundary of ``solve_mod_many``, whose sparse answer
+    it spreads out.  One right-hand side, one elimination: a caller with
+    many passes them all, sparse, to ``solve_mod_many``.
     """
     m, n = M.shape
     if len(moduli) != m or len(b) != m:
         raise DimensionMismatch("solve_mod shape mismatch")
-    return solve_mod_many(sparse_columns(M.rows, n), sparse_rows([b]), moduli)[0]
+    x = solve_mod_many(sparse_columns(M.rows, n), sparse_rows([b]), moduli)[0]
+    return None if x is None else [x.get(j, 0) for j in range(n)]
 
 
 def rank_gf2(rows: Iterable[int]) -> int:

@@ -443,6 +443,15 @@ class CyclicGenerationResult:
     witnesses: Tuple[Tuple[ExtClass, AbMap], ...]
 
 
+def check_samples(samples: int) -> None:
+    """Refuse a number of cyclic-check samples below 0 (DomainError) or past
+    CYCLIC_SAMPLE_BUDGET (BudgetExceeded), before any certificate is built."""
+    if samples < 0:
+        raise DomainError(f"samples must be at least 0, not {samples}")
+    if samples > CYCLIC_SAMPLE_BUDGET:
+        raise BudgetExceeded(f"{samples} samples exceed {CYCLIC_SAMPLE_BUDGET}")
+
+
 def cyclic_generation_check(
     cert: UniversalCertificate, samples: int = 5, seed: int = 0
 ) -> CyclicGenerationResult:
@@ -455,10 +464,7 @@ def cyclic_generation_check(
     re-verified by recomputing η·γ.  One factorization of the system serves
     every sample.
     """
-    if samples < 0:
-        raise DomainError(f"samples must be at least 0, not {samples}")
-    if samples > CYCLIC_SAMPLE_BUDGET:
-        raise BudgetExceeded(f"{samples} samples exceed {CYCLIC_SAMPLE_BUDGET}")
+    check_samples(samples)
     if cert.direction != "extension":
         raise DomainError("cyclic generation check applies to extension certificates")
     # A trivial Ext group is generated by anything, and the check below would
@@ -477,9 +483,7 @@ def cyclic_generation_check(
     rng = random.Random(seed)
     witnesses = []
     carrier_mods = ext_big.carrier.moduli()
-    targets = [
-        tuple(rng.randrange(md) if md else rng.randrange(-9, 10) for md in carrier_mods) for _ in range(samples)
-    ]
+    targets = [tuple(rng.randrange(md) for md in carrier_mods) for _ in range(samples)]
     for target, x in zip(targets, solve_mod_many(m.cols, [dict(enumerate(t)) for t in targets], carrier_mods)):
         if x is None:
             return CyclicGenerationResult(False, "no γ for a sampled class", ())

@@ -161,7 +161,8 @@ def hnf(M: IntMatrix):
 
 
 def solve_mod_many(M: IntMatrix, rhs, moduli):
-    """One solution of M x ≡ b mod the moduli for each b, or None, as ``abext.intlin.solve_mod_many``."""
+    """One solution of M x ≡ b mod the moduli for each b, or None, as ``abext.intlin.solve_mod_many``
+    answers it but as a dense list."""
     m, n = M.shape
     if not rhs:
         return []

@@ -356,7 +356,7 @@ def test_kernel_universal_property():
         T = random_group(rng, 6)
         H = hom_group(T, A)
         for coords in [tuple(rng.randrange(g) if g else rng.randint(-2, 2) for g in H.carrier.moduli())]:
-            t = H.recompose(coords)
+            t = H.recompose(dict(enumerate(coords)))
             if not (f @ t).is_zero():
                 continue
             from abext.intlin import solve_mod
@@ -434,7 +434,7 @@ def test_pushout_mediators_random():
             ranges = [range(m) if m else range(-2, 3) for m in mods]
             if all((m and m <= 4) for m in mods) and H.carrier.order() and H.carrier.order() <= 256:
                 for coords in itertools.product(*ranges):
-                    hmap = H.recompose(list(coords))
+                    hmap = H.recompose(dict(enumerate(coords)))
                     if (hmap @ po.left).is_zero() and (hmap @ po.right).is_zero():
                         assert hmap.is_zero()
 

@@ -403,6 +403,24 @@ def test_group_inputs_are_bounded_before_any_work(capsys, argv, want):
     assert parse_finite_group("Z^1048576").free_rank == 1 << 20
 
 
+@pytest.mark.parametrize(
+    "samples, want",
+    [
+        ("-3", {"code": "domain-error", "message": "samples must be at least 0, not -3"}),
+        ("1025", {"code": "budget-exceeded", "message": "1025 samples exceed 1024"}),
+    ],
+)
+def test_cyclic_check_refuses_its_samples_before_the_build(capsys, monkeypatch, samples, want):
+    from abext import universal
+
+    def no_build(*_args):
+        raise AssertionError("the certificate was built before the sample count was checked")
+
+    monkeypatch.setattr(universal, "build_universal_extension", no_build)
+    code, data = run_json(capsys, "cyclic-check", "--B", "Z(9)+Z(2)^2", "--A", "Z^2+Z(3)", "--samples", samples)
+    assert (code, data) == (1, {"error": want})
+
+
 def test_piece_counts_are_bounded_at_the_group_bound(monkeypatch):
     monkeypatch.setattr(homext, "MAX_GROUP_DIM", 12)
     G3, G4, G5 = (parse_finite_group(f"Z(2)^{n}") for n in (3, 4, 5))

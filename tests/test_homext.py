@@ -69,7 +69,7 @@ def random_class(rng, A, B):
 def random_hom(rng, A, B):
     H = hom_group(A, B)
     coords = tuple(rng.randrange(m) if m else rng.randint(-2, 2) for m in H.carrier.moduli())
-    return H.recompose(coords)
+    return H.recompose(dict(enumerate(coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -91,9 +91,9 @@ def test_hom_decompose_recompose_roundtrip():
         B = rng.choice(abelian_groups_up_to_order(8))
         H = hom_group(A, B)
         coords = tuple(rng.randrange(m) if m else 0 for m in H.carrier.moduli())
-        f = H.recompose(coords)
+        f = H.recompose(dict(enumerate(coords)))
         assert H.decompose(f) == coords
-        assert H.recompose(H.decompose(f)) == f
+        assert H.recompose(dict(enumerate(H.decompose(f)))) == f
 
 
 def test_hom_and_ext_groups_are_values():

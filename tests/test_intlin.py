@@ -157,14 +157,27 @@ def _in_column_lattice(M, b, moduli):
     return not any(v)
 
 
+def dense_answers(answers, n):
+    """Sparse solutions over n unknowns as dense lists, None kept: each key
+    must be an unknown and no stored value 0."""
+    out = []
+    for x in answers:
+        if x is not None:
+            assert all(j in range(n) and v != 0 for j, v in x.items()), (n, x)
+            x = [x.get(j, 0) for j in range(n)]
+        out.append(x)
+    return out
+
+
 def solve_many(M, rhs, moduli):
-    """``solve_mod_many`` of an IntMatrix and dense right-hand sides, each passed sparse."""
-    return solve_mod_many(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli)
+    """``solve_mod_many`` of an IntMatrix and dense right-hand sides, each passed sparse, answers made dense."""
+    return dense_answers(solve_mod_many(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli), M.ncols)
 
 
 def integer_solve(M, rhs, moduli):
-    """The integer elimination's solve, which ``solve_mod_many`` takes when some modulus is 0, of any system."""
-    return intlin._solve_integer(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli)
+    """The integer elimination's solve, which ``solve_mod_many`` takes when some modulus is 0, of any system,
+    answers made dense."""
+    return dense_answers(intlin._solve_integer(sparse_columns(M.rows, M.ncols), sparse_rows(rhs), moduli), M.ncols)
 
 
 def assert_answers_like(M, rhs, moduli, got, want):
@@ -730,8 +743,8 @@ def test_sparse_input_gives_the_dense_loops_results():
         assert_answers_like(M, rhs, moduli, got, want)
         forms = zip(dense.sparse_forms(rng, dense.transpose(M).rows), dense.sparse_forms(rng, rhs))
         for cols, sparse_rhs in forms:
-            assert intlin._solve_integer(cols, sparse_rhs, moduli) == want, (M, cols, sparse_rhs)
-            assert solve_mod_many(cols, sparse_rhs, moduli) == got, (M, cols, sparse_rhs)
+            assert dense_answers(intlin._solve_integer(cols, sparse_rhs, moduli), n) == want, (M, cols, sparse_rhs)
+            assert dense_answers(solve_mod_many(cols, sparse_rhs, moduli), n) == got, (M, cols, sparse_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -813,8 +826,8 @@ def test_torsion_solve_answers_as_the_integer_path():
                    ([rng.randint(-5, 5) for _ in rels] for _ in range(3))]
         rhs = planted + [{j: b.get(j, 0) + (j == k) for j in range(n)} for b, k in zip(planted, range(n))]
         rhs += [{j: rng.randint(-9, 9) for j in range(n)} for _ in range(3)]
-        got = solve_mod_many(rels, rhs, moduli)
-        want = intlin._solve_integer(rels, rhs, moduli)
+        got = dense_answers(solve_mod_many(rels, rhs, moduli), len(rels))
+        want = dense_answers(intlin._solve_integer(rels, rhs, moduli), len(rels))
         mods, place, _ = intlin.torsion_quotient(rels, moduli)
         assert [x is None for x in got] == [x is None for x in want], (rels, moduli)
         for t, (b, x) in enumerate(zip(rhs, got)):

@@ -650,7 +650,7 @@ def test_vanishing_rules_match_the_generic_ext_maps():
         B = FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors)
         H = hom_group(S, T)
         scale = rng.choice((1, 1, 2, 3, 4, 6))
-        h = H.recompose([scale * (rng.randrange(m) if m else rng.randint(-3, 3)) for m in H.carrier.moduli()])
+        h = H.recompose({k: scale * (rng.randrange(m) if m else rng.randint(-3, 3)) for k, m in enumerate(H.carrier.moduli())})
         cov = _covariant_rule(B, h)
         assert cov == ext_covariant_map(B, h).is_zero()
         contra = _contravariant_rule(h, B)
@@ -671,7 +671,7 @@ def test_ext_weights_are_the_blocks_of_the_pullback_action():
     for _ in range(200):
         S, T = (FinGenAb(rng.choice((0, 1)), rng.choice(pool).invariant_factors) for _ in range(2))
         H = hom_group(S, T)
-        h = H.recompose([rng.randrange(m) if m else rng.randint(-3, 3) for m in H.carrier.moduli()])
+        h = H.recompose({k: rng.randrange(m) if m else rng.randint(-3, 3) for k, m in enumerate(H.carrier.moduli())})
         weights = homext._ext_weights(h.cols, S.invariant_factors, T.invariant_factors)
         assert len(weights) == T.torsion_count
         for m in (0, 2, 3, 4, 12):
@@ -736,7 +736,7 @@ def test_induced_maps_act_on_flat_slots(monkeypatch):
     A, B, T = FinGenAb(1, (2, 4)), FinGenAb(1, (2,)), FinGenAb(1, (2, 4))
     s = realize(ExtClass(A, B, (1, 1, 2, 3)))
     rng = random.Random(24)
-    h, k = (H.recompose([rng.randrange(m) if m else rng.randint(-3, 3) for m in H.carrier.moduli()]) for H in (hom_group(T, A), hom_group(B, T)))
+    h, k = (H.recompose({j: rng.randrange(m) if m else rng.randint(-3, 3) for j, m in enumerate(H.carrier.moduli())}) for H in (hom_group(T, A), hom_group(B, T)))
     cert = build_universal_extension(FinGenAb(0, (2, 4)), Z2)
     for module in (universal, homext):
         monkeypatch.setattr(module, "pushout_action", refuse)
