@@ -3,20 +3,19 @@
 Output is a single JSON document on stdout; algebraic values are decimal
 strings so arbitrary precision survives the wire.  Exit codes: 0 success,
 1 domain error (structured {"error": {code, message, position?}}), 2 usage
-error.  `--seed` fixes any sampling, `--budget` bounds oracle searches
-(default from ABEXT_BUDGET, read on each request; a value that is not an
-integer is a usage error), `--pretty` toggles indentation; output is
-byte-for-byte deterministic for identical argv otherwise.  An integer of
-more than 4,300 digits cannot be printed, so a result holding one is
-refused with the structured error `budget-exceeded`.
+error.  `--seed` fixes any sampling, `--pretty` toggles indentation; output
+is byte-for-byte deterministic for identical argv otherwise.  No option or
+environment variable sets a budget: each is fixed in its module.  An
+integer of more than 4,300 digits cannot be printed, so a result holding
+one is refused with the structured error `budget-exceeded`.
 
 The argument parser is built once per process, on the first request, and
-reused by every later ``main`` call: no default it holds is mutable or read
-from the environment.  A request is parsed by its verb's parser alone; the
-full parser sees only help, an unknown verb and leftover arguments, so its
-messages are unchanged.  Verb modules load on first use: ``univ-ext``,
-``univ-coext``, ``psi`` and ``cyclic-check`` import ``universal`` when they
-run, and ``suite`` imports ``acceptance`` (and with it ``oracle``).
+reused by every later ``main`` call: no default it holds is mutable.  A
+request is parsed by its verb's parser alone; the full parser sees only
+help, an unknown verb and leftover arguments, so its messages are
+unchanged.  Verb modules load on first use: ``univ-ext``, ``univ-coext``,
+``psi`` and ``cyclic-check`` import ``universal`` when they run, and
+``suite`` imports ``acceptance`` (and with it ``oracle``).
 
 Group arguments accept either an expression ("Z(4)+Z(6)", "Z^2+Z(12)" —
 composite orders CRT-split, free parts for the homological verbs only) or
@@ -29,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Optional
 
@@ -49,7 +47,6 @@ from .homext import (
     realize,
 )
 from .torsioncat import (
-    DEFAULT_WITNESS_BUDGET,
     ab4star_failure_witness,
     classify as classify_torsion,
     counterexample_witness,
@@ -182,7 +179,7 @@ def _cmd_psi(args):
     B = _group(args.B)
     pm = phi(summands, B) if args.phi else psi(summands, B)
     return {
-        "domain": pm.domain.group.to_json(),
+        "domain": pm.domain.carrier.to_json(),
         "codomain": pm.codomain.total.to_json(),
         "matrix": pm.matrix.to_json(),
         "injective": pm.injective,
@@ -205,10 +202,11 @@ def _cmd_univ_coext(args):
 
 
 def _cmd_cyclic_check(args):
-    from .universal import build_universal_extension, check_samples, cyclic_generation_check
+    from .universal import build_universal_extension, check_end_size, check_samples, cyclic_generation_check
 
     B, A = _group(args.B), _group(args.A)
     check_samples(args.samples)
+    check_end_size(B, A)
     cert = build_universal_extension(B, A)
     res = cyclic_generation_check(cert, samples=args.samples, seed=args.seed)
     return {
@@ -250,13 +248,11 @@ def _cmd_cotorsion(args):
 
 
 def _cmd_witness(args):
-    w = counterexample_witness(args.p, args.N, budget=args.budget, mode=args.mode)
-    return {"order": json_str(w.order), "method": w.method}
+    return {"order": json_str(counterexample_witness(args.p, args.N).order)}
 
 
 def _cmd_ab4_witness(args):
-    w = ab4star_failure_witness(args.p, args.N, budget=args.budget, mode=args.mode)
-    return {"order": json_str(w.order), "method": w.method}
+    return {"order": json_str(ab4star_failure_witness(args.p, args.N).order)}
 
 
 def _cmd_suite(args):
@@ -279,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
         p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-        p.add_argument("--budget", type=int, help="search budget")
         return p
 
     p = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
@@ -350,12 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("witness", _cmd_witness, "divisibility-defect witness order")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=["auto", "brute", "fast"], default="auto")
 
     p = add("ab4-witness", _cmd_ab4_witness, "Ab4* failure witness order")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--mode", choices=["auto", "brute", "fast"], default="auto")
 
     p = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
     p.add_argument("--only", type=_int_list, default=(), help="comma-separated criterion ids")
@@ -384,13 +377,6 @@ def main(argv: Optional[list] = None) -> int:
         args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    if args.budget is None:
-        env = os.environ.get("ABEXT_BUDGET")
-        try:
-            args.budget = DEFAULT_WITNESS_BUDGET if env is None else int(env)
-        except ValueError:
-            sys.stderr.write(f"abext: error: ABEXT_BUDGET: invalid int value: {env!r}\n")
-            return 2
     try:
         result = args.fn(args)
     except ParseError as e:

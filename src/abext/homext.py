@@ -208,10 +208,6 @@ class ExtGroup(_Summed):
     def carrier(self) -> FinGenAb:
         return _gcd_sum(self.A.invariant_factors, self.B.moduli(), 0)
 
-    @property
-    def group(self) -> FinGenAb:
-        return self.carrier
-
     def order(self) -> int:
         return math.prod(self.piece_mods)
 

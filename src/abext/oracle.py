@@ -5,7 +5,8 @@ addition and is deliberately independent of the structural modules: Hom is
 counted by enumerating generator images against relation constraints, Ext
 is counted through the symmetric normalized 2-cocycle system (built from
 scratch and reduced with a local integer diagonalization, not intlin's),
-and sequence equivalence is an exhaustive middle-isomorphism search.
+sequence equivalence is an exhaustive middle-isomorphism search, and the
+witness order of the torsion counterexamples is a search of its coset.
 
 Hard budgets raise BudgetExceeded instead of silently truncating.
 Enumeration orders are fixed (lexicographic), so results are reproducible.
@@ -24,6 +25,7 @@ from .abgroup import FinGenAb
 HOM_BUDGET = 1 << 20
 COCYCLE_ENUM_BUDGET = 1 << 20
 SES_MIDDLE_BUDGET = 1 << 12
+WITNESS_SEARCH_BUDGET = 1 << 17  # (7, 4) has 117,649 elements: 0.2 s (CPython 3.11, 2 vCPU)
 
 
 @dataclass(frozen=True)
@@ -373,3 +375,24 @@ def ses_equivalent_bruteforce(s1, s2) -> bool:
         if kernel_size == 1:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Witness orders by exhaustive search
+
+
+def least_coset_order(p: int, N: int) -> int:
+    """The least order of 1 + p·c over c ∈ ∏_{n≤N} Z(p^(n−1)), in
+    G = ∏_{n≤N} Z(p^n), for p prime and N ≥ 1: the coset 1 + pG searched
+    element by element.  Both torsion witnesses range over it, x − p·α and
+    the preimages of all-ones under ∏ (Z(p^n) → Z(p)) alike.  A search
+    space p^(N(N−1)/2) past WITNESS_SEARCH_BUDGET is refused as it is
+    multiplied out, before any element is formed."""
+    space = 1
+    for n in range(1, N):
+        space *= p**n
+        if space > WITNESS_SEARCH_BUDGET:
+            raise BudgetExceeded("witness search budget exceeded")
+    G = ConcreteGroup(tuple(p**n for n in range(1, N + 1)))
+    choices = itertools.product(*(range(p ** (n - 1)) for n in range(1, N + 1)))
+    return min(G.element_order(tuple(1 + p * c for c in choice)) for choice in choices)

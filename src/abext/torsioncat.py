@@ -17,12 +17,13 @@ The two witness operations produce the quantitative shadow of the infinite
 counterexamples: the divisibility defect of the all-ones vector in
 ∏_{n≤N} Z(p^n) and the minimal order of a preimage of all-ones under the
 product of the canonical epimorphisms Z(p^n) → Z(p), both equal to p^N and
-growing without bound.
+growing without bound.  Both answer by the unit argument, through one
+helper; ``oracle.least_coset_order`` is the element-by-element search that
+tests hold them to.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -32,9 +33,6 @@ from .abgroup import MAX_GROUP_DIM, FinGenAb, invariant_factors_of
 from .intlin import MAX_BOUND_DIGITS, is_prime, json_str, prime_factors
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
-
-# The slowest search it admits, ab4-witness --p 101 --N 3, takes about 4 s (Python 3.11, 2 vCPU).
-DEFAULT_WITNESS_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -406,7 +404,8 @@ def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport
     p-component is unbounded exactly when an U(p) atom is present; the
     global verdict requires every reduced p-component bounded.  Cotorsion
     additionally requires one bound for all primes at once, which fails for
-    W even though W passes prime by prime.
+    W even though W passes prime by prime; that flag and its bound are
+    ``is_cotorsion``'s, derived apart from the per-prime reports.
     """
     plist = sorted(set(e.primes()) | set(primes))
     reports = tuple(_prime_report(e, p) for p in plist)
@@ -417,12 +416,9 @@ def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport
             break
     verdict = witness is None
     verdict_tp = {r.p: r.reduced_bounded for r in reports}
-    has_w = e.has_all_primes_cyclic()
-    has_u = any(isinstance(a, UnboundedFamily) for a, _ in e.terms)
-    cotorsion = not has_u and not has_w
-    bound = _bound(e) if cotorsion else None
+    cot = is_cotorsion(e)
     return ClassificationReport(
-        e, reports, verdict, witness, verdict_tp, cotorsion, bound, has_w
+        e, reports, verdict, witness, verdict_tp, cot.cotorsion, cot.bound, e.has_all_primes_cyclic()
     )
 
 
@@ -435,12 +431,14 @@ class CotorsionResult:
 
 
 def is_cotorsion(e: TorsionExpr) -> CotorsionResult:
-    """Baer–Fomin: torsion cotorsion ⟺ injective ⊕ bounded, with the bound."""
-    rep = classify(e)
+    """Baer–Fomin: torsion cotorsion ⟺ injective ⊕ bounded, with the bound.
+
+    The reduced part has one global bound exactly when it has no U(p) atom,
+    unbounded at p, and no W, whose orders are all primes."""
     div, red = divisible_reduced_split(e)
-    if rep.cotorsion:
-        return CotorsionResult(True, rep.cotorsion_bound, div, red)
-    return CotorsionResult(False, None, div, red)
+    if any(isinstance(a, (UnboundedFamily, AllPrimesCyclic)) for a in red.atoms()):
+        return CotorsionResult(False, None, div, red)
+    return CotorsionResult(True, _bound(red), div, red)
 
 
 # ---------------------------------------------------------------------------
@@ -536,70 +534,39 @@ def quotient_closure_check(e: TorsionExpr, q: TorsionExpr) -> QuotientCheck:
 @dataclass(frozen=True)
 class WitnessResult:
     order: int
-    method: str  # "brute-force" | "fast-path"
     p: int
     N: int
 
 
-def _vector_order(values, p, exponents) -> int:
-    o = 1
-    for a, n in zip(values, exponents):
-        pn = p ** n
-        o = max(o, pn // math.gcd(pn, a))
-    return o
+def _least_coset_order(p: int, N: int) -> WitnessResult:
+    """The least order p^N of an element of the coset 1 + pG, where
+    G = ∏_{n≤N} Z(p^n), for p prime and N ≥ 1; p^N is estimated in digits
+    before it is taken.
 
-
-def _brute_force(p: int, N: int, k: int, budget: int, mode: str) -> bool:
-    """Check a witness request whose search space is p^k; True when it is searched.
-
-    The order p^N and the search space are estimated in digits, as k·log10 p,
-    before any power is taken: an order that could not be printed is refused,
-    and a search space past the budget takes the fast path, or is refused in
-    brute mode.
+    Every coordinate of such an element is 1 mod p, a unit mod p^n, so its
+    order is p^n; the element's order is the largest, p^N.  Both witnesses
+    range over this coset, since 1 − pα and 1 + pc do.
+    ``oracle.least_coset_order`` searches it element by element.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if N < 1:
         raise DomainError("N must be >= 1")
-    if mode not in ("auto", "brute", "fast"):
-        raise DomainError("mode must be auto, brute, or fast")
     _refuse_past_digits(f"order {p}^{N}", [(p, N)])
-    over, space = True, f"{p}^{k}"  # past any budget a search could meet
-    if k * math.log10(p) < MAX_BOUND_DIGITS:
-        space = p**k
-        over = space > budget
-    if mode == "brute" and over:
-        raise BudgetExceeded(f"search space {space} exceeds budget {budget}")
-    return mode == "brute" or (mode == "auto" and not over)
+    return WitnessResult(p**N, p, N)
 
 
-def counterexample_witness(
-    p: int, N: int, budget: int = DEFAULT_WITNESS_BUDGET, mode: str = "auto"
-) -> WitnessResult:
+def counterexample_witness(p: int, N: int) -> WitnessResult:
     """Minimal order of x - p·α over α ∈ ∏_{n≤N} Z(p^n), x = all-ones.
 
     Every coordinate 1 - p·α_n is a unit mod p^n, so the order is exactly
-    p^N; brute force confirms this below the budget, the unit argument is
-    the labeled fast path above it.  This is the finite shadow of the
-    product P/t(P) failing to be divisible.
+    p^N.  This is the finite shadow of the product P/t(P) failing to be
+    divisible.
     """
-    if not _brute_force(p, N, N * (N + 1) // 2, budget, mode):
-        return WitnessResult(p ** N, "fast-path", p, N)
-    exponents = list(range(1, N + 1))
-    best = None
-    for alpha in itertools.product(*(range(p ** n) for n in exponents)):
-        vals = [(1 - p * a) % (p ** n) for a, n in zip(alpha, exponents)]
-        o = _vector_order(vals, p, exponents)
-        if best is None or o < best:
-            best = o
-            if best == p:  # cannot go lower: coordinate 1 is a unit mod p
-                break
-    return WitnessResult(best, "brute-force", p, N)
+    return _least_coset_order(p, N)
 
 
-def ab4star_failure_witness(
-    p: int, N: int, budget: int = DEFAULT_WITNESS_BUDGET, mode: str = "auto"
-) -> WitnessResult:
+def ab4star_failure_witness(p: int, N: int) -> WitnessResult:
     """Minimal order of a preimage of all-ones under ∏ (Z(p^n) → Z(p)).
 
     Preimage coordinates satisfy a_n ≡ 1 mod p, hence are units of additive
@@ -607,16 +574,7 @@ def ab4star_failure_witness(
     finite shadow of the product of epimorphisms failing to be epi in the
     torsion category.
     """
-    if not _brute_force(p, N, N * (N - 1) // 2, budget, mode):
-        return WitnessResult(p ** N, "fast-path", p, N)
-    exponents = list(range(1, N + 1))
-    best = None
-    for choice in itertools.product(*(range(p ** (n - 1)) for n in exponents)):
-        vals = [(1 + p * c) % (p ** n) for c, n in zip(choice, exponents)]
-        o = _vector_order(vals, p, exponents)
-        if best is None or o < best:
-            best = o
-    return WitnessResult(best, "brute-force", p, N)
+    return _least_coset_order(p, N)
 
 
 # ---------------------------------------------------------------------------

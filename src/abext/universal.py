@@ -452,6 +452,20 @@ def check_samples(samples: int) -> None:
         raise BudgetExceeded(f"{samples} samples exceed {CYCLIC_SAMPLE_BUDGET}")
 
 
+def check_end_size(B: FinGenAb, A: FinGenAb) -> None:
+    """Refuse a cyclic generation check whose End(B^(X)) would have more than
+    CYCLIC_CHECK_BUDGET generating pieces, (dim B^(X))² with dim B^(X) =
+    |X|·dim B, before any certificate is built.  |X| is read off the slot
+    moduli of Ext^1(B, A), as ``_list_classes`` reads them, and multiplied
+    out only until it passes the bound.  A pair with |X| = 1 is let through:
+    its check is vacuous."""
+    size = 1
+    for g in ext_group(B, A).piece_mods:
+        size *= g
+        if size > 1 and (size * B.dim) ** 2 > CYCLIC_CHECK_BUDGET:
+            raise BudgetExceeded("End(B^(X)) generating set too large for the check")
+
+
 def cyclic_generation_check(
     cert: UniversalCertificate, samples: int = 5, seed: int = 0
 ) -> CyclicGenerationResult:
@@ -467,15 +481,13 @@ def cyclic_generation_check(
     check_samples(samples)
     if cert.direction != "extension":
         raise DomainError("cyclic generation check applies to extension certificates")
-    # A trivial Ext group is generated by anything, and the check below would
-    # refuse every B of dimension past 32 under CYCLIC_CHECK_BUDGET.
+    check_end_size(cert.B, cert.A)
+    # A trivial Ext group is generated by anything.
     if cert.degenerate:
         return CyclicGenerationResult(True, "Ext^1(B,A) trivial; vacuous", ())
     eta = cert.canonical_class
     BX = cert.sequence.quot
     ext_big = ext_group(BX, cert.A)
-    if BX.dim * BX.dim > CYCLIC_CHECK_BUDGET:
-        raise BudgetExceeded("End(B^(X)) generating set too large for the check")
     H = hom_group(BX, BX)
     m = _carrier_map(H, _pullback_pieces(eta, H), ext_big)
     if not is_epi(m):

@@ -8,8 +8,9 @@ import dataclasses
 
 import pytest
 
-from abext import acceptance
+from abext import acceptance, torsioncat
 from abext.errors import DomainError
+from abext.torsioncat import AllPrimesCyclic, Cyclic, TorsionExpr, UnboundedFamily
 
 
 def _check(fn):
@@ -121,12 +122,51 @@ def test_criterion_09_cotorsion_implication():
     _check(acceptance.criterion_9_cotorsion_implication)
 
 
+def _ignoring(kind):
+    """A cotorsion flag that reads the expression without its atoms of ``kind``."""
+    return lambda real: lambda e: real(TorsionExpr.from_terms([(a, m) for a, m in e.terms if not isinstance(a, kind)]))
+
+
+def _cyclic_unbounded(real):
+    """A per-prime report that calls a reduced part with a cyclic atom unbounded."""
+
+    def lying(e, p):
+        r = real(e, p)
+        cyclic = any(isinstance(a, Cyclic) for a in r.reduced_part.atoms())
+        return dataclasses.replace(r, reduced_bounded=r.reduced_bounded and not cyclic)
+
+    return lying
+
+
+# (name patched in torsioncat and acceptance, its replacement given the real
+# one, the criterion that catches it and that criterion's detail).  The flag
+# and the verdict are derived apart, so a flag ignoring U, or a verdict that
+# calls a bounded p-component unbounded, breaks cotorsion ⇒ universal; a flag
+# ignoring W breaks no implication and only the fixtures W and W+Z(4) see it.
+COTORSION_LIARS = [
+    ("is_cotorsion", _ignoring(UnboundedFamily), 9, "1000 expressions, 230 violations"),
+    ("_prime_report", _cyclic_unbounded, 9, "1000 expressions, 366 violations"),
+    ("is_cotorsion", _ignoring(AllPrimesCyclic), 8, "14 fixtures, 2 failures"),
+]
+
+
+@pytest.mark.parametrize("name, liar, cid, detail", COTORSION_LIARS, ids=["U-ignored", "cyclic-unbounded", "W-ignored"])
+def test_criteria_08_09_fail_when_a_derivation_lies(monkeypatch, name, liar, cid, detail):
+    lying = liar(getattr(torsioncat, name))
+    for module in (torsioncat, acceptance):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, lying)
+    criterion = {8: acceptance.criterion_8_torsion_fixtures, 9: acceptance.criterion_9_cotorsion_implication}[cid]
+    res = criterion()
+    assert (res["passed"], res["detail"]) == (False, detail)
+
+
 def test_criterion_10_witness_growth():
     _check(acceptance.criterion_10_witness_growth)
 
 
 def test_run_all_records_a_raising_criterion_as_failed(monkeypatch):
-    def crashed(seed=0, budget=None):
+    def crashed(seed=0):
         raise DomainError("universal extension construction failed its own verification")
 
     criteria = list(acceptance.CRITERIA)

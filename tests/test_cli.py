@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import abext
-from abext import cli, homext, torsioncat
+from abext import cli, homext
 from abext.cli import main
 from abext.errors import BudgetExceeded
 from abext.intlin import IntMatrix
@@ -42,10 +42,8 @@ def test_classify_torsion_example(capsys):
 
 
 def test_witness_example(capsys):
-    code, data = run_json(capsys, "witness", "--p", "2", "--N", "4")
-    assert code == 0
-    assert data["order"] == "16"
-    assert data["method"] == "brute-force"
+    code, out = run(capsys, "witness", "--p", "2", "--N", "4")
+    assert (code, out) == (0, '{"order":"16"}\n')
 
 
 def test_ab4_witness(capsys):
@@ -231,7 +229,7 @@ def test_witness_order_past_the_digit_budget_is_refused(capsys, verb):
     code, data = run_json(capsys, verb, "--p", "2", "--N", "20000")  # 2^20000 has 6,021 digits
     assert code == 1 and data["error"]["code"] == "budget-exceeded"
     code, data = run_json(capsys, verb, "--p", "2", "--N", "14000")  # 4,215 digits
-    assert code == 0 and data["method"] == "fast-path" and data["order"] == str(2**14000)
+    assert (code, data) == (0, {"order": str(2**14000)})
 
 
 def test_group_past_the_digit_budget_is_refused(capsys):
@@ -269,47 +267,6 @@ def test_suite_smoke(capsys):
     assert code == 0
     assert data["all_passed"] is True
     assert [c["id"] for c in data["criteria"]] == [8, 9, 10]
-
-
-def test_budget_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("ABEXT_BUDGET", "1024")
-    # at budget 1024 the N=5 search space (2^15) exceeds it: fast path
-    code, data = run_json(capsys, "witness", "--p", "2", "--N", "5")
-    assert code == 0 and data["method"] == "fast-path" and data["order"] == "32"
-    monkeypatch.delenv("ABEXT_BUDGET")
-    code, data = run_json(capsys, "witness", "--p", "2", "--N", "5")
-    assert data["method"] == "brute-force"
-
-
-def test_default_budget_takes_the_fast_path_past_2_to_the_20(capsys, monkeypatch):
-    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
-    # 3^15 tuples, over a minute of brute force: the default answers at once
-    start = time.perf_counter()
-    code, out = run(capsys, "witness", "--p", "3", "--N", "5")
-    assert code == 0 and out == '{"method":"fast-path","order":"243"}\n'
-    assert time.perf_counter() - start < 1.0
-
-    class SearchStarted(Exception):
-        pass
-
-    def started(*_args):
-        raise SearchStarted
-
-    # an explicit budget of 2^24 still admits it: the search starts
-    monkeypatch.setattr(torsioncat, "_vector_order", started)
-    with pytest.raises(SearchStarted):
-        main(["witness", "--p", "3", "--N", "5", "--budget", "16777216"])
-
-
-@pytest.mark.parametrize("verb", [["ext", "--A", "Z(2)", "--B", "Z(2)"], ["witness", "--p", "2", "--N", "3"]])
-def test_budget_env_that_is_not_an_integer_is_a_usage_error(capsys, monkeypatch, verb):
-    monkeypatch.setenv("ABEXT_BUDGET", "abc")
-    code = main(verb)
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "abext: error: ABEXT_BUDGET: invalid int value: 'abc'\n"
-    code, data = run_json(capsys, *verb, "--budget", "64")  # an explicit budget never reads it
-    assert code == 0
 
 
 def test_printed_integers_stop_at_4300_digits(capsys):
@@ -421,6 +378,25 @@ def test_cyclic_check_refuses_its_samples_before_the_build(capsys, monkeypatch, 
     assert (code, data) == (1, {"error": want})
 
 
+def test_cyclic_check_refuses_its_end_size_before_the_build(capsys, monkeypatch):
+    # |X| = 3,888 and dim B = 2: End(B^(X)) would have 7,776^2 pieces, past 1,024.
+    from abext import universal
+
+    def no_build(*_args):
+        raise AssertionError("the certificate was built before the size of End(B^(X)) was checked")
+
+    monkeypatch.setattr(universal, "build_universal_extension", no_build)
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, "cyclic-check", "--B", "Z(9)+Z(2)^2", "--A", "Z^2+Z(3)", "--samples", "3")
+    assert time.perf_counter() - t0 < 1
+    message = "End(B^(X)) generating set too large for the check"
+    assert (code, data) == (1, {"error": {"code": "budget-exceeded", "message": message}})
+    # a trivial Ext group is let through however large B is: its check is vacuous
+    monkeypatch.undo()
+    code, data = run_json(capsys, "cyclic-check", "--B", "Z(3)^40", "--A", "Z(2)", "--samples", "3")
+    assert (code, data["passed"], data["detail"]) == (0, True, "Ext^1(B,A) trivial; vacuous")
+
+
 def test_piece_counts_are_bounded_at_the_group_bound(monkeypatch):
     monkeypatch.setattr(homext, "MAX_GROUP_DIM", 12)
     G3, G4, G5 = (parse_finite_group(f"Z(2)^{n}") for n in (3, 4, 5))
@@ -454,12 +430,12 @@ REUSED_PARSER_REQUESTS = [
 
 
 def test_reused_parser_answers_like_a_fresh_process(capsys, monkeypatch):
-    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
     parser = cli._build_parser()
     answers = [run(capsys, *argv) for argv in REUSED_PARSER_REQUESTS]
     assert cli._build_parser() is parser and cli._build_parser.cache_info().misses == 1
-    assert [code for code, _ in answers] == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
+    # --budget is a retired option: a usage error, like --A without --B
+    assert [code for code, _ in answers] == [2, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
     env = {**os.environ, "PYTHONPATH": str(Path(abext.__file__).resolve().parents[1])}
     for argv, (code, out) in zip(REUSED_PARSER_REQUESTS, answers):
         fresh = subprocess.run(
@@ -535,12 +511,13 @@ PARSE_IDS = [" ".join(a for a in argv if not a.startswith(("{", "["))) or "no-ar
 
 @pytest.mark.parametrize("argv", PARSE_TABLE, ids=PARSE_IDS)
 def test_verb_parser_answers_like_the_full_parser(capsys, monkeypatch, argv):
-    monkeypatch.delenv("ABEXT_BUDGET", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # help and usage lines wrap to the terminal width
     got = answer_and_namespace(capsys, argv)
     monkeypatch.setattr(cli, "_parse", lambda args: cli._build_parser().parse_args(args))
     want = answer_and_namespace(capsys, argv)
     assert got == want
+    if {"--mode", "--budget"} & set(argv):  # retired options are usage errors
+        assert got[0][0] == 2
 
 
 COLD_EXT_CHILD = """

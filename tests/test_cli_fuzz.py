@@ -208,11 +208,11 @@ def request(rng, verb, valid):
     elif verb in ("witness", "ab4-witness"):
         p = rng.choice(("-3", "0", "1", "2", "3", "4", "5", "7", "1000000000000000003", str(2**61 - 1), "x"))
         N = rng.choice(("-1", "0", "1", "2", "3", "5", "8", "20000", "y"))
-        argv = [verb, "--p", p, "--N", N] + rng.choice(([], ["--mode", "brute"], ["--mode", "fast"], ["--mode", "auto"], ["--mode", "other"]))
+        argv = [verb, "--p", p, "--N", N]
     else:  # the suite's cheap criteria, and ids it has not
         argv = ["suite", "--only", rng.choice(("2", "3", "6", "7", "8", "9", "10", "8,9", "0", "11", "99", "x", "-1"))]
-    # options every verb takes: one a budget only witness searches read
-    argv += rng.choice(([], [], ["--pretty"], ["--seed", str(rng.randint(-5, 5))], ["--seed", "x"], ["--budget", rng.choice(("0", "16", "1024", "-1", "z"))]))
+    # options every verb takes
+    argv += rng.choice(([], [], ["--pretty"], ["--seed", str(rng.randint(-5, 5))], ["--seed", "x"]))
     return argv
 
 

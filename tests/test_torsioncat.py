@@ -2,14 +2,17 @@ import random
 
 import pytest
 
+from abext import acceptance, torsioncat
 from abext.errors import BudgetExceeded, DomainError, ParseError
 from abext.abgroup import FinGenAb
+from abext.oracle import WITNESS_SEARCH_BUDGET, least_coset_order
 from abext.torsioncat import (
     AllPrimesCyclic,
     Cyclic,
     Prufer,
     TorsionExpr,
     UnboundedFamily,
+    WitnessResult,
     ab4star_failure_witness,
     classify,
     counterexample_witness,
@@ -227,38 +230,49 @@ def test_quotient_monotonicity_random():
 
 def test_witness_examples():
     assert counterexample_witness(2, 1).order == 2
-    w = counterexample_witness(2, 4)
-    assert w.order == 16 and w.method == "brute-force"
-    w = counterexample_witness(3, 3)
-    assert w.order == 27 and w.method == "brute-force"
+    assert counterexample_witness(2, 4).order == 16
+    assert counterexample_witness(3, 3).order == 27
     assert ab4star_failure_witness(2, 1).order == 2
-    w = ab4star_failure_witness(2, 5)
-    assert w.order == 32 and w.method == "brute-force"
+    assert ab4star_failure_witness(2, 5).order == 32
     assert ab4star_failure_witness(5, 2).order == 25
 
 
-def test_witness_fast_path_and_budget():
-    w = counterexample_witness(2, 5, budget=2 ** 10)
-    assert w.order == 32 and w.method == "fast-path"
+# Every (p, N) with p <= 7 whose coset the oracle searches within its budget.
+ORACLE_PAIRS = [
+    (p, N) for p in (2, 3, 5, 7) for N in range(1, 9) if p ** (N * (N - 1) // 2) <= WITNESS_SEARCH_BUDGET
+]
+
+
+def oracle_mismatches():
+    """The pairs where a witness differs from the oracle's coset search."""
+    return [
+        (p, N)
+        for p, N in ORACLE_PAIRS
+        if not counterexample_witness(p, N).order == ab4star_failure_witness(p, N).order == least_coset_order(p, N)
+    ]
+
+
+def test_the_coset_search_equals_both_witnesses():
+    assert len(ORACLE_PAIRS) == 19  # N <= 6, 5, 4, 4 for p = 2, 3, 5, 7
+    assert oracle_mismatches() == []
     with pytest.raises(BudgetExceeded):
-        counterexample_witness(2, 5, budget=2 ** 10, mode="brute")
-    with pytest.raises(BudgetExceeded):
-        ab4star_failure_witness(2, 8, budget=2 ** 10, mode="brute")
-    # boundary cross-check: both methods agree
-    assert counterexample_witness(2, 4, mode="brute").order == counterexample_witness(2, 4, mode="fast").order
+        least_coset_order(2, 7)  # 2^21 elements
+
+
+def test_a_witness_one_power_short_fails_the_oracle_and_criterion_10(monkeypatch):
+    monkeypatch.setattr(torsioncat, "_least_coset_order", lambda p, N: WitnessResult(p ** (N - 1), p, N))
+    assert oracle_mismatches() == ORACLE_PAIRS
+    assert acceptance.criterion_10_witness_growth() == {
+        "id": 10, "name": "witness growth", "passed": False, "detail": "N=1..8, 12 failures"
+    }
 
 
 def test_witness_sizes_are_estimated_before_any_power():
-    # N = 10^9 would build a list of N exponents and a search space of 5·10^17 bits.
+    # N = 10^9 would be a power of 301,029,996 digits.
     for witness in (counterexample_witness, ab4star_failure_witness):
         with pytest.raises(BudgetExceeded, match="order 2\\^1000000000 of about 301029996 digits"):
             witness(2, 10**9)
-    # a search space of 6,051 digits takes the fast path, or is refused by name
-    assert counterexample_witness(2, 200) == counterexample_witness(2, 200, mode="fast")
-    with pytest.raises(BudgetExceeded, match="search space 2\\^20100 exceeds budget 1024"):
-        counterexample_witness(2, 200, budget=1024, mode="brute")
-    with pytest.raises(BudgetExceeded, match="search space 32768 exceeds budget 1024"):
-        counterexample_witness(2, 5, budget=1024, mode="brute")
+    assert counterexample_witness(2, 14000).order == 2**14000  # 4,215 digits
 
 
 def test_group_atom_past_the_digit_budget_is_refused():
@@ -274,8 +288,8 @@ def test_group_atom_past_the_digit_budget_is_refused():
 def test_witnesses_agree_and_grow():
     prev_c = prev_a = 0
     for N in range(1, 6):
-        c = counterexample_witness(2, N, budget=2 ** 12).order
-        a = ab4star_failure_witness(2, N, budget=2 ** 12).order
+        c = counterexample_witness(2, N).order
+        a = ab4star_failure_witness(2, N).order
         assert c == a == 2 ** N
         assert c > prev_c and a > prev_a
         prev_c, prev_a = c, a
@@ -287,7 +301,7 @@ def test_witness_argument_validation():
     with pytest.raises(DomainError):
         counterexample_witness(2, 0)
     with pytest.raises(DomainError):
-        ab4star_failure_witness(2, 2, mode="wrong")
+        ab4star_failure_witness(1, 2)
 
 
 # ---------------------------------------------------------------------------

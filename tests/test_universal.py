@@ -83,7 +83,7 @@ def test_psi_pair_example():
 
 def test_psi_empty_family():
     pm = psi([], Z2)
-    assert pm.domain.group == ZERO_GROUP
+    assert pm.domain.carrier == ZERO_GROUP
     assert pm.bijective
 
 
