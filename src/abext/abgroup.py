@@ -113,9 +113,6 @@ class FinGenAb:
             return None
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
-    def primes(self) -> Tuple[int, ...]:
-        return _primes(self.invariant_factors)
-
     def reduce(self, vec: Sequence[int]) -> Tuple[int, ...]:
         """Normalize a coordinate vector modulo this group's relations."""
         mods = self.moduli()

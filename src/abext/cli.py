@@ -3,8 +3,9 @@
 Output is a single JSON document on stdout; algebraic values are decimal
 strings so arbitrary precision survives the wire.  Exit codes: 0 success,
 1 domain error (structured {"error": {code, message, position?}}), 2 usage
-error.  `--seed` fixes any sampling, `--pretty` toggles indentation; output
-is byte-for-byte deterministic for identical argv otherwise.  No option or
+error.  `--pretty` toggles indentation on every verb, and `--seed` fixes the
+sampling of the two verbs that sample, `cyclic-check` and `suite`; output
+is byte-for-byte deterministic for identical argv.  No option or
 environment variable sets a budget: each is fixed in its module.  An
 integer of more than 4,300 digits cannot be printed, so a result holding
 one is refused with the structured error `budget-exceeded`.
@@ -274,7 +275,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = _VERB_PARSERS[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
         return p
 
     p = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
@@ -328,6 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true")
 
     p = add("cyclic-check", _cmd_cyclic_check, "cyclic generation of Ext over End(B^(X))")
+    p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     p.add_argument("--B", required=True)
     p.add_argument("--A", required=True)
     p.add_argument("--samples", type=int, default=5)
@@ -351,6 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
 
     p = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
+    p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
     p.add_argument("--only", type=_int_list, default=(), help="comma-separated criterion ids")
 
     return top

@@ -20,7 +20,9 @@ routes are cross-checked in the test suite.
 hashing read; the rest is derived on first read and cached.  The ``hom`` and
 ``ext`` verbs read the carrier alone, counted by runs of equal moduli; the
 universal builders read the slot moduli alone; only what reads coordinates
-runs ``cyclic_sum``.
+runs ``cyclic_sum``.  A ``ShortExactSeq`` holds its legs and derives its
+class on first read the same way, by ``classify``'s two solves, so ``classify``,
+δ and an audit eliminate a sequence once; ``realize`` never sets the class.
 
 Ab is hereditary, so Ext^2 and higher vanish and are not represented.
 """
@@ -322,6 +324,9 @@ class ShortExactSeq:
     Every constructor runs this check but one: ``realize`` with a finite
     middle proves the same exactness through the presentation it built (see
     there) and constructs its sequence with ``_certified_seq``.
+    ``_class`` is solved for on first read and cached: a lift ℓ_j of each
+    torsion generator a_j of A through g, then the x with f(x) = d_j·ℓ_j, the
+    j-th twist.
     """
 
     f: AbMap
@@ -344,6 +349,19 @@ class ShortExactSeq:
                 raise NotExactSequence("middle order is not |A|·|B|")
         elif cokernel_group(f.cols, E.moduli()) != A:
             raise NotExactSequence("kernel of g not contained in image of f")
+
+    @cached_property
+    def _class(self) -> "ExtClass":
+        B, E, A = self.sub, self.middle, self.quot
+        units = [{j: 1} for j in range(A.torsion_count)]
+        lifts = solve_mod_many(self.g.cols, units, A.moduli())
+        if None in lifts:
+            raise NotExactSequence("quotient map is not surjective")
+        scaled = [{i: d * xi for i, xi in x.items()} for d, x in zip(A.invariant_factors, lifts)]
+        descents = solve_mod_many(self.f.cols, scaled, E.moduli())
+        if None in descents:
+            raise NotExactSequence("d·lift does not land in the subobject")
+        return ExtClass(A, B, tuple(x.get(i, 0) for x in descents for i in range(B.dim)))
 
     @property
     def sub(self) -> FinGenAb:
@@ -538,19 +556,11 @@ def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:
 
 
 def classify(s: ShortExactSeq) -> ExtClass:
-    """Normal-form class of a short exact sequence (inverse of realize)."""
+    """Normal-form class of a short exact sequence (inverse of realize): its
+    ``_class``, solved for on the first read of ``s`` and cached there."""
     if not isinstance(s, ShortExactSeq):
         raise NotExactSequence("classify expects a validated ShortExactSeq")
-    B, E, A = s.sub, s.middle, s.quot
-    units = [{j: 1} for j in range(A.torsion_count)]
-    lifts = solve_mod_many(s.g.cols, units, A.moduli())
-    if None in lifts:
-        raise NotExactSequence("quotient map is not surjective")
-    scaled = [{i: d * xi for i, xi in x.items()} for d, x in zip(A.invariant_factors, lifts)]
-    descents = solve_mod_many(s.f.cols, scaled, E.moduli())
-    if None in descents:
-        raise NotExactSequence("d·lift does not land in the subobject")
-    return ExtClass(A, B, tuple(x.get(i, 0) for x in descents for i in range(B.dim)))
+    return s._class
 
 
 # ---------------------------------------------------------------------------

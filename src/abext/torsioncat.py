@@ -143,9 +143,6 @@ class TorsionExpr:
         return " + ".join(parts)
 
 
-ZERO_EXPR = TorsionExpr(())
-
-
 # ---------------------------------------------------------------------------
 # Parser
 

@@ -49,15 +49,17 @@ middle is A ⊕ B, and the certificate reads ``degenerate`` off |X| = 1.
 The paper's literal constructions stay as references: Ψ^{-1} is
 ``psi_inverse_via_colim``, the ``seq_pushout`` of the coproduct of
 realizations along the codiagonal ∇, and Φ^{-1} is ``phi_inverse_via_lim``,
-the ``seq_pullback`` of their product along the diagonal Δ.  With
-``verify_extension_conditions`` and ``verify_coextension_conditions`` they
-audit the builders.  The verifiers read the induced maps on carriers and
-decide with ``is_zero``, ``is_mono`` and ``is_epi``; the builders decide with
-``_zero_mod``, the order count and ``_generates``.  Both reach ``is_epi_mod``
-for (c), the builders on flat slots and the verifiers on carriers.  They
-also share ``homext._ext_weights``, the weights through which a map acts on
-Ext^1 in its first argument; the tests check those weights against the
-geometric pullback of realized sequences.
+the ``seq_pullback`` of their product along the diagonal Δ.  ``audit`` is
+the one independent audit of a certificate: ``classify`` of its sequence
+against the canonical class, which no builder computes, then the generic
+verifier of its direction, ``verify_extension_conditions`` or
+``verify_coextension_conditions``.  The verifiers read the induced maps on
+carriers and decide with ``is_zero``, ``is_mono`` and ``is_epi``; the
+builders decide with ``_zero_mod``, the order count and ``_generates``.  Both
+reach ``is_epi_mod`` for (c), the builders on flat slots and the verifiers
+on carriers.  They also share ``homext._ext_weights``, the weights through
+which a map acts on Ext^1 in its first argument; the tests check those
+weights against the geometric pullback of realized sequences.
 """
 
 from __future__ import annotations
@@ -291,6 +293,17 @@ def verify_coextension_conditions(seq: ShortExactSeq, B: FinGenAb):
     delta = connecting_hom_dual(seq, B)
     rc = ConditionReport("c", is_epi(delta), "connecting δ: Hom(B^X,B) → Ext^1(A,B)")
     return ra, rb, rc
+
+
+def audit(cert: UniversalCertificate) -> Tuple[ConditionReport, ...]:
+    """The independent audit of ``cert``: "class", passed when its sequence
+    classifies to ``canonical_class``, then the (a), (b), (c) reports of the
+    generic verifier for its direction.  δ in (c) reads the class that
+    ``classify`` cached on the sequence, so it is solved for once."""
+    seq = cert.sequence
+    verify = verify_extension_conditions if cert.direction == "extension" else verify_coextension_conditions
+    same = classify(seq) == cert.canonical_class
+    return (ConditionReport("class", same, "sequence classifies to the canonical class"), *verify(seq, cert.B))
 
 
 def _finalize(direction, B, A, X, seq, cls, reports) -> UniversalCertificate:

@@ -8,7 +8,7 @@ import dataclasses
 
 import pytest
 
-from abext import acceptance, torsioncat
+from abext import acceptance, torsioncat, universal
 from abext.errors import DomainError
 from abext.torsioncat import AllPrimesCyclic, Cyclic, TorsionExpr, UnboundedFamily
 
@@ -52,25 +52,26 @@ def _refuse(*args):
     raise DomainError("universal construction failed its own verification")
 
 
-# (name patched in acceptance, its replacement given the real one, failures
-# among the 50 certificates of the 5 groups of order at most 4).
+# (module patched, name in it, its replacement given the real one, failures
+# among the 50 certificates of the 5 groups of order at most 4).  ``audit``
+# reads classify and the verifiers from ``universal`` when it runs.
 LIARS = [
-    ("classify", lambda real: lambda seq: None, 50),
-    ("verify_extension_conditions", _flip_c, 25),
-    ("verify_coextension_conditions", _flip_c, 25),
-    ("ext_count_by_cocycles", lambda real: lambda A, B: real(A, B) + 1, 50),
-    ("build_universal_coextension", lambda real: _refuse, 25),
+    (universal, "classify", lambda real: lambda seq: None, 50),
+    (universal, "verify_extension_conditions", _flip_c, 25),
+    (universal, "verify_coextension_conditions", _flip_c, 25),
+    (acceptance, "ext_count_by_cocycles", lambda real: lambda A, B: real(A, B) + 1, 50),
+    (acceptance, "build_universal_coextension", lambda real: _refuse, 25),
 ]
 
 
-@pytest.mark.parametrize("name, liar, failures", LIARS, ids=[name for name, _, _ in LIARS])
-def test_criterion_05_fails_when_an_independent_check_disagrees(monkeypatch, name, liar, failures):
+@pytest.mark.parametrize("module, name, liar, failures", LIARS, ids=[name for _, name, _, _ in LIARS])
+def test_criterion_05_fails_when_an_independent_check_disagrees(monkeypatch, module, name, liar, failures):
     # Each certificate is audited by classify, the generic verifiers and the
     # cocycle count; one of them disagreeing, or a build raising, fails it.
     groups = acceptance.abelian_groups_up_to_order
     monkeypatch.setattr(acceptance, "abelian_groups_up_to_order", lambda n: groups(4))
     assert acceptance.criterion_5_tri_condition()["detail"] == "50 certificates, 0 failures"
-    monkeypatch.setattr(acceptance, name, liar(getattr(acceptance, name)))
+    monkeypatch.setattr(module, name, liar(getattr(module, name)))
     res = acceptance.criterion_5_tri_condition()
     assert not res["passed"] and res["detail"] == f"50 certificates, {failures} failures"
 
@@ -91,25 +92,26 @@ def _one_more_class(real):
     return build
 
 
-# (name patched in acceptance, its replacement given the real one, violations
+# (module patched, name in it, its replacement given the real one, violations
 # among the 100 instances).  One more class in every X breaks the product
 # law everywhere, since (n1 + 1)(n2 + 1) > n1·n2 + 1; a sum that drops B2
 # breaks it wherever Ext^1(B2, A) is nontrivial.
 CLOSURE_LIARS = [
-    ("verify_extension_conditions", _flip_c, 100),
-    ("classify", lambda real: lambda seq: None, 100),
-    ("build_universal_extension", _one_more_class, 100),
-    ("direct_sum", lambda real: lambda groups: real(groups[:1]), 33),
-    ("build_universal_extension", lambda real: _refuse, 100),
+    (universal, "verify_extension_conditions", _flip_c, 100),
+    (universal, "classify", lambda real: lambda seq: None, 100),
+    (acceptance, "build_universal_extension", _one_more_class, 100),
+    (acceptance, "direct_sum", lambda real: lambda groups: real(groups[:1]), 33),
+    (acceptance, "build_universal_extension", lambda real: _refuse, 100),
 ]
 
 
-@pytest.mark.parametrize("name, liar, violations", CLOSURE_LIARS, ids=[f"{name}-{n}" for n, (name, _, _) in enumerate(CLOSURE_LIARS)])
-def test_criterion_07_fails_when_the_law_or_a_check_breaks(monkeypatch, name, liar, violations):
+@pytest.mark.parametrize(
+    "module, name, liar, violations", CLOSURE_LIARS, ids=[f"{name}-{n}" for n, (_, name, _, _) in enumerate(CLOSURE_LIARS)]
+)
+def test_criterion_07_fails_when_the_law_or_a_check_breaks(monkeypatch, module, name, liar, violations):
     # The sum's |X| must be the product of the summands', and its
-    # certificate must pass classify and the generic verifiers; a build
-    # that raises is a violation too.
-    monkeypatch.setattr(acceptance, name, liar(getattr(acceptance, name)))
+    # certificate must pass ``audit``; a build that raises is a violation too.
+    monkeypatch.setattr(module, name, liar(getattr(module, name)))
     res = acceptance.criterion_7_closure()
     assert not res["passed"] and res["detail"] == f"100 instances, {violations} violations"
 

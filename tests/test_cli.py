@@ -90,6 +90,25 @@ def test_realize_classify_round_trip(capsys):
     assert data["class"] == cls
 
 
+def test_classify_refuses_a_kernel_past_the_image_over_an_infinite_middle(capsys):
+    # Z --2--> Z → 0: f is mono, g is epi and g∘f = 0, but ker g = Z is not
+    # im f = 2Z, which only the invariant factors of coker f show.
+    Z, zero = {"rank": 1, "factors": []}, {"rank": 0, "factors": []}
+    seq = {"f": {"source": Z, "target": Z, "matrix": [["2"]]}, "g": {"source": Z, "target": zero, "matrix": []}}
+    code, data = run_json(capsys, "classify", "--sequence", json.dumps(seq))
+    assert code == 1
+    assert data == {"error": {"code": "not-exact", "message": "kernel of g not contained in image of f"}}
+
+
+def test_seed_is_an_option_of_the_two_sampling_verbs_alone(capsys):
+    cli._build_parser()
+    seeded = {verb for verb, p in cli._VERB_PARSERS.items() if any("--seed" in a.option_strings for a in p._actions)}
+    assert seeded == {"cyclic-check", "suite"} and len(cli._VERB_PARSERS) == 19
+    assert run(capsys, "ext", "--A", "Z(2)", "--B", "Z(2)", "--seed", "3")[0] == 2
+    assert run(capsys, "cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "1", "--seed", "3")[0] == 0
+    assert run(capsys, "suite", "--only", "9", "--seed", "3")[0] == 0
+
+
 def test_baer_and_act(capsys):
     c = {"A": {"rank": 0, "factors": ["4"]}, "B": {"rank": 0, "factors": ["4"]}, "coords": ["1"]}
     code, data = run_json(capsys, "baer", "--c1", json.dumps(c), "--c2", json.dumps(c))

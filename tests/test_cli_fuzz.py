@@ -211,8 +211,11 @@ def request(rng, verb, valid):
         argv = [verb, "--p", p, "--N", N]
     else:  # the suite's cheap criteria, and ids it has not
         argv = ["suite", "--only", rng.choice(("2", "3", "6", "7", "8", "9", "10", "8,9", "0", "11", "99", "x", "-1"))]
-    # options every verb takes
-    argv += rng.choice(([], [], ["--pretty"], ["--seed", str(rng.randint(-5, 5))], ["--seed", "x"]))
+    # --pretty, which every verb takes, and --seed, which the two sampling verbs take
+    options = ([], [], ["--pretty"])
+    if verb in ("cyclic-check", "suite"):
+        options += (["--seed", str(rng.randint(-5, 5))], ["--seed", "x"])
+    argv += rng.choice(options)
     return argv
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -47,6 +48,7 @@ from abext.homext import (
     seq_pullback,
 )
 from abext.universal import (
+    audit,
     build_universal_coextension,
     build_universal_extension,
     cyclic_generation_check,
@@ -306,27 +308,22 @@ def test_builder_matches_literal_construction(direction, B, A):
     if direction == "extension":
         cert = build_universal_extension(B, A)
         literal = psi_inverse_via_colim(cert.X)
-        reports = verify_extension_conditions(cert.sequence, B)
     else:
         cert = build_universal_coextension(B, A)
         literal = phi_inverse_via_lim(cert.X)
-        reports = verify_coextension_conditions(cert.sequence, B)
-    assert classify(cert.sequence) == cert.canonical_class
+    assert all(r.passed for r in audit(cert))
     assert cert.sequence.middle == literal.middle
     assert classify(literal) == cert.canonical_class
-    assert all(r.passed for r in reports)
 
 
 def _audit(direction, B, A):
     """The certificate of (B, A) against checks the builder does not share:
-    the generic verifiers, ``classify`` of the built sequence, and |X|
-    against the cocycle count."""
+    ``audit`` and |X| against the cocycle count."""
     if direction == "extension":
-        cert, verify, pair = build_universal_extension(B, A), verify_extension_conditions, (B, A)
+        cert, pair = build_universal_extension(B, A), (B, A)
     else:
-        cert, verify, pair = build_universal_coextension(B, A), verify_coextension_conditions, (A, B)
-    assert all(r.passed for r in verify(cert.sequence, B))
-    assert classify(cert.sequence) == cert.canonical_class
+        cert, pair = build_universal_coextension(B, A), (A, B)
+    assert all(r.passed for r in audit(cert))
     assert len(cert.X) == ext_count_by_cocycles(*(ConcreteGroup.from_group(G) for G in pair))
 
 
@@ -380,15 +377,11 @@ def test_every_certificate_has_the_ends_and_class_it_claims():
     generic exactness check of ``ShortExactSeq`` accepts the sequence (with a
     finite middle ``realize`` proves exactness through its presentation map
     instead), and, for every certificate but ``UNAUDITED``, the other three
-    at |X| = 512 among them, ``classify`` gives back the class and the
-    generic verifiers pass; trivial Ext included, where |X| = 1 and
-    E = A ⊕ B."""
+    at |X| = 512 among them, every report of ``audit`` passes; trivial Ext
+    included, where |X| = 1 and E = A ⊕ B."""
     counts = {"certificates": 0, "trivial": 0, "audited": 0}
     for B, A in _property_pairs():
-        for build, verify in (
-            (build_universal_extension, verify_extension_conditions),
-            (build_universal_coextension, verify_coextension_conditions),
-        ):
+        for build in (build_universal_extension, build_universal_coextension):
             cert = build(B, A)
             n = len(cert.X)
             seq = cert.sequence
@@ -400,8 +393,7 @@ def test_every_certificate_has_the_ends_and_class_it_claims():
                 assert A.is_finite() and B.is_finite()
                 assert seq.middle.order() == A.order() * B.order() ** n
             if (cert.direction, B, A) != UNAUDITED:
-                assert classify(seq) == cert.canonical_class
-                assert all(r.passed for r in verify(seq, B))
+                assert all(r.passed for r in audit(cert))
                 counts["audited"] += 1
             counts["certificates"] += 1
             counts["trivial"] += cert.degenerate
@@ -417,6 +409,34 @@ def test_non_universal_candidate_fails_all_three():
     seq = ShortExactSeq(ds.injections[0], ds.projections[1])
     ra, rb, rc = verify_extension_conditions(seq, B)
     assert not ra.passed and not rb.passed and not rc.passed  # verdicts agree on failure
+
+
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension], ids=["extension", "coextension"])
+def test_audit_eliminates_a_sequence_once(monkeypatch, build):
+    # The class is the sequence's, derived on first read: audit's "class"
+    # report and δ in (c) share one lift solve and one descent solve, where
+    # a classify of their own would make four.  realize sets no class, so
+    # classify of its sequence still solves twice.
+    cert = build(FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2)))
+    calls = _record(monkeypatch, "solve_mod_many", homext)
+    reports = audit(cert)
+    assert [r.name for r in reports] == ["class", "a", "b", "c"] and all(r.passed for r in reports)
+    assert len(calls) == 2
+    assert all(r.passed for r in audit(cert)) and len(calls) == 2  # read again, solved for no more
+    c = cert.X[-1]
+    assert classify(realize(c)) == c and len(calls) == 4
+
+
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension], ids=["extension", "coextension"])
+def test_audit_fails_a_certificate_claiming_another_class(build):
+    # The class report alone sees a canonical class swapped for another of
+    # the same Ext group: the sequence, which the verifiers read, is unchanged.
+    cert = build(Z2, FinGenAb(0, (2, 4)))
+    eta = cert.canonical_class
+    other = next(c for c in ext_group(eta.A, eta.B).classes() if c != eta)
+    reports = audit(dataclasses.replace(cert, canonical_class=other))
+    assert [(r.name, r.passed) for r in reports] == [("class", False), ("a", True), ("b", True), ("c", True)]
+    assert all(r.passed for r in audit(cert))
 
 
 def test_exhaustive_small_pairs_have_certificates():
@@ -784,15 +804,15 @@ def _pieces_map(ext, pieces):
     return AbMap.from_matrix(src, ext.carrier, IntMatrix.from_columns(cols, ext.carrier.dim))
 
 
-def _record(monkeypatch, name):
+def _record(monkeypatch, name, module=universal):
     calls = []
-    real = getattr(universal, name)
+    real = getattr(module, name)
 
     def record(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(universal, name, record)
+    monkeypatch.setattr(module, name, record)
     return calls
 
 
@@ -1069,12 +1089,8 @@ def test_closure_properties():
         assert build_universal_extension(B1, A).all_pass
 
 
-@pytest.mark.parametrize(
-    "build, verify",
-    [(build_universal_extension, verify_extension_conditions), (build_universal_coextension, verify_coextension_conditions)],
-    ids=["extension", "coextension"],
-)
-def test_closure_law_on_sums_up_to_order_4(build, verify):
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension], ids=["extension", "coextension"])
+def test_closure_law_on_sums_up_to_order_4(build):
     """|X(B1 ⊕ B2, A)| = |X(B1, A)|·|X(B2, A)|, as Ext^1 turns the sum in B
     into a product, and the certificate of the sum passes the checks the
     builder does not share."""
@@ -1095,8 +1111,7 @@ def test_closure_law_on_sums_up_to_order_4(build, verify):
     for Bsum, A in sums:
         cert = certs[Bsum, A]
         if 1 < len(cert.X) <= 32:
-            assert all(r.passed for r in verify(cert.sequence, Bsum))
-            assert classify(cert.sequence) == cert.canonical_class
+            assert all(r.passed for r in audit(cert))
             audited += 1
     assert (len(sums), audited) == (70, 35)
 
