@@ -21,11 +21,13 @@ genuinely mixed relations reach SNF, one elimination that keeps V and V^-1.
 
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  Mono and epi build
-no (co)kernel: torsion is decided per prime by F_p-rank of socle/quotient
-matrices, read off the columns (rank is transpose-invariant), which stays
-fast even for groups with a thousand cyclic factors, and free rank by SNF
-diagonals alone (the rank over Q of the free block, and ``cokernel_group``),
-with no unimodular transforms.
+no (co)kernel.  Onto a finite group, epi is one F_p rank per prime
+(``is_epi_mod``), read off the columns (rank is transpose-invariant), which
+stays fast even for groups with a thousand cyclic factors.  From a finite
+group, mono is epi of the Pontryagin dual, the ``_ext_weights``
+σ_s·h[t][s]/τ_t.  Free rank is decided by SNF diagonals alone (the rank
+over Q of the free block, and ``cokernel_group``), with no unimodular
+transforms.
 
 All values are immutable and safe to share across threads.
 """
@@ -188,12 +190,11 @@ def _pval(n: int, p: int) -> int:
     return v
 
 
-def orders_match(G: FinGenAb, parts: Sequence[FinGenAb], q: int = 0, torsion: bool = False) -> bool:
+def orders_match(G: FinGenAb, parts: Sequence[FinGenAb], q: int = 0) -> bool:
     """Whether |G/qG| = Π |H/qH| over the ``parts``: each factor Z(m) counts
-    as Z(gcd(q, m)) and Z as Z(q).  With ``torsion`` only the torsion
-    subgroups count; for a finite group T, |T/qT| = |T[q]|.  q = 0 compares
-    the orders themselves, of groups that must then be finite (or of their
-    torsion subgroups).
+    as Z(gcd(q, m)) and Z as Z(q).  For a finite group T, |T/qT| = |T[q]|,
+    so the torsion parts count |t(G)[q]|.  q = 0 compares the orders
+    themselves, of groups that must then be finite.
 
     The orders are compared prime by prime, as the exponent of p in each,
     read once per run of equal invariant factors (they ascend, so a run's
@@ -205,7 +206,7 @@ def orders_match(G: FinGenAb, parts: Sequence[FinGenAb], q: int = 0, torsion: bo
     True
     >>> orders_match(FinGenAb(1, (2, 12)), [FinGenAb(0, (2, 2, 2))], 2)
     True
-    >>> orders_match(FinGenAb(1, (2, 12)), [FinGenAb(0, (2, 2, 2))], 2, torsion=True)
+    >>> orders_match(torsion_part(FinGenAb(1, (2, 12))), [FinGenAb(0, (2, 2, 2))], 2)
     False
     """
     exps: Dict[int, int] = {}
@@ -221,7 +222,7 @@ def orders_match(G: FinGenAb, parts: Sequence[FinGenAb], q: int = 0, torsion: bo
             j = bisect_right(factors, factors[i], i)
             count(math.gcd(q, factors[i]), sign * (j - i))
             i = j
-        if q and not torsion:
+        if q:
             count(q, sign * H.free_rank)
     return not any(exps.values())
 
@@ -603,34 +604,34 @@ def cokernel(f: AbMap) -> Tuple[FinGenAb, AbMap]:
     return C, AbMap(f.target, C, place)
 
 
+def _ext_weights(cols: Sequence[Dict[int, int]], sig: Sequence[int], tau: Sequence[int]) -> List[Dict[int, int]]:
+    """The dual of h with sparse columns ``cols`` from generators of orders
+    ``sig`` (0: free) to a group of torsion factors ``tau``: the column over
+    torsion generator t holds σ_s·h[t][s]/τ_t at s, exact since h is well
+    defined.  That is the character 1/τ_t pulled back along h, Z(n)'s dual
+    generated by 1/n; on twists it is Ext^1(h, ·).  Free generators have no
+    twist and no dual, so they carry no weight."""
+    out: List[Dict[int, int]] = [{} for _ in tau]
+    for s, (col, d) in enumerate(zip(cols, sig)):
+        if d:
+            for t, x in col.items():
+                if t < len(tau):
+                    out[t][s] = d * x // tau[t]
+    return out
+
+
 def is_mono_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
     """Whether the well-defined map with sparse columns ``cols`` (entries not
-    necessarily reduced) embeds ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning Z.
+    necessarily reduced) embeds ⊕Z(smod), all positive, in ⊕Z(tmod), 0 meaning
+    Z, torsion first.
 
-    Per prime p, the F_p rank on the p-socle: one sparse row {target: entry}
-    per socle generator, over the targets p divides, read off the nonzero cells
-    shifted by p^(a - b) for target and source valuations a and b.  Only the
-    first len(smod) columns are read, so a source with free rank is tested on
-    its torsion generators.  When p divides every source and target modulus
-    to the same power, every shift is 1 and the columns are the rows."""
-    mods = set(smod).union(tmod)
-    for p in _primes(smod):
-        val = {m: _pval(m, p) for m in mods if m and m % p == 0}
-        if len(val) == len(mods) and len(set(val.values())) == 1:
-            mat = cols[: len(smod)]
-        else:
-            shifts = {s: {m: p ** (a - b) for m, a in val.items() if b <= a} for s, b in val.items()}
-            mat = []
-            for col, s in zip(cols, smod):
-                if (shift := shifts.get(s)) is not None:
-                    row = {}
-                    for i, v in col.items():
-                        if d := shift.get(tmod[i]):
-                            row[i] = v // d
-                    mat.append(row)
-        if rank_mod_p(mat, len(tmod), p) < len(mat):
-            return False
-    return True
+    The source is finite, so its image lies in the torsion targets, and by
+    Pontryagin duality the map is mono iff its dual, the ``_ext_weights``
+    from those targets, maps onto ⊕Z(smod): one ``is_epi_mod``.  Only the
+    first len(smod) columns are read, so a source with free rank is tested
+    on its torsion generators."""
+    tau = [m for m in tmod if m]
+    return is_epi_mod(_ext_weights(cols, smod, tau), tau, smod)
 
 
 def is_epi_mod(cols, smod: Sequence[int], tmod: Sequence[int]) -> bool:
@@ -653,10 +654,10 @@ def is_mono(f: AbMap) -> bool:
     """Trivial kernel, from the torsion generators and the rank over Q.
 
     ker f ∩ t(source) is the kernel of f on the torsion generators, decided
-    per prime by socle rank, and ker f has rank free_rank - rank_Q(f), where
-    f ⊗ Q is the block of free target rows by free source columns.  A finitely
-    generated group that is torsion-free of rank 0 is zero, so f is mono iff
-    both tests pass.
+    as epi of the dual (``is_mono_mod``), and ker f has rank free_rank -
+    rank_Q(f), where f ⊗ Q is the block of free target rows by free source
+    columns.  A finitely generated group that is torsion-free of rank 0 is
+    zero, so f is mono iff both tests pass.
     """
     S, T = f.source, f.target
     if not is_mono_mod(f.cols, S.invariant_factors, T.moduli()):

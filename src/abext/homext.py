@@ -11,10 +11,11 @@ class is the zero vector.
 Ext^1(h, k) acts on these flat slots, slot (j, i) for factor d_j of A and
 generator i of B, as one block-sparse map: k acts on each twist, and h : A' → A
 (lifted to the resolutions) through the weights σ_s·h[t][s]/τ_t of
-``_ext_weights``.  The class actions, the induced maps on carriers, δ, and the
-universal module's Ψ/Φ and cyclic check all read these sparse columns; the
-geometric pullback/pushout of realized sequences exist alongside and the two
-routes are cross-checked in the test suite.
+``abgroup._ext_weights``, h's Pontryagin dual.  The class actions, the
+induced maps on carriers, δ, and the universal module's Ψ/Φ and cyclic check
+all read these sparse columns; the geometric pullback/pushout of realized
+sequences exist alongside and the two routes are cross-checked in the test
+suite.
 
 ``HomGroup`` and ``ExtGroup`` hold their two ends alone, which equality and
 hashing read; the rest is derived on first read and cached.  The ``hom`` and
@@ -40,6 +41,7 @@ from .errors import BudgetExceeded, DomainError, EndpointMismatch, NotExactSeque
 from .intlin import json_int, json_of, json_str, solve_mod_many, torsion_quotient
 from .abgroup import (
     MAX_GROUP_DIM,
+    _ext_weights,
     _prime_runs,
     AbMap,
     FinGenAb,
@@ -318,8 +320,8 @@ class ShortExactSeq:
     are Hopfian, so that epimorphism is an isomorphism and im f = ker g.  For
     a finite middle group coker f ≅ A is |E| = |A|·|B|, compared prime by
     prime (``orders_match``); otherwise coker f is read off invariant factors
-    (``cokernel_group``).  Mono and epi are per-prime F_p ranks over every
-    generator of E.
+    (``cokernel_group``).  Epi is a per-prime F_p rank over every generator
+    of E, and mono on torsion is epi of the dual (``is_mono_mod``).
 
     Every constructor runs this check but one: ``realize`` with a finite
     middle proves the same exactness through the presentation it built (see
@@ -565,20 +567,6 @@ def classify(s: ShortExactSeq) -> ExtClass:
 
 # ---------------------------------------------------------------------------
 # Actions on flat slots
-
-
-def _ext_weights(cols: Sequence[Dict[int, int]], sig: Sequence[int], tau: Sequence[int]) -> List[Dict[int, int]]:
-    """Ext^1(h, ·) on twists for h with sparse columns ``cols`` from generators
-    of orders ``sig`` (0: free) to a group of torsion factors ``tau``: the
-    column over torsion generator t holds σ_s·h[t][s]/τ_t at s, exact since h
-    is well defined.  Free generators have no twist, so they carry no weight."""
-    out: List[Dict[int, int]] = [{} for _ in tau]
-    for s, (col, d) in enumerate(zip(cols, sig)):
-        if d:
-            for t, x in col.items():
-                if t < len(tau):
-                    out[t][s] = d * x // tau[t]
-    return out
 
 
 def _pullback_slots(h: AbMap, B: FinGenAb) -> List[Dict[int, int]]:

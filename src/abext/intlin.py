@@ -29,8 +29,9 @@ Two eliminations, and the input picks one; there is no option.
   It serves ``solve_mod_many`` (and so ``solve_mod``, ``classify``, the
   cyclic check, ``find_equivalence`` and the pullback mediator) when every
   modulus is nonzero, ``torsion_quotient``, the finite core of ``realize``,
-  and ``rank_mod_p`` (so every mono and epi test), which counts its pivots
-  with each column read modulo p.  Its coordinates hold modulo the moduli.
+  and ``rank_mod_p`` (so every torsion mono and epi test, a mono test as
+  the epi test of the map's dual), which counts its pivots with each column
+  read modulo p.  Its coordinates hold modulo the moduli.
 - ``_snf``, over Z, serves solves with a zero modulus and every exact
   contract: ``snf``, ``snf_diagonal``, preimage lattices and
   ``canonicalize``, whose lifts place to the identity over Z.  It computes

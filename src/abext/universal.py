@@ -26,7 +26,8 @@ count, through ``orders_match``:
        written G[0].  So Ext^1(p, Z(m)) is the dual of B^X[m] → E[m],
        injective iff that restriction of p is onto; it is injective, so that
        is |B^X[m]| = |E[m]|: products of gcd(m, e) over the torsion factors
-       e of each group, for each modulus m of B.
+       e of each group, for each modulus m of B, so ``orders_match`` counts
+       the torsion parts.
 
 Both counts rest on p's being epi (resp. mono), which ``realize`` has
 already proved: its certificate shows the sequence exact through its
@@ -57,9 +58,14 @@ verifier of its direction, ``verify_extension_conditions`` or
 carriers and decide with ``is_zero``, ``is_mono`` and ``is_epi``; the
 builders decide with ``_zero_mod``, the order count and ``_generates``.  Both
 reach ``is_epi_mod`` for (c), the builders on flat slots and the verifiers
-on carriers.  They also share ``homext._ext_weights``, the weights through
-which a map acts on Ext^1 in its first argument; the tests check those
-weights against the geometric pullback of realized sequences.
+on carriers.  The verifiers' (b) reaches it too, through the dual: a map
+of finite groups is mono iff its Pontryagin dual, its ``_ext_weights``, is
+epi.  That is a rank of the induced map on carriers, while the builders'
+(b)/(b*) count orders and rank nothing, so the two still share no decision
+code for (b).  Both read ``abgroup._ext_weights``, the dual of a map and
+the weights through which it acts on Ext^1 in its first argument; the
+tests check those weights against the geometric pullback of realized
+sequences.
 """
 
 from __future__ import annotations
@@ -76,6 +82,7 @@ from .abgroup import (
     AbMap,
     FinGenAb,
     SumDiagram,
+    _ext_weights,
     codiagonal,
     diagonal,
     direct_sum,
@@ -83,13 +90,13 @@ from .abgroup import (
     is_epi_mod,
     is_mono,
     orders_match,
+    torsion_part,
 )
 from .homext import (
     ExtClass,
     ExtGroup,
     ShortExactSeq,
     _carrier_map,
-    _ext_weights,
     _pullback_pieces,
     _reduced_class,
     _vanishes,
@@ -378,7 +385,7 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     mods = sorted(set(B.moduli()))
     wu = _ext_weights(u.cols, u.source.invariant_factors, u.target.invariant_factors)
     ok_a = all(_zero_mod(m, E.invariant_factors, wu) for m in mods)
-    ok_b = all(orders_match(E, [BX], m, torsion=True) for m in mods)
+    ok_b = all(orders_match(torsion_part(E), [torsion_part(BX)], m) for m in mods)
     # (c*): δ(h) = h·γ over the cyclic pieces h of Hom(B^X, B); it depends
     # only on h's target i, order and entry and the twists at h's source slot.
     # A slot of modulus D has the pieces of Hom(Z(D), B) (Z when D = 0), listed

@@ -459,6 +459,7 @@ def test_mono_epi_examples():
     red = AbMap.from_matrix(Z4, Z2, IntMatrix.from_rows([[1]]))
     assert is_epi(red) and not is_mono(red)
     assert torsion_part(FinGenAb(2, (6,))) == Z6
+    assert FinGenAb(2, (6,)).order() is None and Z6.order() == 6
 
 
 def test_mono_epi_fast_path_matches_lattice_path():
@@ -712,7 +713,8 @@ def test_orders_match_agrees_with_the_products_of_the_orders():
 
 def test_orders_match_modulo_q_agrees_with_the_products_of_the_gcds():
     # |G/qG| is the product of gcd(q, m) over G's moduli m (gcd(q, 0) = q),
-    # and |T[q]| over T's torsion factors alone; q = 0 reads each factor whole.
+    # and |t(G)[q]| = |t(G)/q·t(G)| that over the torsion part's factors
+    # alone; q = 0 reads each factor whole.
     rng = random.Random(2705)
     chains = [(2, 4, 8), (3, 9), (2, 6, 12, 60), (5,), (2, 6, 30)]
     agreed = set()
@@ -723,16 +725,15 @@ def test_orders_match_modulo_q_agrees_with_the_products_of_the_gcds():
         )
         torsion = rng.random() < 0.5
         q = rng.choice((0, 2, 3, 4, 6, 10, 12, 15))
-        if q == 0 and not torsion:
-            G, H = FinGenAb(0, G.invariant_factors), FinGenAb(0, H.invariant_factors)
-        size = lambda K: math.prod(math.gcd(q, m) for m in (K.invariant_factors if torsion else K.moduli()))
-        want = size(G) == size(H)
-        assert abgroup.orders_match(G, [H], q, torsion=torsion) == want, (G, H, q, torsion)
+        if torsion or q == 0:
+            G, H = torsion_part(G), torsion_part(H)
+        want = math.prod(math.gcd(q, m) for m in G.moduli()) == math.prod(math.gcd(q, m) for m in H.moduli())
+        assert abgroup.orders_match(G, [H], q) == want, (G, H, q)
         agreed.add(want)
     assert agreed == {True, False}
     twos = FinGenAb(3, (2,) * (1 << 18) + (4,))
     assert abgroup.orders_match(twos, [FinGenAb(0, (2,) * ((1 << 18) + 4))], 2)
-    assert abgroup.orders_match(twos, [FinGenAb(0, (2,) * ((1 << 18) + 1))], 2, torsion=True)
+    assert abgroup.orders_match(torsion_part(twos), [FinGenAb(0, (2,) * ((1 << 18) + 1))], 2)
 
 
 def test_mod_quotient():

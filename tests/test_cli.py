@@ -100,6 +100,17 @@ def test_classify_refuses_a_kernel_past_the_image_over_an_infinite_middle(capsys
     assert data == {"error": {"code": "not-exact", "message": "kernel of g not contained in image of f"}}
 
 
+def test_classify_refuses_a_finite_middle_of_the_wrong_order(capsys):
+    # Z(2) --e0--> Z(2)^3 --e2--> Z(2): f is mono, g is epi and g∘f = 0, but
+    # |E| = 8 is not |A|·|B| = 4.
+    Z2, Z2_3 = {"rank": 0, "factors": ["2"]}, {"rank": 0, "factors": ["2", "2", "2"]}
+    f = {"source": Z2, "target": Z2_3, "matrix": [["1"], ["0"], ["0"]]}
+    g = {"source": Z2_3, "target": Z2, "matrix": [["0", "0", "1"]]}
+    code, data = run_json(capsys, "classify", "--sequence", json.dumps({"f": f, "g": g}))
+    assert code == 1
+    assert data == {"error": {"code": "not-exact", "message": "middle order is not |A|·|B|"}}
+
+
 def test_seed_is_an_option_of_the_two_sampling_verbs_alone(capsys):
     cli._build_parser()
     seeded = {verb for verb, p in cli._VERB_PARSERS.items() if any("--seed" in a.option_strings for a in p._actions)}
@@ -199,6 +210,16 @@ def test_unclosed_group_json_is_a_structured_error(capsys):
 def test_missing_argument_file_is_a_structured_error(capsys, tmp_path):
     missing = tmp_path / "no-such-group.json"
     assert str(missing) in assert_structured_error(capsys, "hom", "--A", f"@{missing}", "--B", "Z(2)")
+
+
+def test_argument_files_answer_like_inline_arguments(capsys, tmp_path):
+    group, matrix = tmp_path / "group.txt", tmp_path / "matrix.json"
+    group.write_text("Z(4)+Z(2)", encoding="utf-8")
+    matrix.write_text('[["2","4"],["6","8"]]', encoding="utf-8")
+    inline = run(capsys, "ext", "--A", "Z(4)+Z(2)", "--B", "Z(6)")
+    assert inline[0] == 0 and run(capsys, "ext", "--A", f"@{group}", "--B", "Z(6)") == inline
+    inline = run(capsys, "snf", "--matrix", '[["2","4"],["6","8"]]')
+    assert inline[0] == 0 and run(capsys, "snf", "--matrix", f"@{matrix}") == inline
 
 
 def test_class_without_its_quotient_end_is_a_structured_error(capsys):
@@ -364,6 +385,15 @@ def test_a_cofactor_past_the_exact_range_is_still_refused(capsys):
         # suite ids outside 1..10
         (["suite", "--only", "99"], {"code": "domain-error", "message": "no criterion 99: ids run from 1 to 10"}),
         (["suite", "--only", "5,0,11"], {"code": "domain-error", "message": "no criterion 0: ids run from 1 to 10"}),
+        # a multiplicity below 1, and an infinite free rank
+        (
+            ["ext", "--A", "Z(2)^0", "--B", "Z(2)"],
+            {"code": "parse-error", "message": "multiplicity must be >= 1", "position": 5},
+        ),
+        (
+            ["ext", "--A", "Z^inf", "--B", "Z(2)"],
+            {"code": "parse-error", "message": "free rank must be finite", "position": 5},
+        ),
     ],
 )
 def test_group_inputs_are_bounded_before_any_work(capsys, argv, want):

@@ -327,6 +327,11 @@ def test_classify_rejects_non_exact():
     with pytest.raises(NotExactSequence, match="g ∘ f is not zero"):
         # Z --1--> Z --2--> Z: g∘f is nonzero in a free row, where nothing reduces it
         ShortExactSeq(AbMap.identity(Z), AbMap(Z, Z, [{0: 2}]))
+    with pytest.raises(NotExactSequence) as err:
+        # Z(2) --e0--> Z(2)^3 --e2--> Z(2): mono, epi and g∘f = 0, but |E| = 8, not 4
+        Z2_3 = FinGenAb(0, (2, 2, 2))
+        ShortExactSeq(AbMap(Z2, Z2_3, [{0: 1}]), AbMap(Z2_3, Z2, [{}, {}, {0: 1}]))
+    assert str(err.value) == "middle order is not |A|·|B|"
 
 
 def exact_by_lattices(f, g):
@@ -383,6 +388,7 @@ def test_classify_realize_roundtrip_random():
     s = realize(ExtClass(Z4, Z4, (3,)))
     phi = find_equivalence(s, realize(classify(s)))
     assert phi is not None
+    assert find_equivalence(s, realize(ExtClass(Z4, Z2, (1,)))) is None  # the subs differ
 
 
 def test_generic_exactness_accepts_every_sequence_realize_certifies():
