@@ -17,7 +17,8 @@ carriers and the universal middle groups go through it.  ``canonicalize``
 gives a quotient of Z^n in the same ``(group, place, lift)`` format, with
 place and lift exactly inverse over Z, so a diagonal presentation takes the
 same group through gcd/lcm steps instead; only presentations with
-genuinely mixed relations reach SNF, one elimination that keeps V and V^-1.
+genuinely mixed relations reach SNF, one elimination whose log of column
+operations gives V's columns and V^-1's rows on the kept coordinates alone.
 
 (Co)kernels, biproducts, pushouts and pullbacks return canonicalized groups
 together with transported legs and mediator solvers.  Mono and epi build
@@ -49,6 +50,9 @@ from .intlin import (
     _prime_parts,
     _snf,
     _tops,
+    _unit,
+    _v_apply,
+    _v_inverse_apply,
     json_int,
     json_of,
     json_str,
@@ -58,6 +62,7 @@ from .intlin import (
     snf_diagonal,
     solve_mod_many,
     sparse_columns,
+    sparse_rows,
 )
 
 
@@ -324,8 +329,11 @@ def canonicalize(relations: Sequence[Dict[int, int]], n: int):
     representative in Z^n of the k-th canonical generator, and placing the
     lifts is exactly the identity.  A diagonal lattice (each relation
     touching one column) takes ``_diagonal_quotient``, any other one SNF
-    U·R·V = D that keeps V and V^-1: y = V^T x turns Z^n / R^T Z^m into
-    Z^n / D^T Z^m, so place reads V and lift V^-1 on the kept coordinates.
+    U·R·V = D: y = V^T x turns Z^n / R^T Z^m into Z^n / D^T Z^m, so place
+    reads V and lift V^-1 on the kept coordinates, those of the diagonal
+    entries other than 1.  Only those are built, from the elimination's log
+    of column operations: one column of V and one row of V^-1 per kept
+    coordinate, and no U.
 
     This stays exact over Z, on the integer elimination, because its callers
     read coordinates past any modulus: the ``canon`` verb prints place and
@@ -348,13 +356,14 @@ def canonicalize(relations: Sequence[Dict[int, int]], n: int):
         col_mod[j] = math.gcd(col_mod[j], v)
     else:  # no row broke off: the lattice is diagonal
         return _diagonal_quotient(col_mod)
-    diag, vinv, vcols = _snf(rows, n, head=n, inverse=True)
+    diag, _, log, labels = _snf(rows, n)
     torsion = [i for i, d in enumerate(diag) if d > 1]
     free = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     kept = torsion + free
     group = FinGenAb(len(free), tuple(diag[i] for i in torsion))
-    lift = [{i: x for i, x in enumerate(vinv[c]) if x} for c in kept]
-    return group, sparse_columns([vcols[c] for c in kept], n), lift
+    vcols = [_v_apply(log, _unit(n, labels[c])) for c in kept]
+    vinv = [_v_inverse_apply(log, _unit(n, labels[c])) for c in kept]
+    return group, sparse_columns(vcols, n), sparse_rows(vinv)
 
 
 def _diagonal_quotient(moduli: Sequence[int]):

@@ -16,11 +16,11 @@ right-hand side with a dict {unknown: value} of its nonzeros, or None.
 ``hnf`` and ``solve_mod`` take one, for JSON, the CLI and benchmarks, and
 convert it once; ``solve_mod`` alone spreads its answer into a dense list.
 
-No floats anywhere.  Unimodular transforms are accumulated explicitly so
-``U * M * V == D`` holds exactly; only ``D`` is canonical, ``U`` and ``V``
-depend on pivot choices (smallest absolute value, first in row-major order)
-and on the least-remainder pass that clears each pivot's column and row,
-which keeps their entries small.
+No floats anywhere.  Unimodular transforms are exact, so ``U * M * V == D``
+holds over Z; only ``D`` is canonical, ``U`` and ``V`` depend on pivot
+choices (smallest absolute value, first in row-major order) and on the
+least-remainder pass that clears each pivot's column and row, which keeps
+their entries small.
 
 Two eliminations, and the input picks one; there is no option.
 
@@ -38,24 +38,28 @@ Two eliminations, and the input picks one; there is no option.
   only what its caller reads.  Each row carries a block through the row
   operations: the identity for ``snf``'s U, the right-hand sides for a
   solve (which so reads U·b without forming U), nothing for
-  ``snf_diagonal``, ``canonicalize`` and preimage lattices.  V's columns
-  are kept on their leading coordinates only: all of them for ``snf`` and
-  ``canonicalize``, the unknowns for a solve or a preimage lattice, none
-  for ``snf_diagonal``.  ``canonicalize`` also keeps V^-1, by undoing each
-  column operation.
+  ``snf_diagonal``, ``canonicalize`` and preimage lattices.  V is kept in
+  product form, as the log of its column operations, and each caller
+  builds from the log only the part of V it reads: ``snf`` replays it
+  forward on the identity for all of V; a solve applies it to each
+  answer's w, last operation first, and never forms V; a preimage lattice
+  builds its kernel columns alone, cut to the unknowns; ``canonicalize``
+  builds V's columns and V^-1's rows on its kept coordinates alone, one of
+  40 for a dense 40 x 40 presentation; ``snf_diagonal`` reads none of it.
 
-``_snf`` pays for nonzero cells only.  A row or column operation
-walks the nonzero support of the row or column it subtracts (listed at C
-speed by ``itertools.compress``, once per pass and only once a quotient is
-nonzero), and the pivot search and the divisibility check skip zeros at C
-speed.  The pivots, quotients and swaps are those of the loops that visit
-every cell, so every result is the same; the tests keep those loops as an
-oracle.
+``_snf`` pays for nonzero cells only.  A row operation walks the nonzero
+support of the row it subtracts (listed at C speed by
+``itertools.compress``, once per pass and only once a quotient is nonzero),
+a column operation changes one cell and is logged, and the pivot search and
+the divisibility check skip zeros at C speed.  The pivots, quotients and
+swaps are those of the loops that visit every cell, so every result is the
+same; the tests keep those loops as an oracle.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -68,6 +72,8 @@ from .errors import BudgetExceeded
 MAX_BOUND_DIGITS = 4300
 _UNPRINTABLE = 10**MAX_BOUND_DIGITS  # the least integer of more than MAX_BOUND_DIGITS digits
 _UNPRINTABLE_BITS = _UNPRINTABLE.bit_length()
+# The decimal strings JSON input may give an integer as: ASCII digits, no sign but '-', no '_' or spaces.
+_DECIMAL = re.compile("-?[0-9]+").fullmatch
 
 
 class DimensionMismatch(ValueError):
@@ -147,10 +153,20 @@ class IntMatrix:
 
 
 def json_int(value) -> int:
-    """A JSON int (not a bool) or a decimal string as an int; anything else is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    """A JSON int (not a bool) or a decimal string, ``-?[0-9]+`` as in the
+    expression grammar, as an int; anything else is a ValueError, and so is
+    a string past int's 4,300-digit limit.
+
+    >>> json_int("-12"), json_int(7)
+    (-12, 7)
+    >>> json_int("1_0")
+    Traceback (most recent call last):
+    ...
+    ValueError: expected an integer, got '1_0'
+    """
+    if isinstance(value, str) and _DECIMAL(value) or isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def json_str(value: int) -> str:
@@ -230,40 +246,48 @@ def _sweep(a, t, c):
         a[t], a[best] = a[best], a[t]
 
 
-def _identity(n, width=None):
-    """The rows of the n x n identity, cut to their first ``width`` entries."""
-    width = n if width is None else width
-    return [[0] * i + [1] + [0] * (width - i - 1) if i < width else [0] * width for i in range(n)]
+def _unit(n, i):
+    """e_i as a list of n entries."""
+    e = [0] * n
+    e[i] = 1
+    return e
 
 
-def _swap_first(j, a, W, Z):
-    """Swap column j of the block ``a`` into column 0, and with it V's columns and V^-1's rows."""
+def _identity(n):
+    """The rows of the n x n identity."""
+    return [_unit(n, i) for i in range(n)]
+
+
+def _swap_first(j, a, labels):
+    """Swap column j of the block ``a`` into column 0, and with it the two columns' labels."""
     for row in a:
         row[0], row[j] = row[j], row[0]
-    for T in (W, Z):
-        if T:
-            T[0], T[j] = T[j], T[0]
+    labels[0], labels[j] = labels[j], labels[0]
 
 
-def _snf(rows, n, carry=None, head=0, inverse=False):
-    """(diagonal, left, V columns) of the Smith form U·M·V = D of the m x n
+def _snf(rows, n, carry=None):
+    """(diagonal, left, log, labels) of the Smith form U·M·V = D of the m x n
     matrix M whose rows are the sparse ``rows``, each a dict {column: entry}.
 
     ``carry`` gives each row a block that goes through the row operations
     with it, and ``left`` is U times that block: U itself when it is the
-    identity, U·b for right-hand-side columns; None carries nothing.  V's
-    columns, as rows, keep their first ``head`` coordinates (0: V is not
-    kept).  With ``inverse`` (and head = n), ``left`` is V^-1's rows instead,
-    each column operation on V undone on them.  ``a`` is the block not yet
-    diagonal, pivot at (0, 0), each row followed by its carried row; W holds
-    V's columns and Z V^-1's rows.
+    identity, U·b for right-hand-side columns; None carries nothing.  V is
+    not formed: each column of M is labelled by its index, a column swap
+    swaps labels, and each column operation, column t minus q times column
+    s, appends (t, s, q) to ``log``.  ``labels`` lists them in diagonal
+    order, so V's k-th column is the product of the logged operations
+    applied to e_{labels[k]}; ``_v_columns``, ``_v_apply`` and
+    ``_v_inverse_apply`` build from the log what each caller reads.  ``a``
+    is the block not yet diagonal, pivot at (0, 0), each row followed by
+    its carried row.
 
-    Cost: each row or column operation walks the nonzero cells of the row it
-    subtracts (``_sweep``'s row t, V's column 0, V^-1's row j), and the
-    pivot search and the divisibility check skip zeros at C speed, keeping
-    the dense loops' pivots, quotients and swaps.  The block is the one
-    dense copy of M, made here, and each pivot's row and column are deleted
-    from it in place; every row handed back is sliced off it.
+    Cost: each row operation walks the nonzero cells of the row it
+    subtracts (``_sweep``'s row t), a column operation changes one cell of
+    row 0 and logs three numbers, and the pivot search and the divisibility
+    check skip zeros at C speed, keeping the dense loops' pivots, quotients
+    and swaps.  The block is the one dense copy of M, made here, and each
+    pivot's row and column are deleted from it in place; every row handed
+    back is sliced off it.
     """
     m = len(rows)
     a = [[0] * n for _ in rows]
@@ -273,9 +297,8 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
     if carry is not None:
         for row, c in zip(a, carry):
             row += c
-    W = _identity(n, head) if head else []
-    Z = _identity(n) if inverse else []
-    done_left, done_w, diag, k = [], [], [], min(m, n)
+    labels = list(range(n))
+    log, done, done_left, diag, k = [], [], [], [], min(m, n)
     while a and n:
         # Pivot: smallest nonzero absolute value in the block, first such
         # entry in row-major order.  Keeps coefficient growth down.
@@ -297,15 +320,16 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
         pi, pj = piv
         a[0], a[pi] = a[pi], a[0]
         if pj:
-            _swap_first(pj, a, W, Z)
+            _swap_first(pj, a, labels)
         while True:
             _sweep(a, 0, 0)
             # Row 0 by column operations, one sweep of the same pass: column 0
-            # is clear, so they change only a[0], W and Z.  The least remainder
-            # is swapped into column 0, and the column pass clears it again.
+            # is clear, so they change only a[0], and each is logged.  The
+            # least remainder is swapped into column 0, and the column pass
+            # clears it again.
             a0 = a[0]
             p = a0[0]
-            wcells = None
+            s = labels[0]
             best = least = 0
             for j in compress(cols[1:], a0[1:n]):
                 x = a0[j]
@@ -313,21 +337,11 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
                 if q:
                     x -= q * p
                     a0[j] = x
-                    if W:
-                        w0 = W[0]
-                        if wcells is None:
-                            wcells = list(compress(range(len(w0)), w0))
-                        wj = W[j]
-                        for col in wcells:
-                            wj[col] -= q * w0[col]
-                    if Z:
-                        zj, z0 = Z[j], Z[0]
-                        for col in compress(range(len(zj)), zj):
-                            z0[col] += q * zj[col]
+                    log.append((labels[j], s, q))
                 if x and (not best or abs(x) < least):
                     best, least = j, abs(x)
             if best:
-                _swap_first(best, a, W, Z)
+                _swap_first(best, a, labels)
                 continue
             # Divisibility fix-up: pivot must divide every trailing entry,
             # which a unit does, so only a larger pivot scans them, nonzero
@@ -342,19 +356,49 @@ def _snf(rows, n, carry=None, head=0, inverse=False):
         diag.append(a[0][0])
         if carry is not None:
             done_left.append(a[0][n:])
-        if W:
-            done_w.append(W.pop(0))
-        if Z:
-            done_left.append(Z.pop(0))
+        done.append(labels.pop(0))
         del a[0]
         for row in a:
             del row[0]
         n -= 1
-    if inverse:
-        done_left += Z
-    elif carry is not None:
+    if carry is not None:
         done_left += [row[n:] for row in a]
-    return diag + [0] * (k - len(diag)), done_left, done_w + W
+    return diag + [0] * (k - len(diag)), done_left, log, done + labels
+
+
+def _v_columns(log, labels):
+    """All of V, its columns (as lists) in diagonal order: ``_snf``'s log
+    replayed forward on the identity, each operation walking the nonzero
+    cells of its source column, listed once per run of one source."""
+    n = len(labels)
+    cols = _identity(n)
+    last = cells = None
+    for t, s, q in log:
+        src = cols[s]
+        if s != last:  # no operation of a run targets its source
+            last, cells = s, list(compress(range(n), src))
+        dst = cols[t]
+        for i in cells:
+            dst[i] -= q * src[i]
+    return [cols[c] for c in labels]
+
+
+def _v_apply(log, y):
+    """V·y in place, y a list indexed by column label: ``_snf``'s log applied
+    last operation first, each in O(1)."""
+    for t, s, q in reversed(log):
+        if y[t]:
+            y[s] -= q * y[t]
+    return y
+
+
+def _v_inverse_apply(log, r):
+    """r·V^-1 in place, r a list indexed by column label: each logged
+    operation undone, last operation first, each in O(1)."""
+    for t, s, q in reversed(log):
+        if r[s]:
+            r[t] += q * r[s]
+    return r
 
 
 def sparse_rows(rows: Iterable[Sequence[int]]) -> List[Dict[int, int]]:
@@ -379,9 +423,9 @@ def snf(M: IntMatrix) -> SnfDecomposition:
     Deterministic for identical inputs.  Works for any shape including empty.
     """
     m, n = M.shape
-    diag, U, W = _snf(sparse_rows(M.rows), n, carry=_identity(m), head=n)
+    diag, U, log, labels = _snf(sparse_rows(M.rows), n, carry=_identity(m))
     D = IntMatrix.diagonal(diag, m, n)
-    return SnfDecomposition(U=IntMatrix.from_rows(U, ncols=m), D=D, V=IntMatrix.from_columns(W, n))
+    return SnfDecomposition(U=IntMatrix.from_rows(U, ncols=m), D=D, V=IntMatrix.from_columns(_v_columns(log, labels), n))
 
 
 def snf_diagonal(rows: Sequence[Dict[int, int]], n: int) -> list:
@@ -842,38 +886,39 @@ def preimage_lattice(cols: Sequence[Dict[int, int]], moduli: Sequence[int]) -> L
     M has the sparse columns ``cols``; a modulus of 0 makes its row an exact
     equation, so with every modulus 0 this is the integer kernel of M.  The
     lattice is the kernel of [M | diag(moduli)], spanned by V's columns past
-    the rank, cut to the coordinates of x: only those are kept through the
-    elimination, and no U is formed.
+    the rank, cut to the coordinates of x: only those columns are built from
+    the elimination's log, and no U is formed.
     """
+    n = len(cols)
     rows, width = _augmented(cols, moduli)
-    diag, _, W = _snf(rows, width, head=len(cols))
-    return sparse_rows(W[j] for j in range(width) if j >= len(diag) or diag[j] == 0)
+    diag, _, log, labels = _snf(rows, width)
+    return sparse_rows(_v_apply(log, _unit(width, c))[:n] for j, c in enumerate(labels) if j >= len(diag) or diag[j] == 0)
 
 
 def _solve_integer(cols, rhs, moduli) -> List[Optional[Dict[int, int]]]:
     """``solve_mod_many`` by one integer elimination of [M | diag(moduli)],
     any modulus 0: each row carries the right-hand sides through the row
-    operations, which gives U·b with no U, and V keeps only the coordinates
-    of the unknowns.  D w = U·b is solvable iff M x ≡ b is, and x = V_head w."""
+    operations, which gives U·b with no U, and no V is formed.  D w = U·b is
+    solvable iff M x ≡ b is, and x is V w cut to the unknowns: w placed on
+    its columns' labels and the log applied to it, last operation first."""
     n = len(cols)
     rows, width = _augmented(cols, moduli)
     carry = [[0] * len(rhs) for _ in moduli]
     for t, b in enumerate(rhs):
         for i, v in b.items():
             carry[i][t] = v
-    diag, left, W = _snf(rows, width, carry=carry, head=n)
+    diag, left, log, labels = _snf(rows, width, carry=carry)
     out: List[Optional[Dict[int, int]]] = []
     for t in range(len(rhs)):
         c = [row[t] for row in left]
         if any(not d or ci % d for ci, d in compress(zip(c, diag), c)) or any(c[len(diag) :]):
             out.append(None)
             continue
-        x: Dict[int, int] = {}
-        for ci, d, col in compress(zip(c, diag, W), c):
-            w = ci // d
-            for i, v in compress(enumerate(col), col):
-                x[i] = x.get(i, 0) + w * v
-        out.append({i: v for i, v in x.items() if v})
+        y = [0] * width
+        for ci, d, label in compress(zip(c, diag, labels), c):
+            y[label] = ci // d
+        x = _v_apply(log, y)[:n]
+        out.append(dict(compress(enumerate(x), x)))
     return out
 
 

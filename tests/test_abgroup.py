@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from abext import abgroup
+from abext import abgroup, intlin
 from abext.errors import BudgetExceeded, DomainError
 import dense_elimination as dense
 from abext.intlin import IntMatrix, is_prime, prime_factors, snf_diagonal, sparse_rows
@@ -170,18 +170,29 @@ def test_canonicalize_runs_one_elimination_and_no_hnf(monkeypatch):
     for mod in [m for name, m in sys.modules.items() if name.startswith("abext")]:
         if hasattr(mod, "hnf"):
             monkeypatch.setattr(mod, "hnf", no_hnf)
-    calls = []
-    real = abgroup._snf
+    calls, columns, rows_of_inverse = [], [], []
+    real, real_apply, real_inverse = abgroup._snf, abgroup._v_apply, abgroup._v_inverse_apply
     monkeypatch.setattr(abgroup, "_snf", lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    monkeypatch.setattr(abgroup, "_v_apply", lambda log, y: columns.append(y) or real_apply(log, y))
+    monkeypatch.setattr(abgroup, "_v_inverse_apply", lambda log, r: rows_of_inverse.append(r) or real_inverse(log, r))
+    monkeypatch.setattr(intlin, "_v_columns", None)  # V is never formed whole
     rng = random.Random(5)
+    presentations = []
     for _ in range(20):
         m, n = rng.randint(1, 5), rng.randint(2, 5)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         rows[0][:2] = [rng.randint(1, 9), rng.randint(1, 9)]  # two nonzeros in a row: not diagonal
+        presentations.append((rows, n, None))
+    rng = random.Random(40)  # the CI's dense 40x40: one kept coordinate of 40
+    presentations.append(([[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)], 40, 1))
+    for rows, n, kept in presentations:
         calls.clear()
+        columns.clear()
+        rows_of_inverse.clear()
         G, place, lift = canonicalize(sparse_rows(rows), n)
         assert len(calls) == 1
-        assert G.dim == len(lift)
+        # one column of V and one row of V^-1 per kept coordinate, nothing more
+        assert G.dim == len(lift) == len(columns) == len(rows_of_inverse) == (kept or G.dim)
     calls.clear()
     canonicalize([{0: 4}, {1: 6, 0: 0}, {}], 3)  # a diagonal lattice takes no SNF
     assert calls == []

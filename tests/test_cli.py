@@ -241,6 +241,31 @@ def test_json_fields_of_the_wrong_type_are_structured_errors(capsys, argv):
     assert assert_structured_error(capsys, *argv).startswith("malformed input: expected")
 
 
+# Decimal strings JSON takes as int() would but the expression grammar does not:
+# an underscore, surrounding spaces, non-ASCII digits (Arabic-Indic 3 and 4).
+NON_DECIMAL_REQUESTS = [
+    ("snf", "--matrix", '[["1_0"]]'),
+    ("snf", "--matrix", '[[" 7 "]]'),
+    ("snf", "--matrix", '[["٣"]]'),
+    ("hom", "--A", '{"rank":0,"factors":["٤"]}', "--B", "Z(2)"),
+]
+
+
+@pytest.mark.parametrize("argv", NON_DECIMAL_REQUESTS, ids=[" ".join(argv[:3]) for argv in NON_DECIMAL_REQUESTS])
+def test_json_integers_are_ascii_decimals_as_in_the_grammar(capsys, argv):
+    code, data = run_json(capsys, *argv)
+    assert code == 1 and data["error"]["code"] == "domain-error"
+    assert data["error"]["message"].startswith("malformed input: expected an integer, got")
+
+
+def test_json_integers_take_a_minus_sign_and_stop_at_4300_digits(capsys):
+    code, data = run_json(capsys, "snf", "--matrix", '[["-0", "-12"]]')
+    assert code == 0 and data["D"] == [["12", "0"]]
+    assert "4300" in assert_structured_error(capsys, "snf", "--matrix", json.dumps([["1" * 4301]]))
+    code, data = run_json(capsys, "hom", "--A", "Z(٤)", "--B", "Z(2)")
+    assert code == 1 and data["error"]["code"] == "parse-error"
+
+
 @pytest.mark.parametrize("argv", [("classify-torsion", "Z(4)", "--p", "x"), ("suite", "--only", "x")])
 def test_integer_list_options_reject_text(capsys, argv):
     code = main(list(argv))

@@ -4,7 +4,8 @@ Each request's exit code and stdout are hashed together (SHA-256 of
 ``"<code>\\n<stdout>"``) and compared with ``drift_digests.json``.  The
 requests cover every universal (co)extension certificate of order at most 8
 in full, ``canon`` and ``snf`` on the seeded 30x30 and 40x40 matrices of the
-CI, a few sequence requests (``realize``, ``classify``, ``act``, ``delta``),
+CI, a ``canon`` that keeps several coordinates (three invariant factors
+> 1 and free rank; the seeded matrices keep one each), a few sequence requests (``realize``, ``classify``, ``act``, ``delta``),
 and the comparison maps and cyclic checks (``psi``, ``psi --phi``,
 ``cyclic-check``), free summands and ends included.  A change that means to change an output regenerates the file
 with ``PYTHONPATH=src python tests/test_drift.py`` and records the drift in
@@ -52,6 +53,24 @@ def seeded_matrix(seed: int, n: int) -> str:
     return json.dumps([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
 
 
+def mixed_presentation(seed: int, m: int, n: int, factors) -> str:
+    """A seeded m x n presentation whose Smith form is ``factors`` then
+    zeros: diag(factors) mixed by unimodular row and column operations."""
+    rng = random.Random(seed)
+    rows = [[d if j == i else 0 for j in range(n)] for i, d in enumerate(factors)]
+    rows += [[0] * n for _ in range(m - len(factors))]
+    for _ in range(2 * n):  # column j += q column k
+        j, k = rng.sample(range(n), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            row[j] += q * row[k]
+    for _ in range(3 * m):  # row i += q row k
+        i, k = rng.sample(range(m), 2)
+        q = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + q * b for a, b in zip(rows[i], rows[k])]
+    return json.dumps(rows)
+
+
 def run(argv):
     """(exit code, stdout) of one in-process request."""
     out = io.StringIO()
@@ -73,6 +92,8 @@ def normal_form_requests():
         m = seeded_matrix(seed, n)
         yield f"snf seed={seed} {n}x{n}", ["snf", "--matrix", m]
         yield f"canon seed={seed} {n}x{n}", ["canon", "--presentation", m]
+    # Z(2) + Z(6) + Z(12) + Z^5: seven kept coordinates of nine
+    yield "canon mixed seed=36 6x9", ["canon", "--presentation", mixed_presentation(36, 6, 9, (1, 2, 6, 12))]
 
 
 # (A, B, rank of B, coords) of classes in Ext^1(A, B), split and not, one with a free end.

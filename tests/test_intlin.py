@@ -220,6 +220,24 @@ def test_batched_solves_match_one_at_a_time_solve_mod():
         solve_mod(M, [1, 2], [4, 0, 5])
 
 
+def as_dense_loops(result, n, head=0, inverse=False):
+    """``_snf``'s (diagonal, left, log, labels) as the dense loops' (diagonal,
+    left, V columns): V built from the log forward, its columns cut to their
+    first ``head`` coordinates, and with ``inverse`` the rows of V^-1 in
+    place of ``left``.  V is built a second time one column at a time, the
+    log applied last operation first, and V^-1's rows are undone from it."""
+    diag, left, log, labels = result
+    V = intlin._v_columns(log, labels)
+    assert V == [intlin._v_apply(log, intlin._unit(n, c)) for c in labels]
+    if inverse:
+        left = [intlin._v_inverse_apply(log, intlin._unit(n, c)) for c in labels]
+    return diag, left, [col[:head] for col in V] if head else []
+
+
+def refuse(*_):
+    raise AssertionError("a transform was formed")
+
+
 def _solve_through_u(M, b, moduli):
     """The solve as it was before right-hand sides were carried: the SNF with
     both transforms of [M | diag(moduli)], then U·b, then V's first n rows."""
@@ -248,15 +266,12 @@ def _carried_solve_cases():
 
 
 def test_carried_solve_equals_the_solve_through_u(monkeypatch):
-    def refuse(*_):
-        raise AssertionError("a solve formed U")
-
     real = intlin._snf
     widths = []
 
-    def carried(rows, ncols, carry=None, head=0, inverse=False):
+    def carried(rows, ncols, carry=None):
         widths.append({len(c) for c in carry or ()})
-        return real(rows, ncols, carry, head, inverse)
+        return real(rows, ncols, carry)
 
     rng = random.Random(152)
     answers = []
@@ -271,6 +286,7 @@ def test_carried_solve_equals_the_solve_through_u(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(intlin, "snf", refuse)
             patch.setattr(intlin, "hnf", refuse)
+            patch.setattr(intlin, "_v_columns", refuse)
             patch.setattr(intlin, "_snf", carried)
             assert integer_solve(M, rhs, moduli) == want
             assert [integer_solve(M, [b], moduli)[0] for b in rhs] == want
@@ -309,21 +325,31 @@ def test_kernel_basis_is_snfs_v_on_the_free_columns(monkeypatch):
     cases += [_dense(rng, m, n) for m, n in ((1, 3), (3, 5), (5, 3), (6, 6))]
     cases += [_of_rank(rng, m, n, r) for m, n, r in ((6, 6, 3), (4, 7, 2), (7, 5, 4))]
     real = intlin._snf
+    real_apply = intlin._v_apply
+    built = []
 
-    def uncarried(rows, ncols, carry=None, head=0, inverse=False):
-        assert carry is None and head == ncols and not inverse  # no U, all of V
-        return real(rows, ncols, carry, head, inverse)
+    def uncarried(rows, ncols, carry=None):
+        assert carry is None  # no U
+        return real(rows, ncols, carry)
+
+    def counted(log, y):
+        built.append(len(y))
+        return real_apply(log, y)
 
     for M in cases:
         # the kernel as it was taken before: V of the SNF with both transforms
         dec = snf(M)
         diag = dec.diagonal()
         want = dense.select_columns(dec.V, [j for j in range(M.ncols) if j >= len(diag) or diag[j] == 0])
+        built.clear()
         with monkeypatch.context() as patch:
             patch.setattr(intlin, "snf", None)
+            patch.setattr(intlin, "_v_columns", refuse)  # no more of V than the kernel columns
             patch.setattr(intlin, "_snf", uncarried)
+            patch.setattr(intlin, "_v_apply", counted)
             got = kernel_basis(M)
         assert got == want
+        assert built == [M.ncols] * want.ncols
         assert dense.is_zero(matmul(M, got))
 
 
@@ -558,7 +584,8 @@ def test_snf_tracking_v_inverse_gives_snf_v_and_its_exact_inverse():
     cases += [M for M, _ in _shape_matrices()]
     for M in cases:
         n = M.ncols
-        diag, vinv, vcols = _snf(sparse_rows(M.rows), n, head=n, inverse=True)
+        diag, vinv, vcols = as_dense_loops(_snf(sparse_rows(M.rows), n), n, n, inverse=True)
+        assert (diag, vinv, vcols) == dense._snf(M.rows, n, head=n, inverse=True)
         dec = snf(M)
         assert diag == dec.diagonal()
         V = IntMatrix.from_columns(vcols, n)
@@ -675,12 +702,14 @@ def test_nonzero_cell_elimination_equals_the_dense_loops():
         m, n = M.shape
         rows = sparse_rows(M.rows)
         for carry in ("identity", "rhs", None):
+            block = {"identity": intlin._identity(m), "rhs": _dense(rng, m, 3).rows, None: None}[carry]
+            carried = None if block is None else [list(r) for r in block]
+            got = intlin._snf(rows, n, carried)
             for head in sorted({0, n // 2, n}):
-                block = {"identity": intlin._identity(m), "rhs": _dense(rng, m, 3).rows, None: None}[carry]
-                carried = None if block is None else [list(r) for r in block]
                 want = dense._snf(M.rows, n, carried, head)
-                assert intlin._snf(rows, n, carried, head) == want, (M, carry, head)
-        assert intlin._snf(rows, n, head=n, inverse=True) == dense._snf(M.rows, n, head=n, inverse=True), M
+                assert as_dense_loops(got, n, head) == want, (M, carry, head)
+        got = as_dense_loops(intlin._snf(rows, n), n, n, inverse=True)
+        assert got == dense._snf(M.rows, n, head=n, inverse=True), M
         assert hnf(M) == dense.hnf(M), M
     # diag(2, 3) is not a Smith form: only the divisibility fix-up gives (1, 6)
     assert snf_diagonal([{1: 3}, {0: 2}], 2) == [1, 6]
@@ -699,6 +728,23 @@ def test_solve_read_back_equals_the_dense_read_back():
         got = solve_many(M, rhs, moduli)
         assert_answers_like(M, rhs, moduli, got, want)
         assert got == want or all(moduli)
+
+
+def test_a_solve_with_a_zero_modulus_forms_no_v(monkeypatch):
+    # V never forms: each answer applies the log to its own w
+    monkeypatch.setattr(intlin, "_v_columns", refuse)
+    monkeypatch.setattr(intlin, "snf", refuse)
+    monkeypatch.setattr(intlin, "hnf", refuse)
+    rng = random.Random(34)
+    for M in _oracle_matrices():
+        m, n = M.shape
+        for moduli in ([0] * m, [0] + [rng.choice((0, 2, 3, 4, 6, 9, 12)) for _ in range(m - 1)]):
+            planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(3)]
+            rhs = planted + [[rng.randint(-9, 9) for _ in range(m)] for _ in range(3)]
+            want = dense.solve_mod_many(M, rhs, moduli[:m])
+            assert integer_solve(M, rhs, moduli[:m]) == want, M
+            assert solve_many(M, rhs, moduli[:m]) == want, M
+            assert all(x is not None for x in want[:3])
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +778,8 @@ def test_sparse_input_gives_the_dense_loops_results():
         want = dense._snf(M.rows, n, carry, n)
         want_inverse = dense._snf(M.rows, n, head=n, inverse=True)
         for rows in dense.sparse_forms(rng, M.rows):
-            assert _snf(rows, n, carry, n) == want, (M, rows)
-            assert _snf(rows, n, head=n, inverse=True) == want_inverse, (M, rows)
+            assert as_dense_loops(_snf(rows, n, carry), n, n) == want, (M, rows)
+            assert as_dense_loops(_snf(rows, n), n, n, inverse=True) == want_inverse, (M, rows)
             assert snf_diagonal(rows, n) == want[0], (M, rows)
         moduli = [rng.choice((0, 2, 3, 4, 6, 9)) for _ in range(m)]
         planted = [dense.apply(M, [rng.randint(-4, 4) for _ in range(n)]) for _ in range(2)]
