@@ -122,10 +122,11 @@ def criterion_4_psi_bijective(seed: int = 0) -> dict:
 
 def criterion_5_tri_condition(seed: int = 0) -> dict:
     """Universal (co)extension certificates for all pairs of order <= 8, each
-    audited by checks that share no decision code with its builder: every
-    report of ``audit`` passes, and |X| is the cocycle count wherever that
-    fits the oracle's budget.  A build or audit that raises DomainError fails
-    its certificate; any other exception fails the criterion in ``run_all``."""
+    passing every report of ``audit``, which decides on flat slots with (a)
+    and (b) sharing no helper with the builders (for (c) both call
+    ``_generates``), and with |X| the cocycle count wherever that fits the
+    oracle's budget.  A build or audit that raises DomainError fails its
+    certificate; any other exception fails the criterion in ``run_all``."""
     t0 = time.time()
     groups = abelian_groups_up_to_order(8)
     failures = 0

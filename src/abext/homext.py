@@ -11,19 +11,19 @@ class is the zero vector.
 Ext^1(h, k) acts on these flat slots, slot (j, i) for factor d_j of A and
 generator i of B, as one block-sparse map: k acts on each twist, and h : A' → A
 (lifted to the resolutions) through the weights σ_s·h[t][s]/τ_t of
-``abgroup._ext_weights``, h's Pontryagin dual.  The class actions, the
-induced maps on carriers, δ, and the universal module's Ψ/Φ and cyclic check
-all read these sparse columns; the geometric pullback/pushout of realized
-sequences exist alongside and the two routes are cross-checked in the test
-suite.
+``abgroup._ext_weights``, h's Pontryagin dual.  The class actions and the
+universal verifiers read these sparse columns and Hom pieces as they are;
+the induced maps on carriers, δ, Ψ/Φ and the cyclic check place them in the
+carriers (``_carrier_map``) for the verbs that print carrier coordinates.
+The geometric pullback/pushout of realized sequences are cross-checked.
 
 ``HomGroup`` and ``ExtGroup`` hold their two ends alone, which equality and
 hashing read; the rest is derived on first read and cached.  The ``hom`` and
 ``ext`` verbs read the carrier alone, counted by runs of equal moduli; the
-universal builders read the slot moduli alone; only what reads coordinates
-runs ``cyclic_sum``.  A ``ShortExactSeq`` holds its legs and derives its
-class on first read the same way, by ``classify``'s two solves, so ``classify``,
-δ and an audit eliminate a sequence once; ``realize`` never sets the class.
+universal builders and verifiers read slot moduli and Hom pieces; only what
+reads carrier coordinates runs ``cyclic_sum``.  A ``ShortExactSeq`` derives
+its class on first read, by ``classify``'s two solves, so ``classify``, δ and
+an audit eliminate a sequence once; ``realize`` never sets the class.
 
 Ab is hereditary, so Ext^2 and higher vanish and are not represented.
 """
@@ -195,7 +195,7 @@ class ExtGroup(_Summed):
     Flat coordinates have one slot per (torsion factor d_j of A, generator i
     of B); slot modulus is gcd(d_j, m_i), with gcd(d, 0) read as d, so every
     slot is finite.  The carrier is the canonical form of the direct sum of
-    the slots.  The universal builders read ``piece_mods`` alone.
+    the slots.  The universal builders and verifiers read ``piece_mods`` alone.
     """
 
     A: FinGenAb
@@ -257,9 +257,10 @@ class ExtClass:
     coords: Tuple[int, ...]
 
     def __post_init__(self):
-        mods = ext_pieces(self.A, self.B)
-        if len(self.coords) != len(mods):
+        # Counted first: a class that cannot be the pair's lists no slot moduli.
+        if len(self.coords) != self.A.torsion_count * self.B.dim:
             raise DomainError("ExtClass coordinate length mismatch")
+        mods = ext_pieces(self.A, self.B)
         object.__setattr__(
             self, "coords", tuple(v % g if g else v for v, g in zip(self.coords, mods))
         )

@@ -54,18 +54,17 @@ the ``seq_pullback`` of their product along the diagonal Δ.  ``audit`` is
 the one independent audit of a certificate: ``classify`` of its sequence
 against the canonical class, which no builder computes, then the generic
 verifier of its direction, ``verify_extension_conditions`` or
-``verify_coextension_conditions``.  The verifiers read the induced maps on
-carriers and decide with ``is_zero``, ``is_mono`` and ``is_epi``; the
-builders decide with ``_zero_mod``, the order count and ``_generates``.  Both
-reach ``is_epi_mod`` for (c), the builders on flat slots and the verifiers
-on carriers.  The verifiers' (b) reaches it too, through the dual: a map
-of finite groups is mono iff its Pontryagin dual, its ``_ext_weights``, is
-epi.  That is a rank of the induced map on carriers, while the builders'
-(b)/(b*) count orders and rank nothing, so the two still share no decision
-code for (b).  Both read ``abgroup._ext_weights``, the dual of a map and
-the weights through which it acts on Ext^1 in its first argument; the
-tests check those weights against the geometric pullback of realized
-sequences.
+``verify_coextension_conditions``.  These decide on flat slots too, which are
+isomorphic to Ext's carrier, so zero, mono and epi read the same and no
+carrier is formed: (a) asks every column of u's slot map (``_pushout_slots``,
+``_pullback_slots``) to vanish modulo the target Ext group's slot moduli, and
+(b) asks ``is_mono_mod`` of p's slot map, epi of its Pontryagin dual, so
+neither shares a helper with the builders' ``_zero_mod`` and ``orders_match``.
+For (c) both call ``_generates``, the verifiers on δ of every Hom piece over
+the sequence's cached class.  Both read ``abgroup._ext_weights``, a map's
+dual and its weights on Ext^1 in its first argument; the tests check them
+against the geometric pullback of realized sequences, and the verdicts
+against the induced maps and δ on carriers.
 """
 
 from __future__ import annotations
@@ -76,6 +75,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Sequence, Tuple
 
+from . import homext
 from .errors import BudgetExceeded, DomainError
 from .intlin import solve_mod_many
 from .abgroup import (
@@ -89,6 +89,7 @@ from .abgroup import (
     is_epi,
     is_epi_mod,
     is_mono,
+    is_mono_mod,
     orders_match,
     torsion_part,
 )
@@ -98,11 +99,12 @@ from .homext import (
     ShortExactSeq,
     _carrier_map,
     _pullback_pieces,
+    _pullback_slots,
+    _pushout_pieces,
+    _pushout_slots,
     _reduced_class,
     _vanishes,
     classify,
-    connecting_hom,
-    connecting_hom_dual,
     ext_covariant_map,
     ext_contravariant_map,
     ext_group,
@@ -279,27 +281,23 @@ class UniversalCertificate:
 
 
 def verify_extension_conditions(seq: ShortExactSeq, B: FinGenAb):
-    """Generic verdicts for Def. of universal extension on A ↪ E ↠ B^(X)."""
-    u, p = seq.f, seq.g
-    ma = ext_covariant_map(B, u)
-    ra = ConditionReport("a", ma.is_zero(), "Ext^1(B,u) on Ext^1(B,A) basis")
-    mb = ext_covariant_map(B, p)
-    rb = ConditionReport("b", is_mono(mb), "Ext^1(B,p) kernel triviality")
-    delta = connecting_hom(seq, B)
-    rc = ConditionReport("c", is_epi(delta), "connecting δ: Hom(B,B^(X)) → Ext^1(B,A)")
-    return ra, rb, rc
+    """Generic verdicts for Def. of universal extension on A ↪ E ↠ B^(X), on Ext's flat slots."""
+    u, p, H = seq.f, seq.g, hom_group(B, seq.quot)
+    mods = ext_group(B, u.target).piece_mods
+    ra = ConditionReport("a", all(_vanishes(col, mods) for col in _pushout_slots(B, u)), "Ext^1(B,u) on Ext^1(B,A) basis")
+    rb = ConditionReport("b", is_mono_mod(_pushout_slots(B, p), mods, ext_group(B, p.target).piece_mods), "Ext^1(B,p) kernel triviality")
+    delta = zip(_pullback_pieces(homext.classify(seq), H), H._moduli())
+    return ra, rb, ConditionReport("c", _generates(ext_group(B, seq.sub), list(delta)), "connecting δ: Hom(B,B^(X)) → Ext^1(B,A)")
 
 
 def verify_coextension_conditions(seq: ShortExactSeq, B: FinGenAb):
-    """Generic verdicts for the dual conditions on B^X ↪ E ↠ A."""
-    p, u = seq.f, seq.g
-    ma = ext_contravariant_map(u, B)
-    ra = ConditionReport("a", ma.is_zero(), "Ext^1(u,B) on Ext^1(A,B) basis")
-    mb = ext_contravariant_map(p, B)
-    rb = ConditionReport("b", is_mono(mb), "Ext^1(p,B) kernel triviality")
-    delta = connecting_hom_dual(seq, B)
-    rc = ConditionReport("c", is_epi(delta), "connecting δ: Hom(B^X,B) → Ext^1(A,B)")
-    return ra, rb, rc
+    """Generic verdicts for the dual conditions on B^X ↪ E ↠ A, on Ext's flat slots."""
+    p, u, H = seq.f, seq.g, hom_group(seq.sub, B)
+    mods = ext_group(u.source, B).piece_mods
+    ra = ConditionReport("a", all(_vanishes(col, mods) for col in _pullback_slots(u, B)), "Ext^1(u,B) on Ext^1(A,B) basis")
+    rb = ConditionReport("b", is_mono_mod(_pullback_slots(p, B), mods, ext_group(p.source, B).piece_mods), "Ext^1(p,B) kernel triviality")
+    delta = zip(_pushout_pieces(homext.classify(seq), H), H._moduli())
+    return ra, rb, ConditionReport("c", _generates(ext_group(seq.quot, B), list(delta)), "connecting δ: Hom(B^X,B) → Ext^1(A,B)")
 
 
 def audit(cert: UniversalCertificate) -> Tuple[ConditionReport, ...]:

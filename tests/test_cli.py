@@ -227,6 +227,26 @@ def test_class_without_its_quotient_end_is_a_structured_error(capsys):
     assert "'A'" in assert_structured_error(capsys, "realize", "--class", json.dumps(cls))
 
 
+@pytest.mark.parametrize("verb", ["realize", "baer", "act"])
+def test_a_class_of_the_wrong_length_is_refused_before_its_slots_are_listed(capsys, tmp_path, verb):
+    # A = B = Z(2)^20000 has 4·10^8 slots; one coordinate is counted short
+    # of them before any slot modulus is listed.
+    group = {"rank": 0, "factors": ["2"] * 20000}
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps({"A": group, "B": group, "coords": ["1"]}), encoding="utf-8")
+    cls = f"@{path}"
+    z2 = {"rank": 0, "factors": ["2"]}
+    argv = {
+        "realize": ["--class", cls],
+        "baer": ["--c1", cls, "--c2", cls],
+        "act": ["--class", cls, "--map", json.dumps({"source": z2, "target": z2, "matrix": [["1"]]}), "--side", "pull"],
+    }[verb]
+    t0 = time.perf_counter()
+    code, data = run_json(capsys, verb, *argv)
+    assert time.perf_counter() - t0 < 5
+    assert code == 1 and data["error"] == {"code": "domain-error", "message": "ExtClass coordinate length mismatch"}
+
+
 WRONG_TYPE_REQUESTS = [
     ("snf", "--matrix", "[[1.5,2],[3,4]]"),
     ("canon", "--presentation", "[[2.7]]"),

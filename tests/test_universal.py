@@ -412,6 +412,21 @@ def test_non_universal_candidate_fails_all_three():
     assert not ra.passed and not rb.passed and not rc.passed  # verdicts agree on failure
 
 
+@pytest.mark.parametrize(
+    "B, A",
+    [(Z2, Z2), (FinGenAb(0, (2, 4)), FinGenAb(1, (2,))), (FinGenAb(1, (4,)), FinGenAb(0, (2, 6)))],
+    ids=["Z2:Z2", "Z2+Z4:Z+Z2", "Z+Z4:Z2+Z6"],
+)
+def test_non_universal_cocandidate_fails_all_three(B, A):
+    # The dual: the split B^X ↪ B^X ⊕ A ↠ A, |X| = |Ext^1(A, B)|, is not a
+    # universal co-extension when Ext ≠ 0, free ends on either side included.
+    BX = direct_sum([B] * ext_group(A, B).order()).total
+    ds = direct_sum([BX, A])
+    seq = ShortExactSeq(ds.injections[0], ds.projections[1])
+    ra, rb, rc = verify_coextension_conditions(seq, B)
+    assert not ra.passed and not rb.passed and not rc.passed
+
+
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension], ids=["extension", "coextension"])
 def test_audit_eliminates_a_sequence_once(monkeypatch, build):
     # The class is the sequence's, derived on first read: audit's "class"
@@ -906,6 +921,53 @@ def test_order_count_matches_the_verifiers_off_the_universal_sequences():
         assert got == verify(seq, B)[1].passed, (direction, str(B), str(A), coords)
         seen[direction].add(got)
     assert seen == {"extension": {True, False}, "coextension": {True, False}}
+
+
+def test_flat_slot_verdicts_match_the_carrier_route():
+    # The generic verifiers decide on Ext's flat slots; the induced maps and
+    # δ on carriers, which they replaced, are the oracle.  The sequences are
+    # the 240 of the test above, drawn from the same seed.
+    rng = random.Random(27)
+    pool = abelian_groups_up_to_order(8) + [FinGenAb(1, ()), FinGenAb(1, (2,)), FinGenAb(1, (4,))]
+    seen = {(direction, name): set() for direction in ("extension", "coextension") for name in "abc"}
+    for k in range(240):
+        direction = ("extension", "coextension")[k % 2]
+        B, A = rng.choice(pool), rng.choice(pool)
+        BX = universal._power_group(B, rng.randint(1, 3))[0]
+        ext = ext_group(BX, A) if direction == "extension" else ext_group(A, BX)
+        coords = tuple(0 if k % 4 < 2 else rng.randrange(g) if g else rng.randint(-3, 3) for g in ext.piece_mods)
+        seq = realize(ExtClass(ext.A, ext.B, coords))
+        if direction == "extension":
+            u, p = seq.f, seq.g
+            reports = verify_extension_conditions(seq, B)
+            want = (ext_covariant_map(B, u).is_zero(), is_mono(ext_covariant_map(B, p)), is_epi(connecting_hom(seq, B)))
+        else:
+            p, u = seq.f, seq.g
+            reports = verify_coextension_conditions(seq, B)
+            want = (ext_contravariant_map(u, B).is_zero(), is_mono(ext_contravariant_map(p, B)), is_epi(connecting_hom_dual(seq, B)))
+        assert tuple(r.passed for r in reports) == want, (direction, str(B), str(A), coords)
+        for r in reports:
+            seen[direction, r.name].add(r.passed)
+    assert all(v == {True, False} for v in seen.values()), seen
+
+
+def test_audit_forms_no_carrier(monkeypatch):
+    # The audit decides every condition on flat slots and Hom pieces: no
+    # carrier of a Hom or Ext group is read, and no induced map is placed in one.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the audit formed a carrier")
+
+    cases = RANK_CORE_CASES + [(Z2, Z3), (FinGenAb(0, (2, 2, 2)), FinGenAb(0, (2, 2, 2, 2)))]
+    certs = [build(B, A) for B, A in cases for build in (build_universal_extension, build_universal_coextension)]
+    for group in (ExtGroup, HomGroup):
+        for name in ("carrier", "place", "lift"):
+            monkeypatch.setattr(group, name, property(refuse))
+    for module in (universal, homext):
+        monkeypatch.setattr(module, "_carrier_map", refuse)
+    reports = [audit(cert) for cert in certs]
+    monkeypatch.undo()
+    assert {len(cert.X) for cert in certs} >= {1, 2, 4096}
+    assert all(r.passed for rs in reports for r in rs)
 
 
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
