@@ -11,16 +11,17 @@ class is the zero vector.
 Ext^1(h, k) acts on these flat slots, slot (j, i) for factor d_j of A and
 generator i of B, as one block-sparse map: k acts on each twist, and h : A' → A
 (lifted to the resolutions) through the weights σ_s·h[t][s]/τ_t of
-``abgroup._ext_weights``, h's Pontryagin dual.  The class actions and the
-universal verifiers read these sparse columns and Hom pieces as they are;
-the induced maps on carriers, δ, Ψ/Φ and the cyclic check place them in the
-carriers (``_carrier_map``) for the verbs that print carrier coordinates.
+``abgroup._ext_weights``, h's Pontryagin dual.  The class actions, the
+universal verifiers and the cyclic check read these sparse columns and Hom
+pieces as they are; the induced maps on carriers, δ and Ψ/Φ place them in
+the carriers (``_carrier_map``) for the verbs that print carrier coordinates.
 The geometric pullback/pushout of realized sequences are cross-checked.
 
 ``HomGroup`` and ``ExtGroup`` hold their two ends alone, which equality and
 hashing read; the rest is derived on first read and cached.  The ``hom`` and
 ``ext`` verbs read the carrier alone, counted by runs of equal moduli; the
-universal builders and verifiers read slot moduli and Hom pieces; only what
+universal builders, verifiers and cyclic check read slot moduli and Hom
+pieces, the check's witnesses built by ``HomGroup.from_pieces``; only what
 reads carrier coordinates runs ``cyclic_sum``.  A ``ShortExactSeq`` derives
 its class on first read, by ``classify``'s two solves, so ``classify``, δ and
 an audit eliminate a sequence once; ``realize`` never sets the class.
@@ -91,7 +92,7 @@ class HomGroup(_Summed):
     (source_gen, target_gen, piece_modulus, generator_entry), and the carrier
     is their canonical form.  ``decompose`` and ``recompose`` are mutually
     inverse between maps and carrier coordinates, which ``decompose`` gives
-    dense and ``recompose`` reads sparse.
+    dense and ``recompose`` reads sparse, placed on the pieces for ``from_pieces``.
     """
 
     source: FinGenAb
@@ -125,8 +126,12 @@ class HomGroup(_Summed):
     def recompose(self, coords: Dict[int, int]) -> AbMap:
         """The map with carrier coordinates ``coords``, sparse {coordinate: value}
         as ``solve_mod_many`` answers (a coordinate left out is 0)."""
+        return self.from_pieces(sparse_image(self.lift, coords))
+
+    def from_pieces(self, coeffs: Dict[int, int]) -> AbMap:
+        """Σ c·(generator of piece k) over ``coeffs``, sparse {k: c}."""
         cols: List[Dict[int, int]] = [{} for _ in range(self.source.dim)]
-        for k, c in sparse_image(self.lift, coords).items():
+        for k, c in coeffs.items():
             j, i, _, entry = self.pieces[k]
             cols[j][i] = c * entry
         return AbMap(self.source, self.target, cols)
@@ -329,7 +334,10 @@ class ShortExactSeq:
     there) and constructs its sequence with ``_certified_seq``.
     ``_class`` is solved for on first read and cached: a lift ℓ_j of each
     torsion generator a_j of A through g, then the x with f(x) = d_j·ℓ_j, the
-    j-th twist.
+    j-th twist.  With A finite the descent reads E's free rows modulo K =
+    exp(A)²: an answer y leaves f(y) − d_j·ℓ_j = K·w, exp(A)·w = f(u) lies in
+    ker g = im f, and y − exp(A)·u is exact, equal to y modulo exp(A), which
+    every slot modulus gcd(d_j, m_i) divides.
     """
 
     f: AbMap
@@ -361,7 +369,8 @@ class ShortExactSeq:
         if None in lifts:
             raise NotExactSequence("quotient map is not surjective")
         scaled = [{i: d * xi for i, xi in x.items()} for d, x in zip(A.invariant_factors, lifts)]
-        descents = solve_mod_many(self.f.cols, scaled, E.moduli())
+        K = max(A.invariant_factors, default=1) ** 2 if A.is_finite() else 0  # free rows modulo exp(A)²
+        descents = solve_mod_many(self.f.cols, scaled, [m or K for m in E.moduli()])
         if None in descents:
             raise NotExactSequence("d·lift does not land in the subobject")
         return ExtClass(A, B, tuple(x.get(i, 0) for x in descents for i in range(B.dim)))
@@ -441,11 +450,13 @@ def realize(c: ExtClass) -> ShortExactSeq:
     - |P| = Π m_i·Π d_j, the determinant of its triangular relations, which
       is |B|·|A|; ``orders_match`` checks |E| against it.
 
-    So ψ is an isomorphism.  B's generators span a copy of B in P, with
-    quotient A, so f is mono, and with g∘f = 0 (checked) g∘ψ is that
-    quotient, so g is epi with kernel im f.  This replaces
-    ``ShortExactSeq``'s F_p ranks over every generator of E; a free end
-    takes that generic check.
+    So ψ is an isomorphism.  B's generators span a copy of B in P, so f is
+    mono, with quotient π : P ↠ A, e_i ↦ 0, t_j ↦ a_j.  And g∘ψ = π: g sends a
+    core summand to π of its ``torsion_quotient`` lift, its ψ-preimage by the
+    first onto check, a split ψ(e_i) of B to 0 and a split lift ψ(t_j − t_j0)
+    to a_j − a_j0, and E's generators are their ``cyclic_sum`` lifts by the
+    second.  So g is epi with kernel im f, and g∘f = 0 needs no check.  A free
+    end takes ``ShortExactSeq``'s generic check; the lift checks certify its class.
     """
     A, B = c.A, c.B
     nB, bmods = B.dim, B.moduli()
@@ -518,11 +529,6 @@ def realize(c: ExtClass) -> ShortExactSeq:
     f, g = AbMap(B, E, fcols), AbMap(E, A, gcols)
     if not E.is_finite():
         return ShortExactSeq(f, g)
-    # g∘ψ kills B's generators: σ's image is the sum of its group's f(e_i),
-    # and a split of B is its own f(e_i).
-    for v in itertools.chain(img[:ne], esplit_at.values()):
-        if not _vanishes(sparse_image(gcols, v), amods):
-            raise DomainError(_NOT_EXACT)
     for s in range(nc):  # the core summands are ψ-images
         if not _vanishes(sparse_sum([(1, sparse_image(img, liftc[s])), (-1, place[s])]), emods):
             raise DomainError(_NOT_EXACT)
@@ -609,7 +615,7 @@ def _carrier_map(G: HomGroup | ExtGroup, cols: Sequence[Dict[int, int]], X: ExtG
     """The map from G's carrier whose generator v, ``G.lift[v]`` on G's Hom
     pieces or Ext slots, goes through the sparse columns ``cols`` to X's flat
     slots, placed in X's carrier."""
-    return AbMap(G.carrier, X.carrier, [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift])
+    return AbMap(G._summed[0], X._summed[0], [sparse_image(X.place, sparse_image(cols, v)) for v in G.lift])
 
 
 def pullback_action(c: ExtClass, h: AbMap) -> ExtClass:

@@ -54,17 +54,16 @@ the ``seq_pullback`` of their product along the diagonal Δ.  ``audit`` is
 the one independent audit of a certificate: ``classify`` of its sequence
 against the canonical class, which no builder computes, then the generic
 verifier of its direction, ``verify_extension_conditions`` or
-``verify_coextension_conditions``.  These decide on flat slots too, which are
-isomorphic to Ext's carrier, so zero, mono and epi read the same and no
-carrier is formed: (a) asks every column of u's slot map (``_pushout_slots``,
-``_pullback_slots``) to vanish modulo the target Ext group's slot moduli, and
-(b) asks ``is_mono_mod`` of p's slot map, epi of its Pontryagin dual, so
-neither shares a helper with the builders' ``_zero_mod`` and ``orders_match``.
-For (c) both call ``_generates``, the verifiers on δ of every Hom piece over
-the sequence's cached class.  Both read ``abgroup._ext_weights``, a map's
-dual and its weights on Ext^1 in its first argument; the tests check them
-against the geometric pullback of realized sequences, and the verdicts
-against the induced maps and δ on carriers.
+``verify_coextension_conditions``.  These decide on flat slots too, isomorphic
+to Ext's carrier, so zero, mono and epi read the same: (a) asks u's slot map
+(``_pushout_slots``, ``_pullback_slots``) to vanish modulo the target's slot
+moduli, and (b) is ``is_mono_mod`` of p's slot map, epi of its Pontryagin
+dual, so neither shares a helper with the builders' ``_zero_mod`` and
+``orders_match``.  (c) is ``_generates`` of δ on every Hom piece over the
+sequence's cached class, and ``cyclic_generation_check`` asks it over
+End(B^(X)), so ``universal`` forms a carrier for Ψ/Φ alone.  The tests check
+``abgroup._ext_weights`` against the geometric pullback of realized
+sequences, and the verdicts against the induced maps and δ on carriers.
 """
 
 from __future__ import annotations
@@ -97,7 +96,6 @@ from .homext import (
     ExtClass,
     ExtGroup,
     ShortExactSeq,
-    _carrier_map,
     _pullback_pieces,
     _pullback_slots,
     _pushout_pieces,
@@ -489,12 +487,12 @@ def cyclic_generation_check(
 ) -> CyclicGenerationResult:
     """Ext^1(B^(X), A) as a cyclic right End(B^(X))-module generated by η̄.
 
-    Builds the additive map γ ↦ η·γ over the generating pieces of
-    End(B^(X)), read off the pieces as sparse flat vectors (the reader δ
-    uses) with no map built, and decides surjectivity; on success returns
-    explicit γ witnesses for sampled target classes, each recomposed and
-    re-verified by recomputing η·γ.  One factorization of the system serves
-    every sample.
+    Asks (c)'s question over End(B^(X)): ``_generates`` of η·h over its
+    pieces h, sparse flat vectors as δ reads them.  On success it samples
+    target classes as reduced flat coordinates (uniform: each class has
+    exactly one), solves for their Hom-piece coefficients in one torsion
+    elimination on Ext's flat slots, and re-verifies each γ built from them
+    by recomputing η·γ.  No carrier is formed.
     """
     check_samples(samples)
     if cert.direction != "extension":
@@ -503,26 +501,22 @@ def cyclic_generation_check(
     # A trivial Ext group is generated by anything.
     if cert.degenerate:
         return CyclicGenerationResult(True, "Ext^1(B,A) trivial; vacuous", ())
-    eta = cert.canonical_class
-    BX = cert.sequence.quot
+    eta, BX = cert.canonical_class, cert.sequence.quot
     ext_big = ext_group(BX, cert.A)
     H = hom_group(BX, BX)
-    m = _carrier_map(H, _pullback_pieces(eta, H), ext_big)
-    if not is_epi(m):
+    pieces = _pullback_pieces(eta, H)
+    if not _generates(ext_big, list(zip(pieces, H._moduli()))):
         return CyclicGenerationResult(False, "η·End(B^(X)) is a proper subgroup", ())
     rng = random.Random(seed)
     witnesses = []
-    carrier_mods = ext_big.carrier.moduli()
-    targets = [tuple(rng.randrange(md) for md in carrier_mods) for _ in range(samples)]
-    for target, x in zip(targets, solve_mod_many(m.cols, [dict(enumerate(t)) for t in targets], carrier_mods)):
+    targets = [tuple(rng.randrange(g) for g in ext_big.piece_mods) for _ in range(samples)]
+    for target, x in zip(targets, solve_mod_many(pieces, [dict(enumerate(t)) for t in targets], ext_big.piece_mods)):
         if x is None:
             return CyclicGenerationResult(False, "no γ for a sampled class", ())
-        gamma = H.recompose(x)
-        got = ext_big.to_carrier(pullback_action(eta, gamma))
-        want = ext_big.carrier.reduce(list(target))
-        if got != want:
+        gamma, cls = H.from_pieces(x), _reduced_class(BX, cert.A, target)
+        if pullback_action(eta, gamma) != cls:
             raise DomainError("cyclic generation witness failed re-verification")
-        witnesses.append((ext_big.from_carrier(target), gamma))
+        witnesses.append((cls, gamma))
     return CyclicGenerationResult(True, "η generates Ext^1(B^(X),A) over End(B^(X))", tuple(witnesses))
 
 

@@ -315,6 +315,14 @@ def test_classify_examples():
     assert not classify(s).is_zero()
 
 
+def test_classify_reads_a_free_middle_modulo_the_square_of_the_exponent():
+    # Z --3--> Z --> Z(3): the descent 3y = 3 has y = 1, so the class is (1).
+    # It is solved with E's free row read modulo exp(Z(3))² = 9, where every
+    # solution is 1 modulo 3; modulo 3 alone y = 0 would solve it too.
+    s = ShortExactSeq(AbMap(Z, Z, [{0: 3}]), AbMap(Z, Z3, [{0: 1}]))
+    assert classify(s) == ExtClass(Z3, Z, (1,))
+
+
 def test_classify_rejects_non_exact():
     with pytest.raises(NotExactSequence):
         ShortExactSeq(AbMap.identity(Z4), AbMap.identity(Z4))

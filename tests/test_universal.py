@@ -12,6 +12,7 @@ import abext.homext as homext
 import abext.intlin as intlin
 import abext.universal as universal
 from abext.oracle import ConcreteGroup, ext_count_by_cocycles
+from abext.torsioncat import parse_finite_group
 from abext.errors import BudgetExceeded, DomainError
 from abext.intlin import IntMatrix
 from abext.abgroup import (
@@ -61,6 +62,7 @@ from abext.universal import (
     verify_coextension_conditions,
     verify_extension_conditions,
 )
+from test_drift import CYCLIC_CHECKS
 
 Z2 = FinGenAb(0, (2,))
 Z3 = FinGenAb(0, (3,))
@@ -193,11 +195,15 @@ def test_each_system_is_factored_once(monkeypatch):
 
 def test_torsion_systems_never_reach_the_integer_elimination(monkeypatch):
     # With the integer SNF and canonicalize gone, the finite work still runs:
-    # classify of the |X| = 128 extension, realize of finite classes and the
-    # cyclic check.  Free rank still takes the integer path.
+    # classify of the |X| = 128 extension, realize of finite classes, the
+    # cyclic check, and classify of a free middle over a finite quotient,
+    # whose descent reads E's free rows modulo exp(Q)².  A free end of
+    # realize, and a quotient with free rank, still take the integer path.
     cert = build_universal_extension(FinGenAb(0, (2, 4)), FinGenAb(0, (2, 2, 4)))
     small = build_universal_extension(Z2, FinGenAb(0, (2, 2)))
     free = realize(ExtClass(Z2, FinGenAb(1, (2,)), (1, 1)))
+    free_quotient = realize(ExtClass(FinGenAb(1, (2,)), Z2, (1,)))
+    assert free.middle.free_rank and free_quotient.quot.free_rank
 
     def gone(*_args, **_kwargs):
         raise AssertionError("the integer elimination ran")
@@ -212,10 +218,11 @@ def test_torsion_systems_never_reach_the_integer_elimination(monkeypatch):
             c = ExtClass(A, B, tuple(rng.randrange(max(g, 1)) for g in ext_group(A, B).piece_mods))
             assert classify(realize(c)) == c
     assert cyclic_generation_check(small, samples=3).passed
+    assert classify(free) == ExtClass(Z2, FinGenAb(1, (2,)), (1, 1))
     with pytest.raises(AssertionError, match="integer elimination"):
         realize(ExtClass(Z2, FinGenAb(1, (2,)), (1, 1)))  # E has free rank
     with pytest.raises(AssertionError, match="integer elimination"):
-        classify(free)
+        classify(free_quotient)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +375,12 @@ def _property_pairs():
                 yield G, F
 
 
-# The one certificate of order at most 8 not audited: its middle has free
-# rank, so its audit takes the integer elimination, and that runs a minute.
-UNAUDITED = ("extension", FinGenAb(0, (2, 2, 2)), FinGenAb(2, (2,)))
-
-
 def test_every_certificate_has_the_ends_and_class_it_claims():
     """The B^(X) end is B^(|X|), a finite middle has order |A|·|B|^|X|, the
     generic exactness check of ``ShortExactSeq`` accepts the sequence (with a
     finite middle ``realize`` proves exactness through its presentation map
-    instead), and, for every certificate but ``UNAUDITED``, the other three
-    at |X| = 512 among them, every report of ``audit`` passes; trivial Ext
-    included, where |X| = 1 and E = A ⊕ B."""
+    instead), and every report of ``audit`` passes, the four at |X| = 512
+    among them; trivial Ext included, where |X| = 1 and E = A ⊕ B."""
     counts = {"certificates": 0, "trivial": 0, "audited": 0}
     for B, A in _property_pairs():
         for build in (build_universal_extension, build_universal_coextension):
@@ -393,12 +394,11 @@ def test_every_certificate_has_the_ends_and_class_it_claims():
             if seq.middle.is_finite():
                 assert A.is_finite() and B.is_finite()
                 assert seq.middle.order() == A.order() * B.order() ** n
-            if (cert.direction, B, A) != UNAUDITED:
-                assert all(r.passed for r in audit(cert))
-                counts["audited"] += 1
+            assert all(r.passed for r in audit(cert))
+            counts["audited"] += 1
             counts["certificates"] += 1
             counts["trivial"] += cert.degenerate
-    assert counts == {"certificates": 450, "trivial": 206, "audited": 449}
+    assert counts == {"certificates": 450, "trivial": 206, "audited": 450}
 
 
 def test_non_universal_candidate_fails_all_three():
@@ -764,8 +764,9 @@ def test_builders_act_on_no_class(monkeypatch):
 def test_induced_maps_act_on_flat_slots(monkeypatch):
     # The induced maps, δ, Ψ/Φ and the cyclic check read Ext^1's action off
     # flat slots and Hom pieces: none of them acts on a class, recomposes a
-    # Hom map or lifts a carrier generator to a class.  Witnesses still
-    # recompose γ and re-verify it by the class action, so no sample is drawn.
+    # Hom map or lifts a carrier generator to a class.  Witnesses build γ
+    # from its piece coefficients and re-verify it by the class action, so
+    # no sample is drawn.
     def refuse(*args, **kwargs):
         raise AssertionError("an Ext^1 action went through a class or a Hom map")
 
@@ -777,7 +778,8 @@ def test_induced_maps_act_on_flat_slots(monkeypatch):
     for module in (universal, homext):
         monkeypatch.setattr(module, "pushout_action", refuse)
         monkeypatch.setattr(module, "pullback_action", refuse)
-    monkeypatch.setattr(HomGroup, "recompose", refuse)
+    for name in ("recompose", "from_pieces"):
+        monkeypatch.setattr(HomGroup, name, refuse)
     monkeypatch.setattr(ExtGroup, "from_carrier", refuse)
     maps = [
         ext_covariant_map(Z4, k),
@@ -952,22 +954,28 @@ def test_flat_slot_verdicts_match_the_carrier_route():
 
 
 def test_audit_forms_no_carrier(monkeypatch):
-    # The audit decides every condition on flat slots and Hom pieces: no
-    # carrier of a Hom or Ext group is read, and no induced map is placed in one.
+    # The audit and the cyclic check decide on flat slots and Hom pieces: no
+    # carrier of a Hom or Ext group is read, and no induced map is placed in
+    # one.  The cyclic checks are the drift guard's, free ends included, each
+    # with at least one witness solved for and re-verified.
     def refuse(*args, **kwargs):
         raise AssertionError("the audit formed a carrier")
 
     cases = RANK_CORE_CASES + [(Z2, Z3), (FinGenAb(0, (2, 2, 2)), FinGenAb(0, (2, 2, 2, 2)))]
     certs = [build(B, A) for B, A in cases for build in (build_universal_extension, build_universal_coextension)]
+    cyclic = [(build_universal_extension(parse_finite_group(B), parse_finite_group(A)), max(n, 1), seed) for B, A, n, seed in CYCLIC_CHECKS]
     for group in (ExtGroup, HomGroup):
         for name in ("carrier", "place", "lift"):
             monkeypatch.setattr(group, name, property(refuse))
-    for module in (universal, homext):
-        monkeypatch.setattr(module, "_carrier_map", refuse)
+    monkeypatch.setattr(homext, "_carrier_map", refuse)
     reports = [audit(cert) for cert in certs]
+    checks = [cyclic_generation_check(cert, samples=n, seed=seed) for cert, n, seed in cyclic]
     monkeypatch.undo()
     assert {len(cert.X) for cert in certs} >= {1, 2, 4096}
     assert all(r.passed for rs in reports for r in rs)
+    assert any(cert.B.free_rank for cert, _, _ in cyclic) and any(cert.A.free_rank for cert, _, _ in cyclic)
+    assert all(res.passed for res in checks)
+    assert [len(res.witnesses) for res in checks] == [0 if cert.degenerate else n for cert, n, _ in cyclic]
 
 
 @pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension])
@@ -1108,6 +1116,35 @@ def test_piece_readers_match_the_actions_on_the_hom_basis():
             got = homext._carrier_map(H, reader(cls, H), X)
             want = [dict(enumerate(X.to_carrier(act(cls, h)))) for h in H.basis]
             assert got == AbMap(H.carrier, X.carrier, want)
+
+
+@pytest.mark.parametrize("samples", [0, 3])
+@pytest.mark.parametrize("B, A", [(Z2, FinGenAb(0, (2, 2))), (Z4, FinGenAb(0, (2, 4))), (FinGenAb(1, (2,)), Z4)])
+def test_cyclic_generation_refuses_the_zero_class(B, A, samples):
+    # The zero class generates nothing of a nontrivial Ext group: the one
+    # generation decision refuses it before any sample is drawn.
+    cert = build_universal_extension(B, A)
+    zero = ext_group(cert.sequence.quot, A).zero()
+    res = cyclic_generation_check(dataclasses.replace(cert, canonical_class=zero), samples=samples)
+    assert not cert.degenerate
+    assert (res.passed, res.detail, res.witnesses) == (False, "η·End(B^(X)) is a proper subgroup", ())
+
+
+def test_cyclic_generation_refuses_a_shifted_witness(monkeypatch):
+    # γ is built from the solver's Hom-piece coefficients and re-verified by
+    # the class action: one coefficient shifted, on a piece whose η·h is
+    # nonzero, is caught.
+    cert = build_universal_extension(Z4, FinGenAb(0, (2, 4)))
+    real = universal.solve_mod_many
+
+    def shifted(cols, rhs, mods):
+        k = next(k for k, col in enumerate(cols) if not homext._vanishes(col, mods))
+        return [{**x, k: x.get(k, 0) + 1} for x in real(cols, rhs, mods)]
+
+    assert cyclic_generation_check(cert, samples=2).passed
+    monkeypatch.setattr(universal, "solve_mod_many", shifted)
+    with pytest.raises(DomainError, match="failed re-verification"):
+        cyclic_generation_check(cert, samples=2)
 
 
 def test_cyclic_generation_samples_are_bounded_before_any_work(monkeypatch):
