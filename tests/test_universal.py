@@ -62,7 +62,7 @@ from abext.universal import (
     verify_coextension_conditions,
     verify_extension_conditions,
 )
-from test_drift import CYCLIC_CHECKS
+from test_drift import COMPARISONS, CYCLIC_CHECKS
 
 Z2 = FinGenAb(0, (2,))
 Z3 = FinGenAb(0, (3,))
@@ -96,6 +96,35 @@ def test_phi_pair():
     pm = phi([Z2, Z4], Z4)
     assert pm.bijective
     assert pm.domain.order() == pm.codomain.total.order()
+
+
+def test_comparison_ranks_once_per_prime(monkeypatch):
+    # Ψ and Φ are ranked for mono alone; bijective reads the orders of the
+    # two finite ends, so a one-prime family takes one rank_mod_p.
+    real = abgroup.rank_mod_p
+    primes = []
+
+    def counted(rows, ncols, p):
+        primes.append(p)
+        return real(rows, ncols, p)
+
+    monkeypatch.setattr(abgroup, "rank_mod_p", counted)
+    families = [([Z2, Z4], Z4, 2), ([Z2, FinGenAb(1, (2,))], Z4, 2), ([Z3, FinGenAb(0, (9,))], FinGenAb(0, (3, 3)), 3)]
+    for summands, B, p in families:
+        for comparison in (psi, phi):
+            del primes[:]
+            pm = comparison(summands, B)
+            assert pm.injective and pm.bijective and primes == [p], (comparison.__name__, summands, B, primes)
+
+
+def test_comparison_bijective_agrees_with_the_epi_test():
+    # The order count stands in for a second rank: on the drift families,
+    # free ends included, it gives the verdict that ranking for epi gives.
+    for summands, B in COMPARISONS:
+        family = [parse_finite_group(s) for s in summands.split(";")]
+        for comparison in (psi, phi):
+            pm = comparison(family, parse_finite_group(B))
+            assert pm.bijective == (pm.injective and is_epi(pm.matrix)), (comparison.__name__, summands, B)
 
 
 def test_psi_bijective_random_families():
@@ -1128,6 +1157,28 @@ def test_cyclic_generation_refuses_the_zero_class(B, A, samples):
     res = cyclic_generation_check(dataclasses.replace(cert, canonical_class=zero), samples=samples)
     assert not cert.degenerate
     assert (res.passed, res.detail, res.witnesses) == (False, "η·End(B^(X)) is a proper subgroup", ())
+
+
+@pytest.mark.parametrize("samples", [0, 3])
+def test_cyclic_generation_is_one_elimination(monkeypatch, samples):
+    # A unit target on every slot rides along with the samples, so the
+    # check decides from its one solve and ranks nothing: Ext^1(B^(X), A)
+    # has the one prime 2, so that is one call of ``_local``.
+    cert = build_universal_extension(Z4, FinGenAb(0, (2, 4)))
+    real = intlin._local
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    def no_rank(*_args):
+        raise AssertionError("the cyclic check ranked a map")
+
+    monkeypatch.setattr(intlin, "_local", counted)
+    monkeypatch.setattr(abgroup, "rank_mod_p", no_rank)
+    res = cyclic_generation_check(cert, samples=samples)
+    assert res.passed and len(res.witnesses) == samples and len(calls) == 1
 
 
 def test_cyclic_generation_refuses_a_shifted_witness(monkeypatch):
