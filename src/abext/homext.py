@@ -331,7 +331,8 @@ class ShortExactSeq:
 
     Every constructor runs this check but one: ``realize`` with a finite
     middle proves the same exactness through the presentation it built (see
-    there) and constructs its sequence with ``_certified_seq``.
+    there) and constructs its sequence with ``_certified_seq``, and g, which
+    that proof shows well defined, with ``_proved_map``.
     ``_class`` is solved for on first read and cached: a lift ℓ_j of each
     torsion generator a_j of A through g, then the x with f(x) = d_j·ℓ_j, the
     j-th twist.  With A finite the descent reads E's free rows modulo K =
@@ -396,6 +397,14 @@ class ShortExactSeq:
         return ShortExactSeq(AbMap.from_json(data["f"]), AbMap.from_json(data["g"]))
 
 
+def _proved_map(source: FinGenAb, target: FinGenAb, cols: Sequence[Dict[int, int]]) -> AbMap:
+    """The AbMap of columns already reduced, whose well-definedness the caller
+    has proved, not validated again."""
+    h = object.__new__(AbMap)
+    h.__dict__.update(source=source, target=target, cols=tuple(cols))
+    return h
+
+
 def _certified_seq(f: AbMap, g: AbMap) -> ShortExactSeq:
     """The sequence of legs whose exactness the caller has proved, not checked again."""
     seq = object.__new__(ShortExactSeq)
@@ -431,36 +440,51 @@ def realize(c: ExtClass) -> ShortExactSeq:
     modulo the moduli, which is all E and the checks below read.  A free
     end keeps ``canonicalize``, exact over Z.
 
-    The legs are f(e_i) and g, and ψ : P → E sends e_i ↦ f(e_i) and t_j ↦
-    ℓ_j, the lift of a_j: a core generator goes to its core image (σ to the
-    sum of its group's f(e_i), a first f(e_i) being its core image minus its
-    group's splits), and a later lift to ℓ_j0 + s_j, with s_j its own split
-    summand's generator.  Nothing the eliminations return is trusted:
+    The legs are f(e_i) and g, which sends each generator E_k of E to
+    gcols[k] = Σ_s lift[k][s]·gimg[s], its ``cyclic_sum`` lift applied to
+    the summands' images in A: a core summand's image is π of its
+    ``torsion_quotient`` lift, a split of B's is 0 and a split lift's
+    a_j − a_j0.  ψ : P → E sends e_i ↦ f(e_i) and t_j ↦ ℓ_j: a core
+    generator goes to its core image (σ to the sum of its group's f(e_i), a
+    first f(e_i) being its core image minus its group's splits), and a later
+    lift to ℓ_j0 + s_j, with s_j its own split summand's generator.  Nothing
+    the eliminations return is trusted.  With A and B finite the checks are
+    f's ``AbMap`` check, the d-halves of the lift checks, two onto checks
+    and ``orders_match``, and they prove g = π∘ψ⁻¹, for π : P ↠ A, e_i ↦ 0,
+    t_j ↦ a_j:
 
-    - ψ is well defined.  f is a checked ``AbMap``, so m_i·f(e_i) = 0, and
-      each torsion lift is checked: g(ℓ_j) = a_j and d_j·ℓ_j = f(b_j).  A
-      kept lift is checked on core images, since b_j is constant on each
-      group of B's generators, so f(b_j) = Σ b_jσ·σ's image.  A later lift
-      has d_j = d_j0 and b_j = b_j0, so by linearity it passes iff
-      g(s_j) = a_j − a_j0 and d_j·s_j = 0, read off s_j's own cells.
-    - With E finite, ψ is onto.  Each core summand's place in E is its
-      ``torsion_quotient`` lift applied to the core images, each split
-      summand is a ψ-image by construction, and each generator of E is its
-      ``cyclic_sum`` lift applied to the summands' places.
-    - |P| = Π m_i·Π d_j, the determinant of its triangular relations, which
-      is |B|·|A|; ``orders_match`` checks |E| against it.
+    1. ψ is well defined.  f is a checked ``AbMap``, so m_i·f(e_i) = 0, and
+       each torsion lift's d-half is checked: d_j·ℓ_j = f(b_j).  A kept lift
+       is checked on core images, since b_j is constant on each group of
+       B's generators, so f(b_j) = Σ b_jσ·σ's image.  A later lift has
+       d_j = d_j0 and b_j = b_j0, so by linearity it passes iff d_j·s_j = 0,
+       read off s_j's own cells.
+    2. ψ is onto.  A core summand's place is ψ(liftc[s]), its
+       ``torsion_quotient`` lift applied to the core images (the first onto
+       check); a split of B is ψ(e_i) and a split lift's place ψ(t_j − t_j0)
+       by construction; and each generator of E is Σ_s lift[k][s]·place[s]
+       (the second).
+    3. |P| = Π m_i·Π d_j, the determinant of its triangular relations, which
+       is |B|·|A|; ``orders_match`` checks |E| against it.  So ψ is an
+       isomorphism, and g' = π∘ψ⁻¹ is a homomorphism E → A with
+       g'(place[s]) = π(ψ⁻¹ place[s]) = gimg[s] for every summand s, by the
+       preimages of step 2.
+    4. Therefore g'(E_k) = Σ_s lift[k][s]·gimg[s] = gcols[k], so g is g': g
+       is well defined, which no ``AbMap`` check needs to show again, and
+       g(ℓ_j) = π(t_j) = a_j, the g-half of every lift check.
 
-    So ψ is an isomorphism.  B's generators span a copy of B in P, so f is
-    mono, with quotient π : P ↠ A, e_i ↦ 0, t_j ↦ a_j.  And g∘ψ = π: g sends a
-    core summand to π of its ``torsion_quotient`` lift, its ψ-preimage by the
-    first onto check, a split ψ(e_i) of B to 0 and a split lift ψ(t_j − t_j0)
-    to a_j − a_j0, and E's generators are their ``cyclic_sum`` lifts by the
-    second.  So g is epi with kernel im f, and g∘f = 0 needs no check.  A free
-    end takes ``ShortExactSeq``'s generic check; the lift checks certify its
-    class.  That check on finite ends too takes a certify-large round of
-    builds 100-114 ms, not 57-58 ms (CPython 3.11, 2 vCPU, best of 7).
+    B's generators span a copy of B in P with quotient π, so f = ψ|_B is mono
+    and im f = ψ(ker π) = ker g: the sequence is exact, and its class is c
+    since each ℓ_j lifts a_j with d_j·ℓ_j = f(b_j).  g's columns are reduced
+    as they are formed (a unit ``cyclic_sum`` lift reads its summand's image
+    as it is), so ``_proved_map`` builds g as it is.  A free end evaluates
+    both halves, g(ℓ_j) = a_j too, and takes ``ShortExactSeq``'s generic
+    check; the lift checks certify its class.  That path on finite ends
+    too takes a certify-large round of builds 107-110 ms, not 52-56 ms
+    (CPython 3.11.7, 2 vCPU, best of 15).
     """
     A, B = c.A, c.B
+    finite = A.is_finite() and B.is_finite()
     nB, bmods = B.dim, B.moduli()
     twists = c.twists()
     tfirst = _firsts(list(zip(A.invariant_factors, twists)) + [(0, ())] * A.free_rank)
@@ -481,7 +505,7 @@ def realize(c: ExtClass) -> ShortExactSeq:
         rel[ct[j]] = A.invariant_factors[j]
         rels.append(rel)
     colmods = [bmods[i] for i in core_e]
-    if A.is_finite() and B.is_finite():  # each lift's order divides d_j·exp B
+    if finite:  # each lift's order divides d_j·exp B
         expB = math.lcm(*colmods)
         cmods, placec, liftc = torsion_quotient(rels, colmods + [A.invariant_factors[j] * expB for j in core_t])
     else:
@@ -502,35 +526,36 @@ def realize(c: ExtClass) -> ShortExactSeq:
         col = fcols[efirst[i]]
         for k, x in esplit_at[i].items():
             col[k] = col.get(k, 0) - x
+    f = AbMap(B, E, fcols)
     # g reads a core generator's lift on the core lifts; a split of B maps to
-    # 0 and a split lift t_k − t_j to a_k − a_j.
+    # 0 and a split lift t_k − t_j to a_k − a_j (−1 is m − 1 at a modulus m).
     ne = len(core_e)
-    gimg = [{core_t[i - ne]: x for i, x in vec.items() if i >= ne} for vec in liftc]
-    gimg += [{}] * len(esplit) + [{j: 1, tfirst[j]: -1} for j in tsplit]
-    gcols = [sparse_image(gimg, row) for row in lift]
+    gimg = [_reduced({core_t[i - ne]: x for i, x in vec.items() if i >= ne}, amods) for vec in liftc]
+    gimg += [{}] * len(esplit) + [{j: 1, tfirst[j]: amods[j] - 1} for j in tsplit]
+    gcols = [_image_mod(gimg, row, amods) for row in lift]
 
+    # The d-halves: d_j·ℓ_j = f(b_j).
     emods, dA = E.moduli(), A.invariant_factors
     for j in kept_rows:
-        v, d, b = img[ct[j]], dA[j], twists[j]
-        hit = sparse_sum([(1, sparse_image(gcols, v)), (-1, {j: 1})])
-        twist = sparse_sum([(d, v)] + [(-b[i], img[ce[i]]) for i in core_e if b[i]])
-        if not (_vanishes(hit, amods) and _vanishes(twist, emods)):
+        b = twists[j]
+        twist = sparse_sum([(dA[j], img[ct[j]])] + [(-b[i], img[ce[i]]) for i in core_e if b[i]])
+        if not _vanishes(twist, emods):
             raise DomainError(_BROKEN_LIFT)
-    for j in tsplit:
-        if j >= len(dA):  # free lifts come last and carry no relation
-            break
-        d, hit = dA[j], {j: -1, tfirst[j]: 1}
+    tsplit_tors = [j for j in tsplit if j < len(dA)]  # free lifts carry no relation
+    for j in tsplit_tors:
+        d = dA[j]
         for k, x in tsplit_at[j].items():
             m = emods[k]
             if d * x % m if m else x:
                 raise DomainError(_BROKEN_LIFT)
-            for a, y in gcols[k].items():
-                hit[a] = hit.get(a, 0) + x * y
-        if not _vanishes(hit, amods):
-            raise DomainError(_BROKEN_LIFT)
-    f, g = AbMap(B, E, fcols), AbMap(E, A, gcols)
-    if not E.is_finite():
-        return ShortExactSeq(f, g)
+    if not finite:  # the g-halves: g(ℓ_j) = a_j and g(s_j) = a_j − a_j0
+        for j in kept_rows:
+            if not _vanishes(sparse_sum([(1, sparse_image(gcols, img[ct[j]])), (-1, {j: 1})]), amods):
+                raise DomainError(_BROKEN_LIFT)
+        for j in tsplit_tors:
+            if not _vanishes(sparse_sum([(1, sparse_image(gcols, tsplit_at[j])), (-1, {j: 1, tfirst[j]: -1})]), amods):
+                raise DomainError(_BROKEN_LIFT)
+        return ShortExactSeq(f, AbMap(E, A, gcols))
     for s in range(nc):  # the core summands are ψ-images
         if not _vanishes(sparse_sum([(1, sparse_image(img, liftc[s])), (-1, place[s])]), emods):
             raise DomainError(_NOT_EXACT)
@@ -546,7 +571,7 @@ def realize(c: ExtClass) -> ShortExactSeq:
             raise DomainError(_NOT_EXACT)
     if not orders_match(E, (A, B)):
         raise DomainError(_NOT_EXACT)
-    return _certified_seq(f, g)
+    return _certified_seq(f, _proved_map(E, A, gcols))
 
 
 _BROKEN_LIFT = "realize: a lift ℓ breaks g(ℓ) = a or d·ℓ = f(b)"
@@ -557,6 +582,21 @@ def _firsts(keys: Sequence) -> List[int]:
     """For each key, the index of its first occurrence."""
     seen: Dict[object, int] = {}
     return [seen.setdefault(key, i) for i, key in enumerate(keys)]
+
+
+def _reduced(vec: Dict[int, int], mods: Sequence[int]) -> Dict[int, int]:
+    """vec with each entry reduced into [0, m) at a modulus m > 0, zeros dropped."""
+    return {i: y for i, x in vec.items() if (y := x % mods[i] if mods[i] else x)}
+
+
+def _image_mod(cols: Sequence[Dict[int, int]], vec: Dict[int, int], mods: Sequence[int]) -> Dict[int, int]:
+    """``sparse_image(cols, vec)`` reduced modulo ``mods``, for columns reduced
+    already: a unit vector reads its column as it is."""
+    if len(vec) == 1:
+        ((k, x),) = vec.items()
+        if x == 1:
+            return cols[k]
+    return _reduced(sparse_image(cols, vec), mods)
 
 
 def _vanishes(vec: Dict[int, int], mods: Sequence[int]) -> bool:

@@ -122,11 +122,12 @@ CYCLIC_CHECK_BUDGET = 1024
 CYCLIC_SAMPLE_BUDGET = 1024
 # A universal (co)extension must have fewer slots |X|·dim B than this, checked
 # before X is listed, with the slots multiplied out only until they reach it.
-# A build takes time and memory linear in the slots, about 10 µs and 1.6 KB a
-# slot in CPython 3.11 on 2 vCPU (12,288 in 0.08-0.20 s; 262,144, past the
-# budget, in 2.3-2.5 s and 350-410 MB), since (b) and (b*) are counts and no
-# condition ranks a map over the slots; the budget bounds the classes listed
-# and the dense p that ``--full`` prints, |X|·dim B by dim E cells.
+# A build takes time and memory linear in the slots, about 5 µs and 1.2 KB a
+# slot in CPython 3.11.7 on 2 vCPU (12,288 in 0.05-0.07 s, best of 5; 262,144,
+# past the budget, in 1.2-2.4 s and 300-313 MB in a fresh process, on a
+# shared host whose speed varied about 2x), since (b) and (b*) are counts and
+# no condition ranks a map over the slots; the budget bounds the classes
+# listed and the dense p that ``--full`` prints, |X|·dim B by dim E cells.
 UNIVERSAL_SLOT_BUDGET = 1 << 14
 
 
@@ -367,10 +368,12 @@ def build_universal_coextension(B: FinGenAb, A: FinGenAb) -> UniversalCertificat
     slices = (cls.coords[j * dB + j0 : j * dB + j1] for j in range(kA) for j0, j1 in runs for cls in X)
     gamma = _reduced_class(A, BX, tuple(chain.from_iterable(slices)))
     # Φ(γ) = (π_x·γ)_x reads each class back at the slots the runs give it:
-    # one slice [n·j0 + x·w, n·j0 + (x + 1)·w) of each twist per run of width w.
+    # [n·j0 + x·w, n·j0 + (x + 1)·w) of each twist per run of width w.  Each
+    # (twist, run) slice is read once and cut into its n blocks of width w,
+    # and zip regroups the blocks class by class.
     v, n = gamma.twists(), len(X)
-    at = [(n * j0, j1 - j0) for j0, j1 in runs]
-    if any(tuple(chain.from_iterable(t[b + x * w : b + x * w + w] for t in v for b, w in at)) != cls.coords for x, cls in enumerate(X)):
+    cut = (zip(*[iter(t[n * j0 : n * j1])] * (j1 - j0)) for t in v for j0, j1 in runs)
+    if any(tuple(chain.from_iterable(blocks)) != cls.coords for blocks, cls in zip(zip(*cut), X)):
         raise DomainError("universal co-extension: Φ does not reproduce the inputs")
     seq = realize(gamma)
     p, u, E = seq.f, seq.g, seq.middle

@@ -39,6 +39,7 @@ from abext.homext import (
     ses_equivalent,
 )
 from abext.oracle import ConcreteGroup, enumerate_homs
+from abext.universal import build_universal_coextension, build_universal_extension
 
 Z = FinGenAb(1, ())
 Z2 = FinGenAb(0, (2,))
@@ -242,17 +243,33 @@ NOT_ISOMORPHIC = "ψ is not an isomorphism"
 
 # The core is columns σ (B's generator), t_0 and t_2, with summands Z(2) and
 # Z(16); ``cyclic_sum`` takes (2, 16, 2) and numbers E's generators Z(2),
-# Z(2), Z(16).  4 times the Z(16) generator is in ker g (4·A = 0) and has
-# order 4, so the split lift it is added to keeps g(s) = a_k − a_j and breaks
-# 2·s = 0.  The next three corruptions leave g and every lift relation as
-# they were, so only the check that ψ maps onto E sees them: E's first
-# generator lifted to s_0 + 4·s_1, with 4·s_1 in ker g; the core Z(2) lifted
-# with σ added, which g does not read; and t_0 placed 8·s_1 off, which g and
-# d_0 = 2 both kill.  Their f and g are still exact: what fails is the proof.
-# The core Z(16) read as Z(8) leaves f not mono, and only |E| ≠ |A|·|B|
-# shows it.  In ``SPLIT_CLASS`` B's two generators share their twist, so the
-# second splits off as Z(4), E's first generator; placed at twice that
-# generator, a non-unit, f is not mono, and no lift check reads the split.
+# Z(2), Z(16).  With finite ends ``realize`` evaluates only the d-halves of
+# its lift checks, then its two onto checks and |E| = |A|·|B|; which one
+# refuses each case:
+#
+# - d-halves.  4 times the Z(16) generator has order 4, so the split lift it
+#   is added to breaks 2·s = 0 (split-lift-order-4); the core Z(2) placed at
+#   the Z(16) generator breaks d_0·ℓ_0 = f(b_0) (core-lift-at-other).
+# - Every generator of E is a ψ-image (the second onto check).  A place that
+#   ``cyclic_sum`` built as a unit no longer is: the split lift at twice
+#   itself, which is 0 (split-lift-times-2), or at the core Z(2)
+#   (split-lift-at-core), and the core Z(16) at twice itself
+#   (core-lift-times-2); a g-half, which g = π∘ψ⁻¹ makes redundant here,
+#   would refuse these three too.  E's first generator lifted to
+#   s_0 + 4·s_1, with 4·s_1 in ker g, leaves g and every lift relation as
+#   they were (generator-lift-off-by-kernel), and so does the split of B
+#   placed at a non-unit below (split-of-B-at-a-non-unit).
+# - Each core summand is a ψ-image (the first onto check): the core Z(2)
+#   lifted with σ added, which g does not read (core-summand-lift-off), and
+#   t_0 placed 8·s_1 off, which g and d_0 = 2 both kill
+#   (core-place-off-by-kernel).  Their f and g are still exact: what fails
+#   is the proof.
+# - |E| = |A|·|B|: the core Z(16) read as Z(8) leaves f not mono, and only
+#   the order shows it (core-summand-order-halved).
+#
+# In ``SPLIT_CLASS`` B's two generators share their twist, so the second
+# splits off as Z(4), E's first generator; placed at twice that generator,
+# a non-unit, f is not mono, and no lift check reads the split.
 SPLIT_CLASS = ExtClass(Z2, FinGenAb(0, (4, 4)), (1, 1))
 CLASSES = {"lift": (LIFT_CHECK_CLASS, FinGenAb(0, (2, 2, 16))), "split": (SPLIT_CLASS, FinGenAb(0, (4, 8)))}
 CALLS = {("lift", "cyclic_sum"): (2, 16, 2), ("lift", "torsion_quotient"): (4, 8, 16), ("split", "cyclic_sum"): (8, 4)}
@@ -261,10 +278,10 @@ CALLS = {("lift", "cyclic_sum"): (2, 16, 2), ("lift", "torsion_quotient"): (4, 8
 @pytest.mark.parametrize(
     "cls, source, corrupt, message",
     [
-        ("lift", "cyclic_sum", _place(-1, 2, -1), BROKEN_LIFT),
-        ("lift", "cyclic_sum", _place(-1, 1, 0), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _place(-1, 2, -1), NOT_ISOMORPHIC),
+        ("lift", "cyclic_sum", _place(-1, 1, 0), NOT_ISOMORPHIC),
         ("lift", "cyclic_sum", _add_place(-1, 4, 1), BROKEN_LIFT),
-        ("lift", "cyclic_sum", _place(1, 2, 1), BROKEN_LIFT),
+        ("lift", "cyclic_sum", _place(1, 2, 1), NOT_ISOMORPHIC),
         ("lift", "cyclic_sum", _place(0, 1, 1), BROKEN_LIFT),
         ("lift", "cyclic_sum", _add_entry(1, 0, 1, 4), NOT_ISOMORPHIC),
         ("lift", "torsion_quotient", _add_entry(1, 0, 0, 1), NOT_ISOMORPHIC),
@@ -304,6 +321,42 @@ def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, cls, source, 
     with pytest.raises(DomainError, match=message):
         realize(c)
     assert [tuple(mods) for mods in calls] == [CALLS[cls, source]]
+
+
+@pytest.mark.parametrize(
+    "c, maps, g_halves, exactness",
+    [(LIFT_CHECK_CLASS, 1, 0, 0), (ExtClass(FinGenAb(1, (2, 2, 4)), Z4, (2, 2, 1)), 2, 3, 1)],
+    ids=["finite", "free"],
+)
+def test_realize_validates_f_alone_with_finite_ends(monkeypatch, c, maps, g_halves, exactness):
+    # With finite ends ψ's proof gives g = π∘ψ⁻¹, so ``realize`` validates one
+    # AbMap, f, and evaluates no g-half: no vanishing test modulo A's moduli.
+    # The free twin of LIFT_CHECK_CLASS (two kept lifts and one split) reads
+    # both halves of its three torsion lifts, validates g and runs the
+    # generic check, whose own g∘f test is not counted.
+    real_map, real_seq, real_vanishes = AbMap.__post_init__, ShortExactSeq.__post_init__, homext._vanishes
+    seen = []
+
+    def counted_map(self):
+        seen.append("AbMap")
+        real_map(self)
+
+    def counted_seq(self):
+        seen.append("ShortExactSeq")
+        real_seq(self)
+
+    def counted_vanishes(vec, mods):
+        if "ShortExactSeq" not in seen and tuple(mods) == c.A.moduli():
+            seen.append("g-half")
+        return real_vanishes(vec, mods)
+
+    monkeypatch.setattr(AbMap, "__post_init__", counted_map)
+    monkeypatch.setattr(ShortExactSeq, "__post_init__", counted_seq)
+    monkeypatch.setattr(homext, "_vanishes", counted_vanishes)
+    s = realize(c)
+    assert [seen.count(event) for event in ("AbMap", "g-half", "ShortExactSeq")] == [maps, g_halves, exactness]
+    monkeypatch.undo()
+    assert classify(s) == c and ShortExactSeq(s.f, s.g) == s
 
 
 def test_classify_examples():
@@ -426,10 +479,13 @@ def test_find_equivalence_checks_its_commuting_squares(monkeypatch):
 
 def test_generic_exactness_accepts_every_sequence_realize_certifies():
     """With finite ends ``realize`` proves exactness through its presentation
-    map ψ and runs no generic check; the generic check of ``ShortExactSeq``
-    accepts every such sequence.  Seeded classes whose twists repeat, so
-    that generators of both ends split off, and free ends, which take the
-    generic check inside ``realize``."""
+    map ψ and runs no generic check, and builds g unvalidated; the generic
+    check of ``ShortExactSeq`` accepts every such sequence, and ``AbMap``
+    rebuilds the same g from its columns, which holds only if they are
+    reduced.  Seeded classes whose twists repeat, so that generators of both
+    ends split off, free ends, which take the generic check inside
+    ``realize``, and both certificates of B = Z(2)⁴, A = Z(2)², with 1,024
+    slots."""
     rng = random.Random(2604)
     certified = 0
     for _ in range(200):
@@ -437,9 +493,15 @@ def test_generic_exactness_accepts_every_sequence_realize_certifies():
         c = random_class(rng, A, B)
         s = realize(c)
         assert ShortExactSeq(s.f, s.g) == s
+        assert AbMap(s.middle, s.quot, s.g.cols) == s.g
         assert classify(s) == c
         certified += s.middle.is_finite()
     assert 100 < certified < 200
+    B, A = FinGenAb(0, (2, 2, 2, 2)), Z2_2
+    for build in (build_universal_extension, build_universal_coextension):
+        s = build(B, A).sequence
+        assert ShortExactSeq(s.f, s.g) == s
+        assert AbMap(s.middle, s.quot, s.g.cols) == s.g
 
 
 def _realize_full_presentation(c):

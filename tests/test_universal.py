@@ -127,6 +127,26 @@ def test_comparison_bijective_agrees_with_the_epi_test():
             assert pm.bijective == (pm.injective and is_epi(pm.matrix)), (comparison.__name__, summands, B)
 
 
+@pytest.mark.parametrize("comparison, induced", [(psi, "ext_contravariant_map"), (phi, "ext_covariant_map")])
+def test_comparison_is_not_bijective_onto_a_larger_codomain(monkeypatch, comparison, induced):
+    # Every real family is bijective, so only a padded one shows that the
+    # order count decides: the first part's codomain gains one more copy of
+    # its top invariant factor, the map stays mono, and |dom| < |cod|.
+    real, padded = getattr(universal, induced), []
+
+    def pad(*args):
+        part = real(*args)
+        if padded:
+            return part
+        factors = part.target.invariant_factors
+        padded.append(FinGenAb(0, factors + factors[-1:]))
+        return AbMap(part.source, padded[0], part.cols)
+
+    monkeypatch.setattr(universal, induced, pad)
+    pm = comparison([Z2, Z4], Z4)
+    assert padded and pm.injective and not pm.bijective
+
+
 def test_psi_bijective_random_families():
     rng = random.Random(41)
     pool = abelian_groups_up_to_order(8)
