@@ -442,23 +442,6 @@ def is_cotorsion(e: TorsionExpr) -> CotorsionResult:
 # Symbolic quotient relation
 
 
-def _resources(e: TorsionExpr):
-    per_prime: Dict[int, dict] = {}
-    w_mult: Mult = 0
-    for atom, mult in e.terms:
-        if isinstance(atom, AllPrimesCyclic):
-            w_mult = _mult_add(w_mult, mult)
-            continue
-        slot = per_prime.setdefault(atom.p, {"cyclic": {}, "u": 0, "prufer": 0})
-        if isinstance(atom, Cyclic):
-            slot["cyclic"][atom.k] = _mult_add(slot["cyclic"].get(atom.k, 0), mult)
-        elif isinstance(atom, UnboundedFamily):
-            slot["u"] = _mult_add(slot["u"], mult)
-        else:
-            slot["prufer"] = _mult_add(slot["prufer"], mult)
-    return per_prime, w_mult
-
-
 @dataclass(frozen=True)
 class QuotientCheck:
     source_universal: bool
@@ -469,52 +452,32 @@ class QuotientCheck:
 def quotient_closure_check(e: TorsionExpr, q: TorsionExpr) -> QuotientCheck:
     """Verify q is a recognizable symbolic quotient of e, then compare verdicts.
 
-    Recognized shapes: cyclics shrink (Z(p^k) ↠ Z(p^j), j ≤ k), U(p) covers
-    any cyclic sum at p and smaller U(p), Prüfer covers only Prüfer, W
-    covers W and height-1 cyclic demands up to its multiplicity.  Raises
-    when q does not match; the universality implication must then hold and
-    is returned for inspection.
+    q must ask for no more W than e has, and at each prime p of q for no
+    more Z(p^inf) and no more U(p).  When e has no U(p), which surjects onto
+    any cyclic sum at p, the cyclic summands of the p-components, where each
+    W is one Z(p) on its side, are counted: for every k, q may have no more
+    of order ≥ p^k than e has.  This is the classical criterion for bounded
+    p-groups (type μ is a quotient of type λ iff μ's Young diagram fits in
+    λ's), with "inf" absorbing.  Z(p^inf) covers only Z(p^inf), and
+    U(p) ↠ Z(p^inf) is not recognized.  Raises when q does not match; the
+    universality implication must then hold and is returned for inspection.
     """
-    res, w_avail = _resources(e)
-    dem, w_need = _resources(q)
-    if not _mult_le(w_need, w_avail):
+    w = AllPrimesCyclic()
+    if not _mult_le(dict(q.terms).get(w, 0), dict(e.terms).get(w, 0)):
         raise DomainError("quotient check: W demand exceeds supply")
-    for p, slot in dem.items():
-        have = res.get(p, {"cyclic": {}, "u": 0, "prufer": 0})
-        if not _mult_le(slot["prufer"], have["prufer"]):
-            raise DomainError(f"quotient check: Prüfer demand at p={p} exceeds supply")
-        if not _mult_le(slot["u"], have["u"]):
-            raise DomainError(f"quotient check: U demand at p={p} exceeds supply")
-        demands = sorted(slot["cyclic"].items(), reverse=True)
-        if not demands:
-            continue
-        if have["u"] != 0:
+    for p in q.primes():
+        have, need = dict(p_component(e, p).terms), dict(p_component(q, p).terms)
+        for atom, name in ((Prufer(p), "Prüfer"), (UnboundedFamily(p), "U")):
+            if not _mult_le(need.get(atom, 0), have.get(atom, 0)):
+                raise DomainError(f"quotient check: {name} demand at p={p} exceeds supply")
+        if UnboundedFamily(p) in have:
             continue  # an unbounded family surjects onto any cyclic sum at p
-        supply = dict(have["cyclic"])
-        if w_avail != 0:
-            supply[1] = _mult_add(supply.get(1, 0), w_avail)
-        for k, need in demands:
-            remaining: Mult = need
-            for kk in sorted([s for s in supply if s >= k]):
-                avail = supply[kk]
-                if avail == 0:
-                    continue
-                if avail is None or remaining is not None and avail >= remaining:
-                    used = remaining
-                    supply[kk] = None if avail is None else (avail - (used or 0))
-                    remaining = 0
-                    break
-                if remaining is None:
-                    continue
-                remaining -= avail
-                supply[kk] = 0
-            if remaining is None:
-                # infinite demand needs an infinite supply at some k' >= k
-                if not any(supply.get(kk) is None for kk in supply if kk >= k):
-                    raise DomainError(
-                        f"quotient check: infinite cyclic demand Z({p}^{k}) unmatched"
-                    )
-            elif remaining:
+        asked: Mult = 0
+        held: Mult = 0
+        for k in sorted({a.k for a in (*have, *need) if isinstance(a, Cyclic)}, reverse=True):
+            asked = _mult_add(asked, need.get(Cyclic(p, k), 0))
+            held = _mult_add(held, have.get(Cyclic(p, k), 0))
+            if not _mult_le(asked, held):
                 raise DomainError(f"quotient check: cyclic demand Z({p}^{k}) unmatched")
     ve = classify(e).verdict_TZ
     vq = classify(q).verdict_TZ

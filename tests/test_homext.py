@@ -323,6 +323,31 @@ def test_realize_lift_check_catches_a_corrupt_summand(monkeypatch, cls, source, 
     assert [tuple(mods) for mods in calls] == [CALLS[cls, source]]
 
 
+# A free end evaluates the g-halves too, and they alone see a lift whose
+# image in A is off while f, the d-halves and E are not.  With A = Z(3),
+# B = Z and class (1,), E = Z on the core lift t, 3t = e; its ``canonicalize``
+# lift read as 2t makes g(ℓ_0) = 2·a_0 (kept-lift).  With A = Z(3)² and class
+# (1, 1), t_1 splits off as Z(3), E's first generator; its ``cyclic_sum``
+# lift read as twice the split makes g(s_1) = 2·(a_1 − a_0) (split-lift).
+@pytest.mark.parametrize(
+    "c, source",
+    [(ExtClass(Z3, Z, (1,)), "canonicalize"), (ExtClass(FinGenAb(0, (3, 3)), Z, (1, 1)), "cyclic_sum")],
+    ids=["kept-lift", "split-lift"],
+)
+def test_realize_g_half_catches_a_free_end_lift_off_in_a(monkeypatch, c, source):
+    real = getattr(homext, source)
+
+    def corrupted(*args):
+        out = list(real(*args))
+        _add_entry(1, 0, 1, 1)(out)
+        return tuple(out)
+
+    assert classify(realize(c)) == c
+    monkeypatch.setattr(homext, source, corrupted)
+    with pytest.raises(DomainError, match=BROKEN_LIFT):
+        realize(c)
+
+
 @pytest.mark.parametrize(
     "c, maps, g_halves, exactness",
     [(LIFT_CHECK_CLASS, 1, 0, 0), (ExtClass(FinGenAb(1, (2, 2, 4)), Z4, (2, 2, 1)), 2, 3, 1)],

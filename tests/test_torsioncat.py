@@ -1,3 +1,6 @@
+import functools
+import itertools
+import math
 import random
 
 import pytest
@@ -183,9 +186,20 @@ def test_quotient_examples():
     assert r.source_universal and r.quotient_universal
     r = quotient_closure_check(parse("U(2)"), parse("Z(2^5)"))
     assert (r.source_universal, r.quotient_universal) == (False, True)
+    r = quotient_closure_check(parse("W^2"), parse("W+Z(3)"))
+    assert r.source_universal and r.quotient_universal
 
 
 def test_quotient_rejections():
+    with pytest.raises(DomainError, match="W demand exceeds supply"):
+        quotient_closure_check(parse("W"), parse("W^2"))
+    with pytest.raises(DomainError, match="Prüfer demand at p=2 exceeds supply"):
+        quotient_closure_check(parse("Z(2^inf)"), parse("Z(2^inf)^2"))
+    # W is one Z(p) at each prime, spent once: on the quotient's W or on its
+    # cyclic Z(p), not on both.
+    for source, quotient in [("W", "W+Z(2)"), ("W^2", "Z(7)+W^2"), ("Z(5)+U(7)^2+W^2", "Z(5)^2+W^2")]:
+        with pytest.raises(DomainError, match="cyclic demand"):
+            quotient_closure_check(parse(source), parse(quotient))
     with pytest.raises(DomainError):
         quotient_closure_check(parse("Z(2)"), parse("Z(4)"))
     with pytest.raises(DomainError):
@@ -196,6 +210,89 @@ def test_quotient_rejections():
         quotient_closure_check(parse("Z(2)^3"), parse("Z(2)^inf"))
     with pytest.raises(DomainError):
         quotient_closure_check(parse("Z(4)"), parse("U(2)"))
+
+
+@functools.lru_cache(maxsize=None)
+def _maps_onto(orders, target):
+    """Whether ⊕ Z(n) over ``orders`` maps onto ⊕ Z(m) over ``target``.
+
+    A depth-first search over the images of the generators, each an element
+    of the target whose order divides its n, for images that generate the
+    target.  The images chosen so far matter only through the subgroup S
+    they span, and the next image only through its coset modulo S, so each
+    coset is tried once and each (generator, S) that failed is not searched
+    again; an S that could not reach the target's order with the generators
+    left is dropped.
+    """
+    elems = list(itertools.product(*(range(m) for m in target)))
+    failed = set()
+
+    def reach(i, span):
+        if len(span) == len(elems):
+            return True
+        if i == len(orders) or len(span) * math.prod(orders[i:]) < len(elems) or (i, span) in failed:
+            return False
+        n, tried = orders[i], set()
+        for x in elems:
+            if x in tried or any(n * a % m for a, m in zip(x, target)):
+                continue
+            tried.update(tuple((a + b) % m for a, b, m in zip(s, x, target)) for s in span)
+            if reach(i + 1, frozenset(tuple((a + j * b) % m for a, b, m in zip(s, x, target)) for s in span for j in range(n))):
+                return True
+        failed.add((i, span))
+        return False
+
+    return reach(0, frozenset(elems[:1]))
+
+
+def _abelian_groups(n, least=1):
+    """The invariant factors d_1 | d_2 | ..., each a multiple of ``least``, of
+    every abelian group of order n."""
+    if n == 1:
+        return [()]
+    return [(d, *rest) for d in range(2, n + 1) if n % d == 0 and d % least == 0 for rest in _abelian_groups(n // d, d)]
+
+
+def _accepts(e, q):
+    try:
+        quotient_closure_check(e, q)
+    except DomainError:
+        return False
+    return True
+
+
+def test_quotient_check_matches_a_surjection_search_on_small_finite_groups():
+    # Every ordered pair of nontrivial finite abelian groups of order ≤ 16,
+    # written by invariant factors, which parse splits by the CRT: the check
+    # accepts exactly when the search finds a surjection.
+    groups = [g for n in range(2, 17) for g in _abelian_groups(n)]
+    assert len(groups) == 24
+    exprs = {g: parse("+".join(f"Z({d})" for d in g)) for g in groups}
+    pairs = [(g, h) for g in groups for h in groups]
+    wrong = [(g, h) for g, h in pairs if _accepts(exprs[g], exprs[h]) != _maps_onto(g, h)]
+    assert not wrong
+    assert sum(_maps_onto(g, h) for g, h in pairs) > len(groups)
+
+
+def test_quotient_check_spends_each_summand_of_w_once():
+    # Sums of W and cyclic 2- and 3-groups, each atom of multiplicity 1.  At
+    # p = 2 and p = 3 the p-components (W gives one Z(p)) are held to the
+    # search; at any other prime, 5 say, they are W's Z(p) alone, so W^a ↠ W^b
+    # needs b ≤ a.
+    rng = random.Random(7)
+    atoms = ["W", "Z(2)", "Z(4)", "Z(8)", "Z(3)", "Z(9)"]
+    rows = [[rng.choice(atoms) for _ in range(rng.randint(1, 3))] for _ in range(400)]
+
+    def component(row, p):
+        return tuple(sorted(p if a == "W" else int(a[2:-1]) for a in row if a == "W" or int(a[2:-1]) % p == 0))
+
+    def expected(src, quo):
+        return all(_maps_onto(component(src, p), component(quo, p)) for p in (2, 3)) and quo.count("W") <= src.count("W")
+
+    pairs = [(rng.choice(rows), rng.choice(rows)) for _ in range(2500)]
+    wrong = [(src, quo) for src, quo in pairs if _accepts(parse("+".join(src)), parse("+".join(quo))) != expected(src, quo)]
+    assert not wrong, wrong[:5]
+    assert 200 < sum(expected(src, quo) for src, quo in pairs) < 2300
 
 
 def test_quotient_monotonicity_random():

@@ -504,6 +504,39 @@ def test_audit_fails_a_certificate_claiming_another_class(build):
     assert all(r.passed for r in audit(cert))
 
 
+@pytest.mark.parametrize("build", [build_universal_extension, build_universal_coextension], ids=["extension", "coextension"])
+def test_builders_refuse_their_own_failed_conditions(monkeypatch, build):
+    # (c) alone failing makes the three verdicts disagree; all three failing
+    # is a construction that failed its own verification.
+    assert build(Z2, Z4).all_pass
+    monkeypatch.setattr(universal, "_generates", lambda *_: False)
+    with pytest.raises(DomainError, match="verdicts disagree: a=True b=True c=False"):
+        build(Z2, Z4)
+    monkeypatch.setattr(universal, "_zero_mod", lambda *_: False)
+    monkeypatch.setattr(universal, "orders_match", lambda *_: False)
+    with pytest.raises(DomainError, match="failed its own verification"):
+        build(Z2, Z4)
+
+
+@pytest.mark.parametrize(
+    "inverse, action", [(psi_inverse_via_colim, "pullback_action"), (phi_inverse_via_lim, "pushout_action")], ids=["psi", "phi"]
+)
+def test_inverses_refuse_a_sequence_that_misses_an_input(monkeypatch, inverse, action):
+    # The class read back along one of the structure maps is shifted by one
+    # in its first coordinate, so it no longer matches that input.
+    real = getattr(universal, action)
+
+    def shifted(c, h):
+        out = real(c, h)
+        return ExtClass(out.A, out.B, (out.coords[0] + 1, *out.coords[1:]))
+
+    classes = [ExtClass(Z2, Z2, (1,)), ExtClass(Z2, Z2, (0,))]
+    inverse(classes)
+    monkeypatch.setattr(universal, action, shifted)
+    with pytest.raises(DomainError, match="of the constructed sequence does not reproduce the inputs"):
+        inverse(classes)
+
+
 def test_exhaustive_small_pairs_have_certificates():
     # Ab is Ab4: universal extensions exist for every pair (orders ≤ 6 here;
     # the acceptance suite pushes this to 8)
