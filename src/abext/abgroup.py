@@ -292,6 +292,17 @@ def dense_matrix(cols: Sequence[Dict[int, int]], nrows: int) -> IntMatrix:
     return IntMatrix.from_rows(rows, ncols=len(cols))
 
 
+def json_rows(cols: Sequence[Dict[int, int]], nrows: int) -> List[List[str]]:
+    """``dense_matrix(cols, nrows).to_json()`` with no dense matrix: rows of "0",
+    and only the nonzero cells pass through ``json_str``."""
+    rows = [["0"] * len(cols) for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            if x:
+                rows[i][j] = json_str(x)
+    return rows
+
+
 def apply_sparse(cols: Sequence[Dict[int, int]], vec: Sequence[int], nrows: int) -> List[int]:
     """Σ_j vec[j]·cols[j] as a dense vector of length nrows."""
     out = [0] * nrows
@@ -418,7 +429,8 @@ class AbMap:
     Construction normalizes and validates well-definedness in time linear in
     the nonzero entries: for each source generator of order m, m times its
     image must vanish in the target.  ``matrix`` is the dense
-    (target.dim x source.dim) view, built on first use.
+    (target.dim x source.dim) view, built on first use; ``to_json`` prints
+    the columns without building it.
     """
 
     source: FinGenAb
@@ -515,7 +527,7 @@ class AbMap:
         return {
             "source": self.source.to_json(),
             "target": self.target.to_json(),
-            "matrix": self.matrix.to_json(),
+            "matrix": json_rows(self.cols, self.target.dim),
         }
 
     @staticmethod

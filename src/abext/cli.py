@@ -11,12 +11,18 @@ integer of more than 4,300 digits cannot be printed, so a result holding
 one is refused with the structured error `budget-exceeded`.
 
 The argument parser is built once per process, on the first request, and
-reused by every later ``main`` call: no default it holds is mutable.  A
-request is parsed by its verb's parser alone; the full parser sees only
-help, an unknown verb and leftover arguments, so its messages are
-unchanged.  Verb modules load on first use: ``univ-ext``, ``univ-coext``,
-``psi`` and ``cyclic-check`` import ``universal`` when they run, and
-``suite`` imports ``acceptance`` (and with it ``oracle``).
+reused by every later ``main`` call: no default it holds is mutable.  Each
+verb's argparse parser is the one declaration of its options and the one
+source of usage errors and help.  A request is first read in one pass
+(``_read``) against a table built, with the parser, from the actions that
+the verb's ``add_argument`` calls returned; it takes only exact option
+strings with plain values, ``store_true`` flags and positionals in order,
+and declines anything else.  The verb's parser alone parses what it
+declines, and the full parser sees only help, an unknown verb and leftover
+arguments, so every message is unchanged.  Verb modules load on first use:
+``univ-ext``, ``univ-coext``, ``psi`` and ``cyclic-check`` import
+``universal`` when they run, and ``suite`` imports ``acceptance`` (and with
+it ``oracle``).
 
 Group arguments accept either an expression ("Z(4)+Z(6)", "Z^2+Z(12)" —
 composite orders CRT-split, free parts for the homological verbs only) or
@@ -34,7 +40,7 @@ from typing import Optional
 
 from .errors import DomainError, ParseError
 from .intlin import DimensionMismatch, IntMatrix, json_str, snf, sparse_rows
-from .abgroup import AbMap, FinGenAb, canonicalize, dense_matrix
+from .abgroup import AbMap, FinGenAb, canonicalize, json_rows
 from .homext import (
     ExtClass,
     ShortExactSeq,
@@ -126,8 +132,8 @@ def _cmd_canon(args):
     group, place, lift = canonicalize(sparse_rows(pres.rows), pres.ncols)
     return {
         "group": group.to_json(),
-        "to_canonical": dense_matrix(place, group.dim).to_json(),
-        "from_canonical": dense_matrix(lift, pres.ncols).to_json(),
+        "to_canonical": json_rows(place, group.dim),
+        "from_canonical": json_rows(lift, pres.ncols),
     }
 
 
@@ -262,112 +268,214 @@ def _cmd_suite(args):
     return run_all(seed=args.seed, only=args.only)
 
 
-# verb -> its parser, recorded by _build_parser as it adds each one
+# verb -> its parser, and verb -> the table _read reads its argv against
+# (None for a verb _read leaves to argparse); _build_parser records both
 _VERB_PARSERS: dict = {}
+_VERB_TABLES: dict = {}
 
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="abext", description="exact toolkit for abelian group extensions")
     sub = top.add_subparsers(dest="verb", required=True)
+    declared = {}  # verb -> the actions its add_argument calls returned
 
     def add(name, fn, help_text):
+        """Add the verb; return its ``add_argument``, which records each action it makes."""
         p = _VERB_PARSERS[name] = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        return p
+        actions = declared[name] = []
 
-    p = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
-    p.add_argument("--matrix", required=True, help="JSON matrix (decimal strings) or @file")
+        def arg(*flags, **kwargs):
+            actions.append(p.add_argument(*flags, **kwargs))
 
-    p = add("canon", _cmd_canon, "canonical form of a presented group")
-    p.add_argument("--presentation", required=True, help="JSON relation matrix (rows = relations)")
+        arg("--pretty", action="store_true", help="indent the JSON output")
+        return arg
 
-    p = add("hom", _cmd_hom, "Hom(A, B) as a group")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
+    arg = add("snf", _cmd_snf, "Smith normal form of an integer matrix")
+    arg("--matrix", required=True, help="JSON matrix (decimal strings) or @file")
 
-    p = add("ext", _cmd_ext, "Ext^1(A, B) as a group")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
+    arg = add("canon", _cmd_canon, "canonical form of a presented group")
+    arg("--presentation", required=True, help="JSON relation matrix (rows = relations)")
 
-    p = add("realize", _cmd_realize, "realize an Ext class as a short exact sequence")
-    p.add_argument("--class", dest="cls", required=True)
+    arg = add("hom", _cmd_hom, "Hom(A, B) as a group")
+    arg("--A", required=True)
+    arg("--B", required=True)
 
-    p = add("classify", _cmd_classify, "normal-form class of a short exact sequence")
-    p.add_argument("--sequence", required=True)
+    arg = add("ext", _cmd_ext, "Ext^1(A, B) as a group")
+    arg("--A", required=True)
+    arg("--B", required=True)
 
-    p = add("baer", _cmd_baer, "Baer sum (or difference) of two classes")
-    p.add_argument("--c1", required=True)
-    p.add_argument("--c2", required=True)
-    p.add_argument("--subtract", action="store_true")
+    arg = add("realize", _cmd_realize, "realize an Ext class as a short exact sequence")
+    arg("--class", dest="cls", required=True)
 
-    p = add("act", _cmd_act, "pullback/pushout action of a map on a class")
-    p.add_argument("--class", dest="cls", required=True)
-    p.add_argument("--map", required=True)
-    p.add_argument("--side", choices=["pull", "push"], required=True)
+    arg = add("classify", _cmd_classify, "normal-form class of a short exact sequence")
+    arg("--sequence", required=True)
 
-    p = add("delta", _cmd_delta, "connecting morphism of a sequence at a test object")
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--T", required=True)
-    p.add_argument("--dual", action="store_true", help="Hom(sub,T) → Ext^1(quot,T) instead")
+    arg = add("baer", _cmd_baer, "Baer sum (or difference) of two classes")
+    arg("--c1", required=True)
+    arg("--c2", required=True)
+    arg("--subtract", action="store_true")
 
-    p = add("psi", _cmd_psi, "Psi (or Phi) comparison map for a finite family")
-    p.add_argument("--summands", required=True, help="semicolon-separated group expressions")
-    p.add_argument("--B", required=True)
-    p.add_argument("--phi", action="store_true", help="compute Phi instead of Psi")
+    arg = add("act", _cmd_act, "pullback/pushout action of a map on a class")
+    arg("--class", dest="cls", required=True)
+    arg("--map", required=True)
+    arg("--side", choices=["pull", "push"], required=True)
 
-    p = add("univ-ext", _cmd_univ_ext, "canonical universal extension certificate")
-    p.add_argument("--B", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--full", action="store_true", help="include the sequence and class")
+    arg = add("delta", _cmd_delta, "connecting morphism of a sequence at a test object")
+    arg("--sequence", required=True)
+    arg("--T", required=True)
+    arg("--dual", action="store_true", help="Hom(sub,T) → Ext^1(quot,T) instead")
 
-    p = add("univ-coext", _cmd_univ_coext, "canonical universal co-extension certificate")
-    p.add_argument("--B", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--full", action="store_true")
+    arg = add("psi", _cmd_psi, "Psi (or Phi) comparison map for a finite family")
+    arg("--summands", required=True, help="semicolon-separated group expressions")
+    arg("--B", required=True)
+    arg("--phi", action="store_true", help="compute Phi instead of Psi")
 
-    p = add("cyclic-check", _cmd_cyclic_check, "cyclic generation of Ext over End(B^(X))")
-    p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    p.add_argument("--B", required=True)
-    p.add_argument("--A", required=True)
-    p.add_argument("--samples", type=int, default=5)
+    arg = add("univ-ext", _cmd_univ_ext, "canonical universal extension certificate")
+    arg("--B", required=True)
+    arg("--A", required=True)
+    arg("--full", action="store_true", help="include the sequence and class")
 
-    p = add("parse", _cmd_parse, "parse a torsion group expression")
-    p.add_argument("expression")
+    arg = add("univ-coext", _cmd_univ_coext, "canonical universal co-extension certificate")
+    arg("--B", required=True)
+    arg("--A", required=True)
+    arg("--full", action="store_true")
 
-    p = add("classify-torsion", _cmd_classify_torsion, "co-Ext^1-universality classification")
-    p.add_argument("expression")
-    p.add_argument("--p", type=_int_list, default=(), help="extra primes for T_p verdicts, comma-separated")
+    arg = add("cyclic-check", _cmd_cyclic_check, "cyclic generation of Ext over End(B^(X))")
+    arg("--seed", type=int, default=0, help="seed for any sampling")
+    arg("--B", required=True)
+    arg("--A", required=True)
+    arg("--samples", type=int, default=5)
 
-    p = add("cotorsion", _cmd_cotorsion, "Baer–Fomin cotorsion test with witness")
-    p.add_argument("expression")
+    arg = add("parse", _cmd_parse, "parse a torsion group expression")
+    arg("expression")
 
-    p = add("witness", _cmd_witness, "divisibility-defect witness order")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    arg = add("classify-torsion", _cmd_classify_torsion, "co-Ext^1-universality classification")
+    arg("expression")
+    arg("--p", type=_int_list, default=(), help="extra primes for T_p verdicts, comma-separated")
 
-    p = add("ab4-witness", _cmd_ab4_witness, "Ab4* failure witness order")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
+    arg = add("cotorsion", _cmd_cotorsion, "Baer–Fomin cotorsion test with witness")
+    arg("expression")
 
-    p = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
-    p.add_argument("--seed", type=int, default=0, help="seed for any sampling")
-    p.add_argument("--only", type=_int_list, default=(), help="comma-separated criterion ids")
+    arg = add("witness", _cmd_witness, "divisibility-defect witness order")
+    arg("--p", type=int, required=True)
+    arg("--N", type=int, required=True)
 
+    arg = add("ab4-witness", _cmd_ab4_witness, "Ab4* failure witness order")
+    arg("--p", type=int, required=True)
+    arg("--N", type=int, required=True)
+
+    arg = add("suite", _cmd_suite, "run the acceptance criteria, emit a scorecard")
+    arg("--seed", type=int, default=0, help="seed for any sampling")
+    arg("--only", type=_int_list, default=(), help="comma-separated criterion ids")
+
+    for name, actions in declared.items():
+        _VERB_TABLES[name] = _table(_VERB_PARSERS[name], actions)
     return top
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The request ``argv``, parsed by its verb's parser alone.
+def _table(verb: argparse.ArgumentParser, actions: list):
+    """What ``_read`` reads the verb's argv against, from its declared actions.
 
-    The full parser answers what that one cannot: no verb, an unknown verb
-    or ``-h`` first, and leftover arguments, which it reports under its own
-    usage line.
+    The options by option string (those taking one value, and flags shaped
+    like ``store_true``), the Namespace defaults as argparse sets them, the
+    required actions (every positional among them), the positionals in order
+    and the actions with a string default.  None when an action takes some
+    other number of values.
+    """
+    if any(a.nargs not in (None, 0) for a in actions):
+        return None
+    options, defaults = {}, {}
+    for a in actions:
+        if a.nargs is None or (a.const is True and a.default is False):
+            options.update(dict.fromkeys(a.option_strings, a))
+        if a.dest is not argparse.SUPPRESS and a.dest not in defaults and a.default is not argparse.SUPPRESS:
+            defaults[a.dest] = a.default
+    defaults.setdefault("fn", verb.get_default("fn"))
+    required = [a for a in actions if a.required]
+    positionals = [a for a in actions if not a.option_strings]
+    return options, defaults, required, positionals, [a for a in actions if isinstance(a.default, str)]
+
+
+_DECLINED = object()
+
+
+def _typed(action: argparse.Action, text: str):
+    """``text`` through the action's ``type``, or _DECLINED where argparse reports a usage error."""
+    if action.type is None:
+        return text
+    try:
+        return action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return _DECLINED
+
+
+def _read(verb: argparse.ArgumentParser, table, argv: list) -> Optional[argparse.Namespace]:
+    """``verb.parse_known_args(argv)``'s Namespace, read in one pass, or None.
+
+    It reads only exact option strings, each followed by a value that does
+    not start with '-' (passed through the action's ``type`` and checked
+    against its ``choices``), ``store_true`` flags and the positionals in
+    order, and hands each value to its action as argparse does.  Every other
+    argv gives None: an unknown or abbreviated option, ``--opt=value``,
+    ``--``, help, a value starting with '-' (negative numbers included), a
+    value that ``type`` or ``choices`` refuses, a missing value, a missing
+    required option and an extra or missing positional.
+    """
+    options, defaults, required, positionals, str_defaults = table
+    ns = argparse.Namespace()
+    vars(ns).update(defaults)
+    seen = set()
+    values = iter(argv)
+    rest = iter(positionals)
+    for text in values:
+        if text.startswith("-"):
+            option, action = text, options.get(text)
+            if action is None:
+                return None
+            if action.nargs == 0:
+                action(verb, ns, [], option)
+                seen.add(action)
+                continue
+            text = next(values, "-")  # a missing value reads as '-'
+            if text.startswith("-"):
+                return None
+        else:
+            option, action = None, next(rest, None)
+            if action is None:
+                return None
+        value = _typed(action, text)
+        if value is _DECLINED or (action.choices is not None and value not in action.choices):
+            return None
+        action(verb, ns, value, option)
+        seen.add(action)
+    if any(a not in seen for a in required):
+        return None
+    for a in str_defaults:  # argparse types a string default it did not replace
+        if a not in seen and getattr(ns, a.dest, None) is a.default:
+            value = _typed(a, a.default)
+            if value is _DECLINED:
+                return None
+            setattr(ns, a.dest, value)
+    return ns
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The request ``argv``, read by ``_read`` or parsed by its verb's parser alone.
+
+    The verb's parser sees the argv ``_read`` declines, so it alone reports
+    a usage error in a verb's arguments.  The full parser answers what that
+    one cannot: no verb, an unknown verb or ``-h`` first, and leftover
+    arguments, which it reports under its own usage line.
     """
     top = _build_parser()
     verb = _VERB_PARSERS.get(argv[0]) if argv else None
     if verb is not None:
+        table = _VERB_TABLES[argv[0]]
+        args = _read(verb, table, argv[1:]) if table is not None else None
+        if args is not None:
+            return args
         args, extras = verb.parse_known_args(argv[1:])
         if not extras:
             return args

@@ -25,11 +25,12 @@ tests hold them to.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, DomainError, ParseError
-from .abgroup import MAX_GROUP_DIM, FinGenAb, invariant_factors_of
+from .abgroup import MAX_GROUP_DIM, FinGenAb, _prime_runs
 from .intlin import MAX_BOUND_DIGITS, is_prime, json_str, prime_factors
 
 Mult = Optional[int]  # None encodes "inf" (any infinite cardinal)
@@ -147,100 +148,116 @@ class TorsionExpr:
 # Parser
 
 
+# A token is a run of ASCII digits, "inf" or any other one character that
+# is not whitespace (what str.isspace accepts); the whitespace before it is
+# skipped.
+_TOKEN = re.compile(r"\s*([0-9]+|inf|\S)")
+
+
 class _Scanner:
+    """The expression's tokens and the index ``i`` of the next one.
+
+    Offsets into the text are found only for an error: ``offset(i)`` is
+    where token i starts, and ``offset(i, space=True)`` where the whitespace
+    before it starts.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")  # past the end
+        self.i = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def offset(self, i: int, space: bool = False) -> int:
+        pos = 0
+        for j, token in enumerate(_TOKEN.finditer(self.text)):
+            if j == i:
+                return token.start() if space else token.start(1)
+            pos = token.end()
+        return pos if space else len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def accept(self, token: str) -> bool:
+        """Whether ``token`` comes next; it is consumed if so."""
+        if self.tokens[self.i] != token:
+            return False
+        self.i += 1
+        return True
 
     def expect(self, ch: str):
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ParseError(f"expected '{ch}'", self.pos)
-        self.pos += 1
+        if self.tokens[self.i] != ch:
+            raise ParseError(f"expected '{ch}'", self.offset(self.i))
+        self.i += 1
 
     def number(self) -> int:
         """A run of ASCII digits, of at most MAX_BOUND_DIGITS."""
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected a number", start)
-        if self.pos - start > MAX_BOUND_DIGITS:
-            raise ParseError(f"a number of more than {MAX_BOUND_DIGITS} digits", start)
-        return int(self.text[start : self.pos])
+        token = self.tokens[self.i]
+        if not "0" <= token[:1] <= "9":
+            raise ParseError("expected a number", self.offset(self.i))
+        if len(token) > MAX_BOUND_DIGITS:
+            raise ParseError(f"a number of more than {MAX_BOUND_DIGITS} digits", self.offset(self.i))
+        self.i += 1
+        return int(token)
 
-    def keyword(self, word: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(word, self.pos):
-            self.pos += len(word)
-            return True
-        return False
+    def keyword(self, *words: str) -> str:
+        """The next token, consumed, if it is one of ``words``; else ""."""
+        token = self.tokens[self.i]
+        if token not in words:
+            return ""
+        self.i += 1
+        return token
 
     def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
+        return not self.tokens[self.i]
 
 
 def _parse_mult(sc: _Scanner) -> Mult:
-    if sc.peek() == "^":
-        sc.expect("^")
-        if sc.keyword("inf"):
-            return None
-        start = sc.pos
-        m = sc.number()
-        if m < 1:
-            raise ParseError("multiplicity must be >= 1", start)
-        return m
-    return 1
+    if not sc.accept("^"):
+        return 1
+    if sc.keyword("inf"):
+        return None
+    start = sc.i
+    m = sc.number()
+    if m < 1:
+        raise ParseError("multiplicity must be >= 1", sc.offset(start))
+    return m
 
 
 def _parse_atom_list(sc: _Scanner, allow_free: bool):
     """One term -> (free_rank_delta, [(atom, 1), ...]) before multiplicity."""
-    sc.skip_ws()
-    start = sc.pos
-    if sc.keyword("W"):
+    start = sc.i
+    word = sc.keyword("W", "U", "Z")
+    if word == "W":
         return 0, [(AllPrimesCyclic(), 1)]
-    if sc.keyword("U"):
+    if word == "U":
         sc.expect("(")
-        pstart = sc.pos
+        pstart = sc.i
         p = sc.number()
         if not is_prime(p):
-            raise ParseError(f"U({p}): {p} is not prime", pstart)
+            raise ParseError(f"U({p}): {p} is not prime", sc.offset(pstart, space=True))
         sc.expect(")")
         return 0, [(UnboundedFamily(p), 1)]
-    if sc.keyword("Z"):
-        if sc.peek() != "(":
+    if word == "Z":
+        if not sc.accept("("):
             if allow_free:
                 return 1, []
-            raise ParseError("free part 'Z' not allowed in a torsion expression", start)
-        sc.expect("(")
-        nstart = sc.pos
+            raise ParseError("free part 'Z' not allowed in a torsion expression", sc.offset(start))
+        nstart = sc.i
         n = sc.number()
-        if sc.peek() == "^":
-            sc.expect("^")
+        if sc.accept("^"):
             if not is_prime(n):
-                raise ParseError(f"Z({n}^..): {n} is not prime", nstart)
+                raise ParseError(f"Z({n}^..): {n} is not prime", sc.offset(nstart, space=True))
             if sc.keyword("inf"):
                 sc.expect(")")
                 return 0, [(Prufer(n), 1)]
-            kstart = sc.pos
+            kstart = sc.i
             k = sc.number()
             if k < 1:
-                raise ParseError("exponent must be >= 1", kstart)
+                raise ParseError("exponent must be >= 1", sc.offset(kstart))
             sc.expect(")")
             return 0, [(Cyclic(n, k), 1)]
         sc.expect(")")
         if n == 0:
-            raise ParseError("Z(0) is the free group, not torsion", nstart)
+            raise ParseError("Z(0) is the free group, not torsion", sc.offset(nstart, space=True))
         # Composite orders are CRT-split into prime-power cyclic atoms.
         atoms = []
         for p in prime_factors(n):
@@ -251,7 +268,7 @@ def _parse_atom_list(sc: _Scanner, allow_free: bool):
                 e += 1
             atoms.append((Cyclic(p, e), 1))
         return 0, atoms
-    raise ParseError("expected an atom (Z(..), U(..) or W)", start)
+    raise ParseError("expected an atom (Z(..), U(..) or W)", sc.offset(start))
 
 
 def _parse_expr(text: str, allow_free: bool):
@@ -263,7 +280,7 @@ def _parse_expr(text: str, allow_free: bool):
         mult = _parse_mult(sc)
         if rank:
             if mult is None:
-                raise ParseError("free rank must be finite", sc.pos)
+                raise ParseError("free rank must be finite", sc.offset(sc.i, space=True))
             free_rank += rank * mult
         for atom, _ in atoms:
             terms.append((atom, mult))
@@ -288,12 +305,15 @@ def parse_finite_group(text: str) -> FinGenAb:
             raise DomainError(f"'{_atom_str(atom)}' is not finitely generated")
         if mult is None:
             raise DomainError("infinite multiplicity is not finitely generated")
-        _refuse_past_digits(_atom_str(atom), [(atom.p, atom.k)])
+        _refuse_past_digits(lambda: _atom_str(atom), [(atom.p, atom.k)])
     dim = free_rank + sum(mult for _, mult in terms)
     if dim > MAX_GROUP_DIM:
         raise BudgetExceeded(f"a group of {dim} generators exceeds {MAX_GROUP_DIM}")
-    pieces = [atom.p ** atom.k for atom, mult in terms for _ in range(mult)]
-    return FinGenAb(free_rank, invariant_factors_of(pieces))
+    counts: Dict[int, int] = {}
+    for atom, mult in terms:
+        q = atom.p**atom.k
+        counts[q] = counts.get(q, 0) + mult
+    return FinGenAb(free_rank, tuple(_prime_runs(counts)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +402,17 @@ def _bound(e: TorsionExpr) -> int:
     for a, _ in e.terms:
         if isinstance(a, Cyclic):
             kmax[a.p] = max(kmax.get(a.p, 0), a.k)
-    _refuse_past_digits("bound", kmax.items())
+    _refuse_past_digits(lambda: "bound", kmax.items())
     return math.prod(p**k for p, k in kmax.items())
 
 
-def _refuse_past_digits(what: str, powers) -> None:
-    """BudgetExceeded when Π p^k over the pairs (p, k), estimated in digits as
-    Σ k·log10 p, could not be printed: it has more than MAX_BOUND_DIGITS digits."""
+def _refuse_past_digits(what, powers) -> None:
+    """BudgetExceeded, naming the number ``what()``, when Π p^k over the pairs (p, k),
+    estimated in digits as Σ k·log10 p, could not be printed: it has more than
+    MAX_BOUND_DIGITS digits."""
     digits = sum(k * math.log10(p) for p, k in powers)
     if digits >= MAX_BOUND_DIGITS:
-        raise BudgetExceeded(f"{what} of about {int(digits) + 1} digits exceeds {MAX_BOUND_DIGITS}")
+        raise BudgetExceeded(f"{what()} of about {int(digits) + 1} digits exceeds {MAX_BOUND_DIGITS}")
 
 
 def classify(e: TorsionExpr, primes: Sequence[int] = ()) -> ClassificationReport:
@@ -512,7 +533,7 @@ def _least_coset_order(p: int, N: int) -> WitnessResult:
         raise DomainError(f"{p} is not prime")
     if N < 1:
         raise DomainError("N must be >= 1")
-    _refuse_past_digits(f"order {p}^{N}", [(p, N)])
+    _refuse_past_digits(lambda: f"order {p}^{N}", [(p, N)])
     return WitnessResult(p**N, p, N)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -362,6 +363,10 @@ def test_printed_integers_stop_at_4300_digits(capsys):
     assert code == 1 and data["error"]["code"] == "budget-exceeded"
     code, data = run_json(capsys, "univ-ext", "--A", "Z(2^9000) + Z(3^5000)", "--B", "Z(6)")
     assert code == 1 and data["error"]["code"] == "budget-exceeded"
+    # e0 = N·e1 and e1 = N·e2 present Z on e2, so e0 goes to N², a coordinate of 8,600 digits
+    N = 10**4300 - 1
+    code, data = run_json(capsys, "canon", "--presentation", json.dumps([["1", str(-N), "0"], ["0", "1", str(-N)]]))
+    assert code == 1 and data["error"]["code"] == "budget-exceeded"
 
 
 @pytest.mark.parametrize(
@@ -547,7 +552,10 @@ CLASS_Z4_Z4 = json.dumps({"A": {"rank": 0, "factors": ["4"]}, "B": {"rank": 0, "
 ID_Z4 = json.dumps({"source": {"rank": 0, "factors": ["4"]}, "target": {"rank": 0, "factors": ["4"]}, "matrix": [["1"]]})
 
 # A valid request of every verb, then options written as --X=v or
-# abbreviated, usage errors, a "--" separator, help, and argv with no verb.
+# abbreviated, usage errors, a "--" separator, help, and argv with no verb,
+# then the shapes at the edge of what cli._read takes: a repeated option, a
+# negative value, an empty value, a value that is an option, a flag given
+# twice and a positional after the options.
 PARSE_TABLE = [
     ["snf", "--matrix", '[["2","4"],["6","8"]]'],
     ["canon", "--presentation", '[["2","4"],["6","8"]]', "--pretty"],
@@ -583,6 +591,15 @@ PARSE_TABLE = [
     ["--help"],
     ["-h", "ext"],
     ["ext", "--help"],
+    ["hom", "--A", "Z(2)", "--B", "Z(2)", "--A", "Z(4)"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--sam", "1"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "1", "--seed", "-3"],
+    ["ext", "--A", "", "--B", "Z(2)"],
+    ["ext", "--A", "--B", "Z(2)"],
+    ["ext", "--A", "--B", "--B", "Z(2)"],
+    ["ext", "--A", "Z(2)", "--B", "Z(2)", "--pretty", "--pretty"],
+    ["classify-torsion", "--p", "3", "Z(4)"],
+    ["classify-torsion", "Z(4)", "--p", ""],
 ]
 
 
@@ -612,6 +629,60 @@ def test_verb_parser_answers_like_the_full_parser(capsys, monkeypatch, argv):
     assert got == want
     if {"--mode", "--budget"} & set(argv):  # retired options are usage errors
         assert got[0][0] == 2
+
+
+# One well-formed request of every verb, each option written out in full.
+PLAIN_REQUESTS = [
+    ["snf", "--matrix", '[["2","4"],["6","8"]]'],
+    ["canon", "--presentation", '[["2","4"],["6","8"]]', "--pretty"],
+    ["hom", "--A", "Z(4)+Z(6)", "--B", "Z+Z(2)"],
+    ["ext", "--A", "Z(4)", "--B", "Z(6)"],
+    ["realize", "--class", CLASS_Z4_Z4],
+    ["classify", "--sequence", SEQUENCE_Z2_Z4_Z2],
+    ["baer", "--c1", CLASS_Z4_Z4, "--c2", CLASS_Z4_Z4, "--subtract"],
+    ["act", "--class", CLASS_Z4_Z4, "--map", ID_Z4, "--side", "pull"],
+    ["delta", "--sequence", SEQUENCE_Z2_Z4_Z2, "--T", "Z(2)", "--dual"],
+    ["psi", "--summands", "Z(2);Z(2)", "--B", "Z(2)", "--phi"],
+    ["univ-ext", "--B", "Z(2)", "--A", "Z(2)", "--full"],
+    ["univ-coext", "--B", "Z(2)", "--A", "Z(4)"],
+    ["cyclic-check", "--B", "Z(2)", "--A", "Z(2)", "--samples", "2", "--seed", "3"],
+    ["parse", "Z(12)"],
+    ["classify-torsion", "Z(4)", "--p", "3,5"],
+    ["cotorsion", "Z(2)^inf"],
+    ["witness", "--p", "2", "--N", "4"],
+    ["ab4-witness", "--p", "5", "--N", "2"],
+    ["suite", "--only", "9", "--seed", "1"],
+]
+
+
+def test_well_formed_requests_never_enter_argparse(capsys, monkeypatch):
+    cli._build_parser()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed request")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert {argv[0] for argv in PLAIN_REQUESTS} == set(cli._VERB_PARSERS)
+    for argv in PLAIN_REQUESTS:
+        code, out = run(capsys, *argv)
+        assert code == 0 and "error" not in json.loads(out), argv
+
+
+def test_the_reader_types_string_defaults_and_leaves_other_nargs_to_argparse():
+    # No verb declares a string default or an nargs other than None and 0, so
+    # the requests above reach neither branch of cli._table and cli._read.
+    parser = argparse.ArgumentParser()
+    parser.set_defaults(fn=None)
+    actions = [parser.add_argument("--n", type=int, default="7"), parser.add_argument("--s", default="x")]
+    table = cli._table(parser, actions)
+    for argv in ([], ["--n", "3"], ["--s", "y", "--n", "3"]):
+        got = cli._read(parser, table, argv)
+        assert vars(got) == vars(parser.parse_known_args(argv)[0]), argv
+    assert vars(cli._read(parser, table, []))["n"] == 7
+    # argparse refuses a string default its type refuses
+    assert cli._read(parser, cli._table(parser, [parser.add_argument("--k", type=int, default="x")]), []) is None
+    assert cli._table(parser, actions + [parser.add_argument("--many", nargs="+")]) is None
 
 
 COLD_EXT_CHILD = """

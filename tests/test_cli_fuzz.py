@@ -26,6 +26,7 @@ import random
 from collections import Counter
 
 from abext.abgroup import AbMap, FinGenAb
+from abext import cli
 from abext.cli import main
 from abext.errors import DomainError
 from abext.homext import ExtClass, realize
@@ -260,3 +261,24 @@ def test_seeded_requests_over_every_verb_end_in_json_or_a_structured_error(capsy
         outcomes[code] += 1
     assert sum(outcomes.values()) == REQUESTS and all(outcomes[c] >= 50 for c in (0, 1, 2)), outcomes
     assert answered == set(VERBS), set(VERBS) - answered  # every verb also answered
+
+
+def test_the_one_pass_reader_answers_like_argparse_on_every_request():
+    # cli._read either declines a request or returns what the verb's own
+    # parser returns for it; the grammar's negative and malformed values are
+    # declined, so argparse still reads some of them.
+    cli._build_parser()
+    rng = random.Random(2029)
+    valid = valid_values()
+    read = declined = 0
+    for k in range(REQUESTS):
+        argv = request(rng, VERBS[k % len(VERBS)], valid)
+        verb = cli._VERB_PARSERS[argv[0]]
+        got = cli._read(verb, cli._VERB_TABLES[argv[0]], argv[1:])
+        if got is None:
+            declined += 1
+            continue
+        want, extras = verb.parse_known_args(argv[1:])
+        assert not extras and vars(got) == vars(want), (k, argv)
+        read += 1
+    assert read > REQUESTS // 2 and declined >= 50, (read, declined)

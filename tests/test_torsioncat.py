@@ -67,6 +67,32 @@ def test_parse_errors_carry_positions():
         parse("Z")  # free parts are rejected in torsion mode
 
 
+@pytest.mark.parametrize(
+    "parser, text, message, position",
+    [
+        # an offset taken right after "(", or after "inf", is where the whitespace begins
+        (parse, "Z( 4 ^2)", "Z(4^..): 4 is not prime", 2),
+        (parse, "U( 6 )", "U(6): 6 is not prime", 2),
+        (parse, "Z( 0 )", "Z(0) is the free group, not torsion", 2),
+        (parse_finite_group, "Z ^inf + Z(2)", "free rank must be finite", 6),
+        # every other offset is where the next token begins
+        (parse, "Z(2^ 0)", "exponent must be >= 1", 5),
+        (parse, "Z(2)^ 0", "multiplicity must be >= 1", 6),
+        (parse, "Z(2)  Z(3)", "expected '+'", 6),
+        (parse, "  Q", "expected an atom (Z(..), U(..) or W)", 2),
+        (parse, " Z ", "free part 'Z' not allowed in a torsion expression", 1),
+        (parse, "Z(2) + ", "expected an atom (Z(..), U(..) or W)", 7),
+        (parse, "Z( ", "expected a number", 3),
+        (parse, "Z(2 ", "expected ')'", 4),
+        (parse, "Z(2^\tinf x", "expected ')'", 9),
+    ],
+)
+def test_parse_error_offsets_around_whitespace(parser, text, message, position):
+    with pytest.raises(ParseError) as ei:
+        parser(text)
+    assert (str(ei.value), ei.value.position) == (message, position)
+
+
 def test_parse_roundtrip_through_str():
     rng = random.Random(51)
     for _ in range(100):
